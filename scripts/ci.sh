@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify: configure, build, and run the full gtest suite via ctest.
+# Tier-1 verify: configure, build, and run the full gtest suite via ctest,
+# once as usual and then three more times in random parallel order.
 # Usage: scripts/ci.sh [build-dir] [--sanitize|--tsan|--tsan-stress|--replay|--analyze|--incident] [--simd-off]
 #   --sanitize     Debug build with ASan+UBSan (keeps the streaming/worker-pool
 #                  concurrency sanitizer-clean).
@@ -264,4 +265,8 @@ else
   cmake --build "$BUILD_DIR" -j
   cd "$BUILD_DIR" || exit 1
   ctest --output-on-failure -j "$(nproc)"
+  # Every gtest case is its own ctest process, so cases that share a file
+  # or directory race each other. Random order, eight at a time, three
+  # rounds: a suite that only passes serially fails here.
+  ctest --output-on-failure -j8 --schedule-random --repeat until-fail:3
 fi

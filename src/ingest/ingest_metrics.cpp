@@ -53,6 +53,7 @@ double LatencyHistogram::quantile_ms(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const double rank = q * static_cast<double>(total - 1) + 1.0;  // 1-based
   double cumulative = 0.0;
+  double us = bucket_upper_us(kBuckets - 1);
   for (std::size_t i = 0; i < kBuckets; ++i) {
     if (counts[i] == 0) continue;
     const double next = cumulative + static_cast<double>(counts[i]);
@@ -61,11 +62,14 @@ double LatencyHistogram::quantile_ms(double q) const {
       const double lo = i == 0 ? 0.0 : bucket_upper_us(i - 1);
       const double hi = bucket_upper_us(i);
       const double frac = (rank - cumulative) / static_cast<double>(counts[i]);
-      return (lo + frac * (hi - lo)) / 1000.0;
+      us = lo + frac * (hi - lo);
+      break;
     }
     cumulative = next;
   }
-  return bucket_upper_us(kBuckets - 1) / 1000.0;
+  // Interpolation can land past the largest sample in its bucket; no
+  // quantile may exceed the exact recorded max.
+  return std::min(us / 1000.0, max_ms());
 }
 
 // ---- IngestMetrics ---------------------------------------------------------

@@ -22,14 +22,15 @@ namespace slj::ingest {
 /// samples in [2^(i-1), 2^i) µs (bucket 0 = sub-microsecond). Quantiles are
 /// read back with linear interpolation inside the winning bucket, so p50/p99
 /// carry at most one octave of error — plenty for "is the plane keeping up".
+/// They are clamped to the exact recorded max, so no quantile exceeds it.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 40;
 
   void record(std::chrono::nanoseconds latency);
 
-  /// q in [0, 1]; returns the interpolated quantile in milliseconds
-  /// (0 when no samples were recorded).
+  /// q in [0, 1]; returns the interpolated quantile in milliseconds, at most
+  /// max_ms() (0 when no samples were recorded).
   double quantile_ms(double q) const;
 
   std::uint64_t count() const {

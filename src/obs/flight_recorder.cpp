@@ -59,7 +59,7 @@ void FlightRecorder::evict_session(std::size_t index) {
     capture->pushes.shrink_to_fit();
     capture->ticks.clear();
     capture->ticks.shrink_to_fit();
-    capture->open.background = RgbImage();
+    capture->open.background.reset();
     capture->bytes = 0;
   }
 }
@@ -99,8 +99,11 @@ void FlightRecorder::enforce_budgets(std::int64_t now_ns) {
 void FlightRecorder::on_open(ingest::Clock::time_point now, int session,
                              const ingest::IngestSessionConfig& config,
                              const RgbImage& background) {
-  slj::LockGuard lock(mutex_);
   if (session < 0) return;
+  // The one copy of the pixels is made before the lock, so no other caller
+  // waits on the recorder behind a pixel copy; later holders share it.
+  auto pixels = std::make_shared<const RgbImage>(background);
+  slj::LockGuard lock(mutex_);
   if (static_cast<std::size_t>(session) >= sessions_.size()) {
     sessions_.resize(static_cast<std::size_t>(session) + 1);
   }
@@ -110,7 +113,7 @@ void FlightRecorder::on_open(ingest::Clock::time_point now, int session,
   capture->open.t_ns = stamp(now);
   capture->open.session = session;
   capture->open.config = replay::to_trace_config(config);
-  capture->open.background = background;
+  capture->open.background = std::move(pixels);
   account(*capture, kSessionOverhead + frame_bytes(background));
   sessions_[static_cast<std::size_t>(session)] = std::move(capture);
   enforce_budgets(stamp(now));
@@ -118,9 +121,6 @@ void FlightRecorder::on_open(ingest::Clock::time_point now, int session,
 
 void FlightRecorder::on_push(ingest::Clock::time_point now, int session, const RgbImage& frame,
                              ingest::PushOutcome outcome, std::uint64_t sequence) {
-  slj::LockGuard lock(mutex_);
-  SessionCapture* capture = capture_of(session);
-  if (capture == nullptr) return;  // pre-install, evicted, or tainted session
   replay::PushRecord record;
   record.t_ns = stamp(now);
   record.session = session;
@@ -128,9 +128,15 @@ void FlightRecorder::on_push(ingest::Clock::time_point now, int session, const R
   record.sequence = sequence;
   std::size_t delta = kPushOverhead;
   if (ingest::push_accepted(outcome)) {
-    record.frame = frame;
+    // Copied before the lock (see on_open). A push for a session the
+    // recorder ignores wastes this copy, which is rare: such sessions were
+    // opened before the tap was installed or were shed by the budget.
+    record.frame = std::make_shared<const RgbImage>(frame);
     delta += frame_bytes(frame);
   }
+  slj::LockGuard lock(mutex_);
+  SessionCapture* capture = capture_of(session);
+  if (capture == nullptr) return;  // pre-install, evicted, or tainted session
   capture->pushes.emplace_back(capture_seq_++, std::move(record));
   account(*capture, delta);
   enforce_budgets(stamp(now));
@@ -182,8 +188,10 @@ void FlightRecorder::on_close(ingest::Clock::time_point now, int session,
 
 FlightRecorder::DumpStats FlightRecorder::dump(const std::string& path) {
   DumpStats stats;
-  // Records land in a flat pool; `order` carries (capture_seq, pool index)
-  // so the global sort shuffles trivial pairs, not variant payloads.
+  // A pointer snapshot: records land in a flat pool by value, but their
+  // pixels are the capture's shared buffers, so nothing large is copied and
+  // the lock covers bookkeeping only. `order` carries (capture_seq, pool
+  // index) so the global sort shuffles trivial pairs, not variant payloads.
   std::vector<replay::TraceRecord> pool;
   std::vector<std::pair<std::uint64_t, std::size_t>> order;
   const auto emit = [&pool, &order](std::uint64_t seq, replay::TraceRecord record) {
@@ -278,48 +286,44 @@ FlightRecorder::DumpStats FlightRecorder::dump(const std::string& path) {
     }
     if (t > t_max) t_max = t;
   }
-  replay::Trace trace;
-  trace.records.reserve(order.size() + 1);
-  for (const auto& [seq, index] : order) {
-    replay::TraceRecord& record = pool[index];
-    visit_t(record) -= t0;
-    trace.records.push_back(std::move(record));
-  }
   stats.span_ns = have_t0 ? t_max - t0 : 0;
 
-  // Synthesize the summary from the emitted records and include it only
-  // when the conservation law holds for them (see file comment).
-  replay::SummaryRecord summary;
-  for (const replay::TraceRecord& record : trace.records) {
-    if (const auto* push = std::get_if<replay::PushRecord>(&record)) {
-      switch (push->outcome) {
-        case ingest::PushOutcome::kReplacedOldest:
-          ++summary.dropped_oldest;
-          ++summary.pushed;
-          break;
-        case ingest::PushOutcome::kAccepted: ++summary.pushed; break;
-        case ingest::PushOutcome::kRejected: ++summary.rejected; break;
-        case ingest::PushOutcome::kRateLimited: ++summary.rate_limited; break;
-        case ingest::PushOutcome::kClosed: ++summary.closed_pushes; break;
-      }
-    } else if (const auto* tick = std::get_if<replay::TickRecord>(&record)) {
-      ++summary.ticks;
-      summary.delivered += tick->entries.size();
-    } else if (const auto* close = std::get_if<replay::CloseRecord>(&record)) {
-      summary.discarded += close->discarded;
-      if (close->evicted) ++summary.evicted_sessions;
-    }
-  }
-  if (summary.pushed == summary.delivered + summary.dropped_oldest + summary.discarded) {
-    stats.has_summary = true;
-    trace.records.push_back(summary);
-  }
-
-  // Atomic materialization: a reader (or a crashed dump) never sees a
-  // half-written incident file.
+  // Stream the snapshot to <path>.tmp, then rename: a reader (or a crashed
+  // dump) never sees a half-written incident file. The summary is
+  // synthesized from the emitted records and appended only when the
+  // conservation law holds for them (see file comment).
   const std::string tmp = path + ".tmp";
   try {
-    replay::save_trace(trace, tmp);
+    replay::TraceWriter writer(tmp);
+    replay::SummaryRecord summary;
+    for (const auto& [seq, index] : order) {
+      replay::TraceRecord& record = pool[index];
+      visit_t(record) -= t0;
+      writer.append(record);
+      if (const auto* push = std::get_if<replay::PushRecord>(&record)) {
+        switch (push->outcome) {
+          case ingest::PushOutcome::kReplacedOldest:
+            ++summary.dropped_oldest;
+            ++summary.pushed;
+            break;
+          case ingest::PushOutcome::kAccepted: ++summary.pushed; break;
+          case ingest::PushOutcome::kRejected: ++summary.rejected; break;
+          case ingest::PushOutcome::kRateLimited: ++summary.rate_limited; break;
+          case ingest::PushOutcome::kClosed: ++summary.closed_pushes; break;
+        }
+      } else if (const auto* tick = std::get_if<replay::TickRecord>(&record)) {
+        ++summary.ticks;
+        summary.delivered += tick->entries.size();
+      } else if (const auto* close = std::get_if<replay::CloseRecord>(&record)) {
+        summary.discarded += close->discarded;
+        if (close->evicted) ++summary.evicted_sessions;
+      }
+    }
+    if (summary.pushed == summary.delivered + summary.dropped_oldest + summary.discarded) {
+      stats.has_summary = true;
+      writer.append(summary);
+    }
+    writer.finish();
   } catch (...) {
     std::remove(tmp.c_str());
     throw;

@@ -19,6 +19,17 @@
 //     cheaply. Session ids are never reused, so a taint cannot leak onto a
 //     new session.
 //
+// Memory: each captured frame (and background) is held exactly once, as an
+// immutable shared buffer built on the producer thread *before* the mutex is
+// taken, so producers never copy pixels under the lock. dump() takes a
+// pointer snapshot of the ordered records under the mutex — headers by
+// value, pixels shared — and streams it through replay::TraceWriter outside
+// the lock; no pixel is copied and the capture is left untouched.
+// TraceReplayer::replay_file reads the dump back streamed (a push index plus
+// one tick's frames). The budget is bytes as well as time: full-size noisy
+// frames do not RLE-compress (≈142 KB each), so the default 256 MiB holds
+// ≈2 s of 16 × 60 fps traffic, far less than the 30 s window_ns default.
+//
 // dump() materializes the retained capture as a valid trace, atomically
 // (write to <path>.tmp, then rename). Two live-capture races are handled:
 //
@@ -61,7 +72,7 @@ class FlightRecorder : public ingest::IngestTap {
   explicit FlightRecorder(FlightRecorderConfig config = {});
 
   // IngestTap — on_push arrives concurrently from producer threads; one
-  // mutex serializes the capture (same posture as replay::TraceRecorder).
+  // mutex serializes the capture bookkeeping (pixels are copied before it).
   void on_open(ingest::Clock::time_point now, int session,
                const ingest::IngestSessionConfig& config, const RgbImage& background)
       SLJ_EXCLUDES(mutex_) override;
@@ -86,8 +97,9 @@ class FlightRecorder : public ingest::IngestTap {
   };
 
   /// Writes the retained capture as a .sljtrace, atomically (tmp + rename).
-  /// Safe while the service is live. Throws std::runtime_error on I/O
-  /// failure. An empty capture still produces a valid (record-free) trace.
+  /// Safe while the service is live: the lock is held only for a pointer
+  /// snapshot, and the capture is not modified. Throws std::runtime_error on
+  /// I/O failure. An empty capture still produces a valid (record-free) trace.
   DumpStats dump(const std::string& path) SLJ_EXCLUDES(mutex_);
 
   /// Approximate bytes currently retained.

@@ -1,5 +1,6 @@
 #include "replay/trace_format.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -47,8 +48,6 @@ class ByteReader {
  public:
   ByteReader(const char* data, std::size_t size) : data_(data), size_(size) {}
 
-  std::size_t remaining() const { return size_ - pos_; }
-
   std::uint8_t u8() {
     need(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
@@ -75,6 +74,14 @@ class ByteReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
+
+  /// The next `n` bytes as one bounds-checked span.
+  const char* take(std::size_t n) {
+    need(n);
+    const char* span = data_ + pos_;
+    pos_ += n;
+    return span;
+  }
 
   void done() {
     if (pos_ != size_) fail("record payload has trailing bytes");
@@ -142,14 +149,21 @@ constexpr std::uint8_t kImageRaw = 0;
 constexpr std::uint8_t kImageRle = 1;
 
 void put_image(std::string& out, const RgbImage& image) {
+  // Never write what the reader would refuse.
+  if (static_cast<std::uint32_t>(image.width()) > kMaxTraceImageDimension ||
+      static_cast<std::uint32_t>(image.height()) > kMaxTraceImageDimension) {
+    fail("image dimensions out of range");
+  }
   const std::size_t pixels = image.size();
+  const Rgb* data = image.data().data();
+  // RLE is tried first and abandoned as soon as it stops beating raw, so a
+  // noisy frame costs one short scan, not a 4-bytes-per-pixel detour.
   std::string rle;
-  rle.reserve(64);
   std::size_t i = 0;
-  while (i < pixels) {
-    const Rgb value = image.data()[i];
+  while (i < pixels && rle.size() < pixels * 3) {
+    const Rgb value = data[i];
     std::size_t run = 1;
-    while (i + run < pixels && run < 0xffff && image.data()[i + run] == value) ++run;
+    while (i + run < pixels && run < 0xffff && data[i + run] == value) ++run;
     put_u16(rle, static_cast<std::uint16_t>(run));
     put_u8(rle, value.r);
     put_u8(rle, value.g);
@@ -162,31 +176,53 @@ void put_image(std::string& out, const RgbImage& image) {
   put_u32(out, static_cast<std::uint32_t>(image.height()));
   if (use_rle) {
     out += rle;
-  } else {
-    for (const Rgb& px : image.data()) {
-      put_u8(out, px.r);
-      put_u8(out, px.g);
-      put_u8(out, px.b);
-    }
+    return;
+  }
+  const std::size_t at = out.size();
+  out.resize(at + pixels * 3);
+  char* raw = out.data() + at;
+  for (std::size_t p = 0; p < pixels; ++p) {
+    raw[3 * p] = static_cast<char>(data[p].r);
+    raw[3 * p + 1] = static_cast<char>(data[p].g);
+    raw[3 * p + 2] = static_cast<char>(data[p].b);
   }
 }
 
-RgbImage get_image(ByteReader& in) {
-  const std::uint8_t mode = in.u8();
-  if (mode != kImageRaw && mode != kImageRle) fail("invalid image mode");
-  const std::uint32_t width = in.u32();
-  const std::uint32_t height = in.u32();
-  if (width > kMaxTraceImageDimension || height > kMaxTraceImageDimension) {
+/// A null image is written as an empty one.
+void put_image(std::string& out, const SharedImage& image) {
+  static const RgbImage kEmpty;
+  put_image(out, image ? *image : kEmpty);
+}
+
+struct ImageHeader {
+  std::uint8_t mode = kImageRaw;
+  std::uint32_t width = 0;
+  std::uint32_t height = 0;
+};
+
+ImageHeader get_image_header(ByteReader& in) {
+  ImageHeader header;
+  header.mode = in.u8();
+  if (header.mode != kImageRaw && header.mode != kImageRle) fail("invalid image mode");
+  header.width = in.u32();
+  header.height = in.u32();
+  if (header.width > kMaxTraceImageDimension || header.height > kMaxTraceImageDimension) {
     fail("image dimensions out of range");
   }
-  RgbImage image(static_cast<int>(width), static_cast<int>(height));
+  return header;
+}
+
+RgbImage get_image(ByteReader& in) {
+  const ImageHeader header = get_image_header(in);
+  RgbImage image(static_cast<int>(header.width), static_cast<int>(header.height));
   const std::size_t pixels = image.size();
-  if (mode == kImageRaw) {
+  if (header.mode == kImageRaw) {
+    const char* raw = in.take(pixels * 3);
+    Rgb* data = image.data().data();
     for (std::size_t i = 0; i < pixels; ++i) {
-      Rgb& px = image.data()[i];
-      px.r = in.u8();
-      px.g = in.u8();
-      px.b = in.u8();
+      data[i].r = static_cast<std::uint8_t>(raw[3 * i]);
+      data[i].g = static_cast<std::uint8_t>(raw[3 * i + 1]);
+      data[i].b = static_cast<std::uint8_t>(raw[3 * i + 2]);
     }
     return image;
   }
@@ -202,6 +238,13 @@ RgbImage get_image(ByteReader& in) {
     filled += run;
   }
   return image;
+}
+
+/// An empty image reads back as null.
+SharedImage get_shared_image(ByteReader& in) {
+  RgbImage image = get_image(in);
+  if (image.empty()) return nullptr;
+  return std::make_shared<const RgbImage>(std::move(image));
 }
 
 // ---- domain payloads -------------------------------------------------------
@@ -313,6 +356,8 @@ TraceSessionConfig get_session_config(ByteReader& in) {
   c.use_tracker = in.u8() != 0;
   c.lift_threshold_px = in.i32();
   c.ground_calibration_frames = in.i32();
+  // The session refuses to calibrate on fewer than one frame.
+  if (c.ground_calibration_frames < 1) fail("invalid ground calibration frame count");
   return c;
 }
 
@@ -338,7 +383,7 @@ OpenRecord get_open(ByteReader& in) {
   r.t_ns = in.i64();
   r.session = get_session_id(in);
   r.config = get_session_config(in);
-  r.background = get_image(in);
+  r.background = get_shared_image(in);
   return r;
 }
 
@@ -350,13 +395,22 @@ void put_push(std::string& out, const PushRecord& r) {
   put_image(out, r.frame);
 }
 
-PushRecord get_push(ByteReader& in) {
+/// Every push field ahead of the image.
+PushRecord get_push_fields(ByteReader& in) {
   PushRecord r;
   r.t_ns = in.i64();
   r.session = get_session_id(in);
   r.outcome = outcome_from_u8(in.u8());
   r.sequence = in.u64();
-  r.frame = get_image(in);
+  return r;
+}
+
+/// Bytes of a push payload up to and including the image header.
+constexpr std::size_t kPushHeaderBytes = 8 + 4 + 1 + 8 + 1 + 4 + 4;
+
+PushRecord get_push(ByteReader& in) {
+  PushRecord r = get_push_fields(in);
+  r.frame = get_shared_image(in);
   return r;
 }
 
@@ -442,6 +496,21 @@ RecordType type_of(const TraceRecord& record) {
     case 3: return RecordType::kClose;
     default: return RecordType::kSummary;
   }
+}
+
+/// Decodes one payload of a known type; nullopt for an unknown one.
+std::optional<TraceRecord> decode_payload(std::uint8_t type, ByteReader& in) {
+  std::optional<TraceRecord> record;
+  switch (static_cast<RecordType>(type)) {
+    case RecordType::kOpen: record = get_open(in); break;
+    case RecordType::kPush: record = get_push(in); break;
+    case RecordType::kTick: record = get_tick(in); break;
+    case RecordType::kClose: record = get_close(in); break;
+    case RecordType::kSummary: record = get_summary(in); break;
+    default: return std::nullopt;
+  }
+  in.done();
+  return record;
 }
 
 void encode_into(std::string& out, const TraceRecord& record) {
@@ -537,46 +606,85 @@ void TraceWriter::finish() {
   if (!ok) throw std::runtime_error("trace: flush failed on '" + path_ + "'");
 }
 
+// ---- TraceReader -----------------------------------------------------------
+
+TraceReader::TraceReader(const std::string& path)
+    : in_(std::make_unique<std::ifstream>(path, std::ios::binary)) {
+  if (!*in_) throw std::runtime_error("trace: cannot open '" + path + "'");
+  in_->seekg(0, std::ios::end);
+  size_ = static_cast<std::uint64_t>(in_->tellg());
+  in_->seekg(0);
+  if (size_ < kFirstRecordOffset) fail("file too short for header");
+  char header[kFirstRecordOffset];
+  in_->read(header, sizeof(header));
+  if (!*in_) fail("file too short for header");
+  stream_pos_ = kFirstRecordOffset;
+  ByteReader fields(header, sizeof(header));
+  char magic[sizeof(kTraceMagic)];
+  for (char& c : magic) c = static_cast<char>(fields.u8());
+  if (std::memcmp(magic, kTraceMagic, sizeof(kTraceMagic)) != 0) fail("bad magic");
+  if (fields.u32() != kTraceVersion) fail("unsupported version");
+}
+
+TraceReader::~TraceReader() = default;
+
+void TraceReader::seek(std::uint64_t offset) { next_ = offset; }
+
+bool TraceReader::next() {
+  if (next_ == size_) return false;
+  if (next_ > size_ || size_ - next_ < 5) fail("truncated record prefix");
+  if (stream_pos_ != next_) in_->seekg(static_cast<std::streamoff>(next_));
+  char prefix_bytes[5];
+  in_->read(prefix_bytes, sizeof(prefix_bytes));
+  if (!*in_) fail("read failed");
+  ByteReader prefix(prefix_bytes, sizeof(prefix_bytes));
+  const std::uint32_t length = prefix.u32();
+  const std::uint8_t type = prefix.u8();
+  if (length > kMaxRecordBytes) fail("record length out of range");
+  offset_ = next_;
+  stream_pos_ = offset_ + 5;
+  if (size_ - stream_pos_ < length) fail("truncated record payload");
+  length_ = length;
+  type_ = type;
+  next_ = stream_pos_ + length;
+  return true;
+}
+
+void TraceReader::read_payload(std::size_t max_bytes) {
+  const std::uint64_t start = offset_ + 5;
+  if (stream_pos_ != start) in_->seekg(static_cast<std::streamoff>(start));
+  payload_.resize(std::min<std::size_t>(length_, max_bytes));
+  in_->read(payload_.data(), static_cast<std::streamsize>(payload_.size()));
+  if (!*in_) fail("read failed");
+  stream_pos_ = start + payload_.size();
+}
+
+std::optional<TraceRecord> TraceReader::record() {
+  read_payload(length_);
+  ByteReader payload(payload_.data(), payload_.size());
+  return decode_payload(type_, payload);
+}
+
+PushHeader TraceReader::push_header() {
+  if (type_ != static_cast<std::uint8_t>(RecordType::kPush)) fail("not a push record");
+  read_payload(kPushHeaderBytes);
+  ByteReader payload(payload_.data(), payload_.size());
+  PushHeader header;
+  header.record = get_push_fields(payload);
+  const ImageHeader image = get_image_header(payload);
+  header.frame_pixels = static_cast<std::size_t>(image.width) * image.height;
+  return header;
+}
+
 // ---- whole-file load/save --------------------------------------------------
 
 Trace load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("trace: cannot open '" + path + "'");
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  ByteReader header(bytes.data(), bytes.size());
-  char magic[sizeof(kTraceMagic)];
-  if (bytes.size() < sizeof(kTraceMagic) + 4) fail("file too short for header");
-  for (char& c : magic) c = static_cast<char>(header.u8());
-  if (std::memcmp(magic, kTraceMagic, sizeof(kTraceMagic)) != 0) fail("bad magic");
-
+  TraceReader reader(path);
   Trace trace;
-  trace.version = header.u32();
-  if (trace.version != kTraceVersion) fail("unsupported version");
-
-  std::size_t pos = sizeof(kTraceMagic) + 4;
-  while (pos < bytes.size()) {
-    ByteReader prefix(bytes.data() + pos, bytes.size() - pos);
-    if (prefix.remaining() < 5) fail("truncated record prefix");
-    const std::uint32_t length = prefix.u32();
-    const std::uint8_t type = prefix.u8();
-    if (length > kMaxRecordBytes) fail("record length out of range");
-    pos += 5;
-    if (bytes.size() - pos < length) fail("truncated record payload");
-    ByteReader payload(bytes.data() + pos, length);
-    pos += length;
-    switch (static_cast<RecordType>(type)) {
-      case RecordType::kOpen: trace.records.emplace_back(get_open(payload)); break;
-      case RecordType::kPush: trace.records.emplace_back(get_push(payload)); break;
-      case RecordType::kTick: trace.records.emplace_back(get_tick(payload)); break;
-      case RecordType::kClose: trace.records.emplace_back(get_close(payload)); break;
-      case RecordType::kSummary: trace.records.emplace_back(get_summary(payload)); break;
-      default:
-        // Unknown type: a future writer's record. The length prefix lets us
-        // hop over it, so old readers still replay the records they know.
-        continue;
+  while (reader.next()) {
+    if (std::optional<TraceRecord> record = reader.record()) {
+      trace.records.push_back(std::move(*record));
     }
-    payload.done();
   }
   return trace;
 }

@@ -29,6 +29,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -75,12 +78,16 @@ struct TraceSessionConfig {
 TraceSessionConfig to_trace_config(const ingest::IngestSessionConfig& config);
 core::StreamSessionConfig to_stream_config(const TraceSessionConfig& config);
 
+/// Pixels in a record are immutable and shared: copying a record (a
+/// flight-recorder snapshot, a Trace) copies a pointer, never the image.
+using SharedImage = std::shared_ptr<const RgbImage>;
+
 /// Timestamps are nanoseconds relative to the recording's first event.
 struct OpenRecord {
   std::int64_t t_ns = 0;
   int session = -1;
   TraceSessionConfig config;
-  RgbImage background;
+  SharedImage background;
 };
 
 struct PushRecord {
@@ -90,8 +97,9 @@ struct PushRecord {
   /// Queue admission index; meaningful only when push_accepted(outcome).
   std::uint64_t sequence = 0;
   /// The offered pixels. Stored only for admitted frames (a refused frame
-  /// never influences the run); empty() otherwise.
-  RgbImage frame;
+  /// never influences the run); null otherwise. An empty image is written
+  /// for null and read back as null.
+  SharedImage frame;
 };
 
 struct TickEntry {
@@ -134,7 +142,7 @@ struct Trace {
 };
 
 /// Streaming writer: header on open, one length-prefixed record per
-/// append(). Not internally synchronized (TraceRecorder serializes).
+/// append(). Not internally synchronized (the caller serializes).
 /// Throws std::runtime_error on I/O failure.
 class TraceWriter {
  public:
@@ -156,10 +164,64 @@ class TraceWriter {
 /// Exposed for tests that craft corrupt records.
 std::string encode_record(const TraceRecord& record);
 
-/// Loads a whole trace into memory. Unknown record types are skipped (a
-/// newer writer's trace still replays); any structural violation —
-/// truncation, bad magic/version, oversized length prefix, malformed
-/// payload — throws std::runtime_error.
+/// A kPush record read up to its image header, pixels skipped: what an index
+/// over a trace's frames needs. `record.frame` stays null.
+struct PushHeader {
+  PushRecord record;
+  std::size_t frame_pixels = 0;  ///< width * height the image header declares
+};
+
+/// Reads a .sljtrace one length-prefixed record at a time. next() reads and
+/// bounds-checks only the 5-byte prefix (the length against kMaxRecordBytes
+/// and against the bytes left in the file); the payload is read when asked
+/// for and skipped otherwise. offset()/seek() revisit a record found on an
+/// earlier pass. Any structural violation throws std::runtime_error.
+class TraceReader {
+ public:
+  /// Opens `path` and validates the magic and version.
+  explicit TraceReader(const std::string& path);
+  ~TraceReader();
+  TraceReader(const TraceReader&) = delete;
+  TraceReader& operator=(const TraceReader&) = delete;
+
+  /// Offset of the first record, just past the file header.
+  static constexpr std::uint64_t kFirstRecordOffset = sizeof(kTraceMagic) + 4;
+
+  /// Advances to the next record; false at a clean end of file.
+  bool next();
+  /// File offset of the current record's length prefix.
+  std::uint64_t offset() const { return offset_; }
+  /// Raw type byte of the current record (possibly a type this reader does
+  /// not know).
+  std::uint8_t type() const { return type_; }
+
+  /// Decodes the current record; nullopt for an unknown type, which a newer
+  /// writer may have added (the length prefix lets readers hop over it).
+  std::optional<TraceRecord> record();
+  /// The current record, which must be a kPush, without its pixels.
+  PushHeader push_header();
+  /// Makes the next call to next() read the record at `offset`, an offset()
+  /// seen earlier in the same file.
+  void seek(std::uint64_t offset);
+
+ private:
+  /// Reads up to `max_bytes` of the current payload into payload_.
+  void read_payload(std::size_t max_bytes);
+
+  std::unique_ptr<std::ifstream> in_;
+  std::uint64_t size_ = 0;       ///< file size in bytes
+  std::uint64_t stream_pos_ = 0;  ///< where the stream is positioned
+  std::uint64_t offset_ = 0;      ///< current record's prefix offset
+  std::uint64_t next_ = kFirstRecordOffset;  ///< the following record's offset
+  std::uint32_t length_ = 0;      ///< current payload length
+  std::uint8_t type_ = 0;
+  std::string payload_;           ///< payload scratch, reused per record
+};
+
+/// Loads a whole trace into memory: a loop over TraceReader. Unknown record
+/// types are skipped (a newer writer's trace still replays); any structural
+/// violation — truncation, bad magic/version, oversized length prefix,
+/// malformed payload — throws std::runtime_error.
 Trace load_trace(const std::string& path);
 
 /// Writes `trace` with TraceWriter framing (round-trip of load_trace).

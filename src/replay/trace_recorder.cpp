@@ -4,6 +4,15 @@
 
 namespace slj::replay {
 
+namespace {
+
+/// A non-owning SharedImage (aliasing constructor over an empty owner): the
+/// record is encoded and dropped inside the tap callback, while the caller's
+/// image is still alive, so there is nothing to copy or own.
+SharedImage borrow(const RgbImage& image) { return SharedImage(SharedImage(), &image); }
+
+}  // namespace
+
 TraceRecorder::TraceRecorder(const std::string& path) : writer_(path) {}
 
 std::int64_t TraceRecorder::relative_ns(ingest::Clock::time_point now) {
@@ -21,7 +30,7 @@ void TraceRecorder::on_open(ingest::Clock::time_point now, int session,
   record.t_ns = relative_ns(now);
   record.session = session;
   record.config = to_trace_config(config);
-  record.background = background;
+  record.background = borrow(background);
   writer_.append(record);
   ++events_;
 }
@@ -36,7 +45,7 @@ void TraceRecorder::on_push(ingest::Clock::time_point now, int session, const Rg
   record.sequence = sequence;
   // A refused frame never influenced the run — store only the verdict and
   // keep the (potentially large) pixels out of the trace.
-  if (ingest::push_accepted(outcome)) record.frame = frame;
+  if (ingest::push_accepted(outcome)) record.frame = borrow(frame);
   writer_.append(record);
   ++events_;
 }

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -28,6 +29,8 @@ struct PushTotals {
 struct SessionBook {
   int live_id = -1;
   bool open = false;
+  int width = 0;   ///< background size: every frame of the session must match
+  int height = 0;
   std::uint64_t delivered = 0;  ///< tick entries replayed for this session
 };
 
@@ -78,184 +81,258 @@ std::string update_divergence(const core::StreamUpdate& recorded,
   return "";
 }
 
+/// The one replay core. A frame source drives it in two passes:
+///
+///   1. index_push() for every push record, in any order. Indexing first
+///      makes the replay immune to the recorder's benign push-vs-tick
+///      ordering race: a producer thread can log its push *after* the
+///      scheduler logged the tick that consumed the frame, so a tick may
+///      legally reference a frame that appears later in the trace. Each
+///      admitted frame is indexed by (session, sequence) under a `handle`
+///      the source chooses (a record index, a file offset).
+///   2. replay() for every record in order, which re-drives the
+///      deterministic analysis plane. A tick resolves its frames through
+///      the source's `frame_of(handle)`, so only the frames of the current
+///      tick need to be in memory.
+class ReplayCore {
+ public:
+  using FrameOf = std::function<const RgbImage*(std::uint64_t handle)>;
+
+  ReplayCore(const pose::PoseDbnClassifier& classifier, const core::PipelineParams& params,
+             const ReplayOptions& options)
+      : options_(options), manager_(classifier, params, manager_config(options)) {}
+
+  void index_push(const PushRecord& push, std::size_t frame_pixels, std::uint64_t handle) {
+    span(push.t_ns);
+    switch (push.outcome) {
+      case ingest::PushOutcome::kReplacedOldest:
+        ++totals_.dropped_oldest;
+        ++push_totals_[push.session].replaced;
+        [[fallthrough]];
+      case ingest::PushOutcome::kAccepted: {
+        ++totals_.pushed;
+        ++push_totals_[push.session].admitted;
+        if (frame_pixels == 0) corrupt("admitted push carries no frame");
+        const auto key = std::make_pair(push.session, push.sequence);
+        if (!frames_.emplace(key, handle).second) {
+          corrupt("duplicate frame (session " + std::to_string(push.session) + ", sequence " +
+                  std::to_string(push.sequence) + ")");
+        }
+        break;
+      }
+      case ingest::PushOutcome::kRejected: ++totals_.rejected; break;
+      case ingest::PushOutcome::kRateLimited: ++totals_.rate_limited; break;
+      case ingest::PushOutcome::kClosed: ++totals_.closed_pushes; break;
+    }
+  }
+
+  void replay(const TraceRecord& record, const FrameOf& frame_of) {
+    std::visit(
+        [&](const auto& r) {
+          using T = std::decay_t<decltype(r)>;
+          // Pushes were fully accounted in pass 1 — deliberately
+          // position-independent, since a producer thread may log its push
+          // after the tick (or even the close) that consumed the frame.
+          if constexpr (!std::is_same_v<T, PushRecord>) span(r.t_ns);
+          if constexpr (std::is_same_v<T, OpenRecord>) open(r);
+          else if constexpr (std::is_same_v<T, TickRecord>) tick(r, frame_of);
+          else if constexpr (std::is_same_v<T, CloseRecord>) close(r);
+          else if constexpr (std::is_same_v<T, SummaryRecord>) summary(r);
+        },
+        record);
+  }
+
+  ReplayResult finish() { return std::move(result_); }
+
+ private:
+  static core::StreamManagerConfig manager_config(const ReplayOptions& options) {
+    core::StreamManagerConfig config;
+    config.workers = options.workers;
+    return config;
+  }
+
+  void span(std::int64_t t_ns) {
+    if (t_ns > result_.recorded_span_ns) result_.recorded_span_ns = t_ns;
+  }
+
+  void note(std::uint64_t& counter, std::string text) {
+    ++counter;
+    if (result_.mismatches.size() < ReplayResult::kMaxMismatchDetails) {
+      result_.mismatches.push_back(std::move(text));
+    }
+  }
+
+  SessionBook& book_of(int session) {
+    if (session < 0 || static_cast<std::size_t>(session) >= books_.size() ||
+        !books_[static_cast<std::size_t>(session)].open) {
+      corrupt("record references session " + std::to_string(session) +
+              " which is not open at that point");
+    }
+    return books_[static_cast<std::size_t>(session)];
+  }
+
+  void open(const OpenRecord& r) {
+    if (static_cast<std::size_t>(r.session) >= books_.size()) {
+      books_.resize(static_cast<std::size_t>(r.session) + 1);
+    }
+    SessionBook& book = books_[static_cast<std::size_t>(r.session)];
+    if (book.open) corrupt("session " + std::to_string(r.session) + " opened twice");
+    if (!r.background) corrupt("session " + std::to_string(r.session) + " has no background");
+    book = SessionBook{};
+    book.live_id = manager_.open_session(*r.background, to_stream_config(r.config));
+    book.open = true;
+    book.width = r.background->width();
+    book.height = r.background->height();
+    ++result_.sessions_opened;
+  }
+
+  void tick(const TickRecord& r, const FrameOf& frame_of) {
+    feeds_.clear();
+    for (const TickEntry& entry : r.entries) {
+      SessionBook& book = book_of(entry.session);
+      const auto it = frames_.find(std::make_pair(entry.session, entry.sequence));
+      if (it == frames_.end()) {
+        corrupt("tick references unrecorded frame (session " + std::to_string(entry.session) +
+                ", sequence " + std::to_string(entry.sequence) + ")");
+      }
+      const RgbImage* frame = frame_of(it->second);
+      if (frame == nullptr || frame->width() != book.width || frame->height() != book.height) {
+        corrupt("frame (session " + std::to_string(entry.session) + ", sequence " +
+                std::to_string(entry.sequence) + ") does not match its session's background");
+      }
+      feeds_.push_back({book.live_id, frame});
+      ++book.delivered;
+    }
+    if (!feeds_.empty()) {
+      manager_.tick_into(feeds_, updates_);
+      for (std::size_t i = 0; i < r.entries.size(); ++i) {
+        const std::string field =
+            update_divergence(r.entries[i].update, updates_[i], options_.posterior_tolerance);
+        if (!field.empty()) {
+          note(result_.update_mismatches,
+               "tick " + std::to_string(result_.ticks) + " session " +
+                   std::to_string(r.entries[i].session) + " frame " +
+                   std::to_string(r.entries[i].update.frame_index) + ": " + field + " diverged");
+        } else {
+          ++result_.frames_replayed;
+        }
+      }
+    }
+    ++result_.ticks;
+    ++totals_.ticks;
+  }
+
+  void close(const CloseRecord& r) {
+    SessionBook& book = book_of(r.session);
+    const core::JumpReport replayed = manager_.close_session(book.live_id);
+    book.open = false;
+    ++result_.sessions_closed;
+    if (r.evicted) ++totals_.evicted_sessions;
+    if (!reports_match(r.report, replayed)) {
+      note(result_.report_mismatches,
+           "session " + std::to_string(r.session) + ": final JumpReport diverged");
+    }
+    // Re-balance this session's books: whatever was admitted but neither
+    // shed by drop-oldest nor delivered must equal the recorded discard count.
+    const PushTotals& pushes = push_totals_[r.session];
+    const std::uint64_t expected = pushes.admitted - pushes.replaced - book.delivered;
+    if (expected != r.discarded) {
+      note(result_.accounting_mismatches,
+           "session " + std::to_string(r.session) + ": recorded " +
+               std::to_string(r.discarded) + " discarded frames, push/tick records imply " +
+               std::to_string(expected));
+    }
+    totals_.discarded += r.discarded;
+  }
+
+  void summary(const SummaryRecord& r) {
+    result_.has_summary = true;
+    totals_.delivered = 0;
+    for (const SessionBook& book : books_) totals_.delivered += book.delivered;
+    const auto check = [&](const char* name, std::uint64_t recorded, std::uint64_t recomputed) {
+      if (recorded != recomputed) {
+        note(result_.accounting_mismatches,
+             std::string("summary ") + name + ": recorded " + std::to_string(recorded) +
+                 ", recomputed " + std::to_string(recomputed));
+      }
+    };
+    check("pushed", r.pushed, totals_.pushed);
+    check("delivered", r.delivered, totals_.delivered);
+    check("dropped_oldest", r.dropped_oldest, totals_.dropped_oldest);
+    check("rejected", r.rejected, totals_.rejected);
+    check("rate_limited", r.rate_limited, totals_.rate_limited);
+    check("closed_pushes", r.closed_pushes, totals_.closed_pushes);
+    check("discarded", r.discarded, totals_.discarded);
+    check("ticks", r.ticks, totals_.ticks);
+    check("evicted_sessions", r.evicted_sessions, totals_.evicted_sessions);
+    // The plane's conservation law, re-proved on every replay.
+    check("pushed == delivered + dropped_oldest + discarded", r.pushed,
+          totals_.delivered + totals_.dropped_oldest + totals_.discarded);
+  }
+
+  ReplayOptions options_;
+  core::StreamManager manager_;
+  ReplayResult result_;
+  /// Pass 1: (session, sequence) -> the source's handle for that frame.
+  std::map<std::pair<int, std::uint64_t>, std::uint64_t> frames_;
+  std::map<int, PushTotals> push_totals_;
+  SummaryRecord totals_;  ///< recomputed; compared against the recorded summary
+  std::vector<SessionBook> books_;  ///< index = recorded session id
+  std::vector<core::StreamManager::Feed> feeds_;
+  std::vector<core::StreamUpdate> updates_;
+};
+
 }  // namespace
 
 TraceReplayer::TraceReplayer(const pose::PoseDbnClassifier& classifier,
                              core::PipelineParams params, ReplayOptions options)
     : classifier_(&classifier), params_(std::move(params)), options_(options) {}
 
-ReplayResult TraceReplayer::replay_file(const std::string& path) const {
-  return replay(load_trace(path));
+ReplayResult TraceReplayer::replay(const Trace& trace) const {
+  // Frame source: the loaded records themselves; a handle is a record index.
+  ReplayCore core(*classifier_, params_, options_);
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    if (const auto* push = std::get_if<PushRecord>(&trace.records[i])) {
+      core.index_push(*push, push->frame ? push->frame->size() : 0, i);
+    }
+  }
+  const ReplayCore::FrameOf frame_of = [&trace](std::uint64_t handle) {
+    return std::get<PushRecord>(trace.records[handle]).frame.get();
+  };
+  for (const TraceRecord& record : trace.records) core.replay(record, frame_of);
+  return core.finish();
 }
 
-ReplayResult TraceReplayer::replay(const Trace& trace) const {
-  ReplayResult result;
-  const auto note = [&result](std::uint64_t& counter, std::string text) {
-    ++counter;
-    if (result.mismatches.size() < ReplayResult::kMaxMismatchDetails) {
-      result.mismatches.push_back(std::move(text));
-    }
-  };
-
-  // Pass 1: index every admitted frame by (session, sequence) and total up
-  // the recorded push outcomes. Indexing first makes the replay immune to
-  // the recorder's benign push-vs-tick ordering race: a producer thread can
-  // log its push *after* the scheduler logged the tick that consumed the
-  // frame, so a tick may legally reference a frame that appears later in
-  // the file.
-  std::map<std::pair<int, std::uint64_t>, const RgbImage*> frames;
-  std::map<int, PushTotals> push_totals;
-  SummaryRecord totals;  // recomputed; compared against the recorded summary
-  for (const TraceRecord& record : trace.records) {
-    if (const auto* push = std::get_if<PushRecord>(&record)) {
-      switch (push->outcome) {
-        case ingest::PushOutcome::kReplacedOldest:
-          ++totals.dropped_oldest;
-          ++push_totals[push->session].replaced;
-          [[fallthrough]];
-        case ingest::PushOutcome::kAccepted: {
-          ++totals.pushed;
-          ++push_totals[push->session].admitted;
-          if (push->frame.empty()) corrupt("admitted push carries no frame");
-          const auto key = std::make_pair(push->session, push->sequence);
-          if (!frames.emplace(key, &push->frame).second) {
-            corrupt("duplicate frame (session " + std::to_string(push->session) +
-                    ", sequence " + std::to_string(push->sequence) + ")");
-          }
-          break;
-        }
-        case ingest::PushOutcome::kRejected: ++totals.rejected; break;
-        case ingest::PushOutcome::kRateLimited: ++totals.rate_limited; break;
-        case ingest::PushOutcome::kClosed: ++totals.closed_pushes; break;
-      }
-    }
+ReplayResult TraceReplayer::replay_file(const std::string& path) const {
+  // Frame source: the file; a handle is a push record's offset. Pass 1 reads
+  // push headers only; pass 2 skips pushes and decodes a tick's frames on
+  // demand through a second reader, holding at most one tick's worth.
+  ReplayCore core(*classifier_, params_, options_);
+  TraceReader records(path);
+  while (records.next()) {
+    if (records.type() != static_cast<std::uint8_t>(RecordType::kPush)) continue;
+    const PushHeader header = records.push_header();
+    core.index_push(header.record, header.frame_pixels, records.offset());
   }
 
-  // Pass 2: re-drive the deterministic analysis plane in record order.
-  core::StreamManagerConfig manager_config;
-  manager_config.workers = options_.workers;
-  core::StreamManager manager(*classifier_, params_, manager_config);
-  std::vector<SessionBook> books;  // index = recorded session id
-  std::vector<core::StreamManager::Feed> feeds;
-  std::vector<core::StreamUpdate> updates;
-
-  const auto book_of = [&books](int session) -> SessionBook& {
-    if (session < 0 || static_cast<std::size_t>(session) >= books.size() ||
-        !books[static_cast<std::size_t>(session)].open) {
-      corrupt("record references session " + std::to_string(session) +
-              " which is not open at that point");
-    }
-    return books[static_cast<std::size_t>(session)];
+  TraceReader pushes(path);
+  std::vector<SharedImage> tick_frames;
+  const ReplayCore::FrameOf frame_of = [&pushes, &tick_frames](std::uint64_t offset) {
+    pushes.seek(offset);
+    if (!pushes.next()) corrupt("indexed push record vanished");
+    std::optional<TraceRecord> record = pushes.record();
+    tick_frames.push_back(std::get<PushRecord>(*record).frame);
+    return tick_frames.back().get();
   };
-
-  for (const TraceRecord& record : trace.records) {
-    std::visit(
-        [&](const auto& r) {
-          using T = std::decay_t<decltype(r)>;
-          if (r.t_ns > result.recorded_span_ns) result.recorded_span_ns = r.t_ns;
-
-          if constexpr (std::is_same_v<T, OpenRecord>) {
-            if (static_cast<std::size_t>(r.session) >= books.size()) {
-              books.resize(static_cast<std::size_t>(r.session) + 1);
-            }
-            SessionBook& book = books[static_cast<std::size_t>(r.session)];
-            if (book.open) corrupt("session " + std::to_string(r.session) + " opened twice");
-            book = SessionBook{};
-            book.live_id = manager.open_session(r.background, to_stream_config(r.config));
-            book.open = true;
-            ++result.sessions_opened;
-
-          } else if constexpr (std::is_same_v<T, PushRecord>) {
-            // Fully accounted in pass 1 — deliberately position-independent,
-            // since a producer thread may log its push after the tick (or
-            // even the close) that consumed the frame.
-
-          } else if constexpr (std::is_same_v<T, TickRecord>) {
-            feeds.clear();
-            for (const TickEntry& entry : r.entries) {
-              SessionBook& book = book_of(entry.session);
-              const auto it = frames.find(std::make_pair(entry.session, entry.sequence));
-              if (it == frames.end()) {
-                corrupt("tick references unrecorded frame (session " +
-                        std::to_string(entry.session) + ", sequence " +
-                        std::to_string(entry.sequence) + ")");
-              }
-              feeds.push_back({book.live_id, it->second});
-              ++book.delivered;
-            }
-            if (!feeds.empty()) {
-              manager.tick_into(feeds, updates);
-              for (std::size_t i = 0; i < r.entries.size(); ++i) {
-                const std::string field = update_divergence(r.entries[i].update, updates[i],
-                                                            options_.posterior_tolerance);
-                if (!field.empty()) {
-                  note(result.update_mismatches,
-                       "tick " + std::to_string(result.ticks) + " session " +
-                           std::to_string(r.entries[i].session) + " frame " +
-                           std::to_string(r.entries[i].update.frame_index) +
-                           ": " + field + " diverged");
-                } else {
-                  ++result.frames_replayed;
-                }
-              }
-            }
-            ++result.ticks;
-            ++totals.ticks;
-
-          } else if constexpr (std::is_same_v<T, CloseRecord>) {
-            SessionBook& book = book_of(r.session);
-            const core::JumpReport replayed = manager.close_session(book.live_id);
-            book.open = false;
-            ++result.sessions_closed;
-            if (r.evicted) ++totals.evicted_sessions;
-            if (!reports_match(r.report, replayed)) {
-              note(result.report_mismatches,
-                   "session " + std::to_string(r.session) + ": final JumpReport diverged");
-            }
-            // Re-balance this session's books: whatever was admitted but
-            // neither shed by drop-oldest nor delivered must equal the
-            // recorded discard count.
-            const PushTotals& pushes = push_totals[r.session];
-            const std::uint64_t expected = pushes.admitted - pushes.replaced - book.delivered;
-            if (expected != r.discarded) {
-              note(result.accounting_mismatches,
-                   "session " + std::to_string(r.session) + ": recorded " +
-                       std::to_string(r.discarded) + " discarded frames, push/tick records" +
-                       " imply " + std::to_string(expected));
-            }
-            totals.discarded += r.discarded;
-
-          } else if constexpr (std::is_same_v<T, SummaryRecord>) {
-            result.has_summary = true;
-            totals.delivered = 0;
-            for (const SessionBook& book : books) totals.delivered += book.delivered;
-            const auto check = [&](const char* name, std::uint64_t recorded,
-                                   std::uint64_t recomputed) {
-              if (recorded != recomputed) {
-                note(result.accounting_mismatches,
-                     std::string("summary ") + name + ": recorded " +
-                         std::to_string(recorded) + ", recomputed " +
-                         std::to_string(recomputed));
-              }
-            };
-            check("pushed", r.pushed, totals.pushed);
-            check("delivered", r.delivered, totals.delivered);
-            check("dropped_oldest", r.dropped_oldest, totals.dropped_oldest);
-            check("rejected", r.rejected, totals.rejected);
-            check("rate_limited", r.rate_limited, totals.rate_limited);
-            check("closed_pushes", r.closed_pushes, totals.closed_pushes);
-            check("discarded", r.discarded, totals.discarded);
-            check("ticks", r.ticks, totals.ticks);
-            check("evicted_sessions", r.evicted_sessions, totals.evicted_sessions);
-            // The plane's conservation law, re-proved on every replay.
-            check("pushed == delivered + dropped_oldest + discarded", r.pushed,
-                  totals.delivered + totals.dropped_oldest + totals.discarded);
-          }
-        },
-        record);
+  records.seek(TraceReader::kFirstRecordOffset);
+  while (records.next()) {
+    if (records.type() == static_cast<std::uint8_t>(RecordType::kPush)) continue;
+    std::optional<TraceRecord> record = records.record();
+    if (!record) continue;
+    tick_frames.clear();
+    core.replay(*record, frame_of);
   }
-
-  return result;
+  return core.finish();
 }
 
 }  // namespace slj::replay

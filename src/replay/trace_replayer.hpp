@@ -88,7 +88,10 @@ class TraceReplayer {
   /// result instead.
   ReplayResult replay(const Trace& trace) const;
 
-  /// Convenience: load_trace + replay.
+  /// Same result as replay(load_trace(path)), streamed from the file: the
+  /// trace is never loaded whole. Memory is an index of the admitted pushes
+  /// (file offsets keyed by session and sequence) plus the frames of one
+  /// tick. Frames no tick consumes are never decoded.
   ReplayResult replay_file(const std::string& path) const;
 
  private:

@@ -4,6 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 namespace slj::synth {
 namespace {
@@ -11,7 +14,10 @@ namespace {
 class ClipIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "slj_clip_io_test";
+    // One directory per test case: ctest runs cases as concurrent processes.
+    const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("slj_clip_io_test_" + std::string(test->name()) + "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

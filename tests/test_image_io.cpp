@@ -6,6 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <string>
+
+#include <unistd.h>
 
 namespace slj {
 namespace {
@@ -13,7 +16,10 @@ namespace {
 class ImageIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "slj_io_test";
+    // One directory per test case: ctest runs cases as concurrent processes.
+    const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("slj_io_test_" + std::string(test->name()) + "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

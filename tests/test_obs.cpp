@@ -2,13 +2,14 @@
 //   * tracer — spans/instants land in per-thread rings, a disabled tracer
 //     emits nothing, a wrapped ring keeps the newest events, and the Chrome
 //     trace-event export is well-formed;
-//   * histogram edge cases — empty, single-bucket interpolation, and
-//     saturating clamp into the last bucket;
+//   * histogram edge cases — empty, single-bucket interpolation, saturating
+//     clamp into the last bucket, and no quantile above the recorded max;
 //   * SLO hysteresis — boundary values never flap the state machine, breach
 //     entry/clearing honor the consecutive-evaluation thresholds;
 //   * flight recorder — a dump from a live IngestService replays
-//     bit-identically at 1/2/4 workers, window and byte budgets evict whole
-//     sessions without corrupting the dump;
+//     bit-identically at 1/2/4 workers (also when a push was logged after
+//     its tick), window and byte budgets evict whole sessions without
+//     corrupting the dump, and a dump leaves the capture untouched;
 //   * service monitor — a forced SLO breach produces a replayable incident
 //     trace exactly once per breach edge.
 #include "obs/service_monitor.hpp"
@@ -18,7 +19,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -226,6 +229,19 @@ TEST(LatencyHistogram, SaturatingLatenciesClampIntoLastBucket) {
   EXPECT_GE(histogram.quantile_ms(0.0), 0.0);
 }
 
+TEST(LatencyHistogram, QuantilesNeverExceedTheRecordedMax) {
+  ingest::LatencyHistogram histogram;
+  // 2.1 ms sits near the bottom of the [2048, 4096) µs bucket: interpolating
+  // p99 across the whole bucket used to report ~4.07 ms, about twice the
+  // largest sample.
+  for (int i = 0; i < 100; ++i) histogram.record(2100us);
+  EXPECT_DOUBLE_EQ(histogram.max_ms(), 2.1);
+  EXPECT_DOUBLE_EQ(histogram.quantile_ms(0.99), 2.1);
+  EXPECT_DOUBLE_EQ(histogram.quantile_ms(1.0), 2.1);
+  EXPECT_GE(histogram.quantile_ms(0.50), 2.048);
+  EXPECT_LE(histogram.quantile_ms(0.50), 2.1);
+}
+
 // ---- SLO hysteresis --------------------------------------------------------
 
 /// One-session snapshot with the given lifetime p99, always delivering.
@@ -422,6 +438,132 @@ TEST(FlightRecorder, LiveDumpReplaysIdenticallyAcrossWorkers) {
 
   const ingest::IngestMetricsSnapshot end = rig.service->metrics();
   expect_replays_identically(path, rig.classifier, end.delivered);
+}
+
+/// Forwards every event to a FlightRecorder but logs the first admitted push
+/// only after the tick that consumed it: the producer-side race in which a
+/// push record lands after its tick.
+class LatePushTap : public ingest::IngestTap {
+ public:
+  explicit LatePushTap(FlightRecorder& recorder) : recorder_(recorder) {}
+
+  void on_open(ingest::Clock::time_point now, int session,
+               const ingest::IngestSessionConfig& config, const RgbImage& background) override {
+    recorder_.on_open(now, session, config, background);
+  }
+  void on_push(ingest::Clock::time_point now, int session, const RgbImage& frame,
+               ingest::PushOutcome outcome, std::uint64_t sequence) override {
+    if (!held_ && !released_ && ingest::push_accepted(outcome)) {
+      held_ = Held{now, session, frame, outcome, sequence};
+      return;
+    }
+    recorder_.on_push(now, session, frame, outcome, sequence);
+  }
+  void on_tick(ingest::Clock::time_point now, const ingest::DrainBatch& batch,
+               const std::vector<core::StreamUpdate>& updates, std::size_t count) override {
+    recorder_.on_tick(now, batch, updates, count);
+    if (held_) {
+      recorder_.on_push(held_->now, held_->session, held_->frame, held_->outcome,
+                        held_->sequence);
+      held_.reset();
+      released_ = true;
+    }
+  }
+  void on_close(ingest::Clock::time_point now, int session, const core::JumpReport& report,
+                std::uint64_t discarded, bool evicted) override {
+    recorder_.on_close(now, session, report, discarded, evicted);
+  }
+
+  bool released() const { return released_; }
+
+ private:
+  struct Held {
+    ingest::Clock::time_point now;
+    int session;
+    RgbImage frame;
+    ingest::PushOutcome outcome;
+    std::uint64_t sequence;
+  };
+  FlightRecorder& recorder_;
+  std::optional<Held> held_;
+  bool released_ = false;
+};
+
+TEST(FlightRecorder, PushLoggedAfterItsTickReplaysFromTheFile) {
+  Rig rig;
+  FlightRecorder recorder;
+  LatePushTap tap(recorder);
+  rig.service->set_tap(&tap);
+
+  // Queues deep enough that nothing is shed: the held push (the first
+  // admitted frame) feeds the first tick's first entry.
+  std::vector<int> ids;
+  for (int s = 0; s < 2; ++s) {
+    ids.push_back(rig.service->open_session(rig.clip.background, rig.session_config(4)));
+  }
+  std::vector<std::size_t> next{0, 4};
+  for (int r = 0; r < 4; ++r) rig.round(ids, 2, next);
+  for (const int id : ids) rig.service->close_session(id);
+  ASSERT_TRUE(tap.released());
+
+  const std::string path = temp_path("flight_late_push.sljtrace");
+  const FlightRecorder::DumpStats stats = recorder.dump(path);
+  EXPECT_EQ(stats.truncated_sessions, 0u);  // the push landed before the dump
+  EXPECT_TRUE(stats.has_summary);
+
+  // The dump keeps capture order, so the first tick precedes the push that
+  // fed its first entry.
+  const replay::Trace trace = replay::load_trace(path);
+  std::ptrdiff_t tick_at = -1;
+  std::ptrdiff_t push_at = -1;
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    const auto* tick = std::get_if<replay::TickRecord>(&trace.records[i]);
+    if (tick == nullptr) continue;
+    const replay::TickEntry& first = tick->entries.at(0);
+    tick_at = static_cast<std::ptrdiff_t>(i);
+    for (std::size_t j = 0; j < trace.records.size(); ++j) {
+      const auto* push = std::get_if<replay::PushRecord>(&trace.records[j]);
+      if (push != nullptr && ingest::push_accepted(push->outcome) &&
+          push->session == first.session && push->sequence == first.sequence) {
+        push_at = static_cast<std::ptrdiff_t>(j);
+      }
+    }
+    break;
+  }
+  ASSERT_GE(tick_at, 0);
+  EXPECT_GT(push_at, tick_at);
+
+  const ingest::IngestMetricsSnapshot end = rig.service->metrics();
+  expect_replays_identically(path, rig.classifier, end.delivered);
+  const replay::TraceReplayer replayer(rig.classifier);
+  EXPECT_TRUE(replayer.replay(trace).identical());
+  rig.service->set_tap(nullptr);
+}
+
+TEST(FlightRecorder, ConsecutiveIdleDumpsAreByteIdentical) {
+  Rig rig;
+  FlightRecorder recorder;
+  rig.service->set_tap(&recorder);
+  const int id = rig.service->open_session(rig.clip.background, rig.session_config(4));
+  std::vector<std::size_t> next{0};
+  for (int r = 0; r < 3; ++r) rig.round({id}, 2, next);
+  rig.service->close_session(id);
+
+  // A dump reads a snapshot and leaves the capture as it was.
+  const std::size_t bytes = recorder.bytes();
+  const std::string first = temp_path("flight_idle_1.sljtrace");
+  const std::string second = temp_path("flight_idle_2.sljtrace");
+  recorder.dump(first);
+  EXPECT_EQ(recorder.bytes(), bytes);
+  recorder.dump(second);
+  EXPECT_EQ(recorder.bytes(), bytes);
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  };
+  const std::string a = read(first);
+  EXPECT_GT(a.size(), 12u);
+  EXPECT_EQ(a, read(second));
 }
 
 TEST(FlightRecorder, DumpWithSessionsStillOpenIsValid) {

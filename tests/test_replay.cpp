@@ -127,6 +127,20 @@ void write_file(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out) << path;
 }
 
+/// Field-by-field equality of two replay results.
+void expect_same_result(const ReplayResult& a, const ReplayResult& b, const std::string& where) {
+  EXPECT_EQ(a.sessions_opened, b.sessions_opened) << where;
+  EXPECT_EQ(a.sessions_closed, b.sessions_closed) << where;
+  EXPECT_EQ(a.ticks, b.ticks) << where;
+  EXPECT_EQ(a.frames_replayed, b.frames_replayed) << where;
+  EXPECT_EQ(a.recorded_span_ns, b.recorded_span_ns) << where;
+  EXPECT_EQ(a.has_summary, b.has_summary) << where;
+  EXPECT_EQ(a.update_mismatches, b.update_mismatches) << where;
+  EXPECT_EQ(a.report_mismatches, b.report_mismatches) << where;
+  EXPECT_EQ(a.accounting_mismatches, b.accounting_mismatches) << where;
+  EXPECT_EQ(a.mismatches, b.mismatches) << where;
+}
+
 // ---- golden parity ---------------------------------------------------------
 
 TEST(Replay, GoldenParityAcrossWorkersAndPolicies) {
@@ -253,6 +267,30 @@ TEST(Replay, CorpusReplaysBitIdentically) {
   EXPECT_GE(traces, 4u);
 }
 
+TEST(Replay, StreamedReplayMatchesInMemoryReplayOnCorpus) {
+  const std::filesystem::path corpus(SLJ_CORPUS_DIR);
+  const pose::PoseDbnClassifier classifier;
+  std::size_t traces = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    if (entry.path().extension() != ".sljtrace") continue;
+    ++traces;
+    const Trace loaded = load_trace(entry.path().string());
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      ReplayOptions options;
+      options.workers = workers;
+      options.posterior_tolerance = 1e-9;
+      const TraceReplayer replayer(classifier, {}, options);
+      const ReplayResult streamed = replayer.replay_file(entry.path().string());
+      EXPECT_TRUE(streamed.identical()) << entry.path().filename() << ": "
+                                        << streamed.first_mismatch();
+      expect_same_result(streamed, replayer.replay(loaded),
+                         entry.path().filename().string() + " @ " + std::to_string(workers) +
+                             " workers");
+    }
+  }
+  EXPECT_GE(traces, 4u);
+}
+
 // ---- divergence detection --------------------------------------------------
 
 TEST(Replay, DetectsTamperedGoldenOutputs) {
@@ -365,7 +403,7 @@ TEST(TraceFormat, RoundTripPreservesEveryRecordType) {
   open.config.idle_timeout_ns = 777;
   open.config.decoder = core::StreamDecoder::kFiltering;
   open.config.use_tracker = true;
-  open.background = RgbImage(8, 4, Rgb{10, 20, 30});  // flat: exercises RLE
+  open.background = std::make_shared<const RgbImage>(8, 4, Rgb{10, 20, 30});  // flat: RLE
   trace.records.emplace_back(open);
 
   PushRecord push;
@@ -373,13 +411,14 @@ TEST(TraceFormat, RoundTripPreservesEveryRecordType) {
   push.session = 0;
   push.outcome = ingest::PushOutcome::kAccepted;
   push.sequence = 7;
-  push.frame = RgbImage(3, 3);
+  RgbImage pixels(3, 3);
   for (int y = 0; y < 3; ++y) {  // every pixel distinct: exercises the raw path
     for (int x = 0; x < 3; ++x) {
-      push.frame.at(x, y) = Rgb{static_cast<std::uint8_t>(x * 40 + y),
-                                static_cast<std::uint8_t>(y * 80), static_cast<std::uint8_t>(x)};
+      pixels.at(x, y) = Rgb{static_cast<std::uint8_t>(x * 40 + y),
+                            static_cast<std::uint8_t>(y * 80), static_cast<std::uint8_t>(x)};
     }
   }
+  push.frame = std::make_shared<const RgbImage>(std::move(pixels));
   trace.records.emplace_back(push);
 
   TickRecord tick;
@@ -430,11 +469,13 @@ TEST(TraceFormat, RoundTripPreservesEveryRecordType) {
   EXPECT_EQ(open2.config.policy, ingest::BackpressurePolicy::kRejectNewest);
   EXPECT_EQ(open2.config.decoder, core::StreamDecoder::kFiltering);
   EXPECT_TRUE(open2.config.use_tracker);
-  EXPECT_EQ(open2.background, open.background);
+  ASSERT_TRUE(open2.background);
+  EXPECT_EQ(*open2.background, *open.background);
 
   const auto& push2 = std::get<PushRecord>(loaded.records[1]);
   EXPECT_EQ(push2.sequence, 7u);
-  EXPECT_EQ(push2.frame, push.frame);
+  ASSERT_TRUE(push2.frame);
+  EXPECT_EQ(*push2.frame, *push.frame);
 
   const auto& tick2 = std::get<TickRecord>(loaded.records[2]);
   ASSERT_EQ(tick2.entries.size(), 1u);
@@ -493,6 +534,12 @@ TEST(TraceFormat, EveryTruncationFailsCleanly) {
     } catch (const std::runtime_error&) {
       ++rejected;
     }
+    // The streamed replay reads the same bytes through TraceReader: it may
+    // report divergence or reject a torn trace, but never misbehave.
+    try {
+      TraceReplayer(classifier).replay_file(path);
+    } catch (const std::runtime_error&) {
+    }
   }
   EXPECT_GT(rejected, good.size() / 2);
 }
@@ -516,6 +563,10 @@ TEST(TraceFormat, EveryBitFlipFailsCleanlyOrLoads) {
     // different image); what is forbidden is UB or an uncontrolled throw.
     try {
       load_trace(path);
+    } catch (const std::runtime_error&) {
+    }
+    try {
+      TraceReplayer(classifier).replay_file(path);
     } catch (const std::runtime_error&) {
     }
   }
