@@ -24,8 +24,9 @@ ClipAnalysis JumpAnalyzer::analyze(const RgbImage& background,
   ClipAnalysis analysis;
   pose::PoseDbnClassifier::SequenceState state = classifier_.initial_state();
   GroundMonitor ground;
+  FrameObservation obs;  // reused frame over frame
   for (const RgbImage& frame : frames) {
-    const FrameObservation obs = pipeline_.process(frame);
+    pipeline_.process_into(frame, workspace_, obs);
     const bool airborne = ground.airborne(obs.bottom_row);
     analysis.frames.push_back(classifier_.classify(obs.candidates, airborne, state));
   }

@@ -38,6 +38,7 @@ class JumpAnalyzer {
 
  private:
   FramePipeline pipeline_;
+  FrameWorkspace workspace_;  ///< analyze()'s full-frame scratch, kept across clips
   pose::PoseDbnClassifier classifier_;
 };
 

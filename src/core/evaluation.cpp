@@ -29,8 +29,10 @@ ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier, FramePip
   pipeline.set_background(clip.background);
   pose::PoseDbnClassifier::SequenceState state = classifier.initial_state();
   GroundMonitor ground;
+  FrameWorkspace ws;
+  FrameObservation obs;  // reused frame over frame, like StreamSession's
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation obs = pipeline.process(clip.frames[i]);
+    pipeline.process_into(clip.frames[i], ws, obs);
     const bool airborne = ground.airborne(obs.bottom_row);
     score_frame(eval, classifier, obs, airborne, clip.truth[i].pose, clip.truth[i].stage,
                 state);

@@ -2,6 +2,15 @@
 // runs through the full vision pipeline, the ground-truth part locations
 // snap to the extracted key points, and the resulting feature vector plus
 // the annotated pose/stage update the classifier's CPTs.
+//
+// The vision pass runs on a ClipEngine built from the caller's pipeline
+// parameters, with one lane per hardware thread: frames of a clip run in
+// parallel on per-lane workspaces, one clip's observations are held at a
+// time, and the GroundMonitor replays in frame order. The engine output is
+// bit-identical to a serial FramePipeline loop, and the classifier observes
+// frames in clip/frame order, so the trained model is the same at any lane
+// count. The caller's pipeline supplies parameters and the area encoder
+// only; its background plate is left untouched.
 #pragma once
 
 #include "core/pipeline.hpp"
@@ -16,11 +25,9 @@ struct TrainingStats {
   std::size_t missing_part_slots = 0;       ///< parts coded "missing" while training
 };
 
-/// Trains `classifier` on one labelled clip.
-TrainingStats train_on_clip(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
-                            const synth::Clip& clip);
-
-/// Trains on a whole dataset's training split.
+/// Trains on a whole dataset's training split. Each frame's transition is
+/// observed under the *previous* trained frame's stage (kBeforeJumping at a
+/// clip's start), not its own.
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
                                const synth::Dataset& dataset);
 
@@ -32,7 +39,11 @@ struct TrainerOptions {
 };
 
 /// Two-pass variant: optional structure learning, then counting. With
-/// default options this equals plain train_on_dataset.
+/// default options this is plain train_on_dataset. With
+/// learn_tan_structure the counting pass also differs: each frame's
+/// transition is observed under that frame's *own* stage, the one inference
+/// conditions on (transition_prob(pose, prev, stage_of(pose))), where the
+/// plain path uses the previous trained frame's stage.
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
                                const synth::Dataset& dataset, const TrainerOptions& options);
 

@@ -40,6 +40,11 @@ void LatencyHistogram::record(std::chrono::nanoseconds latency) {
   // slj-atomic: counter
   while (ns > seen && !max_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
   }
+  // slj-atomic: counter — monotonic-min CAS, same retry rule
+  seen = min_ns_.load(std::memory_order_relaxed);
+  // slj-atomic: counter
+  while (ns < seen && !min_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
+  }
 }
 
 double LatencyHistogram::quantile_ms(double q) const {
@@ -67,9 +72,11 @@ double LatencyHistogram::quantile_ms(double q) const {
     }
     cumulative = next;
   }
-  // Interpolation can land past the largest sample in its bucket; no
-  // quantile may exceed the exact recorded max.
-  return std::min(us / 1000.0, max_ms());
+  // Interpolation can land outside the samples in its bucket (all samples
+  // at 900 µs read back p50 ≈ 771 µs); no quantile may leave the exact
+  // recorded [min, max]. The max clamp goes last, so a reader racing the
+  // first record() never sees a quantile above the max.
+  return std::min(std::max(us / 1000.0, min_ms()), max_ms());
 }
 
 // ---- IngestMetrics ---------------------------------------------------------

@@ -242,6 +242,25 @@ TEST(LatencyHistogram, QuantilesNeverExceedTheRecordedMax) {
   EXPECT_LE(histogram.quantile_ms(0.50), 2.1);
 }
 
+TEST(LatencyHistogram, QuantilesNeverFallBelowTheRecordedMin) {
+  ingest::LatencyHistogram histogram;
+  EXPECT_DOUBLE_EQ(histogram.min_ms(), 0.0);
+  // 900 µs sits near the top of the [512, 1024) µs bucket: interpolating
+  // across the whole bucket used to report p0 ≈ 0.517 ms and p50 ≈ 0.771 ms,
+  // both below the smallest sample.
+  for (int i = 0; i < 100; ++i) histogram.record(900us);
+  EXPECT_DOUBLE_EQ(histogram.min_ms(), 0.9);
+  for (const double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(histogram.quantile_ms(q), 0.9) << "q=" << q;
+  }
+  // A spread keeps in-bucket interpolation between the exact extremes.
+  histogram.record(600us);
+  EXPECT_DOUBLE_EQ(histogram.min_ms(), 0.6);
+  EXPECT_DOUBLE_EQ(histogram.quantile_ms(0.0), 0.6);
+  EXPECT_GE(histogram.quantile_ms(0.5), 0.6);
+  EXPECT_LE(histogram.quantile_ms(0.5), 0.9);
+}
+
 // ---- SLO hysteresis --------------------------------------------------------
 
 /// One-session snapshot with the given lifetime p99, always delivering.
