@@ -110,6 +110,9 @@ int main(int argc, char** argv) {
     core::ClipEngineConfig config;
     config.workers = workers;
     core::ClipEngine engine({}, config);
+    // Untimed warm-up: sizes the lane workspaces and warms the caches, so a
+    // row's time does not depend on where it runs in the sequence.
+    (void)engine.process(clips);
     const auto start = Clock::now();
     const std::vector<core::ClipObservation> results = engine.process(clips);
     const double ms = ms_since(start);
@@ -117,33 +120,6 @@ int main(int argc, char** argv) {
     std::printf("ClipEngine batch, %2u workers   %8.1f ms   %7.1f frames/s   speedup %.2fx\n",
                 workers, ms, 1000.0 * frames / ms, serial_ms / ms);
     (void)results;
-  }
-  bench::print_rule();
-
-  // Intra-frame row banding (PR-8): frames walk serially, each frame's
-  // segmentation rows spread across the pool. bands = 1 exercises the same
-  // serial walk through the engine (the banding baseline); bands > 1 needs
-  // real cores, so those rows carry the same skip marker on 1-core hosts.
-  std::vector<std::pair<int, double>> banded_ms;  // ms < 0: skipped
-  for (const int bands : {1, 2, 4}) {
-    if (bands > 1 && hw == 1) {
-      banded_ms.emplace_back(bands, -1.0);
-      std::printf("ClipEngine, %d row bands        skipped (hardware_concurrency == 1)\n", bands);
-      continue;
-    }
-    core::ClipEngineConfig config;
-    config.workers = hw;
-    config.intra_frame_bands = bands;
-    core::ClipEngine engine({}, config);
-    const auto start = Clock::now();
-    for (const synth::Clip& clip : clips) {
-      const core::ClipObservation result = engine.process(clip.background, clip.frames);
-      (void)result;
-    }
-    const double ms = ms_since(start);
-    banded_ms.emplace_back(bands, ms);
-    std::printf("ClipEngine, %d row bands       %8.1f ms   %7.1f frames/s   speedup %.2fx\n",
-                bands, ms, 1000.0 * frames / ms, serial_ms / ms);
   }
   bench::print_rule();
 
@@ -192,23 +168,6 @@ int main(int argc, char** argv) {
                      "    {\"workers\": %u, \"ms\": %.3f, \"frames_per_s\": %.1f, "
                      "\"speedup_vs_seed\": %.3f}%s\n",
                      workers, ms, 1000.0 * frames / ms, serial_ms / ms, sep);
-      }
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"banded\": [\n");
-    for (std::size_t i = 0; i < banded_ms.size(); ++i) {
-      const auto [bands, ms] = banded_ms[i];
-      const char* sep = i + 1 < banded_ms.size() ? "," : "";
-      if (ms < 0.0) {
-        std::fprintf(f,
-                     "    {\"bands\": %d, \"skipped\": true, "
-                     "\"reason\": \"hardware_concurrency == 1\"}%s\n",
-                     bands, sep);
-      } else {
-        std::fprintf(f,
-                     "    {\"bands\": %d, \"ms\": %.3f, \"frames_per_s\": %.1f, "
-                     "\"speedup_vs_seed\": %.3f}%s\n",
-                     bands, ms, 1000.0 * frames / ms, serial_ms / ms, sep);
       }
     }
     std::fprintf(f, "  ],\n");

@@ -61,6 +61,12 @@ run_bench() {
     echo "error: bench '$name' produced incomplete JSON; not writing $OUT" >&2
     exit 1
   fi
+  # A complete but malformed section (a stray comma in a hand-written array)
+  # must not reach the merged file either.
+  if ! python3 -m json.tool "$json" > /dev/null; then
+    echo "error: bench '$name' produced invalid JSON; not writing $OUT" >&2
+    exit 1
+  fi
 }
 
 run_bench perf_clip_engine "$WORK/clip.json"

@@ -29,13 +29,13 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::run_tasks(RawTask task, void* ctx, std::size_t count, std::size_t lane) {
+void WorkerPool::run_tasks(const Task& task, std::size_t count, std::size_t lane) {
   for (;;) {
     // slj-atomic: counter — ticket dispenser; each lane claims a unique index
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= count) return;
     try {
-      task(ctx, lane, i);
+      task(lane, i);
     } catch (...) {
       slj::LockGuard lock(mutex_);
       if (!error_) error_ = std::current_exception();
@@ -46,8 +46,7 @@ void WorkerPool::run_tasks(RawTask task, void* ctx, std::size_t count, std::size
 void WorkerPool::worker_loop(std::size_t lane) {
   std::uint64_t seen = 0;
   for (;;) {
-    RawTask task = nullptr;
-    void* ctx = nullptr;
+    const Task* task = nullptr;
     std::size_t count = 0;
     {
       slj::LockGuard lock(mutex_);
@@ -55,10 +54,9 @@ void WorkerPool::worker_loop(std::size_t lane) {
       if (stop_) return;
       seen = generation_;
       task = task_;
-      ctx = task_ctx_;
       count = count_;
     }
-    run_tasks(task, ctx, count, lane);
+    run_tasks(*task, count, lane);
     {
       slj::LockGuard lock(mutex_);
       if (--active_ == 0) done_.notify_one();
@@ -66,11 +64,19 @@ void WorkerPool::worker_loop(std::size_t lane) {
   }
 }
 
-void WorkerPool::dispatch(std::size_t count, void* ctx, RawTask task) {
+void WorkerPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
+  parallel_for_lanes(count, [&fn](std::size_t, std::size_t i) { fn(i); });
+}
+
+void WorkerPool::parallel_for_lanes(std::size_t count, const Task& fn) {
+  if (count == 0) return;
+  if (threads_.empty() || count == 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(0, i);
+    return;
+  }
   {
     slj::LockGuard lock(mutex_);
-    task_ = task;
-    task_ctx_ = ctx;
+    task_ = &fn;
     count_ = count;
     next_.store(0, std::memory_order_relaxed);  // slj-atomic: counter
     error_ = nullptr;
@@ -78,62 +84,15 @@ void WorkerPool::dispatch(std::size_t count, void* ctx, RawTask task) {
     ++generation_;
   }
   wake_.notify_all();
-  run_tasks(task, ctx, count, /*lane=*/0);
+  run_tasks(fn, count, /*lane=*/0);
   std::exception_ptr error;
   {
     slj::LockGuard lock(mutex_);
     while (active_ != 0) done_.wait(lock);
     task_ = nullptr;
-    task_ctx_ = nullptr;
     error = std::exchange(error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void WorkerPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  parallel_for_lanes(count, [&fn](std::size_t, std::size_t i) { fn(i); });
-}
-
-void WorkerPool::parallel_for_lanes(std::size_t count,
-                                    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  if (threads_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(0, i);
-    return;
-  }
-  dispatch(count, const_cast<void*>(static_cast<const void*>(&fn)),
-           [](void* ctx, std::size_t lane, std::size_t i) {
-             (*static_cast<const std::function<void(std::size_t, std::size_t)>*>(ctx))(lane, i);
-           });
-}
-
-namespace {
-
-/// Stack context for parallel_rows' captureless trampoline.
-struct RowsTask {
-  int rows;
-  int bands;
-  void* ctx;
-  BandExecutor::RowFn fn;
-};
-
-void run_band(void* c, std::size_t /*lane*/, std::size_t b) {
-  const RowsTask* t = static_cast<const RowsTask*>(c);
-  const int band = static_cast<int>(b);
-  t->fn(t->ctx, band, band_begin(t->rows, t->bands, band),
-        band_begin(t->rows, t->bands, band + 1));
-}
-
-}  // namespace
-
-void WorkerPool::parallel_rows(int rows, int bands, void* ctx, BandExecutor::RowFn fn) {
-  if (bands <= 0) return;
-  RowsTask task{rows, bands, ctx, fn};
-  if (threads_.empty() || bands == 1) {
-    for (int b = 0; b < bands; ++b) run_band(&task, 0, static_cast<std::size_t>(b));
-    return;
-  }
-  dispatch(static_cast<std::size_t>(bands), &task, &run_band);
 }
 
 // ---- ClipEngine ------------------------------------------------------------
@@ -145,8 +104,13 @@ std::vector<std::vector<pose::FeatureCandidate>> ClipObservation::candidate_sets
   return sets;
 }
 
+// The throwaway GroundMonitor validates the clip-level config up front, with
+// the same rules aggregate() applies after the frame pass.
 ClipEngine::ClipEngine(PipelineParams params, ClipEngineConfig config)
-    : params_(params), config_(config), pool_(config.workers), workspaces_(pool_.size() + 1) {}
+    : params_(params),
+      config_((GroundMonitor(config.lift_threshold_px, config.ground_calibration_frames), config)),
+      pool_(config.workers),
+      workspaces_(pool_.size() + 1) {}
 
 ClipObservation ClipEngine::aggregate(std::vector<FrameObservation> frames) const {
   ClipObservation clip;
@@ -165,39 +129,25 @@ ClipObservation ClipEngine::aggregate(std::vector<FrameObservation> frames) cons
 
 ClipObservation ClipEngine::process_serial_tracked(const RgbImage& background,
                                                    const std::vector<RgbImage>& frames,
-                                                   FrameWorkspace& ws,
-                                                   BandExecutor* exec) const {
+                                                   FrameWorkspace& ws) const {
   FramePipeline pipeline(params_);
   pipeline.set_background(background);
   detect::BlobTracker tracker(config_.tracker);
   std::vector<FrameObservation> observations(frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    pipeline.process_into(frames[i], tracker, ws, observations[i], exec);
+    pipeline.process_into(frames[i], tracker, ws, observations[i]);
   }
   return aggregate(std::move(observations));
 }
 
 ClipObservation ClipEngine::process(const RgbImage& background,
                                     const std::vector<RgbImage>& frames) {
-  const int bands = std::max(1, config_.intra_frame_bands);
-  PoolBandExecutor band_exec(pool_, bands);
-  BandExecutor* exec = bands > 1 ? &band_exec : nullptr;
   if (config_.use_tracker) {
-    return process_serial_tracked(background, frames, workspaces_.front(), exec);
+    return process_serial_tracked(background, frames, workspaces_.front());
   }
   FramePipeline pipeline(params_);
   pipeline.set_background(background);
   std::vector<FrameObservation> observations(frames.size());
-  if (exec != nullptr) {
-    // Banding and frame-parallelism cannot nest (the pool runs one batch at
-    // a time): walk frames serially, spread each frame's rows across the
-    // pool. Same observations bit for bit as the frame-parallel path.
-    FrameWorkspace& ws = workspaces_.front();
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      pipeline.process_into(frames[i], ws, observations[i], exec);
-    }
-    return aggregate(std::move(observations));
-  }
   pool_.parallel_for_lanes(frames.size(), [&](std::size_t lane, std::size_t i) {
     pipeline.process_into(frames[i], workspaces_[lane], observations[i]);
   });
@@ -213,9 +163,7 @@ std::vector<ClipObservation> ClipEngine::process(const std::vector<synth::Clip>&
   if (config_.use_tracker) {
     // Tracking is stateful in frame order: one sequential task per clip.
     pool_.parallel_for_lanes(clips.size(), [&](std::size_t lane, std::size_t c) {
-      // No banding here: this already runs inside a pool batch.
-      results[c] = process_serial_tracked(clips[c].background, clips[c].frames, workspaces_[lane],
-                                          nullptr);
+      results[c] = process_serial_tracked(clips[c].background, clips[c].frames, workspaces_[lane]);
     });
     return results;
   }

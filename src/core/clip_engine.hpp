@@ -4,7 +4,9 @@
 // sequential state (GroundMonitor calibration, BlobTracker dynamics) is
 // replayed in frame order afterwards. Results are stored by frame index, so
 // the output is bit-identical to a serial FramePipeline loop regardless of
-// worker count or scheduling.
+// worker count or scheduling. Frames (or, with the tracker, clips) are the
+// only parallelism axis: each frame's vision kernels run serially on the
+// lane that owns it.
 #pragma once
 
 #include <atomic>
@@ -17,7 +19,6 @@
 #include "core/annotations.hpp"
 #include "core/pipeline.hpp"
 #include "detection/blob_tracker.hpp"
-#include "imaging/band_executor.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::core {
@@ -51,37 +52,20 @@ class WorkerPool {
                           const std::function<void(std::size_t, std::size_t)>& fn)
       SLJ_EXCLUDES(mutex_);
 
-  /// Row-banded variant for intra-frame parallelism: runs
-  /// fn(ctx, b, band_begin(rows, bands, b), band_begin(rows, bands, b+1))
-  /// for every band b in [0, bands), spread across the pool; blocks until
-  /// all bands complete. Raw pointer + context (no std::function), so a
-  /// call is allocation-free — it is made several times per frame from
-  /// SLJ_HOT_PATH kernels. Same batch protocol as parallel_for_lanes: one
-  /// call at a time, first task exception rethrown after the drain.
-  void parallel_rows(int rows, int bands, void* ctx, BandExecutor::RowFn fn)
-      SLJ_EXCLUDES(mutex_);
-
  private:
-  /// Raw task trampoline every batch dispatches through: a plain function
-  /// pointer + context cell instead of a std::function, so hot callers
-  /// never allocate. parallel_for_lanes wraps its std::function through it.
-  using RawTask = void (*)(void* ctx, std::size_t lane, std::size_t index);
+  using Task = std::function<void(std::size_t, std::size_t)>;
 
   void worker_loop(std::size_t lane) SLJ_EXCLUDES(mutex_);
-  void run_tasks(RawTask task, void* ctx, std::size_t count, std::size_t lane)
-      SLJ_EXCLUDES(mutex_);
-  /// Publishes one batch (task/ctx/count), participates, drains, rethrows.
-  void dispatch(std::size_t count, void* ctx, RawTask task) SLJ_EXCLUDES(mutex_);
+  void run_tasks(const Task& task, std::size_t count, std::size_t lane) SLJ_EXCLUDES(mutex_);
 
   std::vector<std::thread> threads_;
   slj::Mutex mutex_;
   slj::CondVar wake_;
   slj::CondVar done_;
-  /// The pointer cells are guarded; the pointee context lives on the
-  /// caller's stack, read outside the lock by design — dispatch() keeps it
-  /// alive until every worker has drained the batch.
-  RawTask task_ SLJ_GUARDED_BY(mutex_) = nullptr;
-  void* task_ctx_ SLJ_GUARDED_BY(mutex_) = nullptr;
+  /// The pointer cell is guarded; the pointee lives on the caller's stack,
+  /// read outside the lock by design — parallel_for_lanes() keeps it alive
+  /// until every worker has drained the batch.
+  const Task* task_ SLJ_GUARDED_BY(mutex_) = nullptr;
   std::size_t count_ SLJ_GUARDED_BY(mutex_) = 0;
   std::atomic<std::size_t> next_{0};
   /// Workers still inside the current batch.
@@ -90,25 +74,6 @@ class WorkerPool {
   std::uint64_t generation_ SLJ_GUARDED_BY(mutex_) = 0;
   bool stop_ SLJ_GUARDED_BY(mutex_) = false;
   std::exception_ptr error_ SLJ_GUARDED_BY(mutex_);
-};
-
-/// BandExecutor backed by a WorkerPool: each frame's row bands dispatch as
-/// one pool batch (WorkerPool::parallel_rows). Holding one of these does not
-/// reserve the pool — the usual one-batch-at-a-time rule applies, so banded
-/// frame processing must not run inside another parallel_for.
-class PoolBandExecutor final : public BandExecutor {
- public:
-  PoolBandExecutor(WorkerPool& pool, int bands)
-      : pool_(&pool), bands_(bands > 1 ? bands : 1) {}
-
-  int bands() const override { return bands_; }
-  void run_rows(int rows, void* ctx, RowFn fn) override {
-    pool_->parallel_rows(rows, bands_, ctx, fn);
-  }
-
- private:
-  WorkerPool* pool_;
-  int bands_;
 };
 
 struct ClipEngineConfig {
@@ -124,14 +89,6 @@ struct ClipEngineConfig {
   /// Grounded frames the ground line is calibrated over (max of their
   /// bottom rows), guarding against one noisy first frame.
   int ground_calibration_frames = GroundMonitor::kDefaultCalibrationFrames;
-  /// Row bands per frame (>= 1). With more than one band, single-clip
-  /// processing walks frames serially and spreads each frame's segmentation
-  /// rows across the pool instead — latency-optimal for one large frame,
-  /// throughput-optimal stays frames-in-parallel (bands = 1). Banding and
-  /// frame-parallelism cannot nest (one pool batch at a time), so batch
-  /// (multi-clip) processing ignores this and stays frame-parallel. Output
-  /// is bit-identical at any band count.
-  int intra_frame_bands = 1;
 };
 
 /// Everything the engine derives from one clip: per-frame observations plus
@@ -151,6 +108,8 @@ struct ClipObservation {
 
 class ClipEngine {
  public:
+  /// Throws std::invalid_argument for an invalid config (e.g.
+  /// ground_calibration_frames < 1) before any frame is processed.
   explicit ClipEngine(PipelineParams params = {}, ClipEngineConfig config = {});
 
   const ClipEngineConfig& config() const { return config_; }
@@ -177,8 +136,8 @@ class ClipEngine {
   /// Replays the clip-level sequential state over per-frame results.
   ClipObservation aggregate(std::vector<FrameObservation> frames) const;
   ClipObservation process_serial_tracked(const RgbImage& background,
-                                         const std::vector<RgbImage>& frames, FrameWorkspace& ws,
-                                         BandExecutor* exec) const;
+                                         const std::vector<RgbImage>& frames,
+                                         FrameWorkspace& ws) const;
 
   PipelineParams params_;
   ClipEngineConfig config_;

@@ -46,22 +46,21 @@ FrameObservation FramePipeline::process(const RgbImage& frame, detect::BlobTrack
 }
 
 SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, FrameWorkspace& ws,
-                                 FrameObservation& out, BandExecutor* exec) const {
+                                              FrameObservation& out) const {
   obs::TraceSpan trace("vision");
   {
     SLJ_PROFILE_SCOPE(ProfileStage::kExtract);
-    extractor_.extract_into(frame, ws, out.silhouette, exec);
+    extractor_.extract_into(frame, ws, out.silhouette);
   }
   finish_observation(ws, out);
 }
 
 SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, detect::BlobTracker& tracker,
-                                 FrameWorkspace& ws, FrameObservation& out,
-                                 BandExecutor* exec) const {
+                                              FrameWorkspace& ws, FrameObservation& out) const {
   obs::TraceSpan trace("vision");
   {
     SLJ_PROFILE_SCOPE(ProfileStage::kExtract);
-    extractor_.extract_into(frame, ws, out.silhouette, exec);
+    extractor_.extract_into(frame, ws, out.silhouette);
     // The extractor is done with ws.labeling/pixel_stack; the tracker's
     // component pass reuses them instead of allocating its own Labeling.
     const detect::TrackResult track = tracker.update(ws.smoothed, ws.labeling, ws.pixel_stack);

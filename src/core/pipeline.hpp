@@ -122,13 +122,11 @@ class FramePipeline {
                            FrameWorkspace& ws) const;
 
   /// Same, writing into an existing observation so its buffers are reused
-  /// frame over frame (the StreamEngine steady state). A multi-band `exec`
-  /// spreads the segmentation passes of a single frame across worker threads
-  /// (row-banded, bit-identical at any band count).
-  SLJ_HOT_PATH void process_into(const RgbImage& frame, FrameWorkspace& ws, FrameObservation& out,
-                    BandExecutor* exec = nullptr) const;
-  SLJ_HOT_PATH void process_into(const RgbImage& frame, detect::BlobTracker& tracker, FrameWorkspace& ws,
-                    FrameObservation& out, BandExecutor* exec = nullptr) const;
+  /// frame over frame (the StreamEngine steady state).
+  SLJ_HOT_PATH void process_into(const RgbImage& frame, FrameWorkspace& ws,
+                                 FrameObservation& out) const;
+  SLJ_HOT_PATH void process_into(const RgbImage& frame, detect::BlobTracker& tracker,
+                                 FrameWorkspace& ws, FrameObservation& out) const;
 
   /// Pipeline from an already-extracted silhouette (used by tests and by
   /// benches that feed ground-truth masks).

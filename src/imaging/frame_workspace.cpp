@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 
 #include "core/simd.hpp"
 #include "imaging/row_kernels.hpp"
@@ -10,24 +9,15 @@
 namespace slj {
 namespace {
 
-// Fused RGB summed-area-table build, templated on the simd backend.
+// Fused RGB summed-area-table build, templated on the simd backend: each
+// frame row is staged as int32 prefix sums (one row per channel in
+// ws.sat_stage) and widened onto the table row above by sat_row; table
+// row 0 is all zeros, so the first frame row needs no special case.
 //
-// Layout of the work:
-//   phase 1 (banded)  every band builds a *local* SAT of its own rows:
-//                     int32 row prefix sums staged per band, then
-//                     sat_row_first for the band's first row and
-//                     sat_row_next for the rest.
-//   phase 2 (serial)  carry rows: carry[b] = carry[b-1] + last local table
-//                     row of band b-1 (read before phase 3 touches it).
-//   phase 3 (banded)  add carry[b] to every table row of band b (band 0's
-//                     carry is zero and is skipped).
-//
-// Bit-identity at any band count and backend: every table entry is an
-// integer sum of 8-bit pixels, far below 2^53, so each double addition is
-// exact and any association (serial recurrence, band-local + carry) yields
-// the same bits.
+// Bit-identity at any backend: every table entry is an integer sum of 8-bit
+// pixels, far below 2^53, so each double addition is exact.
 template <class B>
-void build_rgb_integrals_impl(const RgbImage& img, FrameWorkspace& ws, BandExecutor* exec) {
+void build_rgb_integrals_impl(const RgbImage& img, FrameWorkspace& ws) {
   const int w = img.width();
   const int h = img.height();
   double* tr = ws.integral_r.raw_prepare_discard(w, h);
@@ -40,157 +30,39 @@ void build_rgb_integrals_impl(const RgbImage& img, FrameWorkspace& ws, BandExecu
   std::fill_n(tg, stride, 0.0);
   std::fill_n(tb, stride, 0.0);
 
-  int bands = exec != nullptr ? exec->bands() : 1;
-  if (bands <= 1 || h < 2) bands = 1;
-  auto& bs = ws.band_scratch;
-  bs.stage.resize(static_cast<std::size_t>(bands) * 3u * static_cast<std::size_t>(w));
+  ws.sat_stage.resize(3u * static_cast<std::size_t>(w));
+  std::int32_t* stage_r = ws.sat_stage.data();
+  std::int32_t* stage_g = stage_r + w;
+  std::int32_t* stage_b = stage_g + w;
   const Rgb* px = img.data().data();
-
-  run_banded(exec, h, [&](int band, int r0, int r1) {
-    std::int32_t* stage_r =
-        bs.stage.data() + static_cast<std::size_t>(band) * 3u * static_cast<std::size_t>(w);
-    std::int32_t* stage_g = stage_r + w;
-    std::int32_t* stage_b = stage_g + w;
-    for (int y = r0; y < r1; ++y) {
-      const Rgb* p = px + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      std::int32_t sum_r = 0;
-      std::int32_t sum_g = 0;
-      std::int32_t sum_b = 0;
-      for (int x = 0; x < w; ++x) {
-        sum_r += p[x].r;
-        sum_g += p[x].g;
-        sum_b += p[x].b;
-        stage_r[x] = sum_r;
-        stage_g[x] = sum_g;
-        stage_b[x] = sum_b;
-      }
-      double* row_r = tr + (static_cast<std::size_t>(y) + 1) * stride;
-      double* row_g = tg + (static_cast<std::size_t>(y) + 1) * stride;
-      double* row_b = tb + (static_cast<std::size_t>(y) + 1) * stride;
-      if (y == r0) {
-        // Band-local first row: previous row is all zeros (globally true for
-        // band 0; made true for later bands by the phase-3 carry).
-        rowk::sat_row_first<B>(stage_r, row_r, w);
-        rowk::sat_row_first<B>(stage_g, row_g, w);
-        rowk::sat_row_first<B>(stage_b, row_b, w);
-      } else {
-        rowk::sat_row_next<B>(stage_r, row_r - stride, row_r, w);
-        rowk::sat_row_next<B>(stage_g, row_g - stride, row_g, w);
-        rowk::sat_row_next<B>(stage_b, row_b - stride, row_b, w);
-      }
+  for (int y = 0; y < h; ++y) {
+    const Rgb* p = px + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    std::int32_t sum_r = 0;
+    std::int32_t sum_g = 0;
+    std::int32_t sum_b = 0;
+    for (int x = 0; x < w; ++x) {
+      sum_r += p[x].r;
+      sum_g += p[x].g;
+      sum_b += p[x].b;
+      stage_r[x] = sum_r;
+      stage_g[x] = sum_g;
+      stage_b[x] = sum_b;
     }
-  });
-
-  if (bands > 1) {
-    bs.carry.assign(3u * static_cast<std::size_t>(bands) * stride, 0.0);
-    double* carry = bs.carry.data();
-    double* const tabs[3] = {tr, tg, tb};
-    // Phase 2: serial carry chain over the bands' local totals. Reads the
-    // last *local* table row of band b-1, which phase 3 has not touched yet.
-    for (int b = 1; b < bands; ++b) {
-      const std::size_t last_local = static_cast<std::size_t>(band_begin(h, bands, b)) * stride;
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t base = (static_cast<std::size_t>(c) * static_cast<std::size_t>(bands) +
-                                  static_cast<std::size_t>(b)) *
-                                 stride;
-        rowk::add_rows<B>(carry + base - stride, tabs[c] + last_local, carry + base, stride);
-      }
-    }
-    // Phase 3: fold each band's carry into all of its table rows.
-    run_banded(exec, h, [&](int band, int r0, int r1) {
-      if (band == 0) return;
-      for (int c = 0; c < 3; ++c) {
-        const double* cur = carry + (static_cast<std::size_t>(c) * static_cast<std::size_t>(bands) +
-                                     static_cast<std::size_t>(band)) *
-                                        stride;
-        for (int y = r0; y < r1; ++y) {
-          rowk::add_in_place<B>(cur, tabs[c] + (static_cast<std::size_t>(y) + 1) * stride, stride);
-        }
-      }
-    });
+    const std::size_t row = (static_cast<std::size_t>(y) + 1) * stride;
+    rowk::sat_row<B>(stage_r, tr + row - stride, tr + row, w);
+    rowk::sat_row<B>(stage_g, tg + row - stride, tg + row, w);
+    rowk::sat_row<B>(stage_b, tb + row - stride, tb + row, w);
   }
-}
-
-template <class B>
-void window_mean_rgb_into_impl(const RgbImage& img, int n, FrameWorkspace& ws,
-                               BandExecutor* exec) {
-  if (n < 1 || n % 2 == 0) {
-    throw std::invalid_argument("moving-window size must be odd and >= 1");
-  }
-  const int w = img.width();
-  const int h = img.height();
-  build_rgb_integrals_impl<B>(img, ws, exec);
-  ws.aave.r.resize_discard(w, h);
-  ws.aave.g.resize_discard(w, h);
-  ws.aave.b.resize_discard(w, h);
-  const int half = n / 2;
-  const double area = static_cast<double>(n) * static_cast<double>(n);
-  const double* tr = ws.integral_r.raw();
-  const double* tg = ws.integral_g.raw();
-  const double* tb = ws.integral_b.raw();
-  const std::size_t stride = ws.integral_r.stride();
-  double* out_r = ws.aave.r.data().data();
-  double* out_g = ws.aave.g.data().data();
-  double* out_b = ws.aave.b.data().data();
-
-  run_banded(exec, h, [&](int /*band*/, int row_begin, int row_end) {
-    using V = simd::VecF64<B>;
-    const V varea = V::broadcast(area);
-    for (int y = row_begin; y < row_end; ++y) {
-      std::size_t i = static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      const bool y_interior = y >= half && y + half < h;
-      if (!y_interior) {
-        for (int x = 0; x < w; ++x) {
-          out_r[i + static_cast<std::size_t>(x)] = ws.integral_r.window_mean(x, y, n);
-          out_g[i + static_cast<std::size_t>(x)] = ws.integral_g.window_mean(x, y, n);
-          out_b[i + static_cast<std::size_t>(x)] = ws.integral_b.window_mean(x, y, n);
-        }
-        continue;
-      }
-      const std::size_t r0 = static_cast<std::size_t>(y - half) * stride;
-      const std::size_t r1 = static_cast<std::size_t>(y + half + 1) * stride;
-      const int x_end = w - half;  // first non-interior column on the right
-      int x = 0;
-      for (; x < half; ++x) {
-        out_r[i + static_cast<std::size_t>(x)] = ws.integral_r.window_mean(x, y, n);
-        out_g[i + static_cast<std::size_t>(x)] = ws.integral_g.window_mean(x, y, n);
-        out_b[i + static_cast<std::size_t>(x)] = ws.integral_b.window_mean(x, y, n);
-      }
-      for (; x + static_cast<int>(V::kLanes) <= x_end; x += static_cast<int>(V::kLanes)) {
-        const std::size_t c0 = static_cast<std::size_t>(x - half);
-        const std::size_t c1 = static_cast<std::size_t>(x + half + 1);
-        const std::size_t o = i + static_cast<std::size_t>(x);
-        (rowk::window_sum_vec<B>(tr, r0, r1, c0, c1) / varea).store(out_r + o);
-        (rowk::window_sum_vec<B>(tg, r0, r1, c0, c1) / varea).store(out_g + o);
-        (rowk::window_sum_vec<B>(tb, r0, r1, c0, c1) / varea).store(out_b + o);
-      }
-      for (; x < x_end; ++x) {
-        out_r[i + static_cast<std::size_t>(x)] = interior_window_mean(tr, stride, x, y, half, area);
-        out_g[i + static_cast<std::size_t>(x)] = interior_window_mean(tg, stride, x, y, half, area);
-        out_b[i + static_cast<std::size_t>(x)] = interior_window_mean(tb, stride, x, y, half, area);
-      }
-      for (; x < w; ++x) {
-        out_r[i + static_cast<std::size_t>(x)] = ws.integral_r.window_mean(x, y, n);
-        out_g[i + static_cast<std::size_t>(x)] = ws.integral_g.window_mean(x, y, n);
-        out_b[i + static_cast<std::size_t>(x)] = ws.integral_b.window_mean(x, y, n);
-      }
-    }
-  });
 }
 
 }  // namespace
 
-void build_rgb_integrals(const RgbImage& img, FrameWorkspace& ws, BandExecutor* exec) {
-  build_rgb_integrals_impl<simd::Active>(img, ws, exec);
+void build_rgb_integrals(const RgbImage& img, FrameWorkspace& ws) {
+  build_rgb_integrals_impl<simd::Active>(img, ws);
 }
 
 void build_rgb_integrals_scalar(const RgbImage& img, FrameWorkspace& ws) {
-  build_rgb_integrals_impl<simd::ScalarBackend>(img, ws, nullptr);
-}
-
-SLJ_HOT_PATH void window_mean_rgb_into(const RgbImage& img, int n, FrameWorkspace& ws,
-                                       BandExecutor* exec) {
-  window_mean_rgb_into_impl<simd::Active>(img, n, ws, exec);
+  build_rgb_integrals_impl<simd::ScalarBackend>(img, ws);
 }
 
 }  // namespace slj

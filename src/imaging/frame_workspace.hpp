@@ -1,5 +1,5 @@
 // FrameWorkspace: every full-frame scratch buffer the per-frame vision
-// pipeline needs — window-mean integral tables and planes, difference /
+// pipeline needs — window-mean integral tables, difference /
 // normalized / mask images, connected-component and hole-fill scratch, and
 // the thinning frontier state. One workspace per worker lane (ClipEngine)
 // or per live session (StreamEngine) makes steady-state frame processing
@@ -7,7 +7,7 @@
 // frame and reused for the rest of the run.
 //
 // A workspace is plain mutable state with no invariants of its own; the
-// into-style functions that take one (`window_mean_rgb_into`,
+// into-style functions that take one (`build_rgb_integrals`,
 // `ObjectExtractor::extract_into`, `zhang_suen_thin_into`, ...) each resize
 // what they use, so a single workspace can serve frames of changing sizes
 // (it re-allocates only when a frame outgrows the high-water mark). It is
@@ -18,35 +18,24 @@
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "imaging/band_executor.hpp"
 #include "imaging/connected.hpp"
 #include "imaging/image.hpp"
 #include "imaging/integral.hpp"
 
 namespace slj {
 
-/// Scratch for the row-banded kernels: per-band row staging for the SAT
-/// builders, per-band carry rows, and per-band reduction slots. Sized by the
-/// kernels on each call (steady state: no reallocation); bands never share
-/// a slice, so the buffers are safe under concurrent band execution.
-struct BandScratch {
-  std::vector<std::int32_t> stage;    ///< int32 row prefix sums, per band
-  std::vector<double> carry;          ///< SAT carry rows, per channel per band
-  std::vector<double> band_max;       ///< per-band max(D) reduction slots
-  std::vector<std::uint16_t> colsum;  ///< sliding column counts, per band
-};
-
 struct FrameWorkspace {
   // --- windowed-mean scratch (paper Sec. 2 step ii) ---
   IntegralImage integral_r;  ///< summed-area tables of the current frame
   IntegralImage integral_g;
   IntegralImage integral_b;
-  RgbMeans aave;             ///< the frame's moving-window mean planes
+  std::vector<std::int32_t> sat_stage;  ///< int32 row prefix sums, one row per channel
 
   // --- segmentation scratch (ObjectExtractor::extract_into) ---
   Image<double> difference;  ///< D(i,j) = |ΔR| + |ΔG| + |ΔB|
   BinaryImage raw_mask;      ///< thresholded mask before smoothing
-  IntegralImage mask_integral;  ///< SAT of raw_mask for the binary median
+  IntegralImage mask_integral;  ///< SAT of raw_mask (binary median, k > 127)
+  std::vector<std::uint16_t> median_colsum;  ///< binary median's sliding column counts
   BinaryImage smoothed;      ///< after median smoothing (tracker input)
   BinaryImage largest;       ///< largest-component mask
   Labeling labeling;         ///< connected-component labels + stats
@@ -68,24 +57,14 @@ struct FrameWorkspace {
   std::vector<std::uint32_t> thin_eval;       ///< candidates being consumed
   std::vector<std::uint32_t> thin_deletions;  ///< simultaneous-deletion list
   std::vector<std::uint8_t> thin_marks;       ///< bit0/bit1: queued per type
-
-  // --- row-banded kernel scratch (band_executor.hpp) ---
-  BandScratch band_scratch;
 };
-
-/// Allocation-free variant of window_mean_rgb: builds the per-channel
-/// summed-area tables in ws.integral_{r,g,b} and the mean planes in ws.aave,
-/// reusing their storage. Values are bit-identical to window_mean_rgb.
-SLJ_HOT_PATH void window_mean_rgb_into(const RgbImage& img, int n, FrameWorkspace& ws,
-                                       BandExecutor* exec = nullptr);
 
 /// Builds the three per-channel summed-area tables of `img` into
 /// ws.integral_{r,g,b} in one fused pass over the frame (one read per pixel
-/// instead of three), vectorized on the configured slj::simd backend and —
-/// when `exec` is banded — split into per-band local tables stitched with
-/// carry rows. Same per-channel recurrence as IntegralImage::assign, so
-/// every table entry is bit-identical at any backend and any band count.
-void build_rgb_integrals(const RgbImage& img, FrameWorkspace& ws, BandExecutor* exec = nullptr);
+/// instead of three), vectorized on the configured slj::simd backend. Same
+/// per-channel recurrence as IntegralImage::assign, so every table entry is
+/// bit-identical at any backend.
+void build_rgb_integrals(const RgbImage& img, FrameWorkspace& ws);
 
 /// Serial scalar-backend twin of build_rgb_integrals, always compiled: the
 /// reference the SIMD-vs-scalar property suite compares against (and the

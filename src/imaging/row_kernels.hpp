@@ -1,6 +1,6 @@
-// Row-level SIMD primitives shared by the summed-area-table builders
-// (frame_workspace.cpp, filters.cpp) and the windowed-sum passes
-// (object_extractor.cpp). Everything here is templated on a slj::simd
+// Row-level SIMD primitives shared by the RGB summed-area-table build
+// (frame_workspace.cpp), the binary median (filters.cpp) and the
+// windowed-sum passes (object_extractor.cpp). Everything here is templated on a slj::simd
 // backend tag and instantiated twice by the kernels: once with
 // simd::Active, once with simd::ScalarBackend — the scalar twin the
 // SIMD-vs-scalar property suites compare against.
@@ -18,22 +18,10 @@
 
 namespace slj::rowk {
 
-/// First row of a (possibly band-local) SAT: row[0] = 0,
-/// row[x+1] = double(stage[x]) — the previous row is all zeros.
+/// One SAT row: row[0] = 0, row[x+1] = prev[x+1] + double(stage[x]). For
+/// the first image row `prev` is the table's all-zero row 0.
 template <class B>
-inline void sat_row_first(const std::int32_t* stage, double* row, int w) {
-  using V = simd::VecF64<B>;
-  row[0] = 0.0;
-  int x = 0;
-  for (; x + V::kLanes <= w; x += V::kLanes) {
-    V::load_i32(stage + x).store(row + x + 1);
-  }
-  for (; x < w; ++x) row[x + 1] = static_cast<double>(stage[x]);
-}
-
-/// Interior SAT row: row[0] = 0, row[x+1] = prev[x+1] + double(stage[x]).
-template <class B>
-inline void sat_row_next(const std::int32_t* stage, const double* prev, double* row, int w) {
+inline void sat_row(const std::int32_t* stage, const double* prev, double* row, int w) {
   using V = simd::VecF64<B>;
   row[0] = 0.0;
   int x = 0;
@@ -41,29 +29,6 @@ inline void sat_row_next(const std::int32_t* stage, const double* prev, double* 
     (V::load(prev + x + 1) + V::load_i32(stage + x)).store(row + x + 1);
   }
   for (; x < w; ++x) row[x + 1] = prev[x + 1] + static_cast<double>(stage[x]);
-}
-
-/// out[i] = a[i] + b[i]; used for the band-carry accumulation (phase 2).
-template <class B>
-inline void add_rows(const double* a, const double* b, double* out, std::size_t n) {
-  using V = simd::VecF64<B>;
-  std::size_t i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    (V::load(a + i) + V::load(b + i)).store(out + i);
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-/// row[i] = row[i] + carry[i]; the banded SAT's carry application (phase 3).
-/// Written as `local + carry` so the operand order matches phase 2.
-template <class B>
-inline void add_in_place(const double* carry, double* row, std::size_t n) {
-  using V = simd::VecF64<B>;
-  std::size_t i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    (V::load(row + i) + V::load(carry + i)).store(row + i);
-  }
-  for (; i < n; ++i) row[i] = row[i] + carry[i];
 }
 
 /// Window sums for kLanes consecutive pixels: the four clamp-free table

@@ -106,7 +106,7 @@ ExtractionResult ObjectExtractor::extract(const RgbImage& frame) const {
 }
 
 SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWorkspace& ws,
-                                     BinaryImage& silhouette_out, BandExecutor* exec) const {
+                                                  BinaryImage& silhouette_out) const {
   if (!background_.has_background()) {
     throw std::logic_error("ObjectExtractor: background not set");
   }
@@ -119,7 +119,7 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
   // planes are never materialised. Interior pixels (all but a `half`-wide
   // border) take the clamp-free table path — vectorised on the configured
   // simd backend; both paths produce the exact doubles window_mean_rgb would.
-  build_rgb_integrals(frame, ws, exec);
+  build_rgb_integrals(frame, ws);
 
   const int w = frame.width();
   const int h = frame.height();
@@ -134,71 +134,61 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
   const double* bb = bave.b.data().data();
   ws.difference.resize_discard(w, h);
   double* diff = ws.difference.data().data();
-  int bands = exec != nullptr ? exec->bands() : 1;
-  if (bands <= 1 || h < 2) bands = 1;
-  auto& bs = ws.band_scratch;
-  bs.band_max.assign(static_cast<std::size_t>(bands), 0.0);
-  double* band_max = bs.band_max.data();
 
-  // Each band writes its own rows of `diff` and reduces max(D) into its own
-  // band_max slot; D is a sum/difference of exact table values, so neither
-  // banding nor the lane-wise max reduction can change a single bit (max is
-  // order-independent: the domain has no NaNs and no negative zeros).
-  run_banded(exec, h, [&](int band, int row_begin, int row_end) {
-    using V = simd::VecF64<simd::Active>;
-    const V varea = V::broadcast(area);
-    std::size_t i = static_cast<std::size_t>(row_begin) * static_cast<std::size_t>(w);
-    double local_max = 0.0;
-    const auto clamped_pixel = [&](int x, int y) {
-      const double mr = ws.integral_r.window_mean(x, y, params_.window);
-      const double mg = ws.integral_g.window_mean(x, y, params_.window);
-      const double mb = ws.integral_b.window_mean(x, y, params_.window);
+  // D is a sum/difference of exact table values, so the lane-wise max
+  // reduction cannot change a single bit (max is order-independent: the
+  // domain has no NaNs and no negative zeros).
+  using V = simd::VecF64<simd::Active>;
+  const V varea = V::broadcast(area);
+  std::size_t i = 0;
+  double scalar_max = 0.0;
+  const auto clamped_pixel = [&](int x, int y) {
+    const double mr = ws.integral_r.window_mean(x, y, params_.window);
+    const double mg = ws.integral_g.window_mean(x, y, params_.window);
+    const double mb = ws.integral_b.window_mean(x, y, params_.window);
+    const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
+    diff[i] = d;
+    scalar_max = std::max(scalar_max, d);
+    ++i;
+  };
+  V vmax = V::broadcast(0.0);
+  for (int y = 0; y < h; ++y) {
+    if (y < half || y + half >= h) {
+      for (int x = 0; x < w; ++x) clamped_pixel(x, y);
+      continue;
+    }
+    int x = 0;
+    for (; x < half && x < w; ++x) clamped_pixel(x, y);
+    const std::size_t r0 = static_cast<std::size_t>(y - half) * stride;
+    const std::size_t r1 = static_cast<std::size_t>(y + half + 1) * stride;
+    const int x_end = w - half;
+    for (; x + V::kLanes <= x_end; x += V::kLanes, i += static_cast<std::size_t>(V::kLanes)) {
+      const std::size_t c0 = static_cast<std::size_t>(x - half);
+      const std::size_t c1 = static_cast<std::size_t>(x + half + 1);
+      const V dr =
+          (rowk::window_sum_vec<simd::Active>(tr, r0, r1, c0, c1) / varea - V::load(br + i))
+              .abs();
+      const V dg =
+          (rowk::window_sum_vec<simd::Active>(tg, r0, r1, c0, c1) / varea - V::load(bg + i))
+              .abs();
+      const V db =
+          (rowk::window_sum_vec<simd::Active>(tb, r0, r1, c0, c1) / varea - V::load(bb + i))
+              .abs();
+      const V d = dr + dg + db;
+      d.store(diff + i);
+      vmax = V::max(vmax, d);
+    }
+    for (; x < x_end; ++x, ++i) {
+      const double mr = interior_window_mean(tr, stride, x, y, half, area);
+      const double mg = interior_window_mean(tg, stride, x, y, half, area);
+      const double mb = interior_window_mean(tb, stride, x, y, half, area);
       const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
       diff[i] = d;
-      local_max = std::max(local_max, d);
-      ++i;
-    };
-    V vmax = V::broadcast(0.0);
-    for (int y = row_begin; y < row_end; ++y) {
-      if (y < half || y + half >= h) {
-        for (int x = 0; x < w; ++x) clamped_pixel(x, y);
-        continue;
-      }
-      int x = 0;
-      for (; x < half && x < w; ++x) clamped_pixel(x, y);
-      const std::size_t r0 = static_cast<std::size_t>(y - half) * stride;
-      const std::size_t r1 = static_cast<std::size_t>(y + half + 1) * stride;
-      const int x_end = w - half;
-      for (; x + V::kLanes <= x_end; x += V::kLanes, i += static_cast<std::size_t>(V::kLanes)) {
-        const std::size_t c0 = static_cast<std::size_t>(x - half);
-        const std::size_t c1 = static_cast<std::size_t>(x + half + 1);
-        const V dr =
-            (rowk::window_sum_vec<simd::Active>(tr, r0, r1, c0, c1) / varea - V::load(br + i))
-                .abs();
-        const V dg =
-            (rowk::window_sum_vec<simd::Active>(tg, r0, r1, c0, c1) / varea - V::load(bg + i))
-                .abs();
-        const V db =
-            (rowk::window_sum_vec<simd::Active>(tb, r0, r1, c0, c1) / varea - V::load(bb + i))
-                .abs();
-        const V d = dr + dg + db;
-        d.store(diff + i);
-        vmax = V::max(vmax, d);
-      }
-      for (; x < x_end; ++x, ++i) {
-        const double mr = interior_window_mean(tr, stride, x, y, half, area);
-        const double mg = interior_window_mean(tg, stride, x, y, half, area);
-        const double mb = interior_window_mean(tb, stride, x, y, half, area);
-        const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
-        diff[i] = d;
-        local_max = std::max(local_max, d);
-      }
-      for (; x < w; ++x) clamped_pixel(x, y);
+      scalar_max = std::max(scalar_max, d);
     }
-    band_max[band] = std::max(local_max, vmax.reduce_max());
-  });
-  double max_d = 0.0;
-  for (int b = 0; b < bands; ++b) max_d = std::max(max_d, band_max[b]);
+    for (; x < w; ++x) clamped_pixel(x, y);
+  }
+  const double max_d = std::max(scalar_max, vmax.reduce_max());
 
   // Steps vi–viii fused without materialising the rounded 8-bit image:
   // lround(clamped) > th  ⇔  clamped >= th + 0.5 (lround rounds half away
@@ -212,30 +202,27 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
   ws.raw_mask.resize_discard(w, h);
   std::uint8_t* mask = ws.raw_mask.data().data();
   if (scene_changed) {
-    run_banded(exec, h, [&](int /*band*/, int row_begin, int row_end) {
-      using V = simd::VecF64<simd::Active>;
-      const V vshift = V::broadcast(shift);
-      const V vzero = V::broadcast(0.0);
-      const V v255 = V::broadcast(255.0);
-      const V vth = V::broadcast(mask_threshold);
-      std::size_t k = static_cast<std::size_t>(row_begin) * static_cast<std::size_t>(w);
-      const std::size_t k_end = static_cast<std::size_t>(row_end) * static_cast<std::size_t>(w);
-      for (; k + static_cast<std::size_t>(V::kLanes) <= k_end;
-           k += static_cast<std::size_t>(V::kLanes)) {
-        const V clamped = V::min(V::max(V::load(diff + k) - vshift, vzero), v255);
-        V::store_ge01(clamped, vth, mask + k);
-      }
-      for (; k < k_end; ++k) {
-        const double clamped = std::clamp(diff[k] - shift, 0.0, 255.0);
-        mask[k] = clamped >= mask_threshold ? 1 : 0;
-      }
-    });
+    const V vshift = V::broadcast(shift);
+    const V vzero = V::broadcast(0.0);
+    const V v255 = V::broadcast(255.0);
+    const V vth = V::broadcast(mask_threshold);
+    const std::size_t k_end = ws.raw_mask.size();
+    std::size_t k = 0;
+    for (; k + static_cast<std::size_t>(V::kLanes) <= k_end;
+         k += static_cast<std::size_t>(V::kLanes)) {
+      const V clamped = V::min(V::max(V::load(diff + k) - vshift, vzero), v255);
+      V::store_ge01(clamped, vth, mask + k);
+    }
+    for (; k < k_end; ++k) {
+      const double clamped = std::clamp(diff[k] - shift, 0.0, 255.0);
+      mask[k] = clamped >= mask_threshold ? 1 : 0;
+    }
   } else {
     std::fill(mask, mask + ws.raw_mask.size(), 0);
   }
 
-  median_filter_binary_into(ws.raw_mask, params_.median_window, ws.mask_integral, ws.smoothed, exec,
-                            &ws.band_scratch);
+  median_filter_binary_into(ws.raw_mask, params_.median_window, ws.mask_integral,
+                            ws.median_colsum, ws.smoothed);
 
   const BinaryImage* cleaned = &ws.smoothed;
   if (params_.keep_largest_only) {

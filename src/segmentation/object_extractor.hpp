@@ -60,12 +60,8 @@ class ObjectExtractor {
   /// state — same-sized frames through the same workspace — no full-frame
   /// buffer is heap-allocated. Output is bit-identical to extract(). Returns
   /// max(D) (step v), which extract() reports as max_difference.
-  ///
-  /// When `exec` is a multi-band BandExecutor the windowed-mean, difference,
-  /// threshold, and median passes run row-banded across its workers — still
-  /// bit-identical to the serial path at any band count.
   SLJ_HOT_PATH double extract_into(const RgbImage& frame, FrameWorkspace& ws,
-                      BinaryImage& silhouette_out, BandExecutor* exec = nullptr) const;
+                                   BinaryImage& silhouette_out) const;
 
   /// Shortcut returning only the final silhouette.
   BinaryImage silhouette(const RgbImage& frame) const;

@@ -115,14 +115,27 @@ BinaryImage random_blobs(std::uint32_t seed, int w, int h, int discs) {
 // ---- kernel-level parity ---------------------------------------------------
 
 TEST(FrameWorkspaceParity, WindowMeansMatchReference) {
+  // The fused three-channel table build must yield exactly the window means
+  // of window_mean_rgb's per-channel tables.
   const synth::Clip clip = parity_clips().front();
+  const RgbImage& frame = clip.frames[5];
+  const int w = frame.width();
+  const int h = frame.height();
   FrameWorkspace ws;
+  build_rgb_integrals(frame, ws);
   for (const int n : {1, 3, 5}) {
-    const RgbMeans want = window_mean_rgb(clip.frames[5], n);
-    window_mean_rgb_into(clip.frames[5], n, ws);
-    EXPECT_EQ(ws.aave.r, want.r) << "window " << n;
-    EXPECT_EQ(ws.aave.g, want.g) << "window " << n;
-    EXPECT_EQ(ws.aave.b, want.b) << "window " << n;
+    const RgbMeans want = window_mean_rgb(frame, n);
+    RgbMeans got{Image<double>(w, h), Image<double>(w, h), Image<double>(w, h)};
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        got.r.at(x, y) = ws.integral_r.window_mean(x, y, n);
+        got.g.at(x, y) = ws.integral_g.window_mean(x, y, n);
+        got.b.at(x, y) = ws.integral_b.window_mean(x, y, n);
+      }
+    }
+    EXPECT_EQ(got.r, want.r) << "window " << n;
+    EXPECT_EQ(got.g, want.g) << "window " << n;
+    EXPECT_EQ(got.b, want.b) << "window " << n;
   }
 }
 
@@ -132,8 +145,10 @@ TEST(FrameWorkspaceParity, IntoVariantsMatchReference) {
     const BinaryImage mask = random_blobs(seed, 70, 50, 6);
 
     BinaryImage median_out;
-    median_filter_binary_into(mask, 5, ws.mask_integral, median_out);
-    EXPECT_EQ(median_out, median_filter_binary(mask, 5)) << "seed " << seed;
+    for (const int k : {1, 3, 5, 129}) {
+      median_filter_binary_into(mask, k, ws.mask_integral, ws.median_colsum, median_out);
+      EXPECT_EQ(median_out, median_filter_binary(mask, k)) << "seed " << seed << " k " << k;
+    }
 
     BinaryImage largest_out;
     largest_component_into(mask, true, ws.labeling, ws.pixel_stack, largest_out);

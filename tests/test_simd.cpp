@@ -1,18 +1,13 @@
-// SIMD-vs-scalar property suite + row-banding determinism (PR 8 tentpole).
+// SIMD-vs-scalar property suite.
 //
 // The simd.hpp contract is bit-identity on the kernels' integer domain:
 // every primitive instantiated with the configured backend (simd::Active)
 // must produce exactly the bytes the always-compiled ScalarBackend twin
 // produces — across odd widths, vector-width tails, unaligned bases, and
 // degenerate all-0 / all-255 planes. On an SLJ_SIMD=OFF build Active *is*
-// ScalarBackend and the primitive checks pin trivially; the banding suite
-// below is backend-independent and bites on every build.
-//
-// The banding half pins the other determinism axis: a kernel handed a
-// BandExecutor must produce bit-identical output at any band count, whether
-// the bands run serially (SerialBandExecutor) or on a real WorkerPool
-// (PoolBandExecutor), including band counts that do not divide the height
-// and band counts exceeding the worker count.
+// ScalarBackend and the primitive checks pin trivially; the kernel-level
+// checks against the untouched reference implementations bite on every
+// build.
 #include "core/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -22,13 +17,10 @@
 #include <random>
 #include <vector>
 
-#include "core/clip_engine.hpp"
-#include "imaging/band_executor.hpp"
 #include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/morphology.hpp"
 #include "segmentation/object_extractor.hpp"
-#include "synth/dataset.hpp"
 
 namespace slj {
 namespace {
@@ -59,22 +51,6 @@ std::vector<std::uint8_t> random_bytes(std::uint32_t seed, std::size_t n, int hi
   for (std::uint8_t& x : out) x = static_cast<std::uint8_t>(dist(rng));
   return out;
 }
-
-/// BandExecutor that runs bands serially in order: isolates the banded
-/// *partition* (carry stitching, per-band scratch) from concurrency.
-class SerialBandExecutor final : public BandExecutor {
- public:
-  explicit SerialBandExecutor(int bands) : bands_(bands) {}
-  int bands() const override { return bands_; }
-  void run_rows(int rows, void* ctx, RowFn fn) override {
-    for (int b = 0; b < bands_; ++b) {
-      fn(ctx, b, band_begin(rows, bands_, b), band_begin(rows, bands_, b + 1));
-    }
-  }
-
- private:
-  int bands_;
-};
 
 // ---- VecF64 primitives ------------------------------------------------------
 
@@ -282,23 +258,13 @@ TEST(SimdKernelParity, FusedIntegralBuildMatchesScalarTwin) {
   }
 }
 
-TEST(SimdKernelParity, BandedIntegralBuildMatchesScalarTwinAtEveryBandCount) {
-  const int w = 33, h = 29;
-  const RgbImage img = random_rgb(7, w, h);
-  FrameWorkspace scalar_ws;
-  build_rgb_integrals_scalar(img, scalar_ws);
-  FrameWorkspace banded_ws;
-  for (const int bands : {1, 2, 3, 4, 7}) {
-    SerialBandExecutor exec(bands);
-    build_rgb_integrals(img, banded_ws, &exec);
-    expect_tables_identical(banded_ws, scalar_ws, w, h);
-  }
-}
-
 TEST(SimdKernelParity, MedianFilterMatchesReferenceOnSaturatedAndOddSizes) {
+  // The production column-count path (k <= 127) and its summed-area-table
+  // fallback (k = 129) against the SAT reference; 65x1 is a single row
+  // wider than every backend's lane count.
   FrameWorkspace ws;
   BinaryImage out;
-  const std::pair<int, int> sizes[] = {{5, 5}, {17, 11}, {33, 31}, {64, 50}};
+  const std::pair<int, int> sizes[] = {{5, 5}, {17, 11}, {33, 31}, {64, 50}, {65, 1}};
   for (const auto& [w, h] : sizes) {
     std::mt19937 rng(static_cast<std::uint32_t>(w + h));
     for (int variant = 0; variant < 3; ++variant) {
@@ -308,8 +274,8 @@ TEST(SimdKernelParity, MedianFilterMatchesReferenceOnSaturatedAndOddSizes) {
           mask.data()[i] = static_cast<std::uint8_t>(rng() % 2);
         }
       }
-      for (const int k : {1, 3, 5}) {
-        median_filter_binary_into(mask, k, ws.mask_integral, out);
+      for (const int k : {1, 3, 5, 127, 129}) {
+        median_filter_binary_into(mask, k, ws.mask_integral, ws.median_colsum, out);
         EXPECT_EQ(out, median_filter_binary(mask, k))
             << w << "x" << h << " variant " << variant << " k " << k;
       }
@@ -339,7 +305,10 @@ TEST(SimdKernelParity, HoleFillAndLargestComponentMatchReferenceOnSaturatedPlane
 
 TEST(SimdKernelParity, ExtractIntoMatchesExtractOnOddFrameSizes) {
   // extract() is the untouched scalar reference; extract_into runs the SIMD
-  // kernels. Odd sizes force every vector tail in the fused passes.
+  // kernels. Odd sizes force every vector tail in the fused passes, and each
+  // window size moves the clamped border the interior path must meet.
+  FrameWorkspace ws;  // deliberately reused across sizes and windows
+  BinaryImage silhouette;
   for (const auto& [w, h] : {std::pair<int, int>{31, 17}, {65, 33}, {64, 47}}) {
     const RgbImage background = random_rgb(static_cast<std::uint32_t>(w), w, h);
     RgbImage frame = background;
@@ -349,143 +318,18 @@ TEST(SimdKernelParity, ExtractIntoMatchesExtractOnOddFrameSizes) {
         frame.at(x, y) = {255, 255, 255};
       }
     }
-    seg::ObjectExtractor extractor;
-    extractor.set_background(background);
-    FrameWorkspace ws;
-    BinaryImage silhouette;
-    const seg::ExtractionResult want = extractor.extract(frame);
-    const double max_d = extractor.extract_into(frame, ws, silhouette);
-    EXPECT_EQ(silhouette, want.silhouette) << w << "x" << h;
-    EXPECT_EQ(ws.raw_mask, want.raw_mask) << w << "x" << h;
-    EXPECT_EQ(ws.difference, want.difference) << w << "x" << h;
-    EXPECT_DOUBLE_EQ(max_d, want.max_difference) << w << "x" << h;
-  }
-}
-
-// ---- banding determinism ----------------------------------------------------
-
-TEST(BandingDeterminism, ExtractIntoIsBitIdenticalAtEveryBandCount) {
-  synth::ClipSpec spec;
-  spec.seed = 11;
-  spec.frame_count = 4;
-  const synth::Clip clip = synth::generate_clip(spec);
-  seg::ObjectExtractor extractor;
-  extractor.set_background(clip.background);
-
-  FrameWorkspace ref_ws;
-  BinaryImage ref_sil;
-  FrameWorkspace band_ws;
-  BinaryImage band_sil;
-  for (std::size_t f = 0; f < clip.frames.size(); ++f) {
-    const double ref_max = extractor.extract_into(clip.frames[f], ref_ws, ref_sil);
-    // Band counts that do not divide the frame height, exceed any worker
-    // count, and the degenerate single band.
-    for (const int bands : {1, 2, 3, 4, 5, 8}) {
-      SerialBandExecutor exec(bands);
-      const double got_max = extractor.extract_into(clip.frames[f], band_ws, band_sil, &exec);
-      EXPECT_EQ(band_sil, ref_sil) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(band_ws.raw_mask, ref_ws.raw_mask) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(band_ws.smoothed, ref_ws.smoothed) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(band_ws.difference, ref_ws.difference) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(got_max, ref_max) << "frame " << f << " bands " << bands;
-    }
-  }
-}
-
-TEST(BandingDeterminism, PoolExecutorMatchesSerialExecutor) {
-  synth::ClipSpec spec;
-  spec.seed = 23;
-  spec.frame_count = 3;
-  const synth::Clip clip = synth::generate_clip(spec);
-  seg::ObjectExtractor extractor;
-  extractor.set_background(clip.background);
-
-  FrameWorkspace ref_ws;
-  BinaryImage ref_sil;
-  FrameWorkspace pool_ws;
-  BinaryImage pool_sil;
-  core::WorkerPool pool(3);  // bands deliberately != worker count below
-  for (std::size_t f = 0; f < clip.frames.size(); ++f) {
-    extractor.extract_into(clip.frames[f], ref_ws, ref_sil);
-    for (const int bands : {2, 4, 5}) {
-      core::PoolBandExecutor exec(pool, bands);
-      extractor.extract_into(clip.frames[f], pool_ws, pool_sil, &exec);
-      EXPECT_EQ(pool_sil, ref_sil) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(pool_ws.smoothed, ref_ws.smoothed) << "frame " << f << " bands " << bands;
-    }
-  }
-}
-
-TEST(BandingDeterminism, ClipEngineBandedConfigMatchesUnbanded) {
-  synth::ClipSpec spec;
-  spec.seed = 5;
-  spec.frame_count = 6;
-  const synth::Clip clip = synth::generate_clip(spec);
-
-  core::ClipEngineConfig base;
-  base.workers = 2;
-  core::ClipEngine reference({}, base);
-  const core::ClipObservation want = reference.process(clip);
-
-  for (const int bands : {2, 4}) {
-    core::ClipEngineConfig banded = base;
-    banded.intra_frame_bands = bands;
-    core::ClipEngine engine({}, banded);
-    const core::ClipObservation got = engine.process(clip);
-    ASSERT_EQ(got.frame_count(), want.frame_count()) << "bands " << bands;
-    EXPECT_EQ(got.airborne, want.airborne) << "bands " << bands;
-    EXPECT_EQ(got.ground_row, want.ground_row) << "bands " << bands;
-    for (std::size_t f = 0; f < got.frames.size(); ++f) {
-      EXPECT_EQ(got.frames[f].silhouette, want.frames[f].silhouette)
-          << "bands " << bands << " frame " << f;
-      EXPECT_EQ(got.frames[f].raw_skeleton, want.frames[f].raw_skeleton)
-          << "bands " << bands << " frame " << f;
-      EXPECT_EQ(got.frames[f].bottom_row, want.frames[f].bottom_row)
-          << "bands " << bands << " frame " << f;
-    }
-  }
-}
-
-TEST(BandingDeterminism, TrackedBandedEngineMatchesUnbanded) {
-  synth::ClipSpec spec;
-  spec.seed = 40;
-  spec.frame_count = 5;
-  const synth::Clip clip = synth::generate_clip(spec);
-
-  core::ClipEngineConfig base;
-  base.workers = 2;
-  base.use_tracker = true;
-  core::ClipEngine reference({}, base);
-  const core::ClipObservation want = reference.process(clip);
-
-  core::ClipEngineConfig banded = base;
-  banded.intra_frame_bands = 3;
-  core::ClipEngine engine({}, banded);
-  const core::ClipObservation got = engine.process(clip);
-  ASSERT_EQ(got.frame_count(), want.frame_count());
-  EXPECT_EQ(got.airborne, want.airborne);
-  for (std::size_t f = 0; f < got.frames.size(); ++f) {
-    EXPECT_EQ(got.frames[f].silhouette, want.frames[f].silhouette) << "frame " << f;
-    EXPECT_EQ(got.frames[f].bottom_row, want.frames[f].bottom_row) << "frame " << f;
-  }
-}
-
-TEST(BandingDeterminism, BandedMedianFilterMatchesSerial) {
-  FrameWorkspace serial_ws;
-  FrameWorkspace band_ws;
-  BinaryImage serial_out, band_out;
-  for (const auto& [w, h] : {std::pair<int, int>{17, 11}, {64, 48}, {65, 1}}) {
-    std::mt19937 rng(static_cast<std::uint32_t>(w + 3 * h));
-    BinaryImage mask(w, h, 0);
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      mask.data()[i] = static_cast<std::uint8_t>(rng() % 2);
-    }
-    median_filter_binary_into(mask, 5, serial_ws.mask_integral, serial_out);
-    for (const int bands : {2, 3, 4}) {
-      SerialBandExecutor exec(bands);
-      median_filter_binary_into(mask, 5, band_ws.mask_integral, band_out, &exec,
-                                &band_ws.band_scratch);
-      EXPECT_EQ(band_out, serial_out) << w << "x" << h << " bands " << bands;
+    for (const int window : {1, 3, 5}) {
+      seg::ExtractorParams params;
+      params.window = window;
+      seg::ObjectExtractor extractor(params);
+      extractor.set_background(background);
+      const seg::ExtractionResult want = extractor.extract(frame);
+      const double max_d = extractor.extract_into(frame, ws, silhouette);
+      EXPECT_EQ(silhouette, want.silhouette) << w << "x" << h << " window " << window;
+      EXPECT_EQ(ws.smoothed, want.smoothed) << w << "x" << h << " window " << window;
+      EXPECT_EQ(ws.raw_mask, want.raw_mask) << w << "x" << h << " window " << window;
+      EXPECT_EQ(ws.difference, want.difference) << w << "x" << h << " window " << window;
+      EXPECT_EQ(max_d, want.max_difference) << w << "x" << h << " window " << window;
     }
   }
 }
