@@ -71,7 +71,7 @@ int main() {
                 clip_acc[2], burst_errors, total_errors);
   }
   bench::print_rule();
-  std::printf("observed shape (documented in EXPERIMENTS.md): the three decoders land "
+  std::printf("observed shape: the three decoders land "
               "within ~2 points of each other. The residual errors sit on genuinely "
               "ambiguous transition frames, which smoothing cannot recover; the online "
               "rule's Th_Pose preference even gives it a slight edge. The paper's "

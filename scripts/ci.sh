@@ -24,7 +24,9 @@
 #                  (AST engine in --strict-engine mode on clang hosts,
 #                  lexical with a note elsewhere) with the suppression
 #                  ratchet, the negative-compile suite
-#                  (tests/test_static_analysis.cmake), and — when
+#                  (tests/test_static_analysis.cmake), the pinned synthetic
+#                  corpus suites (test_rng, test_renderer, test_dataset)
+#                  under the lane's compiler, and — when
 #                  clang/clang-tidy are on PATH — Clang thread-safety
 #                  analysis, the clang-static-analyzer baseline diff
 #                  (scripts/lint/run_clang_analyzer.py), and the curated
@@ -118,7 +120,14 @@ if [[ "$MODE" == "analyze" ]]; then
          "(thread-safety annotations compile away — see core/annotations.hpp)"
   fi
   cmake -B "$BUILD_DIR" -S . "${ANALYZE_ARGS[@]}"
-  cmake --build "$BUILD_DIR" -j --target slj
+  cmake --build "$BUILD_DIR" -j --target slj test_rng test_renderer test_dataset
+
+  # The synthetic corpus is pinned to one random stream (synth/rng.hpp) and a
+  # digest of its rendered bytes; check that pin under this lane's compiler
+  # too, not only under the default one.
+  "$BUILD_DIR/test_rng"
+  "$BUILD_DIR/test_renderer"
+  "$BUILD_DIR/test_dataset"
 
   ARTIFACTS="$BUILD_DIR/analyze_artifacts"
   mkdir -p "$ARTIFACTS"

@@ -1,5 +1,6 @@
 #include "synth/dataset.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "synth/labeler.hpp"
@@ -11,17 +12,16 @@ Clip generate_clip(const ClipSpec& spec) {
   clip.seed = spec.seed;
   clip.faults = spec.faults;
 
-  std::mt19937 rng(spec.seed);
-  std::normal_distribution<double> height_dist(spec.subject_height_mean,
-                                               spec.subject_height_sigma);
+  Rng rng(spec.seed);
+  Normal height_dist(spec.subject_height_mean, spec.subject_height_sigma);
   const double height = std::clamp(height_dist(rng), 1.15, 1.62);
   const BodyDimensions body = BodyDimensions::for_height(height);
 
   JumpStyle style;
   style.seed = spec.seed * 7919u + 13u;  // decouple motion jitter from subject jitter
   style.faults = spec.faults;
-  std::uniform_real_distribution<double> dist(1.00, 1.30);
-  std::uniform_real_distribution<double> apex(0.20, 0.32);
+  const UniformReal dist(1.00, 1.30);
+  const UniformReal apex(0.20, 0.32);
   style.jump_distance = dist(rng);
   style.apex_height = apex(rng);
 
@@ -34,8 +34,8 @@ Clip generate_clip(const ClipSpec& spec) {
   clip.truth.reserve(frames.size());
   clip.clean_silhouettes.reserve(frames.size());
   for (const MotionFrame& mf : frames) {
-    clip.frames.push_back(renderer.render_frame(body, mf.angles, mf.pelvis, rng));
     clip.clean_silhouettes.push_back(renderer.render_silhouette(body, mf.angles, mf.pelvis));
+    clip.frames.push_back(renderer.render_frame(clip.clean_silhouettes.back(), rng));
     FrameTruth t;
     t.pose = label_pose(body, mf);
     t.stage = mf.stage;

@@ -20,10 +20,9 @@ void JumpMotionGenerator::Track::add(double t, double value) {
   std::sort(knots_.begin(), knots_.end());
 }
 
-void JumpMotionGenerator::Track::jitter(std::mt19937& rng, double value_sigma,
-                                        double time_sigma) {
-  std::normal_distribution<double> dv(0.0, value_sigma);
-  std::normal_distribution<double> dt(0.0, time_sigma);
+void JumpMotionGenerator::Track::jitter(Rng& rng, double value_sigma, double time_sigma) {
+  Normal dv(0.0, value_sigma);
+  Normal dt(0.0, time_sigma);
   for (auto& [t, v] : knots_) {
     v += dv(rng);
     // Keep the clip endpoints anchored so every jump spans the full clip.
@@ -64,8 +63,8 @@ JumpMotionGenerator::JumpMotionGenerator(BodyDimensions body, JumpStyle style)
 }
 
 void JumpMotionGenerator::build_tracks() {
-  std::mt19937 rng(style_.seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  Rng rng(style_.seed);
+  const UniformReal unit(0.0, 1.0);
 
   // Subject-level timing variation.
   t_crouch_ = 0.30 + (unit(rng) - 0.5) * 0.04;
@@ -96,7 +95,7 @@ void JumpMotionGenerator::build_tracks() {
 
   // Horizontal pelvis travel: small shift into the crouch, ballistic flight
   // covering the jump distance, a short settle after touchdown.
-  std::uniform_real_distribution<double> dist_jitter(0.92, 1.10);
+  const UniformReal dist_jitter(0.92, 1.10);
   const double travel = style_.jump_distance * dist_jitter(rng);
   root_x_ = Track{{0.0, 0.0}, {0.22, 0.015}, {tc, 0.04}, {tl, 0.11},
                   {td, 0.11 + travel}, {0.9, 0.13 + travel}, {1.0, 0.14 + travel}};

@@ -9,11 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "pose/pose_catalog.hpp"
 #include "synth/body_model.hpp"
+#include "synth/rng.hpp"
 
 namespace slj::synth {
 
@@ -67,7 +67,7 @@ class JumpMotionGenerator {
     Track() = default;
     Track(std::initializer_list<std::pair<double, double>> knots);
     void add(double t, double value);
-    void jitter(std::mt19937& rng, double value_sigma, double time_sigma);
+    void jitter(Rng& rng, double value_sigma, double time_sigma);
     void scale_values(double factor);
     void clamp_values(double lo, double hi);
     double eval(double t) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "imaging/draw.hpp"
 
@@ -58,46 +59,73 @@ std::uint8_t clamp_channel(double v) {
 
 }  // namespace
 
-RgbImage SilhouetteRenderer::render_frame(const BodyDimensions& body, const JointAngles& angles,
-                                          PointF pelvis_world, std::mt19937& rng) const {
-  const BinaryImage mask = render_silhouette(body, angles, pelvis_world);
-  RgbImage frame(config_.width, config_.height);
-  std::normal_distribution<double> noise(0.0, config_.sensor_noise_sigma);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
+RgbImage SilhouetteRenderer::render_frame(const BinaryImage& silhouette, Rng& rng) const {
+  const int width = silhouette.width();
+  const int height = silhouette.height();
+  const auto w = static_cast<std::size_t>(width);
+  RgbImage frame(width, height);
+  const double sigma = config_.sensor_noise_sigma;
+  constexpr double kNoiseMean = 0.0;
 
-  for (int y = 0; y < frame.height(); ++y) {
-    for (int x = 0; x < frame.width(); ++x) {
-      Rgb base = mask.at(x, y) ? config_.clothing : config_.background;
-      // Mild vertical studio-light gradient on the background.
-      double gradient = mask.at(x, y) ? 0.0 : 6.0 * (1.0 - static_cast<double>(y) / frame.height());
-      double r = base.r + gradient + noise(rng);
-      double g = base.g + gradient + noise(rng);
-      double b = base.b + gradient + noise(rng);
-      if (mask.at(x, y) && unit(rng) < config_.speckle_fraction) {
-        // Dark speckle on clothing: folds/shadows that punch small holes in
-        // the thresholded silhouette (Fig. 1b).
+  // Row scratch, sized to one row and owned by this call. A row needs 3w
+  // normals; a normal left over from the previous row's last pair may cover
+  // the first, so at most ceil(3w / 2) new pairs and 3w + 1 normals.
+  std::vector<PolarPair> pairs((3 * w + 1) / 2);
+  std::vector<double> normals(3 * w + 1);
+  std::vector<std::uint8_t> speckled(w);
+  bool carry = false;   // normals[3w] of the previous row is still unused
+  double carried = 0.0;
+
+  for (int y = 0; y < height; ++y) {
+    const std::uint8_t* mask = silhouette.data().data() + static_cast<std::size_t>(y) * w;
+
+    // Pass 1: walk the stream in the order the pixels consume it. Pixel x
+    // uses normals 3x..3x+2 of the row, and a person pixel then draws its
+    // speckle uniform, so the pairs those normals need come first.
+    std::size_t n_pairs = 0;
+    std::size_t available = carry ? 1 : 0;
+    for (std::size_t x = 0; x < w; ++x) {
+      for (; available < 3 * x + 3; available += 2) pairs[n_pairs++] = polar_pair(rng);
+      if (mask[x]) speckled[x] = canonical(rng) < config_.speckle_fraction;
+    }
+
+    // Pass 2: scale each pair into its two normals, returned value first.
+    std::size_t k = 0;
+    if (carry) normals[k++] = carried;
+    for (std::size_t i = 0; i < n_pairs; ++i) {
+      const double m = polar_scale(pairs[i].r2);
+      normals[k++] = pairs[i].y * m;
+      normals[k++] = pairs[i].x * m;
+    }
+    carry = k > 3 * w;
+    if (carry) carried = normals[3 * w];
+
+    // Pass 3: compose. Mild vertical studio-light gradient on the background;
+    // dark speckle on clothing (folds/shadows that punch small holes in the
+    // thresholded silhouette, Fig. 1b).
+    const double gradient = 6.0 * (1.0 - static_cast<double>(y) / height);
+    Rgb* out = frame.data().data() + static_cast<std::size_t>(y) * w;
+    for (std::size_t x = 0; x < w; ++x) {
+      const bool person = mask[x] != 0;
+      const Rgb base = person ? config_.clothing : config_.background;
+      const double lift = person ? 0.0 : gradient;
+      const double* n = &normals[3 * x];
+      double r = base.r + lift + (n[0] * sigma + kNoiseMean);
+      double g = base.g + lift + (n[1] * sigma + kNoiseMean);
+      double b = base.b + lift + (n[2] * sigma + kNoiseMean);
+      if (person && speckled[x]) {
         r -= config_.speckle_strength;
         g -= config_.speckle_strength;
         b -= config_.speckle_strength;
       }
-      frame.at(x, y) = {clamp_channel(r), clamp_channel(g), clamp_channel(b)};
+      out[x] = {clamp_channel(r), clamp_channel(g), clamp_channel(b)};
     }
   }
   return frame;
 }
 
-RgbImage SilhouetteRenderer::render_background(std::mt19937& rng) const {
-  RgbImage frame(config_.width, config_.height);
-  std::normal_distribution<double> noise(0.0, config_.sensor_noise_sigma);
-  for (int y = 0; y < frame.height(); ++y) {
-    for (int x = 0; x < frame.width(); ++x) {
-      const double gradient = 6.0 * (1.0 - static_cast<double>(y) / frame.height());
-      frame.at(x, y) = {clamp_channel(config_.background.r + gradient + noise(rng)),
-                        clamp_channel(config_.background.g + gradient + noise(rng)),
-                        clamp_channel(config_.background.b + gradient + noise(rng))};
-    }
-  }
-  return frame;
+RgbImage SilhouetteRenderer::render_background(Rng& rng) const {
+  return render_frame(BinaryImage(config_.width, config_.height, 0), rng);
 }
 
 PartTruth SilhouetteRenderer::part_truth(const BodyDimensions& body, const JointAngles& angles,

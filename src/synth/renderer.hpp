@@ -4,13 +4,23 @@
 // background"), a brightly clothed jumper, sensor noise, and the occasional
 // speckle that gives the object-extraction stage the "small holes and
 // ridged edges" of Fig. 1(b).
+//
+// Noise contract: every frame's noise comes from one pinned stream, the
+// MT19937 engine in synth/rng.hpp read through the polar method, and is
+// byte-identical to what libstdc++'s `std::mt19937` +
+// `std::normal_distribution<double>` + `std::uniform_real_distribution<double>`
+// rendered before. Per pixel, in row-major order, the stream supplies three
+// channel normals (R, G, B) and then, for person pixels only, one speckle
+// uniform. Each render call starts a fresh normal sequence: a polar pair's
+// unused second value carries from one row into the next but never into the
+// next frame. tests/test_dataset.cpp pins the resulting corpus digest.
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "imaging/image.hpp"
 #include "synth/body_model.hpp"
+#include "synth/rng.hpp"
 
 namespace slj::synth {
 
@@ -57,14 +67,14 @@ class SilhouetteRenderer {
   BinaryImage render_stick(const BodyDimensions& body, const JointAngles& angles,
                            PointF pelvis_world, double stick_radius_px) const;
 
-  /// Studio RGB frame: silhouette painted in clothing colour over the dark
-  /// background, plus sensor noise and speckle. `rng` advances per call so
-  /// consecutive frames get fresh noise.
-  RgbImage render_frame(const BodyDimensions& body, const JointAngles& angles,
-                        PointF pelvis_world, std::mt19937& rng) const;
+  /// Studio RGB frame: `silhouette` (as render_silhouette returns it)
+  /// painted in clothing colour over the dark background, plus sensor noise
+  /// and speckle. The frame takes the silhouette's size. `rng` advances per
+  /// call so consecutive frames get fresh noise.
+  RgbImage render_frame(const BinaryImage& silhouette, Rng& rng) const;
 
   /// Empty-studio frame (background only + noise).
-  RgbImage render_background(std::mt19937& rng) const;
+  RgbImage render_background(Rng& rng) const;
 
   /// Ground-truth part positions in image pixels.
   PartTruth part_truth(const BodyDimensions& body, const JointAngles& angles,

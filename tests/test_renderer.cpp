@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
+#include <algorithm>
 
 namespace slj::synth {
 namespace {
@@ -79,9 +79,9 @@ TEST(Renderer, FramePaintsPersonBrighterThanBackground) {
   const SilhouetteRenderer r;
   JointAngles standing;
   const double h = pelvis_height_for_ground_contact(kBody, standing);
-  std::mt19937 rng(1);
-  const RgbImage frame = r.render_frame(kBody, standing, {0.4, h}, rng);
   const BinaryImage sil = r.render_silhouette(kBody, standing, {0.4, h});
+  Rng rng(1);
+  const RgbImage frame = r.render_frame(sil, rng);
   double person = 0.0, bg = 0.0;
   std::size_t np = 0, nb = 0;
   for (int y = 0; y < frame.height(); ++y) {
@@ -101,7 +101,7 @@ TEST(Renderer, FramePaintsPersonBrighterThanBackground) {
 
 TEST(Renderer, BackgroundFrameHasNoPerson) {
   const SilhouetteRenderer r;
-  std::mt19937 rng(2);
+  Rng rng(2);
   const RgbImage bg = r.render_background(rng);
   double max_lum = 0.0;
   for (const Rgb& p : bg.data()) {
@@ -114,10 +114,52 @@ TEST(Renderer, NoiseMakesFramesDiffer) {
   const SilhouetteRenderer r;
   JointAngles standing;
   const double h = pelvis_height_for_ground_contact(kBody, standing);
-  std::mt19937 rng(3);
-  const RgbImage f1 = r.render_frame(kBody, standing, {0.4, h}, rng);
-  const RgbImage f2 = r.render_frame(kBody, standing, {0.4, h}, rng);
+  const BinaryImage sil = r.render_silhouette(kBody, standing, {0.4, h});
+  Rng rng(3);
+  const RgbImage f1 = r.render_frame(sil, rng);
+  const RgbImage f2 = r.render_frame(sil, rng);
   EXPECT_NE(f1, f2);
+}
+
+// Per-pixel reference for the noise contract in renderer.hpp: three channel
+// normals from one Normal object, then a speckle uniform on person pixels.
+RgbImage reference_frame(const CameraConfig& cam, const BinaryImage& mask, Rng& rng) {
+  RgbImage frame(mask.width(), mask.height());
+  Normal noise(0.0, cam.sensor_noise_sigma);
+  const UniformReal unit(0.0, 1.0);
+  const auto clamp = [](double v) { return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)); };
+  for (int y = 0; y < frame.height(); ++y) {
+    for (int x = 0; x < frame.width(); ++x) {
+      const bool person = mask.at(x, y) != 0;
+      const Rgb base = person ? cam.clothing : cam.background;
+      const double gradient = person ? 0.0 : 6.0 * (1.0 - static_cast<double>(y) / frame.height());
+      double r = base.r + gradient + noise(rng);
+      double g = base.g + gradient + noise(rng);
+      double b = base.b + gradient + noise(rng);
+      if (person && unit(rng) < cam.speckle_fraction) {
+        r -= cam.speckle_strength;
+        g -= cam.speckle_strength;
+        b -= cam.speckle_strength;
+      }
+      frame.at(x, y) = {clamp(r), clamp(g), clamp(b)};
+    }
+  }
+  return frame;
+}
+
+TEST(Renderer, RowPassesMatchPerPixelDrawsAtEveryWidth) {
+  // Odd widths carry a saved normal across rows; a high speckle rate puts
+  // uniforms between the pairs often.
+  CameraConfig cam;
+  cam.speckle_fraction = 0.3;
+  const SilhouetteRenderer r(cam);
+  for (int w = 1; w <= 9; ++w) {
+    BinaryImage mask(w, 5, 0);
+    for (int i = 0; i < static_cast<int>(mask.size()); i += 2) mask.data()[i] = 1;
+    Rng a(static_cast<std::uint32_t>(w)), b(static_cast<std::uint32_t>(w));
+    EXPECT_EQ(r.render_frame(mask, a), reference_frame(cam, mask, b)) << "width " << w;
+    EXPECT_EQ(a(), b()) << "width " << w;
+  }
 }
 
 TEST(Renderer, MovingPelvisMovesSilhouette) {

@@ -3,6 +3,8 @@
 // the subject disappears, or the camera saturates.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/analyzer.hpp"
 #include "core/trainer.hpp"
 #include "synth/dataset.hpp"
