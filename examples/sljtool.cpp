@@ -16,8 +16,8 @@
 //                                                the retained window as a
 //                                                replayable incident .sljtrace
 //   sljtool trace-export --trace FILE --out FILE replay a trace with the event
-//                                                tracer on and export the merged
-//                                                tracer + profiler timeline as
+//                                                tracer on and export its
+//                                                timeline + per-stage rollup as
 //                                                Chrome trace-event JSON
 //
 // Clip directories use the clip_io format (background.ppm, frame_NNN.ppm,
@@ -47,7 +47,6 @@
 
 #include "core/clip_engine.hpp"
 #include "core/evaluation.hpp"
-#include "core/profiler.hpp"
 #include "core/scoring.hpp"
 #include "core/stream_engine.hpp"
 #include "core/trainer.hpp"
@@ -524,7 +523,6 @@ int cmd_replay(const std::map<std::string, std::string>& flags) {
   options.workers = static_cast<unsigned>(long_flag(flags, "workers", 1, 0, 1024));
   options.posterior_tolerance = double_flag(flags, "tolerance", 0.0, 0.0, 1.0);
 
-  core::Profiler::instance().reset();
   const replay::TraceReplayer replayer(classifier, {}, options);
   const replay::ReplayResult result = replayer.replay_file(require(flags, "trace"));
 
@@ -541,17 +539,6 @@ int cmd_replay(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(result.update_mismatches),
               static_cast<unsigned long long>(result.report_mismatches),
               static_cast<unsigned long long>(result.accounting_mismatches));
-
-  // Per-stage timings of the replay itself (populated in profiler builds).
-  const core::ProfilerSnapshot profile = core::Profiler::instance().snapshot();
-  if (const auto it = flags.find("profile-json"); it != flags.end()) {
-    std::ofstream json(it->second);
-    if (!json) throw std::runtime_error("cannot write " + it->second);
-    json << profile.to_json() << "\n";
-    std::printf("profiler snapshot written to %s\n", it->second.c_str());
-  } else if (profile.compiled) {
-    std::printf("profiler:\n%s\n", profile.to_json().c_str());
-  }
   return result.identical() ? 0 : 1;
 }
 
@@ -706,10 +693,9 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(monitor.incidents()));
 
   if (const auto it = flags.find("trace-json"); it != flags.end()) {
-    const core::ProfilerSnapshot profile = core::Profiler::instance().snapshot();
     std::ofstream json(it->second);
     if (!json) throw std::runtime_error("cannot write " + it->second);
-    json << obs::chrome_trace_json(obs::Tracer::instance().snapshot(), &profile);
+    json << obs::chrome_trace_json(obs::Tracer::instance().snapshot());
     std::printf("trace timeline written to %s\n", it->second.c_str());
   }
 
@@ -724,7 +710,7 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
 }
 
 // trace-export: replay a .sljtrace with the event tracer enabled and write
-// the merged tracer + profiler timeline as Chrome trace-event JSON (open in
+// its timeline and per-stage rollup as Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto). The replay's bit-identity verdict is the
 // exit status, so the export doubles as a regression check.
 int cmd_trace_export(const std::map<std::string, std::string>& flags) {
@@ -739,17 +725,15 @@ int cmd_trace_export(const std::map<std::string, std::string>& flags) {
 
   obs::Tracer::instance().set_enabled(true);
   obs::Tracer::instance().reset();
-  core::Profiler::instance().reset();
 
   const replay::TraceReplayer replayer(classifier, {}, options);
   const replay::ReplayResult result = replayer.replay_file(trace_path);
   obs::Tracer::instance().set_enabled(false);
 
   const obs::TracerSnapshot tracer_snap = obs::Tracer::instance().snapshot();
-  const core::ProfilerSnapshot profile = core::Profiler::instance().snapshot();
   std::ofstream json(out_path);
   if (!json) throw std::runtime_error("cannot write " + out_path);
-  json << obs::chrome_trace_json(tracer_snap, &profile);
+  json << obs::chrome_trace_json(tracer_snap);
 
   std::printf("replayed %llu ticks / %llu frames across %llu sessions; "
               "exported %llu trace events (%llu dropped) from %zu threads to %s\n",
@@ -795,7 +779,6 @@ int usage() {
               "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"
               "                   [--rate TOKENS_PER_S] [--burst N] [--workers N]\n"
               "  sljtool replay   --trace FILE [--model FILE] [--workers N] [--tolerance X]\n"
-              "                   [--profile-json FILE]\n"
               "  sljtool top      [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
               "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
               "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"

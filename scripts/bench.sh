@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Perf trajectory: builds Release, runs the engine + ingest + profiler
+# Perf trajectory: builds Release, runs the engine + ingest + tracer
 # benches, and emits BENCH_pr10.json (frames/sec, p50/p99 per-frame latency,
 # the ingest plane's sustained throughput / drop rate / end-to-end latency,
-# and the profiler + tracer overhead guards), stamped with build provenance
+# and the tracer's idle and enabled overhead guards), stamped with build provenance
 # (git SHA, compiler + flags, SIMD backend). CI uploads the file as an
 # artifact so regressions are visible PR over PR.
 #
@@ -42,7 +42,7 @@ export SLJ_GIT_SHA
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DSLJ_SIMD="$SLJ_BENCH_SIMD"
 cmake --build "$BUILD_DIR" -j --target \
-  perf_clip_engine perf_stream_engine perf_ingest perf_profiler
+  perf_clip_engine perf_stream_engine perf_ingest perf_tracer
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -72,7 +72,7 @@ run_bench() {
 run_bench perf_clip_engine "$WORK/clip.json"
 run_bench perf_stream_engine "$WORK/stream.json"
 run_bench perf_ingest "$WORK/ingest.json"
-run_bench perf_profiler "$WORK/profiler.json"
+run_bench perf_tracer "$WORK/tracer.json"
 
 {
   echo '{'
@@ -83,8 +83,8 @@ run_bench perf_profiler "$WORK/profiler.json"
   sed 's/^/  /' "$WORK/stream.json" | sed '$ s/$/,/'
   echo '  "ingest_engine":'
   sed 's/^/  /' "$WORK/ingest.json" | sed '$ s/$/,/'
-  echo '  "profiler_overhead":'
-  sed 's/^/  /' "$WORK/profiler.json"
+  echo '  "tracer_overhead":'
+  sed 's/^/  /' "$WORK/tracer.json"
   echo '}'
 } > "$WORK/combined.json"
 

@@ -43,11 +43,11 @@
 #                  scalar paths promise bit-identical output, so every lane
 #                  must hold on both. Without it, the build uses SLJ_SIMD's
 #                  AUTO default (whatever the compiler already targets).
-#   --replay       ASan+UBSan build with the profiler compiled in; runs the
-#                  replay/profiler/format-fuzz suites, then replays every
-#                  checked-in golden trace through `sljtool replay` at
-#                  several worker counts, writing per-trace profiler
-#                  snapshots to <build-dir>/replay_artifacts/ for upload.
+#   --replay       ASan+UBSan build; runs the replay/format-fuzz suites,
+#                  then replays every checked-in golden trace through
+#                  `sljtool trace-export` at several worker counts, writing
+#                  per-trace tracer timelines (with their per-stage rollup)
+#                  to <build-dir>/replay_artifacts/ for upload.
 set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
@@ -80,7 +80,6 @@ for arg in "$@"; do
     --replay)
       CMAKE_ARGS+=(
         -DCMAKE_BUILD_TYPE=Debug
-        -DSLJ_ENABLE_PROFILER=ON
         "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=all"
       )
       MODE="replay"
@@ -200,17 +199,16 @@ fi
 cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}
 if [[ "$MODE" == "replay" ]]; then
   cmake --build "$BUILD_DIR" -j --target \
-    test_replay test_profiler test_clip_io test_image_io sljtool
+    test_replay test_clip_io test_image_io sljtool
   # The deserialization fuzz sweeps (truncations, bit flips, oversized
   # length prefixes) run under ASan/UBSan here — "fails cleanly" means no
   # sanitizer report, not just a caught exception.
   "$BUILD_DIR/test_replay"
-  "$BUILD_DIR/test_profiler"
   "$BUILD_DIR/test_clip_io"
   "$BUILD_DIR/test_image_io"
 
   # Golden corpus through the CLI at several worker counts; each run must
-  # report bit-identical and leaves its profiler snapshot as an artifact.
+  # report bit-identical and leaves its tracer timeline as an artifact.
   ARTIFACTS="$BUILD_DIR/replay_artifacts"
   mkdir -p "$ARTIFACTS"
   shopt -s nullglob
@@ -222,9 +220,9 @@ if [[ "$MODE" == "replay" ]]; then
   for trace in "${traces[@]}"; do
     name="$(basename "$trace" .sljtrace)"
     for workers in 1 4; do
-      "$BUILD_DIR/sljtool" replay --trace "$trace" --workers "$workers" \
+      "$BUILD_DIR/sljtool" trace-export --trace "$trace" --workers "$workers" \
         --tolerance 1e-9 \
-        --profile-json "$ARTIFACTS/${name}_w${workers}_profile.json"
+        --out "$ARTIFACTS/${name}_w${workers}_trace.json"
     done
   done
   echo "replay artifacts in $ARTIFACTS/"

@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include "core/profiler.hpp"
 #include "core/simd.hpp"
 #include "obs/tracer.hpp"
 #include "imaging/morphology.hpp"
@@ -49,7 +48,7 @@ SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, FrameWorksp
                                               FrameObservation& out) const {
   obs::TraceSpan trace("vision");
   {
-    SLJ_PROFILE_SCOPE(ProfileStage::kExtract);
+    obs::TraceSpan span("extract");
     extractor_.extract_into(frame, ws, out.silhouette);
   }
   finish_observation(ws, out);
@@ -59,7 +58,7 @@ SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, detect::Blo
                                               FrameWorkspace& ws, FrameObservation& out) const {
   obs::TraceSpan trace("vision");
   {
-    SLJ_PROFILE_SCOPE(ProfileStage::kExtract);
+    obs::TraceSpan span("extract");
     extractor_.extract_into(frame, ws, out.silhouette);
     // The extractor is done with ws.labeling/pixel_stack; the tracker's
     // component pass reuses them instead of allocating its own Labeling.
@@ -78,7 +77,7 @@ SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, detect::Blo
 // Expects obs.silhouette and obs.raw_skeleton to be set.
 void FramePipeline::finish_graph_stages(FrameObservation& obs, FrameWorkspace* ws) const {
   {
-    SLJ_PROFILE_SCOPE(ProfileStage::kSkelGraph);
+    obs::TraceSpan span("skelgraph");
     obs.graph = ws != nullptr
                     ? skel::clean_skeleton(obs.raw_skeleton, *ws, params_.min_branch_vertices,
                                            &obs.cleanup)
@@ -89,7 +88,7 @@ void FramePipeline::finish_graph_stages(FrameObservation& obs, FrameWorkspace* w
     }
     obs.key_points = skel::extract_key_points(obs.graph);
   }
-  SLJ_PROFILE_SCOPE(ProfileStage::kFeatures);
+  obs::TraceSpan span("features");
   obs.candidates = pose::enumerate_candidates(obs.graph, encoder_, params_.candidates);
   obs.bottom_row = -1;
   const std::size_t w = static_cast<std::size_t>(obs.silhouette.width());
@@ -105,7 +104,7 @@ void FramePipeline::finish_graph_stages(FrameObservation& obs, FrameWorkspace* w
 
 void FramePipeline::finish_observation(FrameWorkspace& ws, FrameObservation& obs) const {
   {
-    SLJ_PROFILE_SCOPE(ProfileStage::kThin);
+    obs::TraceSpan span("thin");
     thin::zhang_suen_thin_into(obs.silhouette, ws, obs.raw_skeleton);
   }
   finish_graph_stages(obs, &ws);
@@ -115,7 +114,7 @@ FrameObservation FramePipeline::process_silhouette(const BinaryImage& silhouette
   FrameObservation obs;
   obs.silhouette = silhouette;
   {
-    SLJ_PROFILE_SCOPE(ProfileStage::kThin);
+    obs::TraceSpan span("thin");
     obs.raw_skeleton = thin::zhang_suen_thin(obs.silhouette);
   }
   finish_graph_stages(obs, nullptr);

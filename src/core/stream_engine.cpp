@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/profiler.hpp"
 #include "obs/tracer.hpp"
 
 namespace slj::core {
@@ -24,7 +23,6 @@ StreamSession::StreamSession(const pose::PoseDbnClassifier& classifier,
 }
 
 StreamUpdate StreamSession::push_frame(const RgbImage& frame) {
-  SLJ_PROFILE_SCOPE(ProfileStage::kFrame);
   // observation_ / workspace_ are reused frame over frame so the camera
   // steady state allocates no full-frame buffers.
   if (tracker_) {
@@ -36,7 +34,7 @@ StreamUpdate StreamSession::push_frame(const RgbImage& frame) {
 }
 
 StreamUpdate StreamSession::push_observation(const FrameObservation& observation) {
-  SLJ_PROFILE_SCOPE(ProfileStage::kDecode);
+  obs::TraceSpan span("decode");
   StreamUpdate update;
   update.frame_index = frames_++;
   update.airborne = ground_.airborne(observation.bottom_row);

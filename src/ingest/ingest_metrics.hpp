@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/profiler.hpp"
 #include "ingest/frame_queue.hpp"
 
 namespace slj::ingest {
@@ -116,10 +115,6 @@ struct IngestMetricsSnapshot {
   std::size_t slo_breached_sessions = 0;  ///< sessions currently in breach
   std::uint64_t slo_breaches = 0;         ///< lifetime breach entries, all sessions
   std::vector<SessionMetricsSnapshot> sessions;
-  /// Per-stage time breakdown (extract → thin → skelgraph → features →
-  /// decode, plus the scheduler's drain/tick/deliver phases). Empty stage
-  /// list with compiled=false in default builds — see core/profiler.hpp.
-  core::ProfilerSnapshot profiler;
 
   std::string to_json() const;
 };

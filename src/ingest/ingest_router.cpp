@@ -170,7 +170,6 @@ std::uint64_t IngestRouter::admitted(int session) const {
 
 IngestMetricsSnapshot IngestRouter::snapshot() {
   IngestMetricsSnapshot snap = metrics_.snapshot_totals();
-  snap.profiler = core::Profiler::instance().snapshot();
   const Clock::time_point now = clock_();
   slj::LockGuard lock(sessions_mutex_);
   for (const std::shared_ptr<SessionState>& s : sessions_) {

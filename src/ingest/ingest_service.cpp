@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/profiler.hpp"
 #include "obs/tracer.hpp"
 
 namespace slj::ingest {
@@ -121,17 +120,14 @@ void IngestService::scheduler_loop() {
 }
 
 std::size_t IngestService::pass_locked() {
-  SLJ_PROFILE_SCOPE(core::ProfileStage::kPass);
   obs::TraceSpan pass_span("ingest.pass");
   std::size_t count;
   {
-    SLJ_PROFILE_SCOPE(core::ProfileStage::kDrain);
     obs::TraceSpan span("ingest.drain");
     count = router_.drain(batch_);
   }
   if (count > 0) {
     {
-      SLJ_PROFILE_SCOPE(core::ProfileStage::kTick);
       obs::TraceSpan span("ingest.tick", -1, static_cast<std::int64_t>(count));
       manager_.tick_into(batch_.feeds, updates_);
     }
@@ -139,7 +135,6 @@ std::size_t IngestService::pass_locked() {
     if (IngestTap* tap = tap_.load(std::memory_order_acquire)) {
       tap->on_tick(router_.now(), batch_, updates_, count);
     }
-    SLJ_PROFILE_SCOPE(core::ProfileStage::kDeliver);
     obs::TraceSpan span("ingest.deliver", -1, static_cast<std::int64_t>(count));
     deliver_locked(count);
     note_completed(count);

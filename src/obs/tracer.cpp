@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 
 namespace slj::obs {
 
@@ -26,7 +27,8 @@ void ThreadRing::emit(TraceEventKind kind, const char* name, std::int32_t sessio
 void ThreadRing::snapshot_into(std::vector<TraceEvent>& out, std::uint64_t& emitted) const {
   const std::uint64_t h1 = head_.load(std::memory_order_acquire);
   const std::uint64_t floor = floor_.load(std::memory_order_relaxed);  // slj-atomic: snapshot
-  emitted = h1;
+  // Counted from the reset floor: events hidden by reset() are not losses.
+  emitted = h1 - floor;
   std::uint64_t begin = h1 > kCapacity ? h1 - kCapacity : 0;
   begin = std::max(begin, floor);
 
@@ -130,10 +132,16 @@ struct FlatEvent {
   std::uint64_t tid = 0;
 };
 
+/// One "stages" row: every kept span of one name, summed.
+struct StageRollup {
+  std::uint64_t calls = 0;
+  std::int64_t total_ns = 0;
+  std::int64_t max_ns = 0;
+};
+
 }  // namespace
 
-std::string chrome_trace_json(const TracerSnapshot& snapshot,
-                              const core::ProfilerSnapshot* profiler) {
+std::string chrome_trace_json(const TracerSnapshot& snapshot) {
   // Flatten, then sort by (start, tid, name) so the export is deterministic
   // for a given snapshot regardless of thread registration order.
   std::vector<FlatEvent> events;
@@ -186,9 +194,31 @@ std::string chrome_trace_json(const TracerSnapshot& snapshot,
                 static_cast<unsigned long long>(snapshot.total_dropped),
                 snapshot.threads.size());
   out += buf;
-  out += "\"profiler\": ";
-  out += profiler != nullptr ? profiler->to_json() : std::string("null");
-  out += "\n}\n";
+
+  // Rollup of the same events, keyed by span name (name order keeps the
+  // export deterministic); instants carry no duration and are left out.
+  std::map<std::string, StageRollup> stages;
+  for (const FlatEvent& flat : events) {
+    if (flat.ev.kind != TraceEventKind::kSpan) continue;
+    StageRollup& row = stages[flat.ev.name];
+    ++row.calls;
+    row.total_ns += flat.ev.dur_ns;
+    row.max_ns = std::max(row.max_ns, flat.ev.dur_ns);
+  }
+  out += "\"stages\": [";
+  bool first = true;
+  for (const auto& [name, row] : stages) {
+    const double total_ns = static_cast<double>(row.total_ns);
+    std::snprintf(buf, sizeof(buf),
+                  "%s\n{\"name\": \"%s\", \"calls\": %llu, \"total_ms\": %.3f, "
+                  "\"avg_us\": %.3f, \"max_us\": %.3f}",
+                  first ? "" : ",", name.c_str(), static_cast<unsigned long long>(row.calls),
+                  total_ns / 1e6, total_ns / 1e3 / static_cast<double>(row.calls),
+                  static_cast<double>(row.max_ns) / 1e3);
+    out += buf;
+    first = false;
+  }
+  out += stages.empty() ? "]\n}\n" : "\n]\n}\n";
   return out;
 }
 

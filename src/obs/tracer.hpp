@@ -1,5 +1,7 @@
-// Always-compiled structured event tracer: the "what happened when" plane
-// that complements the profiler's "where does time go" aggregates.
+// Always-compiled structured event tracer: the repo's one instrumentation
+// layer. Spans answer "what happened when" on the timeline, and
+// chrome_trace_json() folds the same events into per-stage rollups that
+// answer "where did the time go".
 //
 // Design:
 //   * Per-thread ring buffers. Each thread that emits gets its own
@@ -18,10 +20,23 @@
 //
 // Runtime posture: compiled in always, *disabled* by default. A disabled
 // TraceSpan costs one relaxed load (the "compiled in but idle" overhead the
-// perf_profiler bench guards at <3%); `sljtool top` / `trace-export` and
-// obs::ServiceMonitor enable it. chrome_trace_json() renders a snapshot
-// (optionally merged with a core::ProfilerSnapshot) as a Chrome
-// trace-event / Perfetto-loadable JSON timeline.
+// perf_tracer bench guards at <3%); `sljtool top` / `trace-export` and
+// obs::ServiceMonitor enable it. chrome_trace_json() renders a snapshot as
+// a Chrome trace-event / Perfetto-loadable JSON timeline.
+//
+// Span vocabulary of the live plane (parent -> children):
+//
+//   ingest.pass              one ingest scheduler round
+//   ├── ingest.drain         router drain (queue pops)
+//   ├── ingest.tick          StreamManager::tick_into (parallel analysis)
+//   │   └── frame            one session's full per-frame work
+//   │       ├── vision       FramePipeline::process_into
+//   │       │   ├── extract    background subtraction -> silhouette
+//   │       │   ├── thin       Zhang-Suen thinning
+//   │       │   ├── skelgraph  graph build + loop cut + pruning + key points
+//   │       │   └── features   candidate enumeration + bottom row
+//   │       └── decode       DBN / forward-filter pose decision + fault rules
+//   └── ingest.deliver       per-session sink callbacks
 #pragma once
 
 #include <array>
@@ -33,7 +48,6 @@
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "core/profiler.hpp"
 
 namespace slj::obs {
 
@@ -65,7 +79,8 @@ class ThreadRing {
             std::int64_t t_ns, std::int64_t dur_ns);
 
   /// Copies the newest surviving events (ascending emit order) into `out`.
-  /// `emitted` receives the thread's lifetime event count. Events the writer
+  /// `emitted` receives the events written since the last Tracer::reset()
+  /// (the snapshot floor), so a reset never reads as loss. Events the writer
   /// may have been overwriting during the copy are discarded, so every
   /// returned event is internally consistent.
   void snapshot_into(std::vector<TraceEvent>& out, std::uint64_t& emitted) const;
@@ -100,8 +115,8 @@ class ThreadRing {
 /// One thread's slice of a tracer snapshot.
 struct TracerThreadSnapshot {
   std::uint64_t tid = 0;
-  std::uint64_t emitted = 0;  ///< events this thread ever wrote
-  std::uint64_t dropped = 0;  ///< emitted - kept (ring wrap + reset floor)
+  std::uint64_t emitted = 0;  ///< events written since the last reset()
+  std::uint64_t dropped = 0;  ///< emitted - kept: overwritten by ring wrap
   std::vector<TraceEvent> events;
 };
 
@@ -184,10 +199,9 @@ class TraceSpan {
 
 /// Renders a snapshot as Chrome trace-event JSON ({"traceEvents": [...]}),
 /// loadable by chrome://tracing and Perfetto. Timestamps are re-anchored to
-/// the earliest kept event. When `profiler` is non-null its aggregate stage
-/// table is embedded under a top-level "profiler" key, giving one artifact
-/// that carries both the timeline and the rollup.
-std::string chrome_trace_json(const TracerSnapshot& snapshot,
-                              const core::ProfilerSnapshot* profiler = nullptr);
+/// the earliest kept event. A top-level "stages" array rolls the kept spans
+/// up per name (calls, total_ms, avg_us, max_us; instants excluded), so one
+/// artifact carries both the timeline and the per-stage breakdown.
+std::string chrome_trace_json(const TracerSnapshot& snapshot);
 
 }  // namespace slj::obs

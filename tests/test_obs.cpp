@@ -1,7 +1,9 @@
 // Observability subsystem tests:
 //   * tracer — spans/instants land in per-thread rings, a disabled tracer
-//     emits nothing, a wrapped ring keeps the newest events, and the Chrome
-//     trace-event export is well-formed;
+//     emits nothing, a span arms at construction, a wrapped ring keeps the
+//     newest events, reset() is not counted as loss, the Chrome trace-event
+//     export is well-formed and rolls spans up per stage, and one stream
+//     tick spans every pipeline stage inside its parent;
 //   * histogram edge cases — empty, single-bucket interpolation, saturating
 //     clamp into the last bucket, and no quantile above the recorded max;
 //   * SLO hysteresis — boundary values never flap the state machine, breach
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/stream_engine.hpp"
 #include "ingest/ingest_service.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
@@ -181,6 +184,154 @@ TEST(Tracer, ChromeExportIsWellFormed) {
   Tracer::instance().reset();
   const std::string empty = chrome_trace_json(Tracer::instance().snapshot());
   EXPECT_NE(empty.find("\"traceEvents\": []"), std::string::npos);
+}
+
+TEST(Tracer, SpanArmsAtConstructionNotDestruction) {
+  TracerGuard guard(false);
+  {
+    TraceSpan span("obs.test.late");
+    Tracer::instance().set_enabled(true);  // too late: the span was born disarmed
+  }
+  EXPECT_EQ(count_events(Tracer::instance().snapshot(), "obs.test.late"), 0u);
+}
+
+TEST(Tracer, ResetEventsAreNotCountedAsDropped) {
+  TracerGuard guard(true);
+  for (int i = 0; i < 10; ++i) Tracer::instance().instant("obs.test.before_reset");
+  Tracer::instance().reset();
+  for (int i = 0; i < 5; ++i) Tracer::instance().instant("obs.test.after_reset");
+  const TracerSnapshot snap = Tracer::instance().snapshot();
+  EXPECT_EQ(count_events(snap, "obs.test.after_reset"), 5u);
+  // No ring wrapped, so nothing was lost: the 10 events below the reset
+  // floor were hidden on purpose, not overwritten.
+  EXPECT_EQ(snap.total_dropped, 0u);
+  for (const TracerThreadSnapshot& thread : snap.threads) {
+    EXPECT_EQ(thread.dropped, 0u);
+    EXPECT_EQ(thread.emitted, thread.events.size());
+  }
+}
+
+TraceEvent span_event(const char* name, std::int64_t t_ns, std::int64_t dur_ns) {
+  TraceEvent ev;
+  ev.name = name;
+  ev.t_ns = t_ns;
+  ev.dur_ns = dur_ns;
+  ev.kind = TraceEventKind::kSpan;
+  return ev;
+}
+
+TEST(Tracer, ChromeExportRollsSpansUpPerStage) {
+  TracerSnapshot snap;
+  TracerThreadSnapshot first;
+  first.tid = 1;
+  first.events = {span_event("extract", 0, 1000), span_event("extract", 5000, 3000),
+                  span_event("thin", 9000, 4000)};
+  TraceEvent mark;
+  mark.name = "mark";
+  mark.t_ns = 9500;
+  first.events.push_back(mark);
+  TracerThreadSnapshot second;
+  second.tid = 2;
+  second.events = {span_event("extract", 100, 2000)};
+  snap.threads = {first, second};
+  snap.total_events = 5;
+
+  const std::string json = chrome_trace_json(snap);
+  const std::size_t stages = json.find("\"stages\": [");
+  ASSERT_NE(stages, std::string::npos);
+  const std::string rollup = json.substr(stages);
+  EXPECT_NE(rollup.find("{\"name\": \"extract\", \"calls\": 3, \"total_ms\": 0.006, "
+                        "\"avg_us\": 2.000, \"max_us\": 3.000}"),
+            std::string::npos)
+      << rollup;
+  EXPECT_NE(rollup.find("{\"name\": \"thin\", \"calls\": 1, \"total_ms\": 0.004, "
+                        "\"avg_us\": 4.000, \"max_us\": 4.000}"),
+            std::string::npos)
+      << rollup;
+  // Instants have no duration and get no row; rows are in name order.
+  EXPECT_EQ(rollup.find("mark"), std::string::npos);
+  EXPECT_LT(rollup.find("\"extract\""), rollup.find("\"thin\""));
+
+  EXPECT_NE(chrome_trace_json(TracerSnapshot{}).find("\"stages\": []"), std::string::npos);
+}
+
+/// Kept events on `tid` other than `outer` that lie inside its [t, t + dur].
+std::vector<TraceEvent> events_within(const TracerSnapshot& snap, std::uint64_t tid,
+                                      const TraceEvent& outer) {
+  std::vector<TraceEvent> inside;
+  for (const TracerThreadSnapshot& thread : snap.threads) {
+    if (thread.tid != tid) continue;
+    for (const TraceEvent& ev : thread.events) {
+      const bool is_outer = std::string(ev.name) == outer.name && ev.t_ns == outer.t_ns &&
+                            ev.dur_ns == outer.dur_ns;
+      if (!is_outer && ev.t_ns >= outer.t_ns && ev.t_ns + ev.dur_ns <= outer.t_ns + outer.dur_ns) {
+        inside.push_back(ev);
+      }
+    }
+  }
+  return inside;
+}
+
+std::size_t count_named(const std::vector<TraceEvent>& events, const std::string& name) {
+  std::size_t n = 0;
+  for (const TraceEvent& ev : events) {
+    if (name == ev.name) ++n;
+  }
+  return n;
+}
+
+TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
+  const synth::Clip clip = mini_clip(2008, 2);
+  const pose::PoseDbnClassifier classifier;
+  core::StreamManagerConfig config;
+  config.workers = 2;
+  core::StreamManager manager(classifier, {}, config);
+  const int a = manager.open_session(clip.background);
+  const int b = manager.open_session(clip.background);
+  const std::vector<core::StreamManager::Feed> feeds = {{a, &clip.frames[0]},
+                                                         {b, &clip.frames[1]}};
+  std::vector<core::StreamUpdate> updates;
+
+  TracerGuard guard(true);
+  manager.tick_into(feeds, updates);
+  Tracer::instance().set_enabled(false);
+  const TracerSnapshot snap = Tracer::instance().snapshot();
+  ASSERT_EQ(snap.total_dropped, 0u);
+
+  const std::vector<std::string> frame_children = {"vision", "decode"};
+  const std::vector<std::string> vision_children = {"extract", "thin", "skelgraph",
+                                                    "features"};
+  for (const int session : {a, b}) {
+    SCOPED_TRACE("session " + std::to_string(session));
+    std::size_t frames = 0;
+    for (const TracerThreadSnapshot& thread : snap.threads) {
+      for (const TraceEvent& frame : thread.events) {
+        if (std::string("frame") != frame.name || frame.session != session) continue;
+        ++frames;
+        const std::vector<TraceEvent> in_frame = events_within(snap, thread.tid, frame);
+        for (const std::string& name : frame_children) {
+          EXPECT_EQ(count_named(in_frame, name), 1u) << name;
+        }
+        for (const std::string& name : vision_children) {
+          EXPECT_EQ(count_named(in_frame, name), 1u) << name;
+        }
+        for (const TraceEvent& vision : in_frame) {
+          if (std::string("vision") != vision.name) continue;
+          const std::vector<TraceEvent> in_vision = events_within(snap, thread.tid, vision);
+          for (const std::string& name : vision_children) {
+            EXPECT_EQ(count_named(in_vision, name), 1u) << name;
+          }
+          EXPECT_EQ(count_named(in_vision, "decode"), 0u);
+        }
+      }
+    }
+    EXPECT_EQ(frames, 1u);
+  }
+  // One tick over two sessions: exactly two of every stage, none stray.
+  for (const char* name :
+       {"frame", "vision", "extract", "thin", "skelgraph", "features", "decode"}) {
+    EXPECT_EQ(count_events(snap, name), 2u) << name;
+  }
 }
 
 // ---- histogram edge cases --------------------------------------------------
