@@ -29,6 +29,8 @@ int main() {
   std::printf("%-32s %-10s %-22s %-14s\n", "decoder", "overall", "per clip",
               "errors in runs>=2");
   bench::print_rule();
+  FrameWorkspace ws;
+  core::FrameObservation obs;
   for (const Row& row : rows) {
     double clip_acc[3] = {};
     std::size_t frames = 0, correct = 0;
@@ -40,7 +42,7 @@ int main() {
       std::vector<std::vector<pose::FeatureCandidate>> candidates;
       std::vector<bool> airborne;
       for (const RgbImage& frame : clip.frames) {
-        const core::FrameObservation obs = sys.pipeline.process(frame);
+        sys.pipeline.process_into(frame, ws, obs);
         candidates.push_back(obs.candidates);
         airborne.push_back(ground.airborne(obs.bottom_row));
       }

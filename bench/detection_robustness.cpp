@@ -39,6 +39,9 @@ int main() {
 
   std::size_t frames = 0;
   std::size_t correct_largest = 0, correct_tracked = 0;
+  FrameWorkspace ws;
+  core::FrameObservation obs_largest;
+  core::FrameObservation obs_tracked;
   for (const synth::Clip& clip : dataset.test) {
     sys.pipeline.set_background(clip.background);
     detect::TrackerConfig tracker_config;
@@ -51,13 +54,13 @@ int main() {
       const RgbImage frame = with_distractor(clip.frames[i]);
       ++frames;
 
-      const core::FrameObservation obs_largest = sys.pipeline.process(frame);
+      sys.pipeline.process_into(frame, ws, obs_largest);
       const auto r1 = sys.classifier.classify(
           obs_largest.candidates, ground_largest.airborne(obs_largest.bottom_row),
           state_largest);
       correct_largest += r1.pose == clip.truth[i].pose ? 1 : 0;
 
-      const core::FrameObservation obs_tracked = sys.pipeline.process(frame, tracker);
+      sys.pipeline.process_into(frame, tracker, ws, obs_tracked);
       const auto r2 = sys.classifier.classify(
           obs_tracked.candidates, ground_tracked.airborne(obs_tracked.bottom_row),
           state_tracked);

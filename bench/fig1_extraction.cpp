@@ -25,6 +25,9 @@ int main() {
 
   seg::ObjectExtractor extractor;
   extractor.set_background(clip.background);
+  FrameWorkspace ws;
+  BinaryImage silhouette;
+  BinaryImage filled;
 
   bench::print_rule();
   std::printf("%-7s %-14s %-12s %-12s %-10s %-10s\n", "frame", "stage", "raw IoU",
@@ -32,21 +35,18 @@ int main() {
   bench::print_rule();
   double sum_raw = 0.0, sum_smooth = 0.0;
   for (int i = 0; i < clip.frame_count(); i += 5) {
-    const seg::ExtractionResult res = extractor.extract(clip.frames[static_cast<std::size_t>(i)]);
+    extractor.extract_into(clip.frames[static_cast<std::size_t>(i)], ws, silhouette);
     const BinaryImage& truth = clip.clean_silhouettes[static_cast<std::size_t>(i)];
-    const double raw_iou = iou(res.raw_mask, truth);
-    const double smooth_iou = iou(res.silhouette, truth);
+    const double raw_iou = iou(ws.raw_mask, truth);
+    const double smooth_iou = iou(silhouette, truth);
     sum_raw += raw_iou;
     sum_smooth += smooth_iou;
     // Components in the raw mask (speckle) and interior holes (Fig. 1b's
     // "small holes and ridged edges").
-    const std::size_t raw_cc = component_count(res.raw_mask);
-    std::size_t holes = 0;
-    {
-      // Holes: foreground gained by fill_holes on the smoothed mask.
-      const BinaryImage filled = fill_holes(res.smoothed);
-      holes = count_foreground(filled) - count_foreground(res.smoothed);
-    }
+    const std::size_t raw_cc = component_count(ws.raw_mask);
+    // Holes: foreground gained by hole filling the smoothed mask.
+    fill_holes_into(ws.smoothed, ws.reached, ws.flood_stack, filled);
+    const std::size_t holes = count_foreground(filled) - count_foreground(ws.smoothed);
     std::printf("%-7d %-14s %-12.3f %-12.3f %-10zu %-10zu\n", i,
                 std::string(pose::stage_name(clip.truth[static_cast<std::size_t>(i)].stage)).c_str(),
                 raw_iou, smooth_iou, raw_cc, holes);
@@ -58,10 +58,10 @@ int main() {
 
   // Triptych dump of a mid-jump frame.
   const int pick = 20;
-  const seg::ExtractionResult res = extractor.extract(clip.frames[pick]);
+  extractor.extract_into(clip.frames[pick], ws, silhouette);
   write_ppm(clip.frames[pick], "fig1_a_input.ppm");
-  write_pgm(binary_to_gray(res.raw_mask), "fig1_b_extracted.pgm");
-  write_pgm(binary_to_gray(res.silhouette), "fig1_c_smoothed.pgm");
+  write_pgm(binary_to_gray(ws.raw_mask), "fig1_b_extracted.pgm");
+  write_pgm(binary_to_gray(silhouette), "fig1_c_smoothed.pgm");
   std::printf("wrote fig1_a_input.ppm, fig1_b_extracted.pgm, fig1_c_smoothed.pgm\n");
   return 0;
 }

@@ -16,6 +16,9 @@ int main() {
   const synth::Clip clip = synth::generate_clip(spec);
   seg::ObjectExtractor extractor;
   extractor.set_background(clip.background);
+  FrameWorkspace ws;
+  BinaryImage sil;
+  BinaryImage skeleton;
 
   bench::print_rule();
   std::printf("%-7s %-10s %-8s %-12s %-12s %-14s %-12s\n", "frame", "skel px", "loops",
@@ -24,8 +27,8 @@ int main() {
 
   std::size_t frames_with_loops = 0, total_loops = 0, total_short = 0, total_adjacent = 0;
   for (int i = 0; i < clip.frame_count(); ++i) {
-    const BinaryImage sil = extractor.silhouette(clip.frames[static_cast<std::size_t>(i)]);
-    const BinaryImage skeleton = thin::zhang_suen_thin(sil);
+    extractor.extract_into(clip.frames[static_cast<std::size_t>(i)], ws, sil);
+    thin::zhang_suen_thin_into(sil, ws, skeleton);
     const skel::ArtifactReport report = skel::analyze_artifacts(skeleton);
     if (report.loops > 0) ++frames_with_loops;
     total_loops += report.loops;

@@ -57,6 +57,9 @@ int main() {
   const synth::Clip clip = synth::generate_clip(spec);
   seg::ObjectExtractor extractor;
   extractor.set_background(clip.background);
+  FrameWorkspace ws;
+  BinaryImage sil;
+  BinaryImage skeleton;
 
   std::size_t loops_before_total = 0, loops_after_total = 0;
   double kept_max_total = 0.0, kept_min_total = 0.0, skel_total = 0.0;
@@ -67,10 +70,10 @@ int main() {
               "kept len (max)", "kept len (min)");
   bench::print_rule();
   for (int i = 0; i < clip.frame_count(); ++i) {
-    const BinaryImage sil = extractor.silhouette(clip.frames[static_cast<std::size_t>(i)]);
-    const BinaryImage skeleton = thin::zhang_suen_thin(sil);
+    extractor.extract_into(clip.frames[static_cast<std::size_t>(i)], ws, sil);
+    thin::zhang_suen_thin_into(sil, ws, skeleton);
 
-    skel::SkeletonGraph g_max = skel::build_skeleton_graph(skeleton);
+    skel::SkeletonGraph g_max = skel::build_skeleton_graph(skeleton, ws);
     const double skel_len = g_max.total_length();
     skel::SkeletonGraph g_min = g_max;
     const skel::LoopCutStats s_max = skel::cut_loops(g_max, skel::SpanningPolicy::kMaximum);

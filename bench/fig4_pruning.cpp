@@ -30,6 +30,9 @@ int main() {
   const synth::Clip clip = synth::generate_clip(spec);
   seg::ObjectExtractor extractor;
   extractor.set_background(clip.background);
+  FrameWorkspace ws;
+  BinaryImage sil;
+  BinaryImage skeleton;
 
   double len_one = 0.0, len_batch = 0.0;
   std::size_t ends_one = 0, ends_batch = 0;
@@ -37,9 +40,9 @@ int main() {
   int frames = 0;
 
   for (int i = 0; i < clip.frame_count(); ++i) {
-    const BinaryImage sil = extractor.silhouette(clip.frames[static_cast<std::size_t>(i)]);
-    const BinaryImage skeleton = thin::zhang_suen_thin(sil);
-    skel::SkeletonGraph g1 = skel::build_skeleton_graph(skeleton);
+    extractor.extract_into(clip.frames[static_cast<std::size_t>(i)], ws, sil);
+    thin::zhang_suen_thin_into(sil, ws, skeleton);
+    skel::SkeletonGraph g1 = skel::build_skeleton_graph(skeleton, ws);
     skel::cut_loops(g1);
     skel::SkeletonGraph g2 = g1;
     skel::prune_branches(g1, 10, skel::PruningMode::kOneAtATime);

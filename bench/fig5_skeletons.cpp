@@ -18,12 +18,14 @@ int main() {
   const synth::Clip clip = synth::generate_clip(spec);
   core::FramePipeline pipeline;
   pipeline.set_background(clip.background);
+  FrameWorkspace ws;
+  core::FrameObservation obs;
 
   // Per-stage key-point fidelity.
   double err_sum[pose::kStageCount] = {};
   int err_n[pose::kStageCount] = {};
   for (int i = 0; i < clip.frame_count(); ++i) {
-    const core::FrameObservation obs = pipeline.process(clip.frames[static_cast<std::size_t>(i)]);
+    pipeline.process_into(clip.frames[static_cast<std::size_t>(i)], ws, obs);
     const synth::FrameTruth& truth = clip.truth[static_cast<std::size_t>(i)];
     const PointF parts[4] = {truth.parts.head, truth.parts.hand, truth.parts.knee,
                              truth.parts.foot};
@@ -52,7 +54,7 @@ int main() {
 
   // Contact sheet like Fig. 8.
   for (const int i : {2, 12, 19, 24, 30, 40}) {
-    const core::FrameObservation obs = pipeline.process(clip.frames[static_cast<std::size_t>(i)]);
+    pipeline.process_into(clip.frames[static_cast<std::size_t>(i)], ws, obs);
     const BinaryImage skel_img =
         obs.graph.rasterize(obs.silhouette.width(), obs.silhouette.height());
     std::printf("frame %d  [%s]  %s\n", i,

@@ -19,11 +19,13 @@ int main() {
   core::FramePipeline pipeline;
   const synth::Clip& clip = dataset.test.front();
   pipeline.set_background(clip.background);
+  FrameWorkspace ws;
+  core::FrameObservation obs;
   bench::print_rule();
   std::printf("%-7s %-30.30s %-s\n", "frame", "pose", "feature vector");
   bench::print_rule();
   for (const int i : {3, 13, 20, 26, 38}) {
-    const core::FrameObservation obs = pipeline.process(clip.frames[static_cast<std::size_t>(i)]);
+    pipeline.process_into(clip.frames[static_cast<std::size_t>(i)], ws, obs);
     if (obs.candidates.empty()) continue;
     std::printf("%-7d %-30.30s %s\n", i,
                 std::string(pose::pose_name(clip.truth[static_cast<std::size_t>(i)].pose)).c_str(),
@@ -43,7 +45,7 @@ int main() {
     for (const synth::Clip& c : dataset.train) {
       pl.set_background(c.background);
       for (std::size_t i = 0; i < c.frames.size(); ++i) {
-        const core::FrameObservation obs = pl.process(c.frames[i]);
+        pl.process_into(c.frames[i], ws, obs);
         pose::PartPoints gt{c.truth[i].parts.head, c.truth[i].parts.chest, c.truth[i].parts.hand,
                             c.truth[i].parts.knee, c.truth[i].parts.foot};
         const auto feat = pose::features_from_truth(obs.graph, pl.encoder(), gt);

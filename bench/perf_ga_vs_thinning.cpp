@@ -40,16 +40,19 @@ int main() {
   double thin_ms = 0.0, ga_ms = 0.0;
   double thin_err = 0.0, ga_err = 0.0;
   double ga_fitness = 0.0;
+  FrameWorkspace ws;
+  BinaryImage sil;
+  BinaryImage skeleton;
 
   for (int i = 0; i < frames_to_run; ++i) {
     const int frame = i * clip.frame_count() / frames_to_run;
-    const BinaryImage sil = extractor.silhouette(clip.frames[static_cast<std::size_t>(frame)]);
+    extractor.extract_into(clip.frames[static_cast<std::size_t>(frame)], ws, sil);
     const synth::FrameTruth& truth = clip.truth[static_cast<std::size_t>(frame)];
 
     // --- thinning pipeline -------------------------------------------------
     const auto t0 = Clock::now();
-    const BinaryImage skeleton = thin::zhang_suen_thin(sil);
-    skel::SkeletonGraph graph = skel::clean_skeleton(skeleton);
+    thin::zhang_suen_thin_into(sil, ws, skeleton);
+    skel::SkeletonGraph graph = skel::clean_skeleton(skeleton, ws);
     skel::split_edges_at_bends(graph);
     const auto pts = skel::extract_key_points(graph);
     thin_ms += ms_since(t0);

@@ -1,6 +1,7 @@
 // P2 — component micro-benchmarks (google-benchmark): per-stage cost of the
 // pipeline the paper runs per frame, plus DBN inference and end-to-end
-// frame throughput.
+// frame throughput. Every vision row times the shipped workspace function on
+// a workspace reused across iterations, as the engines run it.
 #include <benchmark/benchmark.h>
 
 #include "core/analyzer.hpp"
@@ -27,57 +28,66 @@ const synth::Clip& bench_clip() {
 
 const RgbImage& mid_frame() { return bench_clip().frames[22]; }
 
-const BinaryImage& mid_silhouette() {
-  static const BinaryImage sil = [] {
-    seg::ObjectExtractor extractor;
-    extractor.set_background(bench_clip().background);
-    return extractor.silhouette(mid_frame());
+/// Every stage's output for the mid frame, as the pipeline ships it.
+const core::FrameObservation& mid_observation() {
+  static const core::FrameObservation obs = [] {
+    core::FramePipeline pipeline;
+    pipeline.set_background(bench_clip().background);
+    FrameWorkspace ws;
+    core::FrameObservation out;
+    pipeline.process_into(mid_frame(), ws, out);
+    return out;
   }();
-  return sil;
+  return obs;
 }
 
-void BM_ObjectExtraction(benchmark::State& state) {
+void BM_ExtractInto(benchmark::State& state) {
   seg::ObjectExtractor extractor;
   extractor.set_background(bench_clip().background);
+  FrameWorkspace ws;
+  BinaryImage sil;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.silhouette(mid_frame()));
+    benchmark::DoNotOptimize(extractor.extract_into(mid_frame(), ws, sil));
   }
 }
-BENCHMARK(BM_ObjectExtraction);
+BENCHMARK(BM_ExtractInto);
 
-void BM_MedianFilterBinary(benchmark::State& state) {
-  const BinaryImage& sil = mid_silhouette();
+void BM_MedianFilterBinaryInto(benchmark::State& state) {
+  const BinaryImage& sil = mid_observation().silhouette;
+  FrameWorkspace ws;
+  BinaryImage smoothed;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(median_filter_binary(sil, 5));
+    median_filter_binary_into(sil, 5, ws.mask_integral, ws.median_colsum, smoothed);
+    benchmark::DoNotOptimize(smoothed.data().data());
   }
 }
-BENCHMARK(BM_MedianFilterBinary);
+BENCHMARK(BM_MedianFilterBinaryInto);
 
-void BM_ZhangSuenThinning(benchmark::State& state) {
-  const BinaryImage& sil = mid_silhouette();
+void BM_ZhangSuenThinInto(benchmark::State& state) {
+  const BinaryImage& sil = mid_observation().silhouette;
+  FrameWorkspace ws;
+  BinaryImage skeleton;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(thin::zhang_suen_thin(sil));
+    thin::zhang_suen_thin_into(sil, ws, skeleton);
+    benchmark::DoNotOptimize(skeleton.data().data());
   }
 }
-BENCHMARK(BM_ZhangSuenThinning);
+BENCHMARK(BM_ZhangSuenThinInto);
 
-void BM_SkeletonGraphCleanup(benchmark::State& state) {
-  const BinaryImage skeleton = thin::zhang_suen_thin(mid_silhouette());
+void BM_CleanSkeletonWorkspace(benchmark::State& state) {
+  FrameWorkspace ws;
   for (auto _ : state) {
-    skel::SkeletonGraph g = skel::clean_skeleton(skeleton);
+    skel::SkeletonGraph g = skel::clean_skeleton(mid_observation().raw_skeleton, ws);
     skel::split_edges_at_bends(g);
     benchmark::DoNotOptimize(g.alive_edge_count());
   }
 }
-BENCHMARK(BM_SkeletonGraphCleanup);
+BENCHMARK(BM_CleanSkeletonWorkspace);
 
 void BM_FeatureCandidates(benchmark::State& state) {
-  const BinaryImage skeleton = thin::zhang_suen_thin(mid_silhouette());
-  skel::SkeletonGraph g = skel::clean_skeleton(skeleton);
-  skel::split_edges_at_bends(g);
   const pose::AreaEncoder enc(8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pose::enumerate_candidates(g, enc));
+    benchmark::DoNotOptimize(pose::enumerate_candidates(mid_observation().graph, enc));
   }
 }
 BENCHMARK(BM_FeatureCandidates);
@@ -98,28 +108,28 @@ pose::PoseDbnClassifier& trained_classifier() {
 
 void BM_DbnFrameInference(benchmark::State& state) {
   pose::PoseDbnClassifier& clf = trained_classifier();
-  core::FramePipeline pipeline;
-  const core::FrameObservation obs = pipeline.process_silhouette(mid_silhouette());
   for (auto _ : state) {
     auto st = clf.initial_state();
-    benchmark::DoNotOptimize(clf.classify(obs.candidates, false, st));
+    benchmark::DoNotOptimize(clf.classify(mid_observation().candidates, false, st));
   }
 }
 BENCHMARK(BM_DbnFrameInference);
 
-void BM_EndToEndFrame(benchmark::State& state) {
+void BM_ProcessIntoEndToEnd(benchmark::State& state) {
   pose::PoseDbnClassifier& clf = trained_classifier();
   core::FramePipeline pipeline;
   pipeline.set_background(bench_clip().background);
+  FrameWorkspace ws;
+  core::FrameObservation obs;
   for (auto _ : state) {
-    const core::FrameObservation obs = pipeline.process(mid_frame());
+    pipeline.process_into(mid_frame(), ws, obs);
     auto st = clf.initial_state();
     benchmark::DoNotOptimize(clf.classify(obs.candidates, false, st));
   }
   state.counters["fps"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EndToEndFrame);
+BENCHMARK(BM_ProcessIntoEndToEnd);
 
 void BM_ExactBnInference(benchmark::State& state) {
   // Enumeration over the exported Fig.-7(a) network with one observed part.

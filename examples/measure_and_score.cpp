@@ -35,8 +35,9 @@ int main() {
     std::vector<bool> airborne;
     std::vector<pose::FrameResult> poses;
     auto state = classifier.initial_state();
+    FrameWorkspace ws;
     for (const RgbImage& frame : clip.frames) {
-      observations.push_back(pipeline.process(frame));
+      pipeline.process_into(frame, ws, observations.emplace_back());
       airborne.push_back(ground.airborne(observations.back().bottom_row));
       poses.push_back(classifier.classify(observations.back().candidates, airborne.back(), state));
     }

@@ -20,8 +20,10 @@ int main() {
 
   // One frame per stage: preparation, crouch, take-off, flight, landing.
   const int picks[] = {4, 13, 19, 26, 38};
+  FrameWorkspace ws;
+  core::FrameObservation obs;
   for (const int idx : picks) {
-    const core::FrameObservation obs = pipeline.process(clip.frames[static_cast<std::size_t>(idx)]);
+    pipeline.process_into(clip.frames[static_cast<std::size_t>(idx)], ws, obs);
     const synth::FrameTruth& truth = clip.truth[static_cast<std::size_t>(idx)];
     std::printf("--- frame %d | stage: %s | pose: %s ---\n", idx,
                 std::string(pose::stage_name(truth.stage)).c_str(),

@@ -1,12 +1,13 @@
 // ClipEngine: batch clip processing on a worker pool. The per-frame vision
-// pipeline (FramePipeline::process) is pure, so frames of a clip — and
-// frames of *different* clips — can run concurrently; only the per-clip
-// sequential state (GroundMonitor calibration, BlobTracker dynamics) is
-// replayed in frame order afterwards. Results are stored by frame index, so
-// the output is bit-identical to a serial FramePipeline loop regardless of
-// worker count or scheduling. Frames (or, with the tracker, clips) are the
-// only parallelism axis: each frame's vision kernels run serially on the
-// lane that owns it.
+// pipeline (FramePipeline::process_into) depends only on the frame, the
+// background and its own workspace, so frames of a clip — and frames of
+// *different* clips — can run concurrently on per-lane workspaces; only the
+// per-clip sequential state (GroundMonitor calibration, BlobTracker
+// dynamics) is replayed in frame order afterwards. Results are stored by
+// frame index, so the output is bit-identical to a serial process_into loop
+// regardless of worker count or scheduling. Frames (or, with the tracker,
+// clips) are the only parallelism axis: each frame's vision kernels run
+// serially on the lane that owns it.
 #pragma once
 
 #include <atomic>

@@ -15,35 +15,6 @@ void FramePipeline::set_background(const RgbImage& background) {
   extractor_.set_background(background);
 }
 
-FrameObservation FramePipeline::process(const RgbImage& frame) const {
-  return process_silhouette(extractor_.silhouette(frame));
-}
-
-FrameObservation FramePipeline::process(const RgbImage& frame,
-                                        detect::BlobTracker& tracker) const {
-  const seg::ExtractionResult res = extractor_.extract(frame);
-  const detect::TrackResult track = tracker.update(res.smoothed);
-  if (track.measured) {
-    return process_silhouette(fill_holes(track.mask));
-  }
-  // No confirmed person blob this frame: fall back to the extractor's own
-  // cleanup so the clip keeps flowing (and the tracker can re-acquire).
-  return process_silhouette(res.silhouette);
-}
-
-FrameObservation FramePipeline::process(const RgbImage& frame, FrameWorkspace& ws) const {
-  FrameObservation obs;
-  process_into(frame, ws, obs);
-  return obs;
-}
-
-FrameObservation FramePipeline::process(const RgbImage& frame, detect::BlobTracker& tracker,
-                                        FrameWorkspace& ws) const {
-  FrameObservation obs;
-  process_into(frame, tracker, ws, obs);
-  return obs;
-}
-
 SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, FrameWorkspace& ws,
                                               FrameObservation& out) const {
   obs::TraceSpan trace("vision");
@@ -66,23 +37,28 @@ SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, detect::Blo
     if (track.measured) {
       fill_holes_into(track.mask, ws.reached, ws.flood_stack, out.silhouette);
     }
-    // else: keep the extractor's own cleanup (already in out.silhouette) so
-    // the clip keeps flowing, matching process(frame, tracker).
+    // else: no confirmed person blob this frame. Keep the extractor's own
+    // cleanup (already in out.silhouette) so the clip keeps flowing and the
+    // tracker can re-acquire.
   }
   finish_observation(ws, out);
 }
 
-// Stages downstream of thinning, shared by the seed and workspace paths so
-// they cannot diverge: graph cleanup, key points, candidates, bottom row.
-// Expects obs.silhouette and obs.raw_skeleton to be set.
-void FramePipeline::finish_graph_stages(FrameObservation& obs, FrameWorkspace* ws) const {
+void FramePipeline::process_silhouette_into(const BinaryImage& silhouette, FrameWorkspace& ws,
+                                            FrameObservation& out) const {
+  out.silhouette = silhouette;
+  finish_observation(ws, out);
+}
+
+void FramePipeline::finish_observation(FrameWorkspace& ws, FrameObservation& obs) const {
+  {
+    obs::TraceSpan span("thin");
+    thin::zhang_suen_thin_into(obs.silhouette, ws, obs.raw_skeleton);
+  }
   {
     obs::TraceSpan span("skelgraph");
-    obs.graph = ws != nullptr
-                    ? skel::clean_skeleton(obs.raw_skeleton, *ws, params_.min_branch_vertices,
-                                           &obs.cleanup)
-                    : skel::clean_skeleton(obs.raw_skeleton, params_.min_branch_vertices,
-                                           &obs.cleanup);
+    obs.graph = skel::clean_skeleton(obs.raw_skeleton, ws, params_.min_branch_vertices,
+                                     &obs.cleanup);
     if (params_.split_bends) {
       skel::split_edges_at_bends(obs.graph, params_.bend_tolerance);
     }
@@ -100,25 +76,6 @@ void FramePipeline::finish_graph_stages(FrameObservation& obs, FrameWorkspace* w
       break;
     }
   }
-}
-
-void FramePipeline::finish_observation(FrameWorkspace& ws, FrameObservation& obs) const {
-  {
-    obs::TraceSpan span("thin");
-    thin::zhang_suen_thin_into(obs.silhouette, ws, obs.raw_skeleton);
-  }
-  finish_graph_stages(obs, &ws);
-}
-
-FrameObservation FramePipeline::process_silhouette(const BinaryImage& silhouette) const {
-  FrameObservation obs;
-  obs.silhouette = silhouette;
-  {
-    obs::TraceSpan span("thin");
-    obs.raw_skeleton = thin::zhang_suen_thin(obs.silhouette);
-  }
-  finish_graph_stages(obs, nullptr);
-  return obs;
 }
 
 }  // namespace slj::core

@@ -103,43 +103,31 @@ class FramePipeline {
   void set_background(const RgbImage& background);
 
   /// Full per-frame processing (the extractor's largest component is taken
-  /// as the jumper).
-  FrameObservation process(const RgbImage& frame) const;
-
-  /// Full per-frame processing with human detection: the jumper blob is
-  /// selected by the tracker (paper component (1)) rather than by size, so
-  /// distractor blobs — a second person, lighting flicker — are ignored.
-  /// Falls back to the plain extractor result while no track is confirmed.
-  FrameObservation process(const RgbImage& frame, detect::BlobTracker& tracker) const;
-
-  /// Workspace fast paths: bit-identical observations, but every full-frame
-  /// intermediate lives in `ws`, so steady-state processing (same-sized
-  /// frames through the same workspace) allocates no full-frame buffer. The
-  /// engines give each worker lane / live session its own workspace; a
-  /// workspace must never be shared between concurrent calls.
-  FrameObservation process(const RgbImage& frame, FrameWorkspace& ws) const;
-  FrameObservation process(const RgbImage& frame, detect::BlobTracker& tracker,
-                           FrameWorkspace& ws) const;
-
-  /// Same, writing into an existing observation so its buffers are reused
-  /// frame over frame (the StreamEngine steady state).
+  /// as the jumper). Every full-frame intermediate lives in `ws` and the
+  /// result is written into `out`, so steady-state processing (same-sized
+  /// frames through the same workspace and observation) allocates no
+  /// full-frame buffer. The engines give each worker lane / live session its
+  /// own workspace; a workspace must never be shared between concurrent
+  /// calls.
   SLJ_HOT_PATH void process_into(const RgbImage& frame, FrameWorkspace& ws,
                                  FrameObservation& out) const;
+
+  /// Same, with human detection: the jumper blob is selected by the tracker
+  /// (paper component (1)) rather than by size, so distractor blobs — a
+  /// second person, lighting flicker — are ignored. Falls back to the plain
+  /// extractor result while no track is confirmed.
   SLJ_HOT_PATH void process_into(const RgbImage& frame, detect::BlobTracker& tracker,
                                  FrameWorkspace& ws, FrameObservation& out) const;
 
-  /// Pipeline from an already-extracted silhouette (used by tests and by
-  /// benches that feed ground-truth masks).
-  FrameObservation process_silhouette(const BinaryImage& silhouette) const;
+  /// The stages after segmentation, from an already-extracted silhouette
+  /// (ground-truth masks in tests and benches).
+  void process_silhouette_into(const BinaryImage& silhouette, FrameWorkspace& ws,
+                               FrameObservation& out) const;
 
  private:
   /// Stages after segmentation: thinning, graph cleanup, key points,
   /// candidates, bottom row. Expects out.silhouette to be set.
   void finish_observation(FrameWorkspace& ws, FrameObservation& out) const;
-  /// Stages after thinning, shared by the seed and workspace paths; a
-  /// non-null `ws` routes the graph build's full-frame temporaries through
-  /// the workspace (bit-identical output).
-  void finish_graph_stages(FrameObservation& out, FrameWorkspace* ws) const;
 
   PipelineParams params_;
   seg::ObjectExtractor extractor_;

@@ -7,7 +7,7 @@
 // parameters, with one lane per hardware thread: frames of a clip run in
 // parallel on per-lane workspaces, one clip's observations are held at a
 // time, and the GroundMonitor replays in frame order. The engine output is
-// bit-identical to a serial FramePipeline loop, and the classifier observes
+// bit-identical to a serial process_into loop, and the classifier observes
 // frames in clip/frame order, so the trained model is the same at any lane
 // count. The caller's pipeline supplies parameters and the area encoder
 // only; its background plate is left untouched.

@@ -72,14 +72,6 @@ SLJ_HOT_PATH void label_components_into(const BinaryImage& img, bool eight_conne
   }
 }
 
-BinaryImage largest_component(const BinaryImage& img, bool eight_connected) {
-  Labeling labeling;
-  std::vector<PointI> stack;
-  BinaryImage out;
-  largest_component_into(img, eight_connected, labeling, stack, out);
-  return out;
-}
-
 SLJ_HOT_PATH void largest_component_into(const BinaryImage& img, bool eight_connected, Labeling& labeling,
                             std::vector<PointI>& stack, BinaryImage& out) {
   label_components_into(img, eight_connected, labeling, stack);

@@ -32,11 +32,9 @@ Labeling label_components(const BinaryImage& img, bool eight_connected = true);
 SLJ_HOT_PATH void label_components_into(const BinaryImage& img, bool eight_connected, Labeling& out,
                            std::vector<PointI>& stack);
 
-/// Mask of the largest foreground component; empty-input → all-zero mask.
-BinaryImage largest_component(const BinaryImage& img, bool eight_connected = true);
-
-/// Allocation-free variant of largest_component; `labeling` and `stack` are
-/// scratch, the mask lands in `out`. `out` must not alias `img`.
+/// Mask of the largest foreground component (empty input → all-zero mask);
+/// `labeling` and `stack` are scratch, the mask lands in `out`, all reusing
+/// their storage. `out` must not alias `img`.
 SLJ_HOT_PATH void largest_component_into(const BinaryImage& img, bool eight_connected, Labeling& labeling,
                             std::vector<PointI>& stack, BinaryImage& out);
 

@@ -1,8 +1,6 @@
 #include "imaging/filters.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -18,46 +16,6 @@ namespace {
 void require_odd(int k) {
   if (k < 1 || k % 2 == 0) throw std::invalid_argument("filter window must be odd and >= 1");
 }
-
-}  // namespace
-
-GrayImage median_filter(const GrayImage& img, int k) {
-  require_odd(k);
-  const int half = k / 2;
-  GrayImage out(img.width(), img.height());
-  std::array<int, 256> hist{};
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      hist.fill(0);
-      int count = 0;
-      for (int dy = -half; dy <= half; ++dy) {
-        for (int dx = -half; dx <= half; ++dx) {
-          const int nx = x + dx;
-          const int ny = y + dy;
-          if (img.in_bounds(nx, ny)) {
-            ++hist[img.at(nx, ny)];
-            ++count;
-          }
-        }
-      }
-      // Walk the histogram to the median position.
-      const int target = count / 2;
-      int seen = 0;
-      std::uint8_t median = 0;
-      for (int v = 0; v < 256; ++v) {
-        seen += hist[v];
-        if (seen > target) {
-          median = static_cast<std::uint8_t>(v);
-          break;
-        }
-      }
-      out.at(x, y) = median;
-    }
-  }
-  return out;
-}
-
-namespace {
 
 // Summed-area-table binary median: the serial pointer walk builds the mask's
 // table (exact small-integer sums, bit-identical to IntegralImage::assign),
@@ -205,17 +163,6 @@ SLJ_HOT_PATH void median_filter_binary_into(const BinaryImage& img, int k, Integ
     }
     for (; x < w; ++x) clamped_pixel(x);
   }
-}
-
-GrayImage box_blur(const GrayImage& img, int k) {
-  require_odd(k);
-  const Image<double> means = window_mean_gray(img, k);
-  GrayImage out(img.width(), img.height());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = static_cast<std::uint8_t>(
-        std::clamp(std::lround(means.data()[i]), 0L, 255L));
-  }
-  return out;
 }
 
 }  // namespace slj

@@ -1,6 +1,6 @@
 // FrameWorkspace: every full-frame scratch buffer the per-frame vision
-// pipeline needs — window-mean integral tables, difference /
-// normalized / mask images, connected-component and hole-fill scratch, and
+// pipeline needs — window-mean integral tables, difference and mask
+// images, connected-component and hole-fill scratch, and
 // the thinning frontier state. One workspace per worker lane (ClipEngine)
 // or per live session (StreamEngine) makes steady-state frame processing
 // free of full-frame heap allocations: every buffer is sized on the first

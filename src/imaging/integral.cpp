@@ -52,18 +52,4 @@ RgbMeans window_mean_rgb(const RgbImage& img, int n) {
   return out;
 }
 
-Image<double> window_mean_gray(const GrayImage& img, int n) {
-  require_odd_window(n);
-  const int w = img.width();
-  const int h = img.height();
-  IntegralImage integral(w, h, [&](int x, int y) { return static_cast<double>(img.at(x, y)); });
-  Image<double> out(w, h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      out.at(x, y) = integral.window_mean(x, y, n);
-    }
-  }
-  return out;
-}
-
 }  // namespace slj

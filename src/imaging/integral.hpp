@@ -120,7 +120,4 @@ struct RgbMeans {
 
 RgbMeans window_mean_rgb(const RgbImage& img, int n);
 
-/// Moving-window mean of a grayscale image.
-Image<double> window_mean_gray(const GrayImage& img, int n);
-
 }  // namespace slj

@@ -3,67 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "core/simd.hpp"
 
 namespace slj {
-namespace {
-
-std::span<const PointI> offsets(Structuring se) {
-  return se == Structuring::kCross4 ? std::span<const PointI>(kNeighbours4)
-                                    : std::span<const PointI>(kNeighbours8);
-}
-
-}  // namespace
-
-BinaryImage dilate(const BinaryImage& img, Structuring se) {
-  BinaryImage out = img;
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      if (img.at(x, y)) continue;
-      for (const PointI& d : offsets(se)) {
-        if (img.at_or(x + d.x, y + d.y, 0)) {
-          out.at(x, y) = 1;
-          break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-BinaryImage erode(const BinaryImage& img, Structuring se) {
-  BinaryImage out = img;
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      if (!img.at(x, y)) continue;
-      for (const PointI& d : offsets(se)) {
-        // Outside the image counts as foreground for erosion (and as
-        // background for dilation): this keeps opening anti-extensive and
-        // closing extensive at the image border.
-        if (!img.at_or(x + d.x, y + d.y, 1)) {
-          out.at(x, y) = 0;
-          break;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-BinaryImage open(const BinaryImage& img, Structuring se) { return dilate(erode(img, se), se); }
-
-BinaryImage close(const BinaryImage& img, Structuring se) { return erode(dilate(img, se), se); }
-
-BinaryImage fill_holes(const BinaryImage& img) {
-  BinaryImage reached;
-  std::vector<std::uint32_t> stack;
-  BinaryImage out;
-  fill_holes_into(img, reached, stack, out);
-  return out;
-}
 
 SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
                      std::vector<std::uint32_t>& stack, BinaryImage& out) {

@@ -50,61 +50,6 @@ void ObjectExtractor::accumulate_background(const RgbImage& background) {
   background_.accumulate(background);
 }
 
-ExtractionResult ObjectExtractor::extract(const RgbImage& frame) const {
-  if (!background_.has_background()) {
-    throw std::logic_error("ObjectExtractor: background not set");
-  }
-  if (frame.width() != background_.width() || frame.height() != background_.height()) {
-    throw std::invalid_argument("frame size differs from background");
-  }
-  const RgbMeans& bave = background_.averaged();
-  // Step ii: Aave, the windowed mean of the frame with the moving object.
-  const RgbMeans aave = window_mean_rgb(frame, params_.window);
-
-  ExtractionResult res;
-  const int w = frame.width();
-  const int h = frame.height();
-  res.difference = Image<double>(w, h);
-
-  // Steps iii–v: C = Aave − Bave per channel; D = |C_R| + |C_G| + |C_B|.
-  double max_d = 0.0;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const double d = std::abs(aave.r.at(x, y) - bave.r.at(x, y)) +
-                       std::abs(aave.g.at(x, y) - bave.g.at(x, y)) +
-                       std::abs(aave.b.at(x, y) - bave.b.at(x, y));
-      res.difference.at(x, y) = d;
-      max_d = std::max(max_d, d);
-    }
-  }
-  res.max_difference = max_d;
-
-  // Steps vi–vii: shift so max(D) = 255, clamp negatives to zero. If the
-  // scene differs nowhere (max_d = 0), or differs by less than the noise
-  // floor (rescaling would only amplify sensor noise into a phantom
-  // silhouette), everything stays background.
-  const bool scene_changed = max_d > 0.0 && max_d >= params_.min_max_difference;
-  const double shift = max_d - 255.0;
-  res.normalized = GrayImage(w, h);
-  res.raw_mask = BinaryImage(w, h);
-  for (std::size_t i = 0; i < res.normalized.size(); ++i) {
-    const double r = scene_changed ? res.difference.data()[i] - shift : 0.0;
-    const double clamped = std::clamp(r, 0.0, 255.0);
-    res.normalized.data()[i] = static_cast<std::uint8_t>(std::lround(clamped));
-    // Step viii: threshold at Th_Object.
-    res.raw_mask.data()[i] = res.normalized.data()[i] > params_.th_object ? 1 : 0;
-  }
-
-  // Fig. 1(c): median smoothing removes the "small holes and ridged edges".
-  res.smoothed = median_filter_binary(res.raw_mask, params_.median_window);
-
-  BinaryImage cleaned = res.smoothed;
-  if (params_.keep_largest_only) cleaned = largest_component(cleaned);
-  if (params_.fill_holes) cleaned = fill_holes(cleaned);
-  res.silhouette = std::move(cleaned);
-  return res;
-}
-
 SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWorkspace& ws,
                                                   BinaryImage& silhouette_out) const {
   if (!background_.has_background()) {
@@ -193,7 +138,7 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
   // Steps vi–viii fused without materialising the rounded 8-bit image:
   // lround(clamped) > th  ⇔  clamped >= th + 0.5 (lround rounds half away
   // from zero and clamped is non-negative), and th + 0.5 is exact in double,
-  // so the mask is bit-identical to extract()'s threshold of `normalized`.
+  // so the mask is bit-identical to thresholding the rounded image R.
   // std::clamp(r, 0, 255) = min(max(r, 0), 255) lane-wise: r is never NaN
   // and never −0, so the vector compare/select sequence matches exactly.
   const bool scene_changed = max_d > 0.0 && max_d >= params_.min_max_difference;
@@ -235,10 +180,6 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
     silhouette_out = *cleaned;
   }
   return max_d;
-}
-
-BinaryImage ObjectExtractor::silhouette(const RgbImage& frame) const {
-  return extract(frame).silhouette;
 }
 
 }  // namespace slj::seg

@@ -25,17 +25,6 @@ struct ExtractorParams {
   bool fill_holes = true;
 };
 
-/// Intermediate products, exposed so Fig. 1 can be regenerated stage by
-/// stage and so tests can pin each step.
-struct ExtractionResult {
-  Image<double> difference;   ///< D(i,j) = |ΔR| + |ΔG| + |ΔB|  (step iv)
-  double max_difference = 0;  ///< max of D                     (step v)
-  GrayImage normalized;       ///< R: shifted so max = 255, clamped at 0 (vi–vii)
-  BinaryImage raw_mask;       ///< Obj: R > Th_Object            (step viii)
-  BinaryImage smoothed;       ///< after median filter           (Fig. 1c)
-  BinaryImage silhouette;     ///< after largest-component + hole fill
-};
-
 class ObjectExtractor {
  public:
   explicit ObjectExtractor(ExtractorParams params = {});
@@ -49,22 +38,17 @@ class ObjectExtractor {
   bool has_background() const { return background_.has_background(); }
   const ExtractorParams& params() const { return params_; }
 
-  /// Runs steps ii–viii plus smoothing on one frame.
-  ExtractionResult extract(const RgbImage& frame) const;
-
-  /// Allocation-free fast path: same algorithm, but every intermediate lives
-  /// in the workspace (difference in ws.difference, raw mask in ws.raw_mask,
-  /// smoothed in ws.smoothed; the figure-grade `normalized` image is skipped
-  /// — the mask thresholds the difference directly, provably the same bits)
-  /// and the final silhouette is written to `silhouette_out`. At steady
-  /// state — same-sized frames through the same workspace — no full-frame
-  /// buffer is heap-allocated. Output is bit-identical to extract(). Returns
-  /// max(D) (step v), which extract() reports as max_difference.
+  /// Runs steps ii–viii plus smoothing and cleanup on one frame. Every
+  /// intermediate lives in the workspace: the difference D (step iv) in
+  /// ws.difference, the thresholded mask Obj (step viii) in ws.raw_mask and
+  /// the median-smoothed mask (Fig. 1c) in ws.smoothed. The mask thresholds
+  /// D directly, so the rounded 8-bit image R (steps vi–vii) is never built;
+  /// the bits are provably the same. The final silhouette, after
+  /// largest-component and hole fill, is written to `silhouette_out`. At
+  /// steady state — same-sized frames through the same workspace — no
+  /// full-frame buffer is heap-allocated. Returns max(D) (step v).
   SLJ_HOT_PATH double extract_into(const RgbImage& frame, FrameWorkspace& ws,
                                    BinaryImage& silhouette_out) const;
-
-  /// Shortcut returning only the final silhouette.
-  BinaryImage silhouette(const RgbImage& frame) const;
 
  private:
   ExtractorParams params_;

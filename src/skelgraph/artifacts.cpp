@@ -1,13 +1,15 @@
 #include "skelgraph/artifacts.hpp"
 
+#include "imaging/frame_workspace.hpp"
 #include "skelgraph/loop_cut.hpp"
 #include "skelgraph/prune.hpp"
 
 namespace slj::skel {
 
 ArtifactReport analyze_artifacts(const BinaryImage& skeleton, int min_branch_vertices) {
+  FrameWorkspace ws;
   BuildStats build;
-  const SkeletonGraph graph = build_skeleton_graph(skeleton, &build);
+  const SkeletonGraph graph = build_skeleton_graph(skeleton, ws, &build);
 
   ArtifactReport report;
   report.skeleton_pixels = build.skeleton_pixels;
@@ -30,32 +32,14 @@ ArtifactReport analyze_artifacts(const BinaryImage& skeleton, int min_branch_ver
   return report;
 }
 
-namespace {
-
-// One body behind both clean_skeleton entry points (null ws = fresh build
-// temporaries), so the cleanup pipeline cannot diverge between the batch
-// and workspace paths.
-SkeletonGraph clean_impl(const BinaryImage& skeleton, FrameWorkspace* ws,
-                         int min_branch_vertices, CleanupStats* stats) {
+SkeletonGraph clean_skeleton(const BinaryImage& skeleton, FrameWorkspace& ws,
+                             int min_branch_vertices, CleanupStats* stats) {
   CleanupStats local;
-  SkeletonGraph graph = ws != nullptr ? build_skeleton_graph(skeleton, *ws, &local.build)
-                                      : build_skeleton_graph(skeleton, &local.build);
+  SkeletonGraph graph = build_skeleton_graph(skeleton, ws, &local.build);
   local.loops = cut_loops(graph, SpanningPolicy::kMaximum);
   local.prune = prune_branches(graph, min_branch_vertices, PruningMode::kOneAtATime);
   if (stats != nullptr) *stats = local;
   return graph;
-}
-
-}  // namespace
-
-SkeletonGraph clean_skeleton(const BinaryImage& skeleton, int min_branch_vertices,
-                             CleanupStats* stats) {
-  return clean_impl(skeleton, nullptr, min_branch_vertices, stats);
-}
-
-SkeletonGraph clean_skeleton(const BinaryImage& skeleton, FrameWorkspace& ws,
-                             int min_branch_vertices, CleanupStats* stats) {
-  return clean_impl(skeleton, &ws, min_branch_vertices, stats);
 }
 
 }  // namespace slj::skel

@@ -26,20 +26,16 @@ struct ArtifactReport {
 /// Analyses a thinned skeleton without modifying it.
 ArtifactReport analyze_artifacts(const BinaryImage& skeleton, int min_branch_vertices = 10);
 
-/// Convenience pipeline: graph build → max-spanning-tree loop cut →
-/// one-at-a-time pruning; returns the cleaned graph.
 struct CleanupStats {
   BuildStats build;
   LoopCutStats loops;
   PruneStats prune;
 };
 
-SkeletonGraph clean_skeleton(const BinaryImage& skeleton, int min_branch_vertices = 10,
-                             CleanupStats* stats = nullptr);
-
-/// Workspace variant: bit-identical output, but the graph build's full-frame
-/// temporaries live in `ws` and are reused frame over frame (the engines'
-/// steady state — see build_skeleton_graph(skeleton, ws, stats)).
+/// Cleanup pipeline: graph build → max-spanning-tree loop cut →
+/// one-at-a-time pruning; returns the cleaned graph. The graph build's
+/// full-frame temporaries live in `ws` and are reused frame over frame (see
+/// build_skeleton_graph).
 SkeletonGraph clean_skeleton(const BinaryImage& skeleton, FrameWorkspace& ws,
                              int min_branch_vertices = 10, CleanupStats* stats = nullptr);
 

@@ -171,16 +171,14 @@ std::string SkeletonGraph::to_dot() const {
   return dot;
 }
 
-namespace {
-
-// Shared implementation behind both build_skeleton_graph entry points: the
-// full-frame temporaries (junction mask, label image, visited map, DFS
-// stack) are caller-provided, so the workspace overload recycles them frame
-// over frame while the plain overload passes fresh locals. One body means
-// the two can never diverge.
-SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
-                               Image<std::uint8_t>& is_junction, Labeling& scratch_labeling,
-                               std::vector<PointI>& scratch_stack, BinaryImage& visited) {
+// The build's full-frame temporaries (junction mask, label image, visited
+// map, DFS stack) live in the workspace and are recycled frame over frame.
+SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& ws,
+                                   BuildStats* stats) {
+  Image<std::uint8_t>& is_junction = ws.junction_mask;
+  Labeling& scratch_labeling = ws.junction_labeling;
+  std::vector<PointI>& scratch_stack = ws.junction_stack;
+  BinaryImage& visited = ws.graph_visited;
   SkeletonGraph graph;
   const int w = skeleton.width();
   const int h = skeleton.height();
@@ -380,22 +378,6 @@ SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
         pixel_edges + components >= skeleton_pixels ? pixel_edges + components - skeleton_pixels : 0;
   }
   return graph;
-}
-
-}  // namespace
-
-SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, BuildStats* stats) {
-  Image<std::uint8_t> is_junction;
-  Labeling labeling;
-  std::vector<PointI> stack;
-  BinaryImage visited;
-  return build_graph_impl(skeleton, stats, is_junction, labeling, stack, visited);
-}
-
-SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& ws,
-                                   BuildStats* stats) {
-  return build_graph_impl(skeleton, stats, ws.junction_mask, ws.junction_labeling,
-                          ws.junction_stack, ws.graph_visited);
 }
 
 std::vector<KeyPoint> extract_key_points(const SkeletonGraph& graph) {

@@ -105,15 +105,12 @@ class SkeletonGraph {
   std::vector<Edge> edges_;
 };
 
-/// Builds the simplified skeleton graph from a thinned 0/1 image.
-SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, BuildStats* stats = nullptr);
-
-/// Workspace variant: bit-identical graph and stats, but the full-frame
-/// temporaries of the build — the junction mask, the cluster/component label
-/// image, the pure-cycle visited map, and the labeling DFS stack — live in
-/// `ws` (junction_mask / junction_labeling / junction_stack / graph_visited)
-/// and are reused frame over frame, closing the skeleton-graph stage's
-/// per-frame full-frame allocations.
+/// Builds the simplified skeleton graph from a thinned 0/1 image. The
+/// full-frame temporaries of the build — the junction mask, the
+/// cluster/component label image, the pure-cycle visited map, and the
+/// labeling DFS stack — live in `ws` (junction_mask / junction_labeling /
+/// junction_stack / graph_visited) and are reused frame over frame, so the
+/// skeleton-graph stage makes no per-frame full-frame allocation.
 SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& ws,
                                    BuildStats* stats = nullptr);
 

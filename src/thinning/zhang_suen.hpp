@@ -23,14 +23,11 @@ struct ThinningStats {
   std::size_t removed = 0;   ///< pixels peeled in total
 };
 
-/// Thins `img` (0/1 mask) to a one-pixel-wide skeleton. `stats`, when given,
-/// receives iteration telemetry for the perf benches.
-BinaryImage zhang_suen_thin(const BinaryImage& img, ThinningStats* stats = nullptr);
-
-/// Allocation-free fast path used by the per-frame pipeline: thins `img`
-/// into `out` using the workspace's frontier scratch. Two optimisations over
-/// zhang_suen_thin, neither changing a single output bit (the parity suite
-/// pins this):
+/// Thins `img` (0/1 mask) into a one-pixel-wide skeleton in `out`, using the
+/// workspace's frontier scratch; `stats`, when given, receives iteration
+/// telemetry for the perf benches. Two optimisations over the textbook
+/// full-image sweep (tests/reference/), neither changing a single output bit
+/// (the parity suite pins this):
 ///  - interior pixels read their 3×3 ring with direct row-pointer loads
 ///    instead of at_or bounds checks (only the one-pixel border pays them);
 ///  - after the first full pass, a sub-iteration only revisits pixels whose
@@ -38,18 +35,8 @@ BinaryImage zhang_suen_thin(const BinaryImage& img, ThinningStats* stats = nullp
 ///    evaluated for that sub-iteration type. Any other pixel provably keeps
 ///    its previous (non-deletable) answer, so later passes cost O(frontier)
 ///    instead of O(W·H).
-/// `out` must not alias `img`. Stats match zhang_suen_thin exactly.
+/// `out` must not alias `img`. Stats match the full-sweep reference exactly.
 SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& ws, BinaryImage& out,
                           ThinningStats* stats = nullptr);
-
-/// One full Zhang–Suen pass (both sub-iterations) in place. Returns pixels
-/// removed. Exposed for tests pinning per-pass behaviour.
-std::size_t zhang_suen_pass(BinaryImage& img);
-
-/// Number of foreground neighbours of (x, y) — B(P1).
-int neighbour_count(const BinaryImage& img, int x, int y);
-
-/// Number of 0→1 transitions in the ordered ring P2..P9,P2 — A(P1).
-int transition_count(const BinaryImage& img, int x, int y);
 
 }  // namespace slj::thin

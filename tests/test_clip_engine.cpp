@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "reference.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::core {
@@ -16,24 +17,6 @@ synth::Clip make_clip(std::uint32_t seed, int frame_count = 16) {
   spec.seed = seed;
   spec.frame_count = frame_count;
   return synth::generate_clip(spec);
-}
-
-/// The reference the engine must match bit-for-bit: a plain serial loop.
-ClipObservation serial_reference(const synth::Clip& clip, const PipelineParams& params = {},
-                                 int lift_threshold_px = 3) {
-  FramePipeline pipeline(params);
-  pipeline.set_background(clip.background);
-  GroundMonitor ground(lift_threshold_px);
-  ClipObservation ref;
-  for (const RgbImage& frame : clip.frames) {
-    ref.frames.push_back(pipeline.process(frame));
-    const bool flying = ground.airborne(ref.frames.back().bottom_row);
-    ref.airborne.push_back(flying);
-    if (flying) ++ref.airborne_frames;
-    if (ref.frames.back().bottom_row < 0) ++ref.empty_frames;
-  }
-  ref.ground_row = ground.ground_row();
-  return ref;
 }
 
 void expect_identical(const ClipObservation& got, const ClipObservation& want) {
@@ -67,7 +50,7 @@ TEST(ClipEngine, ParallelMatchesSerialAcrossSeeds) {
     ClipEngineConfig config;
     config.workers = 4;
     ClipEngine engine({}, config);
-    expect_identical(engine.process(clip), serial_reference(clip));
+    expect_identical(engine.process(clip), reference::process_clip(FramePipeline(), clip));
   }
 }
 
@@ -76,7 +59,7 @@ TEST(ClipEngine, SingleWorkerMatchesSerial) {
   ClipEngineConfig config;
   config.workers = 1;
   ClipEngine engine({}, config);
-  expect_identical(engine.process(clip), serial_reference(clip));
+  expect_identical(engine.process(clip), reference::process_clip(FramePipeline(), clip));
 }
 
 TEST(ClipEngine, MoreWorkersThanFramesMatchesSerial) {
@@ -84,7 +67,7 @@ TEST(ClipEngine, MoreWorkersThanFramesMatchesSerial) {
   ClipEngineConfig config;
   config.workers = 16;
   ClipEngine engine({}, config);
-  expect_identical(engine.process(clip), serial_reference(clip));
+  expect_identical(engine.process(clip), reference::process_clip(FramePipeline(), clip));
 }
 
 TEST(ClipEngine, BatchMatchesPerClipResults) {
@@ -95,7 +78,7 @@ TEST(ClipEngine, BatchMatchesPerClipResults) {
   const std::vector<ClipObservation> batch = engine.process(clips);
   ASSERT_EQ(batch.size(), clips.size());
   for (std::size_t c = 0; c < clips.size(); ++c) {
-    expect_identical(batch[c], serial_reference(clips[c]));
+    expect_identical(batch[c], reference::process_clip(FramePipeline(), clips[c]));
   }
 }
 
@@ -118,13 +101,13 @@ TEST(ClipEngine, TrackerModeMatchesSerialTrackedLoop) {
   ClipEngine engine({}, config);
   const ClipObservation got = engine.process(clip);
 
-  FramePipeline pipeline;
-  pipeline.set_background(clip.background);
+  const FramePipeline pipeline;
   detect::BlobTracker tracker;
   GroundMonitor ground;
   ASSERT_EQ(got.frame_count(), clip.frames.size());
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation want = pipeline.process(clip.frames[i], tracker);
+    const FrameObservation want =
+        reference::process(pipeline, clip.background, clip.frames[i], tracker);
     EXPECT_EQ(got.frames[i].silhouette, want.silhouette) << "frame " << i;
     EXPECT_EQ(got.airborne[i], ground.airborne(want.bottom_row)) << "frame " << i;
   }

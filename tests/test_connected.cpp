@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "imaging/frame_workspace.hpp"
+
 namespace slj {
 namespace {
 
@@ -57,14 +59,18 @@ TEST(LargestComponent, KeepsOnlyBiggest) {
   // Big blob: 6 pixels; small blob: 2.
   for (int x = 0; x < 6; ++x) img.at(x, 0) = 1;
   img.at(8, 2) = img.at(9, 2) = 1;
-  const BinaryImage out = largest_component(img);
+  FrameWorkspace ws;
+  BinaryImage out;
+  largest_component_into(img, true, ws.labeling, ws.pixel_stack, out);
   EXPECT_EQ(count_foreground(out), 6u);
   EXPECT_EQ(out.at(8, 2), 0);
   EXPECT_EQ(out.at(0, 0), 1);
 }
 
 TEST(LargestComponent, EmptyInputGivesEmptyMask) {
-  const BinaryImage out = largest_component(BinaryImage(4, 4, 0));
+  FrameWorkspace ws;
+  BinaryImage out;
+  largest_component_into(BinaryImage(4, 4, 0), true, ws.labeling, ws.pixel_stack, out);
   EXPECT_EQ(count_foreground(out), 0u);
 }
 

@@ -1,9 +1,9 @@
-// Golden parity suite for the FrameWorkspace fast path (PR 4 tentpole):
-// the workspace pipeline — integral-table window means, into-style
-// segmentation, frontier Zhang–Suen — must produce bit-identical results to
-// the straightforward (seed) implementations it shadows, at every worker
-// count and via the StreamEngine; and the steady-state segmentation +
-// thinning hot path must perform zero heap allocations.
+// Golden parity suite for the FrameWorkspace chain: the shipped pipeline —
+// integral-table window means, into-style segmentation, frontier
+// Zhang–Suen — must produce bit-identical results to the straightforward
+// seed implementations in tests/reference/, at every worker count and via
+// the StreamEngine; and the steady-state segmentation + thinning hot path
+// must perform zero heap allocations.
 #include "imaging/frame_workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "imaging/draw.hpp"
 #include "imaging/filters.hpp"
 #include "imaging/morphology.hpp"
+#include "reference.hpp"
 #include "synth/dataset.hpp"
 #include "thinning/zhang_suen.hpp"
 
@@ -50,7 +51,6 @@ using core::ClipEngineConfig;
 using core::ClipObservation;
 using core::FrameObservation;
 using core::FramePipeline;
-using core::GroundMonitor;
 
 // A small but real corpus: full-pipeline parity on every frame of every clip.
 std::vector<synth::Clip> parity_clips() {
@@ -81,24 +81,6 @@ void expect_identical_observation(const FrameObservation& got, const FrameObserv
     EXPECT_TRUE(got.candidates[c].features == want.candidates[c].features)
         << "frame " << frame << " cand " << c;
   }
-}
-
-/// The seed reference: a plain serial FramePipeline loop (non-workspace
-/// overloads, which still run the original allocating implementations).
-ClipObservation serial_reference(const synth::Clip& clip) {
-  FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  GroundMonitor ground;
-  ClipObservation ref;
-  for (const RgbImage& frame : clip.frames) {
-    ref.frames.push_back(pipeline.process(frame));
-    const bool flying = ground.airborne(ref.frames.back().bottom_row);
-    ref.airborne.push_back(flying);
-    if (flying) ++ref.airborne_frames;
-    if (ref.frames.back().bottom_row < 0) ++ref.empty_frames;
-  }
-  ref.ground_row = ground.ground_row();
-  return ref;
 }
 
 BinaryImage random_blobs(std::uint32_t seed, int w, int h, int discs) {
@@ -150,13 +132,16 @@ TEST(FrameWorkspaceParity, IntoVariantsMatchReference) {
       EXPECT_EQ(median_out, median_filter_binary(mask, k)) << "seed " << seed << " k " << k;
     }
 
-    BinaryImage largest_out;
-    largest_component_into(mask, true, ws.labeling, ws.pixel_stack, largest_out);
-    EXPECT_EQ(largest_out, largest_component(mask, true)) << "seed " << seed;
+    // The reused workspace scratch must give what fresh scratch gives.
+    FrameWorkspace fresh;
+    BinaryImage got, want;
+    largest_component_into(mask, true, ws.labeling, ws.pixel_stack, got);
+    largest_component_into(mask, true, fresh.labeling, fresh.pixel_stack, want);
+    EXPECT_EQ(got, want) << "seed " << seed;
 
-    BinaryImage filled_out;
-    fill_holes_into(mask, ws.reached, ws.flood_stack, filled_out);
-    EXPECT_EQ(filled_out, fill_holes(mask)) << "seed " << seed;
+    fill_holes_into(mask, ws.reached, ws.flood_stack, got);
+    fill_holes_into(mask, fresh.reached, fresh.flood_stack, want);
+    EXPECT_EQ(got, want) << "seed " << seed;
   }
 }
 
@@ -166,7 +151,7 @@ TEST(FrameWorkspaceParity, FrontierThinningMatchesReferenceAcrossSeeds) {
   for (const std::uint32_t seed : {1u, 7u, 13u, 42u, 99u, 123u, 2024u, 31337u}) {
     const BinaryImage img = random_blobs(seed, 64 + static_cast<int>(seed % 17), 48, 7);
     thin::ThinningStats want_stats;
-    const BinaryImage want = thin::zhang_suen_thin(img, &want_stats);
+    const BinaryImage want = reference::zhang_suen_thin(img, &want_stats);
     thin::ThinningStats got_stats;
     thin::zhang_suen_thin_into(img, ws, out, &got_stats);
     EXPECT_EQ(out, want) << "seed " << seed;
@@ -183,7 +168,7 @@ TEST(FrameWorkspaceParity, ThinningHandlesDegenerateImages) {
        {BinaryImage(0, 0), BinaryImage(12, 9, 0), BinaryImage(12, 9, 1), BinaryImage(1, 1, 1),
         BinaryImage(20, 1, 1), BinaryImage(1, 20, 1)}) {
     thin::zhang_suen_thin_into(img, ws, out);
-    EXPECT_EQ(out, thin::zhang_suen_thin(img));
+    EXPECT_EQ(out, reference::zhang_suen_thin(img));
   }
 }
 
@@ -194,7 +179,8 @@ TEST(FrameWorkspaceParity, ExtractIntoMatchesExtract) {
   FrameWorkspace ws;
   BinaryImage silhouette;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const seg::ExtractionResult want = extractor.extract(clip.frames[i]);
+    const reference::ExtractionResult want =
+        reference::extract(extractor.params(), clip.background, clip.frames[i]);
     const double max_d = extractor.extract_into(clip.frames[i], ws, silhouette);
     EXPECT_EQ(silhouette, want.silhouette) << "frame " << i;
     EXPECT_EQ(ws.smoothed, want.smoothed) << "frame " << i;
@@ -213,7 +199,7 @@ TEST(FrameWorkspaceParity, WorkspaceSurvivesFrameSizeChanges) {
   for (const auto& [w, h] : sizes) {
     const BinaryImage img = random_blobs(static_cast<std::uint32_t>(w * h), w, h, 5);
     thin::zhang_suen_thin_into(img, ws, out);
-    EXPECT_EQ(out, thin::zhang_suen_thin(img)) << w << "x" << h;
+    EXPECT_EQ(out, reference::zhang_suen_thin(img)) << w << "x" << h;
   }
 }
 
@@ -224,9 +210,36 @@ TEST(FrameWorkspaceParity, PipelineWorkspaceOverloadMatchesSeedPath) {
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
   FrameWorkspace ws;
+  FrameObservation got;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    expect_identical_observation(pipeline.process(clip.frames[i], ws),
-                                 pipeline.process(clip.frames[i]), i);
+    pipeline.process_into(clip.frames[i], ws, got);
+    expect_identical_observation(
+        got, reference::process(pipeline, clip.background, clip.frames[i]), i);
+  }
+}
+
+TEST(FrameWorkspaceParity, GroundTruthSilhouetteMatchesReference) {
+  // The ground-truth-silhouette entry point, on one workspace reused across
+  // a paper-corpus clip and then a clip of another frame size.
+  synth::DatasetSpec paper;
+  paper.train_clip_frames = {};
+  paper.test_clip_frames = {45};
+  synth::DatasetSpec small = paper;
+  small.camera.width = 96;
+  small.camera.height = 64;
+  small.camera.pixels_per_meter = 24.0;
+  small.camera.ground_y_px = 60.0;
+  const FramePipeline pipeline;
+  FrameWorkspace ws;
+  FrameObservation got;
+  for (const synth::DatasetSpec& spec : {paper, small}) {
+    const synth::Clip clip = synth::generate_dataset(spec).test.front();
+    for (std::size_t i = 0; i < clip.clean_silhouettes.size(); ++i) {
+      pipeline.process_silhouette_into(clip.clean_silhouettes[i], ws, got);
+      const FrameObservation want =
+          reference::process_silhouette(pipeline, clip.clean_silhouettes[i]);
+      expect_identical_observation(got, want, i);
+    }
   }
 }
 
@@ -237,9 +250,11 @@ TEST(FrameWorkspaceParity, TrackedPipelineWorkspaceOverloadMatchesSeedPath) {
   detect::BlobTracker tracker_seed;
   detect::BlobTracker tracker_ws;
   FrameWorkspace ws;
+  FrameObservation got;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    expect_identical_observation(pipeline.process(clip.frames[i], tracker_ws, ws),
-                                 pipeline.process(clip.frames[i], tracker_seed), i);
+    pipeline.process_into(clip.frames[i], tracker_ws, ws, got);
+    expect_identical_observation(
+        got, reference::process(pipeline, clip.background, clip.frames[i], tracker_seed), i);
   }
 }
 
@@ -247,7 +262,9 @@ TEST(FrameWorkspaceParity, ClipEngineMatchesSeedReferenceAtEveryWorkerCount) {
   const std::vector<synth::Clip> clips = parity_clips();
   std::vector<ClipObservation> references;
   references.reserve(clips.size());
-  for (const synth::Clip& clip : clips) references.push_back(serial_reference(clip));
+  for (const synth::Clip& clip : clips) {
+    references.push_back(reference::process_clip(FramePipeline(), clip));
+  }
 
   for (const unsigned workers : {1u, 4u, 16u}) {
     ClipEngineConfig config;
@@ -275,7 +292,7 @@ TEST(FrameWorkspaceParity, StreamEngineMatchesSeedReference) {
   std::vector<int> ids;
   for (const synth::Clip& clip : clips) ids.push_back(manager.open_session(clip.background));
   for (std::size_t c = 0; c < clips.size(); ++c) {
-    const ClipObservation want = serial_reference(clips[c]);
+    const ClipObservation want = reference::process_clip(FramePipeline(), clips[c]);
     for (std::size_t i = 0; i < clips[c].frames.size(); ++i) {
       const core::StreamUpdate update = manager.push_frame(ids[c], clips[c].frames[i]);
       EXPECT_EQ(update.airborne, want.airborne[i]) << "clip " << c << " frame " << i;

@@ -38,24 +38,31 @@ class WindowMeanProperty : public ::testing::TestWithParam<WindowMeanCase> {};
 TEST_P(WindowMeanProperty, MatchesBruteForce) {
   const auto [w, h, n] = GetParam();
   std::mt19937 rng(77 + static_cast<unsigned>(w * 31 + h * 7 + n));
-  GrayImage img(w, h);
-  for (auto& p : img.data()) p = static_cast<std::uint8_t>(rng() % 256);
+  RgbImage img(w, h);
+  for (auto& p : img.data()) {
+    p = {static_cast<std::uint8_t>(rng() % 256), static_cast<std::uint8_t>(rng() % 256),
+         static_cast<std::uint8_t>(rng() % 256)};
+  }
 
-  const Image<double> fast = window_mean_gray(img, n);
+  const RgbMeans fast = window_mean_rgb(img, n);
   const int half = n / 2;
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
-      double sum = 0.0;
+      double sum_r = 0.0, sum_g = 0.0, sum_b = 0.0;
       int count = 0;
       for (int dy = -half; dy <= half; ++dy) {
         for (int dx = -half; dx <= half; ++dx) {
           if (img.in_bounds(x + dx, y + dy)) {
-            sum += img.at(x + dx, y + dy);
+            sum_r += img.at(x + dx, y + dy).r;
+            sum_g += img.at(x + dx, y + dy).g;
+            sum_b += img.at(x + dx, y + dy).b;
             ++count;
           }
         }
       }
-      ASSERT_NEAR(fast.at(x, y), sum / count, 1e-6) << "at (" << x << "," << y << ")";
+      ASSERT_NEAR(fast.r.at(x, y), sum_r / count, 1e-6) << "r at (" << x << "," << y << ")";
+      ASSERT_NEAR(fast.g.at(x, y), sum_g / count, 1e-6) << "g at (" << x << "," << y << ")";
+      ASSERT_NEAR(fast.b.at(x, y), sum_b / count, 1e-6) << "b at (" << x << "," << y << ")";
     }
   }
 }
@@ -66,10 +73,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, WindowMeanProperty,
                                            WindowMeanCase{1, 1, 3}, WindowMeanCase{2, 9, 9}));
 
 TEST(WindowMean, EvenOrNonPositiveWindowThrows) {
-  GrayImage img(4, 4);
-  EXPECT_THROW(window_mean_gray(img, 2), std::invalid_argument);
-  EXPECT_THROW(window_mean_gray(img, 0), std::invalid_argument);
-  EXPECT_THROW(window_mean_gray(img, -3), std::invalid_argument);
+  RgbImage img(4, 4);
+  EXPECT_THROW(window_mean_rgb(img, 2), std::invalid_argument);
+  EXPECT_THROW(window_mean_rgb(img, 0), std::invalid_argument);
+  EXPECT_THROW(window_mean_rgb(img, -3), std::invalid_argument);
 }
 
 TEST(WindowMeanRgb, ChannelsAreIndependent) {

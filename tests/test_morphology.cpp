@@ -2,75 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
+#include <vector>
 
 namespace slj {
 namespace {
 
-BinaryImage random_mask(int w, int h, unsigned seed, int mod = 3) {
-  std::mt19937 rng(seed);
-  BinaryImage img(w, h);
-  for (auto& v : img.data()) v = rng() % mod == 0 ? 1 : 0;
-  return img;
+// The shipped hole fill on fresh scratch.
+BinaryImage fill_holes(const BinaryImage& img) {
+  BinaryImage reached;
+  std::vector<std::uint32_t> stack;
+  BinaryImage out;
+  fill_holes_into(img, reached, stack, out);
+  return out;
 }
-
-TEST(Dilate, GrowsSinglePixelToNeighbourhood) {
-  BinaryImage img(5, 5, 0);
-  img.at(2, 2) = 1;
-  const BinaryImage sq = dilate(img, Structuring::kSquare8);
-  EXPECT_EQ(count_foreground(sq), 9u);
-  const BinaryImage cr = dilate(img, Structuring::kCross4);
-  EXPECT_EQ(count_foreground(cr), 5u);
-}
-
-TEST(Erode, ShrinksSquare) {
-  BinaryImage img(5, 5, 0);
-  for (int y = 1; y <= 3; ++y) {
-    for (int x = 1; x <= 3; ++x) img.at(x, y) = 1;
-  }
-  const BinaryImage out = erode(img, Structuring::kSquare8);
-  EXPECT_EQ(count_foreground(out), 1u);
-  EXPECT_EQ(out.at(2, 2), 1);
-}
-
-TEST(Erode, OutsideCountsAsForeground) {
-  // Erosion pads with foreground, so a full image is a fixed point; this is
-  // what keeps closing extensive at the border.
-  BinaryImage img(3, 3, 1);
-  EXPECT_EQ(erode(img, Structuring::kSquare8), img);
-}
-
-class MorphologyDuality : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(MorphologyDuality, DilationContainsOriginalErosionContained) {
-  const BinaryImage img = random_mask(17, 11, GetParam());
-  const BinaryImage d = dilate(img);
-  const BinaryImage e = erode(img);
-  for (std::size_t i = 0; i < img.size(); ++i) {
-    if (img.data()[i]) EXPECT_TRUE(d.data()[i]);   // extensive
-    if (e.data()[i]) EXPECT_TRUE(img.data()[i]);   // anti-extensive
-  }
-}
-
-TEST_P(MorphologyDuality, OpeningIsContainedClosingContains) {
-  const BinaryImage img = random_mask(17, 11, GetParam() + 100);
-  const BinaryImage opened = open(img);
-  const BinaryImage closed = close(img);
-  for (std::size_t i = 0; i < img.size(); ++i) {
-    if (opened.data()[i]) EXPECT_TRUE(img.data()[i]);
-    if (img.data()[i]) EXPECT_TRUE(closed.data()[i]);
-  }
-}
-
-TEST_P(MorphologyDuality, OpenAndCloseAreIdempotent) {
-  const BinaryImage img = random_mask(17, 11, GetParam() + 200);
-  const BinaryImage o1 = open(img);
-  EXPECT_EQ(open(o1), o1);
-  const BinaryImage c1 = close(img);
-  EXPECT_EQ(close(c1), c1);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MorphologyDuality, ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 TEST(FillHoles, FillsEnclosedBackground) {
   // A ring with a hollow centre.

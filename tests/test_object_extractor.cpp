@@ -5,9 +5,23 @@
 #include <random>
 
 #include "imaging/draw.hpp"
+#include "reference.hpp"
 
 namespace slj::seg {
 namespace {
+
+/// The shipped extraction on fresh scratch (intermediates stay in ws).
+struct Extracted {
+  FrameWorkspace ws;
+  BinaryImage silhouette;
+  double max_difference = 0.0;
+};
+
+Extracted extract(const ObjectExtractor& ex, const RgbImage& frame) {
+  Extracted r;
+  r.max_difference = ex.extract_into(frame, r.ws, r.silhouette);
+  return r;
+}
 
 /// Black studio background with optional noise.
 RgbImage studio_background(int w, int h, unsigned seed = 0, double sigma = 0.0) {
@@ -40,13 +54,13 @@ RgbImage with_object(const RgbImage& bg, PointF centre, double radius) {
 
 TEST(ObjectExtractor, ThrowsWithoutBackground) {
   ObjectExtractor ex;
-  EXPECT_THROW(ex.silhouette(RgbImage(8, 8)), std::logic_error);
+  EXPECT_THROW(extract(ex, RgbImage(8, 8)), std::logic_error);
 }
 
 TEST(ObjectExtractor, ThrowsOnFrameSizeMismatch) {
   ObjectExtractor ex;
   ex.set_background(studio_background(8, 8));
-  EXPECT_THROW(ex.silhouette(RgbImage(9, 8)), std::invalid_argument);
+  EXPECT_THROW(extract(ex, RgbImage(9, 8)), std::invalid_argument);
 }
 
 TEST(ObjectExtractor, RejectsEvenMedianWindow) {
@@ -99,10 +113,10 @@ TEST(ObjectExtractor, NoiseFloorSuppressesPhantomSilhouette) {
   }
   ObjectExtractor ex;  // default min_max_difference = 12
   ex.set_background(bg);
-  const ExtractionResult res = ex.extract(frame);
+  const Extracted res = extract(ex, frame);
   EXPECT_GT(res.max_difference, 0.0);
   EXPECT_LT(res.max_difference, ex.params().min_max_difference);
-  EXPECT_EQ(count_foreground(res.raw_mask), 0u) << "noise was rescaled into a phantom mask";
+  EXPECT_EQ(count_foreground(res.ws.raw_mask), 0u) << "noise was rescaled into a phantom mask";
   EXPECT_EQ(count_foreground(res.silhouette), 0u);
 
   // The same noise pattern with the floor disabled reproduces the old
@@ -112,7 +126,7 @@ TEST(ObjectExtractor, NoiseFloorSuppressesPhantomSilhouette) {
   no_floor.min_max_difference = 0.0;
   ObjectExtractor ex_off(no_floor);
   ex_off.set_background(bg);
-  EXPECT_GT(count_foreground(ex_off.extract(frame).raw_mask), 0u);
+  EXPECT_GT(count_foreground(extract(ex_off, frame).ws.raw_mask), 0u);
 }
 
 TEST(ObjectExtractor, NoiseFloorKeepsRealObjects) {
@@ -120,7 +134,7 @@ TEST(ObjectExtractor, NoiseFloorKeepsRealObjects) {
   const RgbImage frame = with_object(bg, {24, 24}, 10.0);
   ObjectExtractor ex;
   ex.set_background(bg);
-  const ExtractionResult res = ex.extract(frame);
+  const Extracted res = extract(ex, frame);
   EXPECT_GE(res.max_difference, ex.params().min_max_difference);
   EXPECT_GT(count_foreground(res.silhouette), 0u);
 }
@@ -129,7 +143,7 @@ TEST(ObjectExtractor, IdenticalFrameYieldsEmptyMask) {
   const RgbImage bg = studio_background(16, 16);
   ObjectExtractor ex;
   ex.set_background(bg);
-  const ExtractionResult res = ex.extract(bg);
+  const Extracted res = extract(ex, bg);
   EXPECT_DOUBLE_EQ(res.max_difference, 0.0);
   EXPECT_EQ(count_foreground(res.silhouette), 0u);
 }
@@ -139,7 +153,7 @@ TEST(ObjectExtractor, RecoversBrightDisc) {
   const RgbImage frame = with_object(bg, {24, 24}, 10.0);
   ObjectExtractor ex;
   ex.set_background(bg);
-  const ExtractionResult res = ex.extract(frame);
+  const Extracted res = extract(ex, frame);
 
   BinaryImage expected(48, 48, 0);
   fill_disc(expected, {24, 24}, 10.0);
@@ -149,9 +163,8 @@ TEST(ObjectExtractor, RecoversBrightDisc) {
 TEST(ObjectExtractor, NormalizationPutsMaxAt255) {
   const RgbImage bg = studio_background(32, 32);
   const RgbImage frame = with_object(bg, {16, 16}, 6.0);
-  ObjectExtractor ex;
-  ex.set_background(bg);
-  const ExtractionResult res = ex.extract(frame);
+  // The shipped extractor never builds R; the reference keeps it.
+  const reference::ExtractionResult res = reference::extract(ExtractorParams{}, bg, frame);
   std::uint8_t max_v = 0;
   for (const auto v : res.normalized.data()) max_v = std::max(max_v, v);
   EXPECT_EQ(max_v, 255);
@@ -164,10 +177,11 @@ TEST(ObjectExtractor, RawMaskUsesThObjectThreshold) {
   params.th_object = 20;
   ObjectExtractor ex(params);
   ex.set_background(bg);
-  const ExtractionResult res = ex.extract(frame);
+  const Extracted res = extract(ex, frame);
+  const GrayImage normalized = reference::extract(params, bg, frame).normalized;
   for (int y = 0; y < 32; ++y) {
     for (int x = 0; x < 32; ++x) {
-      EXPECT_EQ(res.raw_mask.at(x, y), res.normalized.at(x, y) > 20 ? 1 : 0);
+      EXPECT_EQ(res.ws.raw_mask.at(x, y), normalized.at(x, y) > 20 ? 1 : 0);
     }
   }
 }
@@ -186,7 +200,7 @@ TEST(ObjectExtractor, MedianSmoothingRemovesNoiseSpecks) {
   }
   ObjectExtractor ex;
   ex.set_background(bg);
-  const ExtractionResult res = ex.extract(frame);
+  const Extracted res = extract(ex, frame);
   // The specks survive in the raw mask but not the final silhouette.
   BinaryImage expected(48, 48, 0);
   fill_disc(expected, {24, 24}, 10.0);
@@ -199,7 +213,7 @@ TEST(ObjectExtractor, KeepLargestRemovesSecondaryBlobs) {
   frame = with_object(frame, {52, 16}, 4.0);  // smaller distractor
   ObjectExtractor ex;
   ex.set_background(bg);
-  const BinaryImage sil = ex.silhouette(frame);
+  const BinaryImage sil = extract(ex, frame).silhouette;
   // Nothing of the small blob remains.
   EXPECT_EQ(sil.at(52, 16), 0);
   EXPECT_EQ(sil.at(20, 16), 1);
@@ -213,7 +227,7 @@ TEST(ObjectExtractor, HoleFillClosesInteriorGaps) {
   frame.at(25, 24) = bg.at(25, 24);
   ObjectExtractor ex;
   ex.set_background(bg);
-  const BinaryImage sil = ex.silhouette(frame);
+  const BinaryImage sil = extract(ex, frame).silhouette;
   EXPECT_EQ(sil.at(24, 24), 1);
 }
 
@@ -224,7 +238,7 @@ TEST(ObjectExtractor, WorksUnderBackgroundNoise) {
   ex.set_background(bg);
   BinaryImage expected(48, 48, 0);
   fill_disc(expected, {24, 24}, 10.0);
-  EXPECT_GT(iou(ex.silhouette(frame), expected), 0.75);
+  EXPECT_GT(iou(extract(ex, frame).silhouette, expected), 0.75);
 }
 
 }  // namespace

@@ -14,9 +14,17 @@ synth::ClipSpec test_clip_spec(std::uint32_t seed = 11) {
   return spec;
 }
 
+// The shipped per-frame path on fresh scratch.
+FrameObservation process(const FramePipeline& pipeline, const RgbImage& frame) {
+  FrameWorkspace ws;
+  FrameObservation obs;
+  pipeline.process_into(frame, ws, obs);
+  return obs;
+}
+
 TEST(FramePipeline, ProcessWithoutBackgroundThrows) {
   FramePipeline pipeline;
-  EXPECT_THROW(pipeline.process(RgbImage(32, 32)), std::logic_error);
+  EXPECT_THROW(process(pipeline, RgbImage(32, 32)), std::logic_error);
 }
 
 TEST(FramePipeline, ExtractsSilhouetteCloseToGroundTruth) {
@@ -24,7 +32,7 @@ TEST(FramePipeline, ExtractsSilhouetteCloseToGroundTruth) {
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
   for (std::size_t i = 0; i < clip.frames.size(); i += 5) {
-    const FrameObservation obs = pipeline.process(clip.frames[i]);
+    const FrameObservation obs = process(pipeline, clip.frames[i]);
     EXPECT_GT(iou(obs.silhouette, clip.clean_silhouettes[i]), 0.85) << "frame " << i;
   }
 }
@@ -33,7 +41,7 @@ TEST(FramePipeline, SkeletonLiesInsideSilhouette) {
   const synth::Clip clip = synth::generate_clip(test_clip_spec());
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
-  const FrameObservation obs = pipeline.process(clip.frames[4]);
+  const FrameObservation obs = process(pipeline, clip.frames[4]);
   for (int y = 0; y < obs.raw_skeleton.height(); ++y) {
     for (int x = 0; x < obs.raw_skeleton.width(); ++x) {
       if (obs.raw_skeleton.at(x, y)) EXPECT_TRUE(obs.silhouette.at(x, y));
@@ -46,7 +54,7 @@ TEST(FramePipeline, CleanedGraphHasNoLoopsOrShortLeafBranches) {
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
   for (std::size_t i = 0; i < clip.frames.size(); i += 4) {
-    const FrameObservation obs = pipeline.process(clip.frames[i]);
+    const FrameObservation obs = process(pipeline, clip.frames[i]);
     EXPECT_EQ(obs.graph.cycle_count(), 0u) << "frame " << i;
   }
 }
@@ -55,7 +63,7 @@ TEST(FramePipeline, ProducesKeyPointsAndCandidates) {
   const synth::Clip clip = synth::generate_clip(test_clip_spec());
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
-  const FrameObservation obs = pipeline.process(clip.frames[8]);
+  const FrameObservation obs = process(pipeline, clip.frames[8]);
   EXPECT_GE(obs.key_points.size(), 3u);
   EXPECT_FALSE(obs.candidates.empty());
   // Foot (lowest point) is assigned in every candidate.
@@ -68,7 +76,7 @@ TEST(FramePipeline, KeyPointNearGroundTruthFoot) {
   const synth::Clip clip = synth::generate_clip(test_clip_spec());
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
-  const FrameObservation obs = pipeline.process(clip.frames[2]);
+  const FrameObservation obs = process(pipeline, clip.frames[2]);
   const auto& c = obs.candidates.front();
   const int foot_node = c.nodes[static_cast<std::size_t>(pose::Part::kFoot)];
   const PointF foot = to_f(obs.graph.node(foot_node).pos);
@@ -82,7 +90,7 @@ TEST(FramePipeline, BottomRowTracksGroundAndFlight) {
   int grounded_bottom = -1;
   int min_airborne_bottom = 10000;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation obs = pipeline.process(clip.frames[i]);
+    const FrameObservation obs = process(pipeline, clip.frames[i]);
     ASSERT_GE(obs.bottom_row, 0);
     if (clip.truth[i].airborne) {
       min_airborne_bottom = std::min(min_airborne_bottom, obs.bottom_row);
@@ -98,7 +106,7 @@ TEST(FramePipeline, EmptyFrameGivesEmptyObservation) {
   const synth::Clip clip = synth::generate_clip(test_clip_spec());
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
-  const FrameObservation obs = pipeline.process(clip.background);  // no person
+  const FrameObservation obs = process(pipeline, clip.background);  // no person
   EXPECT_EQ(count_foreground(obs.silhouette), 0u);
   EXPECT_TRUE(obs.candidates.empty());
   EXPECT_EQ(obs.bottom_row, -1);
@@ -107,7 +115,9 @@ TEST(FramePipeline, EmptyFrameGivesEmptyObservation) {
 TEST(FramePipeline, ProcessSilhouetteSkipsSegmentation) {
   const synth::Clip clip = synth::generate_clip(test_clip_spec());
   FramePipeline pipeline;
-  const FrameObservation obs = pipeline.process_silhouette(clip.clean_silhouettes[6]);
+  FrameWorkspace ws;
+  FrameObservation obs;
+  pipeline.process_silhouette_into(clip.clean_silhouettes[6], ws, obs);
   EXPECT_FALSE(obs.candidates.empty());
   EXPECT_EQ(obs.silhouette, clip.clean_silhouettes[6]);
 }

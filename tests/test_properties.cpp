@@ -32,25 +32,33 @@ class PipelineInvariants : public ::testing::TestWithParam<Case> {
     }
     return it->second;
   }
+
+  // This case's frame through the shipped per-frame path on fresh scratch.
+  core::FrameObservation observe() {
+    const auto [seed, frame] = GetParam();
+    const synth::Clip& clip = clip_for(seed);
+    pipeline.set_background(clip.background);
+    FrameWorkspace ws;
+    core::FrameObservation obs;
+    pipeline.process_into(clip.frames[static_cast<std::size_t>(frame)], ws, obs);
+    return obs;
+  }
+
+  core::FramePipeline pipeline;
 };
 
 TEST_P(PipelineInvariants, SilhouetteIsOneSolidComponent) {
-  const auto [seed, frame] = GetParam();
-  const synth::Clip& clip = clip_for(seed);
-  core::FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  const auto obs = pipeline.process(clip.frames[static_cast<std::size_t>(frame)]);
+  const auto obs = observe();
   EXPECT_EQ(component_count(obs.silhouette), 1u);
   // Hole-filled: filling again changes nothing.
-  EXPECT_EQ(fill_holes(obs.silhouette), obs.silhouette);
+  FrameWorkspace ws;
+  BinaryImage refilled;
+  fill_holes_into(obs.silhouette, ws.reached, ws.flood_stack, refilled);
+  EXPECT_EQ(refilled, obs.silhouette);
 }
 
 TEST_P(PipelineInvariants, SkeletonPreservesConnectivityAndSubset) {
-  const auto [seed, frame] = GetParam();
-  const synth::Clip& clip = clip_for(seed);
-  core::FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  const auto obs = pipeline.process(clip.frames[static_cast<std::size_t>(frame)]);
+  const auto obs = observe();
   EXPECT_EQ(component_count(obs.raw_skeleton), component_count(obs.silhouette));
   for (std::size_t i = 0; i < obs.raw_skeleton.size(); ++i) {
     if (obs.raw_skeleton.data()[i]) EXPECT_TRUE(obs.silhouette.data()[i]);
@@ -58,11 +66,7 @@ TEST_P(PipelineInvariants, SkeletonPreservesConnectivityAndSubset) {
 }
 
 TEST_P(PipelineInvariants, CleanedGraphIsAForest) {
-  const auto [seed, frame] = GetParam();
-  const synth::Clip& clip = clip_for(seed);
-  core::FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  const auto obs = pipeline.process(clip.frames[static_cast<std::size_t>(frame)]);
+  const auto obs = observe();
   EXPECT_EQ(obs.graph.cycle_count(), 0u);
   // No surviving leaf BRANCH (end node -> nearest junction, walked through
   // any bend vertices the piecewise-linear split added) shorter than the
@@ -94,11 +98,7 @@ TEST_P(PipelineInvariants, CleanedGraphIsAForest) {
 }
 
 TEST_P(PipelineInvariants, CandidatesAreWellFormed) {
-  const auto [seed, frame] = GetParam();
-  const synth::Clip& clip = clip_for(seed);
-  core::FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  const auto obs = pipeline.process(clip.frames[static_cast<std::size_t>(frame)]);
+  const auto obs = observe();
   const auto& enc = pipeline.encoder();
   for (const auto& c : obs.candidates) {
     for (int i = 0; i < pose::kPartCount; ++i) {
@@ -119,11 +119,7 @@ TEST_P(PipelineInvariants, CandidatesAreWellFormed) {
 }
 
 TEST_P(PipelineInvariants, FootIsLowestAssignedPart) {
-  const auto [seed, frame] = GetParam();
-  const synth::Clip& clip = clip_for(seed);
-  core::FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  const auto obs = pipeline.process(clip.frames[static_cast<std::size_t>(frame)]);
+  const auto obs = observe();
   for (const auto& c : obs.candidates) {
     const int foot = c.nodes[static_cast<std::size_t>(pose::Part::kFoot)];
     ASSERT_GE(foot, 0);

@@ -86,7 +86,9 @@ TEST(Robustness, TinyFramesWork) {
   // A pathologically small camera: nothing should assume a minimum size.
   FramePipeline pipeline;
   pipeline.set_background(RgbImage(8, 8, Rgb{10, 10, 10}));
-  const FrameObservation obs = pipeline.process(RgbImage(8, 8, Rgb{200, 200, 200}));
+  FrameWorkspace ws;
+  FrameObservation obs;
+  pipeline.process_into(RgbImage(8, 8, Rgb{200, 200, 200}), ws, obs);
   EXPECT_LE(obs.key_points.size(), 64u);
 }
 
@@ -120,9 +122,11 @@ TEST(Robustness, TrackerPipelineSurvivesDropouts) {
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
   detect::BlobTracker tracker;
+  FrameWorkspace ws;
+  FrameObservation obs;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
     const RgbImage& frame = (i >= 10 && i < 13) ? clip.background : clip.frames[i];
-    const FrameObservation obs = pipeline.process(frame, tracker);
+    pipeline.process_into(frame, tracker, ws, obs);
     EXPECT_EQ(obs.silhouette.width(), clip.background.width());
   }
 }

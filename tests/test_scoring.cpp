@@ -133,8 +133,9 @@ TEST(ScoreJump, EndToEndOnGeneratedClip) {
   GroundMonitor ground;
   std::vector<FrameObservation> observations;
   std::vector<bool> airborne;
+  FrameWorkspace ws;
   for (const RgbImage& frame : clip.frames) {
-    observations.push_back(pipeline.process(frame));
+    pipeline.process_into(frame, ws, observations.emplace_back());
     airborne.push_back(ground.airborne(observations.back().bottom_row));
   }
   const auto m =

@@ -20,6 +20,7 @@
 #include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/morphology.hpp"
+#include "reference.hpp"
 #include "segmentation/object_extractor.hpp"
 
 namespace slj {
@@ -295,17 +296,22 @@ TEST(SimdKernelParity, HoleFillAndLargestComponentMatchReferenceOnSaturatedPlane
           mask.data()[i] = static_cast<std::uint8_t>(rng() % 2);
         }
       }
+      // Reused workspace scratch against fresh scratch.
+      FrameWorkspace fresh;
+      BinaryImage want;
       fill_holes_into(mask, ws.reached, ws.flood_stack, filled);
-      EXPECT_EQ(filled, fill_holes(mask)) << w << "x" << h << " variant " << variant;
+      fill_holes_into(mask, fresh.reached, fresh.flood_stack, want);
+      EXPECT_EQ(filled, want) << w << "x" << h << " variant " << variant;
       largest_component_into(mask, true, ws.labeling, ws.pixel_stack, largest);
-      EXPECT_EQ(largest, largest_component(mask, true)) << w << "x" << h << " variant " << variant;
+      largest_component_into(mask, true, fresh.labeling, fresh.pixel_stack, want);
+      EXPECT_EQ(largest, want) << w << "x" << h << " variant " << variant;
     }
   }
 }
 
 TEST(SimdKernelParity, ExtractIntoMatchesExtractOnOddFrameSizes) {
-  // extract() is the untouched scalar reference; extract_into runs the SIMD
-  // kernels. Odd sizes force every vector tail in the fused passes, and each
+  // reference::extract is the scalar seed implementation; extract_into runs
+  // the SIMD kernels. Odd sizes force every vector tail in the fused passes, and each
   // window size moves the clamped border the interior path must meet.
   FrameWorkspace ws;  // deliberately reused across sizes and windows
   BinaryImage silhouette;
@@ -323,7 +329,7 @@ TEST(SimdKernelParity, ExtractIntoMatchesExtractOnOddFrameSizes) {
       params.window = window;
       seg::ObjectExtractor extractor(params);
       extractor.set_background(background);
-      const seg::ExtractionResult want = extractor.extract(frame);
+      const reference::ExtractionResult want = reference::extract(params, background, frame);
       const double max_d = extractor.extract_into(frame, ws, silhouette);
       EXPECT_EQ(silhouette, want.silhouette) << w << "x" << h << " window " << window;
       EXPECT_EQ(ws.smoothed, want.smoothed) << w << "x" << h << " window " << window;

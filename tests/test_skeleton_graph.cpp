@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "imaging/draw.hpp"
+#include "imaging/frame_workspace.hpp"
 
 namespace slj::skel {
 namespace {
+
+// The graph build on fresh scratch.
+SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, BuildStats* stats = nullptr) {
+  FrameWorkspace ws;
+  return skel::build_skeleton_graph(skeleton, ws, stats);
+}
 
 /// A horizontal line y=5, x in [2,12].
 BinaryImage simple_line() {

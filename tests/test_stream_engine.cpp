@@ -7,6 +7,7 @@
 
 #include "core/clip_engine.hpp"
 #include "pose/decoders.hpp"
+#include "reference.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::core {
@@ -76,8 +77,7 @@ TEST(StreamSession, TrackerModeMatchesSerialTrackedLoop) {
   const pose::PoseDbnClassifier classifier;
   const synth::Clip clip = make_clip(31);
 
-  FramePipeline pipeline;
-  pipeline.set_background(clip.background);
+  const FramePipeline pipeline;
   detect::BlobTracker tracker;
   GroundMonitor ground;
   pose::PoseDbnClassifier::SequenceState state = classifier.initial_state();
@@ -86,7 +86,8 @@ TEST(StreamSession, TrackerModeMatchesSerialTrackedLoop) {
   config.use_tracker = true;
   StreamSession session(classifier, clip.background, {}, config);
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation obs = pipeline.process(clip.frames[i], tracker);
+    const FrameObservation obs =
+        reference::process(pipeline, clip.background, clip.frames[i], tracker);
     const bool airborne = ground.airborne(obs.bottom_row);
     const FrameResult want = classifier.classify(obs.candidates, airborne, state);
     const StreamUpdate update = session.push_frame(clip.frames[i]);
@@ -103,9 +104,12 @@ TEST(StreamSession, PushObservationMatchesPushFrame) {
 
   StreamSession by_frame(classifier, clip.background);
   StreamSession by_observation(classifier, clip.background);
+  FrameWorkspace ws;
+  FrameObservation obs;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
     const StreamUpdate a = by_frame.push_frame(clip.frames[i]);
-    const StreamUpdate b = by_observation.push_observation(pipeline.process(clip.frames[i]));
+    pipeline.process_into(clip.frames[i], ws, obs);
+    const StreamUpdate b = by_observation.push_observation(obs);
     EXPECT_EQ(a.airborne, b.airborne) << "frame " << i;
     expect_same_result(a.result, b.result, i);
   }

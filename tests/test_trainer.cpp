@@ -1,5 +1,5 @@
 // The engine-backed trainer against a serial oracle: the original per-frame
-// loop (FramePipeline::process + GroundMonitor, one frame at a time) kept
+// loop (the reference chain + GroundMonitor, one frame at a time) kept
 // here. The trained model must match it byte for byte by save(),
 // and the TrainingStats field for field, for the plain and the TAN path.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include "bayes/structure.hpp"
 #include "core/trainer.hpp"
+#include "reference.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::core {
@@ -32,13 +33,12 @@ TrainingStats oracle_train(pose::PoseDbnClassifier& classifier, FramePipeline& p
                            const synth::Dataset& dataset) {
   TrainingStats stats;
   for (const synth::Clip& clip : dataset.train) {
-    pipeline.set_background(clip.background);
     pose::PoseId prev = pose::kResetPose;
     pose::Stage stage = pose::Stage::kBeforeJumping;
     GroundMonitor ground;
     for (std::size_t i = 0; i < clip.frames.size(); ++i) {
       ++stats.frames;
-      const FrameObservation obs = pipeline.process(clip.frames[i]);
+      const FrameObservation obs = reference::process(pipeline, clip.background, clip.frames[i]);
       const bool airborne = ground.airborne(obs.bottom_row);
       const synth::FrameTruth& truth = clip.truth[i];
       const auto candidate =
@@ -69,12 +69,11 @@ TrainingStats oracle_train_tan(pose::PoseDbnClassifier& classifier, FramePipelin
   std::vector<Tuple> tuples;
   std::vector<bayes::TanSample> samples;
   for (const synth::Clip& clip : dataset.train) {
-    pipeline.set_background(clip.background);
     pose::PoseId prev = pose::kResetPose;
     GroundMonitor ground;
     for (std::size_t i = 0; i < clip.frames.size(); ++i) {
       ++stats.frames;
-      const FrameObservation obs = pipeline.process(clip.frames[i]);
+      const FrameObservation obs = reference::process(pipeline, clip.background, clip.frames[i]);
       const bool airborne = ground.airborne(obs.bottom_row);
       const synth::FrameTruth& truth = clip.truth[i];
       const auto candidate =
@@ -168,20 +167,28 @@ TEST(Trainer, TwoClipSetMatchesSerialOracle) {
   expect_matches_oracle(dataset, /*learn_tan_structure=*/true);
 }
 
+// The shipped per-frame path on fresh scratch.
+FrameObservation process(const FramePipeline& pipeline, const RgbImage& frame) {
+  FrameWorkspace ws;
+  FrameObservation obs;
+  pipeline.process_into(frame, ws, obs);
+  return obs;
+}
+
 TEST(Trainer, LeavesTheCallersBackgroundUntouched) {
   const synth::Dataset dataset = two_clip_set();
   const synth::Clip probe = synth::generate_clip({});
   FramePipeline pipeline;
   pipeline.set_background(probe.background);
-  const FrameObservation before = pipeline.process(probe.frames[10]);
+  const FrameObservation before = process(pipeline, probe.frames[10]);
   // Sanity: the last training clip's plate would segment the probe differently.
   FramePipeline overwritten;
   overwritten.set_background(dataset.train.back().background);
-  ASSERT_NE(overwritten.process(probe.frames[10]).silhouette.data(), before.silhouette.data());
+  ASSERT_NE(process(overwritten, probe.frames[10]).silhouette.data(), before.silhouette.data());
 
   pose::PoseDbnClassifier classifier;
   train_on_dataset(classifier, pipeline, dataset);
-  const FrameObservation after = pipeline.process(probe.frames[10]);
+  const FrameObservation after = process(pipeline, probe.frames[10]);
   EXPECT_EQ(after.silhouette.data(), before.silhouette.data());
 }
 

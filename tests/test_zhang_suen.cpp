@@ -6,9 +6,18 @@
 
 #include "imaging/connected.hpp"
 #include "imaging/draw.hpp"
+#include "reference.hpp"
 
 namespace slj::thin {
 namespace {
+
+// The shipped thinning on fresh scratch.
+BinaryImage zhang_suen_thin(const BinaryImage& img, ThinningStats* stats = nullptr) {
+  FrameWorkspace ws;
+  BinaryImage out;
+  zhang_suen_thin_into(img, ws, out, stats);
+  return out;
+}
 
 BinaryImage filled_rect(int w, int h, int x0, int y0, int x1, int y1) {
   BinaryImage img(w, h, 0);
@@ -52,7 +61,7 @@ TEST(ZhangSuen, ThickBarThinsToThinLine) {
   // Roughly one pixel wide: every skeleton pixel has few neighbours.
   for (int y = 0; y < 12; ++y) {
     for (int x = 0; x < 30; ++x) {
-      if (out.at(x, y)) EXPECT_LE(neighbour_count(out, x, y), 2);
+      if (out.at(x, y)) EXPECT_LE(reference::neighbour_count(out, x, y), 2);
     }
   }
 }
@@ -82,7 +91,7 @@ TEST(ZhangSuen, StatsCountRemovedPixels) {
 TEST(ZhangSuen, PassRemovesAtMostBorder) {
   BinaryImage img = filled_rect(16, 16, 2, 2, 13, 13);
   const std::size_t before = count_foreground(img);
-  const std::size_t removed = zhang_suen_pass(img);
+  const std::size_t removed = reference::zhang_suen_pass(img);
   EXPECT_EQ(before - count_foreground(img), removed);
   // Interior pixels cannot be deleted in the first pass.
   EXPECT_TRUE(img.at(7, 7));
@@ -128,16 +137,16 @@ TEST(NeighbourFunctions, CountAndTransitions) {
   img.at(1, 1) = 1;
   img.at(1, 0) = 1;  // north
   img.at(2, 1) = 1;  // east
-  EXPECT_EQ(neighbour_count(img, 1, 1), 2);
+  EXPECT_EQ(reference::neighbour_count(img, 1, 1), 2);
   // Ring around centre: P2=1,P3=0,P4=1,rest 0 → transitions 0->1 occur at
   // P9->P2? P2=1 preceded by P9=0 counts once, P3->P4 counts once = 2.
-  EXPECT_EQ(transition_count(img, 1, 1), 2);
+  EXPECT_EQ(reference::transition_count(img, 1, 1), 2);
 }
 
 TEST(NeighbourFunctions, FullRing) {
   BinaryImage img(3, 3, 1);
-  EXPECT_EQ(neighbour_count(img, 1, 1), 8);
-  EXPECT_EQ(transition_count(img, 1, 1), 0);
+  EXPECT_EQ(reference::neighbour_count(img, 1, 1), 8);
+  EXPECT_EQ(reference::transition_count(img, 1, 1), 0);
 }
 
 }  // namespace
