@@ -40,9 +40,11 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/clip_engine.hpp"
@@ -51,10 +53,10 @@
 #include "core/stream_engine.hpp"
 #include "core/trainer.hpp"
 #include "ingest/ingest_service.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/service_monitor.hpp"
 #include "obs/tracer.hpp"
 #include "pose/decoders.hpp"
-#include "replay/trace_recorder.hpp"
 #include "replay/trace_replayer.hpp"
 #include "synth/clip_io.hpp"
 #include "synth/dataset.hpp"
@@ -399,6 +401,53 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   return balanced ? 0 : 1;
 }
 
+/// Why a finished recording cannot stand as a golden trace, or "" when it
+/// can. The dump at `path` must hold every one of the `opened` sessions
+/// whole, which fails when the byte budget evicted one, and its summary
+/// (built from the dumped records) must equal the plane's own counters.
+std::string capture_refusal(const obs::FlightRecorder& recorder,
+                            const obs::FlightRecorder::DumpStats& stats, std::size_t opened,
+                            std::size_t budget, const std::string& path,
+                            const ingest::IngestMetricsSnapshot& metrics) {
+  if (recorder.evicted_sessions() > 0 || stats.sessions != opened ||
+      stats.truncated_sessions > 0 || !stats.has_summary) {
+    return "capture is not whole within the recorder's " + std::to_string(budget >> 20) +
+           " MiB budget (" + std::to_string(stats.sessions) + " of " + std::to_string(opened) +
+           " sessions dumped, " + std::to_string(recorder.evicted_sessions()) + " evicted, " +
+           std::to_string(stats.truncated_sessions) + " truncated" +
+           (stats.has_summary ? "" : ", no summary") + "); record fewer sessions or frames";
+  }
+  std::optional<replay::SummaryRecord> summary;
+  replay::TraceReader reader(path);
+  while (reader.next()) {
+    if (reader.type() == static_cast<std::uint8_t>(replay::RecordType::kSummary)) {
+      summary = std::get<replay::SummaryRecord>(*reader.record());
+    }
+  }
+  if (!summary) return "dump has no summary record";
+  const struct {
+    const char* name;
+    std::uint64_t dumped, live;
+  } totals[] = {
+      {"pushed", summary->pushed, metrics.pushed},
+      {"delivered", summary->delivered, metrics.delivered},
+      {"dropped_oldest", summary->dropped_oldest, metrics.dropped_oldest},
+      {"rejected", summary->rejected, metrics.rejected},
+      {"rate_limited", summary->rate_limited, metrics.rate_limited},
+      {"closed_pushes", summary->closed_pushes, metrics.closed_pushes},
+      {"discarded", summary->discarded, metrics.discarded},
+      {"ticks", summary->ticks, metrics.ticks},
+      {"evicted_sessions", summary->evicted_sessions, metrics.evicted_sessions},
+  };
+  for (const auto& total : totals) {
+    if (total.dumped != total.live) {
+      return std::string("dumped summary ") + total.name + " " + std::to_string(total.dumped) +
+             " differs from the service's " + std::to_string(total.live);
+    }
+  }
+  return "";
+}
+
 // record: capture a *deterministic* ingest run as a .sljtrace file. Unlike
 // serve, nothing here depends on wall-clock or thread timing: the router
 // runs on a manual clock, the scheduler stays stopped, and every round is
@@ -411,6 +460,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 // exercises the backpressure policy for real (drop-oldest replaces, reject-
 // newest refuses, block is kept below capacity so the stopped scheduler
 // cannot deadlock a blocking producer).
+//
+// The capture is a FlightRecorder dump taken once every session has closed.
+// A zero window keeps every closed session, so the dump is the whole run
+// unless the byte budget evicted a session; then, or when the dumped
+// summary disagrees with the plane's metrics, the trace is refused.
 int cmd_record(const std::map<std::string, std::string>& flags) {
   pose::PoseDbnClassifier classifier;  // untrained by default: no model file needed
   if (const auto it = flags.find("model"); it != flags.end()) classifier = load_model(it->second);
@@ -465,7 +519,9 @@ int cmd_record(const std::map<std::string, std::string>& flags) {
   };
 
   ingest::IngestService service(classifier, {}, config);
-  replay::TraceRecorder recorder(out);
+  obs::FlightRecorderConfig recorder_config;
+  recorder_config.window_ns = 0;
+  obs::FlightRecorder recorder(recorder_config);
   service.set_tap(&recorder);
 
   std::vector<int> ids;
@@ -489,12 +545,20 @@ int cmd_record(const std::map<std::string, std::string>& flags) {
     service.flush();  // scheduler stopped: drains inline, deterministically
   }
   for (const int id : ids) service.close_session(id);
-  recorder.finish(service.metrics());
 
   const ingest::IngestMetricsSnapshot snap = service.metrics();
-  std::printf("recorded %llu events to %s (%ld sessions, %llu pushed, %llu delivered, "
+  const obs::FlightRecorder::DumpStats stats = recorder.dump(out);
+  const std::string refusal =
+      capture_refusal(recorder, stats, ids.size(), recorder_config.max_bytes, out, snap);
+  if (!refusal.empty()) {
+    std::remove(out.c_str());
+    std::fprintf(stderr, "error: %s: %s\n", out.c_str(), refusal.c_str());
+    return 1;
+  }
+  const std::size_t events = stats.sessions + stats.pushes + stats.ticks + stats.closes;
+  std::printf("recorded %zu events to %s (%ld sessions, %llu pushed, %llu delivered, "
               "%llu dropped, %llu rejected, policy %s)\n",
-              static_cast<unsigned long long>(recorder.events()), out.c_str(), sessions,
+              events, out.c_str(), sessions,
               static_cast<unsigned long long>(snap.pushed),
               static_cast<unsigned long long>(snap.delivered),
               static_cast<unsigned long long>(snap.dropped_oldest),

@@ -9,15 +9,18 @@
 # succeeds; test_replay and `scripts/ci.sh --replay` then replay the corpus
 # as regression tests.
 #
-# Only rerun this when the trace format version bumps or the recorded
-# scenario deliberately changes — regenerating rewrites the golden files.
+# Only rerun this into tests/corpus when the trace format version bumps or
+# the recorded scenario deliberately changes — that rewrites the golden
+# files. Into any other directory it is a reproducibility check: the
+# `corpus_reproduces` ctest regenerates the corpus under build/smoke/corpus
+# and compares every file byte for byte with tests/corpus.
 #
-# Usage: scripts/make_replay_corpus.sh [path/to/sljtool]
+# Usage: scripts/make_replay_corpus.sh [path/to/sljtool] [output-dir]
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SLJTOOL="${1:-$ROOT/build/sljtool}"
-CORPUS="$ROOT/tests/corpus"
+CORPUS="${2:-$ROOT/tests/corpus}"
 
 if [[ ! -x "$SLJTOOL" ]]; then
   echo "error: sljtool not found at $SLJTOOL (build first, or pass its path)" >&2

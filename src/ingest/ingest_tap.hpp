@@ -7,8 +7,9 @@
 //
 // Threading: on_push fires on producer threads, concurrently with each
 // other and with the scheduler; on_open / on_tick / on_close fire under the
-// service's pass mutex. Implementations serialize internally (TraceRecorder
-// takes one mutex around its file).
+// service's pass mutex. Implementations serialize internally
+// (obs::FlightRecorder, the one capture tap, takes one mutex around its
+// bookkeeping).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,9 @@
 // FlightRecorder: a bounded, always-attachable ring-buffer IngestTap that
 // turns "something just went wrong on the live service" into a replayable
 // .sljtrace — without pre-arranged recording and without unbounded memory.
+// It is also the only way a .sljtrace is written: `sljtool record` and the
+// golden corpus dump a recorder with window_ns = 0 once every session has
+// closed, which within the byte budget is the whole run.
 //
 // Why retention is per *session*, not per event. A .sljtrace only replays
 // bit-for-bit if every session it contains is complete from its open record

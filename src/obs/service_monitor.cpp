@@ -18,10 +18,8 @@ ingest::IngestMetricsSnapshot ServiceMonitor::poll() {
   incident_scratch_.clear();
   slo_.evaluate(snapshot, &incident_scratch_);
   for (const SloIncident& incident : incident_scratch_) {
-    if (config_.trace_breaches) {
-      Tracer::instance().instant("slo.breach", incident.session,
-                                 static_cast<std::int64_t>(incident.value * 1000.0));
-    }
+    Tracer::instance().instant("slo.breach", incident.session,
+                               static_cast<std::int64_t>(incident.value * 1000.0));
     trigger_incident("slo");
   }
   return snapshot;

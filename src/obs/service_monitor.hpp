@@ -33,8 +33,6 @@ struct ServiceMonitorConfig {
   /// Hard cap on incident files produced over the monitor's lifetime; 0
   /// disables incident dumping (SLO state is still tracked and exported).
   std::size_t max_incidents = 4;
-  /// Also emit tracer instants ("slo.breach") on breach edges.
-  bool trace_breaches = true;
 };
 
 class ServiceMonitor {
@@ -50,7 +48,8 @@ class ServiceMonitor {
 
   /// Takes one metrics snapshot, scores it against the SLO budgets and
   /// returns it decorated (per-session slo_state / drop_rate / breach
-  /// counters). Each gauge newly entering breach fires one incident dump.
+  /// counters). Each gauge newly entering breach emits one "slo.breach"
+  /// tracer instant and fires one incident dump.
   ingest::IngestMetricsSnapshot poll();
 
   /// Forces an incident dump now (e.g. on an operator signal). Returns the

@@ -21,7 +21,9 @@
 //   kTick     one scheduler round: per-entry (session, sequence) provenance
 //             plus the full StreamUpdate it produced (the golden output)
 //   kClose    session closed/evicted: final JumpReport + discarded count
-//   kSummary  final IngestMetrics totals (the drop-accounting golden record)
+//   kSummary  run totals, built by the writer from the records it wrote; the
+//             recording caller checks them against the live IngestMetrics
+//             (the drop-accounting golden record)
 //
 // Frame payloads are run-length encoded per pixel run when that is smaller
 // than raw RGB (synthetic studio footage compresses ~50×), so a mini trace

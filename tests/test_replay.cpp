@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "ingest/ingest_service.hpp"
-#include "replay/trace_recorder.hpp"
+#include "obs/flight_recorder.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::replay {
@@ -69,6 +69,40 @@ struct RecordSpec {
   double rate_tokens_per_second = 0.0;
 };
 
+/// The recorder `sljtool record` captures with: a zero window keeps every
+/// closed session, so a dump after the last close is the whole run.
+obs::FlightRecorderConfig whole_run() {
+  obs::FlightRecorderConfig config;
+  config.window_ns = 0;
+  return config;
+}
+
+/// Dumps `recorder` to `path` after every session has closed and asserts the
+/// dump is the whole run: all `opened` sessions, none truncated or evicted,
+/// and a summary equal to the plane's own counters.
+void dump_whole_run(obs::FlightRecorder& recorder, const std::string& path, std::size_t opened,
+                    const ingest::IngestMetricsSnapshot& metrics) {
+  const obs::FlightRecorder::DumpStats stats = recorder.dump(path);
+  EXPECT_EQ(stats.sessions, opened);
+  EXPECT_EQ(stats.truncated_sessions, 0u);
+  EXPECT_TRUE(stats.has_summary);
+  EXPECT_EQ(recorder.evicted_sessions(), 0u);
+
+  const Trace trace = load_trace(path);
+  ASSERT_FALSE(trace.records.empty());
+  const auto* summary = std::get_if<SummaryRecord>(&trace.records.back());
+  ASSERT_NE(summary, nullptr) << "the dump ends without a summary record";
+  EXPECT_EQ(summary->pushed, metrics.pushed);
+  EXPECT_EQ(summary->delivered, metrics.delivered);
+  EXPECT_EQ(summary->dropped_oldest, metrics.dropped_oldest);
+  EXPECT_EQ(summary->rejected, metrics.rejected);
+  EXPECT_EQ(summary->rate_limited, metrics.rate_limited);
+  EXPECT_EQ(summary->closed_pushes, metrics.closed_pushes);
+  EXPECT_EQ(summary->discarded, metrics.discarded);
+  EXPECT_EQ(summary->ticks, metrics.ticks);
+  EXPECT_EQ(summary->evicted_sessions, metrics.evicted_sessions);
+}
+
 /// Deterministic in-process recording: manual clock, stopped scheduler,
 /// inline flush() drains — the same recipe as `sljtool record`.
 void record_trace(const std::string& path, const pose::PoseDbnClassifier& classifier,
@@ -78,7 +112,7 @@ void record_trace(const std::string& path, const pose::PoseDbnClassifier& classi
   config.manager.workers = 2;
   config.router.clock = clock.fn();
   ingest::IngestService service(classifier, {}, config);
-  TraceRecorder recorder(path);
+  obs::FlightRecorder recorder(whole_run());
   service.set_tap(&recorder);
 
   ingest::IngestSessionConfig session_config;
@@ -112,7 +146,7 @@ void record_trace(const std::string& path, const pose::PoseDbnClassifier& classi
     service.flush();
   }
   for (const int id : ids) service.close_session(id);
-  recorder.finish(service.metrics());
+  dump_whole_run(recorder, path, ids.size(), service.metrics());
 }
 
 std::string read_file(const std::string& path) {
@@ -206,7 +240,7 @@ TEST(Replay, IdleEvictionRoundTrips) {
   config.manager.workers = 1;
   config.router.clock = clock.fn();
   ingest::IngestService service(classifier, {}, config);
-  TraceRecorder recorder(path);
+  obs::FlightRecorder recorder(whole_run());
   service.set_tap(&recorder);
 
   ingest::IngestSessionConfig evictable;
@@ -226,7 +260,7 @@ TEST(Replay, IdleEvictionRoundTrips) {
   service.push(lives, clip.frames[3]);
   service.flush();
   service.close_session(lives);
-  recorder.finish(service.metrics());
+  dump_whole_run(recorder, path, 2, service.metrics());
 
   for (const unsigned workers : {1u, 3u}) {
     ReplayOptions options;
