@@ -15,11 +15,11 @@
 
 namespace slj::bench {
 
-/// Build + host provenance for BENCH_*.json: two measurements are only
-/// comparable if the commit, compiler, flag set, SIMD backend, and core
-/// count behind them are known. The git SHA comes from the environment
-/// (scripts/bench.sh exports SLJ_GIT_SHA) so the binary needs no VCS
-/// awareness; SLJ_BUILD_FLAGS is baked in by CMake.
+/// Build + host provenance for perfbench's `provenance` line: two
+/// measurements are only comparable if the commit, compiler, flag set, SIMD
+/// backend, and core count behind them are known. The git SHA comes from the
+/// environment (perfbench/run.py exports SLJ_GIT_SHA) so the binary needs no
+/// VCS awareness; SLJ_BUILD_FLAGS is baked in by CMake.
 inline std::string host_json() {
 #ifndef SLJ_BUILD_FLAGS
 #define SLJ_BUILD_FLAGS "unknown"

@@ -4,23 +4,19 @@
 // The loop carries one obs::TraceSpan per pipeline stage (vision, extract,
 // thin, skelgraph, features). Two guards bind in every build:
 //
-//   * idle (--max-tracer-overhead-pct, default 3%): a disabled span costs a
-//     single relaxed load. That cost is microbenchmarked directly, scaled by
-//     the spans one frame carries (events / frames of an enabled pass), and
-//     expressed as a percentage of the measured per-frame time.
-//   * enabled (--max-overhead-pct, default 5%): the end-to-end slowdown of
-//     the loop with the tracer recording. Disabled and enabled passes
-//     alternate so host drift lands on both sides; each side keeps its
-//     best pass.
+//   * idle (< 3%): a disabled span costs a single relaxed load. That cost is
+//     microbenchmarked directly, scaled by the spans one frame carries
+//     (events / frames of an enabled pass), and expressed as a percentage of
+//     the measured per-frame time.
+//   * enabled (< 5%): the end-to-end slowdown of the loop with the tracer
+//     recording. Disabled and enabled passes alternate so host drift lands
+//     on both sides; each side keeps its best pass.
 //
-// Exits non-zero when a guard trips so CI can fail the build. With
-// --json FILE the measurements are also written as a JSON document
-// (consumed by scripts/bench.sh as its "tracer_overhead" section).
+// Takes no arguments and exits 1 when a guard trips, so CI can fail the
+// build.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -30,6 +26,9 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr double kMaxIdleOverheadPct = 3.0;
+constexpr double kMaxEnabledOverheadPct = 5.0;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -67,18 +66,8 @@ double idle_span_ns() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace slj;
-  const char* json_path = nullptr;
-  double max_overhead_pct = 5.0;
-  double max_tracer_overhead_pct = 3.0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--max-overhead-pct") == 0)
-      max_overhead_pct = std::atof(argv[i + 1]);
-    if (std::strcmp(argv[i], "--max-tracer-overhead-pct") == 0)
-      max_tracer_overhead_pct = std::atof(argv[i + 1]);
-  }
 
   bench::print_header("P6  event tracer overhead",
                       "instrumentation must not tax the hot path, idle or recording");
@@ -122,7 +111,7 @@ int main(int argc, char** argv) {
   std::printf("tracer enabled      %8.1f ms   %7.1f frames/s\n", on_ms,
               1000.0 * frames / on_ms);
   std::printf("enabled overhead    %+8.2f %%   (guard: < %.1f %%)\n", overhead_pct,
-              max_overhead_pct);
+              kMaxEnabledOverheadPct);
   std::printf("events per pass     %8llu     (%llu dropped)\n",
               static_cast<unsigned long long>(pass_events),
               static_cast<unsigned long long>(pass_snap.total_dropped));
@@ -134,40 +123,16 @@ int main(int argc, char** argv) {
   const double tracer_idle_pct = 100.0 * span_ns * spans_per_frame / frame_ns;
   std::printf("idle span           %8.2f ns   x %.1f spans/frame -> %.4f %% of a %.0f ns "
               "frame (guard: < %.1f %%)\n",
-              span_ns, spans_per_frame, tracer_idle_pct, frame_ns, max_tracer_overhead_pct);
+              span_ns, spans_per_frame, tracer_idle_pct, frame_ns, kMaxIdleOverheadPct);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"frames\": %zu,\n  \"reps\": %d,\n", frames, kReps);
-    std::fprintf(f, "  \"disabled\": {\"ms\": %.3f, \"frames_per_s\": %.1f},\n", off_ms,
-                 1000.0 * frames / off_ms);
-    std::fprintf(f, "  \"enabled\": {\"ms\": %.3f, \"frames_per_s\": %.1f},\n", on_ms,
-                 1000.0 * frames / on_ms);
-    std::fprintf(f, "  \"enabled_overhead_pct\": %.3f,\n", overhead_pct);
-    std::fprintf(f, "  \"max_enabled_overhead_pct\": %.1f,\n", max_overhead_pct);
-    std::fprintf(f, "  \"events_per_pass\": %llu,\n",
-                 static_cast<unsigned long long>(pass_events));
-    std::fprintf(f, "  \"spans_per_frame\": %.2f,\n", spans_per_frame);
-    std::fprintf(f, "  \"idle_span_ns\": %.2f,\n", span_ns);
-    std::fprintf(f, "  \"idle_overhead_pct\": %.4f,\n", tracer_idle_pct);
-    std::fprintf(f, "  \"max_idle_overhead_pct\": %.1f\n", max_tracer_overhead_pct);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-  }
-
-  if (overhead_pct > max_overhead_pct) {
+  if (overhead_pct > kMaxEnabledOverheadPct) {
     std::fprintf(stderr, "error: enabled tracer overhead %.2f%% exceeds guard of %.1f%%\n",
-                 overhead_pct, max_overhead_pct);
+                 overhead_pct, kMaxEnabledOverheadPct);
     return 1;
   }
-  if (tracer_idle_pct > max_tracer_overhead_pct) {
+  if (tracer_idle_pct > kMaxIdleOverheadPct) {
     std::fprintf(stderr, "error: idle tracer overhead %.4f%% exceeds guard of %.1f%%\n",
-                 tracer_idle_pct, max_tracer_overhead_pct);
+                 tracer_idle_pct, kMaxIdleOverheadPct);
     return 1;
   }
   return 0;

@@ -2,6 +2,9 @@
 // These are the slowest tests in the suite (a few seconds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/analyzer.hpp"
 #include "core/evaluation.hpp"
 #include "core/trainer.hpp"
@@ -117,6 +120,31 @@ TEST(Integration, ErrorsClusterInConsecutiveFrames) {
     for (const int r : runs) multi += r >= 2 ? 1 : 0;
     EXPECT_GT(multi, 0);
   }
+}
+
+TEST(Integration, PaperCorpusMedianAccuracyHoldsItsFloor) {
+  // The T1 reproduction at full paper size (522 training / 135 test frames)
+  // over three corpus seeds. One seed is one draw from a spread of about ten
+  // points, so the floor binds the median: 99/135 when pinned (seeds 2008,
+  // 1, 2 scored 103, 99 and 90 frames), with two test frames of slack.
+  constexpr std::size_t kMedianFloor = 97;
+  std::vector<std::size_t> correct;
+  for (const std::uint32_t seed : {2008u, 1u, 2u}) {
+    synth::DatasetSpec spec;
+    spec.seed = seed;
+    const synth::Dataset ds = synth::generate_dataset(spec);
+    FramePipeline pipeline;
+    pose::PoseDbnClassifier classifier;
+    train_on_dataset(classifier, pipeline, ds);
+    const DatasetEvaluation eval = evaluate_dataset(classifier, pipeline, ds.test);
+    ASSERT_EQ(eval.total_frames(), 135u);
+    correct.push_back(eval.total_correct());
+  }
+  const std::vector<std::size_t> per_seed = correct;
+  std::sort(correct.begin(), correct.end());
+  EXPECT_GE(correct[1], kMedianFloor)
+      << "median correct test frames over seeds 2008, 1, 2 (per seed: " << per_seed[0] << ", "
+      << per_seed[1] << ", " << per_seed[2] << " of 135)";
 }
 
 }  // namespace
