@@ -31,6 +31,7 @@ int main() {
   bench::print_rule();
   FrameWorkspace ws;
   core::FrameObservation obs;
+  std::vector<core::DatasetEvaluation> evals;
   for (const Row& row : rows) {
     double clip_acc[3] = {};
     std::size_t frames = 0, correct = 0;
@@ -71,12 +72,28 @@ int main() {
     std::printf("%-32s %-10.1f %4.0f%% / %4.0f%% / %4.0f%%    %3d / %-3d\n", row.name,
                 100.0 * static_cast<double>(correct) / frames, clip_acc[0], clip_acc[1],
                 clip_acc[2], burst_errors, total_errors);
+    evals.push_back(std::move(eval));
   }
   bench::print_rule();
-  std::printf("observed shape: the three decoders land "
-              "within ~2 points of each other. The residual errors sit on genuinely "
-              "ambiguous transition frames, which smoothing cannot recover; the online "
-              "rule's Th_Pose preference even gives it a slight edge. The paper's "
-              "error-propagation worry is real but bounded by the stage discipline.\n");
+  std::printf("verdict vs the online rule (one test frame = %.2f pt):\n",
+              100.0 / evals[0].total_frames());
+  int smoother_wins = 0, online_wins = 0;
+  for (std::size_t i = 1; i < evals.size(); ++i) {
+    int sign = 0;
+    const std::string delta = bench::accuracy_delta(evals[i], evals[0], sign);
+    std::printf("  %-32s %s\n", rows[i].name, delta.c_str());
+    smoother_wins += sign > 0 ? 1 : 0;
+    online_wins += sign < 0 ? 1 : 0;
+  }
+  if (smoother_wins > 0) {
+    std::printf("a whole-clip decoder beats the online rule: the paper's error-propagation "
+                "worry costs accuracy here\n");
+  } else if (online_wins > 0) {
+    std::printf("the online rule is not beaten: smoothing does not recover the residual "
+                "errors, and the paper's\nerror-propagation worry is bounded by the stage "
+                "discipline\n");
+  } else {
+    std::printf("the three decoders agree within one test frame\n");
+  }
   return 0;
 }

@@ -104,11 +104,9 @@ std::vector<std::vector<pose::FeatureCandidate>> ClipObservation::candidate_sets
   return sets;
 }
 
-// The throwaway GroundMonitor validates the clip-level config up front, with
-// the same rules aggregate() applies after the frame pass.
 ClipEngine::ClipEngine(PipelineParams params, ClipEngineConfig config)
     : params_(params),
-      config_((GroundMonitor(config.lift_threshold_px, config.ground_calibration_frames), config)),
+      config_(config),
       pool_(config.workers),
       workspaces_(pool_.size() + 1) {}
 
@@ -116,7 +114,7 @@ ClipObservation ClipEngine::aggregate(std::vector<FrameObservation> frames) cons
   ClipObservation clip;
   clip.frames = std::move(frames);
   clip.airborne.reserve(clip.frames.size());
-  GroundMonitor ground(config_.lift_threshold_px, config_.ground_calibration_frames);
+  GroundMonitor ground;
   for (const FrameObservation& obs : clip.frames) {
     const bool flying = ground.airborne(obs.bottom_row);
     clip.airborne.push_back(flying);

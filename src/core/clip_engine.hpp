@@ -77,6 +77,9 @@ class WorkerPool {
   std::exception_ptr error_ SLJ_GUARDED_BY(mutex_);
 };
 
+/// The airborne flag comes from a GroundMonitor with a constant lift
+/// threshold and calibration window; pose::StageTracker is the one rule
+/// that turns it into stage bounds.
 struct ClipEngineConfig {
   /// Worker threads; 0 = hardware concurrency.
   unsigned workers = 0;
@@ -85,11 +88,6 @@ struct ClipEngineConfig {
   /// traded for clip-level parallelism in batch calls.
   bool use_tracker = false;
   detect::TrackerConfig tracker;
-  /// GroundMonitor lift threshold (px) for the airborne flag.
-  int lift_threshold_px = 3;
-  /// Grounded frames the ground line is calibrated over (max of their
-  /// bottom rows), guarding against one noisy first frame.
-  int ground_calibration_frames = GroundMonitor::kDefaultCalibrationFrames;
 };
 
 /// Everything the engine derives from one clip: per-frame observations plus
@@ -109,8 +107,6 @@ struct ClipObservation {
 
 class ClipEngine {
  public:
-  /// Throws std::invalid_argument for an invalid config (e.g.
-  /// ground_calibration_frames < 1) before any frame is processed.
   explicit ClipEngine(PipelineParams params = {}, ClipEngineConfig config = {});
 
   const ClipEngineConfig& config() const { return config_; }

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -44,31 +43,27 @@ struct FrameObservation {
 /// the first frames of a clip and reports when the silhouette's lowest
 /// point has left it.
 ///
-/// Calibration spans the first `calibration_frames` grounded frames: the
+/// Calibration spans the first kCalibrationFrames grounded frames: the
 /// ground line is the max (lowest point in image coordinates) of their
 /// bottom rows, so one under-segmented first frame — legs clipped, bottom
 /// row too high — can no longer mis-flag the whole clip airborne. Frames
 /// already assessed airborne against the running estimate never extend the
 /// calibration, which keeps a jump that starts early from dragging the
 /// ground line up into the air. Flags stay streaming: each frame is judged
-/// against the estimate as of that frame, never retroactively.
+/// against the estimate as of that frame, never retroactively. The flag
+/// feeds pose::StageTracker, the one rule that turns it into stage bounds.
 class GroundMonitor {
  public:
-  explicit GroundMonitor(int lift_threshold_px = 3, int calibration_frames = kDefaultCalibrationFrames)
-      : threshold_(lift_threshold_px), calibration_frames_(calibration_frames) {
-    if (calibration_frames < 1) {
-      throw std::invalid_argument("GroundMonitor: calibration_frames must be >= 1");
-    }
-  }
-
+  /// Rows the lowest point must rise above the ground line to be airborne.
+  static constexpr int kLiftThresholdPx = 3;
   /// Grounded frames the ground line is calibrated over.
-  static constexpr int kDefaultCalibrationFrames = 5;
+  static constexpr int kCalibrationFrames = 5;
 
   /// Feeds one frame's bottom row; returns the airborne flag for it.
   bool airborne(int bottom_row) {
     if (bottom_row < 0) return ground_row_ >= 0 && last_airborne_;
-    const bool flying = ground_row_ >= 0 && bottom_row < ground_row_ - threshold_;
-    if (!flying && calibrated_frames_ < calibration_frames_) {
+    const bool flying = ground_row_ >= 0 && bottom_row < ground_row_ - kLiftThresholdPx;
+    if (!flying && calibrated_frames_ < kCalibrationFrames) {
       ground_row_ = std::max(ground_row_, bottom_row);
       ++calibrated_frames_;
     }
@@ -84,8 +79,6 @@ class GroundMonitor {
   }
 
  private:
-  int threshold_;
-  int calibration_frames_;
   int ground_row_ = -1;
   int calibrated_frames_ = 0;
   bool last_airborne_ = false;

@@ -15,7 +15,6 @@ StreamSession::StreamSession(const pose::PoseDbnClassifier& classifier,
     : pipeline_(params),
       config_(config),
       classifier_(&classifier),
-      ground_(config.lift_threshold_px, config.ground_calibration_frames),
       online_state_(classifier.initial_state()) {
   pipeline_.set_background(background);
   if (config_.use_tracker) tracker_.emplace(config_.tracker);

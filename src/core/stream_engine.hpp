@@ -38,16 +38,14 @@ enum class StreamDecoder {
   kFiltering,  ///< forward belief via OnlineForwardDecoder
 };
 
+/// As in ClipEngineConfig, the airborne flag comes from a GroundMonitor
+/// with constant knobs, and both decoders read it through the one
+/// pose::StageTracker rule.
 struct StreamSessionConfig {
   StreamDecoder decoder = StreamDecoder::kOnline;
   /// Select the jumper blob with a BlobTracker instead of largest-component.
   bool use_tracker = false;
   detect::TrackerConfig tracker;
-  /// GroundMonitor lift threshold (px) for the airborne flag.
-  int lift_threshold_px = 3;
-  /// Grounded frames the ground line is calibrated over (max of their
-  /// bottom rows), guarding against one noisy first frame.
-  int ground_calibration_frames = GroundMonitor::kDefaultCalibrationFrames;
 };
 
 /// Everything a session reports back for one pushed frame.

@@ -156,6 +156,18 @@ double PoseDbnClassifier::airborne_prob(bool airborne, Stage stage) const {
   return airborne_cpt_.prob(airborne ? 1 : 0, parents);
 }
 
+std::pair<Stage, Stage> StageTracker::push(bool airborne) {
+  if (airborne && !flight_ended_) {
+    in_flight_ = true;
+  } else if (in_flight_) {
+    in_flight_ = false;
+    flight_ended_ = true;
+  }
+  if (in_flight_) return {Stage::kInTheAir, Stage::kInTheAir};
+  if (flight_ended_) return {Stage::kLanding, Stage::kLanding};
+  return {Stage::kBeforeJumping, Stage::kJumping};
+}
+
 double PoseDbnClassifier::pose_score(PoseId pose, const FeatureCandidate& candidate,
                                      bool airborne, const SequenceState& state,
                                      Stage stage_cap) const {
@@ -189,26 +201,16 @@ double PoseDbnClassifier::pose_score(PoseId pose, const FeatureCandidate& candid
 
 FrameResult PoseDbnClassifier::classify(const std::vector<FeatureCandidate>& candidates,
                                         bool airborne, SequenceState& state) const {
-  // Advance the jumping-stage flag from the measured observable first: the
-  // first airborne frame starts "in the air", the first grounded frame
-  // after flight starts "landing". Stages never regress, and the flag also
-  // CAPS the stage: air/landing poses are unreachable until flight has
+  // Advance the jumping stage from the measured flag first (StageTracker):
+  // the stage is raised to the frame's lowest reachable stage and capped at
+  // its highest, so air/landing poses are unreachable until flight has
   // actually been observed.
   Stage stage_cap = Stage::kLanding;
   if (config_.use_stage_constraint && config_.temporal == TemporalMode::kDbn) {
-    if (airborne) {
-      state.flight_seen = true;
-      if (index_of(state.stage) < index_of(Stage::kInTheAir)) state.stage = Stage::kInTheAir;
-    } else if (state.was_airborne && state.stage == Stage::kInTheAir) {
-      state.stage = Stage::kLanding;
-    }
-    if (airborne) {
-      stage_cap = Stage::kInTheAir;
-    } else if (!state.flight_seen) {
-      stage_cap = Stage::kJumping;
-    }
+    const auto [lowest, highest] = state.stages.push(airborne);
+    if (index_of(state.stage) < index_of(lowest)) state.stage = lowest;
+    stage_cap = highest;
   }
-  state.was_airborne = airborne;
 
   FrameResult result;
   result.stage = state.stage;

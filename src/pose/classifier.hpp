@@ -13,7 +13,9 @@
 // conditioned on the previous frame's predicted pose and on the jumping
 // stage flag; stage transitions are monotone (before → jumping → air →
 // landing), which encodes the paper's "before-jumping and landing poses
-// cannot occur consecutively".
+// cannot occur consecutively". StageTracker is the one rule that turns the
+// measured flag into the stages a frame may reach; the classifier and both
+// sequence decoders (decoders.hpp) read it.
 //
 // Class imbalance — every pose except the dominant "standing & hands swung
 // forward" must clear an acceptance threshold Th_Pose; frames where nothing
@@ -23,6 +25,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "bayes/network.hpp"
@@ -66,6 +69,25 @@ struct ClassifierConfig {
   /// Paper's Unknown rule: feed the most recently recognized pose forward
   /// instead of Unknown. Disable for the A5 ablation.
   bool carry_last_recognized = true;
+};
+
+/// The flag→stage rule: feed the measured airborne flag one frame at a
+/// time; each push returns the [lowest, highest] stage that frame may reach.
+/// Before flight the stage is at most "jumping"; during flight exactly "in
+/// the air"; once flight has ended, exactly "landing" — permanently. A
+/// spurious airborne flag after landing (bounce, segmentation noise) must
+/// not reopen "in the air": with the monotone stage discipline that would
+/// make every state unreachable.
+class StageTracker {
+ public:
+  /// Consumes the next frame's measured flag; returns its stage bounds.
+  std::pair<Stage, Stage> push(bool airborne);
+
+  void reset() { *this = StageTracker(); }
+
+ private:
+  bool in_flight_ = false;
+  bool flight_ended_ = false;
 };
 
 /// Per-frame classification output.
@@ -115,8 +137,7 @@ class PoseDbnClassifier {
     PoseId prev = kResetPose;      ///< pose fed into the DBN as "previous"
     Stage stage = Stage::kBeforeJumping;
     bool prev_known = true;        ///< false after Unknown when carry rule is off
-    bool was_airborne = false;     ///< last frame's measured flag
-    bool flight_seen = false;      ///< a measured-airborne frame has occurred
+    StageTracker stages;           ///< the measured flags seen so far
   };
 
   SequenceState initial_state() const { return {}; }

@@ -46,32 +46,7 @@ std::vector<double> frame_log_emission(const PoseDbnClassifier& clf,
   return emission;
 }
 
-}  // namespace
-
-std::pair<Stage, Stage> StageBoundsTracker::push(bool airborne) {
-  if (flight_ended_) return {Stage::kLanding, Stage::kLanding};
-  if (airborne) {
-    in_flight_ = true;
-  } else if (in_flight_) {
-    in_flight_ = false;
-    flight_ended_ = true;
-  }
-  if (in_flight_) return {Stage::kInTheAir, Stage::kInTheAir};
-  if (flight_ended_) return {Stage::kLanding, Stage::kLanding};
-  return {Stage::kBeforeJumping, Stage::kJumping};
-}
-
-std::vector<std::pair<Stage, Stage>> stage_bounds_from_flags(const std::vector<bool>& airborne) {
-  std::vector<std::pair<Stage, Stage>> bounds;
-  bounds.reserve(airborne.size());
-  StageBoundsTracker tracker;
-  for (const bool air : airborne) bounds.push_back(tracker.push(air));
-  return bounds;
-}
-
 // ---- OnlineForwardDecoder --------------------------------------------------
-
-namespace {
 
 /// Time-invariant transition potentials P(pose_t | pose_{t-1}, stage_t) ·
 /// P(stage_t | stage_{t-1}) with the "stages never regress" gate. The
@@ -113,7 +88,7 @@ OnlineForwardDecoder::OnlineForwardDecoder(const PoseDbnClassifier& classifier)
 
 FrameResult OnlineForwardDecoder::push(const std::vector<FeatureCandidate>& candidates,
                                        bool airborne) {
-  const auto bounds = bounds_.push(airborne);
+  const auto bounds = stages_.push(airborne);
   return push_emission(frame_log_emission(*classifier_, candidates, airborne, bounds));
 }
 
@@ -134,7 +109,7 @@ FrameResult OnlineForwardDecoder::push_emission(std::span<const double> log_emis
 
 void OnlineForwardDecoder::reset() {
   filter_.reset();
-  bounds_.reset();
+  stages_.reset();
   frames_ = 0;
 }
 
@@ -164,13 +139,16 @@ std::vector<FrameResult> decode_sequence(const PoseDbnClassifier& classifier,
   }
 
   // Viterbi: max-product over the whole clip.
-  const auto bounds = stage_bounds_from_flags(airborne);
+  StageTracker stages;
+  std::vector<std::pair<Stage, Stage>> bounds;
   std::vector<std::vector<double>> emission;
+  bounds.reserve(static_cast<std::size_t>(T));
   emission.reserve(static_cast<std::size_t>(T));
   for (int t = 0; t < T; ++t) {
-    emission.push_back(frame_log_emission(classifier, clip[static_cast<std::size_t>(t)],
-                                          airborne[static_cast<std::size_t>(t)],
-                                          bounds[static_cast<std::size_t>(t)]));
+    const bool air = airborne[static_cast<std::size_t>(t)];
+    bounds.push_back(stages.push(air));
+    emission.push_back(
+        frame_log_emission(classifier, clip[static_cast<std::size_t>(t)], air, bounds.back()));
   }
 
   const auto log_transition = [&](int t, int from, int to) {

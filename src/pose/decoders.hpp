@@ -11,10 +11,10 @@
 //    Per-frame confidence is the forward (filtering) marginal of the path
 //    state, not a hard-coded certainty.
 //
-// All modes share the classifier's learned CPTs and the measured
-// jumping-stage flag discipline (stages never regress; air/landing gated by
-// the flag, and once flight has ended the stage is clamped to landing so a
-// spurious late airborne flag cannot reopen it).
+// All modes share the classifier's learned CPTs and its one flag→stage
+// rule, StageTracker (classifier.hpp): stages never regress, air/landing
+// are gated by the measured flag, and once flight has ended the stage is
+// clamped to landing so a spurious late airborne flag cannot reopen it.
 #pragma once
 
 #include <span>
@@ -30,28 +30,6 @@ enum class SequenceDecoder {
   kFiltering,  ///< forward belief propagation, MAP per frame
   kViterbi,    ///< offline max-product over the whole clip
 };
-
-/// Incremental form of the flag-implied stage bounds: feed airborne flags
-/// one frame at a time. Before flight the stage is at most "jumping";
-/// during flight exactly "in the air"; once flight has ended, exactly
-/// "landing" — permanently. A spurious airborne flag after landing (bounce,
-/// segmentation noise) must not reopen "in the air": with the monotone
-/// stage discipline that would make every state unreachable.
-class StageBoundsTracker {
- public:
-  /// Consumes the next frame's measured flag; returns its stage bounds.
-  std::pair<Stage, Stage> push(bool airborne);
-
-  void reset() { *this = StageBoundsTracker(); }
-
- private:
-  bool in_flight_ = false;
-  bool flight_ended_ = false;
-};
-
-/// Per-frame stage bounds for a whole flag sequence (StageBoundsTracker
-/// replayed over it).
-std::vector<std::pair<Stage, Stage>> stage_bounds_from_flags(const std::vector<bool>& airborne);
 
 /// Streaming forward (filtering) decoder over the pose chain, built on
 /// bayes::ForwardFilter: one push per frame updates the belief in O(poses²)
@@ -85,7 +63,7 @@ class OnlineForwardDecoder {
  private:
   const PoseDbnClassifier* classifier_;
   bayes::ForwardFilter filter_;
-  StageBoundsTracker bounds_;
+  StageTracker stages_;
   std::size_t frames_ = 0;
 };
 

@@ -341,8 +341,8 @@ void put_session_config(std::string& out, const TraceSessionConfig& c) {
   put_i64(out, c.idle_timeout_ns);
   put_u8(out, static_cast<std::uint8_t>(c.decoder));
   put_u8(out, c.use_tracker ? 1 : 0);
-  put_i32(out, c.lift_threshold_px);
-  put_i32(out, c.ground_calibration_frames);
+  put_i32(out, core::GroundMonitor::kLiftThresholdPx);
+  put_i32(out, core::GroundMonitor::kCalibrationFrames);
 }
 
 TraceSessionConfig get_session_config(ByteReader& in) {
@@ -354,10 +354,12 @@ TraceSessionConfig get_session_config(ByteReader& in) {
   c.idle_timeout_ns = in.i64();
   c.decoder = decoder_from_u8(in.u8());
   c.use_tracker = in.u8() != 0;
-  c.lift_threshold_px = in.i32();
-  c.ground_calibration_frames = in.i32();
-  // The session refuses to calibrate on fewer than one frame.
-  if (c.ground_calibration_frames < 1) fail("invalid ground calibration frame count");
+  // The ground line's knobs are constants, still written for format
+  // compatibility; any other value is a corrupt record.
+  if (in.i32() != core::GroundMonitor::kLiftThresholdPx) fail("invalid ground lift threshold");
+  if (in.i32() != core::GroundMonitor::kCalibrationFrames) {
+    fail("invalid ground calibration frame count");
+  }
   return c;
 }
 
@@ -538,8 +540,6 @@ TraceSessionConfig to_trace_config(const ingest::IngestSessionConfig& config) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(config.idle_timeout).count();
   c.decoder = config.session.decoder;
   c.use_tracker = config.session.use_tracker;
-  c.lift_threshold_px = config.session.lift_threshold_px;
-  c.ground_calibration_frames = config.session.ground_calibration_frames;
   return c;
 }
 
@@ -547,8 +547,6 @@ core::StreamSessionConfig to_stream_config(const TraceSessionConfig& config) {
   core::StreamSessionConfig c;
   c.decoder = config.decoder;
   c.use_tracker = config.use_tracker;
-  c.lift_threshold_px = config.lift_threshold_px;
-  c.ground_calibration_frames = config.ground_calibration_frames;
   return c;
 }
 

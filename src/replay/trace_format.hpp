@@ -73,8 +73,6 @@ struct TraceSessionConfig {
   std::int64_t idle_timeout_ns = 0;
   core::StreamDecoder decoder = core::StreamDecoder::kOnline;
   bool use_tracker = false;
-  int lift_threshold_px = 3;
-  int ground_calibration_frames = core::GroundMonitor::kDefaultCalibrationFrames;
 };
 
 TraceSessionConfig to_trace_config(const ingest::IngestSessionConfig& config);

@@ -124,7 +124,9 @@ TEST(Classifier, StageNeverRegressesAndFlagGatesAir) {
   // Airborne observation forces the stage to "in the air".
   clf.classify({make_candidate(clf.encoder(), 2, 2, 0, 6, 6)}, true, state);
   EXPECT_EQ(state.stage, Stage::kInTheAir);
-  EXPECT_TRUE(state.flight_seen);
+  // The state's tracker has seen the flight: only landing stays reachable.
+  StageTracker after = state.stages;
+  EXPECT_EQ(after.push(false), (std::pair{Stage::kLanding, Stage::kLanding}));
   // Grounded after flight → landing.
   clf.classify({make_candidate(clf.encoder(), 2, 2, 0, 6, 6)}, false, state);
   EXPECT_EQ(state.stage, Stage::kLanding);

@@ -124,13 +124,6 @@ TEST(ClipEngine, CandidateSetsMatchFrameCandidates) {
   }
 }
 
-TEST(ClipEngine, RejectsInvalidConfigAtConstruction) {
-  // Rejected up front, as StreamSession does, not after a whole frame pass.
-  ClipEngineConfig config;
-  config.ground_calibration_frames = 0;
-  EXPECT_THROW(ClipEngine({}, config), std::invalid_argument);
-}
-
 TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
   WorkerPool pool(4);
   constexpr std::size_t kCount = 1000;

@@ -6,7 +6,7 @@ namespace slj::core {
 namespace {
 
 TEST(GroundMonitor, UncalibratedEmptyFramesStayGrounded) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   // Empty frames before any silhouette: no ground line yet (bottom_row = -1
   // from the pipeline), so the jumper cannot be airborne.
   EXPECT_FALSE(monitor.airborne(-1));
@@ -18,24 +18,18 @@ TEST(GroundMonitor, UncalibratedEmptyFramesStayGrounded) {
 }
 
 TEST(GroundMonitor, ThresholdBoundaryIsExclusive) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   monitor.airborne(100);  // calibrate: ground_row = 100
+  const int line = 100 - GroundMonitor::kLiftThresholdPx;
   // bottom_row == ground_row - threshold is *not* airborne (strict <).
-  EXPECT_FALSE(monitor.airborne(97));
-  EXPECT_TRUE(monitor.airborne(96));
+  EXPECT_FALSE(monitor.airborne(line));
+  EXPECT_TRUE(monitor.airborne(line - 1));
   // One pixel back down across the boundary lands again.
-  EXPECT_FALSE(monitor.airborne(97));
-}
-
-TEST(GroundMonitor, ZeroThresholdLiftsOnAnyRise) {
-  GroundMonitor monitor(0);
-  monitor.airborne(50);
-  EXPECT_FALSE(monitor.airborne(50));
-  EXPECT_TRUE(monitor.airborne(49));
+  EXPECT_FALSE(monitor.airborne(line));
 }
 
 TEST(GroundMonitor, ResetForgetsCalibrationAndFlight) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   monitor.airborne(100);
   EXPECT_TRUE(monitor.airborne(80));
   monitor.reset();
@@ -49,7 +43,7 @@ TEST(GroundMonitor, ResetForgetsCalibrationAndFlight) {
 }
 
 TEST(GroundMonitor, EmptyFrameCarriesLastFlagOnlyWhileCalibrated) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   monitor.airborne(100);
   EXPECT_TRUE(monitor.airborne(90));
   // Mid-flight dropout (segmentation lost the jumper): stay airborne.
@@ -61,7 +55,7 @@ TEST(GroundMonitor, EmptyFrameCarriesLastFlagOnlyWhileCalibrated) {
 }
 
 TEST(GroundMonitor, DescendingBelowGroundLineNeverAirborne) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   monitor.airborne(100);
   // Rows *below* the calibrated line (larger y) are grounded, not flight.
   EXPECT_FALSE(monitor.airborne(110));
@@ -74,7 +68,7 @@ TEST(GroundMonitor, NoisyFirstFrameNoLongerFlagsWholeClipAirborne) {
   // made every later standing frame read as airborne. Calibration now spans
   // the first K grounded frames taking the max (lowest point) of their
   // bottom rows.
-  GroundMonitor monitor(3, /*calibration_frames=*/5);
+  GroundMonitor monitor;
   EXPECT_FALSE(monitor.airborne(80));  // noisy first frame: legs clipped
   // The jumper is actually standing with feet at row 100.
   EXPECT_FALSE(monitor.airborne(100));
@@ -86,9 +80,10 @@ TEST(GroundMonitor, NoisyFirstFrameNoLongerFlagsWholeClipAirborne) {
 }
 
 TEST(GroundMonitor, CalibrationWindowCloses) {
-  GroundMonitor monitor(3, /*calibration_frames=*/2);
-  EXPECT_FALSE(monitor.airborne(100));
-  EXPECT_FALSE(monitor.airborne(100));
+  GroundMonitor monitor;
+  for (int i = 0; i < GroundMonitor::kCalibrationFrames; ++i) {
+    EXPECT_FALSE(monitor.airborne(100));
+  }
   // Window consumed: a later deeper row (crouch past the line, or a shadow)
   // no longer drags the calibration down.
   EXPECT_FALSE(monitor.airborne(140));
@@ -98,31 +93,28 @@ TEST(GroundMonitor, CalibrationWindowCloses) {
 TEST(GroundMonitor, AirborneFramesDoNotConsumeCalibration) {
   // A jump that starts inside the calibration window must not freeze the
   // window: flight frames are skipped, later grounded frames still refine.
-  GroundMonitor monitor(3, /*calibration_frames=*/3);
+  static_assert(GroundMonitor::kCalibrationFrames == 5);
+  GroundMonitor monitor;
   EXPECT_FALSE(monitor.airborne(98));   // slightly clipped first frame
   EXPECT_TRUE(monitor.airborne(80));    // take-off
   EXPECT_TRUE(monitor.airborne(70));
   EXPECT_EQ(monitor.ground_row(), 98);  // flight did not move the line
   EXPECT_FALSE(monitor.airborne(100));  // landing, deeper than frame 0
   EXPECT_EQ(monitor.ground_row(), 100);
-  EXPECT_FALSE(monitor.airborne(101));  // third grounded frame closes it
+  EXPECT_FALSE(monitor.airborne(100));
+  EXPECT_FALSE(monitor.airborne(100));
+  EXPECT_FALSE(monitor.airborne(101));  // fifth grounded frame closes it
   EXPECT_FALSE(monitor.airborne(140));
   EXPECT_EQ(monitor.ground_row(), 101);
 }
 
 TEST(GroundMonitor, ResetReopensCalibrationWindow) {
-  GroundMonitor monitor(3, /*calibration_frames=*/2);
-  monitor.airborne(100);
-  monitor.airborne(100);
+  GroundMonitor monitor;
+  for (int i = 0; i < GroundMonitor::kCalibrationFrames; ++i) monitor.airborne(100);
   monitor.reset();
   EXPECT_FALSE(monitor.airborne(50));
   EXPECT_FALSE(monitor.airborne(60));
   EXPECT_EQ(monitor.ground_row(), 60);
-}
-
-TEST(GroundMonitor, RejectsNonPositiveCalibrationWindow) {
-  EXPECT_THROW(GroundMonitor(3, 0), std::invalid_argument);
-  EXPECT_THROW(GroundMonitor(3, -2), std::invalid_argument);
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST(FramePipeline, ProcessSilhouetteSkipsSegmentation) {
 }
 
 TEST(GroundMonitor, CalibratesAndDetectsLift) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   EXPECT_FALSE(monitor.airborne(100));  // calibration frame
   EXPECT_EQ(monitor.ground_row(), 100);
   EXPECT_FALSE(monitor.airborne(99));   // within threshold
@@ -132,7 +132,7 @@ TEST(GroundMonitor, CalibratesAndDetectsLift) {
 }
 
 TEST(GroundMonitor, EmptyFrameKeepsLastState) {
-  GroundMonitor monitor(3);
+  GroundMonitor monitor;
   monitor.airborne(100);
   EXPECT_TRUE(monitor.airborne(80));
   EXPECT_TRUE(monitor.airborne(-1));  // no silhouette: stay airborne

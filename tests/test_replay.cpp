@@ -21,6 +21,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ingest/ingest_service.hpp"
@@ -543,6 +544,35 @@ TEST(TraceFormat, RejectsBadMagicAndVersion) {
     bad[i] = static_cast<char>(bad[i] ^ 0x5a);
     write_file(path, bad);
     EXPECT_THROW(load_trace(path), std::runtime_error) << "header byte " << i;
+  }
+}
+
+TEST(TraceFormat, RejectsGroundLineValuesOtherThanTheConstants) {
+  Trace trace;
+  OpenRecord open;
+  open.session = 0;
+  open.background = std::make_shared<const RgbImage>(4, 2, Rgb{10, 20, 30});
+  trace.records.emplace_back(open);
+  const std::string path = temp_path("ground_constants.sljtrace");
+  save_trace(trace, path);
+  const std::string good = read_file(path);
+
+  // Header (12) + length prefix (4) + type (1) + t_ns (8) + session (4) +
+  // the 35 session-config bytes before its two ground-line i32s.
+  constexpr std::size_t kLift = 12 + 4 + 1 + 8 + 4 + 35;
+  constexpr std::size_t kCalibration = kLift + 4;
+  ASSERT_EQ(good[kLift], core::GroundMonitor::kLiftThresholdPx);
+  ASSERT_EQ(good[kCalibration], core::GroundMonitor::kCalibrationFrames);
+  EXPECT_NO_THROW(load_trace(path));
+
+  const std::pair<std::size_t, char> corruptions[] = {
+      {kLift, 2}, {kLift, 4}, {kCalibration, 0}, {kCalibration, 6}};
+  for (const auto& [offset, value] : corruptions) {
+    std::string bad = good;
+    bad[offset] = value;
+    write_file(path, bad);
+    EXPECT_THROW(load_trace(path), std::runtime_error)
+        << "byte " << offset << " = " << static_cast<int>(value);
   }
 }
 
