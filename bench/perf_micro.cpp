@@ -6,7 +6,9 @@
 
 #include "core/analyzer.hpp"
 #include "core/trainer.hpp"
+#include "imaging/connected.hpp"
 #include "imaging/filters.hpp"
+#include "imaging/morphology.hpp"
 #include "skelgraph/artifacts.hpp"
 #include "skelgraph/simplify.hpp"
 #include "synth/dataset.hpp"
@@ -41,6 +43,26 @@ const core::FrameObservation& mid_observation() {
   return obs;
 }
 
+/// The extractor's intermediate masks for the mid frame: what the median,
+/// the largest-component pass and the hole fill each take as input.
+struct MidMasks {
+  BinaryImage raw_mask;  ///< thresholded D (median input)
+  BinaryImage smoothed;  ///< median output (largest-component input)
+  BinaryImage largest;   ///< largest component (hole-fill input)
+};
+
+const MidMasks& mid_masks() {
+  static const MidMasks masks = [] {
+    seg::ObjectExtractor extractor;
+    extractor.set_background(bench_clip().background);
+    FrameWorkspace ws;
+    BinaryImage sil;
+    extractor.extract_into(mid_frame(), ws, sil);
+    return MidMasks{ws.raw_mask, ws.smoothed, ws.largest};
+  }();
+  return masks;
+}
+
 void BM_ExtractInto(benchmark::State& state) {
   seg::ObjectExtractor extractor;
   extractor.set_background(bench_clip().background);
@@ -52,16 +74,48 @@ void BM_ExtractInto(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractInto);
 
+void BM_DifferenceInto(benchmark::State& state) {
+  seg::ObjectExtractor extractor;
+  extractor.set_background(bench_clip().background);
+  FrameWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extractor.difference_into(mid_frame(), ws));
+  }
+}
+BENCHMARK(BM_DifferenceInto);
+
 void BM_MedianFilterBinaryInto(benchmark::State& state) {
-  const BinaryImage& sil = mid_observation().silhouette;
+  const BinaryImage& raw = mid_masks().raw_mask;
   FrameWorkspace ws;
   BinaryImage smoothed;
   for (auto _ : state) {
-    median_filter_binary_into(sil, 5, ws.mask_integral, ws.median_colsum, smoothed);
+    median_filter_binary_into(raw, 5, ws.mask_integral, ws.median_colsum, smoothed);
     benchmark::DoNotOptimize(smoothed.data().data());
   }
 }
 BENCHMARK(BM_MedianFilterBinaryInto);
+
+void BM_LargestComponentInto(benchmark::State& state) {
+  const BinaryImage& smoothed = mid_masks().smoothed;
+  FrameWorkspace ws;
+  BinaryImage largest;
+  for (auto _ : state) {
+    largest_component_into(smoothed, true, ws.labeling, ws.pixel_stack, largest);
+    benchmark::DoNotOptimize(largest.data().data());
+  }
+}
+BENCHMARK(BM_LargestComponentInto);
+
+void BM_FillHolesInto(benchmark::State& state) {
+  const BinaryImage& largest = mid_masks().largest;
+  FrameWorkspace ws;
+  BinaryImage filled;
+  for (auto _ : state) {
+    fill_holes_into(largest, ws.reached, ws.flood_stack, filled);
+    benchmark::DoNotOptimize(filled.data().data());
+  }
+}
+BENCHMARK(BM_FillHolesInto);
 
 void BM_ZhangSuenThinInto(benchmark::State& state) {
   const BinaryImage& sil = mid_observation().silhouette;

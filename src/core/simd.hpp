@@ -17,20 +17,12 @@
 // SIMD-vs-scalar property suites compare against, and what ships when
 // SLJ_SIMD=OFF.
 //
-// Bit-identity contract. The vision kernels are integer-domain: every value
-// flowing through these vectors is either a small integer widened to double
-// (pixel sums in a summed-area table — exact in IEEE double far beyond any
-// supported image size) or the result of per-lane IEEE arithmetic on such
-// values. Under that precondition the SIMD paths are bit-identical to the
-// scalar paths, because:
-//   * lane-wise +, -, *, / , min/max and |x| are single correctly-rounded
-//     IEEE operations, identical to their scalar counterparts;
-//   * inclusive_scan() reassociates additions, which is only exact — and
-//     therefore only permitted — for integer-exact values (asserted in the
-//     kernels' contracts, not checkable here);
-//   * max-reductions are order-independent for any total order (no NaNs in
-//     the integer domain).
-// Nothing here may introduce FMA contraction: each operation maps to one
+// Bit-identity contract. The SIMD paths are bit-identical to the scalar
+// paths because every operation here is either integer arithmetic on exact
+// small counts (VecU16: window sums of 8-bit pixels) or a lane-wise IEEE
+// double +, -, *, /, min/max or |x| — each a single correctly-rounded
+// operation, identical to its scalar counterpart. Nothing here may
+// introduce FMA contraction or reassociation: each operation maps to one
 // explicit non-fused instruction.
 #pragma once
 
@@ -96,8 +88,6 @@ struct VecF64<ScalarBackend> {
 
   static VecF64 load(const double* p) { return {*p}; }
   static VecF64 broadcast(double x) { return {x}; }
-  /// Loads kLanes int32 values widened to double (exact conversion).
-  static VecF64 load_i32(const std::int32_t* p) { return {static_cast<double>(*p)}; }
   void store(double* p) const { *p = v; }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {a.v + b.v}; }
@@ -108,15 +98,6 @@ struct VecF64<ScalarBackend> {
   VecF64 abs() const { return {std::fabs(v)}; }
   static VecF64 max(VecF64 a, VecF64 b) { return {a.v > b.v ? a.v : b.v}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {a.v < b.v ? a.v : b.v}; }
-
-  double reduce_max() const { return v; }
-
-  /// Lane-wise inclusive prefix sum. Exact (hence bit-identical to a scalar
-  /// running sum) only when every lane holds an integer-exact value; callers
-  /// must guarantee that.
-  VecF64 inclusive_scan() const { return *this; }
-  /// Broadcast of the highest lane (the scan's carry-out).
-  VecF64 broadcast_last() const { return *this; }
 
   /// Writes kLanes bytes: out[i] = (a[i] >= b[i]) ? 1 : 0.
   static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
@@ -132,9 +113,6 @@ struct VecF64<Sse2Backend> {
 
   static VecF64 load(const double* p) { return {_mm_loadu_pd(p)}; }
   static VecF64 broadcast(double x) { return {_mm_set1_pd(x)}; }
-  static VecF64 load_i32(const std::int32_t* p) {
-    return {_mm_cvtepi32_pd(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)))};
-  }
   void store(double* p) const { _mm_storeu_pd(p, v); }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm_add_pd(a.v, b.v)}; }
@@ -149,19 +127,6 @@ struct VecF64<Sse2Backend> {
   }
   static VecF64 max(VecF64 a, VecF64 b) { return {_mm_max_pd(b.v, a.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {_mm_min_pd(b.v, a.v)}; }
-
-  double reduce_max() const {
-    const __m128d hi = _mm_unpackhi_pd(v, v);
-    const __m128d m = _mm_max_sd(hi, v);
-    return _mm_cvtsd_f64(m);
-  }
-
-  VecF64 inclusive_scan() const {
-    // [v0, v1] -> [v0, v0+v1]; exact for integer-exact lanes.
-    const __m128d shifted = _mm_castsi128_pd(_mm_slli_si128(_mm_castpd_si128(v), 8));
-    return {_mm_add_pd(v, shifted)};
-  }
-  VecF64 broadcast_last() const { return {_mm_unpackhi_pd(v, v)}; }
 
   static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
     const int bits = _mm_movemask_pd(_mm_cmpge_pd(a.v, b.v));
@@ -179,9 +144,6 @@ struct VecF64<Avx2Backend> {
 
   static VecF64 load(const double* p) { return {_mm256_loadu_pd(p)}; }
   static VecF64 broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  static VecF64 load_i32(const std::int32_t* p) {
-    return {_mm256_cvtepi32_pd(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
-  }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
@@ -195,29 +157,6 @@ struct VecF64<Avx2Backend> {
   }
   static VecF64 max(VecF64 a, VecF64 b) { return {_mm256_max_pd(b.v, a.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {_mm256_min_pd(b.v, a.v)}; }
-
-  double reduce_max() const {
-    const __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    const __m128d m2 = _mm_max_pd(lo, hi);
-    const __m128d m1 = _mm_max_sd(_mm_unpackhi_pd(m2, m2), m2);
-    return _mm_cvtsd_f64(m1);
-  }
-
-  VecF64 inclusive_scan() const {
-    // Hillis–Steele: shift-by-1 then shift-by-2 lane adds. Reassociates the
-    // sum, so exact only for integer-exact lanes (the callers' contract).
-    const __m256d z = _mm256_setzero_pd();
-    // t = v + (v << 1 lane)
-    __m256d s1 = _mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 0));
-    s1 = _mm256_blend_pd(s1, z, 0x1);
-    const __m256d t = _mm256_add_pd(v, s1);
-    // r = t + (t << 2 lanes)
-    __m256d s2 = _mm256_permute4x64_pd(t, _MM_SHUFFLE(1, 0, 0, 0));
-    s2 = _mm256_blend_pd(s2, z, 0x3);
-    return {_mm256_add_pd(t, s2)};
-  }
-  VecF64 broadcast_last() const { return {_mm256_permute4x64_pd(v, _MM_SHUFFLE(3, 3, 3, 3))}; }
 
   static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
     const int bits = _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ));
@@ -237,9 +176,6 @@ struct VecF64<NeonBackend> {
 
   static VecF64 load(const double* p) { return {vld1q_f64(p)}; }
   static VecF64 broadcast(double x) { return {vdupq_n_f64(x)}; }
-  static VecF64 load_i32(const std::int32_t* p) {
-    return {vcvtq_f64_s64(vmovl_s32(vld1_s32(p)))};
-  }
   void store(double* p) const { vst1q_f64(p, v); }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {vaddq_f64(a.v, b.v)}; }
@@ -250,14 +186,6 @@ struct VecF64<NeonBackend> {
   VecF64 abs() const { return {vabsq_f64(v)}; }
   static VecF64 max(VecF64 a, VecF64 b) { return {vmaxq_f64(a.v, b.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {vminq_f64(a.v, b.v)}; }
-
-  double reduce_max() const { return vmaxvq_f64(v); }
-
-  VecF64 inclusive_scan() const {
-    const float64x2_t shifted = vextq_f64(vdupq_n_f64(0.0), v, 1);
-    return {vaddq_f64(v, shifted)};
-  }
-  VecF64 broadcast_last() const { return {vdupq_laneq_f64(v, 1)}; }
 
   static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
     const uint64x2_t ge = vcgeq_f64(a.v, b.v);
@@ -336,10 +264,10 @@ inline int u8_lanes() { return VecU8<Active>::kLanes; }
 
 // ---- VecU16: a fixed-width vector of 16-bit pixel counts -------------------
 //
-// Backs the separable integer box filters (the binary median's sliding
-// column counts). Counts are exact small integers; callers must keep every
-// lane at or below 32767 — the x86 backends compare signed, and the kernels
-// guard their window sizes so signed and unsigned compares agree.
+// Backs the separable integer box sums (the extractor's RGB window sums and
+// the binary median's counts). Lanes wrap at 2^16, so callers bound their
+// sums below that; store_gt01 compares signed on x86, so its inputs must
+// stay at or below 32767 (the median guards its window size for this).
 
 template <class Backend>
 struct VecU16;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/simd.hpp"
-#include "imaging/frame_workspace.hpp"
 #include "imaging/integral.hpp"
 #include "imaging/row_kernels.hpp"
 
@@ -19,17 +18,17 @@ void require_odd(int k) {
 
 // Summed-area-table binary median: the serial pointer walk builds the mask's
 // table (exact small-integer sums, bit-identical to IntegralImage::assign),
-// then every pixel reads its clamped window off it, interior pixels
-// vectorized. The reference median_filter_binary and the k > 127 fallback.
+// then every pixel reads its clamped window off it. The reference
+// median_filter_binary and the k > 127 fallback.
 void median_filter_binary_sat(const BinaryImage& img, int k, IntegralImage& integral,
                               BinaryImage& out) {
   const int w = img.width();
   const int h = img.height();
   const std::size_t stride = static_cast<std::size_t>(w) + 1;
   const std::uint8_t* src = img.data().data();
-  double* tab_mut = integral.raw_prepare(w, h);
+  double* tab = integral.raw_prepare(w, h);
   for (int y = 0; y < h; ++y) {
-    double* row = tab_mut + (static_cast<std::size_t>(y) + 1) * stride;
+    double* row = tab + (static_cast<std::size_t>(y) + 1) * stride;
     const double* prev = row - stride;
     double row_sum = 0.0;
     const std::uint8_t* s = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
@@ -39,43 +38,19 @@ void median_filter_binary_sat(const BinaryImage& img, int k, IntegralImage& inte
     }
   }
   const int half = k / 2;
-  const double interior_area = static_cast<double>(k) * static_cast<double>(k);
-  const double* tab = integral.raw();
   out.resize_discard(w, h);
   std::uint8_t* d = out.data().data();
-  using V = simd::VecF64<simd::Active>;
-  const V v2 = V::broadcast(2.0);
-  const V varea = V::broadcast(interior_area);
   // Upper median of a 0/1 population (ties resolve to 1, matching the
   // grayscale median's index-count/2 element).
-  const auto clamped_pixel = [&](int x, int y) {
-    const int x0 = std::max(x - half, 0);
-    const int y0 = std::max(y - half, 0);
-    const int x1 = std::min(x + half, w - 1);
-    const int y1 = std::min(y + half, h - 1);
-    const double area = static_cast<double>(x1 - x0 + 1) * (y1 - y0 + 1);
-    *d++ = integral.sum(x0, y0, x1, y1) * 2.0 >= area ? 1 : 0;
-  };
   for (int y = 0; y < h; ++y) {
-    if (y < half || y + half >= h) {
-      for (int x = 0; x < w; ++x) clamped_pixel(x, y);
-      continue;
+    const int y0 = std::max(y - half, 0);
+    const int y1 = std::min(y + half, h - 1);
+    for (int x = 0; x < w; ++x) {
+      const int x0 = std::max(x - half, 0);
+      const int x1 = std::min(x + half, w - 1);
+      const double area = static_cast<double>(x1 - x0 + 1) * (y1 - y0 + 1);
+      *d++ = integral.sum(x0, y0, x1, y1) * 2.0 >= area ? 1 : 0;
     }
-    int x = 0;
-    for (; x < half && x < w; ++x) clamped_pixel(x, y);
-    const std::size_t r0 = static_cast<std::size_t>(y - half) * stride;
-    const std::size_t r1 = static_cast<std::size_t>(y + half + 1) * stride;
-    const int x_end = w - half;
-    for (; x + V::kLanes <= x_end; x += V::kLanes) {
-      const std::size_t c0 = static_cast<std::size_t>(x - half);
-      const std::size_t c1 = static_cast<std::size_t>(x + half + 1);
-      V::store_ge01(rowk::window_sum_vec<simd::Active>(tab, r0, r1, c0, c1) * v2, varea, d);
-      d += V::kLanes;
-    }
-    for (; x < x_end; ++x) {
-      *d++ = interior_window_sum(tab, stride, x, y, half) * 2.0 >= interior_area ? 1 : 0;
-    }
-    for (; x < w; ++x) clamped_pixel(x, y);
   }
 }
 

@@ -50,30 +50,14 @@ class IntegralImage {
 
   /// Resizes to a zeroed (width+1) × (height+1) table and returns its raw
   /// storage, for external row-major filling with the same recurrence as
-  /// assign() (the FrameWorkspace fused RGB builder). Row y of the source
-  /// lands at raw()[(y+1) * stride() + x + 1].
+  /// assign() (the binary median's table). Row y of the source lands at
+  /// entry (y+1) * (width+1) + x + 1.
   double* raw_prepare(int width, int height) {
     table_.assign(checked_table_size(width, height), 0.0);
     width_ = width;
     height_ = height;
     return table_.data();
   }
-
-  /// Like raw_prepare, but leaves every entry unspecified instead of zeroing
-  /// the table. For builders that overwrite the entire table themselves
-  /// (row 0, column 0 included) — skipping the full-table clear is a
-  /// measurable win at frame rate.
-  double* raw_prepare_discard(int width, int height) {
-    table_.resize(checked_table_size(width, height));
-    width_ = width;
-    height_ = height;
-    return table_.data();
-  }
-
-  /// Raw table access for clamp-free interior window sums; entries are laid
-  /// out as described at raw_prepare().
-  const double* raw() const { return table_.data(); }
-  std::size_t stride() const { return static_cast<std::size_t>(width_) + 1; }
 
   /// Mean of the window centred at (x, y) with side `n` (odd), clamped at
   /// image borders (the divisor is the clamped area, so border means stay

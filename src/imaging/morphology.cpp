@@ -10,25 +10,57 @@
 namespace slj {
 
 SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
-                     std::vector<std::uint32_t>& stack, BinaryImage& out) {
+                                  std::vector<std::uint32_t>& stack, BinaryImage& out) {
   const int w = img.width();
   const int h = img.height();
   out.resize_discard(w, h);
-  if (w == 0 || h == 0) return;
-  // Flood the background from the border (4-connectivity keeps diagonal
-  // silhouette boundaries watertight), then invert what was not reached.
+  std::uint8_t* dst = out.data().data();
+  std::fill(dst, dst + out.size(), 0);
+  // Bounding box [bx0, bx1) × [by0, by1) of the foreground. Every cell
+  // outside it is background connected to the image border, so only the box
+  // can hold a hole.
+  const std::uint8_t* src = img.data().data();
+  const std::size_t wn = static_cast<std::size_t>(w);
+  std::size_t bx0 = wn;
+  std::size_t bx1 = 0;
+  int by0 = h;
+  int by1 = 0;
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* row = src + static_cast<std::size_t>(y) * wn;
+    const std::size_t first = simd::find_nonzero<simd::Active>(row, wn);
+    if (first == wn) continue;
+    bx0 = std::min(bx0, first);
+    // Only foreground right of the box so far can widen it.
+    std::size_t x = std::max(first, bx1);
+    while ((x += simd::find_nonzero<simd::Active>(row + x, wn - x)) < wn) bx1 = ++x;
+    by0 = std::min(by0, y);
+    by1 = y + 1;
+  }
+  if (by0 >= by1) return;  // no foreground, no hole
+  // Flood the background from outside the box (4-connectivity keeps
+  // diagonal silhouette boundaries watertight), then fill what was not
+  // reached.
   //
-  // The flood runs on a "closed" map padded by two cells per side: the
-  // outermost ring is pre-closed sentinel (so neighbour indices never leave
-  // the array), the next ring is open border the flood is seeded from, and
-  // interior cells start closed iff the corresponding pixel is foreground.
-  // Flood order does not affect the reached set, so the filled result is
-  // identical to the original per-pixel flood.
-  const int pw = w + 4;
-  const int ph = h + 4;
+  // The flood runs on a "closed" map of the box padded by two cells per
+  // side: the outermost ring is pre-closed sentinel (so neighbour indices
+  // never leave the array), the next ring is open background the flood is
+  // seeded from — every such cell is off the image or outside the box,
+  // hence reachable from the border — and interior cells start closed iff
+  // the corresponding pixel is foreground. Any path from the border into
+  // the box crosses that ring, so the reached set, and the filled result,
+  // is the full-frame border flood's.
+  const int bw = static_cast<int>(bx1 - bx0);
+  const int bh = by1 - by0;
+  const int pw = bw + 4;
+  const int ph = bh + 4;
+  // Size the scratch for a whole-frame box up front: a growing box never
+  // reallocates, and every push closes a cell, so the stack never outgrows
+  // the map.
+  const std::size_t frame_cells = (wn + 4) * (static_cast<std::size_t>(h) + 4);
+  reached.data().reserve(frame_cells);
+  stack.reserve(frame_cells);
   reached.resize_discard(pw, ph);  // holds the closed map, not plain reach
   std::uint8_t* closed = reached.data().data();
-  const std::uint8_t* src = img.data().data();
   for (int py = 0; py < ph; ++py) {
     std::uint8_t* row = closed + static_cast<std::size_t>(py) * pw;
     if (py == 0 || py == ph - 1) {
@@ -44,9 +76,10 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
     row[1] = 0;
     row[pw - 2] = 0;
     // Any nonzero source byte closes the cell, so the row copies verbatim.
-    std::memcpy(row + 2, src + static_cast<std::size_t>(py - 2) * w, static_cast<std::size_t>(w));
+    std::memcpy(row + 2, src + static_cast<std::size_t>(by0 + py - 2) * wn + bx0,
+                static_cast<std::size_t>(bw));
   }
-  // Scanline flood from a single seed on the open border ring (the ring is
+  // Scanline flood from a single seed on the open ring (the ring is
   // 4-connected, so one seed reaches all of it). Each popped seed closes its
   // whole horizontal run, then pushes one representative per open run in the
   // rows above and below — each cell is visited O(1) times instead of once
@@ -82,13 +115,12 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
       }
     }
   }
-  // A background pixel still open is an interior hole: fill it.
-  std::uint8_t* dst = out.data().data();
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* src_row = src + static_cast<std::size_t>(y) * w;
-    const std::uint8_t* closed_row = closed + static_cast<std::size_t>(y + 2) * pw + 2;
-    simd::store_fill01_u8<simd::Active>(src_row, closed_row, dst + static_cast<std::size_t>(y) * w,
-                                        static_cast<std::size_t>(w));
+  // A box pixel still open is an interior hole: fill it.
+  for (int y = by0; y < by1; ++y) {
+    const std::size_t offset = static_cast<std::size_t>(y) * wn + bx0;
+    const std::uint8_t* closed_row = closed + static_cast<std::size_t>(y - by0 + 2) * pw + 2;
+    simd::store_fill01_u8<simd::Active>(src + offset, closed_row, dst + offset,
+                                        static_cast<std::size_t>(bw));
   }
 }
 

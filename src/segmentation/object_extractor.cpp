@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,11 @@
 
 namespace slj::seg {
 namespace {
+
+// A 16-bit column sum of this many 8-bit rows cannot wrap (257 · 255 = 65535).
+constexpr int kMaxColumnRows = 65535 / 255;
+
+static_assert(sizeof(Rgb) == 3, "an RgbImage row is read as 3·width interleaved bytes");
 
 void validate(const ExtractorParams& params) {
   if (params.window < 1 || params.window % 2 == 0) {
@@ -40,7 +46,17 @@ void validate(const ExtractorParams& params) {
 // validate() runs inside the first initializer so an invalid window is
 // reported with the ExtractorParams message, not BackgroundModel's.
 ObjectExtractor::ObjectExtractor(ExtractorParams params)
-    : params_((validate(params), params)), background_(params.window) {}
+    : params_((validate(params), params)), background_(params.window) {
+  // One entry per window sum 0..n·n·255; the n > 255 test keeps the
+  // product far from overflow.
+  const std::size_t n = static_cast<std::size_t>(params_.window);
+  if (n > 255 || n * n * 255 + 1 > kMaxMeanTableEntries) return;
+  const double area = static_cast<double>(params_.window) * static_cast<double>(params_.window);
+  mean_table_.resize(n * n * 255 + 1);
+  for (std::size_t k = 0; k < mean_table_.size(); ++k) {
+    mean_table_[k] = static_cast<double>(k) / area;
+  }
+}
 
 void ObjectExtractor::set_background(const RgbImage& background) {
   background_.set_background(background);
@@ -50,8 +66,8 @@ void ObjectExtractor::accumulate_background(const RgbImage& background) {
   background_.accumulate(background);
 }
 
-SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWorkspace& ws,
-                                                  BinaryImage& silhouette_out) const {
+SLJ_HOT_PATH double ObjectExtractor::difference_into(const RgbImage& frame,
+                                                     FrameWorkspace& ws) const {
   if (!background_.has_background()) {
     throw std::logic_error("ObjectExtractor: background not set");
   }
@@ -59,81 +75,103 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
     throw std::invalid_argument("frame size differs from background");
   }
   const RgbMeans& bave = background_.averaged();
-  // Steps ii–v fused: the frame's windowed means are read straight off the
-  // summed-area tables while the difference image is written, so the Aave
-  // planes are never materialised. Interior pixels (all but a `half`-wide
-  // border) take the clamp-free table path — vectorised on the configured
-  // simd backend; both paths produce the exact doubles window_mean_rgb would.
-  build_rgb_integrals(frame, ws);
-
   const int w = frame.width();
   const int h = frame.height();
-  const int half = params_.window / 2;
-  const double area = static_cast<double>(params_.window) * static_cast<double>(params_.window);
-  const double* tr = ws.integral_r.raw();
-  const double* tg = ws.integral_g.raw();
-  const double* tb = ws.integral_b.raw();
-  const std::size_t stride = ws.integral_r.stride();
+  const int n = params_.window;
+  const int half = n / 2;
   const double* br = bave.r.data().data();
   const double* bg = bave.g.data().data();
   const double* bb = bave.b.data().data();
   ws.difference.resize_discard(w, h);
   double* diff = ws.difference.data().data();
-
-  // D is a sum/difference of exact table values, so the lane-wise max
-  // reduction cannot change a single bit (max is order-independent: the
-  // domain has no NaNs and no negative zeros).
-  using V = simd::VecF64<simd::Active>;
-  const V varea = V::broadcast(area);
-  std::size_t i = 0;
-  double scalar_max = 0.0;
-  const auto clamped_pixel = [&](int x, int y) {
-    const double mr = ws.integral_r.window_mean(x, y, params_.window);
-    const double mg = ws.integral_g.window_mean(x, y, params_.window);
-    const double mb = ws.integral_b.window_mean(x, y, params_.window);
+  double max_d = 0.0;
+  // Steps iii–v: D = (|ΔR| + |ΔG|) + |ΔB|, the seed's operation order.
+  const auto store = [&](std::size_t i, double mr, double mg, double mb) {
     const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
     diff[i] = d;
-    scalar_max = std::max(scalar_max, d);
-    ++i;
+    max_d = std::max(max_d, d);
   };
-  V vmax = V::broadcast(0.0);
-  for (int y = 0; y < h; ++y) {
-    if (y < half || y + half >= h) {
-      for (int x = 0; x < w; ++x) clamped_pixel(x, y);
-      continue;
+  if (std::min(n, h) > kMaxColumnRows) {
+    // A 16-bit column sum could wrap: take the means from per-channel
+    // summed-area tables instead (allocating; never at the paper's sizes).
+    const RgbMeans aave = window_mean_rgb(frame, n);
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      store(i, aave.r.data()[i], aave.g.data()[i], aave.b.data()[i]);
     }
-    int x = 0;
-    for (; x < half && x < w; ++x) clamped_pixel(x, y);
-    const std::size_t r0 = static_cast<std::size_t>(y - half) * stride;
-    const std::size_t r1 = static_cast<std::size_t>(y + half + 1) * stride;
-    const int x_end = w - half;
-    for (; x + V::kLanes <= x_end; x += V::kLanes, i += static_cast<std::size_t>(V::kLanes)) {
-      const std::size_t c0 = static_cast<std::size_t>(x - half);
-      const std::size_t c1 = static_cast<std::size_t>(x + half + 1);
-      const V dr =
-          (rowk::window_sum_vec<simd::Active>(tr, r0, r1, c0, c1) / varea - V::load(br + i))
-              .abs();
-      const V dg =
-          (rowk::window_sum_vec<simd::Active>(tg, r0, r1, c0, c1) / varea - V::load(bg + i))
-              .abs();
-      const V db =
-          (rowk::window_sum_vec<simd::Active>(tb, r0, r1, c0, c1) / varea - V::load(bb + i))
-              .abs();
-      const V d = dr + dg + db;
-      d.store(diff + i);
-      vmax = V::max(vmax, d);
-    }
-    for (; x < x_end; ++x, ++i) {
-      const double mr = interior_window_mean(tr, stride, x, y, half, area);
-      const double mg = interior_window_mean(tg, stride, x, y, half, area);
-      const double mb = interior_window_mean(tb, stride, x, y, half, area);
-      const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
-      diff[i] = d;
-      scalar_max = std::max(scalar_max, d);
-    }
-    for (; x < w; ++x) clamped_pixel(x, y);
+    return max_d;
   }
-  const double max_d = std::max(scalar_max, vmax.reduce_max());
+
+  // Step ii: col[3x + c] is channel c summed over the window's (clamped)
+  // rows at column x, slid down one row at a time like the binary median's
+  // counts. Every sum is an exact integer, so each mean below is the one
+  // IEEE division the seed made: q[S] = S / (n·n) inside, S / clamped area
+  // at the edges.
+  const int row_len = 3 * w;
+  ws.window_colsum.assign(static_cast<std::size_t>(row_len), 0);
+  ws.window_rowsum.resize(static_cast<std::size_t>(row_len));
+  std::uint16_t* col = ws.window_colsum.data();
+  std::uint16_t* rowsum = ws.window_rowsum.data();
+  const auto* px = reinterpret_cast<const std::uint8_t*>(frame.data().data());
+  const auto row_ptr = [&](int y) {
+    return px + static_cast<std::size_t>(y) * static_cast<std::size_t>(row_len);
+  };
+  for (int yy = 0; yy <= std::min(half, h - 1); ++yy) {
+    rowk::col_add_u8<simd::Active>(row_ptr(yy), col, row_len);
+  }
+  for (int y = 0; y < h; ++y) {
+    if (y > 0) {
+      const int add_row = y + half;      // enters the window (if on the image)
+      const int sub_row = y - half - 1;  // retires from it (if it ever was)
+      if (add_row < h && sub_row >= 0) {
+        rowk::col_slide_u8<simd::Active>(row_ptr(add_row), row_ptr(sub_row), col, row_len);
+      } else if (add_row < h) {
+        rowk::col_add_u8<simd::Active>(row_ptr(add_row), col, row_len);
+      } else if (sub_row >= 0) {
+        rowk::col_sub_u8<simd::Active>(row_ptr(sub_row), col, row_len);
+      }
+    }
+    const int rows = std::min(y + half, h - 1) - std::max(y - half, 0) + 1;
+    const std::size_t row = static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    const auto clamped_pixel = [&](int x) {
+      const int x0 = std::max(x - half, 0);
+      const int x1 = std::min(x + half, w - 1);
+      std::int64_t sr = 0;
+      std::int64_t sg = 0;
+      std::int64_t sb = 0;
+      for (int c = x0; c <= x1; ++c) {
+        sr += col[3 * c];
+        sg += col[3 * c + 1];
+        sb += col[3 * c + 2];
+      }
+      const double area = static_cast<double>(x1 - x0 + 1) * static_cast<double>(rows);
+      store(row + static_cast<std::size_t>(x), static_cast<double>(sr) / area,
+            static_cast<double>(sg) / area, static_cast<double>(sb) / area);
+    };
+    const int x_end = w - half;  // interior columns: [half, x_end)
+    int x = 0;
+    if (!mean_table_.empty() && rows == n && half < x_end) {
+      const double* q = mean_table_.data();
+      for (; x < half; ++x) clamped_pixel(x);
+      // Horizontal n-tap sums of the interleaved column sums: rowsum[3j + c]
+      // is channel c's window sum for the pixel at x = half + j.
+      rowk::tap_sum_u16<simd::Active>(col, 3, n, rowsum, 3 * (x_end - half));
+      for (; x < x_end; ++x) {
+        const std::uint16_t* s = rowsum + 3 * (x - half);
+        store(row + static_cast<std::size_t>(x), q[s[0]], q[s[1]], q[s[2]]);
+      }
+    }
+    for (; x < w; ++x) clamped_pixel(x);
+  }
+  return max_d;
+}
+
+SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWorkspace& ws,
+                                                  BinaryImage& silhouette_out) const {
+  const double max_d = difference_into(frame, ws);
+  const int w = frame.width();
+  const int h = frame.height();
+  const double* diff = ws.difference.data().data();
+  using V = simd::VecF64<simd::Active>;
 
   // Steps vi–viii fused without materialising the rounded 8-bit image:
   // lround(clamped) > th  ⇔  clamped >= th + 0.5 (lround rounds half away

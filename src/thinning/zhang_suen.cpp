@@ -23,48 +23,50 @@ constexpr std::array<PointI, 8> kRing = {{{0, -1},   // P2
                                           {-1, 0},   // P8
                                           {-1, -1}}};// P9
 
-std::array<std::uint8_t, 8> ring_values(const BinaryImage& img, int x, int y) {
-  std::array<std::uint8_t, 8> p{};
-  for (std::size_t i = 0; i < kRing.size(); ++i) {
-    p[i] = img.at_or(x + kRing[i].x, y + kRing[i].y, 0) ? 1 : 0;
+// Deletability for each sub-iteration (0 = first, 1 = second), indexed by
+// the ring code: bit i set iff P(i+2) is foreground. The textbook
+// conditions, evaluated once for all 256 rings.
+constexpr std::array<std::array<bool, 256>, 2> kDeletable = [] {
+  std::array<std::array<bool, 256>, 2> table{};
+  for (int code = 0; code < 256; ++code) {
+    std::array<int, 8> p{};
+    int b = 0;
+    for (int i = 0; i < 8; ++i) {
+      p[i] = (code >> i) & 1;
+      b += p[i];
+    }
+    int a = 0;
+    for (int i = 0; i < 8; ++i) {
+      if (p[i] == 0 && p[(i + 1) % 8] == 1) ++a;
+    }
+    const bool ab = b >= 2 && b <= 6 && a == 1;
+    table[0][code] = ab && p[0] * p[2] * p[4] == 0 && p[2] * p[4] * p[6] == 0;
+    table[1][code] = ab && p[0] * p[2] * p[6] == 0 && p[0] * p[4] * p[6] == 0;
   }
-  return p;
-}
+  return table;
+}();
 
-// Zhang–Suen deletability of (x, y) against the current image. Interior
-// pixels (the overwhelming majority) load their ring with three row pointers
-// and no bounds checks; only the one-pixel border falls back to at_or.
-// Same conditions, in the same order, as the reference sub-iteration.
+// Zhang–Suen deletability of (x, y) against the current image: one table
+// load on the ring code. Interior pixels (the overwhelming majority) load
+// their ring with three row pointers and no bounds checks; only the
+// one-pixel border falls back to at_or.
 bool deletable(const BinaryImage& img, int x, int y, bool first) {
-  std::array<std::uint8_t, 8> p;
   const int w = img.width();
   const int h = img.height();
+  unsigned code = 0;
   if (x > 0 && y > 0 && x < w - 1 && y < h - 1) {
     const std::uint8_t* up = img.data().data() + static_cast<std::size_t>(y - 1) * w + x;
     const std::uint8_t* mid = up + w;
     const std::uint8_t* down = mid + w;
-    p = {static_cast<std::uint8_t>(up[0] ? 1 : 0),    // P2
-         static_cast<std::uint8_t>(up[1] ? 1 : 0),    // P3
-         static_cast<std::uint8_t>(mid[1] ? 1 : 0),   // P4
-         static_cast<std::uint8_t>(down[1] ? 1 : 0),  // P5
-         static_cast<std::uint8_t>(down[0] ? 1 : 0),  // P6
-         static_cast<std::uint8_t>(down[-1] ? 1 : 0), // P7
-         static_cast<std::uint8_t>(mid[-1] ? 1 : 0),  // P8
-         static_cast<std::uint8_t>(up[-1] ? 1 : 0)};  // P9
+    code = (up[0] != 0 ? 1u : 0u) | (up[1] != 0 ? 2u : 0u) | (mid[1] != 0 ? 4u : 0u) |
+           (down[1] != 0 ? 8u : 0u) | (down[0] != 0 ? 16u : 0u) | (down[-1] != 0 ? 32u : 0u) |
+           (mid[-1] != 0 ? 64u : 0u) | (up[-1] != 0 ? 128u : 0u);
   } else {
-    p = ring_values(img, x, y);
+    for (std::size_t i = 0; i < kRing.size(); ++i) {
+      if (img.at_or(x + kRing[i].x, y + kRing[i].y, 0) != 0) code |= 1u << i;
+    }
   }
-  int b = 0;
-  for (const std::uint8_t v : p) b += v;
-  if (b < 2 || b > 6) return false;
-  int a = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i] == 0 && p[(i + 1) % p.size()] == 1) ++a;
-  }
-  if (a != 1) return false;
-  const bool cond_c = first ? (p[0] * p[2] * p[4] == 0) : (p[0] * p[2] * p[6] == 0);
-  const bool cond_d = first ? (p[2] * p[4] * p[6] == 0) : (p[0] * p[4] * p[6] == 0);
-  return cond_c && cond_d;
+  return kDeletable[first ? 0 : 1][code];
 }
 
 }  // namespace

@@ -25,9 +25,11 @@ struct ThinningStats {
 
 /// Thins `img` (0/1 mask) into a one-pixel-wide skeleton in `out`, using the
 /// workspace's frontier scratch; `stats`, when given, receives iteration
-/// telemetry for the perf benches. Two optimisations over the textbook
-/// full-image sweep (tests/reference/), neither changing a single output bit
+/// telemetry for the perf benches. Three optimisations over the textbook
+/// full-image sweep (tests/reference/), none changing a single output bit
 /// (the parity suite pins this):
+///  - conditions (a)–(d) are one load from a 256-entry table per
+///    sub-iteration, indexed by the P2..P9 ring as a bit code;
 ///  - interior pixels read their 3×3 ring with direct row-pointer loads
 ///    instead of at_or bounds checks (only the one-pixel border pays them);
 ///  - after the first full pass, a sub-iteration only revisits pixels whose

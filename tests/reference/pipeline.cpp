@@ -1,5 +1,4 @@
 #include "imaging/frame_workspace.hpp"
-#include "imaging/morphology.hpp"
 #include "reference.hpp"
 #include "skelgraph/simplify.hpp"
 
@@ -39,12 +38,7 @@ core::FrameObservation process(const core::FramePipeline& pipeline, const RgbIma
                                const RgbImage& frame, detect::BlobTracker& tracker) {
   const ExtractionResult res = extract(pipeline.params().extractor, background, frame);
   const detect::TrackResult track = tracker.update(res.smoothed);
-  if (track.measured) {
-    FrameWorkspace scratch;
-    BinaryImage filled;
-    fill_holes_into(track.mask, scratch.reached, scratch.flood_stack, filled);
-    return process_silhouette(pipeline, filled);
-  }
+  if (track.measured) return process_silhouette(pipeline, fill_holes(track.mask));
   // No confirmed person blob this frame: fall back to the extractor's own
   // cleanup so the clip keeps flowing (and the tracker can re-acquire).
   return process_silhouette(pipeline, res.silhouette);

@@ -36,6 +36,11 @@ ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& bac
 BinaryImage silhouette(const seg::ExtractorParams& params, const RgbImage& background,
                        const RgbImage& frame);
 
+/// Hole fill: every background pixel not 4-connected to the image border
+/// becomes foreground. A per-pixel breadth-first flood from every border
+/// background pixel over the whole frame; the result is 0/1.
+BinaryImage fill_holes(const BinaryImage& img);
+
 /// Median filter over a k×k window (k odd). Border pixels use the clamped
 /// window. Works on full 8-bit grayscale range.
 GrayImage median_filter(const GrayImage& img, int k);

@@ -2,12 +2,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 
 #include "imaging/connected.hpp"
 #include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
-#include "imaging/morphology.hpp"
 #include "reference.hpp"
 #include "segmentation/background_model.hpp"
 
@@ -66,11 +66,42 @@ ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& bac
   if (params.keep_largest_only) {
     largest_component_into(res.smoothed, true, scratch.labeling, scratch.pixel_stack, cleaned);
   }
-  res.silhouette = cleaned;
-  if (params.fill_holes) {
-    fill_holes_into(cleaned, scratch.reached, scratch.flood_stack, res.silhouette);
-  }
+  res.silhouette = params.fill_holes ? fill_holes(cleaned) : cleaned;
   return res;
+}
+
+BinaryImage fill_holes(const BinaryImage& img) {
+  const int w = img.width();
+  const int h = img.height();
+  BinaryImage reached(w, h, 0);
+  std::deque<PointI> queue;
+  const auto visit = [&](int x, int y) {
+    if (img.in_bounds(x, y) && img.at(x, y) == 0 && reached.at(x, y) == 0) {
+      reached.at(x, y) = 1;
+      queue.push_back({x, y});
+    }
+  };
+  for (int x = 0; x < w; ++x) {
+    visit(x, 0);
+    visit(x, h - 1);
+  }
+  for (int y = 0; y < h; ++y) {
+    visit(0, y);
+    visit(w - 1, y);
+  }
+  while (!queue.empty()) {
+    const PointI p = queue.front();
+    queue.pop_front();
+    visit(p.x + 1, p.y);
+    visit(p.x - 1, p.y);
+    visit(p.x, p.y + 1);
+    visit(p.x, p.y - 1);
+  }
+  BinaryImage out(w, h, 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out.data()[i] = img.data()[i] != 0 || reached.data()[i] == 0 ? 1 : 0;
+  }
+  return out;
 }
 
 BinaryImage silhouette(const seg::ExtractorParams& params, const RgbImage& background,

@@ -1,5 +1,5 @@
 // Golden parity suite for the FrameWorkspace chain: the shipped pipeline —
-// integral-table window means, into-style segmentation, frontier
+// column-sum window means, into-style segmentation, frontier
 // Zhang–Suen — must produce bit-identical results to the straightforward
 // seed implementations in tests/reference/, at every worker count and via
 // the StreamEngine; and the steady-state segmentation + thinning hot path
@@ -95,31 +95,6 @@ BinaryImage random_blobs(std::uint32_t seed, int w, int h, int discs) {
 }
 
 // ---- kernel-level parity ---------------------------------------------------
-
-TEST(FrameWorkspaceParity, WindowMeansMatchReference) {
-  // The fused three-channel table build must yield exactly the window means
-  // of window_mean_rgb's per-channel tables.
-  const synth::Clip clip = parity_clips().front();
-  const RgbImage& frame = clip.frames[5];
-  const int w = frame.width();
-  const int h = frame.height();
-  FrameWorkspace ws;
-  build_rgb_integrals(frame, ws);
-  for (const int n : {1, 3, 5}) {
-    const RgbMeans want = window_mean_rgb(frame, n);
-    RgbMeans got{Image<double>(w, h), Image<double>(w, h), Image<double>(w, h)};
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        got.r.at(x, y) = ws.integral_r.window_mean(x, y, n);
-        got.g.at(x, y) = ws.integral_g.window_mean(x, y, n);
-        got.b.at(x, y) = ws.integral_b.window_mean(x, y, n);
-      }
-    }
-    EXPECT_EQ(got.r, want.r) << "window " << n;
-    EXPECT_EQ(got.g, want.g) << "window " << n;
-    EXPECT_EQ(got.b, want.b) << "window " << n;
-  }
-}
 
 TEST(FrameWorkspaceParity, IntoVariantsMatchReference) {
   FrameWorkspace ws;
@@ -323,6 +298,38 @@ TEST(FrameWorkspaceAllocation, SteadyStateSegmentAndThinHotPathIsAllocationFree)
   }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "segment+thin steady state must not allocate";
+
+  // The hole fill floods only the foreground's box, yet sizes its scratch
+  // for the whole frame on the first frame: boxes that grow frame after
+  // frame, up to the full frame, never reallocate.
+  const int w = clip.background.width();
+  const int h = clip.background.height();
+  std::vector<BinaryImage> growing;
+  for (int step = 1; step <= 8; ++step) {
+    BinaryImage mask(w, h, 0);
+    const int bw = w * step / 8;
+    const int bh = h * step / 8;
+    const int x0 = (w - bw) / 2;
+    const int y0 = (h - bh) / 2;
+    for (int y = y0; y < y0 + bh; ++y) {
+      for (int x = x0; x < x0 + bw; ++x) {
+        // A hollow box with a diagonal stripe: holes and open concavities.
+        const bool edge = x == x0 || y == y0 || x == x0 + bw - 1 || y == y0 + bh - 1;
+        mask.at(x, y) = edge || (x - x0) == (y - y0) ? 1 : 0;
+      }
+    }
+    growing.push_back(std::move(mask));
+  }
+  FrameWorkspace fill_ws;
+  BinaryImage filled;
+  fill_holes_into(growing.front(), fill_ws.reached, fill_ws.flood_stack, filled);
+  const std::size_t fill_before = g_allocations.load(std::memory_order_relaxed);
+  for (const BinaryImage& mask : growing) {
+    fill_holes_into(mask, fill_ws.reached, fill_ws.flood_stack, filled);
+  }
+  const std::size_t fill_after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(fill_after - fill_before, 0u) << "a growing hole-fill box must not allocate";
+  EXPECT_EQ(filled, reference::fill_holes(growing.back()));
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "imaging/draw.hpp"
 #include "reference.hpp"
@@ -239,6 +242,98 @@ TEST(ObjectExtractor, WorksUnderBackgroundNoise) {
   BinaryImage expected(48, 48, 0);
   fill_disc(expected, {24, 24}, 10.0);
   EXPECT_GT(iou(extract(ex, frame).silhouette, expected), 0.75);
+}
+
+// ---- integer-domain window means ---------------------------------------------
+
+TEST(ObjectExtractor, MeanTableHoldsExactQuotients) {
+  // Every entry of every tabled window, bit for bit: q[k] is the one IEEE
+  // division k / (n·n) the seed's summed-area tables made.
+  int tabled = 0;
+  for (int n = 1; n <= 15; n += 2) {
+    ExtractorParams params;
+    params.window = n;
+    const ObjectExtractor ex(params);
+    const std::vector<double>& q = ex.mean_table();
+    const std::size_t entries = static_cast<std::size_t>(n * n * 255 + 1);
+    if (entries > ObjectExtractor::kMaxMeanTableEntries) {
+      EXPECT_TRUE(q.empty()) << "window " << n;
+      continue;
+    }
+    ++tabled;
+    ASSERT_EQ(q.size(), entries) << "window " << n;
+    const double area = static_cast<double>(n) * static_cast<double>(n);
+    for (std::size_t k = 0; k < entries; ++k) {
+      ASSERT_EQ(q[k], static_cast<double>(k) / area) << "window " << n << " k " << k;
+    }
+  }
+  EXPECT_EQ(tabled, 3);  // windows 1, 3 and 5
+  EXPECT_EQ(ObjectExtractor().mean_table().size(), 2296u);
+}
+
+RgbImage random_rgb(std::mt19937& rng, int w, int h) {
+  RgbImage img(w, h);
+  for (Rgb& p : img.data()) {
+    p = {static_cast<std::uint8_t>(rng()), static_cast<std::uint8_t>(rng()),
+         static_cast<std::uint8_t>(rng())};
+  }
+  return img;
+}
+
+void expect_matches_reference(const ExtractorParams& params, const RgbImage& background,
+                              const RgbImage& frame, FrameWorkspace& ws,
+                              const std::string& label) {
+  ObjectExtractor ex(params);
+  ex.set_background(background);
+  BinaryImage silhouette;
+  const double max_d = ex.extract_into(frame, ws, silhouette);
+  const reference::ExtractionResult want = reference::extract(params, background, frame);
+  EXPECT_EQ(ws.difference, want.difference) << label;
+  EXPECT_EQ(max_d, want.max_difference) << label;
+  EXPECT_EQ(ws.raw_mask, want.raw_mask) << label;
+  EXPECT_EQ(ws.smoothed, want.smoothed) << label;
+  EXPECT_EQ(silhouette, want.silhouette) << label;
+}
+
+TEST(ObjectExtractor, ExtractIntoMatchesReferenceAcrossWindowsAndSizes) {
+  // Tabled windows (1, 3, 5), dividing ones (7, 9) and a window wider than
+  // the frame, on odd sizes and single rows/columns, through one reused
+  // workspace. The suite runs on the default, SLJ_SIMD=OFF and AVX2 builds,
+  // so every backend's row kernels meet the seed chain here.
+  FrameWorkspace ws;
+  std::mt19937 rng(11);
+  const std::pair<int, int> sizes[] = {{1, 1}, {1, 9}, {13, 1}, {31, 17}, {65, 33}, {47, 64}};
+  for (const auto& [w, h] : sizes) {
+    const RgbImage studio = studio_background(w, h, 3, 6.0);
+    const RgbImage jumper = with_object(studio_background(w, h, 4, 6.0),
+                                        {w * 0.4, h * 0.5}, std::max(1.0, std::min(w, h) / 3.0));
+    const RgbImage noise_bg = random_rgb(rng, w, h);
+    const RgbImage noise_frame = random_rgb(rng, w, h);
+    for (const int window : {1, 3, 5, 7, 9, 2 * std::max(w, h) + 1}) {
+      ExtractorParams params;
+      params.window = window;
+      const std::string label =
+          std::to_string(w) + "x" + std::to_string(h) + " window " + std::to_string(window);
+      expect_matches_reference(params, studio, jumper, ws, label + " jumper");
+      expect_matches_reference(params, noise_bg, noise_frame, ws, label + " noise");
+    }
+  }
+}
+
+TEST(ObjectExtractor, ExtractIntoMatchesReferenceAtTheColumnSumLimit) {
+  // 257 saturated rows fill a 16-bit column sum exactly (257 · 255 = 65535);
+  // a window and frame both taller than that take the summed-area fallback.
+  FrameWorkspace ws;
+  std::mt19937 rng(12);
+  for (const auto& [h, window] : {std::pair<int, int>{257, 259}, {259, 259}, {258, 301}}) {
+    RgbImage frame = random_rgb(rng, 3, h);
+    for (int y = 0; y < h; ++y) frame.at(1, y) = {255, 255, 255};
+    const RgbImage background(3, h, {0, 0, 0});
+    ExtractorParams params;
+    params.window = window;
+    expect_matches_reference(params, background, frame, ws,
+                             "3x" + std::to_string(h) + " window " + std::to_string(window));
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/morphology.hpp"
+#include "imaging/row_kernels.hpp"
 #include "reference.hpp"
 #include "segmentation/object_extractor.hpp"
 
@@ -94,56 +95,6 @@ TEST(SimdVecF64, LaneArithmeticMatchesScalar) {
     for (int l = 0; l < VA::kLanes; ++l) {
       EXPECT_EQ(got[l], std::fabs(a[i + l])) << "abs i " << i << " lane " << l;
     }
-  }
-}
-
-TEST(SimdVecF64, LoadI32IsExactConversion) {
-  std::vector<std::int32_t> src = {0, 1, -1, 127, -128, 65535, -2147483647, 2147483647};
-  src.resize(static_cast<std::size_t>(VA::kLanes) * 4, 42);
-  std::vector<double> got(VA::kLanes);
-  for (std::size_t i = 0; i + VA::kLanes <= src.size(); i += VA::kLanes) {
-    VA::load_i32(src.data() + i).store(got.data());
-    for (int l = 0; l < VA::kLanes; ++l) {
-      EXPECT_EQ(got[l], static_cast<double>(src[i + l])) << "i " << i << " lane " << l;
-    }
-  }
-}
-
-TEST(SimdVecF64, InclusiveScanWithCarryMatchesRunningSum) {
-  for (const std::size_t n : kWidths) {
-    const std::vector<double> src = random_int_doubles(static_cast<std::uint32_t>(n), n, 0, 255);
-    // Scalar reference: the plain running sum.
-    std::vector<double> want(n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) want[i] = sum += src[i];
-    // Vector path: block scan + broadcast_last carry, scalar tail — the
-    // exact shape the SAT row kernels use.
-    std::vector<double> got(n);
-    VA carry = VA::broadcast(0.0);
-    std::size_t i = 0;
-    for (; i + VA::kLanes <= n; i += VA::kLanes) {
-      const VA scanned = VA::load(src.data() + i).inclusive_scan() + carry;
-      scanned.store(got.data() + i);
-      carry = scanned.broadcast_last();
-    }
-    double tail_carry[VA::kLanes];
-    carry.store(tail_carry);
-    double run = tail_carry[0];
-    for (; i < n; ++i) got[i] = run += src[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(got[j], want[j]) << "n " << n << " j " << j;
-    }
-  }
-}
-
-TEST(SimdVecF64, ReduceMaxMatchesMaxElement) {
-  const std::vector<double> src = random_int_doubles(9, 64, -500, 500);
-  for (std::size_t i = 0; i + VA::kLanes <= src.size(); i += VA::kLanes) {
-    const double got = VA::load(src.data() + i).reduce_max();
-    const double want =
-        *std::max_element(src.begin() + static_cast<std::ptrdiff_t>(i),
-                          src.begin() + static_cast<std::ptrdiff_t>(i + VA::kLanes));
-    EXPECT_EQ(got, want) << "i " << i;
   }
 }
 
@@ -225,6 +176,46 @@ TEST(SimdBytePlane, StoreFill01MatchesScalarIncludingSaturatedPlanes) {
   }
 }
 
+// ---- row kernels ------------------------------------------------------------
+
+TEST(SimdRowKernels, ColumnSumsAndTapSumsMatchScalar) {
+  // The extractor's window sums: sliding 16-bit column sums over an
+  // interleaved RGB row (3·width bytes), then n-tap horizontal sums three
+  // lanes apart — and the median's one-channel taps, one lane apart.
+  for (const std::size_t w : kWidths) {
+    const int len = static_cast<int>(3 * w);
+    const std::vector<std::uint8_t> add = random_bytes(static_cast<std::uint32_t>(w), 3 * w, 255);
+    const std::vector<std::uint8_t> sub =
+        random_bytes(static_cast<std::uint32_t>(w) + 5, 3 * w, 255);
+    std::vector<std::uint16_t> got(3 * w, 0), want(3 * w, 0);
+    for (int round = 0; round < 3; ++round) {
+      rowk::col_add_u8<Active>(add.data(), got.data(), len);
+      rowk::col_add_u8<ScalarBackend>(add.data(), want.data(), len);
+    }
+    rowk::col_slide_u8<Active>(sub.data(), add.data(), got.data(), len);
+    rowk::col_slide_u8<ScalarBackend>(sub.data(), add.data(), want.data(), len);
+    rowk::col_sub_u8<Active>(sub.data(), got.data(), len);
+    rowk::col_sub_u8<ScalarBackend>(sub.data(), want.data(), len);
+    ASSERT_EQ(got, want) << "w " << w;
+    for (const int stride : {1, 3}) {
+      for (const int taps : {1, 2, 3, 5}) {
+        const int n = len - (taps - 1) * stride;
+        if (n <= 0) continue;
+        std::vector<std::uint16_t> sum_got(static_cast<std::size_t>(n), 0xeeee);
+        std::vector<std::uint16_t> sum_want(static_cast<std::size_t>(n), 0xeeee);
+        rowk::tap_sum_u16<Active>(got.data(), stride, taps, sum_got.data(), n);
+        rowk::tap_sum_u16<ScalarBackend>(got.data(), stride, taps, sum_want.data(), n);
+        EXPECT_EQ(sum_got, sum_want) << "w " << w << " stride " << stride << " taps " << taps;
+        for (int j = 0; j < n; ++j) {
+          int direct = 0;
+          for (int t = 0; t < taps; ++t) direct += got[static_cast<std::size_t>(j + t * stride)];
+          ASSERT_EQ(sum_got[static_cast<std::size_t>(j)], direct) << "w " << w << " j " << j;
+        }
+      }
+    }
+  }
+}
+
 // ---- kernel-level SIMD parity -----------------------------------------------
 
 RgbImage random_rgb(std::uint32_t seed, int w, int h) {
@@ -236,27 +227,6 @@ RgbImage random_rgb(std::uint32_t seed, int w, int h) {
                      static_cast<std::uint8_t>(dist(rng))};
   }
   return img;
-}
-
-void expect_tables_identical(const FrameWorkspace& got, const FrameWorkspace& want, int w, int h) {
-  const std::size_t n = (static_cast<std::size_t>(w) + 1) * (static_cast<std::size_t>(h) + 1);
-  const IntegralImage* gs[] = {&got.integral_r, &got.integral_g, &got.integral_b};
-  const IntegralImage* ws[] = {&want.integral_r, &want.integral_g, &want.integral_b};
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_TRUE(std::equal(gs[c]->raw(), gs[c]->raw() + n, ws[c]->raw())) << "channel " << c;
-  }
-}
-
-TEST(SimdKernelParity, FusedIntegralBuildMatchesScalarTwin) {
-  // Odd widths and heights: every tail path of the row kernels.
-  const std::pair<int, int> sizes[] = {{1, 1}, {3, 2}, {7, 5}, {17, 9}, {64, 48}, {65, 47}};
-  FrameWorkspace simd_ws, scalar_ws;
-  for (const auto& [w, h] : sizes) {
-    const RgbImage img = random_rgb(static_cast<std::uint32_t>(w * 100 + h), w, h);
-    build_rgb_integrals(img, simd_ws);
-    build_rgb_integrals_scalar(img, scalar_ws);
-    expect_tables_identical(simd_ws, scalar_ws, w, h);
-  }
 }
 
 TEST(SimdKernelParity, MedianFilterMatchesReferenceOnSaturatedAndOddSizes) {
