@@ -2,6 +2,13 @@
 // pipeline the paper runs per frame, plus DBN inference and end-to-end
 // frame throughput. Every vision row times the shipped workspace function on
 // a workspace reused across iterations, as the engines run it.
+//
+// perfbench runs its workloads on one malloc arena (mallopt M_ARENA_MAX = 1),
+// where heap traffic from concurrent lanes contends on one lock. To see what
+// a stage's allocations cost under that setting, run the threaded rows the
+// same way:
+//   MALLOC_ARENA_MAX=1 build/perf_micro --benchmark_filter='CleanSkeleton'
+// and compare /threads:4 with the single-thread row.
 #include <benchmark/benchmark.h>
 
 #include "core/analyzer.hpp"
@@ -128,8 +135,19 @@ void BM_ZhangSuenThinInto(benchmark::State& state) {
 }
 BENCHMARK(BM_ZhangSuenThinInto);
 
+void BM_SetBackground(benchmark::State& state) {
+  // What ClipEngine pays per clip, on the calling thread, before the clip's
+  // frames fan out: a fresh pipeline and its background plate (Bave).
+  for (auto _ : state) {
+    core::FramePipeline pipeline;
+    pipeline.set_background(bench_clip().background);
+    benchmark::DoNotOptimize(&pipeline);
+  }
+}
+BENCHMARK(BM_SetBackground);
+
 void BM_CleanSkeletonWorkspace(benchmark::State& state) {
-  FrameWorkspace ws;
+  FrameWorkspace ws;  // one per thread, as one per engine lane
   for (auto _ : state) {
     skel::SkeletonGraph g = skel::clean_skeleton(mid_observation().raw_skeleton, ws);
     skel::split_edges_at_bends(g);
@@ -137,6 +155,9 @@ void BM_CleanSkeletonWorkspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CleanSkeletonWorkspace);
+// Four lanes at once: with one malloc arena, per-pixel heap traffic shows
+// up here as lock contention.
+BENCHMARK(BM_CleanSkeletonWorkspace)->Threads(4)->UseRealTime();
 
 void BM_FeatureCandidates(benchmark::State& state) {
   const pose::AreaEncoder enc(8);

@@ -1,10 +1,9 @@
-// FrameWorkspace: every full-frame scratch buffer the per-frame vision
-// pipeline needs — the window sums' column and row scratch, difference and
-// mask images, connected-component and hole-fill scratch, and the thinning
-// frontier state. One workspace per worker lane (ClipEngine)
-// or per live session (StreamEngine) makes steady-state frame processing
-// free of full-frame heap allocations: every buffer is sized on the first
-// frame and reused for the rest of the run.
+// FrameWorkspace: every scratch buffer the per-frame vision pipeline needs —
+// window-sum, difference, mask, component, hole-fill, thinning-frontier and
+// skeleton-graph scratch. One workspace per worker lane (ClipEngine) or live
+// session (StreamEngine), sized on the first frame and reused, keeps
+// segmentation and thinning free of heap allocations and the graph build's
+// to the graph it returns (node clusters, edge paths).
 //
 // A workspace is plain mutable state with no invariants of its own; the
 // into-style functions that take one (`ObjectExtractor::extract_into`,
@@ -43,8 +42,11 @@ struct FrameWorkspace {
 
   // --- skeleton-graph scratch (build_skeleton_graph / clean_skeleton) ---
   BinaryImage junction_mask;           ///< degree>=3 skeleton pixels ("is_junction")
-  Labeling junction_labeling;          ///< 8-connected junction clusters / stats label image
+  Labeling junction_labeling;          ///< junction clusters, then node id + 1 per node pixel
   std::vector<PointI> junction_stack;  ///< DFS stack for the above
+  BinaryImage graph_steps;             ///< bit k: a segment left this pixel toward kNeighbours8[k]
+  std::vector<PointI> graph_specials;  ///< node pixels, sorted: where segment traces start
+  std::vector<PointI> graph_path;      ///< the segment being traced
   BinaryImage graph_visited;           ///< pure-cycle sweep "visited" map
 
   // --- Zhang–Suen frontier scratch (zhang_suen_thin_into) ---

@@ -8,23 +8,50 @@ BackgroundModel::BackgroundModel(int window) : window_(window) {
   if (window < 1 || window % 2 == 0) {
     throw std::invalid_argument("background window must be odd and >= 1");
   }
+  // One entry per window sum 0..n·n·255; the n > 255 test keeps the
+  // product far from overflow.
+  const std::size_t n = static_cast<std::size_t>(window);
+  if (n > 255 || n * n * 255 + 1 > kMaxMeanTableEntries) return;
+  const double area = static_cast<double>(window) * static_cast<double>(window);
+  mean_table_.resize(n * n * 255 + 1);
+  for (std::size_t k = 0; k < mean_table_.size(); ++k) {
+    mean_table_[k] = static_cast<double>(k) / area;
+  }
 }
 
 void BackgroundModel::accumulate(const RgbImage& frame) {
   if (frame_count_ == 0) {
-    sum_r_ = Image<double>(frame.width(), frame.height());
-    sum_g_ = Image<double>(frame.width(), frame.height());
-    sum_b_ = Image<double>(frame.width(), frame.height());
-  } else if (frame.width() != sum_r_.width() || frame.height() != sum_r_.height()) {
-    throw std::invalid_argument("background frames must share one size");
-  }
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    sum_r_.data()[i] += frame.data()[i].r;
-    sum_g_.data()[i] += frame.data()[i].g;
-    sum_b_.data()[i] += frame.data()[i].b;
+    plate_ = frame;
+  } else {
+    if (frame.width() != plate_.width() || frame.height() != plate_.height()) {
+      throw std::invalid_argument("background frames must share one size");
+    }
+    // Exact integer sums: the doubles the seed summed into held the same
+    // integers, so the rounded average below keeps its bits.
+    const std::size_t channels = 3 * frame.size();
+    auto* avg = reinterpret_cast<std::uint8_t*>(plate_.data().data());
+    if (frame_count_ == 1) sums_.assign(avg, avg + channels);
+    const auto* px = reinterpret_cast<const std::uint8_t*>(frame.data().data());
+    const double inv = 1.0 / (frame_count_ + 1);
+    for (std::size_t i = 0; i < channels; ++i) {
+      sums_[i] += px[i];
+      avg[i] = static_cast<std::uint8_t>(static_cast<double>(sums_[i]) * inv + 0.5);
+    }
   }
   ++frame_count_;
-  rebuild_mean();
+  // The paper's n×n moving window over the rounded average, as if that
+  // average were the single background frame.
+  for (Image<double>* m : {&mean_.r, &mean_.g, &mean_.b}) {
+    m->resize_discard(plate_.width(), plate_.height());
+  }
+  std::vector<std::uint16_t> colsum;
+  std::vector<std::uint16_t> rowsum;
+  for_each_window_mean(plate_, colsum, rowsum,
+                       [this](std::size_t i, double r, double g, double b) {
+                         mean_.r.data()[i] = r;
+                         mean_.g.data()[i] = g;
+                         mean_.b.data()[i] = b;
+                       });
 }
 
 void BackgroundModel::set_background(const RgbImage& frame) {
@@ -33,20 +60,6 @@ void BackgroundModel::set_background(const RgbImage& frame) {
 }
 
 void BackgroundModel::reset() { frame_count_ = 0; }
-
-void BackgroundModel::rebuild_mean() {
-  // Average the accumulated frames, then apply the paper's n×n moving
-  // window. Quantisation to uint8 first keeps this identical to feeding a
-  // single averaged frame through window_mean_rgb.
-  RgbImage avg(sum_r_.width(), sum_r_.height());
-  for (std::size_t i = 0; i < avg.size(); ++i) {
-    const double inv = 1.0 / frame_count_;
-    avg.data()[i] = {static_cast<std::uint8_t>(sum_r_.data()[i] * inv + 0.5),
-                     static_cast<std::uint8_t>(sum_g_.data()[i] * inv + 0.5),
-                     static_cast<std::uint8_t>(sum_b_.data()[i] * inv + 0.5)};
-  }
-  mean_ = window_mean_rgb(avg, window_);
-}
 
 const RgbMeans& BackgroundModel::averaged() const {
   if (frame_count_ == 0) throw std::logic_error("background model has no frames");

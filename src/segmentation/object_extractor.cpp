@@ -10,15 +10,9 @@
 #include "imaging/connected.hpp"
 #include "imaging/filters.hpp"
 #include "imaging/morphology.hpp"
-#include "imaging/row_kernels.hpp"
 
 namespace slj::seg {
 namespace {
-
-// A 16-bit column sum of this many 8-bit rows cannot wrap (257 · 255 = 65535).
-constexpr int kMaxColumnRows = 65535 / 255;
-
-static_assert(sizeof(Rgb) == 3, "an RgbImage row is read as 3·width interleaved bytes");
 
 void validate(const ExtractorParams& params) {
   if (params.window < 1 || params.window % 2 == 0) {
@@ -46,17 +40,7 @@ void validate(const ExtractorParams& params) {
 // validate() runs inside the first initializer so an invalid window is
 // reported with the ExtractorParams message, not BackgroundModel's.
 ObjectExtractor::ObjectExtractor(ExtractorParams params)
-    : params_((validate(params), params)), background_(params.window) {
-  // One entry per window sum 0..n·n·255; the n > 255 test keeps the
-  // product far from overflow.
-  const std::size_t n = static_cast<std::size_t>(params_.window);
-  if (n > 255 || n * n * 255 + 1 > kMaxMeanTableEntries) return;
-  const double area = static_cast<double>(params_.window) * static_cast<double>(params_.window);
-  mean_table_.resize(n * n * 255 + 1);
-  for (std::size_t k = 0; k < mean_table_.size(); ++k) {
-    mean_table_[k] = static_cast<double>(k) / area;
-  }
-}
+    : params_((validate(params), params)), background_(params.window) {}
 
 void ObjectExtractor::set_background(const RgbImage& background) {
   background_.set_background(background);
@@ -75,93 +59,21 @@ SLJ_HOT_PATH double ObjectExtractor::difference_into(const RgbImage& frame,
     throw std::invalid_argument("frame size differs from background");
   }
   const RgbMeans& bave = background_.averaged();
-  const int w = frame.width();
-  const int h = frame.height();
-  const int n = params_.window;
-  const int half = n / 2;
   const double* br = bave.r.data().data();
   const double* bg = bave.g.data().data();
   const double* bb = bave.b.data().data();
-  ws.difference.resize_discard(w, h);
+  ws.difference.resize_discard(frame.width(), frame.height());
   double* diff = ws.difference.data().data();
   double max_d = 0.0;
-  // Steps iii–v: D = (|ΔR| + |ΔG|) + |ΔB|, the seed's operation order.
-  const auto store = [&](std::size_t i, double mr, double mg, double mb) {
-    const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
-    diff[i] = d;
-    max_d = std::max(max_d, d);
-  };
-  if (std::min(n, h) > kMaxColumnRows) {
-    // A 16-bit column sum could wrap: take the means from per-channel
-    // summed-area tables instead (allocating; never at the paper's sizes).
-    const RgbMeans aave = window_mean_rgb(frame, n);
-    for (std::size_t i = 0; i < frame.size(); ++i) {
-      store(i, aave.r.data()[i], aave.g.data()[i], aave.b.data()[i]);
-    }
-    return max_d;
-  }
-
-  // Step ii: col[3x + c] is channel c summed over the window's (clamped)
-  // rows at column x, slid down one row at a time like the binary median's
-  // counts. Every sum is an exact integer, so each mean below is the one
-  // IEEE division the seed made: q[S] = S / (n·n) inside, S / clamped area
-  // at the edges.
-  const int row_len = 3 * w;
-  ws.window_colsum.assign(static_cast<std::size_t>(row_len), 0);
-  ws.window_rowsum.resize(static_cast<std::size_t>(row_len));
-  std::uint16_t* col = ws.window_colsum.data();
-  std::uint16_t* rowsum = ws.window_rowsum.data();
-  const auto* px = reinterpret_cast<const std::uint8_t*>(frame.data().data());
-  const auto row_ptr = [&](int y) {
-    return px + static_cast<std::size_t>(y) * static_cast<std::size_t>(row_len);
-  };
-  for (int yy = 0; yy <= std::min(half, h - 1); ++yy) {
-    rowk::col_add_u8<simd::Active>(row_ptr(yy), col, row_len);
-  }
-  for (int y = 0; y < h; ++y) {
-    if (y > 0) {
-      const int add_row = y + half;      // enters the window (if on the image)
-      const int sub_row = y - half - 1;  // retires from it (if it ever was)
-      if (add_row < h && sub_row >= 0) {
-        rowk::col_slide_u8<simd::Active>(row_ptr(add_row), row_ptr(sub_row), col, row_len);
-      } else if (add_row < h) {
-        rowk::col_add_u8<simd::Active>(row_ptr(add_row), col, row_len);
-      } else if (sub_row >= 0) {
-        rowk::col_sub_u8<simd::Active>(row_ptr(sub_row), col, row_len);
-      }
-    }
-    const int rows = std::min(y + half, h - 1) - std::max(y - half, 0) + 1;
-    const std::size_t row = static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-    const auto clamped_pixel = [&](int x) {
-      const int x0 = std::max(x - half, 0);
-      const int x1 = std::min(x + half, w - 1);
-      std::int64_t sr = 0;
-      std::int64_t sg = 0;
-      std::int64_t sb = 0;
-      for (int c = x0; c <= x1; ++c) {
-        sr += col[3 * c];
-        sg += col[3 * c + 1];
-        sb += col[3 * c + 2];
-      }
-      const double area = static_cast<double>(x1 - x0 + 1) * static_cast<double>(rows);
-      store(row + static_cast<std::size_t>(x), static_cast<double>(sr) / area,
-            static_cast<double>(sg) / area, static_cast<double>(sb) / area);
-    };
-    const int x_end = w - half;  // interior columns: [half, x_end)
-    int x = 0;
-    if (!mean_table_.empty() && rows == n && half < x_end) {
-      const double* q = mean_table_.data();
-      for (; x < half; ++x) clamped_pixel(x);
-      // Horizontal n-tap sums of the interleaved column sums: rowsum[3j + c]
-      // is channel c's window sum for the pixel at x = half + j.
-      rowk::tap_sum_u16<simd::Active>(col, 3, n, rowsum, 3 * (x_end - half));
-      for (; x < x_end; ++x) {
-        const std::uint16_t* s = rowsum + 3 * (x - half);
-        store(row + static_cast<std::size_t>(x), q[s[0]], q[s[1]], q[s[2]]);
-      }
-    }
-    for (; x < w; ++x) clamped_pixel(x);
-  }
+  // Step ii is the background model's window-mean walk over this frame;
+  // steps iii–v: D = (|ΔR| + |ΔG|) + |ΔB|, the seed's operation order.
+  background_.for_each_window_mean(
+      frame, ws.window_colsum, ws.window_rowsum,
+      [&](std::size_t i, double mr, double mg, double mb) {
+        const double d = std::abs(mr - br[i]) + std::abs(mg - bg[i]) + std::abs(mb - bb[i]);
+        diff[i] = d;
+        max_d = std::max(max_d, d);
+      });
   return max_d;
 }
 

@@ -2,17 +2,13 @@
 // median-filter smoothing of Fig. 1(c) and a connected-component / hole-fill
 // cleanup so downstream thinning sees one solid silhouette.
 //
-// The hot path is integer-domain up to the window means: each pixel's n×n
-// RGB window sum comes from sliding 16-bit column sums (rowk kernels) and a
-// horizontal n-tap sum, and the sum becomes a mean through a quotient table
-// q[k] = k / (n·n) built once per extractor with the same IEEE division the
-// seed's summed-area tables used. Every mean, and so every bit of D, the
-// masks and max(D), equals the seed chain in tests/reference/.
+// The hot path is integer-domain up to the window means: each frame's n×n
+// window means come from the background model's own walk
+// (BackgroundModel::for_each_window_mean: sliding 16-bit column sums, an
+// n-tap row sum and the exact quotient table q[k] = k / (n·n)), the one the
+// model builds Bave with. Every mean, and so every bit of D, the masks and
+// max(D), equals the seed chain in tests/reference/.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "core/annotations.hpp"
 #include "imaging/frame_workspace.hpp"
@@ -47,16 +43,6 @@ class ObjectExtractor {
   bool has_background() const { return background_.has_background(); }
   const ExtractorParams& params() const { return params_; }
 
-  /// Cap on the quotient table's size: n·n·255 + 1 entries, so windows
-  /// 1, 3 and 5 are tabled (2 296 doubles, ≈18 KB, at n = 3) and larger
-  /// windows divide per pixel instead.
-  static constexpr std::size_t kMaxMeanTableEntries = 8192;
-
-  /// The window-mean quotient table: entry k is k / (n·n) as a double, for
-  /// every n×n window sum k of 8-bit pixels; empty when the window is too
-  /// large to table.
-  const std::vector<double>& mean_table() const { return mean_table_; }
-
   /// Steps ii–v: writes the difference D (step iv) to ws.difference and
   /// returns max(D) (step v). Window means at the frame's edge divide by the
   /// clamped window's area, as in the seed. A window and frame both taller
@@ -80,7 +66,6 @@ class ObjectExtractor {
  private:
   ExtractorParams params_;
   BackgroundModel background_;
-  std::vector<double> mean_table_;
 };
 
 }  // namespace slj::seg

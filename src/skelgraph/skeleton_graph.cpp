@@ -1,12 +1,11 @@
 #include "skelgraph/skeleton_graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "core/simd.hpp"
 #include "imaging/connected.hpp"
@@ -171,8 +170,8 @@ std::string SkeletonGraph::to_dot() const {
   return dot;
 }
 
-// The build's full-frame temporaries (junction mask, label image, visited
-// map, DFS stack) live in the workspace and are recycled frame over frame.
+// Every temporary of the build (masks, node-id labels, step marks, pixel
+// lists) lives in the workspace; per frame it allocates only the graph.
 SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& ws,
                                    BuildStats* stats) {
   Image<std::uint8_t>& is_junction = ws.junction_mask;
@@ -207,20 +206,22 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
   }
 
   // Collapse 8-connected clusters of junction pixels into single junction
-  // nodes — the paper's adjacent-junction-vertex removal.
+  // nodes — the paper's adjacent-junction-vertex removal. Cluster k is node
+  // k, so the label image (node id + 1, 0 elsewhere) maps every "special"
+  // pixel (cluster members, ends, isolated) to its node.
   label_components_into(is_junction, /*eight_connected=*/true, scratch_labeling, scratch_stack);
-  const Labeling& junction_clusters = scratch_labeling;
-  const std::size_t junction_cluster_count = junction_clusters.components.size();
-  // pixel -> node id for "special" pixels (cluster members, ends, isolated).
-  std::unordered_map<PointI, int> special;
-  for (const ComponentStats& c : junction_clusters.components) {
+  Image<int>& node_label = scratch_labeling.labels;
+  const std::size_t junction_cluster_count = scratch_labeling.components.size();
+  std::vector<PointI>& specials = ws.graph_specials;
+  specials.clear();
+  for (const ComponentStats& c : scratch_labeling.components) {
     Node node;
     node.type = NodeType::kJunction;
     // Representative: cluster pixel nearest the centroid.
     double best = 1e30;
     for (int y = c.min.y; y <= c.max.y; ++y) {
       for (int x = c.min.x; x <= c.max.x; ++x) {
-        if (junction_clusters.labels.at(x, y) != c.label) continue;
+        if (node_label.at(x, y) != c.label) continue;
         node.cluster.push_back({x, y});
         const double d = distance(to_f(PointI{x, y}), c.centroid);
         if (d < best) {
@@ -229,8 +230,8 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
         }
       }
     }
-    const int id = graph.add_node(std::move(node));
-    for (const PointI& p : graph.node(id).cluster) special[p] = id;
+    specials.insert(specials.end(), node.cluster.begin(), node.cluster.end());
+    graph.add_node(std::move(node));
   }
 
   // End and isolated pixels become their own nodes.
@@ -247,47 +248,54 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
         node.pos = {x, y};
         node.type = d == 1 ? NodeType::kEnd : NodeType::kIsolated;
         node.cluster = {node.pos};
-        special[node.pos] = graph.add_node(std::move(node));
+        node_label.at(x, y) = graph.add_node(std::move(node)) + 1;
+        specials.push_back({x, y});
       }
     }
   }
 
   // Trace segments: from every special pixel, walk into each non-special
   // neighbour through degree-2 pixels until another special pixel is hit.
-  // `consumed` stores directed first/last steps so each segment is traced
-  // exactly once even when both endpoints start traces.
-  std::set<std::pair<PointI, PointI>> consumed;
-  auto neighbours_of = [&](PointI p) {
-    std::vector<PointI> out;
+  // `steps` marks directed first/last steps (bit k of a pixel: the step
+  // toward kNeighbours8[k]) so each segment is traced exactly once even when
+  // both endpoints start traces.
+  BinaryImage& steps = ws.graph_steps;
+  steps.assign(w, h, 0);
+  const auto step_bit = [](PointI from, PointI to) {
+    // kNeighbours8 index of the offset to - from, by (dy + 1) * 3 + dx + 1.
+    constexpr int kIndex[9] = {7, 0, 1, 6, -1, 2, 5, 4, 3};
+    return static_cast<std::uint8_t>(1u << kIndex[(to.y - from.y + 1) * 3 + to.x - from.x + 1]);
+  };
+  // The 8-neighbours of p that are on the skeleton, in kNeighbours8 order.
+  const auto neighbours_of = [&](PointI p, std::array<PointI, 8>& out) {
+    std::size_t count = 0;
     for (const PointI& o : kNeighbours8) {
       const int nx = p.x + o.x;
       const int ny = p.y + o.y;
-      if (skeleton.in_bounds(nx, ny) && skeleton.at(nx, ny)) out.push_back({nx, ny});
+      if (skeleton.in_bounds(nx, ny) && skeleton.at(nx, ny)) out[count++] = {nx, ny};
     }
-    return out;
+    return std::span<const PointI>(out.data(), count);
   };
+  std::array<PointI, 8> firsts;
+  std::array<PointI, 8> nbrs;
 
-  std::vector<std::pair<PointI, int>> specials(special.begin(), special.end());
-  // Deterministic order regardless of hash-map iteration.
-  std::sort(specials.begin(), specials.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Deterministic order: specials sorted by PointI.
+  std::sort(specials.begin(), specials.end());
+  std::vector<PointI>& path = ws.graph_path;
+  for (const PointI& start : specials) {
+    const int start_label = node_label.at(start);
+    for (const PointI& first : neighbours_of(start, firsts)) {
+      if (node_label.at(first) == start_label) continue;  // intra-cluster adjacency
+      if (steps.at(start) & step_bit(start, first)) continue;
 
-  for (const auto& [start, start_node] : specials) {
-    for (const PointI& first : neighbours_of(start)) {
-      const auto first_special = special.find(first);
-      if (first_special != special.end() && first_special->second == start_node) {
-        continue;  // intra-cluster adjacency, not a segment
-      }
-      if (consumed.contains({start, first})) continue;
-
-      std::vector<PointI> path{start, first};
+      path.assign({start, first});
       PointI prev = start;
       PointI cur = first;
-      while (!special.contains(cur)) {
+      while (node_label.at(cur) == 0) {
         // Regular pixel: exactly two neighbours; step to the one != prev.
         PointI next = prev;
         bool found = false;
-        for (const PointI& n : neighbours_of(cur)) {
+        for (const PointI& n : neighbours_of(cur, nbrs)) {
           if (n != prev) {
             next = n;
             found = true;
@@ -300,14 +308,13 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
         path.push_back(cur);
       }
 
-      consumed.insert({start, first});
-      const auto terminal = special.find(cur);
-      if (terminal != special.end()) {
-        consumed.insert({cur, prev});
+      steps.at(start) |= step_bit(start, first);
+      if (node_label.at(cur) != 0) {
+        steps.at(cur) |= step_bit(cur, prev);
         Edge e;
-        e.a = start_node;
-        e.b = terminal->second;
-        e.path = std::move(path);
+        e.a = start_label - 1;
+        e.b = node_label.at(cur) - 1;
+        e.path.assign(path.begin(), path.end());
         graph.add_edge(std::move(e));
       }
     }
@@ -335,17 +342,18 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
       seat.cluster = {seat.pos};
       const int seat_id = graph.add_node(std::move(seat));
       // Walk the ring.
-      std::vector<PointI> path{{x, y}};
+      path.clear();
+      path.push_back({x, y});
       visited.at(x, y) = 1;
       PointI prev{x, y};
-      std::vector<PointI> nbrs = neighbours_of({x, y});
-      if (nbrs.empty()) continue;  // degree-0 handled as isolated above
-      PointI cur = nbrs.front();
+      const std::span<const PointI> ring = neighbours_of({x, y}, nbrs);
+      if (ring.empty()) continue;  // degree-0 handled as isolated above
+      PointI cur = ring.front();
       while (cur != PointI{x, y}) {
         path.push_back(cur);
         visited.at(cur) = 1;
         PointI next = prev;
-        for (const PointI& n : neighbours_of(cur)) {
+        for (const PointI& n : neighbours_of(cur, nbrs)) {
           if (n != prev) {
             next = n;
             break;
@@ -359,7 +367,7 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
       Edge e;
       e.a = seat_id;
       e.b = seat_id;
-      e.path = std::move(path);
+      e.path.assign(path.begin(), path.end());
       graph.add_edge(std::move(e));
     }
   }

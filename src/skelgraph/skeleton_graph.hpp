@@ -105,12 +105,14 @@ class SkeletonGraph {
   std::vector<Edge> edges_;
 };
 
-/// Builds the simplified skeleton graph from a thinned 0/1 image. The
-/// full-frame temporaries of the build — the junction mask, the
-/// cluster/component label image, the pure-cycle visited map, and the
-/// labeling DFS stack — live in `ws` (junction_mask / junction_labeling /
-/// junction_stack / graph_visited) and are reused frame over frame, so the
-/// skeleton-graph stage makes no per-frame full-frame allocation.
+/// Builds the simplified skeleton graph from a thinned 0/1 image. Every
+/// temporary of the build lives in `ws` and is reused frame over frame: the
+/// junction mask, the label image that maps each node pixel to its node id
+/// + 1, the traced-step marks (one direction bit per pixel), the sorted
+/// node pixels, the segment being traced and the pure-cycle visited map.
+/// The build allocates only the graph it returns: node clusters, exact-size
+/// edge paths and the two lists. Node and edge ids follow node pixels in
+/// PointI order and neighbours in kNeighbours8 order.
 SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& ws,
                                    BuildStats* stats = nullptr);
 

@@ -1,4 +1,3 @@
-#include "imaging/frame_workspace.hpp"
 #include "reference.hpp"
 #include "skelgraph/simplify.hpp"
 
@@ -10,9 +9,7 @@ core::FrameObservation process_silhouette(const core::FramePipeline& pipeline,
   core::FrameObservation obs;
   obs.silhouette = silhouette;
   obs.raw_skeleton = zhang_suen_thin(obs.silhouette);
-  FrameWorkspace fresh;  // the graph build's scratch, allocated per call
-  obs.graph =
-      skel::clean_skeleton(obs.raw_skeleton, fresh, params.min_branch_vertices, &obs.cleanup);
+  obs.graph = clean_skeleton(obs.raw_skeleton, params.min_branch_vertices, &obs.cleanup);
   if (params.split_bends) {
     skel::split_edges_at_bends(obs.graph, params.bend_tolerance);
   }

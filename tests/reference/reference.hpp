@@ -13,6 +13,7 @@
 #include "detection/blob_tracker.hpp"
 #include "imaging/image.hpp"
 #include "segmentation/object_extractor.hpp"
+#include "skelgraph/artifacts.hpp"
 #include "thinning/zhang_suen.hpp"
 
 namespace slj::reference {
@@ -60,8 +61,20 @@ int neighbour_count(const BinaryImage& img, int x, int y);
 /// Number of 0→1 transitions in the ordered ring P2..P9,P2 — A(P1).
 int transition_count(const BinaryImage& img, int x, int y);
 
+/// The seed skeleton-graph build (paper Sec. 3): a hash map from node pixel
+/// to node id, a set of traced steps and one neighbour vector per traced
+/// pixel, on freshly allocated scratch. Node and edge ids, paths and
+/// `stats` are what the shipped workspace build must reproduce.
+skel::SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton,
+                                         skel::BuildStats* stats = nullptr);
+
+/// The seed cleanup: the build above, then the shipped maximum-spanning-tree
+/// loop cut and one-at-a-time pruning.
+skel::SkeletonGraph clean_skeleton(const BinaryImage& skeleton, int min_branch_vertices = 10,
+                                   skel::CleanupStats* stats = nullptr);
+
 /// The pipeline's stages after segmentation, from `silhouette`: reference
-/// thinning, then the shipped graph cleanup and features with
+/// thinning and graph cleanup, then the shipped bend split and features with
 /// `pipeline.params()` and `pipeline.encoder()`.
 core::FrameObservation process_silhouette(const core::FramePipeline& pipeline,
                                           const BinaryImage& silhouette);

@@ -9,7 +9,6 @@
 #include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "reference.hpp"
-#include "segmentation/background_model.hpp"
 
 namespace slj::reference {
 
@@ -18,9 +17,8 @@ ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& bac
   if (frame.width() != background.width() || frame.height() != background.height()) {
     throw std::invalid_argument("frame size differs from background");
   }
-  seg::BackgroundModel model(params.window);
-  model.set_background(background);
-  const RgbMeans& bave = model.averaged();
+  // Steps i–ii: Bave, the windowed mean of the empty-scene plate.
+  const RgbMeans bave = window_mean_rgb(background, params.window);
   // Step ii: Aave, the windowed mean of the frame with the moving object.
   const RgbMeans aave = window_mean_rgb(frame, params.window);
 

@@ -1,14 +1,16 @@
 // Golden parity suite for the FrameWorkspace chain: the shipped pipeline —
 // column-sum window means, into-style segmentation, frontier
-// Zhang–Suen — must produce bit-identical results to the straightforward
-// seed implementations in tests/reference/, at every worker count and via
-// the StreamEngine; and the steady-state segmentation + thinning hot path
-// must perform zero heap allocations.
+// Zhang–Suen, workspace graph build — must produce bit-identical results to
+// the straightforward seed implementations in tests/reference/, at every
+// worker count and via the StreamEngine; the steady-state segmentation +
+// thinning hot path must perform zero heap allocations, and the graph
+// cleanup may allocate only for the graph it returns.
 #include "imaging/frame_workspace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <random>
@@ -20,6 +22,7 @@
 #include "imaging/filters.hpp"
 #include "imaging/morphology.hpp"
 #include "reference.hpp"
+#include "skelgraph/artifacts.hpp"
 #include "synth/dataset.hpp"
 #include "thinning/zhang_suen.hpp"
 
@@ -330,6 +333,53 @@ TEST(FrameWorkspaceAllocation, SteadyStateSegmentAndThinHotPathIsAllocationFree)
   const std::size_t fill_after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(fill_after - fill_before, 0u) << "a growing hole-fill box must not allocate";
   EXPECT_EQ(filled, reference::fill_holes(growing.back()));
+}
+
+/// Heap allocations push_back makes growing an empty vector to n elements
+/// by doubling: capacities 1, 2, 4, ..., the first one >= n.
+std::size_t doubling_allocations(std::size_t n) {
+  return n == 0 ? 0 : static_cast<std::size_t>(std::bit_width(n - 1)) + 1;
+}
+
+TEST(FrameWorkspaceAllocation, SteadyStateCleanSkeletonAllocatesOnlyTheGraph) {
+  // The graph build keeps its pixel maps, step marks and trace in the
+  // workspace, so at steady state clean_skeleton allocates only for the
+  // graph it returns. The bound counts, from that graph:
+  //  - each node's cluster, grown pixel by pixel;
+  //  - each edge's path, copied once at its exact size;
+  //  - each merge of a pruned anchor: its incident-edge list (two growths)
+  //    and the two oriented path copies (the spliced path is an edge's);
+  //  - the doubling growth of the node and edge lists, the loop cut's
+  //    Kruskal order and each prune round's candidate list;
+  //  - the loop cut's two cycle counts and its union-find table.
+  // A per-pixel allocation anywhere in the build (a hash map of node pixels,
+  // a set of traced steps, a neighbour vector per traced pixel) breaks it.
+  const synth::Clip clip = parity_clips().front();
+  FramePipeline pipeline;
+  pipeline.set_background(clip.background);
+  FrameWorkspace ws;
+  std::vector<BinaryImage> skeletons;
+  for (const RgbImage& frame : clip.frames) {
+    FrameObservation obs;
+    pipeline.process_into(frame, ws, obs);
+    skeletons.push_back(obs.raw_skeleton);
+  }
+  for (const BinaryImage& skeleton : skeletons) skel::clean_skeleton(skeleton, ws);  // warm-up
+  for (std::size_t i = 0; i < skeletons.size(); ++i) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    skel::CleanupStats stats;
+    const skel::SkeletonGraph graph = skel::clean_skeleton(skeletons[i], ws, 10, &stats);
+    const std::size_t used = g_allocations.load(std::memory_order_relaxed) - before;
+
+    const std::size_t nodes = graph.nodes().size();
+    const std::size_t edges = graph.edges().size();
+    const std::size_t merges = edges - skel::build_skeleton_graph(skeletons[i], ws).edges().size();
+    std::size_t bound = edges + 4 * merges + 3 + doubling_allocations(nodes) +
+                        (2 + stats.prune.rounds) * doubling_allocations(edges);
+    for (const skel::Node& n : graph.nodes()) bound += doubling_allocations(n.cluster.size());
+    EXPECT_LE(used, bound) << "frame " << i << ": " << nodes << " nodes, " << edges
+                           << " edges, " << merges << " merges";
+  }
 }
 
 }  // namespace

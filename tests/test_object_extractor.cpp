@@ -251,12 +251,11 @@ TEST(ObjectExtractor, MeanTableHoldsExactQuotients) {
   // division k / (n·n) the seed's summed-area tables made.
   int tabled = 0;
   for (int n = 1; n <= 15; n += 2) {
-    ExtractorParams params;
-    params.window = n;
-    const ObjectExtractor ex(params);
-    const std::vector<double>& q = ex.mean_table();
+    // The extractor's table is its background model's: one per window n.
+    const BackgroundModel model(n);
+    const std::vector<double>& q = model.mean_table();
     const std::size_t entries = static_cast<std::size_t>(n * n * 255 + 1);
-    if (entries > ObjectExtractor::kMaxMeanTableEntries) {
+    if (entries > BackgroundModel::kMaxMeanTableEntries) {
       EXPECT_TRUE(q.empty()) << "window " << n;
       continue;
     }
@@ -268,7 +267,7 @@ TEST(ObjectExtractor, MeanTableHoldsExactQuotients) {
     }
   }
   EXPECT_EQ(tabled, 3);  // windows 1, 3 and 5
-  EXPECT_EQ(ObjectExtractor().mean_table().size(), 2296u);
+  EXPECT_EQ(BackgroundModel(ExtractorParams{}.window).mean_table().size(), 2296u);
 }
 
 RgbImage random_rgb(std::mt19937& rng, int w, int h) {

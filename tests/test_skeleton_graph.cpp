@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/clip_engine.hpp"
 #include "imaging/draw.hpp"
 #include "imaging/frame_workspace.hpp"
+#include "reference.hpp"
+#include "skelgraph/artifacts.hpp"
+#include "synth/dataset.hpp"
 
 namespace slj::skel {
 namespace {
@@ -190,6 +201,148 @@ TEST(SkeletonGraph, ToDotContainsNodesAndEdges) {
   const std::string dot = g.to_dot();
   EXPECT_NE(dot.find("graph skeleton"), std::string::npos);
   EXPECT_NE(dot.find("--"), std::string::npos);
+}
+
+// ---- parity with the seed build in tests/reference/ ---------------------------
+
+void expect_same_graph(const SkeletonGraph& got, const SkeletonGraph& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.nodes().size(), want.nodes().size()) << label;
+  for (std::size_t i = 0; i < got.nodes().size(); ++i) {
+    const Node& g = got.nodes()[i];
+    const Node& w = want.nodes()[i];
+    EXPECT_EQ(g.id, w.id) << label << " node " << i;
+    EXPECT_EQ(g.pos, w.pos) << label << " node " << i;
+    EXPECT_EQ(g.type, w.type) << label << " node " << i;
+    EXPECT_EQ(g.alive, w.alive) << label << " node " << i;
+    EXPECT_EQ(g.cluster, w.cluster) << label << " node " << i;
+  }
+  ASSERT_EQ(got.edges().size(), want.edges().size()) << label;
+  for (std::size_t i = 0; i < got.edges().size(); ++i) {
+    const Edge& g = got.edges()[i];
+    const Edge& w = want.edges()[i];
+    EXPECT_EQ(g.id, w.id) << label << " edge " << i;
+    EXPECT_EQ(g.a, w.a) << label << " edge " << i;
+    EXPECT_EQ(g.b, w.b) << label << " edge " << i;
+    EXPECT_EQ(g.path, w.path) << label << " edge " << i;
+    EXPECT_EQ(g.length, w.length) << label << " edge " << i;
+    EXPECT_EQ(g.alive, w.alive) << label << " edge " << i;
+  }
+}
+
+void expect_same_stats(const CleanupStats& got, const CleanupStats& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.build.skeleton_pixels, want.build.skeleton_pixels) << label;
+  EXPECT_EQ(got.build.junction_pixels, want.build.junction_pixels) << label;
+  EXPECT_EQ(got.build.junction_clusters, want.build.junction_clusters) << label;
+  EXPECT_EQ(got.build.adjacent_junctions_removed, want.build.adjacent_junctions_removed) << label;
+  EXPECT_EQ(got.build.pixel_graph_cycles, want.build.pixel_graph_cycles) << label;
+  EXPECT_EQ(got.loops.loops_before, want.loops.loops_before) << label;
+  EXPECT_EQ(got.loops.loops_after, want.loops.loops_after) << label;
+  EXPECT_EQ(got.loops.edges_removed, want.loops.edges_removed) << label;
+  EXPECT_EQ(got.loops.removed_length, want.loops.removed_length) << label;
+  EXPECT_EQ(got.loops.kept_length, want.loops.kept_length) << label;
+  EXPECT_EQ(got.prune.branches_removed, want.prune.branches_removed) << label;
+  EXPECT_EQ(got.prune.rounds, want.prune.rounds) << label;
+  EXPECT_EQ(got.prune.removed_length, want.prune.removed_length) << label;
+}
+
+/// Build and cleanup through the shipped workspace path against the seed
+/// oracle, both with and without stats.
+void expect_matches_seed(const BinaryImage& skeleton, FrameWorkspace& ws,
+                         const std::string& label) {
+  BuildStats got_build;
+  BuildStats want_build;
+  expect_same_graph(skel::build_skeleton_graph(skeleton, ws, &got_build),
+                    reference::build_skeleton_graph(skeleton, &want_build), label + " build");
+  CleanupStats got{got_build, {}, {}};
+  CleanupStats want{want_build, {}, {}};
+  expect_same_stats(got, want, label + " build");
+
+  expect_same_graph(clean_skeleton(skeleton, ws, 10, &got),
+                    reference::clean_skeleton(skeleton, 10, &want), label + " clean");
+  expect_same_stats(got, want, label + " clean");
+  expect_same_graph(clean_skeleton(skeleton, ws, 4), reference::clean_skeleton(skeleton, 4),
+                    label + " clean(4)");
+}
+
+TEST(SkeletonGraphParity, MatchesSeedBuildOnPerfbenchStyleFrames) {
+  // 23 clips of 45 frames (1 035 frames), seeded like perfbench's corpus
+  // (100000 + seed · 1000 + 1 + i), thinned by the shipped chain; one
+  // workspace serves every frame, as a worker lane's does.
+  std::vector<synth::Clip> clips;
+  for (std::uint32_t i = 0; i < 23; ++i) {
+    synth::ClipSpec spec;
+    spec.seed = 100000u + 7u * 1000u + 1u + i;
+    spec.frame_count = 45;
+    clips.push_back(synth::generate_clip(spec));
+  }
+  core::ClipEngine engine;
+  const std::vector<core::ClipObservation> observed = engine.process(clips);
+  FrameWorkspace ws;
+  std::size_t frames = 0;
+  for (std::size_t c = 0; c < observed.size(); ++c) {
+    for (std::size_t f = 0; f < observed[c].frames.size(); ++f, ++frames) {
+      expect_matches_seed(observed[c].frames[f].raw_skeleton, ws,
+                          "clip " + std::to_string(c) + " frame " + std::to_string(f));
+      if (HasFailure()) return;  // one frame's diff is enough to read
+    }
+  }
+  EXPECT_GE(frames, 1000u);
+}
+
+BinaryImage from_rows(const std::vector<std::string>& rows) {
+  BinaryImage img(static_cast<int>(rows.front().size()), static_cast<int>(rows.size()), 0);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) img.at(x, y) = rows[y][x] == '#' ? 1 : 0;
+  }
+  return img;
+}
+
+TEST(SkeletonGraphParity, MatchesSeedBuildOnSyntheticSkeletons) {
+  std::vector<std::pair<std::string, BinaryImage>> cases = {
+      {"empty", BinaryImage(6, 4, 0)},
+      {"0x0", BinaryImage(0, 0)},
+      {"line", simple_line()},
+      {"t", t_shape()},
+      {"ring", diamond_ring()},
+      {"rings", from_rows({".#....#.#", "#.#..#...", ".#....#.#", ".........", "###......",
+                           "#.#......", "###......"})},
+      {"ring on the border", from_rows({"###", "#.#", "###"})},
+      {"isolated pixels", from_rows({"#...#", ".....", "..#..", ".....", "#...#"})},
+      {"junction cluster in a corner", from_rows({"###..", "###..", "##...", "...#.", "....#"})},
+      {"junction cluster on an edge", from_rows({"..#..", ".###.", "#####", "#.#.#", "..#.."})},
+      {"plus on the border", from_rows({"#.#", "###", "#.#"})},
+      {"ring with a tail", from_rows({".#...", "#.#..", ".#...", ".#...", ".##.."})},
+  };
+  for (const int n : {1, 2, 3, 9}) {
+    cases.push_back({"1x" + std::to_string(n) + " full", BinaryImage(1, n, 1)});
+    cases.push_back({std::to_string(n) + "x1 full", BinaryImage(n, 1, 1)});
+  }
+  BinaryImage dotted_row(11, 1, 0);
+  BinaryImage dotted_col(1, 11, 0);
+  for (int i = 0; i < 11; i += 3) {
+    dotted_row.at(i, 0) = 1;
+    dotted_row.at(std::min(i + 1, 10), 0) = 1;
+    dotted_col.at(0, i) = 1;
+  }
+  cases.push_back({"11x1 dotted", dotted_row});
+  cases.push_back({"1x11 dotted", dotted_col});
+  // Random masks reach every topology the tracer can meet: dense blobs of
+  // junction pixels, chains between them, pure cycles and lone pixels.
+  std::mt19937 rng(5);
+  for (const double density : {0.08, 0.2, 0.35, 0.6}) {
+    for (const auto& [w, h] : {std::pair<int, int>{1, 17}, {17, 1}, {9, 7}, {40, 31}}) {
+      BinaryImage img(w, h, 0);
+      std::bernoulli_distribution on(density);
+      for (std::uint8_t& p : img.data()) p = on(rng) ? 1 : 0;
+      cases.push_back({"random " + std::to_string(w) + "x" + std::to_string(h) + " p " +
+                           std::to_string(density),
+                       img});
+    }
+  }
+  FrameWorkspace ws;  // reused across every size, as the engines reuse theirs
+  for (const auto& [label, img] : cases) expect_matches_seed(img, ws, label);
 }
 
 }  // namespace
