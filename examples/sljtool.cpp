@@ -29,7 +29,7 @@
 // pushes the clip one frame at a time through StreamManager sessions —
 // simulated concurrent cameras — printing advice the moment a
 // movement-standard rule resolves, and verifies the live results against
-// the batch decoder. serve goes fully asynchronous: N producer threads
+// the batch classifier. serve goes fully asynchronous: N producer threads
 // push frames at a jittery camera cadence into the IngestService's bounded
 // per-session queues while the scheduler drains, analyses and delivers,
 // with the live telemetry table refreshed as it runs.
@@ -56,7 +56,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/service_monitor.hpp"
 #include "obs/tracer.hpp"
-#include "pose/decoders.hpp"
 #include "replay/trace_replayer.hpp"
 #include "synth/clip_io.hpp"
 #include "synth/dataset.hpp"
@@ -185,16 +184,6 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
   core::StreamManagerConfig config;
   config.workers = engine_config(flags).workers;
   config.session.use_tracker = engine_config(flags).use_tracker;
-  if (const auto it = flags.find("decoder"); it != flags.end()) {
-    if (it->second == "online") {
-      config.session.decoder = core::StreamDecoder::kOnline;
-    } else if (it->second == "filtering") {
-      config.session.decoder = core::StreamDecoder::kFiltering;
-    } else {
-      throw std::runtime_error("--decoder must be 'online' or 'filtering', got '" + it->second +
-                               "'");
-    }
-  }
 
   core::StreamManager manager(classifier, {}, config);
   std::vector<int> ids;
@@ -225,14 +214,11 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
   for (std::size_t s = 1; s < ids.size(); ++s) manager.close_session(ids[s]);
   std::printf("\n%s", report.to_string().c_str());
 
-  // Live results must agree frame for frame with the batch decoder.
-  core::ClipEngineConfig batch_config = engine_config(flags);
-  core::ClipEngine engine({}, batch_config);
+  // Live results must agree frame for frame with the batch classifier.
+  core::ClipEngine engine({}, engine_config(flags));
   const core::ClipObservation observation = engine.process(clip);
-  const std::vector<pose::FrameResult> batch = pose::decode_sequence(
-      classifier, observation.candidate_sets(), observation.airborne,
-      config.session.decoder == core::StreamDecoder::kFiltering ? pose::SequenceDecoder::kFiltering
-                                                                : pose::SequenceDecoder::kOnline);
+  const std::vector<pose::FrameResult> batch =
+      classifier.classify_sequence(observation.candidate_sets(), observation.airborne);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (live[i].pose != batch[i].pose || live[i].stage != batch[i].stage ||
@@ -240,7 +226,7 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
       ++mismatches;
     }
   }
-  std::printf("verify vs batch decoder: %s\n",
+  std::printf("verify vs batch classifier: %s\n",
               mismatches == 0 ? "identical on every frame"
                               : (std::to_string(mismatches) + " mismatching frames").c_str());
   return mismatches == 0 ? 0 : 1;
@@ -833,7 +819,7 @@ int usage() {
               "                   [--workers N] [--tracker 0|1]\n"
               "  sljtool evaluate --model FILE --data DIR [--workers N] [--tracker 0|1]\n"
               "  sljtool stream   --model FILE --clip DIR [--sessions N] [--workers N]\n"
-              "                   [--decoder online|filtering] [--tracker 0|1]\n"
+              "                   [--tracker 0|1]\n"
               "  sljtool serve    [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
               "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
               "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"

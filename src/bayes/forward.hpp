@@ -1,8 +1,8 @@
 // Discrete forward filtering over a Markov chain — the temporal backbone of
 // the DBN (Fig. 7b). The paper propagates a *point estimate* of the
-// previous pose; this class implements full belief propagation, used by the
-// classifier's `TemporalMode::kFiltering` extension and compared against
-// the paper's point-estimate rule in the ablation benches.
+// previous pose; this class implements full belief propagation for
+// pose::OnlineForwardDecoder, an offline ablation decoder kept for A7 and
+// perfbench and compared there against the paper's point-estimate rule.
 #pragma once
 
 #include <span>

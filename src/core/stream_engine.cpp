@@ -18,7 +18,6 @@ StreamSession::StreamSession(const pose::PoseDbnClassifier& classifier,
       online_state_(classifier.initial_state()) {
   pipeline_.set_background(background);
   if (config_.use_tracker) tracker_.emplace(config_.tracker);
-  if (config_.decoder == StreamDecoder::kFiltering) forward_.emplace(classifier);
 }
 
 StreamUpdate StreamSession::push_frame(const RgbImage& frame) {
@@ -37,10 +36,7 @@ StreamUpdate StreamSession::push_observation(const FrameObservation& observation
   StreamUpdate update;
   update.frame_index = frames_++;
   update.airborne = ground_.airborne(observation.bottom_row);
-  update.result = config_.decoder == StreamDecoder::kFiltering
-                      ? forward_->push(observation.candidates, update.airborne)
-                      : classifier_->classify(observation.candidates, update.airborne,
-                                              online_state_);
+  update.result = classifier_->classify(observation.candidates, update.airborne, online_state_);
   update.resolved = faults_.push(update.result);
   return update;
 }

@@ -4,12 +4,14 @@
 // movement-standard rules that resolved on that frame, so coaching advice
 // can be spoken while the jumper is still in the air. Memory is bounded:
 // a session keeps only its sequential state (ground calibration, tracker,
-// decoder belief, fault-rule progress), never the frame history.
+// the classifier's sequence state, fault-rule progress), never the frame
+// history.
 //
-// Decoding is exact with respect to the batch paths: kOnline replays the
-// classifier's own per-frame rule (identical output to
-// classify_sequence), kFiltering the OnlineForwardDecoder that also backs
-// decode_sequence(kFiltering) — so going live never changes the answer.
+// Decoding is the classifier's own per-frame rule, the paper's online point
+// estimate, so a session's output is identical to classify_sequence over
+// the same clip: going live never changes the answer. The filtering and
+// Viterbi decoders (pose/decoders.hpp) are offline ablation decoders, kept
+// for A7 and perfbench; no session runs them.
 //
 // StreamManager multiplexes many concurrent sessions (simulated camera
 // feeds) over one WorkerPool: a tick() hands each session its next frame
@@ -28,21 +30,14 @@
 #include "core/faults.hpp"
 #include "core/pipeline.hpp"
 #include "detection/blob_tracker.hpp"
-#include "pose/decoders.hpp"
+#include "pose/classifier.hpp"
 
 namespace slj::core {
 
-/// Which per-frame decoder drives a session.
-enum class StreamDecoder {
-  kOnline,     ///< the paper's rule, exactly classify_sequence frame-for-frame
-  kFiltering,  ///< forward belief via OnlineForwardDecoder
-};
-
 /// As in ClipEngineConfig, the airborne flag comes from a GroundMonitor
-/// with constant knobs, and both decoders read it through the one
+/// with constant knobs, and the classifier reads it through the one
 /// pose::StageTracker rule.
 struct StreamSessionConfig {
-  StreamDecoder decoder = StreamDecoder::kOnline;
   /// Select the jumper blob with a BlobTracker instead of largest-component.
   bool use_tracker = false;
   detect::TrackerConfig tracker;
@@ -90,7 +85,6 @@ class StreamSession {
   GroundMonitor ground_;
   std::optional<detect::BlobTracker> tracker_;
   pose::PoseDbnClassifier::SequenceState online_state_;
-  std::optional<pose::OnlineForwardDecoder> forward_;  ///< kFiltering only
   IncrementalFaultDetector faults_;
   std::size_t frames_ = 0;
   /// Per-session scratch: after the first frame sizes them, push_frame

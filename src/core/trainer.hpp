@@ -31,20 +31,4 @@ struct TrainingStats {
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
                                const synth::Dataset& dataset);
 
-struct TrainerOptions {
-  /// Qualitative training: learn a TAN structure over the part features
-  /// (Chow–Liu on class-conditional mutual information) before the
-  /// quantitative counting pass. The classifier must be untrained.
-  bool learn_tan_structure = false;
-};
-
-/// Two-pass variant: optional structure learning, then counting. With
-/// default options this is plain train_on_dataset. With
-/// learn_tan_structure the counting pass also differs: each frame's
-/// transition is observed under that frame's *own* stage, the one inference
-/// conditions on (transition_prob(pose, prev, stage_of(pose))), where the
-/// plain path uses the previous trained frame's stage.
-TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
-                               const synth::Dataset& dataset, const TrainerOptions& options);
-
 }  // namespace slj::core

@@ -17,7 +17,6 @@ constexpr double kLogFloor = -1e9;
 PoseDbnClassifier::PoseDbnClassifier(ClassifierConfig config)
     : config_(config),
       encoder_(config.num_areas),
-      tan_parents_(static_cast<std::size_t>(kPartCount), -1),
       prior_(kPoseCount, {}, config.laplace_alpha),
       transition_(kPoseCount, {kPoseCount, kStageCount}, config.transition_alpha),
       stage_cpt_(kStageCount, {kStageCount}, config.transition_alpha),
@@ -33,28 +32,6 @@ PoseDbnClassifier::PoseDbnClassifier(ClassifierConfig config)
   }
 }
 
-void PoseDbnClassifier::set_tan_structure(const std::vector<int>& parents) {
-  if (parents.size() != static_cast<std::size_t>(kPartCount)) {
-    throw std::invalid_argument("TAN structure needs one parent entry per part");
-  }
-  if (training_frames() > 0.0) {
-    throw std::logic_error("set_tan_structure must precede training");
-  }
-  for (std::size_t i = 0; i < parents.size(); ++i) {
-    const int p = parents[i];
-    if (p == static_cast<int>(i) || p < -1 || p >= kPartCount) {
-      throw std::invalid_argument("invalid TAN parent");
-    }
-  }
-  tan_parents_ = parents;
-  part_cpts_.clear();
-  for (int i = 0; i < kPartCount; ++i) {
-    std::vector<int> cards{kPoseCount};
-    if (tan_parents_[static_cast<std::size_t>(i)] >= 0) cards.push_back(encoder_.state_count());
-    part_cpts_.emplace_back(encoder_.state_count(), std::move(cards), config_.laplace_alpha);
-  }
-}
-
 void PoseDbnClassifier::observe(PoseId pose, const FeatureCandidate& candidate, PoseId prev,
                                 Stage stage, bool airborne) {
   const int p = index_of(pose);
@@ -63,15 +40,8 @@ void PoseDbnClassifier::observe(PoseId pose, const FeatureCandidate& candidate, 
   prior_.observe(p, {});
   const int parents[1] = {p};
   for (int i = 0; i < kPartCount; ++i) {
-    const int tp = tan_parents_[static_cast<std::size_t>(i)];
-    if (tp < 0) {
-      part_cpts_[static_cast<std::size_t>(i)].observe(
-          candidate.features.areas[static_cast<std::size_t>(i)], parents);
-    } else {
-      const int tan_parents[2] = {p, candidate.features.areas[static_cast<std::size_t>(tp)]};
-      part_cpts_[static_cast<std::size_t>(i)].observe(
-          candidate.features.areas[static_cast<std::size_t>(i)], tan_parents);
-    }
+    part_cpts_[static_cast<std::size_t>(i)].observe(
+        candidate.features.areas[static_cast<std::size_t>(i)], parents);
   }
   for (int k = 0; k < encoder_.num_areas(); ++k) {
     const int occupied =
@@ -103,17 +73,8 @@ double PoseDbnClassifier::log_likelihood(PoseId pose, const FeatureVector& featu
   const int parents[1] = {index_of(pose)};
   double ll = 0.0;
   for (int i = 0; i < kPartCount; ++i) {
-    const int tp = tan_parents_[static_cast<std::size_t>(i)];
-    double p;
-    if (tp < 0) {
-      p = part_cpts_[static_cast<std::size_t>(i)].prob(
-          features.areas[static_cast<std::size_t>(i)], parents);
-    } else {
-      const int tan_parents[2] = {index_of(pose),
-                                  features.areas[static_cast<std::size_t>(tp)]};
-      p = part_cpts_[static_cast<std::size_t>(i)].prob(
-          features.areas[static_cast<std::size_t>(i)], tan_parents);
-    }
+    const double p = part_cpts_[static_cast<std::size_t>(i)].prob(
+        features.areas[static_cast<std::size_t>(i)], parents);
     ll += p > 0.0 ? std::log(p) : kLogFloor;
   }
   return ll;
@@ -318,31 +279,11 @@ std::vector<FrameResult> PoseDbnClassifier::classify_sequence(
 
 namespace {
 
-/// P(area-state | pose) per part, marginalizing over any TAN parent chain
-/// (parents form a tree, so plain recursion terminates).
-std::vector<double> part_marginal(const std::vector<bayes::TabularCpd>& cpts,
-                                  const std::vector<int>& tan_parents, int part, int pose,
-                                  int states) {
-  const int tp = tan_parents[static_cast<std::size_t>(part)];
-  std::vector<double> out(static_cast<std::size_t>(states), 0.0);
-  if (tp < 0) {
-    const int parents[1] = {pose};
-    for (int s = 0; s < states; ++s) {
-      out[static_cast<std::size_t>(s)] = cpts[static_cast<std::size_t>(part)].prob(s, parents);
-    }
-    return out;
-  }
-  const std::vector<double> parent_marginal =
-      part_marginal(cpts, tan_parents, tp, pose, states);
-  for (int ps = 0; ps < states; ++ps) {
-    const int parents[2] = {pose, ps};
-    const double w = parent_marginal[static_cast<std::size_t>(ps)];
-    if (w <= 0.0) continue;
-    for (int s = 0; s < states; ++s) {
-      out[static_cast<std::size_t>(s)] +=
-          w * cpts[static_cast<std::size_t>(part)].prob(s, parents);
-    }
-  }
+/// P(area-state | pose) for one part: a row of its CPT.
+std::vector<double> part_marginal(const bayes::TabularCpd& cpt, int pose, int states) {
+  const int parents[1] = {pose};
+  std::vector<double> out(static_cast<std::size_t>(states));
+  for (int s = 0; s < states; ++s) out[static_cast<std::size_t>(s)] = cpt.prob(s, parents);
   return out;
 }
 
@@ -369,13 +310,14 @@ bayes::Network PoseDbnClassifier::build_pose_network(PoseId pose) const {
       if (q == index_of(pose)) continue;
       const double w = prior_prob(static_cast<PoseId>(q));
       other_total += w;
-      const std::vector<double> marg = part_marginal(part_cpts_, tan_parents_, i, q, states);
+      const std::vector<double> marg =
+          part_marginal(part_cpts_[static_cast<std::size_t>(i)], q, states);
       for (int s = 0; s < states; ++s) {
         other[static_cast<std::size_t>(s)] += w * marg[static_cast<std::size_t>(s)];
       }
     }
     const std::vector<double> self =
-        part_marginal(part_cpts_, tan_parents_, i, index_of(pose), states);
+        part_marginal(part_cpts_[static_cast<std::size_t>(i)], index_of(pose), states);
     for (int s = 0; s < states; ++s) {
       table[static_cast<std::size_t>(s)] =
           other_total > 0.0 ? other[static_cast<std::size_t>(s)] / other_total : 1.0 / states;
@@ -453,7 +395,8 @@ bayes::Network PoseDbnClassifier::build_dbn_slice() const {
   for (int i = 0; i < kPartCount; ++i) {
     std::vector<double> table(static_cast<std::size_t>(kPoseCount * states));
     for (int p = 0; p < kPoseCount; ++p) {
-      const std::vector<double> marg = part_marginal(part_cpts_, tan_parents_, i, p, states);
+      const std::vector<double> marg =
+          part_marginal(part_cpts_[static_cast<std::size_t>(i)], p, states);
       for (int s = 0; s < states; ++s) {
         table[static_cast<std::size_t>(p * states + s)] = marg[static_cast<std::size_t>(s)];
       }
@@ -485,6 +428,9 @@ namespace {
 
 constexpr const char* kModelMagic = "slj-pose-model";
 constexpr int kModelVersion = 1;
+/// Largest area count a model file may ask for (one area per degree): it
+/// sizes every part and area CPT, so it is bounded before any allocation.
+constexpr int kMaxModelAreas = 360;
 
 void write_counts(std::ostream& out, const char* tag, const bayes::TabularCpd& cpd) {
   out << tag << ' ' << cpd.raw_counts().size();
@@ -523,8 +469,9 @@ void PoseDbnClassifier::save(std::ostream& out) const {
       << config_.clutter_epsilon << ' ' << (config_.use_stage_constraint ? 1 : 0) << ' '
       << (config_.carry_last_recognized ? 1 : 0) << '\n';
   out.precision(old_precision);
+  // The naive part structure, written as "no extra parent" per part.
   out << "tan";
-  for (const int p : tan_parents_) out << ' ' << p;
+  for (int i = 0; i < kPartCount; ++i) out << " -1";
   out << '\n';
   write_counts(out, "prior", prior_);
   for (int i = 0; i < kPartCount; ++i) {
@@ -557,20 +504,35 @@ PoseDbnClassifier PoseDbnClassifier::load(std::istream& in) {
       tag != "config") {
     throw std::runtime_error("model load: malformed config line");
   }
+  // Every field is range-checked before it reaches a constructor or a cast,
+  // so a malformed config is a load error, not a foreign exception or an
+  // undefined mode.
+  if (cfg.num_areas < 2 || cfg.num_areas > kMaxModelAreas) {
+    throw std::runtime_error("model load: invalid area count");
+  }
+  if (dominant < 0 || dominant >= kPoseCount) {
+    throw std::runtime_error("model load: invalid dominant pose");
+  }
+  if (temporal != static_cast<int>(TemporalMode::kDbn) &&
+      temporal != static_cast<int>(TemporalMode::kStaticBn)) {
+    throw std::runtime_error("model load: invalid temporal mode");
+  }
   cfg.dominant_pose = pose_from_index(dominant);
   cfg.temporal = static_cast<TemporalMode>(temporal);
   cfg.use_stage_constraint = stage_constraint != 0;
   cfg.carry_last_recognized = carry != 0;
 
   PoseDbnClassifier clf(cfg);
-  std::vector<int> tan(static_cast<std::size_t>(kPartCount), -1);
+  // The structure is fixed (naive parts), still written for format
+  // compatibility; any other value is a corrupt model.
   if (!(in >> tag) || tag != "tan") {
     throw std::runtime_error("model load: missing tan line");
   }
-  for (int& p : tan) {
-    if (!(in >> p)) throw std::runtime_error("model load: truncated tan line");
+  for (int i = 0; i < kPartCount; ++i) {
+    int parent = 0;
+    if (!(in >> parent)) throw std::runtime_error("model load: truncated tan line");
+    if (parent != -1) throw std::runtime_error("model load: invalid tan parent");
   }
-  clf.set_tan_structure(tan);
   read_counts(in, "prior", clf.prior_);
   for (int i = 0; i < kPartCount; ++i) {
     read_counts(in, "part", clf.part_cpts_[static_cast<std::size_t>(i)]);

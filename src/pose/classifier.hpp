@@ -14,8 +14,10 @@
 // stage flag; stage transitions are monotone (before → jumping → air →
 // landing), which encodes the paper's "before-jumping and landing poses
 // cannot occur consecutively". StageTracker is the one rule that turns the
-// measured flag into the stages a frame may reach; the classifier and both
-// sequence decoders (decoders.hpp) read it.
+// measured flag into the stages a frame may reach. The classifier's own
+// per-frame rule is the only live decoder; the filtering and Viterbi
+// decoders in decoders.hpp are offline ablation decoders (kept for A7 and
+// perfbench) and read the same tracker.
 //
 // Class imbalance — every pose except the dominant "standing & hands swung
 // forward" must clear an acceptance threshold Th_Pose; frames where nothing
@@ -121,17 +123,6 @@ class PoseDbnClassifier {
   /// Total labelled frames seen.
   double training_frames() const { return prior_.total_weight(); }
 
-  // ---- qualitative training (structure) ---------------------------------
-  /// Installs a TAN structure over the part features: `parents[i]` is the
-  /// extra part-feature parent of part i (-1 = class parent only, the
-  /// paper's hand-fixed structure). Must be called before any observe();
-  /// resets the part CPTs. Learn the structure with
-  /// bayes::learn_tan_structure over (pose, features) samples.
-  void set_tan_structure(const std::vector<int>& parents);
-
-  /// Current TAN parents (-1 everywhere for the naive structure).
-  const std::vector<int>& tan_structure() const { return tan_parents_; }
-
   // ---- inference (Sec. 4.2) --------------------------------------------
   struct SequenceState {
     PoseId prev = kResetPose;      ///< pose fed into the DBN as "previous"
@@ -181,7 +172,9 @@ class PoseDbnClassifier {
   void save(std::ostream& out) const;
 
   /// Reads a model written by save(). Throws std::runtime_error on
-  /// malformed input or version mismatch.
+  /// malformed input or version mismatch. The `tan` line is kept for format
+  /// compatibility: the observation structure is the paper's naive one, so
+  /// every entry must be -1.
   static PoseDbnClassifier load(std::istream& in);
 
  private:
@@ -199,10 +192,8 @@ class PoseDbnClassifier {
 
   ClassifierConfig config_;
   AreaEncoder encoder_;
-  std::vector<int> tan_parents_;   ///< extra feature parent per part (-1 = none)
   bayes::TabularCpd prior_;        ///< P(pose), no parents
-  /// Per part: P(area | pose) or, with TAN, P(area | pose, parent area).
-  std::vector<bayes::TabularCpd> part_cpts_;
+  std::vector<bayes::TabularCpd> part_cpts_;  ///< per part: P(area | pose)
   std::vector<bayes::TabularCpd> area_cpts_;  ///< per area: P(occupied | pose)
   bayes::TabularCpd transition_;   ///< P(pose_t | pose_{t-1}, stage_t)
   bayes::TabularCpd stage_cpt_;    ///< P(stage_t | stage_{t-1})

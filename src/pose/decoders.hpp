@@ -1,10 +1,12 @@
-// Sequence decoders — extensions over the paper's frame-by-frame
-// point-estimate rule (Sec. 6 asks for "refinement on the DBN"):
+// Sequence decoders — offline ablation decoders over the paper's
+// frame-by-frame point-estimate rule (Sec. 6 asks for "refinement on the
+// DBN"), kept for A7 and perfbench. Neither beats the online rule over the
+// seed sweep, so the live path (StreamSession) runs the classifier's own
+// rule only:
 //
 //  * filtering — full forward belief over poses instead of a committed
-//    point estimate; the frame's answer is the MAP of the belief. The
-//    forward recursion is online (OnlineForwardDecoder below), so the same
-//    code serves whole-clip decoding and live frame-at-a-time streams.
+//    point estimate; the frame's answer is the MAP of the belief, computed
+//    one frame at a time by OnlineForwardDecoder below.
 //  * Viterbi  — offline max-product decoding of the whole clip, which can
 //    revise early frames in the light of later evidence (the cure for the
 //    paper's "a misclassified frame will still affect subsequent frames").
@@ -37,7 +39,7 @@ enum class SequenceDecoder {
 /// through the filter's max-log shift, so long cluttered clips (heavily
 /// negative emission scores) cannot underflow the belief to uniform.
 /// decode_sequence(kFiltering) is exactly this decoder replayed over the
-/// clip, so live streams and batch decoding agree frame for frame.
+/// clip.
 class OnlineForwardDecoder {
  public:
   explicit OnlineForwardDecoder(const PoseDbnClassifier& classifier);

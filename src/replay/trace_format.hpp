@@ -71,7 +71,6 @@ struct TraceSessionConfig {
   double rate_tokens_per_second = 0.0;
   double rate_burst = 1.0;
   std::int64_t idle_timeout_ns = 0;
-  core::StreamDecoder decoder = core::StreamDecoder::kOnline;
   bool use_tracker = false;
 };
 

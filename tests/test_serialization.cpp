@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "pose/classifier.hpp"
 
@@ -124,6 +126,57 @@ TEST(Serialization, NonDefaultAreaCountRoundTrips) {
   original.save(buffer);
   const PoseDbnClassifier restored = PoseDbnClassifier::load(buffer);
   EXPECT_EQ(restored.encoder().num_areas(), 12);
+}
+
+/// trained()'s saved text with token `field` (0 = the tag) of the line
+/// tagged `tag` replaced by `value`.
+std::string with_field(const std::string& tag, std::size_t field, const std::string& value) {
+  std::stringstream saved;
+  trained().save(saved);
+  std::string out;
+  std::string line;
+  while (std::getline(saved, line)) {
+    if (line.rfind(tag + ' ', 0) == 0) {
+      std::istringstream tokens(line);
+      std::vector<std::string> parts;
+      for (std::string t; tokens >> t;) parts.push_back(t);
+      parts.at(field) = value;
+      line.clear();
+      for (const std::string& t : parts) line += (line.empty() ? "" : " ") + t;
+    }
+    out += line + '\n';
+  }
+  return out;
+}
+
+void expect_load_fails(const std::string& text, const std::string& what) {
+  std::stringstream in(text);
+  EXPECT_THROW(PoseDbnClassifier::load(in), std::runtime_error) << what;
+}
+
+TEST(Serialization, WritesTheNaiveStructureLine) {
+  std::stringstream buffer;
+  trained().save(buffer);
+  EXPECT_NE(buffer.str().find("\ntan -1 -1 -1 -1 -1\n"), std::string::npos);
+}
+
+TEST(Serialization, RejectsConfigValuesOutsideTheirRange) {
+  // Config tokens: 1 num_areas, 7 dominant pose, 8 temporal mode.
+  std::stringstream unchanged(with_field("config", 8, "0"));
+  EXPECT_NO_THROW(PoseDbnClassifier::load(unchanged));
+  expect_load_fails(with_field("config", 8, "7"), "temporal=7");
+  expect_load_fails(with_field("config", 8, "-1"), "temporal=-1");
+  expect_load_fails(with_field("config", 7, "99"), "dominant=99");
+  expect_load_fails(with_field("config", 7, std::to_string(kPoseCount)), "dominant=unknown");
+  expect_load_fails(with_field("config", 1, "1"), "num_areas=1");
+  expect_load_fails(with_field("config", 1, "361"), "num_areas=361");
+}
+
+TEST(Serialization, RejectsATanParentOtherThanMinusOne) {
+  for (std::size_t part = 1; part <= static_cast<std::size_t>(kPartCount); ++part) {
+    expect_load_fails(with_field("tan", part, "0"), "tan part " + std::to_string(part));
+  }
+  expect_load_fails(with_field("tan", 3, "-2"), "tan parent -2");
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/clip_engine.hpp"
-#include "pose/decoders.hpp"
 #include "reference.hpp"
 #include "synth/dataset.hpp"
 
@@ -52,24 +51,6 @@ TEST(StreamSession, OnlineMatchesBatchPathFrameForFrame) {
       expect_same_result(update.result, batch[i], i);
     }
     EXPECT_EQ(session.frames_seen(), clip.frames.size());
-  }
-}
-
-TEST(StreamSession, FilteringMatchesBatchDecoder) {
-  const pose::PoseDbnClassifier classifier;
-  const synth::Clip clip = make_clip(17);
-
-  ClipEngine engine;
-  const ClipObservation observation = engine.process(clip);
-  const std::vector<FrameResult> batch =
-      pose::decode_sequence(classifier, observation.candidate_sets(), observation.airborne,
-                            pose::SequenceDecoder::kFiltering);
-
-  StreamSessionConfig config;
-  config.decoder = StreamDecoder::kFiltering;
-  StreamSession session(classifier, clip.background, {}, config);
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    expect_same_result(session.push_frame(clip.frames[i]).result, batch[i], i);
   }
 }
 
