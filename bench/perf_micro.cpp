@@ -96,7 +96,8 @@ void BM_MedianFilterBinaryInto(benchmark::State& state) {
   FrameWorkspace ws;
   BinaryImage smoothed;
   for (auto _ : state) {
-    median_filter_binary_into(raw, 5, ws.mask_integral, ws.median_colsum, smoothed);
+    median_filter_binary_into(raw, seg::ObjectExtractor::kMedianWindow, ws.median_colsum,
+                              smoothed);
     benchmark::DoNotOptimize(smoothed.data().data());
   }
 }

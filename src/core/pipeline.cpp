@@ -9,7 +9,7 @@
 namespace slj::core {
 
 FramePipeline::FramePipeline(PipelineParams params)
-    : params_(params), extractor_(params.extractor), encoder_(params.num_areas) {}
+    : params_(params), encoder_(params.num_areas) {}
 
 void FramePipeline::set_background(const RgbImage& background) {
   extractor_.set_background(background);
@@ -57,11 +57,9 @@ void FramePipeline::finish_observation(FrameWorkspace& ws, FrameObservation& obs
   }
   {
     obs::TraceSpan span("skelgraph");
-    obs.graph = skel::clean_skeleton(obs.raw_skeleton, ws, params_.min_branch_vertices,
+    obs.graph = skel::clean_skeleton(obs.raw_skeleton, ws, PipelineParams::min_branch_vertices,
                                      &obs.cleanup);
-    if (params_.split_bends) {
-      skel::split_edges_at_bends(obs.graph, params_.bend_tolerance);
-    }
+    skel::split_edges_at_bends(obs.graph, PipelineParams::bend_tolerance);
     obs.key_points = skel::extract_key_points(obs.graph);
   }
   obs::TraceSpan span("features");

@@ -17,14 +17,14 @@
 namespace slj::core {
 
 struct PipelineParams {
-  seg::ExtractorParams extractor;
-  int min_branch_vertices = 10;  ///< the paper's pruning threshold
+  static constexpr int min_branch_vertices = 10;  ///< the paper's pruning threshold
   int num_areas = 8;
   pose::CandidateOptions candidates;
-  /// Piecewise-linear refinement (ref [7]): split edges at bend vertices so
-  /// articulations inside merged limbs (knee, elbow) become key points.
-  bool split_bends = true;
-  double bend_tolerance = 2.5;
+  /// Piecewise-linear refinement (ref [7]): edges are always split at bend
+  /// vertices so articulations inside merged limbs (knee, elbow) become key
+  /// points.
+  static constexpr bool split_bends = true;
+  static constexpr double bend_tolerance = 2.5;
 };
 
 /// Everything the pipeline derives from one frame, kept so benches and

@@ -1,6 +1,7 @@
 #include "core/stream_engine.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -15,7 +16,9 @@ StreamSession::StreamSession(const pose::PoseDbnClassifier& classifier,
     : pipeline_(params),
       config_(config),
       classifier_(&classifier),
-      online_state_(classifier.initial_state()) {
+      online_state_(classifier.initial_state()),
+      width_(background.width()),
+      height_(background.height()) {
   pipeline_.set_background(background);
   if (config_.use_tracker) tracker_.emplace(config_.tracker);
 }
@@ -87,8 +90,12 @@ SLJ_HOT_PATH void StreamManager::tick_into(const std::vector<Feed>& feeds, std::
   // current tick number is listed twice.
   ++tick_serial_;
   for (const Feed& feed : feeds) {
-    session_at(feed.session);  // validates the id
+    const StreamSession& session = session_at(feed.session);  // validates the id
     if (!feed.frame) throw std::invalid_argument("tick feed has no frame");
+    if (feed.frame->width() != session.width() || feed.frame->height() != session.height()) {
+      throw std::invalid_argument("session " + std::to_string(feed.session) +
+                                  " was fed a frame whose size differs from its background");
+    }
     std::uint64_t& stamp = tick_stamps_[static_cast<std::size_t>(feed.session)];
     if (stamp == tick_serial_) {
       throw std::invalid_argument("session " + std::to_string(feed.session) +

@@ -62,6 +62,9 @@ class StreamSession {
 
   const StreamSessionConfig& config() const { return config_; }
   std::size_t frames_seen() const { return frames_; }
+  /// The background's size, which every pushed frame must match.
+  int width() const { return width_; }
+  int height() const { return height_; }
 
   /// Consumes the next camera frame: vision pass, airborne flag, pose
   /// decision, incremental fault findings.
@@ -87,6 +90,8 @@ class StreamSession {
   pose::PoseDbnClassifier::SequenceState online_state_;
   IncrementalFaultDetector faults_;
   std::size_t frames_ = 0;
+  int width_;
+  int height_;
   /// Per-session scratch: after the first frame sizes them, push_frame
   /// performs no full-frame heap allocations (camera steady state).
   FrameWorkspace workspace_;
@@ -103,13 +108,13 @@ struct StreamManagerConfig {
 /// Multiplexes many concurrent StreamSessions over one WorkerPool.
 ///
 /// Tick contract: a tick advances each *listed* session by exactly one
-/// frame. Every Feed must name an open session with a non-null frame, and a
-/// session id may appear at most once per batch — a session has one
-/// sequential decoder state, so advancing it twice in one parallel tick
-/// would race that state and make the frame order ambiguous. The whole
-/// batch is validated up front; on any violation tick()/tick_into() throw
-/// std::invalid_argument *before any session advances*, so a rejected batch
-/// leaves every session exactly where it was.
+/// frame. Every Feed must name an open session with a non-null frame of its
+/// background's size, and a session id may appear at most once per batch —
+/// a session has one sequential decoder state, so advancing it twice in one
+/// parallel tick would race that state and make the frame order ambiguous.
+/// The whole batch is validated up front; on any violation tick()/tick_into()
+/// throw std::invalid_argument *before any session advances*, so a rejected
+/// batch leaves every session exactly where it was.
 class StreamManager {
  public:
   /// One frame of one feed inside a tick. `session` must be an open id and
@@ -132,8 +137,9 @@ class StreamManager {
 
   /// Advances every listed session by one frame, in parallel across the
   /// pool. Updates are returned in feed order. Throws std::invalid_argument
-  /// on an unknown or duplicated session id or a null frame, before any
-  /// session advances.
+  /// on an unknown or duplicated session id, a null frame or a frame whose
+  /// size differs from its session's background, before any session
+  /// advances.
   std::vector<StreamUpdate> tick(const std::vector<Feed>& feeds);
 
   /// Drain-batch entry point: same contract as tick(), but updates land in

@@ -6,79 +6,24 @@
 #include <stdexcept>
 
 #include "core/simd.hpp"
-#include "imaging/integral.hpp"
 #include "imaging/row_kernels.hpp"
 
 namespace slj {
-namespace {
 
-void require_odd(int k) {
-  if (k < 1 || k % 2 == 0) throw std::invalid_argument("filter window must be odd and >= 1");
-}
-
-// Summed-area-table binary median: the serial pointer walk builds the mask's
-// table (exact small-integer sums, bit-identical to IntegralImage::assign),
-// then every pixel reads its clamped window off it. The reference
-// median_filter_binary and the k > 127 fallback.
-void median_filter_binary_sat(const BinaryImage& img, int k, IntegralImage& integral,
-                              BinaryImage& out) {
-  const int w = img.width();
-  const int h = img.height();
-  const std::size_t stride = static_cast<std::size_t>(w) + 1;
-  const std::uint8_t* src = img.data().data();
-  double* tab = integral.raw_prepare(w, h);
-  for (int y = 0; y < h; ++y) {
-    double* row = tab + (static_cast<std::size_t>(y) + 1) * stride;
-    const double* prev = row - stride;
-    double row_sum = 0.0;
-    const std::uint8_t* s = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-    for (int x = 0; x < w; ++x) {
-      row_sum += s[x] ? 1.0 : 0.0;
-      row[x + 1] = prev[x + 1] + row_sum;
-    }
-  }
-  const int half = k / 2;
-  out.resize_discard(w, h);
-  std::uint8_t* d = out.data().data();
-  // Upper median of a 0/1 population (ties resolve to 1, matching the
-  // grayscale median's index-count/2 element).
-  for (int y = 0; y < h; ++y) {
-    const int y0 = std::max(y - half, 0);
-    const int y1 = std::min(y + half, h - 1);
-    for (int x = 0; x < w; ++x) {
-      const int x0 = std::max(x - half, 0);
-      const int x1 = std::min(x + half, w - 1);
-      const double area = static_cast<double>(x1 - x0 + 1) * (y1 - y0 + 1);
-      *d++ = integral.sum(x0, y0, x1, y1) * 2.0 >= area ? 1 : 0;
-    }
-  }
-}
-
-}  // namespace
-
-BinaryImage median_filter_binary(const BinaryImage& img, int k) {
-  require_odd(k);
-  IntegralImage integral;
-  BinaryImage out;
-  median_filter_binary_sat(img, k, integral, out);
-  return out;
-}
-
-SLJ_HOT_PATH void median_filter_binary_into(const BinaryImage& img, int k, IntegralImage& integral,
+SLJ_HOT_PATH void median_filter_binary_into(const BinaryImage& img, int k,
                                             std::vector<std::uint16_t>& colsum, BinaryImage& out) {
-  require_odd(k);
+  if (k < 1 || k > 127 || k % 2 == 0) {
+    throw std::invalid_argument("binary median window must be odd and in [1, 127]");
+  }
   // Separable integer box count: a sliding column-count row (colsum[x] =
   // ones in the clamped window column at x) updated by one add/sub per row,
   // and every output pixel a k-tap horizontal sum of those counts. All
   // values are exact small integers, so the result is bit-identical to the
-  // summed-area-table path at any backend; `2*count > area-1  ⇔  2*count >=
-  // area` keeps the upper-median tie rule. The k <= 127 guard bounds every
-  // 16-bit lane: counts <= k*k <= 16129, doubled <= 32258 < 2^15, so the
-  // backends' signed compares agree with unsigned.
-  if (k > 127) {
-    median_filter_binary_sat(img, k, integral, out);
-    return;
-  }
+  // summed-area-table median in tests/reference/ at any backend;
+  // `2*count > area-1  ⇔  2*count >= area` keeps the upper-median tie rule.
+  // The k <= 127 bound holds every 16-bit lane: counts <= k*k <= 16129,
+  // doubled <= 32258 < 2^15, so the backends' signed compares agree with
+  // unsigned.
   using VU = simd::VecU16<simd::Active>;
   const int w = img.width();
   const int h = img.height();

@@ -19,7 +19,6 @@
 #include "core/annotations.hpp"
 #include "imaging/connected.hpp"
 #include "imaging/image.hpp"
-#include "imaging/integral.hpp"
 
 namespace slj {
 
@@ -31,7 +30,6 @@ struct FrameWorkspace {
   // --- segmentation scratch (ObjectExtractor::extract_into) ---
   Image<double> difference;  ///< D(i,j) = |ΔR| + |ΔG| + |ΔB|
   BinaryImage raw_mask;      ///< thresholded mask before smoothing
-  IntegralImage mask_integral;  ///< SAT of raw_mask (binary median, k > 127)
   std::vector<std::uint16_t> median_colsum;  ///< binary median's sliding column counts
   BinaryImage smoothed;      ///< after median smoothing (tracker input)
   BinaryImage largest;       ///< largest-component mask

@@ -21,7 +21,7 @@ int IngestRouter::open(const RgbImage& background, IngestSessionConfig config) {
     sessions_.resize(static_cast<std::size_t>(id) + 1);
   }
   sessions_[static_cast<std::size_t>(id)] =
-      std::make_shared<SessionState>(id, config, clock_());
+      std::make_shared<SessionState>(id, background, config, clock_());
   return id;
 }
 
@@ -44,6 +44,15 @@ std::shared_ptr<IngestRouter::SessionState> IngestRouter::state_if_open(int sess
 PushOutcome IngestRouter::push(int session, const RgbImage& frame, std::uint64_t* sequence) {
   const std::shared_ptr<SessionState> state = state_if_open(session);
   if (!state) return PushOutcome::kClosed;  // closed sessions refuse quietly
+  // A frame the session's extractor cannot take would throw on the
+  // scheduler thread; refuse it here, on the producer's.
+  if (frame.width() != state->width || frame.height() != state->height) {
+    throw std::invalid_argument("ingest session " + std::to_string(session) + " takes " +
+                                std::to_string(state->width) + "x" +
+                                std::to_string(state->height) + " frames, got " +
+                                std::to_string(frame.width()) + "x" +
+                                std::to_string(frame.height()));
+  }
 
   const Clock::time_point now = clock_();
   // Any push attempt counts as producer activity: a camera that is being

@@ -71,10 +71,12 @@ class IngestRouter {
   int open(const RgbImage& background) SLJ_EXCLUDES(sessions_mutex_);
   int open(const RgbImage& background, IngestSessionConfig config) SLJ_EXCLUDES(sessions_mutex_);
 
-  /// Offers one frame from any producer thread. Unknown ids throw
-  /// std::invalid_argument; a closed (or closing) session returns kClosed —
-  /// producers racing an eviction get a quiet refusal, not a crash. An
-  /// admitted frame's queue sequence lands in `sequence` when non-null.
+  /// Offers one frame from any producer thread. Unknown ids and frames
+  /// whose size differs from the session's background throw
+  /// std::invalid_argument before anything is admitted; a closed (or
+  /// closing) session returns kClosed — producers racing an eviction get a
+  /// quiet refusal, not a crash. An admitted frame's queue sequence lands in
+  /// `sequence` when non-null.
   PushOutcome push(int session, const RgbImage& frame, std::uint64_t* sequence = nullptr);
 
   /// Pops at most one ready frame per open session (in session-id order)
@@ -113,6 +115,8 @@ class IngestRouter {
  private:
   struct SessionState {
     int id = -1;
+    int width = 0;   ///< the background's size, which every frame must match
+    int height = 0;
     IngestSessionConfig config;
     FrameQueue queue;
     Clock::time_point opened_at{};
@@ -127,9 +131,10 @@ class IngestRouter {
     /// per-session p50/p99 snapshot rows the SLO tracker scores.
     LatencyHistogram latency;
 
-    SessionState(int id_, IngestSessionConfig config_, Clock::time_point now)
-        : id(id_), config(config_), queue(config_.queue), opened_at(now),
-          last_activity(now.time_since_epoch().count()) {}
+    SessionState(int id_, const RgbImage& background, IngestSessionConfig config_,
+                 Clock::time_point now)
+        : id(id_), width(background.width()), height(background.height()), config(config_),
+          queue(config_.queue), opened_at(now), last_activity(now.time_since_epoch().count()) {}
   };
 
   std::shared_ptr<SessionState> state_at(int session) const

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 #include "core/simd.hpp"
 #include "imaging/connected.hpp"
@@ -12,42 +11,9 @@
 #include "imaging/morphology.hpp"
 
 namespace slj::seg {
-namespace {
-
-void validate(const ExtractorParams& params) {
-  if (params.window < 1 || params.window % 2 == 0) {
-    throw std::invalid_argument("ExtractorParams.window (the paper's n) must be odd and >= 1; got " +
-                                std::to_string(params.window));
-  }
-  if (params.median_window < 1 || params.median_window % 2 == 0) {
-    throw std::invalid_argument("ExtractorParams.median_window must be odd and >= 1; got " +
-                                std::to_string(params.median_window));
-  }
-  if (params.th_object < 0 || params.th_object > 255) {
-    throw std::invalid_argument(
-        "ExtractorParams.th_object must be in [0, 255] (it thresholds the normalized "
-        "8-bit difference); got " +
-        std::to_string(params.th_object));
-  }
-  if (!(params.min_max_difference >= 0.0)) {  // also rejects NaN
-    throw std::invalid_argument("ExtractorParams.min_max_difference must be >= 0; got " +
-                                std::to_string(params.min_max_difference));
-  }
-}
-
-}  // namespace
-
-// validate() runs inside the first initializer so an invalid window is
-// reported with the ExtractorParams message, not BackgroundModel's.
-ObjectExtractor::ObjectExtractor(ExtractorParams params)
-    : params_((validate(params), params)), background_(params.window) {}
 
 void ObjectExtractor::set_background(const RgbImage& background) {
   background_.set_background(background);
-}
-
-void ObjectExtractor::accumulate_background(const RgbImage& background) {
-  background_.accumulate(background);
 }
 
 SLJ_HOT_PATH double ObjectExtractor::difference_into(const RgbImage& frame,
@@ -91,9 +57,9 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
   // so the mask is bit-identical to thresholding the rounded image R.
   // std::clamp(r, 0, 255) = min(max(r, 0), 255) lane-wise: r is never NaN
   // and never −0, so the vector compare/select sequence matches exactly.
-  const bool scene_changed = max_d > 0.0 && max_d >= params_.min_max_difference;
+  const bool scene_changed = max_d > 0.0 && max_d >= kMinMaxDifference;
   const double shift = max_d - 255.0;
-  const double mask_threshold = static_cast<double>(params_.th_object) + 0.5;
+  const double mask_threshold = static_cast<double>(kThObject) + 0.5;
   ws.raw_mask.resize_discard(w, h);
   std::uint8_t* mask = ws.raw_mask.data().data();
   if (scene_changed) {
@@ -116,19 +82,9 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
     std::fill(mask, mask + ws.raw_mask.size(), 0);
   }
 
-  median_filter_binary_into(ws.raw_mask, params_.median_window, ws.mask_integral,
-                            ws.median_colsum, ws.smoothed);
-
-  const BinaryImage* cleaned = &ws.smoothed;
-  if (params_.keep_largest_only) {
-    largest_component_into(*cleaned, true, ws.labeling, ws.pixel_stack, ws.largest);
-    cleaned = &ws.largest;
-  }
-  if (params_.fill_holes) {
-    fill_holes_into(*cleaned, ws.reached, ws.flood_stack, silhouette_out);
-  } else {
-    silhouette_out = *cleaned;
-  }
+  median_filter_binary_into(ws.raw_mask, kMedianWindow, ws.median_colsum, ws.smoothed);
+  largest_component_into(ws.smoothed, true, ws.labeling, ws.pixel_stack, ws.largest);
+  fill_holes_into(ws.largest, ws.reached, ws.flood_stack, silhouette_out);
   return max_d;
 }
 

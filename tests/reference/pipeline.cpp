@@ -10,9 +10,7 @@ core::FrameObservation process_silhouette(const core::FramePipeline& pipeline,
   obs.silhouette = silhouette;
   obs.raw_skeleton = zhang_suen_thin(obs.silhouette);
   obs.graph = clean_skeleton(obs.raw_skeleton, params.min_branch_vertices, &obs.cleanup);
-  if (params.split_bends) {
-    skel::split_edges_at_bends(obs.graph, params.bend_tolerance);
-  }
+  skel::split_edges_at_bends(obs.graph, params.bend_tolerance);
   obs.key_points = skel::extract_key_points(obs.graph);
   obs.candidates = pose::enumerate_candidates(obs.graph, pipeline.encoder(), params.candidates);
   for (int y = silhouette.height() - 1; y >= 0 && obs.bottom_row < 0; --y) {
@@ -28,12 +26,12 @@ core::FrameObservation process_silhouette(const core::FramePipeline& pipeline,
 
 core::FrameObservation process(const core::FramePipeline& pipeline, const RgbImage& background,
                                const RgbImage& frame) {
-  return process_silhouette(pipeline, silhouette(pipeline.params().extractor, background, frame));
+  return process_silhouette(pipeline, silhouette(background, frame));
 }
 
 core::FrameObservation process(const core::FramePipeline& pipeline, const RgbImage& background,
                                const RgbImage& frame, detect::BlobTracker& tracker) {
-  const ExtractionResult res = extract(pipeline.params().extractor, background, frame);
+  const ExtractionResult res = extract(background, frame);
   const detect::TrackResult track = tracker.update(res.smoothed);
   if (track.measured) return process_silhouette(pipeline, fill_holes(track.mask));
   // No confirmed person blob this frame: fall back to the extractor's own

@@ -7,18 +7,74 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "core/clip_engine.hpp"
 #include "core/pipeline.hpp"
 #include "detection/blob_tracker.hpp"
 #include "imaging/image.hpp"
-#include "segmentation/object_extractor.hpp"
+#include "segmentation/background_model.hpp"
 #include "skelgraph/artifacts.hpp"
 #include "thinning/zhang_suen.hpp"
 
 namespace slj::reference {
 
-/// The paper's object extraction (Sec. 2), stage by stage.
+/// Summed-area table over a single channel: sum(x0, y0, x1, y1) is O(1).
+class IntegralImage {
+ public:
+  /// Builds the table from a functor mapping (x, y) → double.
+  template <typename Fn>
+  IntegralImage(int width, int height, Fn&& value_at)
+      : width_(width),
+        height_(height),
+        table_((static_cast<std::size_t>(width) + 1) * (static_cast<std::size_t>(height) + 1),
+               0.0) {
+    for (int y = 0; y < height; ++y) {
+      double row_sum = 0.0;
+      for (int x = 0; x < width; ++x) {
+        row_sum += value_at(x, y);
+        tab(x + 1, y + 1) = tab(x + 1, y) + row_sum;
+      }
+    }
+  }
+
+  /// Inclusive-rectangle sum over [x0, x1] × [y0, y1]; clamps to the image.
+  double sum(int x0, int y0, int x1, int y1) const;
+
+  /// Mean of the window centred at (x, y) with side `n` (odd), clamped at
+  /// image borders (the divisor is the clamped area, so border means stay
+  /// unbiased).
+  double window_mean(int x, int y, int n) const;
+
+ private:
+  double& tab(int x, int y) {
+    return table_[static_cast<std::size_t>(y) * (static_cast<std::size_t>(width_) + 1) +
+                  static_cast<std::size_t>(x)];
+  }
+  double tab(int x, int y) const {
+    return table_[static_cast<std::size_t>(y) * (static_cast<std::size_t>(width_) + 1) +
+                  static_cast<std::size_t>(x)];
+  }
+
+  int width_;
+  int height_;
+  std::vector<double> table_;
+};
+
+/// Per-channel moving-window mean of an RGB image over n×n windows (n odd,
+/// >= 1, else std::invalid_argument), from one summed-area table per
+/// channel: the seed's Aave / Bave.
+RgbMeans window_mean_rgb(const RgbImage& img, int n);
+
+/// Binary median over the mask's summed-area table: a pixel becomes
+/// foreground iff at least half of its clamped k×k window is (k odd, >= 1).
+/// The oracle median_filter_binary_into is checked against.
+BinaryImage median_filter_binary(const BinaryImage& img, int k);
+
+/// The paper's object extraction (Sec. 2), stage by stage, with the
+/// extractor's one configuration (BackgroundModel::kWindow and the
+/// ObjectExtractor constants).
 struct ExtractionResult {
   Image<double> difference;   ///< D(i,j) = |ΔR| + |ΔG| + |ΔB|  (step iv)
   double max_difference = 0;  ///< max of D                     (step v)
@@ -30,12 +86,10 @@ struct ExtractionResult {
 
 /// Runs steps ii–viii plus smoothing and cleanup on one frame against the
 /// empty-scene `background` plate (step i).
-ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& background,
-                         const RgbImage& frame);
+ExtractionResult extract(const RgbImage& background, const RgbImage& frame);
 
 /// Shortcut returning only the final silhouette.
-BinaryImage silhouette(const seg::ExtractorParams& params, const RgbImage& background,
-                       const RgbImage& frame);
+BinaryImage silhouette(const RgbImage& background, const RgbImage& frame);
 
 /// Hole fill: every background pixel not 4-connected to the image border
 /// becomes foreground. A per-pixel breadth-first flood from every border

@@ -6,21 +6,21 @@
 #include <stdexcept>
 
 #include "imaging/connected.hpp"
-#include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "reference.hpp"
+#include "segmentation/object_extractor.hpp"
 
 namespace slj::reference {
 
-ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& background,
-                         const RgbImage& frame) {
+ExtractionResult extract(const RgbImage& background, const RgbImage& frame) {
+  using seg::ObjectExtractor;
   if (frame.width() != background.width() || frame.height() != background.height()) {
     throw std::invalid_argument("frame size differs from background");
   }
   // Steps i–ii: Bave, the windowed mean of the empty-scene plate.
-  const RgbMeans bave = window_mean_rgb(background, params.window);
+  const RgbMeans bave = window_mean_rgb(background, seg::BackgroundModel::kWindow);
   // Step ii: Aave, the windowed mean of the frame with the moving object.
-  const RgbMeans aave = window_mean_rgb(frame, params.window);
+  const RgbMeans aave = window_mean_rgb(frame, seg::BackgroundModel::kWindow);
 
   ExtractionResult res;
   const int w = frame.width();
@@ -44,7 +44,7 @@ ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& bac
   // scene differs nowhere (max_d = 0), or differs by less than the noise
   // floor (rescaling would only amplify sensor noise into a phantom
   // silhouette), everything stays background.
-  const bool scene_changed = max_d > 0.0 && max_d >= params.min_max_difference;
+  const bool scene_changed = max_d > 0.0 && max_d >= ObjectExtractor::kMinMaxDifference;
   const double shift = max_d - 255.0;
   res.normalized = GrayImage(w, h);
   res.raw_mask = BinaryImage(w, h);
@@ -53,18 +53,16 @@ ExtractionResult extract(const seg::ExtractorParams& params, const RgbImage& bac
     const double clamped = std::clamp(r, 0.0, 255.0);
     res.normalized.data()[i] = static_cast<std::uint8_t>(std::lround(clamped));
     // Step viii: threshold at Th_Object.
-    res.raw_mask.data()[i] = res.normalized.data()[i] > params.th_object ? 1 : 0;
+    res.raw_mask.data()[i] = res.normalized.data()[i] > ObjectExtractor::kThObject ? 1 : 0;
   }
 
   // Fig. 1(c): median smoothing removes the "small holes and ridged edges".
-  res.smoothed = median_filter_binary(res.raw_mask, params.median_window);
+  res.smoothed = median_filter_binary(res.raw_mask, ObjectExtractor::kMedianWindow);
 
   FrameWorkspace scratch;  // fresh cleanup scratch
-  BinaryImage cleaned = res.smoothed;
-  if (params.keep_largest_only) {
-    largest_component_into(res.smoothed, true, scratch.labeling, scratch.pixel_stack, cleaned);
-  }
-  res.silhouette = params.fill_holes ? fill_holes(cleaned) : cleaned;
+  BinaryImage cleaned;
+  largest_component_into(res.smoothed, true, scratch.labeling, scratch.pixel_stack, cleaned);
+  res.silhouette = fill_holes(cleaned);
   return res;
 }
 
@@ -102,9 +100,8 @@ BinaryImage fill_holes(const BinaryImage& img) {
   return out;
 }
 
-BinaryImage silhouette(const seg::ExtractorParams& params, const RgbImage& background,
-                       const RgbImage& frame) {
-  return extract(params, background, frame).silhouette;
+BinaryImage silhouette(const RgbImage& background, const RgbImage& frame) {
+  return extract(background, frame).silhouette;
 }
 
 GrayImage median_filter(const GrayImage& img, int k) {

@@ -105,9 +105,10 @@ TEST(FrameWorkspaceParity, IntoVariantsMatchReference) {
     const BinaryImage mask = random_blobs(seed, 70, 50, 6);
 
     BinaryImage median_out;
-    for (const int k : {1, 3, 5, 129}) {
-      median_filter_binary_into(mask, k, ws.mask_integral, ws.median_colsum, median_out);
-      EXPECT_EQ(median_out, median_filter_binary(mask, k)) << "seed " << seed << " k " << k;
+    for (const int k : {1, 3, 5, 127}) {
+      median_filter_binary_into(mask, k, ws.median_colsum, median_out);
+      EXPECT_EQ(median_out, reference::median_filter_binary(mask, k))
+          << "seed " << seed << " k " << k;
     }
 
     // The reused workspace scratch must give what fresh scratch gives.
@@ -158,7 +159,7 @@ TEST(FrameWorkspaceParity, ExtractIntoMatchesExtract) {
   BinaryImage silhouette;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
     const reference::ExtractionResult want =
-        reference::extract(extractor.params(), clip.background, clip.frames[i]);
+        reference::extract(clip.background, clip.frames[i]);
     const double max_d = extractor.extract_into(clip.frames[i], ws, silhouette);
     EXPECT_EQ(silhouette, want.silhouette) << "frame " << i;
     EXPECT_EQ(ws.smoothed, want.smoothed) << "frame " << i;
@@ -301,6 +302,36 @@ TEST(FrameWorkspaceAllocation, SteadyStateSegmentAndThinHotPathIsAllocationFree)
   }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "segment+thin steady state must not allocate";
+
+  // Frames taller than the 257 saturated rows a 16-bit column sum holds
+  // stay allocation-free too: the window's column sums cover three rows.
+  const RgbImage tall_background(40, 320, {12, 12, 15});
+  std::vector<RgbImage> tall_frames;
+  for (int i = 0; i < 4; ++i) {
+    RgbImage frame = tall_background;
+    BinaryImage disc(frame.width(), frame.height(), 0);
+    fill_disc(disc, {20.0, 60.0 + 60.0 * i}, 12.0);
+    for (std::size_t p = 0; p < frame.size(); ++p) {
+      if (disc.data()[p]) frame.data()[p] = {180, 150, 120};
+    }
+    tall_frames.push_back(std::move(frame));
+  }
+  seg::ObjectExtractor tall_extractor;
+  tall_extractor.set_background(tall_background);
+  for (int round = 0; round < 2; ++round) {
+    for (const RgbImage& frame : tall_frames) {
+      tall_extractor.extract_into(frame, ws, silhouette);
+      thin::zhang_suen_thin_into(silhouette, ws, skeleton);
+    }
+  }
+  const std::size_t tall_before = g_allocations.load(std::memory_order_relaxed);
+  for (const RgbImage& frame : tall_frames) {
+    tall_extractor.extract_into(frame, ws, silhouette);
+    thin::zhang_suen_thin_into(silhouette, ws, skeleton);
+  }
+  const std::size_t tall_after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_GT(count_foreground(silhouette), 0u);
+  EXPECT_EQ(tall_after - tall_before, 0u) << "320-row frames must not allocate either";
 
   // The hole fill floods only the foreground's box, yet sizes its scratch
   // for the whole frame on the first frame: boxes that grow frame after

@@ -775,6 +775,39 @@ TEST(IngestService, CloseSessionFlushesQueuedFramesFirst) {
   EXPECT_EQ(service.metrics().delivered, clip.frames.size());
 }
 
+TEST(IngestService, WrongSizeFrameIsRefusedAtPushAndTheSessionKeepsDelivering) {
+  const pose::PoseDbnClassifier classifier;
+  const synth::Clip clip = make_clip(77, 2);
+  const RgbImage half(clip.background.width() / 2, clip.background.height() / 2);
+
+  IngestServiceConfig config;
+  config.manager.workers = 1;
+  IngestService service(classifier, {}, config);
+  std::vector<Recorded> delivered;
+  std::mutex delivered_mutex;
+  const int id = service.open_session(clip.background, [&](const Delivery& d) {
+    const std::lock_guard<std::mutex> lock(delivered_mutex);
+    delivered.push_back({d.sequence, d.update.frame_index, d.update.airborne, d.update.result});
+  });
+  // With the scheduler running, an admitted frame the extractor cannot take
+  // would throw on the scheduler thread and end the process.
+  service.start();
+  EXPECT_THROW(service.push(id, half), std::invalid_argument);
+  ASSERT_EQ(service.push(id, clip.frames[0]), PushOutcome::kAccepted);
+  service.flush();  // returns: the refused attempt was balanced
+  service.stop();
+
+  core::StreamSession reference(classifier, clip.background);
+  {
+    const std::lock_guard<std::mutex> lock(delivered_mutex);
+    ASSERT_EQ(delivered.size(), 1u);
+    EXPECT_EQ(delivered[0].sequence, 0u);
+    expect_same_update(delivered[0], reference.push_frame(clip.frames[0]), 0);
+  }
+  EXPECT_EQ(service.metrics().pushed, 1u);
+  service.close_session(id);
+}
+
 TEST(IngestService, StopMidStreamThenFlushDeliversTheRemainderInline) {
   const pose::PoseDbnClassifier classifier;
   const synth::Clip clip = make_clip(66, 12);

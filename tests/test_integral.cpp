@@ -1,11 +1,16 @@
-#include "imaging/integral.hpp"
-
+// The summed-area-table oracles in tests/reference/ (IntegralImage and the
+// window means built on it) against brute force.
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "reference.hpp"
+
 namespace slj {
 namespace {
+
+using reference::IntegralImage;
+using reference::window_mean_rgb;
 
 TEST(IntegralImage, SumMatchesBruteForceOnKnownImage) {
   GrayImage img(4, 3);

@@ -66,46 +66,11 @@ TEST(ObjectExtractor, ThrowsOnFrameSizeMismatch) {
   EXPECT_THROW(extract(ex, RgbImage(9, 8)), std::invalid_argument);
 }
 
-TEST(ObjectExtractor, RejectsEvenMedianWindow) {
-  ExtractorParams params;
-  params.median_window = 4;
-  EXPECT_THROW(ObjectExtractor{params}, std::invalid_argument);
-}
-
-TEST(ObjectExtractor, RejectsInvalidWindow) {
-  for (const int window : {0, -1, 2, 4}) {
-    ExtractorParams params;
-    params.window = window;
-    EXPECT_THROW(ObjectExtractor{params}, std::invalid_argument) << "window " << window;
-  }
-}
-
-TEST(ObjectExtractor, RejectsOutOfRangeThObject) {
-  for (const int th : {-1, 256, 1000}) {
-    ExtractorParams params;
-    params.th_object = th;
-    EXPECT_THROW(ObjectExtractor{params}, std::invalid_argument) << "th_object " << th;
-  }
-  // Boundary values are legal.
-  ExtractorParams lo;
-  lo.th_object = 0;
-  EXPECT_NO_THROW(ObjectExtractor{lo});
-  ExtractorParams hi;
-  hi.th_object = 255;
-  EXPECT_NO_THROW(ObjectExtractor{hi});
-}
-
-TEST(ObjectExtractor, RejectsNegativeNoiseFloor) {
-  ExtractorParams params;
-  params.min_max_difference = -1.0;
-  EXPECT_THROW(ObjectExtractor{params}, std::invalid_argument);
-}
-
 TEST(ObjectExtractor, NoiseFloorSuppressesPhantomSilhouette) {
   // A near-static scene: the frame differs from the background by a few
   // grey levels of sensor noise only. Without the noise floor the max-shift
-  // normalization rescales that noise so its peak hits 255 and a phantom
-  // blob crosses Th_Object.
+  // normalization would rescale that noise so its peak hits 255 and a
+  // phantom blob crosses Th_Object.
   const RgbImage bg = studio_background(32, 32);
   RgbImage frame = bg;
   for (int y = 10; y < 16; ++y) {
@@ -114,22 +79,13 @@ TEST(ObjectExtractor, NoiseFloorSuppressesPhantomSilhouette) {
                         bg.at(x, y).b};
     }
   }
-  ObjectExtractor ex;  // default min_max_difference = 12
+  ObjectExtractor ex;
   ex.set_background(bg);
   const Extracted res = extract(ex, frame);
   EXPECT_GT(res.max_difference, 0.0);
-  EXPECT_LT(res.max_difference, ex.params().min_max_difference);
+  EXPECT_LT(res.max_difference, ObjectExtractor::kMinMaxDifference);
   EXPECT_EQ(count_foreground(res.ws.raw_mask), 0u) << "noise was rescaled into a phantom mask";
   EXPECT_EQ(count_foreground(res.silhouette), 0u);
-
-  // The same noise pattern with the floor disabled reproduces the old
-  // behaviour — a phantom silhouette — pinning that the guard is what
-  // suppresses it.
-  ExtractorParams no_floor;
-  no_floor.min_max_difference = 0.0;
-  ObjectExtractor ex_off(no_floor);
-  ex_off.set_background(bg);
-  EXPECT_GT(count_foreground(extract(ex_off, frame).ws.raw_mask), 0u);
 }
 
 TEST(ObjectExtractor, NoiseFloorKeepsRealObjects) {
@@ -138,7 +94,7 @@ TEST(ObjectExtractor, NoiseFloorKeepsRealObjects) {
   ObjectExtractor ex;
   ex.set_background(bg);
   const Extracted res = extract(ex, frame);
-  EXPECT_GE(res.max_difference, ex.params().min_max_difference);
+  EXPECT_GE(res.max_difference, ObjectExtractor::kMinMaxDifference);
   EXPECT_GT(count_foreground(res.silhouette), 0u);
 }
 
@@ -167,7 +123,7 @@ TEST(ObjectExtractor, NormalizationPutsMaxAt255) {
   const RgbImage bg = studio_background(32, 32);
   const RgbImage frame = with_object(bg, {16, 16}, 6.0);
   // The shipped extractor never builds R; the reference keeps it.
-  const reference::ExtractionResult res = reference::extract(ExtractorParams{}, bg, frame);
+  const reference::ExtractionResult res = reference::extract(bg, frame);
   std::uint8_t max_v = 0;
   for (const auto v : res.normalized.data()) max_v = std::max(max_v, v);
   EXPECT_EQ(max_v, 255);
@@ -176,12 +132,11 @@ TEST(ObjectExtractor, NormalizationPutsMaxAt255) {
 TEST(ObjectExtractor, RawMaskUsesThObjectThreshold) {
   const RgbImage bg = studio_background(32, 32);
   const RgbImage frame = with_object(bg, {16, 16}, 6.0);
-  ExtractorParams params;
-  params.th_object = 20;
-  ObjectExtractor ex(params);
+  ObjectExtractor ex;
   ex.set_background(bg);
   const Extracted res = extract(ex, frame);
-  const GrayImage normalized = reference::extract(params, bg, frame).normalized;
+  const GrayImage normalized = reference::extract(bg, frame).normalized;
+  EXPECT_EQ(ObjectExtractor::kThObject, 20);  // the paper's Th_Object
   for (int y = 0; y < 32; ++y) {
     for (int x = 0; x < 32; ++x) {
       EXPECT_EQ(res.ws.raw_mask.at(x, y), normalized.at(x, y) > 20 ? 1 : 0);
@@ -247,27 +202,14 @@ TEST(ObjectExtractor, WorksUnderBackgroundNoise) {
 // ---- integer-domain window means ---------------------------------------------
 
 TEST(ObjectExtractor, MeanTableHoldsExactQuotients) {
-  // Every entry of every tabled window, bit for bit: q[k] is the one IEEE
-  // division k / (n·n) the seed's summed-area tables made.
-  int tabled = 0;
-  for (int n = 1; n <= 15; n += 2) {
-    // The extractor's table is its background model's: one per window n.
-    const BackgroundModel model(n);
-    const std::vector<double>& q = model.mean_table();
-    const std::size_t entries = static_cast<std::size_t>(n * n * 255 + 1);
-    if (entries > BackgroundModel::kMaxMeanTableEntries) {
-      EXPECT_TRUE(q.empty()) << "window " << n;
-      continue;
-    }
-    ++tabled;
-    ASSERT_EQ(q.size(), entries) << "window " << n;
-    const double area = static_cast<double>(n) * static_cast<double>(n);
-    for (std::size_t k = 0; k < entries; ++k) {
-      ASSERT_EQ(q[k], static_cast<double>(k) / area) << "window " << n << " k " << k;
-    }
+  // Every entry, bit for bit: q[k] is the one IEEE division k / (n·n) the
+  // seed's summed-area tables made, for every 3×3 sum of 8-bit pixels.
+  const BackgroundModel model;
+  const std::vector<double>& q = model.mean_table();
+  ASSERT_EQ(q.size(), 2296u);
+  for (std::size_t k = 0; k < q.size(); ++k) {
+    ASSERT_EQ(q[k], static_cast<double>(k) / 9.0) << "k " << k;
   }
-  EXPECT_EQ(tabled, 3);  // windows 1, 3 and 5
-  EXPECT_EQ(BackgroundModel(ExtractorParams{}.window).mean_table().size(), 2296u);
 }
 
 RgbImage random_rgb(std::mt19937& rng, int w, int h) {
@@ -279,14 +221,13 @@ RgbImage random_rgb(std::mt19937& rng, int w, int h) {
   return img;
 }
 
-void expect_matches_reference(const ExtractorParams& params, const RgbImage& background,
-                              const RgbImage& frame, FrameWorkspace& ws,
-                              const std::string& label) {
-  ObjectExtractor ex(params);
+void expect_matches_reference(const RgbImage& background, const RgbImage& frame,
+                              FrameWorkspace& ws, const std::string& label) {
+  ObjectExtractor ex;
   ex.set_background(background);
   BinaryImage silhouette;
   const double max_d = ex.extract_into(frame, ws, silhouette);
-  const reference::ExtractionResult want = reference::extract(params, background, frame);
+  const reference::ExtractionResult want = reference::extract(background, frame);
   EXPECT_EQ(ws.difference, want.difference) << label;
   EXPECT_EQ(max_d, want.max_difference) << label;
   EXPECT_EQ(ws.raw_mask, want.raw_mask) << label;
@@ -295,43 +236,41 @@ void expect_matches_reference(const ExtractorParams& params, const RgbImage& bac
 }
 
 TEST(ObjectExtractor, ExtractIntoMatchesReferenceAcrossWindowsAndSizes) {
-  // Tabled windows (1, 3, 5), dividing ones (7, 9) and a window wider than
-  // the frame, on odd sizes and single rows/columns, through one reused
-  // workspace. The suite runs on the default, SLJ_SIMD=OFF and AVX2 builds,
-  // so every backend's row kernels meet the seed chain here.
+  // Odd sizes, frames narrower and shorter than the window, and single
+  // rows/columns, through one reused workspace. The suite runs on the
+  // default, SLJ_SIMD=OFF and AVX2 builds, so every backend's row kernels
+  // meet the seed chain here.
   FrameWorkspace ws;
   std::mt19937 rng(11);
-  const std::pair<int, int> sizes[] = {{1, 1}, {1, 9}, {13, 1}, {31, 17}, {65, 33}, {47, 64}};
+  const std::pair<int, int> sizes[] = {{1, 1},   {1, 9},   {13, 1},  {2, 2},
+                                       {31, 17}, {65, 33}, {47, 64}};
   for (const auto& [w, h] : sizes) {
     const RgbImage studio = studio_background(w, h, 3, 6.0);
     const RgbImage jumper = with_object(studio_background(w, h, 4, 6.0),
                                         {w * 0.4, h * 0.5}, std::max(1.0, std::min(w, h) / 3.0));
     const RgbImage noise_bg = random_rgb(rng, w, h);
     const RgbImage noise_frame = random_rgb(rng, w, h);
-    for (const int window : {1, 3, 5, 7, 9, 2 * std::max(w, h) + 1}) {
-      ExtractorParams params;
-      params.window = window;
-      const std::string label =
-          std::to_string(w) + "x" + std::to_string(h) + " window " + std::to_string(window);
-      expect_matches_reference(params, studio, jumper, ws, label + " jumper");
-      expect_matches_reference(params, noise_bg, noise_frame, ws, label + " noise");
-    }
+    const std::string label = std::to_string(w) + "x" + std::to_string(h);
+    expect_matches_reference(studio, jumper, ws, label + " jumper");
+    expect_matches_reference(noise_bg, noise_frame, ws, label + " noise");
   }
 }
 
-TEST(ObjectExtractor, ExtractIntoMatchesReferenceAtTheColumnSumLimit) {
-  // 257 saturated rows fill a 16-bit column sum exactly (257 · 255 = 65535);
-  // a window and frame both taller than that take the summed-area fallback.
+TEST(ObjectExtractor, ExtractIntoMatchesReferenceOnTallFrames) {
+  // Frames taller than the 257 saturated rows a 16-bit column sum holds:
+  // the window's column sums cover three rows, so they never come near it.
+  // A saturated column against a black plate reaches the largest sums.
   FrameWorkspace ws;
   std::mt19937 rng(12);
-  for (const auto& [h, window] : {std::pair<int, int>{257, 259}, {259, 259}, {258, 301}}) {
-    RgbImage frame = random_rgb(rng, 3, h);
+  for (const auto& [w, h] : {std::pair<int, int>{3, 300}, {37, 301}, {64, 320}}) {
+    RgbImage frame = random_rgb(rng, w, h);
     for (int y = 0; y < h; ++y) frame.at(1, y) = {255, 255, 255};
-    const RgbImage background(3, h, {0, 0, 0});
-    ExtractorParams params;
-    params.window = window;
-    expect_matches_reference(params, background, frame, ws,
-                             "3x" + std::to_string(h) + " window " + std::to_string(window));
+    const std::string label = std::to_string(w) + "x" + std::to_string(h);
+    expect_matches_reference(RgbImage(w, h, {0, 0, 0}), frame, ws, label + " saturated");
+    const RgbImage studio = studio_background(w, h, 5, 6.0);
+    const RgbImage jumper =
+        with_object(studio_background(w, h, 6, 6.0), {w * 0.5, h * 0.6}, w / 3.0);
+    expect_matches_reference(studio, jumper, ws, label + " jumper");
   }
 }
 

@@ -192,14 +192,19 @@ TEST(StreamManager, RejectedBatchAdvancesNothingAndTickIntoMatchesTick) {
   StreamManager manager(classifier);
   StreamSession reference(classifier, clip.background);
   const int id = manager.open_session(clip.background);
+  const int other = manager.open_session(clip.background);
+  const RgbImage half(clip.background.width() / 2, clip.background.height() / 2);
 
   std::vector<StreamUpdate> updates;
   for (std::size_t t = 0; t < clip.frames.size(); ++t) {
-    // Every round first offers an invalid batch listing the session twice;
-    // the throw must leave the session un-advanced...
+    // Every round first offers invalid batches: one listing the session
+    // twice, one pairing its good frame with a half-size frame for another
+    // session. Each throw must leave the session un-advanced...
     EXPECT_THROW(
         manager.tick_into({{id, &clip.frames[t]}, {id, &clip.frames[t]}}, updates),
         std::invalid_argument);
+    EXPECT_THROW(manager.tick_into({{id, &clip.frames[t]}, {other, &half}}, updates),
+                 std::invalid_argument);
     // ...so the valid batch that follows still sees frames in order.
     manager.tick_into({{id, &clip.frames[t]}}, updates);
     ASSERT_EQ(updates.size(), 1u);
@@ -207,6 +212,7 @@ TEST(StreamManager, RejectedBatchAdvancesNothingAndTickIntoMatchesTick) {
     expect_same_result(updates[0].result, reference.push_frame(clip.frames[t]).result, t);
   }
   manager.close_session(id);
+  manager.close_session(other);
 }
 
 TEST(StreamManager, EmptyTickIsANoOp) {
