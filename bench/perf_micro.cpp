@@ -53,7 +53,7 @@ const core::FrameObservation& mid_observation() {
 /// The extractor's intermediate masks for the mid frame: what the median,
 /// the largest-component pass and the hole fill each take as input.
 struct MidMasks {
-  BinaryImage raw_mask;  ///< thresholded D (median input)
+  BinaryImage raw_mask;  ///< thresholded T = 36·D (median input)
   BinaryImage smoothed;  ///< median output (largest-component input)
   BinaryImage largest;   ///< largest component (hole-fill input)
 };
@@ -82,6 +82,8 @@ void BM_ExtractInto(benchmark::State& state) {
 BENCHMARK(BM_ExtractInto);
 
 void BM_DifferenceInto(benchmark::State& state) {
+  // Steps ii–v on integers: the frame's window sums, T = 36·D against the
+  // plate's sums, and max(D) from the pixels where T peaks.
   seg::ObjectExtractor extractor;
   extractor.set_background(bench_clip().background);
   FrameWorkspace ws;
@@ -138,7 +140,8 @@ BENCHMARK(BM_ZhangSuenThinInto);
 
 void BM_SetBackground(benchmark::State& state) {
   // What ClipEngine pays per clip, on the calling thread, before the clip's
-  // frames fan out: a fresh pipeline and its background plate (Bave).
+  // frames fan out: a fresh pipeline and its background plate (the
+  // plate's 16-bit window sums).
   for (auto _ : state) {
     core::FramePipeline pipeline;
     pipeline.set_background(bench_clip().background);

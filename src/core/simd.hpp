@@ -265,9 +265,11 @@ inline int u8_lanes() { return VecU8<Active>::kLanes; }
 // ---- VecU16: a fixed-width vector of 16-bit pixel counts -------------------
 //
 // Backs the separable integer box sums (the extractor's RGB window sums and
-// the binary median's counts). Lanes wrap at 2^16, so callers bound their
-// sums below that; store_gt01 compares signed on x86, so its inputs must
-// stay at or below 32767 (the median guards its window size for this).
+// the binary median's counts) and the extractor's scaled difference plane.
+// Lanes wrap at 2^16, so callers bound their sums below that; store_gt01 and
+// max compare signed on x86, so their inputs must stay at or below 32767
+// (the median guards its window size for this; the scaled difference is at
+// most 27540).
 
 template <class Backend>
 struct VecU16;
@@ -289,6 +291,28 @@ struct VecU16<ScalarBackend> {
   friend VecU16 operator-(VecU16 a, VecU16 b) {
     return {static_cast<std::uint16_t>(a.v - b.v)};
   }
+  /// Lane-wise product, kept to its low 16 bits.
+  friend VecU16 operator*(VecU16 a, VecU16 b) {
+    // In 32 unsigned bits: a product of two promoted ints could overflow.
+    return {static_cast<std::uint16_t>(static_cast<std::uint32_t>(a.v) * b.v)};
+  }
+  friend VecU16 operator|(VecU16 a, VecU16 b) {
+    return {static_cast<std::uint16_t>(a.v | b.v)};
+  }
+
+  /// |a − b| lane-wise, exact for any pair of 16-bit values.
+  static VecU16 absdiff(VecU16 a, VecU16 b) {
+    return {static_cast<std::uint16_t>(a.v > b.v ? a.v - b.v : b.v - a.v)};
+  }
+  static VecU16 max(VecU16 a, VecU16 b) { return {a.v > b.v ? a.v : b.v}; }
+  /// All-ones lanes where a == b, zero elsewhere.
+  static VecU16 eq(VecU16 a, VecU16 b) {
+    return {static_cast<std::uint16_t>(a.v == b.v ? 0xffff : 0)};
+  }
+  /// Whether any lane is nonzero.
+  bool any() const { return v != 0; }
+  /// The largest lane.
+  std::uint16_t reduce_max() const { return v; }
 
   /// Writes kLanes bytes: out[i] = (a[i] > b[i]) ? 1 : 0.
   static void store_gt01(VecU16 a, VecU16 b, std::uint8_t* out) {
@@ -314,6 +338,23 @@ struct VecU16<Sse2Backend> {
 
   friend VecU16 operator+(VecU16 a, VecU16 b) { return {_mm_add_epi16(a.v, b.v)}; }
   friend VecU16 operator-(VecU16 a, VecU16 b) { return {_mm_sub_epi16(a.v, b.v)}; }
+  friend VecU16 operator*(VecU16 a, VecU16 b) { return {_mm_mullo_epi16(a.v, b.v)}; }
+  friend VecU16 operator|(VecU16 a, VecU16 b) { return {_mm_or_si128(a.v, b.v)}; }
+
+  static VecU16 absdiff(VecU16 a, VecU16 b) {
+    // One of the two saturating differences is zero.
+    return {_mm_or_si128(_mm_subs_epu16(a.v, b.v), _mm_subs_epu16(b.v, a.v))};
+  }
+  // Signed max: identical to unsigned for lanes <= 32767 (the contract).
+  static VecU16 max(VecU16 a, VecU16 b) { return {_mm_max_epi16(a.v, b.v)}; }
+  static VecU16 eq(VecU16 a, VecU16 b) { return {_mm_cmpeq_epi16(a.v, b.v)}; }
+  bool any() const { return _mm_movemask_epi8(v) != 0; }
+  std::uint16_t reduce_max() const {
+    __m128i m = _mm_max_epi16(v, _mm_srli_si128(v, 8));
+    m = _mm_max_epi16(m, _mm_srli_si128(m, 4));
+    m = _mm_max_epi16(m, _mm_srli_si128(m, 2));
+    return static_cast<std::uint16_t>(_mm_cvtsi128_si32(m));
+  }
 
   static void store_gt01(VecU16 a, VecU16 b, std::uint8_t* out) {
     // Signed compare: identical to unsigned for lanes <= 32767 (the contract).
@@ -345,6 +386,22 @@ struct VecU16<Avx2Backend> {
 
   friend VecU16 operator+(VecU16 a, VecU16 b) { return {_mm256_add_epi16(a.v, b.v)}; }
   friend VecU16 operator-(VecU16 a, VecU16 b) { return {_mm256_sub_epi16(a.v, b.v)}; }
+  friend VecU16 operator*(VecU16 a, VecU16 b) { return {_mm256_mullo_epi16(a.v, b.v)}; }
+  friend VecU16 operator|(VecU16 a, VecU16 b) { return {_mm256_or_si256(a.v, b.v)}; }
+
+  static VecU16 absdiff(VecU16 a, VecU16 b) {
+    return {_mm256_or_si256(_mm256_subs_epu16(a.v, b.v), _mm256_subs_epu16(b.v, a.v))};
+  }
+  static VecU16 max(VecU16 a, VecU16 b) { return {_mm256_max_epu16(a.v, b.v)}; }
+  static VecU16 eq(VecU16 a, VecU16 b) { return {_mm256_cmpeq_epi16(a.v, b.v)}; }
+  bool any() const { return _mm256_movemask_epi8(v) != 0; }
+  std::uint16_t reduce_max() const {
+    __m128i m = _mm_max_epu16(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+    m = _mm_max_epu16(m, _mm_srli_si128(m, 8));
+    m = _mm_max_epu16(m, _mm_srli_si128(m, 4));
+    m = _mm_max_epu16(m, _mm_srli_si128(m, 2));
+    return static_cast<std::uint16_t>(_mm_cvtsi128_si32(m));
+  }
 
   static void store_gt01(VecU16 a, VecU16 b, std::uint8_t* out) {
     // Signed compare: identical to unsigned for lanes <= 32767 (the contract).
@@ -372,6 +429,14 @@ struct VecU16<NeonBackend> {
 
   friend VecU16 operator+(VecU16 a, VecU16 b) { return {vaddq_u16(a.v, b.v)}; }
   friend VecU16 operator-(VecU16 a, VecU16 b) { return {vsubq_u16(a.v, b.v)}; }
+  friend VecU16 operator*(VecU16 a, VecU16 b) { return {vmulq_u16(a.v, b.v)}; }
+  friend VecU16 operator|(VecU16 a, VecU16 b) { return {vorrq_u16(a.v, b.v)}; }
+
+  static VecU16 absdiff(VecU16 a, VecU16 b) { return {vabdq_u16(a.v, b.v)}; }
+  static VecU16 max(VecU16 a, VecU16 b) { return {vmaxq_u16(a.v, b.v)}; }
+  static VecU16 eq(VecU16 a, VecU16 b) { return {vceqq_u16(a.v, b.v)}; }
+  bool any() const { return vmaxvq_u16(v) != 0; }
+  std::uint16_t reduce_max() const { return vmaxvq_u16(v); }
 
   static void store_gt01(VecU16 a, VecU16 b, std::uint8_t* out) {
     const uint16x8_t gt = vcgtq_u16(a.v, b.v);
@@ -547,6 +612,105 @@ inline void store_fill01_u8<NeonBackend>(const std::uint8_t* src, const std::uin
     vst1q_u8(out + i, vandq_u8(vorrq_u8(fg, hole), one));
   }
   for (; i < n; ++i) out[i] = (src[i] != 0 || closed[i] == 0) ? 1 : 0;
+}
+#endif
+
+/// Splits n interleaved RGB pixels (3n bytes) into three byte planes:
+/// r[i] = rgb[3i], g[i] = rgb[3i + 1], b[i] = rgb[3i + 2]. A byte shuffle,
+/// so every backend writes the same bytes.
+template <class Backend>
+inline void deinterleave_rgb(const std::uint8_t* rgb, std::uint8_t* r, std::uint8_t* g,
+                             std::uint8_t* b, std::size_t n);
+
+template <>
+inline void deinterleave_rgb<ScalarBackend>(const std::uint8_t* rgb, std::uint8_t* r,
+                                            std::uint8_t* g, std::uint8_t* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = rgb[3 * i];
+    g[i] = rgb[3 * i + 1];
+    b[i] = rgb[3 * i + 2];
+  }
+}
+
+#if defined(SLJ_SIMD_SSE2) || defined(SLJ_SIMD_AVX2)
+namespace detail {
+// One riffle of 48 bytes held as three vectors (per 128-bit lane): the
+// first 24 bytes interleaved with the last 24. A riffle sends byte p to
+// 2p mod 47 (byte 47 stays), so four send 3i + c to 16c + i: channel c of
+// 16 pixels lands in vector c. SSE2 and AVX2 share it through their 128-bit
+// lane-local unpacks.
+template <class V, class UnpackLo8, class UnpackHi64>
+inline void riffle48(V& v0, V& v1, V& v2, UnpackLo8 lo8, UnpackHi64 hi64) {
+  const V n0 = lo8(v0, hi64(v1, v1));
+  const V n1 = lo8(hi64(v0, v0), v2);
+  const V n2 = lo8(v1, hi64(v2, v2));
+  v0 = n0;
+  v1 = n1;
+  v2 = n2;
+}
+}  // namespace detail
+#endif
+
+#if defined(SLJ_SIMD_SSE2)
+template <>
+inline void deinterleave_rgb<Sse2Backend>(const std::uint8_t* rgb, std::uint8_t* r,
+                                          std::uint8_t* g, std::uint8_t* b, std::size_t n) {
+  const auto lo8 = [](__m128i x, __m128i y) { return _mm_unpacklo_epi8(x, y); };
+  const auto hi64 = [](__m128i x, __m128i y) { return _mm_unpackhi_epi64(x, y); };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const std::uint8_t* p = rgb + 3 * i;
+    __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    __m128i v1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
+    __m128i v2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 32));
+    for (int k = 0; k < 4; ++k) detail::riffle48(v0, v1, v2, lo8, hi64);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(r + i), v0);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(g + i), v1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(b + i), v2);
+  }
+  deinterleave_rgb<ScalarBackend>(rgb + 3 * i, r + i, g + i, b + i, n - i);
+}
+#endif
+
+#if defined(SLJ_SIMD_AVX2)
+template <>
+inline void deinterleave_rgb<Avx2Backend>(const std::uint8_t* rgb, std::uint8_t* r,
+                                          std::uint8_t* g, std::uint8_t* b, std::size_t n) {
+  const auto lo8 = [](__m256i x, __m256i y) { return _mm256_unpacklo_epi8(x, y); };
+  const auto hi64 = [](__m256i x, __m256i y) { return _mm256_unpackhi_epi64(x, y); };
+  // Pixels [0, 16) ride the low 128-bit lanes and [16, 32) the high ones.
+  const auto load2 = [](const std::uint8_t* lo, const std::uint8_t* hi) {
+    const __m128i l = _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo));
+    const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi));
+    return _mm256_inserti128_si256(_mm256_castsi128_si256(l), h, 1);
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const std::uint8_t* p = rgb + 3 * i;
+    __m256i v0 = load2(p, p + 48);
+    __m256i v1 = load2(p + 16, p + 64);
+    __m256i v2 = load2(p + 32, p + 80);
+    for (int k = 0; k < 4; ++k) detail::riffle48(v0, v1, v2, lo8, hi64);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + i), v0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i), v1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + i), v2);
+  }
+  deinterleave_rgb<ScalarBackend>(rgb + 3 * i, r + i, g + i, b + i, n - i);
+}
+#endif
+
+#if defined(SLJ_SIMD_NEON)
+template <>
+inline void deinterleave_rgb<NeonBackend>(const std::uint8_t* rgb, std::uint8_t* r,
+                                          std::uint8_t* g, std::uint8_t* b, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const uint8x16x3_t px = vld3q_u8(rgb + 3 * i);
+    vst1q_u8(r + i, px.val[0]);
+    vst1q_u8(g + i, px.val[1]);
+    vst1q_u8(b + i, px.val[2]);
+  }
+  deinterleave_rgb<ScalarBackend>(rgb + 3 * i, r + i, g + i, b + i, n - i);
 }
 #endif
 

@@ -23,20 +23,22 @@
 namespace slj {
 
 struct FrameWorkspace {
-  // --- windowed-mean scratch (paper Sec. 2 step ii) ---
-  std::vector<std::uint16_t> window_colsum;  ///< RGB column sums over the window's rows
-  std::vector<std::uint16_t> window_rowsum;  ///< one row's interior n×n RGB window sums
+  // --- window-sum scratch (paper Sec. 2 step ii) ---
+  std::vector<std::uint8_t> window_ring;     ///< planar RGB rows the window spans
+  std::vector<std::uint16_t> window_colsum;  ///< planar RGB column sums over the window's rows
+  std::vector<std::uint16_t> window_rowsum;  ///< one row's planar n×n RGB window sums
 
   // --- segmentation scratch (ObjectExtractor::extract_into) ---
-  Image<double> difference;  ///< D(i,j) = |ΔR| + |ΔG| + |ΔB|
-  BinaryImage raw_mask;      ///< thresholded mask before smoothing
+  Image<std::uint16_t> difference36;                ///< T = 36·D, D = |ΔR| + |ΔG| + |ΔB|
+  std::vector<std::uint16_t> difference36_row_max;  ///< max T of each row
+  BinaryImage raw_mask;                      ///< thresholded mask before smoothing
   std::vector<std::uint16_t> median_colsum;  ///< binary median's sliding column counts
-  BinaryImage smoothed;      ///< after median smoothing (tracker input)
-  BinaryImage largest;       ///< largest-component mask
-  Labeling labeling;         ///< connected-component labels + stats
-  BinaryImage reached;       ///< hole-fill closed map of the padded foreground box
-  std::vector<PointI> pixel_stack;          ///< DFS stack for labeling
-  std::vector<std::uint32_t> flood_stack;   ///< index stack for hole filling
+  BinaryImage smoothed;                      ///< after median smoothing (tracker input)
+  BinaryImage largest;                       ///< largest-component mask
+  Labeling labeling;                         ///< connected-component labels + stats
+  BinaryImage reached;                       ///< hole-fill closed map of the padded foreground box
+  std::vector<PointI> pixel_stack;           ///< DFS stack for labeling
+  std::vector<std::uint32_t> flood_stack;    ///< index stack for hole filling
 
   // --- skeleton-graph scratch (build_skeleton_graph / clean_skeleton) ---
   BinaryImage junction_mask;           ///< degree>=3 skeleton pixels ("is_junction")
@@ -46,6 +48,7 @@ struct FrameWorkspace {
   std::vector<PointI> graph_specials;  ///< node pixels, sorted: where segment traces start
   std::vector<PointI> graph_path;      ///< the segment being traced
   BinaryImage graph_visited;           ///< pure-cycle sweep "visited" map
+  std::vector<int> graph_parent;       ///< union-find over nodes for the component count
 
   // --- Zhang–Suen frontier scratch (zhang_suen_thin_into) ---
   /// Pixels whose 3×3 neighbourhood changed since they were last evaluated

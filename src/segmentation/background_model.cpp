@@ -1,35 +1,21 @@
 #include "segmentation/background_model.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace slj::seg {
 
-BackgroundModel::BackgroundModel() : mean_table_(kMeanTableEntries) {
-  constexpr double area = static_cast<double>(kWindow) * static_cast<double>(kWindow);
-  for (std::size_t k = 0; k < mean_table_.size(); ++k) {
-    mean_table_[k] = static_cast<double>(k) / area;
-  }
-}
-
 void BackgroundModel::set_background(const RgbImage& frame) {
-  for (Image<double>* m : {&mean_.r, &mean_.g, &mean_.b}) {
-    m->resize_discard(frame.width(), frame.height());
-  }
+  width_ = frame.width();
+  height_ = frame.height();
+  const std::size_t row_len = 3 * static_cast<std::size_t>(width_);
+  sums_.resize(row_len * static_cast<std::size_t>(height_));
+  std::vector<std::uint8_t> ring;
   std::vector<std::uint16_t> colsum;
   std::vector<std::uint16_t> rowsum;
-  for_each_window_mean(frame, colsum, rowsum, [this](std::size_t i, double r, double g, double b) {
-    mean_.r.data()[i] = r;
-    mean_.g.data()[i] = g;
-    mean_.b.data()[i] = b;
+  for_each_window_sum_row(frame, ring, colsum, rowsum, [&](int y, const std::uint16_t* sums) {
+    std::copy(sums, sums + row_len, sums_.data() + static_cast<std::size_t>(y) * row_len);
   });
   has_background_ = true;
-}
-
-void BackgroundModel::reset() { has_background_ = false; }
-
-const RgbMeans& BackgroundModel::averaged() const {
-  if (!has_background_) throw std::logic_error("background model has no frames");
-  return mean_;
 }
 
 }  // namespace slj::seg

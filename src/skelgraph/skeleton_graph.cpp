@@ -378,10 +378,30 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
     stats->junction_clusters = junction_cluster_count;
     stats->adjacent_junctions_removed = junction_pixels - junction_cluster_count;
     const std::size_t pixel_edges = pixel_edges2 / 2;
-    // Same count as component_count(skeleton), through the caller's scratch
-    // (junction_clusters is no longer read past node construction).
-    label_components_into(skeleton, /*eight_connected=*/true, scratch_labeling, scratch_stack);
-    const std::size_t components = scratch_labeling.components.size();
+    // C, the skeleton's 8-connected components, counted on the graph just
+    // built: every skeleton pixel lies in a node's cluster or on an edge's
+    // path, and every pixel adjacency is inside a cluster or along a path,
+    // so the pixel components are the graph's. Union-find over node ids.
+    std::vector<int>& parent = ws.graph_parent;
+    parent.resize(graph.nodes().size());
+    for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
+    const auto find = [&parent](int v) {
+      while (parent[static_cast<std::size_t>(v)] != v) {
+        parent[static_cast<std::size_t>(v)] =
+            parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
+        v = parent[static_cast<std::size_t>(v)];
+      }
+      return v;
+    };
+    std::size_t components = parent.size();
+    for (const Edge& e : graph.edges()) {
+      const int ra = find(e.a);
+      const int rb = find(e.b);
+      if (ra != rb) {
+        parent[static_cast<std::size_t>(ra)] = rb;
+        --components;
+      }
+    }
     stats->pixel_graph_cycles =
         pixel_edges + components >= skeleton_pixels ? pixel_edges + components - skeleton_pixels : 0;
   }

@@ -62,6 +62,13 @@ class IntegralImage {
   std::vector<double> table_;
 };
 
+/// Per-channel moving-window mean of an RGB image; the paper's Aave / Bave.
+struct RgbMeans {
+  Image<double> r;
+  Image<double> g;
+  Image<double> b;
+};
+
 /// Per-channel moving-window mean of an RGB image over n×n windows (n odd,
 /// >= 1, else std::invalid_argument), from one summed-area table per
 /// channel: the seed's Aave / Bave.
@@ -87,6 +94,13 @@ struct ExtractionResult {
 /// Runs steps ii–viii plus smoothing and cleanup on one frame against the
 /// empty-scene `background` plate (step i).
 ExtractionResult extract(const RgbImage& background, const RgbImage& frame);
+
+/// Pixels where the extractor's integer T (ws.difference36) is not 36·D
+/// for the seed's double D: |36·D − T| > 1e-9. Every D is a multiple of
+/// 1/36 up to rounding far below that, so 0 means T is exactly 36·D
+/// everywhere. A size mismatch counts every pixel of the larger image.
+std::size_t scaled_difference_mismatches(const Image<std::uint16_t>& t,
+                                         const Image<double>& d);
 
 /// Shortcut returning only the final silhouette.
 BinaryImage silhouette(const RgbImage& background, const RgbImage& frame);

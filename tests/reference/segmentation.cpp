@@ -66,6 +66,16 @@ ExtractionResult extract(const RgbImage& background, const RgbImage& frame) {
   return res;
 }
 
+std::size_t scaled_difference_mismatches(const Image<std::uint16_t>& t,
+                                         const Image<double>& d) {
+  if (t.width() != d.width() || t.height() != d.height()) return std::max(t.size(), d.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (std::abs(36.0 * d.data()[i] - static_cast<double>(t.data()[i])) > 1e-9) ++mismatches;
+  }
+  return mismatches;
+}
+
 BinaryImage fill_holes(const BinaryImage& img) {
   const int w = img.width();
   const int h = img.height();

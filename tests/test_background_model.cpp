@@ -15,20 +15,35 @@ namespace {
 
 RgbImage constant_frame(int w, int h, Rgb value) { return RgbImage(w, h, value); }
 
+/// Channel c's window sum at (x, y): the plate's Bave times the area.
+int window_sum(const BackgroundModel& model, int c, int x, int y) {
+  return model.window_sums_row(y)[c * model.width() + x];
+}
+
+/// The paper's Bave at (x, y): the sum over the clamped window's area.
+double window_mean(const BackgroundModel& model, int c, int x, int y) {
+  const double area = static_cast<double>(BackgroundModel::window_span(x, model.width())) *
+                      static_cast<double>(BackgroundModel::window_span(y, model.height()));
+  return static_cast<double>(window_sum(model, c, x, y)) / area;
+}
+
 TEST(BackgroundModel, EmptyModelHasNoBackground) {
   BackgroundModel model;
   EXPECT_FALSE(model.has_background());
-  EXPECT_THROW(model.averaged(), std::logic_error);
+  EXPECT_EQ(model.width(), 0);
+  EXPECT_EQ(model.height(), 0);
 }
 
 TEST(BackgroundModel, SingleFrameAverageEqualsWindowMean) {
   BackgroundModel model;
   model.set_background(constant_frame(8, 6, {30, 60, 90}));
   EXPECT_TRUE(model.has_background());
-  const RgbMeans& m = model.averaged();
-  EXPECT_DOUBLE_EQ(m.r.at(4, 3), 30.0);
-  EXPECT_DOUBLE_EQ(m.g.at(4, 3), 60.0);
-  EXPECT_DOUBLE_EQ(m.b.at(4, 3), 90.0);
+  EXPECT_EQ(window_sum(model, 0, 4, 3), 9 * 30);
+  EXPECT_DOUBLE_EQ(window_mean(model, 0, 4, 3), 30.0);
+  EXPECT_DOUBLE_EQ(window_mean(model, 1, 4, 3), 60.0);
+  EXPECT_DOUBLE_EQ(window_mean(model, 2, 4, 3), 90.0);
+  // A corner's window is clamped to 2×2.
+  EXPECT_EQ(window_sum(model, 2, 0, 0), 4 * 90);
 }
 
 TEST(BackgroundModel, DimensionsAvailableBeforeAveraging) {
@@ -44,7 +59,7 @@ TEST(BackgroundModel, ResetForgetsFrames) {
   model.reset();
   EXPECT_FALSE(model.has_background());
   model.set_background(constant_frame(4, 4, {80, 80, 80}));
-  EXPECT_DOUBLE_EQ(model.averaged().r.at(1, 1), 80.0);
+  EXPECT_DOUBLE_EQ(window_mean(model, 0, 1, 1), 80.0);
 }
 
 TEST(BackgroundModel, WindowSmoothsSpatialVariation) {
@@ -53,7 +68,16 @@ TEST(BackgroundModel, WindowSmoothsSpatialVariation) {
   BackgroundModel model;
   model.set_background(bg);
   // Centre pixel's 3x3 (clamped to 3x1) window covers all three pixels.
-  EXPECT_DOUBLE_EQ(model.averaged().r.at(1, 0), 30.0);
+  EXPECT_DOUBLE_EQ(window_mean(model, 0, 1, 0), 30.0);
+}
+
+TEST(BackgroundModel, WindowSpanClampsAtEdges) {
+  EXPECT_EQ(BackgroundModel::window_span(0, 1), 1);
+  EXPECT_EQ(BackgroundModel::window_span(0, 2), 2);
+  EXPECT_EQ(BackgroundModel::window_span(1, 2), 2);
+  EXPECT_EQ(BackgroundModel::window_span(0, 5), 2);
+  EXPECT_EQ(BackgroundModel::window_span(2, 5), 3);
+  EXPECT_EQ(BackgroundModel::window_span(4, 5), 2);
 }
 
 // ---- bit parity with the summed-area-table oracle ---------------------------
@@ -67,18 +91,24 @@ RgbImage random_rgb(std::mt19937& rng, int w, int h) {
   return img;
 }
 
-bool same_bits(const Image<double>& got, const Image<double>& want) {
-  return got.width() == want.width() && got.height() == want.height() &&
-         std::memcmp(got.data().data(), want.data().data(), got.size() * sizeof(double)) == 0;
-}
-
+/// Every sum / area against the oracle's double mean, bit for bit.
 void expect_oracle_means(const BackgroundModel& model, const RgbImage& plate,
                          const std::string& label) {
-  const RgbMeans want = reference::window_mean_rgb(plate, BackgroundModel::kWindow);
-  const RgbMeans& got = model.averaged();
-  EXPECT_TRUE(same_bits(got.r, want.r)) << label << " r";
-  EXPECT_TRUE(same_bits(got.g, want.g)) << label << " g";
-  EXPECT_TRUE(same_bits(got.b, want.b)) << label << " b";
+  const reference::RgbMeans want = reference::window_mean_rgb(plate, BackgroundModel::kWindow);
+  ASSERT_EQ(model.width(), plate.width()) << label;
+  ASSERT_EQ(model.height(), plate.height()) << label;
+  const Image<double>* planes[] = {&want.r, &want.g, &want.b};
+  std::size_t mismatches = 0;
+  for (int y = 0; y < plate.height(); ++y) {
+    for (int x = 0; x < plate.width(); ++x) {
+      for (int c = 0; c < 3; ++c) {
+        const double got = window_mean(model, c, x, y);
+        const double expected = planes[c]->at(x, y);
+        if (std::memcmp(&got, &expected, sizeof got) != 0) ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label;
 }
 
 /// set_background, a second set_background over it, then reset() and a

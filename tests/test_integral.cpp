@@ -10,6 +10,7 @@ namespace slj {
 namespace {
 
 using reference::IntegralImage;
+using reference::RgbMeans;
 using reference::window_mean_rgb;
 
 TEST(IntegralImage, SumMatchesBruteForceOnKnownImage) {

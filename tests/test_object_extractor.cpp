@@ -199,18 +199,7 @@ TEST(ObjectExtractor, WorksUnderBackgroundNoise) {
   EXPECT_GT(iou(extract(ex, frame).silhouette, expected), 0.75);
 }
 
-// ---- integer-domain window means ---------------------------------------------
-
-TEST(ObjectExtractor, MeanTableHoldsExactQuotients) {
-  // Every entry, bit for bit: q[k] is the one IEEE division k / (n·n) the
-  // seed's summed-area tables made, for every 3×3 sum of 8-bit pixels.
-  const BackgroundModel model;
-  const std::vector<double>& q = model.mean_table();
-  ASSERT_EQ(q.size(), 2296u);
-  for (std::size_t k = 0; k < q.size(); ++k) {
-    ASSERT_EQ(q[k], static_cast<double>(k) / 9.0) << "k " << k;
-  }
-}
+// ---- integer-domain difference -----------------------------------------------
 
 RgbImage random_rgb(std::mt19937& rng, int w, int h) {
   RgbImage img(w, h);
@@ -228,7 +217,8 @@ void expect_matches_reference(const RgbImage& background, const RgbImage& frame,
   BinaryImage silhouette;
   const double max_d = ex.extract_into(frame, ws, silhouette);
   const reference::ExtractionResult want = reference::extract(background, frame);
-  EXPECT_EQ(ws.difference, want.difference) << label;
+  EXPECT_EQ(reference::scaled_difference_mismatches(ws.difference36, want.difference), 0u)
+      << label;
   EXPECT_EQ(max_d, want.max_difference) << label;
   EXPECT_EQ(ws.raw_mask, want.raw_mask) << label;
   EXPECT_EQ(ws.smoothed, want.smoothed) << label;
@@ -272,6 +262,67 @@ TEST(ObjectExtractor, ExtractIntoMatchesReferenceOnTallFrames) {
         with_object(studio_background(w, h, 6, 6.0), {w * 0.5, h * 0.6}, w / 3.0);
     expect_matches_reference(studio, jumper, ws, label + " jumper");
   }
+}
+
+/// Pixels where T == max T − kMaskMargin: the exact ties of the mask rule,
+/// which only the seed's double rounding decides. Zero when the scene is
+/// unchanged (the mask is then empty whatever T is).
+std::size_t exact_ties(const FrameWorkspace& ws, double max_d) {
+  if (!(max_d > 0.0 && max_d >= ObjectExtractor::kMinMaxDifference)) return 0;
+  const std::vector<std::uint16_t>& t = ws.difference36.data();
+  const int thr = *std::max_element(t.begin(), t.end()) - ObjectExtractor::kMaskMargin;
+  return static_cast<std::size_t>(std::count(t.begin(), t.end(), thr));
+}
+
+TEST(ObjectExtractor, ExactTieIsDecidedAsTheSeedRounds) {
+  // 3×1 against a black plate: T = 18·765 at x = 0 (the maximum, D = 382.5)
+  // and 18·296 = 13770 − 8442 at x = 2, where D − (max D − 255) is exactly
+  // 20.5 and lround makes it 21 > Th_Object.
+  const RgbImage plate(3, 1, {0, 0, 0});
+  RgbImage frame = plate;
+  frame.at(0, 0) = {255, 255, 255};
+  frame.at(2, 0) = {255, 41, 0};
+  FrameWorkspace ws;
+  ObjectExtractor ex;
+  ex.set_background(plate);
+  BinaryImage silhouette;
+  const double max_d = ex.extract_into(frame, ws, silhouette);
+  EXPECT_EQ(max_d, 382.5);
+  EXPECT_EQ(ws.difference36.at(2, 0), 13770 - ObjectExtractor::kMaskMargin);
+  EXPECT_EQ(exact_ties(ws, max_d), 1u);
+  EXPECT_EQ(ws.raw_mask.at(2, 0), 1);
+  expect_matches_reference(plate, frame, ws, "3x1 tie");
+}
+
+TEST(ObjectExtractor, ExactTiesMatchReferenceOnFewLevelFrames) {
+  // Seeded random plates and frames whose bytes take a few levels only, so
+  // many window sums coincide and some pixels land exactly on
+  // T == max T − 8442. The levels are multiples of 67, a factor of
+  // 8442 = 126·67, so such ties are common (32 over these 400 pairs). The
+  // mask must still equal the seed chain's there.
+  FrameWorkspace ws;
+  std::mt19937 rng(26);
+  const std::uint8_t levels[] = {0, 67, 134, 201};
+  const auto few_level = [&](int w, int h) {
+    RgbImage img(w, h);
+    for (Rgb& p : img.data()) p = {levels[rng() % 4], levels[rng() % 4], levels[rng() % 4]};
+    return img;
+  };
+  std::size_t ties = 0;
+  for (int pair = 0; pair < 400; ++pair) {
+    const int w = 1 + static_cast<int>(rng() % 9);
+    const int h = 1 + static_cast<int>(rng() % 7);
+    const RgbImage plate = few_level(w, h);
+    const RgbImage frame = few_level(w, h);
+    const std::string label = "pair " + std::to_string(pair) + " " + std::to_string(w) + "x" +
+                              std::to_string(h);
+    expect_matches_reference(plate, frame, ws, label);
+    ObjectExtractor ex;
+    ex.set_background(plate);
+    BinaryImage silhouette;
+    ties += exact_ties(ws, ex.extract_into(frame, ws, silhouette));
+  }
+  EXPECT_GT(ties, 0u) << "no pair exercised the exact-tie path";
 }
 
 }  // namespace

@@ -301,6 +301,8 @@ TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
   const std::vector<std::string> frame_children = {"vision", "decode"};
   const std::vector<std::string> vision_children = {"extract", "thin", "skelgraph",
                                                     "features"};
+  const std::vector<std::string> extract_children = {"extract.mask", "extract.median",
+                                                     "extract.components", "extract.fill"};
   for (const int session : {a, b}) {
     SCOPED_TRACE("session " + std::to_string(session));
     std::size_t frames = 0;
@@ -322,6 +324,13 @@ TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
             EXPECT_EQ(count_named(in_vision, name), 1u) << name;
           }
           EXPECT_EQ(count_named(in_vision, "decode"), 0u);
+          for (const TraceEvent& extract : in_vision) {
+            if (std::string("extract") != extract.name) continue;
+            const std::vector<TraceEvent> in_extract = events_within(snap, thread.tid, extract);
+            for (const std::string& name : extract_children) {
+              EXPECT_EQ(count_named(in_extract, name), 1u) << name;
+            }
+          }
         }
       }
     }
@@ -329,7 +338,8 @@ TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
   }
   // One tick over two sessions: exactly two of every stage, none stray.
   for (const char* name :
-       {"frame", "vision", "extract", "thin", "skelgraph", "features", "decode"}) {
+       {"frame", "vision", "extract", "thin", "skelgraph", "features", "decode", "extract.mask",
+        "extract.median", "extract.components", "extract.fill"}) {
     EXPECT_EQ(count_events(snap, name), 2u) << name;
   }
 }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -179,9 +180,10 @@ TEST(SimdBytePlane, StoreFill01MatchesScalarIncludingSaturatedPlanes) {
 // ---- row kernels ------------------------------------------------------------
 
 TEST(SimdRowKernels, ColumnSumsAndTapSumsMatchScalar) {
-  // The extractor's window sums: sliding 16-bit column sums over an
-  // interleaved RGB row (3·width bytes), then n-tap horizontal sums three
-  // lanes apart — and the median's one-channel taps, one lane apart.
+  // The window sums: sliding 16-bit column sums over a planar RGB row
+  // (3·width bytes), then n-tap horizontal sums one lane apart (the
+  // background model's, across all three planes at once, and the median's
+  // one-channel counts) or three apart.
   for (const std::size_t w : kWidths) {
     const int len = static_cast<int>(3 * w);
     const std::vector<std::uint8_t> add = random_bytes(static_cast<std::uint32_t>(w), 3 * w, 255);
@@ -213,6 +215,78 @@ TEST(SimdRowKernels, ColumnSumsAndTapSumsMatchScalar) {
         }
       }
     }
+  }
+}
+
+TEST(SimdBytePlane, DeinterleaveRgbMatchesScalarOnOddWidths) {
+  // One RGB row into three planes. The widths straddle the 16-pixel SSE2 /
+  // NEON block and the 32-pixel AVX2 block; the base offsets move the loads
+  // off alignment, and the sentinel checks that nothing past n is written.
+  for (const std::size_t w : {1u, 2u, 15u, 17u, 33u, 48u, 65u}) {
+    for (const std::size_t offset : {0u, 1u, 5u}) {
+      const std::vector<std::uint8_t> rgb =
+          random_bytes(static_cast<std::uint32_t>(w * 7 + offset), 3 * w + offset, 255);
+      const std::uint8_t* src = rgb.data() + offset;
+      std::vector<std::uint8_t> got(3 * w + 1, 0xa5), want(3 * w + 1, 0xa5);
+      simd::deinterleave_rgb<Active>(src, got.data(), got.data() + w, got.data() + 2 * w, w);
+      simd::deinterleave_rgb<ScalarBackend>(src, want.data(), want.data() + w,
+                                            want.data() + 2 * w, w);
+      ASSERT_EQ(got, want) << "w " << w << " offset " << offset;
+      for (std::size_t i = 0; i < w; ++i) {
+        for (std::size_t c = 0; c < 3; ++c) {
+          ASSERT_EQ(got[c * w + i], src[3 * i + c]) << "w " << w << " i " << i << " c " << c;
+        }
+      }
+      EXPECT_EQ(got[3 * w], 0xa5) << "w " << w;
+    }
+  }
+}
+
+TEST(SimdRowKernels, ScaledSadAndThresholdMatchScalar) {
+  // The extractor's T row, k·Σ_c |s_c − b_c| over three planes `w` apart,
+  // at the largest sums (9·255) and every scale 36 / area, then its
+  // threshold with the tie flag, across every vector tail.
+  for (const std::size_t w : kWidths) {
+    std::mt19937 rng(static_cast<std::uint32_t>(w) + 77);
+    std::uniform_int_distribution<int> sum(0, 9 * 255);
+    std::vector<std::uint16_t> s(3 * w), b(3 * w);
+    for (std::size_t i = 0; i < 3 * w; ++i) {
+      s[i] = static_cast<std::uint16_t>(i % 5 == 0 ? 9 * 255 : sum(rng));
+      b[i] = static_cast<std::uint16_t>(i % 7 == 0 ? 0 : sum(rng));
+    }
+    const int n = static_cast<int>(w);
+    for (const std::uint16_t k : {std::uint16_t{1}, std::uint16_t{4}}) {
+      std::vector<std::uint16_t> got(w), want(w);
+      const std::uint16_t max_got =
+          rowk::scaled_sad3_u16<Active>(s.data(), b.data(), n, k, got.data(), n);
+      const std::uint16_t max_want =
+          rowk::scaled_sad3_u16<ScalarBackend>(s.data(), b.data(), n, k, want.data(), n);
+      ASSERT_EQ(got, want) << "w " << w << " k " << k;
+      ASSERT_EQ(max_got, max_want) << "w " << w << " k " << k;
+      EXPECT_EQ(max_got, *std::max_element(want.begin(), want.end())) << "w " << w;
+      for (std::size_t x = 0; x < w; ++x) {
+        int sad = 0;
+        for (std::size_t c = 0; c < 3; ++c) sad += std::abs(s[c * w + x] - b[c * w + x]);
+        ASSERT_EQ(got[x], k * sad) << "w " << w << " x " << x;
+      }
+      // Thresholds at a present value (a tie), just above it, and at 1.
+      for (const std::uint16_t thr : {got[w / 2], static_cast<std::uint16_t>(got[w / 2] + 1),
+                                      std::uint16_t{1}}) {
+        if (thr == 0) continue;
+        std::vector<std::uint8_t> mask_got(w + 1, 0xa5), mask_want(w + 1, 0xa5);
+        const bool tie_got = rowk::threshold_u16<Active>(got.data(), thr, mask_got.data(), w);
+        const bool tie_want =
+            rowk::threshold_u16<ScalarBackend>(got.data(), thr, mask_want.data(), w);
+        ASSERT_EQ(mask_got, mask_want) << "w " << w << " thr " << thr;
+        ASSERT_EQ(tie_got, tie_want) << "w " << w << " thr " << thr;
+        EXPECT_EQ(tie_got, std::find(got.begin(), got.end(), thr) != got.end());
+        EXPECT_EQ(mask_got[w], 0xa5);
+      }
+    }
+    // The largest T: 4 · 27 · 255 = 27540, below the signed 16-bit limit.
+    const std::vector<std::uint16_t> full(3 * w, 9 * 255), zero(3 * w, 0);
+    std::vector<std::uint16_t> t(w);
+    EXPECT_EQ(rowk::scaled_sad3_u16<Active>(full.data(), zero.data(), n, 4, t.data(), n), 27540);
   }
 }
 
@@ -300,7 +374,8 @@ TEST(SimdKernelParity, ExtractIntoMatchesExtractOnOddFrameSizes) {
     EXPECT_EQ(silhouette, want.silhouette) << w << "x" << h;
     EXPECT_EQ(ws.smoothed, want.smoothed) << w << "x" << h;
     EXPECT_EQ(ws.raw_mask, want.raw_mask) << w << "x" << h;
-    EXPECT_EQ(ws.difference, want.difference) << w << "x" << h;
+    EXPECT_EQ(reference::scaled_difference_mismatches(ws.difference36, want.difference), 0u)
+        << w << "x" << h;
     EXPECT_EQ(max_d, want.max_difference) << w << "x" << h;
   }
 }
