@@ -36,11 +36,11 @@ inline std::string host_json() {
                 "  \"git_sha\": \"%s\",\n"
                 "  \"compiler\": \"%s\",\n"
                 "  \"build_flags\": \"%s\",\n"
-                "  \"simd\": {\"backend\": \"%s\", \"f64_lanes\": %d, \"u8_lanes\": %d},\n"
+                "  \"simd\": {\"backend\": \"%s\", \"u8_lanes\": %d},\n"
                 "  \"hardware_concurrency\": %u\n"
                 "}",
                 sha != nullptr ? sha : "unknown", compiler, SLJ_BUILD_FLAGS,
-                simd::backend_name(), simd::f64_lanes(), simd::u8_lanes(),
+                simd::backend_name(), simd::u8_lanes(),
                 std::max(1u, std::thread::hardware_concurrency()));
   return buf;
 }

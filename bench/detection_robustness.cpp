@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 #include "detection/blob_tracker.hpp"
 #include "imaging/draw.hpp"
+#include "imaging/morphology.hpp"
 
 namespace {
 
@@ -44,6 +45,7 @@ int main() {
   core::FrameObservation obs_clean;
   core::FrameObservation obs_largest;
   core::FrameObservation obs_tracked;
+  BinaryImage tracked_silhouette;
   for (const synth::Clip& clip : dataset.test) {
     sys.pipeline.set_background(clip.background);
     detect::TrackerConfig tracker_config;
@@ -68,7 +70,14 @@ int main() {
           state_largest);
       correct_largest += r1.pose == clip.truth[i].pose ? 1 : 0;
 
-      sys.pipeline.process_into(frame, tracker, ws, obs_tracked);
+      // The tracked arm: the extractor's silhouette, replaced by the hole-
+      // filled tracked blob whenever the tracker measures one this frame.
+      sys.pipeline.extractor().extract_into(frame, ws, tracked_silhouette);
+      const detect::TrackResult track = tracker.update(ws.smoothed);
+      if (track.measured) {
+        fill_holes_into(track.mask, ws.reached, ws.flood_stack, tracked_silhouette);
+      }
+      sys.pipeline.process_silhouette_into(tracked_silhouette, ws, obs_tracked);
       const auto r2 = sys.classifier.classify(
           obs_tracked.candidates, ground_tracked.airborne(obs_tracked.bottom_row),
           state_tracked);

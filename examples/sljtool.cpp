@@ -24,20 +24,23 @@
 // manifest.txt) — real footage can be dropped in the same layout.
 //
 // analyze and evaluate run the vision pass on the ClipEngine worker pool
-// (--workers N, default: hardware concurrency; --tracker 1 selects the
-// jumper blob with the BlobTracker instead of largest-component). stream
-// pushes the clip one frame at a time through StreamManager sessions —
-// simulated concurrent cameras — printing advice the moment a
-// movement-standard rule resolves, and verifies the live results against
-// the batch classifier. serve goes fully asynchronous: N producer threads
+// (--workers N, default: hardware concurrency); the jumper is each frame's
+// largest foreground component. stream pushes the clip one frame at a time
+// through StreamManager sessions — simulated concurrent cameras — printing
+// advice the moment a movement-standard rule resolves, and verifies the
+// live results against the batch classifier. serve goes fully asynchronous: N producer threads
 // push frames at a jittery camera cadence into the IngestService's bounded
 // per-session queues while the scheduler drains, analyses and delivers,
 // with the live telemetry table refreshed as it runs.
+//
+// Flags come in `--name value` pairs. Each subcommand accepts the flags its
+// usage line lists; any other flag, or a flag with no value, exits 1 with
+// an error naming it.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -64,13 +67,18 @@ namespace {
 
 using namespace slj;
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int start) {
+std::map<std::string, std::string> parse_flags(int argc, char** argv, int start,
+                                               const std::vector<std::string>& accepted) {
   std::map<std::string, std::string> flags;
-  for (int i = start; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      throw std::runtime_error(std::string("expected flag, got ") + argv[i]);
+  for (int i = start; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) throw std::runtime_error("expected flag, got " + arg);
+    const std::string name = arg.substr(2);
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      throw std::runtime_error("unknown flag " + arg);
     }
-    flags[argv[i] + 2] = argv[i + 1];
+    if (i + 1 >= argc) throw std::runtime_error("flag " + arg + " has no value");
+    flags[name] = argv[i + 1];
   }
   return flags;
 }
@@ -127,9 +135,6 @@ core::ClipEngineConfig engine_config(const std::map<std::string, std::string>& f
     }
     config.workers = static_cast<unsigned>(workers);
   }
-  if (const auto it = flags.find("tracker"); it != flags.end()) {
-    config.use_tracker = it->second != "0" && it->second != "false";
-  }
   return config;
 }
 
@@ -183,7 +188,6 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
 
   core::StreamManagerConfig config;
   config.workers = engine_config(flags).workers;
-  config.session.use_tracker = engine_config(flags).use_tracker;
 
   core::StreamManager manager(classifier, {}, config);
   std::vector<int> ids;
@@ -816,10 +820,9 @@ int usage() {
               "  sljtool generate --out DIR [--seed N]\n"
               "  sljtool train    --data DIR --model FILE\n"
               "  sljtool analyze  --model FILE --clip DIR [--ppm PIXELS_PER_METER]\n"
-              "                   [--workers N] [--tracker 0|1]\n"
-              "  sljtool evaluate --model FILE --data DIR [--workers N] [--tracker 0|1]\n"
+              "                   [--workers N]\n"
+              "  sljtool evaluate --model FILE --data DIR [--workers N]\n"
               "  sljtool stream   --model FILE --clip DIR [--sessions N] [--workers N]\n"
-              "                   [--tracker 0|1]\n"
               "  sljtool serve    [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
               "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
               "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"
@@ -841,24 +844,44 @@ int usage() {
   return 2;
 }
 
+struct Subcommand {
+  const char* name;
+  int (*run)(const std::map<std::string, std::string>&);
+  std::vector<std::string> flags;  ///< the flag names it accepts, without "--"
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const Subcommand kSubcommands[] = {
+      {"generate", cmd_generate, {"out", "seed"}},
+      {"train", cmd_train, {"data", "model"}},
+      {"analyze", cmd_analyze, {"model", "clip", "ppm", "workers"}},
+      {"evaluate", cmd_evaluate, {"model", "data", "workers"}},
+      {"stream", cmd_stream, {"model", "clip", "sessions", "workers"}},
+      {"serve",
+       cmd_serve,
+       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "policy",
+        "capacity", "rate", "burst"}},
+      {"record",
+       cmd_record,
+       {"out", "model", "clip", "seed", "mini", "sessions", "frames", "pushes-per-round", "fps",
+        "policy", "capacity", "rate", "burst", "workers"}},
+      {"replay", cmd_replay, {"trace", "model", "workers", "tolerance"}},
+      {"top",
+       cmd_top,
+       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "policy",
+        "capacity", "rate", "burst", "refresh", "plain", "slo-p99", "slo-drop",
+        "slo-breach-after", "slo-clear-after", "incident-dir", "max-incidents", "trace-json"}},
+      {"trace-export", cmd_trace_export, {"trace", "out", "model", "workers", "tolerance"}},
+  };
   if (argc < 2) return usage();
+  const std::string cmd = argv[1];
+  const auto sub = std::find_if(std::begin(kSubcommands), std::end(kSubcommands),
+                                [&cmd](const Subcommand& s) { return cmd == s.name; });
+  if (sub == std::end(kSubcommands)) return usage();
   try {
-    const std::string cmd = argv[1];
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "generate") return cmd_generate(flags);
-    if (cmd == "train") return cmd_train(flags);
-    if (cmd == "analyze") return cmd_analyze(flags);
-    if (cmd == "evaluate") return cmd_evaluate(flags);
-    if (cmd == "stream") return cmd_stream(flags);
-    if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "record") return cmd_record(flags);
-    if (cmd == "replay") return cmd_replay(flags);
-    if (cmd == "top") return cmd_top(flags);
-    if (cmd == "trace-export") return cmd_trace_export(flags);
-    return usage();
+    return sub->run(parse_flags(argc, argv, 2, sub->flags));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

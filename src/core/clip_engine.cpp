@@ -125,24 +125,8 @@ ClipObservation ClipEngine::aggregate(std::vector<FrameObservation> frames) cons
   return clip;
 }
 
-ClipObservation ClipEngine::process_serial_tracked(const RgbImage& background,
-                                                   const std::vector<RgbImage>& frames,
-                                                   FrameWorkspace& ws) const {
-  FramePipeline pipeline(params_);
-  pipeline.set_background(background);
-  detect::BlobTracker tracker(config_.tracker);
-  std::vector<FrameObservation> observations(frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    pipeline.process_into(frames[i], tracker, ws, observations[i]);
-  }
-  return aggregate(std::move(observations));
-}
-
 ClipObservation ClipEngine::process(const RgbImage& background,
                                     const std::vector<RgbImage>& frames) {
-  if (config_.use_tracker) {
-    return process_serial_tracked(background, frames, workspaces_.front());
-  }
   FramePipeline pipeline(params_);
   pipeline.set_background(background);
   std::vector<FrameObservation> observations(frames.size());
@@ -157,15 +141,6 @@ ClipObservation ClipEngine::process(const synth::Clip& clip) {
 }
 
 std::vector<ClipObservation> ClipEngine::process(const std::vector<synth::Clip>& clips) {
-  std::vector<ClipObservation> results(clips.size());
-  if (config_.use_tracker) {
-    // Tracking is stateful in frame order: one sequential task per clip.
-    pool_.parallel_for_lanes(clips.size(), [&](std::size_t lane, std::size_t c) {
-      results[c] = process_serial_tracked(clips[c].background, clips[c].frames, workspaces_[lane]);
-    });
-    return results;
-  }
-
   // Flatten the frame index space of all clips so lanes never idle at clip
   // boundaries (the last frames of clip k overlap the first of clip k+1).
   std::vector<FramePipeline> pipelines;
@@ -186,6 +161,7 @@ std::vector<ClipObservation> ClipEngine::process(const std::vector<synth::Clip>&
     const std::size_t f = flat - offsets[c];
     pipelines[c].process_into(clips[c].frames[f], workspaces_[lane], observations[c][f]);
   });
+  std::vector<ClipObservation> results(clips.size());
   for (std::size_t c = 0; c < clips.size(); ++c) {
     results[c] = aggregate(std::move(observations[c]));
   }

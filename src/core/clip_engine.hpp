@@ -2,12 +2,11 @@
 // pipeline (FramePipeline::process_into) depends only on the frame, the
 // background and its own workspace, so frames of a clip — and frames of
 // *different* clips — can run concurrently on per-lane workspaces; only the
-// per-clip sequential state (GroundMonitor calibration, BlobTracker
-// dynamics) is replayed in frame order afterwards. Results are stored by
-// frame index, so the output is bit-identical to a serial process_into loop
-// regardless of worker count or scheduling. Frames (or, with the tracker,
-// clips) are the only parallelism axis: each frame's vision kernels run
-// serially on the lane that owns it.
+// per-clip sequential state (GroundMonitor calibration) is replayed in frame
+// order afterwards. Results are stored by frame index, so the output is
+// bit-identical to a serial process_into loop regardless of worker count or
+// scheduling. Frames are the only parallelism axis: each frame's vision
+// kernels run serially on the lane that owns it.
 #pragma once
 
 #include <atomic>
@@ -19,7 +18,6 @@
 
 #include "core/annotations.hpp"
 #include "core/pipeline.hpp"
-#include "detection/blob_tracker.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::core {
@@ -83,11 +81,6 @@ class WorkerPool {
 struct ClipEngineConfig {
   /// Worker threads; 0 = hardware concurrency.
   unsigned workers = 0;
-  /// Select the jumper blob with a BlobTracker instead of largest-component.
-  /// Tracking is sequential within a clip, so frame-level parallelism is
-  /// traded for clip-level parallelism in batch calls.
-  bool use_tracker = false;
-  detect::TrackerConfig tracker;
 };
 
 /// Everything the engine derives from one clip: per-frame observations plus
@@ -116,25 +109,20 @@ class ClipEngine {
   unsigned lanes() const { return pool_.size() + 1; }
 
   /// Processes one raw clip (background plate + frames). Frames run in
-  /// parallel unless the tracker is enabled (tracking is stateful in frame
-  /// order).
+  /// parallel.
   ClipObservation process(const RgbImage& background, const std::vector<RgbImage>& frames);
 
   /// Convenience overload for generated / loaded clips.
   ClipObservation process(const synth::Clip& clip);
 
   /// Batch mode: processes a whole set of clips, spreading work across the
-  /// pool. Without a tracker the frame index space of all clips is
-  /// flattened (no idle lanes at clip boundaries); with a tracker each clip
-  /// is one sequential task and clips run concurrently.
+  /// pool. The frame index space of all clips is flattened, so no lane idles
+  /// at a clip boundary.
   std::vector<ClipObservation> process(const std::vector<synth::Clip>& clips);
 
  private:
   /// Replays the clip-level sequential state over per-frame results.
   ClipObservation aggregate(std::vector<FrameObservation> frames) const;
-  ClipObservation process_serial_tracked(const RgbImage& background,
-                                         const std::vector<RgbImage>& frames,
-                                         FrameWorkspace& ws) const;
 
   PipelineParams params_;
   ClipEngineConfig config_;

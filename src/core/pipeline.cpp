@@ -2,7 +2,6 @@
 
 #include "core/simd.hpp"
 #include "obs/tracer.hpp"
-#include "imaging/morphology.hpp"
 #include "skelgraph/simplify.hpp"
 #include "thinning/zhang_suen.hpp"
 
@@ -21,25 +20,6 @@ SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, FrameWorksp
   {
     obs::TraceSpan span("extract");
     extractor_.extract_into(frame, ws, out.silhouette);
-  }
-  finish_observation(ws, out);
-}
-
-SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, detect::BlobTracker& tracker,
-                                              FrameWorkspace& ws, FrameObservation& out) const {
-  obs::TraceSpan trace("vision");
-  {
-    obs::TraceSpan span("extract");
-    extractor_.extract_into(frame, ws, out.silhouette);
-    // The extractor is done with ws.labeling/pixel_stack; the tracker's
-    // component pass reuses them instead of allocating its own Labeling.
-    const detect::TrackResult track = tracker.update(ws.smoothed, ws.labeling, ws.pixel_stack);
-    if (track.measured) {
-      fill_holes_into(track.mask, ws.reached, ws.flood_stack, out.silhouette);
-    }
-    // else: no confirmed person blob this frame. Keep the extractor's own
-    // cleanup (already in out.silhouette) so the clip keeps flowing and the
-    // tracker can re-acquire.
   }
   finish_observation(ws, out);
 }

@@ -1,13 +1,14 @@
 // The frame pipeline: RGB frame → silhouette → thinned skeleton → cleaned
 // skeleton graph → key points → feature candidates. This is the glue that
-// turns the paper's Sections 2–4 into one call per frame.
+// turns the paper's Sections 2–4 into one call per frame. Human detection
+// (the paper's first component) is Section 2's rule: the largest foreground
+// component, holes filled, is the jumper; there is no other selection path.
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "detection/blob_tracker.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/image.hpp"
 #include "pose/skeleton_features.hpp"
@@ -104,13 +105,6 @@ class FramePipeline {
   /// calls.
   SLJ_HOT_PATH void process_into(const RgbImage& frame, FrameWorkspace& ws,
                                  FrameObservation& out) const;
-
-  /// Same, with human detection: the jumper blob is selected by the tracker
-  /// (paper component (1)) rather than by size, so distractor blobs — a
-  /// second person, lighting flicker — are ignored. Falls back to the plain
-  /// extractor result while no track is confirmed.
-  SLJ_HOT_PATH void process_into(const RgbImage& frame, detect::BlobTracker& tracker,
-                                 FrameWorkspace& ws, FrameObservation& out) const;
 
   /// The stages after segmentation, from an already-extracted silhouette
   /// (ground-truth masks in tests and benches).

@@ -1,8 +1,7 @@
 // Portable fixed-width SIMD abstraction for the per-frame vision kernels.
 //
-// Backends: SSE2 (2 f64 / 16 u8 lanes), AVX2 (4 f64 / 32 u8 lanes), NEON
-// (2 f64 / 16 u8 lanes), and a scalar fallback (1 lane) that is always
-// compiled. The active backend is chosen at configure time by the SLJ_SIMD
+// Backends: SSE2 (16 u8 / 8 u16 lanes), AVX2 (32 u8 / 16 u16 lanes), NEON
+// (16 u8 / 8 u16 lanes), and a scalar fallback that is always compiled. The active backend is chosen at configure time by the SLJ_SIMD
 // CMake option:
 //
 //   AUTO (default)  whatever instruction sets the compiler already targets
@@ -18,16 +17,12 @@
 // SLJ_SIMD=OFF.
 //
 // Bit-identity contract. The SIMD paths are bit-identical to the scalar
-// paths because every operation here is either integer arithmetic on exact
-// small counts (VecU16: window sums of 8-bit pixels) or a lane-wise IEEE
-// double +, -, *, /, min/max or |x| — each a single correctly-rounded
-// operation, identical to its scalar counterpart. Nothing here may
-// introduce FMA contraction or reassociation: each operation maps to one
-// explicit non-fused instruction.
+// paths because every operation here is exact integer arithmetic on bytes
+// and small counts (VecU16: window sums of 8-bit pixels), identical lane by
+// lane to its scalar counterpart.
 #pragma once
 
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -75,128 +70,6 @@ inline const char* backend_name() {
   return "scalar";
 #endif
 }
-
-// ---- VecF64: a fixed-width vector of doubles -------------------------------
-
-template <class Backend>
-struct VecF64;
-
-template <>
-struct VecF64<ScalarBackend> {
-  static constexpr int kLanes = 1;
-  double v;
-
-  static VecF64 load(const double* p) { return {*p}; }
-  static VecF64 broadcast(double x) { return {x}; }
-  void store(double* p) const { *p = v; }
-
-  friend VecF64 operator+(VecF64 a, VecF64 b) { return {a.v + b.v}; }
-  friend VecF64 operator-(VecF64 a, VecF64 b) { return {a.v - b.v}; }
-  friend VecF64 operator*(VecF64 a, VecF64 b) { return {a.v * b.v}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {a.v / b.v}; }
-
-  VecF64 abs() const { return {std::fabs(v)}; }
-  static VecF64 max(VecF64 a, VecF64 b) { return {a.v > b.v ? a.v : b.v}; }
-  static VecF64 min(VecF64 a, VecF64 b) { return {a.v < b.v ? a.v : b.v}; }
-
-  /// Writes kLanes bytes: out[i] = (a[i] >= b[i]) ? 1 : 0.
-  static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
-    out[0] = a.v >= b.v ? 1 : 0;
-  }
-};
-
-#if defined(SLJ_SIMD_SSE2)
-template <>
-struct VecF64<Sse2Backend> {
-  static constexpr int kLanes = 2;
-  __m128d v;
-
-  static VecF64 load(const double* p) { return {_mm_loadu_pd(p)}; }
-  static VecF64 broadcast(double x) { return {_mm_set1_pd(x)}; }
-  void store(double* p) const { _mm_storeu_pd(p, v); }
-
-  friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm_add_pd(a.v, b.v)}; }
-  friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm_sub_pd(a.v, b.v)}; }
-  friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm_div_pd(a.v, b.v)}; }
-
-  VecF64 abs() const {
-    // Clear the sign bit; |x| is exact, same as std::fabs lane-wise.
-    const __m128d mask = _mm_castsi128_pd(_mm_set1_epi64x(0x7fffffffffffffffLL));
-    return {_mm_and_pd(v, mask)};
-  }
-  static VecF64 max(VecF64 a, VecF64 b) { return {_mm_max_pd(b.v, a.v)}; }
-  static VecF64 min(VecF64 a, VecF64 b) { return {_mm_min_pd(b.v, a.v)}; }
-
-  static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
-    const int bits = _mm_movemask_pd(_mm_cmpge_pd(a.v, b.v));
-    out[0] = static_cast<std::uint8_t>(bits & 1);
-    out[1] = static_cast<std::uint8_t>((bits >> 1) & 1);
-  }
-};
-#endif  // SLJ_SIMD_SSE2
-
-#if defined(SLJ_SIMD_AVX2)
-template <>
-struct VecF64<Avx2Backend> {
-  static constexpr int kLanes = 4;
-  __m256d v;
-
-  static VecF64 load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static VecF64 broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
-
-  friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
-
-  VecF64 abs() const {
-    const __m256d mask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-    return {_mm256_and_pd(v, mask)};
-  }
-  static VecF64 max(VecF64 a, VecF64 b) { return {_mm256_max_pd(b.v, a.v)}; }
-  static VecF64 min(VecF64 a, VecF64 b) { return {_mm256_min_pd(b.v, a.v)}; }
-
-  static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
-    const int bits = _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ));
-    out[0] = static_cast<std::uint8_t>(bits & 1);
-    out[1] = static_cast<std::uint8_t>((bits >> 1) & 1);
-    out[2] = static_cast<std::uint8_t>((bits >> 2) & 1);
-    out[3] = static_cast<std::uint8_t>((bits >> 3) & 1);
-  }
-};
-#endif  // SLJ_SIMD_AVX2
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-struct VecF64<NeonBackend> {
-  static constexpr int kLanes = 2;
-  float64x2_t v;
-
-  static VecF64 load(const double* p) { return {vld1q_f64(p)}; }
-  static VecF64 broadcast(double x) { return {vdupq_n_f64(x)}; }
-  void store(double* p) const { vst1q_f64(p, v); }
-
-  friend VecF64 operator+(VecF64 a, VecF64 b) { return {vaddq_f64(a.v, b.v)}; }
-  friend VecF64 operator-(VecF64 a, VecF64 b) { return {vsubq_f64(a.v, b.v)}; }
-  friend VecF64 operator*(VecF64 a, VecF64 b) { return {vmulq_f64(a.v, b.v)}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {vdivq_f64(a.v, b.v)}; }
-
-  VecF64 abs() const { return {vabsq_f64(v)}; }
-  static VecF64 max(VecF64 a, VecF64 b) { return {vmaxq_f64(a.v, b.v)}; }
-  static VecF64 min(VecF64 a, VecF64 b) { return {vminq_f64(a.v, b.v)}; }
-
-  static void store_ge01(VecF64 a, VecF64 b, std::uint8_t* out) {
-    const uint64x2_t ge = vcgeq_f64(a.v, b.v);
-    out[0] = static_cast<std::uint8_t>(vgetq_lane_u64(ge, 0) & 1u);
-    out[1] = static_cast<std::uint8_t>(vgetq_lane_u64(ge, 1) & 1u);
-  }
-};
-#endif  // SLJ_SIMD_NEON
-
-/// f64 lane width of the configured backend (telemetry / bench JSON).
-inline int f64_lanes() { return VecF64<Active>::kLanes; }
 
 // ---- VecU8: a fixed-width vector of bytes ----------------------------------
 

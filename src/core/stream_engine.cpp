@@ -11,26 +11,19 @@ namespace slj::core {
 // ---- StreamSession ---------------------------------------------------------
 
 StreamSession::StreamSession(const pose::PoseDbnClassifier& classifier,
-                             const RgbImage& background, PipelineParams params,
-                             StreamSessionConfig config)
+                             const RgbImage& background, PipelineParams params)
     : pipeline_(params),
-      config_(config),
       classifier_(&classifier),
       online_state_(classifier.initial_state()),
       width_(background.width()),
       height_(background.height()) {
   pipeline_.set_background(background);
-  if (config_.use_tracker) tracker_.emplace(config_.tracker);
 }
 
 StreamUpdate StreamSession::push_frame(const RgbImage& frame) {
   // observation_ / workspace_ are reused frame over frame so the camera
   // steady state allocates no full-frame buffers.
-  if (tracker_) {
-    pipeline_.process_into(frame, *tracker_, workspace_, observation_);
-  } else {
-    pipeline_.process_into(frame, workspace_, observation_);
-  }
+  pipeline_.process_into(frame, workspace_, observation_);
   return push_observation(observation_);
 }
 
@@ -53,14 +46,10 @@ JumpReport StreamSession::finish() {
 
 StreamManager::StreamManager(const pose::PoseDbnClassifier& classifier, PipelineParams params,
                              StreamManagerConfig config)
-    : classifier_(&classifier), params_(params), config_(config), pool_(config.workers) {}
+    : classifier_(&classifier), params_(params), pool_(config.workers) {}
 
 int StreamManager::open_session(const RgbImage& background) {
-  return open_session(background, config_.session);
-}
-
-int StreamManager::open_session(const RgbImage& background, StreamSessionConfig config) {
-  sessions_.push_back(std::make_unique<StreamSession>(*classifier_, background, params_, config));
+  sessions_.push_back(std::make_unique<StreamSession>(*classifier_, background, params_));
   tick_stamps_.push_back(0);
   return static_cast<int>(sessions_.size()) - 1;
 }

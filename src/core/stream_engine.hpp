@@ -3,9 +3,10 @@
 // a time — camera-style — and returns the frame's pose decision plus any
 // movement-standard rules that resolved on that frame, so coaching advice
 // can be spoken while the jumper is still in the air. Memory is bounded:
-// a session keeps only its sequential state (ground calibration, tracker,
-// the classifier's sequence state, fault-rule progress), never the frame
-// history.
+// a session keeps only its sequential state (ground calibration, the
+// classifier's sequence state, fault-rule progress), never the frame
+// history. The jumper is the frame's largest foreground component, as in
+// ClipEngine; a session has no other selection rule and no settings.
 //
 // Decoding is the classifier's own per-frame rule, the paper's online point
 // estimate, so a session's output is identical to classify_sequence over
@@ -22,26 +23,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/annotations.hpp"
 #include "core/clip_engine.hpp"
 #include "core/faults.hpp"
 #include "core/pipeline.hpp"
-#include "detection/blob_tracker.hpp"
 #include "pose/classifier.hpp"
 
 namespace slj::core {
-
-/// As in ClipEngineConfig, the airborne flag comes from a GroundMonitor
-/// with constant knobs, and the classifier reads it through the one
-/// pose::StageTracker rule.
-struct StreamSessionConfig {
-  /// Select the jumper blob with a BlobTracker instead of largest-component.
-  bool use_tracker = false;
-  detect::TrackerConfig tracker;
-};
 
 /// Everything a session reports back for one pushed frame.
 struct StreamUpdate {
@@ -54,13 +44,15 @@ struct StreamUpdate {
 };
 
 /// One live feed: background-calibrated vision pipeline + per-clip
-/// sequential state, advanced one frame per push_frame call.
+/// sequential state, advanced one frame per push_frame call. As in
+/// ClipEngine, the airborne flag comes from a GroundMonitor with constant
+/// knobs, and the classifier reads it through the one pose::StageTracker
+/// rule.
 class StreamSession {
  public:
   StreamSession(const pose::PoseDbnClassifier& classifier, const RgbImage& background,
-                PipelineParams params = {}, StreamSessionConfig config = {});
+                PipelineParams params = {});
 
-  const StreamSessionConfig& config() const { return config_; }
   std::size_t frames_seen() const { return frames_; }
   /// The background's size, which every pushed frame must match.
   int width() const { return width_; }
@@ -83,10 +75,8 @@ class StreamSession {
 
  private:
   FramePipeline pipeline_;
-  StreamSessionConfig config_;
   const pose::PoseDbnClassifier* classifier_;
   GroundMonitor ground_;
-  std::optional<detect::BlobTracker> tracker_;
   pose::PoseDbnClassifier::SequenceState online_state_;
   IncrementalFaultDetector faults_;
   std::size_t frames_ = 0;
@@ -101,8 +91,6 @@ class StreamSession {
 struct StreamManagerConfig {
   /// Worker threads for tick(); 0 = hardware concurrency.
   unsigned workers = 0;
-  /// Defaults for sessions opened without an explicit config.
-  StreamSessionConfig session;
 };
 
 /// Multiplexes many concurrent StreamSessions over one WorkerPool.
@@ -130,7 +118,6 @@ class StreamManager {
 
   /// Opens a feed calibrated on `background`; returns its session id.
   int open_session(const RgbImage& background);
-  int open_session(const RgbImage& background, StreamSessionConfig config);
 
   /// Advances one session by one frame (serial path).
   StreamUpdate push_frame(int session, const RgbImage& frame);
@@ -162,7 +149,6 @@ class StreamManager {
 
   const pose::PoseDbnClassifier* classifier_;
   PipelineParams params_;
-  StreamManagerConfig config_;
   WorkerPool pool_;
   std::vector<std::unique_ptr<StreamSession>> sessions_;  ///< index = id; null = closed
   /// Duplicate-feed detection without per-tick allocation: session i was

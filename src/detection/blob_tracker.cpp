@@ -27,16 +27,6 @@ void BlobTracker::reset() {
 
 TrackResult BlobTracker::update(const BinaryImage& foreground) {
   const Labeling labeling = label_components(foreground);
-  return associate(foreground, labeling);
-}
-
-TrackResult BlobTracker::update(const BinaryImage& foreground, Labeling& labeling,
-                                std::vector<PointI>& stack) {
-  label_components_into(foreground, /*eight_connected=*/true, labeling, stack);
-  return associate(foreground, labeling);
-}
-
-TrackResult BlobTracker::associate(const BinaryImage& foreground, const Labeling& labeling) {
   TrackResult result;
 
   // Candidate blobs: person-plausible components.

@@ -7,8 +7,11 @@
 // report when a valid jumper is present at all.
 //
 // The tracker consumes the per-frame foreground mask (any extractor) and
-// outputs the jumper's blob mask, so the pose pipeline can run on the
-// tracked person instead of blindly taking the largest component.
+// outputs the jumper's blob mask. The engines do not run it: with its
+// defaults it picked the extractor's largest component on every seeded
+// frame measured, so that is their one jumper rule. Bench D1
+// (detection_robustness) measures the tracker against that rule under a
+// distractor.
 #pragma once
 
 #include <optional>
@@ -66,14 +69,6 @@ class BlobTracker {
   /// Feeds one frame's foreground mask; returns the tracked person blob.
   TrackResult update(const BinaryImage& foreground);
 
-  /// Workspace-aware variant: identical results, but the per-frame
-  /// connected-component pass runs through the caller-provided
-  /// `labeling`/`stack` scratch (label_components_into) instead of
-  /// allocating a fresh Labeling. The engines pass their FrameWorkspace's
-  /// labeling/pixel_stack so tracked sessions stay allocation-lean.
-  TrackResult update(const BinaryImage& foreground, Labeling& labeling,
-                     std::vector<PointI>& stack);
-
   /// Drops the current track.
   void reset();
 
@@ -83,10 +78,6 @@ class BlobTracker {
   bool is_person_like(const ComponentStats& blob) const;
 
  private:
-  /// Association + track dynamics on an already-labelled mask (shared by
-  /// both update overloads so they cannot diverge).
-  TrackResult associate(const BinaryImage& foreground, const Labeling& labeling);
-
   TrackerConfig config_;
   TrackState state_ = TrackState::kNone;
   PointF position_{};

@@ -33,7 +33,7 @@ struct FrameWorkspace {
   std::vector<std::uint16_t> difference36_row_max;  ///< max T of each row
   BinaryImage raw_mask;                      ///< thresholded mask before smoothing
   std::vector<std::uint16_t> median_colsum;  ///< binary median's sliding column counts
-  BinaryImage smoothed;                      ///< after median smoothing (tracker input)
+  BinaryImage smoothed;                      ///< after median smoothing (component-labelling input)
   BinaryImage largest;                       ///< largest-component mask
   Labeling labeling;                         ///< connected-component labels + stats
   BinaryImage reached;                       ///< hole-fill closed map of the padded foreground box

@@ -192,8 +192,8 @@ std::string IngestMetricsSnapshot::to_json() const {
   }
   out += sessions.empty() ? "],\n" : "\n  ],\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"simd\": {\"backend\": \"%s\", \"f64_lanes\": %d, \"u8_lanes\": %d}\n}",
-                simd::backend_name(), simd::f64_lanes(), simd::u8_lanes());
+                "  \"simd\": {\"backend\": \"%s\", \"u8_lanes\": %d}\n}",
+                simd::backend_name(), simd::u8_lanes());
   out += buf;
   return out;
 }

@@ -16,7 +16,7 @@ int IngestRouter::open(const RgbImage& background) { return open(background, con
 
 int IngestRouter::open(const RgbImage& background, IngestSessionConfig config) {
   slj::LockGuard lock(sessions_mutex_);
-  const int id = manager_->open_session(background, config.session);
+  const int id = manager_->open_session(background);
   if (static_cast<std::size_t>(id) >= sessions_.size()) {
     sessions_.resize(static_cast<std::size_t>(id) + 1);
   }

@@ -27,7 +27,6 @@ namespace slj::ingest {
 
 struct IngestSessionConfig {
   FrameQueueConfig queue;
-  core::StreamSessionConfig session;
   /// A session whose queue has been empty and whose producers have been
   /// silent for this long is reported by collect_idle() for eviction.
   /// zero() = never evict.

@@ -36,7 +36,7 @@
 namespace slj::ingest {
 
 struct IngestServiceConfig {
-  /// Worker pool + default session settings of the owned StreamManager.
+  /// Worker pool of the owned StreamManager.
   core::StreamManagerConfig manager;
   /// Queue defaults + test clock of the owned router.
   IngestRouter::Config router;

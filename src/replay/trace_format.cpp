@@ -335,7 +335,7 @@ void put_session_config(std::string& out, const TraceSessionConfig& c) {
   put_f64(out, c.rate_burst);
   put_i64(out, c.idle_timeout_ns);
   put_u8(out, 0);  // decoder: the classifier's online rule is the only one
-  put_u8(out, c.use_tracker ? 1 : 0);
+  put_u8(out, 0);  // tracker: the largest component is the only jumper rule
   put_i32(out, core::GroundMonitor::kLiftThresholdPx);
   put_i32(out, core::GroundMonitor::kCalibrationFrames);
 }
@@ -347,10 +347,11 @@ TraceSessionConfig get_session_config(ByteReader& in) {
   c.rate_tokens_per_second = in.f64();
   c.rate_burst = in.f64();
   c.idle_timeout_ns = in.i64();
-  // The decoder byte and the ground line's knobs are constants, still
-  // written for format compatibility; any other value is a corrupt record.
+  // The decoder and tracker bytes and the ground line's knobs are
+  // constants, still written for format compatibility; any other value is a
+  // corrupt record.
   if (in.u8() != 0) fail("invalid decoder");
-  c.use_tracker = in.u8() != 0;
+  if (in.u8() != 0) fail("invalid tracker");
   if (in.i32() != core::GroundMonitor::kLiftThresholdPx) fail("invalid ground lift threshold");
   if (in.i32() != core::GroundMonitor::kCalibrationFrames) {
     fail("invalid ground calibration frame count");
@@ -533,13 +534,6 @@ TraceSessionConfig to_trace_config(const ingest::IngestSessionConfig& config) {
   c.rate_burst = config.queue.rate.burst;
   c.idle_timeout_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(config.idle_timeout).count();
-  c.use_tracker = config.session.use_tracker;
-  return c;
-}
-
-core::StreamSessionConfig to_stream_config(const TraceSessionConfig& config) {
-  core::StreamSessionConfig c;
-  c.use_tracker = config.use_tracker;
   return c;
 }
 

@@ -71,11 +71,9 @@ struct TraceSessionConfig {
   double rate_tokens_per_second = 0.0;
   double rate_burst = 1.0;
   std::int64_t idle_timeout_ns = 0;
-  bool use_tracker = false;
 };
 
 TraceSessionConfig to_trace_config(const ingest::IngestSessionConfig& config);
-core::StreamSessionConfig to_stream_config(const TraceSessionConfig& config);
 
 /// Pixels in a record are immutable and shared: copying a record (a
 /// flight-recorder snapshot, a Trace) copies a pointer, never the image.

@@ -179,7 +179,7 @@ class ReplayCore {
     if (book.open) corrupt("session " + std::to_string(r.session) + " opened twice");
     if (!r.background) corrupt("session " + std::to_string(r.session) + " has no background");
     book = SessionBook{};
-    book.live_id = manager_.open_session(*r.background, to_stream_config(r.config));
+    book.live_id = manager_.open_session(*r.background);
     book.open = true;
     book.width = r.background->width();
     book.height = r.background->height();

@@ -29,16 +29,6 @@ core::FrameObservation process(const core::FramePipeline& pipeline, const RgbIma
   return process_silhouette(pipeline, silhouette(background, frame));
 }
 
-core::FrameObservation process(const core::FramePipeline& pipeline, const RgbImage& background,
-                               const RgbImage& frame, detect::BlobTracker& tracker) {
-  const ExtractionResult res = extract(background, frame);
-  const detect::TrackResult track = tracker.update(res.smoothed);
-  if (track.measured) return process_silhouette(pipeline, fill_holes(track.mask));
-  // No confirmed person blob this frame: fall back to the extractor's own
-  // cleanup so the clip keeps flowing (and the tracker can re-acquire).
-  return process_silhouette(pipeline, res.silhouette);
-}
-
 core::ClipObservation process_clip(const core::FramePipeline& pipeline, const synth::Clip& clip) {
   core::GroundMonitor ground;
   core::ClipObservation ref;

@@ -12,7 +12,6 @@
 
 #include "core/clip_engine.hpp"
 #include "core/pipeline.hpp"
-#include "detection/blob_tracker.hpp"
 #include "imaging/image.hpp"
 #include "segmentation/background_model.hpp"
 #include "skelgraph/artifacts.hpp"
@@ -151,11 +150,6 @@ core::FrameObservation process_silhouette(const core::FramePipeline& pipeline,
 /// the jumper) with the reference extraction and thinning.
 core::FrameObservation process(const core::FramePipeline& pipeline, const RgbImage& background,
                                const RgbImage& frame);
-
-/// Same, with the jumper blob selected by `tracker`; falls back to the
-/// extractor's own cleanup while no track is confirmed.
-core::FrameObservation process(const core::FramePipeline& pipeline, const RgbImage& background,
-                               const RgbImage& frame, detect::BlobTracker& tracker);
 
 /// A whole clip as a plain serial loop of process() plus a GroundMonitor:
 /// what ClipEngine must reproduce bit for bit.

@@ -13,19 +13,20 @@
 namespace {
 
 template <class B>
-void threshold_impl(const double* src, std::uint8_t* dst, std::size_t n, double threshold) {
-  using V = slj::simd::VecF64<B>;
+void threshold_impl(const std::uint16_t* src, std::uint8_t* dst, std::size_t n,
+                    std::uint16_t threshold) {
+  using V = slj::simd::VecU16<B>;
   const V vth = V::broadcast(threshold);
   std::size_t i = 0;
   for (; i + V::kLanes <= n; i += V::kLanes) {
-    V::store_ge01(V::load(src + i), vth, dst + i);
+    V::store_gt01(V::load(src + i), vth, dst + i);
   }
-  for (; i < n; ++i) dst[i] = src[i] >= threshold ? 1 : 0;
+  for (; i < n; ++i) dst[i] = src[i] > threshold ? 1 : 0;
 }
 
 }  // namespace
 
-SLJ_HOT_PATH void threshold_into(const double* src, std::uint8_t* dst, std::size_t n,
-                                 double threshold) {
+SLJ_HOT_PATH void threshold_into(const std::uint16_t* src, std::uint8_t* dst, std::size_t n,
+                                 std::uint16_t threshold) {
   threshold_impl<slj::simd::Active>(src, dst, n, threshold);
 }

@@ -93,26 +93,6 @@ TEST(ClipEngine, EmptyBatchAndEmptyClip) {
   EXPECT_EQ(obs.ground_row, -1);
 }
 
-TEST(ClipEngine, TrackerModeMatchesSerialTrackedLoop) {
-  const synth::Clip clip = make_clip(31);
-  ClipEngineConfig config;
-  config.workers = 4;
-  config.use_tracker = true;
-  ClipEngine engine({}, config);
-  const ClipObservation got = engine.process(clip);
-
-  const FramePipeline pipeline;
-  detect::BlobTracker tracker;
-  GroundMonitor ground;
-  ASSERT_EQ(got.frame_count(), clip.frames.size());
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation want =
-        reference::process(pipeline, clip.background, clip.frames[i], tracker);
-    EXPECT_EQ(got.frames[i].silhouette, want.silhouette) << "frame " << i;
-    EXPECT_EQ(got.airborne[i], ground.airborne(want.bottom_row)) << "frame " << i;
-  }
-}
-
 TEST(ClipEngine, CandidateSetsMatchFrameCandidates) {
   const synth::Clip clip = make_clip(41, 8);
   ClipEngine engine;

@@ -223,21 +223,6 @@ TEST(FrameWorkspaceParity, GroundTruthSilhouetteMatchesReference) {
   }
 }
 
-TEST(FrameWorkspaceParity, TrackedPipelineWorkspaceOverloadMatchesSeedPath) {
-  const synth::Clip clip = parity_clips()[2];
-  FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  detect::BlobTracker tracker_seed;
-  detect::BlobTracker tracker_ws;
-  FrameWorkspace ws;
-  FrameObservation got;
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    pipeline.process_into(clip.frames[i], tracker_ws, ws, got);
-    expect_identical_observation(
-        got, reference::process(pipeline, clip.background, clip.frames[i], tracker_seed), i);
-  }
-}
-
 TEST(FrameWorkspaceParity, ClipEngineMatchesSeedReferenceAtEveryWorkerCount) {
   const std::vector<synth::Clip> clips = parity_clips();
   std::vector<ClipObservation> references;

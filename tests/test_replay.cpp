@@ -436,7 +436,6 @@ TEST(TraceFormat, RoundTripPreservesEveryRecordType) {
   open.config.policy = ingest::BackpressurePolicy::kRejectNewest;
   open.config.rate_tokens_per_second = 12.5;
   open.config.idle_timeout_ns = 777;
-  open.config.use_tracker = true;
   open.background = std::make_shared<const RgbImage>(8, 4, Rgb{10, 20, 30});  // flat: RLE
   trace.records.emplace_back(open);
 
@@ -501,7 +500,6 @@ TEST(TraceFormat, RoundTripPreservesEveryRecordType) {
   EXPECT_EQ(open2.t_ns, 123);
   EXPECT_EQ(open2.config.queue_capacity, 5u);
   EXPECT_EQ(open2.config.policy, ingest::BackpressurePolicy::kRejectNewest);
-  EXPECT_TRUE(open2.config.use_tracker);
   ASSERT_TRUE(open2.background);
   EXPECT_EQ(*open2.background, *open.background);
 
@@ -529,17 +527,20 @@ TEST(TraceFormat, RoundTripPreservesEveryRecordType) {
   EXPECT_EQ(summary2.pushed, 11u);
   EXPECT_EQ(summary2.ticks, 9u);
 
-  // The open record's decoder byte is written as 0 (the classifier's online
-  // rule is the only decoder); any other value is a corrupt record. Header
-  // (12) + length prefix (4) + type (1) + t_ns (8) + session (4) + the 33
-  // session-config bytes before it.
+  // The open record's decoder byte and the tracker byte after it are
+  // written as 0 (the classifier's online rule is the only decoder, the
+  // largest component the only jumper rule); any other value is a corrupt
+  // record. Header (12) + length prefix (4) + type (1) + t_ns (8) + session
+  // (4) + the 33 session-config bytes before the decoder byte.
   constexpr std::size_t kDecoder = 12 + 4 + 1 + 8 + 4 + 33;
   const std::string good = read_file(path);
-  ASSERT_EQ(good[kDecoder], 0);
-  std::string bad = good;
-  bad[kDecoder] = 1;
-  write_file(path, bad);
-  EXPECT_THROW(load_trace(path), std::runtime_error);
+  for (const std::size_t constant : {kDecoder, kDecoder + 1}) {
+    ASSERT_EQ(good[constant], 0) << "byte " << constant;
+    std::string bad = good;
+    bad[constant] = 1;
+    write_file(path, bad);
+    EXPECT_THROW(load_trace(path), std::runtime_error) << "byte " << constant;
+  }
 }
 
 // ---- robustness: the fuzz surface ------------------------------------------

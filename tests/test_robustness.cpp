@@ -117,19 +117,5 @@ TEST(Robustness, UntrainedClassifierStillRunsEndToEnd) {
   EXPECT_EQ(analysis.frames.size(), clip.frames.size());
 }
 
-TEST(Robustness, TrackerPipelineSurvivesDropouts) {
-  const synth::Clip clip = test_clip();
-  FramePipeline pipeline;
-  pipeline.set_background(clip.background);
-  detect::BlobTracker tracker;
-  FrameWorkspace ws;
-  FrameObservation obs;
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const RgbImage& frame = (i >= 10 && i < 13) ? clip.background : clip.frames[i];
-    pipeline.process_into(frame, tracker, ws, obs);
-    EXPECT_EQ(obs.silhouette.width(), clip.background.width());
-  }
-}
-
 }  // namespace
 }  // namespace slj::core

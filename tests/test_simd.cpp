@@ -30,22 +30,11 @@ namespace {
 
 using simd::Active;
 using simd::ScalarBackend;
-using VA = simd::VecF64<Active>;
-using VS = simd::VecF64<ScalarBackend>;
 
-// Widths straddling every lane boundary of every backend (1/2/4 f64 lanes,
-// 8/16/32 u8 lanes), plus odd primes and a plain round number.
+// Widths straddling every lane boundary of every backend (8/16/32 u8 lanes,
+// 8/16 u16 lanes), plus odd primes and a plain round number.
 const std::vector<std::size_t> kWidths = {1,  2,  3,  5,  7,  8,  15, 16,
                                           17, 31, 32, 33, 63, 64, 65, 100};
-
-/// Integer-exact doubles: the domain the bit-identity contract covers.
-std::vector<double> random_int_doubles(std::uint32_t seed, std::size_t n, int lo, int hi) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> dist(lo, hi);
-  std::vector<double> out(n);
-  for (double& x : out) x = static_cast<double>(dist(rng));
-  return out;
-}
 
 std::vector<std::uint8_t> random_bytes(std::uint32_t seed, std::size_t n, int hi) {
   std::mt19937 rng(seed);
@@ -53,68 +42,6 @@ std::vector<std::uint8_t> random_bytes(std::uint32_t seed, std::size_t n, int hi
   std::vector<std::uint8_t> out(n);
   for (std::uint8_t& x : out) x = static_cast<std::uint8_t>(dist(rng));
   return out;
-}
-
-// ---- VecF64 primitives ------------------------------------------------------
-
-TEST(SimdVecF64, LaneArithmeticMatchesScalar) {
-  const std::size_t n = 64;
-  const std::vector<double> a = random_int_doubles(1, n, -1000, 1000);
-  const std::vector<double> b = random_int_doubles(2, n, 1, 1000);  // no /0
-  std::vector<double> got(VA::kLanes), want(VA::kLanes);
-  for (std::size_t i = 0; i + VA::kLanes <= n; i += VA::kLanes) {
-    const VA va = VA::load(a.data() + i);
-    const VA vb = VA::load(b.data() + i);
-    for (int op = 0; op < 6; ++op) {
-      VA r = va;
-      switch (op) {
-        case 0: r = va + vb; break;
-        case 1: r = va - vb; break;
-        case 2: r = va * vb; break;
-        case 3: r = va / vb; break;
-        case 4: r = VA::max(va, vb); break;
-        case 5: r = VA::min(va, vb); break;
-      }
-      r.store(got.data());
-      for (int l = 0; l < VA::kLanes; ++l) {
-        const double x = a[i + l], y = b[i + l];
-        switch (op) {
-          case 0: want[l] = x + y; break;
-          case 1: want[l] = x - y; break;
-          case 2: want[l] = x * y; break;
-          case 3: want[l] = x / y; break;
-          case 4: want[l] = x > y ? x : y; break;
-          case 5: want[l] = x < y ? x : y; break;
-        }
-      }
-      for (int l = 0; l < VA::kLanes; ++l) {
-        EXPECT_EQ(got[l], want[l]) << "op " << op << " i " << i << " lane " << l;
-      }
-    }
-    VA r = va.abs();
-    r.store(got.data());
-    for (int l = 0; l < VA::kLanes; ++l) {
-      EXPECT_EQ(got[l], std::fabs(a[i + l])) << "abs i " << i << " lane " << l;
-    }
-  }
-}
-
-TEST(SimdVecF64, StoreGe01MatchesScalarIncludingTies) {
-  const std::size_t n = 96;
-  std::vector<double> a = random_int_doubles(3, n, 0, 4);
-  const std::vector<double> b = random_int_doubles(4, n, 0, 4);
-  // Plant exact ties: >= on equal values must agree across backends.
-  for (std::size_t i = 0; i < n; i += 3) a[i] = b[i];
-  std::vector<std::uint8_t> got(n, 0xee), want(n, 0xee);
-  for (std::size_t i = 0; i + VA::kLanes <= n; i += VA::kLanes) {
-    VA::store_ge01(VA::load(a.data() + i), VA::load(b.data() + i), got.data() + i);
-  }
-  for (std::size_t i = 0; i + VA::kLanes <= n; i += VA::kLanes) {
-    for (int l = 0; l < VA::kLanes; ++l) {
-      VS::store_ge01(VS::load(a.data() + i + l), VS::load(b.data() + i + l), want.data() + i + l);
-    }
-  }
-  EXPECT_EQ(got, want);
 }
 
 // ---- byte-plane primitives --------------------------------------------------

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/clip_engine.hpp"
-#include "reference.hpp"
 #include "synth/dataset.hpp"
 
 namespace slj::core {
@@ -51,29 +50,6 @@ TEST(StreamSession, OnlineMatchesBatchPathFrameForFrame) {
       expect_same_result(update.result, batch[i], i);
     }
     EXPECT_EQ(session.frames_seen(), clip.frames.size());
-  }
-}
-
-TEST(StreamSession, TrackerModeMatchesSerialTrackedLoop) {
-  const pose::PoseDbnClassifier classifier;
-  const synth::Clip clip = make_clip(31);
-
-  const FramePipeline pipeline;
-  detect::BlobTracker tracker;
-  GroundMonitor ground;
-  pose::PoseDbnClassifier::SequenceState state = classifier.initial_state();
-
-  StreamSessionConfig config;
-  config.use_tracker = true;
-  StreamSession session(classifier, clip.background, {}, config);
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation obs =
-        reference::process(pipeline, clip.background, clip.frames[i], tracker);
-    const bool airborne = ground.airborne(obs.bottom_row);
-    const FrameResult want = classifier.classify(obs.candidates, airborne, state);
-    const StreamUpdate update = session.push_frame(clip.frames[i]);
-    EXPECT_EQ(update.airborne, airborne) << "frame " << i;
-    expect_same_result(update.result, want, i);
   }
 }
 
