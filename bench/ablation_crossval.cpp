@@ -21,6 +21,7 @@ int main() {
   bench::print_rule();
   std::printf("%-12s %-10s %-10s\n", "held out", "frames", "accuracy");
   bench::print_rule();
+  core::ClipEngine engine;
   double sum = 0.0, sum_sq = 0.0;
   std::vector<double> fold_pct;
   for (std::size_t held = 0; held < clips.size(); ++held) {
@@ -31,7 +32,7 @@ int main() {
     core::FramePipeline pipeline;
     pose::PoseDbnClassifier classifier;
     core::train_on_dataset(classifier, pipeline, fold);
-    const auto eval = core::evaluate_dataset(classifier, pipeline, fold.test);
+    const auto eval = core::evaluate_dataset(classifier, engine, fold.test);
     const double acc = eval.overall_accuracy();
     sum += acc;
     sum_sq += acc * acc;

@@ -33,8 +33,9 @@ int main() {
     cfg.temporal = row.mode;
     cfg.use_stage_constraint = row.stage_constraint;
     bench::TrainedSystem sys = bench::train_system(dataset, cfg);
+    core::ClipEngine engine(sys.pipeline.params());
     const core::DatasetEvaluation eval =
-        core::evaluate_dataset(sys.classifier, sys.pipeline, dataset.test);
+        core::evaluate_dataset(sys.classifier, engine, dataset.test);
     std::size_t unknown = 0;
     for (const auto& c : eval.clips) unknown += c.unknown;
     std::printf("%-34s %-10.1f %4.0f%% / %4.0f%% / %4.0f%%     %-10zu\n", row.name,

@@ -29,8 +29,7 @@ int main() {
   std::printf("%-32s %-10s %-22s %-14s\n", "decoder", "overall", "per clip",
               "errors in runs>=2");
   bench::print_rule();
-  FrameWorkspace ws;
-  core::FrameObservation obs;
+  core::ClipEngine engine(sys.pipeline.params());
   std::vector<core::DatasetEvaluation> evals;
   for (const Row& row : rows) {
     double clip_acc[3] = {};
@@ -38,17 +37,9 @@ int main() {
     core::DatasetEvaluation eval;
     for (std::size_t c = 0; c < dataset.test.size(); ++c) {
       const synth::Clip& clip = dataset.test[c];
-      sys.pipeline.set_background(clip.background);
-      core::GroundMonitor ground;
-      std::vector<std::vector<pose::FeatureCandidate>> candidates;
-      std::vector<bool> airborne;
-      for (const RgbImage& frame : clip.frames) {
-        sys.pipeline.process_into(frame, ws, obs);
-        candidates.push_back(obs.candidates);
-        airborne.push_back(ground.airborne(obs.bottom_row));
-      }
-      const auto results =
-          pose::decode_sequence(sys.classifier, candidates, airborne, row.decoder);
+      const core::ClipObservation observation = engine.process(clip);
+      const auto results = pose::decode_sequence(sys.classifier, observation.candidate_sets(),
+                                                 observation.airborne, row.decoder);
       core::ClipEvaluation ce;
       std::size_t clip_correct = 0;
       for (std::size_t i = 0; i < results.size(); ++i) {

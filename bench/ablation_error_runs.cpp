@@ -40,14 +40,15 @@ int main() {
 
   pose::ClassifierConfig dbn_cfg;
   bench::TrainedSystem dbn = bench::train_system(dataset, dbn_cfg);
+  core::ClipEngine engine(dbn.pipeline.params());
   const core::DatasetEvaluation dbn_eval =
-      core::evaluate_dataset(dbn.classifier, dbn.pipeline, dataset.test);
+      core::evaluate_dataset(dbn.classifier, engine, dataset.test);
 
   pose::ClassifierConfig static_cfg;
   static_cfg.temporal = pose::TemporalMode::kStaticBn;
   bench::TrainedSystem stat = bench::train_system(dataset, static_cfg);
   const core::DatasetEvaluation stat_eval =
-      core::evaluate_dataset(stat.classifier, stat.pipeline, dataset.test);
+      core::evaluate_dataset(stat.classifier, engine, dataset.test);
 
   bench::print_rule();
   print_histogram("DBN", run_histogram(dbn_eval), dataset.test_frames());

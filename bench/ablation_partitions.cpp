@@ -22,8 +22,9 @@ int main() {
     core::PipelineParams params;
     params.num_areas = areas;
     bench::TrainedSystem sys = bench::train_system(dataset, cfg, params);
+    core::ClipEngine engine(sys.pipeline.params());
     const core::DatasetEvaluation eval =
-        core::evaluate_dataset(sys.classifier, sys.pipeline, dataset.test);
+        core::evaluate_dataset(sys.classifier, engine, dataset.test);
     std::printf("%-10d %-10.1f %4.0f%% / %4.0f%% / %4.0f%%\n", areas,
                 100.0 * eval.overall_accuracy(), 100.0 * eval.clips[0].accuracy(),
                 100.0 * eval.clips[1].accuracy(), 100.0 * eval.clips[2].accuracy());

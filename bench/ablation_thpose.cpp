@@ -47,7 +47,8 @@ int main() {
     bench::TrainedSystem sys = bench::train_system(dataset, cfg);
     Row row;
     row.th = th;
-    row.eval = core::evaluate_dataset(sys.classifier, sys.pipeline, dataset.test);
+    core::ClipEngine engine(sys.pipeline.params());
+    row.eval = core::evaluate_dataset(sys.classifier, engine, dataset.test);
 
     const core::ConfusionMatrix cm = core::confusion_matrix(row.eval);
     const int dom = pose::index_of(cfg.dominant_pose);

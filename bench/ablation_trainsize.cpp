@@ -22,8 +22,9 @@ int main() {
     spec.train_clip_frames.resize(static_cast<std::size_t>(clips));
     const synth::Dataset dataset = synth::generate_dataset(spec);
     bench::TrainedSystem sys = bench::train_system(dataset);
+    core::ClipEngine engine(sys.pipeline.params());
     const core::DatasetEvaluation eval =
-        core::evaluate_dataset(sys.classifier, sys.pipeline, dataset.test);
+        core::evaluate_dataset(sys.classifier, engine, dataset.test);
     std::printf("%-14d %-14zu %-10.1f %4.0f%% / %4.0f%% / %4.0f%%\n", clips,
                 dataset.train_frames(), 100.0 * eval.overall_accuracy(),
                 100.0 * eval.clips[0].accuracy(), 100.0 * eval.clips[1].accuracy(),

@@ -32,7 +32,8 @@ int main() {
       cfg.carry_last_recognized = carry;
       bench::TrainedSystem sys = bench::train_system(dataset, cfg);
       const std::size_t k = carry ? 0 : 1;
-      row.eval[k] = core::evaluate_dataset(sys.classifier, sys.pipeline, dataset.test);
+      core::ClipEngine engine(sys.pipeline.params());
+      row.eval[k] = core::evaluate_dataset(sys.classifier, engine, dataset.test);
       for (const auto& c : row.eval[k].clips) row.unknown[k] += c.unknown;
       std::printf("%-10.2f %-26s %-10.1f %-10zu\n", th,
                   carry ? "carry last recognized" : "reset to uninformative",

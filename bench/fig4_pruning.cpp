@@ -71,7 +71,12 @@ int main() {
   bench::print_rule();
   std::printf("paper: \"Only one branch can be deleted at a time. Otherwise, both the noisy "
               "branch and the correct branch could be removed at the same time.\"\n");
-  std::printf("expected shape: one-at-a-time retains more skeleton and tracks the head at "
-              "least as closely\n");
+  const bool retains_more = len_one > len_batch;
+  const bool head_as_close = head_err_one <= head_err_batch;
+  std::printf("verdict: one-at-a-time pruning %s skeleton (%+.1f px) and %s (%+.2f px)%s\n",
+              retains_more ? "retains more" : "does not retain more", len_one - len_batch,
+              head_as_close ? "keeps the head at least as close" : "keeps the head farther",
+              (head_err_one - head_err_batch) / frames,
+              retains_more && head_as_close ? ", as Fig. 4 shows" : "");
   return 0;
 }

@@ -20,8 +20,9 @@ int main() {
   std::printf("frames without usable skeleton during training: %zu\n\n",
               sys.stats.frames_without_skeleton);
 
+  core::ClipEngine engine(sys.pipeline.params());
   const core::DatasetEvaluation eval =
-      core::evaluate_dataset(sys.classifier, sys.pipeline, dataset.test);
+      core::evaluate_dataset(sys.classifier, engine, dataset.test);
 
   bench::print_rule();
   std::printf("%-12s %-10s %-10s %-10s %-12s %-12s\n", "test clip", "frames", "correct",

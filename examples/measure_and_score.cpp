@@ -4,6 +4,7 @@
 // standard, and issue a graded report card.
 #include <cstdio>
 
+#include "core/clip_engine.hpp"
 #include "core/scoring.hpp"
 #include "core/trainer.hpp"
 #include "synth/dataset.hpp"
@@ -21,6 +22,7 @@ int main() {
   pose::PoseDbnClassifier classifier;
   std::printf("training on %zu frames...\n\n", dataset.train_frames());
   core::train_on_dataset(classifier, pipeline, dataset);
+  core::ClipEngine engine(pipeline.params());
 
   const auto grade = [&](const char* title, std::uint32_t seed, synth::FaultFlags faults) {
     synth::ClipSpec cs;
@@ -29,21 +31,12 @@ int main() {
     cs.faults = faults;
     const synth::Clip clip = synth::generate_clip(cs);
 
-    pipeline.set_background(clip.background);
-    core::GroundMonitor ground;
-    std::vector<core::FrameObservation> observations;
-    std::vector<bool> airborne;
-    std::vector<pose::FrameResult> poses;
-    auto state = classifier.initial_state();
-    FrameWorkspace ws;
-    for (const RgbImage& frame : clip.frames) {
-      pipeline.process_into(frame, ws, observations.emplace_back());
-      airborne.push_back(ground.airborne(observations.back().bottom_row));
-      poses.push_back(classifier.classify(observations.back().candidates, airborne.back(), state));
-    }
+    const core::ClipObservation observation = engine.process(clip);
+    const std::vector<pose::FrameResult> poses =
+        classifier.classify_sequence(observation.candidate_sets(), observation.airborne);
 
-    const core::JumpScore score = core::score_jump(observations, airborne, poses,
-                                                   cs.camera.pixels_per_meter);
+    const core::JumpScore score = core::score_jump(observation.frames, observation.airborne,
+                                                   poses, cs.camera.pixels_per_meter);
     std::printf("=== %s ===\n", title);
     if (score.measurement.valid()) {
       std::printf("distance: %.2f m (take-off frame %d, landing frame %d, %d frames in "

@@ -89,11 +89,49 @@ std::string require(const std::map<std::string, std::string>& flags, const std::
   return it->second;
 }
 
+/// An integer flag in [lo, hi]; `fallback` when absent. The whole value
+/// must parse: "8x" is rejected, not read as 8.
+long long_flag(const std::map<std::string, std::string>& flags, const std::string& key,
+               long fallback, long lo, long hi) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  long value = lo - 1;
+  try {
+    std::size_t used = 0;
+    value = std::stol(it->second, &used);
+    if (used != it->second.size()) value = lo - 1;
+  } catch (const std::exception&) {
+  }
+  if (value < lo || value > hi) {
+    throw std::runtime_error("--" + key + " must be an integer in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "], got '" + it->second + "'");
+  }
+  return value;
+}
+
+/// A real flag in [lo, hi] (NaN never is); `fallback` when absent. The
+/// whole value must parse.
+double double_flag(const std::map<std::string, std::string>& flags, const std::string& key,
+                   double fallback, double lo, double hi) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  double value = lo - 1.0;
+  try {
+    std::size_t used = 0;
+    value = std::stod(it->second, &used);
+    if (used != it->second.size()) value = lo - 1.0;
+  } catch (const std::exception&) {
+  }
+  if (!(value >= lo && value <= hi)) {
+    throw std::runtime_error("--" + key + " must be in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "], got '" + it->second + "'");
+  }
+  return value;
+}
+
 int cmd_generate(const std::map<std::string, std::string>& flags) {
   synth::DatasetSpec spec;
-  if (const auto it = flags.find("seed"); it != flags.end()) {
-    spec.seed = static_cast<std::uint32_t>(std::stoul(it->second));
-  }
+  spec.seed = static_cast<std::uint32_t>(long_flag(flags, "seed", spec.seed, 0, 4294967295L));
   const std::string out = require(flags, "out");
   std::printf("generating %zu train + %zu test clips (seed %u)...\n",
               spec.train_clip_frames.size(), spec.test_clip_frames.size(), spec.seed);
@@ -121,20 +159,10 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// --workers for the ClipEngine; 0 (the default) = hardware concurrency.
 core::ClipEngineConfig engine_config(const std::map<std::string, std::string>& flags) {
   core::ClipEngineConfig config;
-  if (const auto it = flags.find("workers"); it != flags.end()) {
-    long workers = -1;
-    try {
-      workers = std::stol(it->second);
-    } catch (const std::exception&) {
-    }
-    if (workers < 0 || workers > 1024) {
-      throw std::runtime_error("--workers must be an integer in [0, 1024], got '" + it->second +
-                               "'");
-    }
-    config.workers = static_cast<unsigned>(workers);
-  }
+  config.workers = static_cast<unsigned>(long_flag(flags, "workers", 0, 0, 1024));
   return config;
 }
 
@@ -145,12 +173,11 @@ pose::PoseDbnClassifier load_model(const std::string& path) {
 }
 
 int cmd_analyze(const std::map<std::string, std::string>& flags) {
+  const double ppm = double_flag(flags, "ppm", 72.0, 1.0, 10000.0);
+  core::ClipEngine engine({}, engine_config(flags));
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
   const synth::Clip clip = synth::load_clip(require(flags, "clip"));
-  double ppm = 72.0;
-  if (const auto it = flags.find("ppm"); it != flags.end()) ppm = std::stod(it->second);
 
-  core::ClipEngine engine({}, engine_config(flags));
   const core::ClipObservation observation = engine.process(clip);
   const std::vector<pose::FrameResult> poses =
       classifier.classify_sequence(observation.candidate_sets(), observation.airborne);
@@ -173,18 +200,7 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
   const synth::Clip clip = synth::load_clip(require(flags, "clip"));
 
-  long sessions = 1;
-  if (const auto it = flags.find("sessions"); it != flags.end()) {
-    try {
-      sessions = std::stol(it->second);
-    } catch (const std::exception&) {
-      sessions = -1;
-    }
-    if (sessions < 1 || sessions > 1024) {
-      throw std::runtime_error("--sessions must be an integer in [1, 1024], got '" + it->second +
-                               "'");
-    }
-  }
+  const long sessions = long_flag(flags, "sessions", 1, 1, 1024);
 
   core::StreamManagerConfig config;
   config.workers = engine_config(flags).workers;
@@ -234,38 +250,6 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
               mismatches == 0 ? "identical on every frame"
                               : (std::to_string(mismatches) + " mismatching frames").c_str());
   return mismatches == 0 ? 0 : 1;
-}
-
-long long_flag(const std::map<std::string, std::string>& flags, const std::string& key,
-               long fallback, long lo, long hi) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  long value = lo - 1;
-  try {
-    value = std::stol(it->second);
-  } catch (const std::exception&) {
-  }
-  if (value < lo || value > hi) {
-    throw std::runtime_error("--" + key + " must be an integer in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "], got '" + it->second + "'");
-  }
-  return value;
-}
-
-double double_flag(const std::map<std::string, std::string>& flags, const std::string& key,
-                   double fallback, double lo, double hi) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  double value = lo - 1.0;
-  try {
-    value = std::stod(it->second);
-  } catch (const std::exception&) {
-  }
-  if (value < lo || value > hi) {
-    throw std::runtime_error("--" + key + " must be in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "], got '" + it->second + "'");
-  }
-  return value;
 }
 
 ingest::BackpressurePolicy policy_flag(const std::map<std::string, std::string>& flags,
@@ -802,9 +786,9 @@ int cmd_trace_export(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_evaluate(const std::map<std::string, std::string>& flags) {
+  core::ClipEngine engine({}, engine_config(flags));
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
   const synth::Dataset dataset = synth::load_dataset(require(flags, "data"));
-  core::ClipEngine engine({}, engine_config(flags));
   const core::DatasetEvaluation eval = core::evaluate_dataset(classifier, engine, dataset.test);
   for (std::size_t i = 0; i < eval.clips.size(); ++i) {
     std::printf("clip %zu: %.1f%% pose accuracy (%zu/%zu)\n", i + 1,

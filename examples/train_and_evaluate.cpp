@@ -26,7 +26,8 @@ int main() {
               ts.frames, ts.frames_without_skeleton, ts.missing_part_slots);
 
   std::printf("evaluating...\n");
-  const core::DatasetEvaluation eval = core::evaluate_dataset(classifier, pipeline, dataset.test);
+  core::ClipEngine engine(pipeline.params());
+  const core::DatasetEvaluation eval = core::evaluate_dataset(classifier, engine, dataset.test);
   for (std::size_t i = 0; i < eval.clips.size(); ++i) {
     const core::ClipEvaluation& c = eval.clips[i];
     std::printf("  test clip %zu: %zu/%zu correct (%.1f%%), %zu unknown, stage acc %.1f%%\n",

@@ -8,28 +8,23 @@ namespace slj::core {
 
 JumpAnalyzer::JumpAnalyzer(PipelineParams pipeline_params,
                            pose::ClassifierConfig classifier_config)
-    : pipeline_(pipeline_params), classifier_(classifier_config) {
+    : engine_(std::make_unique<ClipEngine>(pipeline_params)), classifier_(classifier_config) {
   if (pipeline_params.num_areas != classifier_config.num_areas) {
     throw std::invalid_argument("pipeline and classifier must agree on the area count");
   }
 }
 
 void JumpAnalyzer::train(const synth::Dataset& dataset) {
-  train_on_dataset(classifier_, pipeline_, dataset);
+  FramePipeline pipeline(engine_->pipeline_params());
+  train_on_dataset(classifier_, pipeline, dataset);
 }
 
 ClipAnalysis JumpAnalyzer::analyze(const RgbImage& background,
                                    const std::vector<RgbImage>& frames) {
-  pipeline_.set_background(background);
+  const ClipObservation observation = engine_->process(background, frames);
   ClipAnalysis analysis;
-  pose::PoseDbnClassifier::SequenceState state = classifier_.initial_state();
-  GroundMonitor ground;
-  FrameObservation obs;  // reused frame over frame
-  for (const RgbImage& frame : frames) {
-    pipeline_.process_into(frame, workspace_, obs);
-    const bool airborne = ground.airborne(obs.bottom_row);
-    analysis.frames.push_back(classifier_.classify(obs.candidates, airborne, state));
-  }
+  analysis.frames =
+      classifier_.classify_sequence(observation.candidate_sets(), observation.airborne);
   analysis.report = detect_faults(analysis.frames);
   return analysis;
 }

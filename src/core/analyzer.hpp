@@ -1,13 +1,14 @@
-// JumpAnalyzer: the user-facing facade. Owns the pipeline and a trained
+// JumpAnalyzer: the user-facing facade. Owns a ClipEngine and a trained
 // classifier; turns a video clip into per-frame poses and a coaching
 // report. This is the "system for analyzing poses in a standing long jump
 // automatically" of the paper's abstract.
 #pragma once
 
+#include <memory>
 #include <vector>
 
+#include "core/clip_engine.hpp"
 #include "core/faults.hpp"
-#include "core/pipeline.hpp"
 #include "pose/classifier.hpp"
 #include "synth/dataset.hpp"
 
@@ -20,25 +21,26 @@ struct ClipAnalysis {
 
 class JumpAnalyzer {
  public:
+  /// The engine runs one lane per hardware thread.
   JumpAnalyzer(PipelineParams pipeline_params, pose::ClassifierConfig classifier_config);
 
-  FramePipeline& pipeline() { return pipeline_; }
-  const FramePipeline& pipeline() const { return pipeline_; }
   pose::PoseDbnClassifier& classifier() { return classifier_; }
   const pose::PoseDbnClassifier& classifier() const { return classifier_; }
 
   /// Trains on a dataset's training split (full pipeline per frame).
   void train(const synth::Dataset& dataset);
 
-  /// Analyzes a raw clip: background plate + frames.
+  /// Analyzes a raw clip: background plate + frames. The vision pass runs
+  /// on the engine, then the classifier replays the clip in frame order.
   ClipAnalysis analyze(const RgbImage& background, const std::vector<RgbImage>& frames);
 
   /// Convenience overload for generated clips.
   ClipAnalysis analyze(const synth::Clip& clip);
 
  private:
-  FramePipeline pipeline_;
-  FrameWorkspace workspace_;  ///< analyze()'s full-frame scratch, kept across clips
+  /// Held by pointer so the analyzer stays movable: the engine's worker
+  /// threads refer to it.
+  std::unique_ptr<ClipEngine> engine_;
   pose::PoseDbnClassifier classifier_;
 };
 

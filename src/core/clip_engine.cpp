@@ -140,32 +140,4 @@ ClipObservation ClipEngine::process(const synth::Clip& clip) {
   return process(clip.background, clip.frames);
 }
 
-std::vector<ClipObservation> ClipEngine::process(const std::vector<synth::Clip>& clips) {
-  // Flatten the frame index space of all clips so lanes never idle at clip
-  // boundaries (the last frames of clip k overlap the first of clip k+1).
-  std::vector<FramePipeline> pipelines;
-  pipelines.reserve(clips.size());
-  std::vector<std::size_t> offsets(clips.size() + 1, 0);
-  for (std::size_t c = 0; c < clips.size(); ++c) {
-    pipelines.emplace_back(params_);
-    pipelines.back().set_background(clips[c].background);
-    offsets[c + 1] = offsets[c] + clips[c].frames.size();
-  }
-  std::vector<std::vector<FrameObservation>> observations(clips.size());
-  for (std::size_t c = 0; c < clips.size(); ++c) {
-    observations[c].resize(clips[c].frames.size());
-  }
-  pool_.parallel_for_lanes(offsets.back(), [&](std::size_t lane, std::size_t flat) {
-    const auto it = std::upper_bound(offsets.begin(), offsets.end(), flat);
-    const std::size_t c = static_cast<std::size_t>(it - offsets.begin()) - 1;
-    const std::size_t f = flat - offsets[c];
-    pipelines[c].process_into(clips[c].frames[f], workspaces_[lane], observations[c][f]);
-  });
-  std::vector<ClipObservation> results(clips.size());
-  for (std::size_t c = 0; c < clips.size(); ++c) {
-    results[c] = aggregate(std::move(observations[c]));
-  }
-  return results;
-}
-
 }  // namespace slj::core

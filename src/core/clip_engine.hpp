@@ -1,12 +1,13 @@
-// ClipEngine: batch clip processing on a worker pool. The per-frame vision
-// pipeline (FramePipeline::process_into) depends only on the frame, the
-// background and its own workspace, so frames of a clip — and frames of
-// *different* clips — can run concurrently on per-lane workspaces; only the
-// per-clip sequential state (GroundMonitor calibration) is replayed in frame
-// order afterwards. Results are stored by frame index, so the output is
-// bit-identical to a serial process_into loop regardless of worker count or
-// scheduling. Frames are the only parallelism axis: each frame's vision
-// kernels run serially on the lane that owns it.
+// ClipEngine: the one offline path from a recorded clip to observations and
+// airborne flags; evaluation, training, the analyzer and sljtool process
+// clips through it, one clip per call. The per-frame vision pipeline
+// (FramePipeline::process_into) depends only on the frame, the background
+// and its own workspace, so the frames of a clip run concurrently on
+// per-lane workspaces; only the per-clip sequential state (GroundMonitor
+// calibration) is replayed in frame order afterwards. Results are stored by
+// frame index, so the output is bit-identical to a serial process_into loop
+// regardless of worker count or scheduling. Frames are the only parallelism
+// axis: each frame's vision kernels run serially on the lane that owns it.
 #pragma once
 
 #include <atomic>
@@ -114,11 +115,6 @@ class ClipEngine {
 
   /// Convenience overload for generated / loaded clips.
   ClipObservation process(const synth::Clip& clip);
-
-  /// Batch mode: processes a whole set of clips, spreading work across the
-  /// pool. The frame index space of all clips is flattened, so no lane idles
-  /// at a clip boundary.
-  std::vector<ClipObservation> process(const std::vector<synth::Clip>& clips);
 
  private:
   /// Replays the clip-level sequential state over per-frame results.

@@ -23,23 +23,6 @@ void score_frame(ClipEvaluation& eval, const pose::PoseDbnClassifier& classifier
 
 }  // namespace
 
-ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
-                             const synth::Clip& clip) {
-  ClipEvaluation eval;
-  pipeline.set_background(clip.background);
-  pose::PoseDbnClassifier::SequenceState state = classifier.initial_state();
-  GroundMonitor ground;
-  FrameWorkspace ws;
-  FrameObservation obs;  // reused frame over frame, like StreamSession's
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    pipeline.process_into(clip.frames[i], ws, obs);
-    const bool airborne = ground.airborne(obs.bottom_row);
-    score_frame(eval, classifier, obs, airborne, clip.truth[i].pose, clip.truth[i].stage,
-                state);
-  }
-  return eval;
-}
-
 ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier,
                              const ClipObservation& observation, const synth::Clip& clip) {
   ClipEvaluation eval;
@@ -79,16 +62,6 @@ double DatasetEvaluation::max_clip_accuracy() const {
   double best = 0.0;
   for (const ClipEvaluation& c : clips) best = std::max(best, c.accuracy());
   return best;
-}
-
-DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier,
-                                   FramePipeline& pipeline,
-                                   const std::vector<synth::Clip>& clips) {
-  DatasetEvaluation eval;
-  for (const synth::Clip& clip : clips) {
-    eval.clips.push_back(evaluate_clip(classifier, pipeline, clip));
-  }
-  return eval;
 }
 
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,

@@ -1,13 +1,13 @@
 // Evaluation utilities: per-clip accuracy (the paper's Sec. 5 metric),
 // confusion statistics, and error-run analysis ("most errors in our
-// experiments occurred in consecutive frames").
+// experiments occurred in consecutive frames"). A clip's vision pass always
+// runs on a ClipEngine; scoring replays its observations in frame order.
 #pragma once
 
 #include <array>
 #include <vector>
 
 #include "core/clip_engine.hpp"
-#include "core/pipeline.hpp"
 #include "pose/classifier.hpp"
 #include "synth/dataset.hpp"
 
@@ -30,14 +30,10 @@ struct ClipEvaluation {
   }
 };
 
-/// Runs the classifier over one clip and scores it against ground truth.
-/// An Unknown prediction counts as incorrect (the paper's accuracy treats
-/// only exact pose matches as correct).
-ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
-                             const synth::Clip& clip);
-
-/// Same scoring from an already-processed clip (ClipEngine output), so the
-/// expensive vision pass can run on the worker pool.
+/// Runs the classifier over one already-processed clip (ClipEngine output)
+/// and scores it against ground truth. An Unknown prediction counts as
+/// incorrect (the paper's accuracy treats only exact pose matches as
+/// correct).
 ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier,
                              const ClipObservation& observation, const synth::Clip& clip);
 
@@ -51,13 +47,9 @@ struct DatasetEvaluation {
   double max_clip_accuracy() const;
 };
 
-DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier,
-                                   FramePipeline& pipeline,
-                                   const std::vector<synth::Clip>& clips);
-
-/// Parallel variant: each clip's vision pass runs on the engine's worker
-/// pool (one clip in memory at a time); classification then replays in
-/// frame order, so the result equals the serial evaluate_dataset.
+/// Each clip's vision pass runs on the engine's worker pool (one clip in
+/// memory at a time); classification then replays in frame order, so the
+/// result is the same at any lane count.
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                    const std::vector<synth::Clip>& clips);
 

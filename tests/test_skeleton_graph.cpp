@@ -270,20 +270,16 @@ TEST(SkeletonGraphParity, MatchesSeedBuildOnPerfbenchStyleFrames) {
   // 23 clips of 45 frames (1 035 frames), seeded like perfbench's corpus
   // (100000 + seed · 1000 + 1 + i), thinned by the shipped chain; one
   // workspace serves every frame, as a worker lane's does.
-  std::vector<synth::Clip> clips;
-  for (std::uint32_t i = 0; i < 23; ++i) {
-    synth::ClipSpec spec;
-    spec.seed = 100000u + 7u * 1000u + 1u + i;
-    spec.frame_count = 45;
-    clips.push_back(synth::generate_clip(spec));
-  }
   core::ClipEngine engine;
-  const std::vector<core::ClipObservation> observed = engine.process(clips);
   FrameWorkspace ws;
   std::size_t frames = 0;
-  for (std::size_t c = 0; c < observed.size(); ++c) {
-    for (std::size_t f = 0; f < observed[c].frames.size(); ++f, ++frames) {
-      expect_matches_seed(observed[c].frames[f].raw_skeleton, ws,
+  for (std::uint32_t c = 0; c < 23; ++c) {
+    synth::ClipSpec spec;
+    spec.seed = 100000u + 7u * 1000u + 1u + c;
+    spec.frame_count = 45;
+    const core::ClipObservation observed = engine.process(synth::generate_clip(spec));
+    for (std::size_t f = 0; f < observed.frames.size(); ++f, ++frames) {
+      expect_matches_seed(observed.frames[f].raw_skeleton, ws,
                           "clip " + std::to_string(c) + " frame " + std::to_string(f));
       if (HasFailure()) return;  // one frame's diff is enough to read
     }
