@@ -51,7 +51,7 @@ int main() {
     row.eval = core::evaluate_dataset(sys.classifier, engine, dataset.test);
 
     const core::ConfusionMatrix cm = core::confusion_matrix(row.eval);
-    const int dom = pose::index_of(cfg.dominant_pose);
+    const int dom = pose::index_of(pose::ClassifierConfig::kDominantPose);
     for (int t = 0; t < pose::kPoseCount; ++t) {
       std::size_t row_total = 0;
       for (int p = 0; p <= pose::kPoseCount; ++p) {

@@ -1,7 +1,5 @@
 #include "core/analyzer.hpp"
 
-#include <stdexcept>
-
 #include "core/trainer.hpp"
 
 namespace slj::core {
@@ -9,9 +7,7 @@ namespace slj::core {
 JumpAnalyzer::JumpAnalyzer(PipelineParams pipeline_params,
                            pose::ClassifierConfig classifier_config)
     : engine_(std::make_unique<ClipEngine>(pipeline_params)), classifier_(classifier_config) {
-  if (pipeline_params.num_areas != classifier_config.num_areas) {
-    throw std::invalid_argument("pipeline and classifier must agree on the area count");
-  }
+  require_same_area_count(pipeline_params, classifier_config);
 }
 
 void JumpAnalyzer::train(const synth::Dataset& dataset) {

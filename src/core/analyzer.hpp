@@ -21,7 +21,8 @@ struct ClipAnalysis {
 
 class JumpAnalyzer {
  public:
-  /// The engine runs one lane per hardware thread.
+  /// The engine runs one lane per hardware thread. Throws
+  /// std::invalid_argument if the two disagree on the area count.
   JumpAnalyzer(PipelineParams pipeline_params, pose::ClassifierConfig classifier_config);
 
   pose::PoseDbnClassifier& classifier() { return classifier_; }

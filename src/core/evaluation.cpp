@@ -66,6 +66,7 @@ double DatasetEvaluation::max_clip_accuracy() const {
 
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                    const std::vector<synth::Clip>& clips) {
+  require_same_area_count(engine.pipeline_params(), classifier.config());
   DatasetEvaluation eval;
   eval.clips.reserve(clips.size());
   // Clip by clip (frames of each clip still run on the pool): the full

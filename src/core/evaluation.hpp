@@ -49,7 +49,8 @@ struct DatasetEvaluation {
 
 /// Each clip's vision pass runs on the engine's worker pool (one clip in
 /// memory at a time); classification then replays in frame order, so the
-/// result is the same at any lane count.
+/// result is the same at any lane count. Throws std::invalid_argument if
+/// the engine's pipeline and the classifier disagree on the area count.
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                    const std::vector<synth::Clip>& clips);
 

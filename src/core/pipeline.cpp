@@ -1,11 +1,19 @@
 #include "core/pipeline.hpp"
 
+#include <stdexcept>
+
 #include "core/simd.hpp"
 #include "obs/tracer.hpp"
 #include "skelgraph/simplify.hpp"
 #include "thinning/zhang_suen.hpp"
 
 namespace slj::core {
+
+void require_same_area_count(const PipelineParams& params, const pose::ClassifierConfig& config) {
+  if (params.num_areas != config.num_areas) {
+    throw std::invalid_argument("pipeline and classifier must agree on the area count");
+  }
+}
 
 FramePipeline::FramePipeline(PipelineParams params)
     : params_(params), encoder_(params.num_areas) {}

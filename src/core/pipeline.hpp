@@ -11,6 +11,7 @@
 #include "core/annotations.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/image.hpp"
+#include "pose/classifier.hpp"
 #include "pose/skeleton_features.hpp"
 #include "segmentation/object_extractor.hpp"
 #include "skelgraph/artifacts.hpp"
@@ -20,13 +21,20 @@ namespace slj::core {
 struct PipelineParams {
   static constexpr int min_branch_vertices = 10;  ///< the paper's pruning threshold
   int num_areas = 8;
-  pose::CandidateOptions candidates;
+  pose::CandidateOptions candidates;  ///< the enumerator's constants; nothing to set
   /// Piecewise-linear refinement (ref [7]): edges are always split at bend
   /// vertices so articulations inside merged limbs (knee, elbow) become key
   /// points.
   static constexpr bool split_bends = true;
   static constexpr double bend_tolerance = 2.5;
 };
+
+/// Throws std::invalid_argument unless the pipeline and the classifier use
+/// the same area partition. The classifier reads the pipeline's area states
+/// as its own, so a mismatch does not fail by itself: a coarser pipeline's
+/// "missing" state reads as one more area of a finer classifier. Every
+/// entry point that pairs a classifier with pipeline parameters calls it.
+void require_same_area_count(const PipelineParams& params, const pose::ClassifierConfig& config);
 
 /// Everything the pipeline derives from one frame, kept so benches and
 /// examples can inspect any intermediate stage.

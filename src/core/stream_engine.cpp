@@ -17,6 +17,7 @@ StreamSession::StreamSession(const pose::PoseDbnClassifier& classifier,
       online_state_(classifier.initial_state()),
       width_(background.width()),
       height_(background.height()) {
+  require_same_area_count(params, classifier.config());
   pipeline_.set_background(background);
 }
 
@@ -46,7 +47,9 @@ JumpReport StreamSession::finish() {
 
 StreamManager::StreamManager(const pose::PoseDbnClassifier& classifier, PipelineParams params,
                              StreamManagerConfig config)
-    : classifier_(&classifier), params_(params), pool_(config.workers) {}
+    : classifier_(&classifier), params_(params), pool_(config.workers) {
+  require_same_area_count(params, classifier.config());
+}
 
 int StreamManager::open_session(const RgbImage& background) {
   sessions_.push_back(std::make_unique<StreamSession>(*classifier_, background, params_));

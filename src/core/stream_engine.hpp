@@ -50,6 +50,8 @@ struct StreamUpdate {
 /// rule.
 class StreamSession {
  public:
+  /// Throws std::invalid_argument if `params` and the classifier disagree
+  /// on the area count.
   StreamSession(const pose::PoseDbnClassifier& classifier, const RgbImage& background,
                 PipelineParams params = {});
 
@@ -113,6 +115,8 @@ class StreamManager {
     const RgbImage* frame = nullptr;
   };
 
+  /// Throws std::invalid_argument if `params` and the classifier disagree
+  /// on the area count.
   explicit StreamManager(const pose::PoseDbnClassifier& classifier, PipelineParams params = {},
                          StreamManagerConfig config = {});
 

@@ -6,6 +6,7 @@ namespace slj::core {
 
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
                                const synth::Dataset& dataset) {
+  require_same_area_count(pipeline.params(), classifier.config());
   ClipEngine engine(pipeline.params());
   const pose::AreaEncoder& encoder = pipeline.encoder();
   TrainingStats stats;

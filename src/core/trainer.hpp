@@ -27,7 +27,8 @@ struct TrainingStats {
 
 /// Trains on a whole dataset's training split. Each frame's transition is
 /// observed under the *previous* trained frame's stage (kBeforeJumping at a
-/// clip's start), not its own.
+/// clip's start), not its own. Throws std::invalid_argument if the pipeline
+/// and the classifier disagree on the area count.
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
                                const synth::Dataset& dataset);
 

@@ -17,18 +17,18 @@ constexpr double kLogFloor = -1e9;
 PoseDbnClassifier::PoseDbnClassifier(ClassifierConfig config)
     : config_(config),
       encoder_(config.num_areas),
-      prior_(kPoseCount, {}, config.laplace_alpha),
-      transition_(kPoseCount, {kPoseCount, kStageCount}, config.transition_alpha),
-      stage_cpt_(kStageCount, {kStageCount}, config.transition_alpha),
-      airborne_cpt_(2, {kStageCount}, config.laplace_alpha) {
+      prior_(kPoseCount, {}, ClassifierConfig::kLaplaceAlpha),
+      transition_(kPoseCount, {kPoseCount, kStageCount}, ClassifierConfig::kTransitionAlpha),
+      stage_cpt_(kStageCount, {kStageCount}, ClassifierConfig::kTransitionAlpha),
+      airborne_cpt_(2, {kStageCount}, ClassifierConfig::kLaplaceAlpha) {
   part_cpts_.reserve(kPartCount);
   for (int i = 0; i < kPartCount; ++i) {
     part_cpts_.emplace_back(encoder_.state_count(), std::vector<int>{kPoseCount},
-                            config.laplace_alpha);
+                            ClassifierConfig::kLaplaceAlpha);
   }
   area_cpts_.reserve(static_cast<std::size_t>(encoder_.num_areas()));
   for (int k = 0; k < encoder_.num_areas(); ++k) {
-    area_cpts_.emplace_back(2, std::vector<int>{kPoseCount}, config.laplace_alpha);
+    area_cpts_.emplace_back(2, std::vector<int>{kPoseCount}, ClassifierConfig::kLaplaceAlpha);
   }
 }
 
@@ -82,20 +82,22 @@ double PoseDbnClassifier::log_likelihood(PoseId pose, const FeatureVector& featu
 
 double PoseDbnClassifier::log_likelihood(PoseId pose, const FeatureCandidate& candidate) const {
   const int parents[1] = {index_of(pose)};
-  double ll = log_likelihood(pose, candidate.features);
-  if (config_.occupancy_weight > 0.0) {
-    double occ_ll = 0.0;
-    for (int k = 0; k < encoder_.num_areas(); ++k) {
-      const int occupied = static_cast<std::size_t>(k) < candidate.occupancy.size() &&
-                                   candidate.occupancy[static_cast<std::size_t>(k)]
-                               ? 1
-                               : 0;
-      const double p = area_cpts_[static_cast<std::size_t>(k)].prob(occupied, parents);
-      occ_ll += p > 0.0 ? std::log(p) : kLogFloor;
-    }
-    ll += config_.occupancy_weight * occ_ll;
+  double occ_ll = 0.0;
+  for (int k = 0; k < encoder_.num_areas(); ++k) {
+    const int occupied = static_cast<std::size_t>(k) < candidate.occupancy.size() &&
+                                 candidate.occupancy[static_cast<std::size_t>(k)]
+                             ? 1
+                             : 0;
+    const double p = area_cpts_[static_cast<std::size_t>(k)].prob(occupied, parents);
+    occ_ll += p > 0.0 ? std::log(p) : kLogFloor;
   }
-  return ll;
+  return log_likelihood(pose, candidate.features) + ClassifierConfig::kOccupancyWeight * occ_ll;
+}
+
+double PoseDbnClassifier::observation_score(PoseId pose,
+                                            const FeatureCandidate& candidate) const {
+  return log_likelihood(pose, candidate) +
+         candidate.unexplained_areas * std::log(ClassifierConfig::kClutterEpsilon);
 }
 
 double PoseDbnClassifier::transition_prob(PoseId pose, PoseId prev, Stage stage) const {
@@ -154,9 +156,7 @@ double PoseDbnClassifier::pose_score(PoseId pose, const FeatureCandidate& candid
     temporal = transition_prob(pose, state.prev, pose_stage);
   }
   score += temporal > 0.0 ? std::log(temporal) : kLogFloor;
-  score += config_.likelihood_weight *
-           (log_likelihood(pose, candidate) +
-            candidate.unexplained_areas * std::log(config_.clutter_epsilon));
+  score += observation_score(pose, candidate);
   return score;
 }
 
@@ -223,7 +223,7 @@ FrameResult PoseDbnClassifier::classify(const std::vector<FeatureCandidate>& can
   PoseId accepted_pose = PoseId::kUnknown;
   double accepted_posterior = 0.0;
   if (best_pose != PoseId::kUnknown) {
-    const int dom = index_of(config_.dominant_pose);
+    const int dom = index_of(ClassifierConfig::kDominantPose);
     int best_clearing = -1;
     for (int p = 0; p < kPoseCount; ++p) {
       if (p == dom) continue;
@@ -236,7 +236,7 @@ FrameResult PoseDbnClassifier::classify(const std::vector<FeatureCandidate>& can
     if (best_clearing >= 0) {
       accepted_pose = static_cast<PoseId>(best_clearing);
       accepted_posterior = best_posteriors[static_cast<std::size_t>(best_clearing)];
-    } else if (best_pose == config_.dominant_pose) {
+    } else if (best_pose == ClassifierConfig::kDominantPose) {
       accepted_pose = best_pose;
       accepted_posterior = best_posteriors[static_cast<std::size_t>(dom)];
     }
@@ -462,11 +462,12 @@ void read_counts(std::istream& in, const char* tag, bayes::TabularCpd& cpd) {
 void PoseDbnClassifier::save(std::ostream& out) const {
   out << kModelMagic << ' ' << kModelVersion << '\n';
   const auto old_precision = out.precision(17);
-  out << "config " << config_.num_areas << ' ' << config_.laplace_alpha << ' '
-      << config_.transition_alpha << ' ' << config_.likelihood_weight << ' '
-      << config_.occupancy_weight << ' ' << config_.th_pose << ' '
-      << index_of(config_.dominant_pose) << ' ' << static_cast<int>(config_.temporal) << ' '
-      << config_.clutter_epsilon << ' ' << (config_.use_stage_constraint ? 1 : 0) << ' '
+  out << "config " << config_.num_areas << ' ' << ClassifierConfig::kLaplaceAlpha << ' '
+      << ClassifierConfig::kTransitionAlpha << ' ' << ClassifierConfig::kLikelihoodWeight << ' '
+      << ClassifierConfig::kOccupancyWeight << ' ' << config_.th_pose << ' '
+      << index_of(ClassifierConfig::kDominantPose) << ' ' << static_cast<int>(config_.temporal)
+      << ' ' << ClassifierConfig::kClutterEpsilon << ' '
+      << (config_.use_stage_constraint ? 1 : 0) << ' '
       << (config_.carry_last_recognized ? 1 : 0) << '\n';
   out.precision(old_precision);
   // The naive part structure, written as "no extra parent" per part.
@@ -497,27 +498,37 @@ PoseDbnClassifier PoseDbnClassifier::load(std::istream& in) {
   }
   std::string tag;
   ClassifierConfig cfg;
+  double laplace_alpha = 0.0, transition_alpha = 0.0, likelihood_weight = 0.0;
+  double occupancy_weight = 0.0, clutter_epsilon = 0.0;
   int dominant = 0, temporal = 0, stage_constraint = 1, carry = 1;
-  if (!(in >> tag >> cfg.num_areas >> cfg.laplace_alpha >> cfg.transition_alpha >>
-        cfg.likelihood_weight >> cfg.occupancy_weight >> cfg.th_pose >> dominant >> temporal >>
-        cfg.clutter_epsilon >> stage_constraint >> carry) ||
+  if (!(in >> tag >> cfg.num_areas >> laplace_alpha >> transition_alpha >> likelihood_weight >>
+        occupancy_weight >> cfg.th_pose >> dominant >> temporal >> clutter_epsilon >>
+        stage_constraint >> carry) ||
       tag != "config") {
     throw std::runtime_error("model load: malformed config line");
   }
   // Every field is range-checked before it reaches a constructor or a cast,
   // so a malformed config is a load error, not a foreign exception or an
-  // undefined mode.
+  // undefined mode. The constant tokens must be the model's constants: a
+  // file trained with other values is a different model.
   if (cfg.num_areas < 2 || cfg.num_areas > kMaxModelAreas) {
     throw std::runtime_error("model load: invalid area count");
   }
-  if (dominant < 0 || dominant >= kPoseCount) {
-    throw std::runtime_error("model load: invalid dominant pose");
+  if (laplace_alpha != ClassifierConfig::kLaplaceAlpha ||
+      transition_alpha != ClassifierConfig::kTransitionAlpha ||
+      likelihood_weight != ClassifierConfig::kLikelihoodWeight ||
+      occupancy_weight != ClassifierConfig::kOccupancyWeight ||
+      dominant != index_of(ClassifierConfig::kDominantPose) ||
+      clutter_epsilon != ClassifierConfig::kClutterEpsilon) {
+    throw std::runtime_error("model load: config constants differ from this model's");
+  }
+  if (!(cfg.th_pose >= 0.0 && cfg.th_pose <= 1.0)) {
+    throw std::runtime_error("model load: Th_Pose outside [0, 1]");
   }
   if (temporal != static_cast<int>(TemporalMode::kDbn) &&
       temporal != static_cast<int>(TemporalMode::kStaticBn)) {
     throw std::runtime_error("model load: invalid temporal mode");
   }
-  cfg.dominant_pose = pose_from_index(dominant);
   cfg.temporal = static_cast<TemporalMode>(temporal);
   cfg.use_stage_constraint = stage_constraint != 0;
   cfg.carry_last_recognized = carry != 0;

@@ -42,28 +42,36 @@ enum class TemporalMode {
   kStaticBn, ///< ablation: prior only, no temporal links (Fig. 7a alone)
 };
 
+/// The pose model's configuration. The settable values are the ones the
+/// paper's experiments vary: the area partition (Sec. 6), Th_Pose, DBN vs
+/// BN, the stage discipline and the Unknown-carry rule. The observation
+/// and smoothing terms are the model's constants; retuning one is a model
+/// change, not a setting.
 struct ClassifierConfig {
-  int num_areas = 8;
-  double laplace_alpha = 0.5;
-  /// Smoothing for the temporal CPTs (pose transition / stage). Larger
-  /// values flatten the transition model, countering the self-transition
-  /// stickiness a frame-labelled corpus induces.
-  double transition_alpha = 0.5;
-  /// Weight of the observation terms (part likelihood + clutter) relative
-  /// to the temporal terms — the usual HMM observation-scaling knob.
-  double likelihood_weight = 1.0;
+  /// Laplace pseudo-count of the prior, part, area and flag CPTs.
+  static constexpr double kLaplaceAlpha = 0.5;
+  /// Smoothing for the temporal CPTs (pose transition / stage); it flattens
+  /// the self-transition stickiness a frame-labelled corpus induces.
+  static constexpr double kTransitionAlpha = 0.5;
+  /// Weight of the observation terms relative to the temporal terms. It is
+  /// 1, so the observation score enters unscaled; the model file still
+  /// carries it.
+  static constexpr double kLikelihoodWeight = 1.0;
   /// Weight of the area-occupancy evidence (the Fig.-7 observed Area
-  /// nodes) inside the observation term. 0 disables it.
-  double occupancy_weight = 0.3;
-  /// Acceptance threshold on the normalized per-frame posterior; poses
-  /// other than the dominant one must exceed it (paper's Th_Pose).
-  double th_pose = 0.25;
-  PoseId dominant_pose = PoseId::kStandHandsForward;
-  TemporalMode temporal = TemporalMode::kDbn;
+  /// nodes) inside the observation term.
+  static constexpr double kOccupancyWeight = 0.3;
+  /// The pose exempt from Th_Pose: the class-imbalance majority.
+  static constexpr PoseId kDominantPose = PoseId::kStandHandsForward;
   /// P(a key point occupies an area no assigned part explains). Each
   /// unexplained occupied area multiplies a candidate's score by this, so
   /// labellings that ignore visible evidence lose to ones that explain it.
-  double clutter_epsilon = 0.25;
+  static constexpr double kClutterEpsilon = 0.25;
+
+  int num_areas = 8;
+  /// Acceptance threshold on the normalized per-frame posterior; poses
+  /// other than the dominant one must exceed it (paper's Th_Pose).
+  double th_pose = 0.25;
+  TemporalMode temporal = TemporalMode::kDbn;
   /// Stage discipline: the stage may stay or move forward (skips allowed,
   /// weighted by the learned stage CPT) but never backward — encoding the
   /// paper's "before-jumping and landing poses cannot occur consecutively".
@@ -106,7 +114,6 @@ class PoseDbnClassifier {
   explicit PoseDbnClassifier(ClassifierConfig config = {});
 
   const ClassifierConfig& config() const { return config_; }
-  ClassifierConfig& mutable_config() { return config_; }
   const AreaEncoder& encoder() const { return encoder_; }
 
   // ---- training (Sec. 4.1) --------------------------------------------
@@ -154,11 +161,22 @@ class PoseDbnClassifier {
   /// evidence, adding the eight observed Area nodes.
   double log_likelihood(PoseId pose, const FeatureCandidate& candidate) const;
 
+  /// The observation term of one labelling under `pose`: log_likelihood
+  /// plus log(kClutterEpsilon) per occupied area no part explains. The
+  /// per-frame rule and the offline decoders both score evidence with it.
+  double observation_score(PoseId pose, const FeatureCandidate& candidate) const;
+
   /// P(pose_t | pose_{t-1}, stage_t) from the learned transition CPT.
   double transition_prob(PoseId pose, PoseId prev, Stage stage) const;
 
   /// Learned marginal prior P(pose).
   double prior_prob(PoseId pose) const;
+
+  /// P(stage_t | stage_{t-1}) from the learned stage CPT.
+  double stage_prob(Stage to, Stage from) const;
+
+  /// P(airborne flag | stage) from the learned flag CPT.
+  double airborne_prob(bool airborne, Stage stage) const;
 
   /// Full Fig.-7(a) network for `pose`: root + 5 hidden parts + 8 (or n)
   /// observed area nodes with deterministic occupancy CPDs.
@@ -172,23 +190,17 @@ class PoseDbnClassifier {
   void save(std::ostream& out) const;
 
   /// Reads a model written by save(). Throws std::runtime_error on
-  /// malformed input or version mismatch. The `tan` line is kept for format
-  /// compatibility: the observation structure is the paper's naive one, so
-  /// every entry must be -1.
+  /// malformed input, a version mismatch or a config value out of range.
+  /// The `config` line keeps its eleven tokens and the `tan` line is kept,
+  /// both for format compatibility: the constant tokens (the alphas, the
+  /// weights, the dominant pose, epsilon) must equal ClassifierConfig's
+  /// constants, and every `tan` entry must be -1 (the paper's naive
+  /// observation structure).
   static PoseDbnClassifier load(std::istream& in);
 
  private:
   double pose_score(PoseId pose, const FeatureCandidate& candidate, bool airborne,
                     const SequenceState& state, Stage stage_cap) const;
-
- public:
-  /// P(stage_t | stage_{t-1}) from the learned stage CPT.
-  double stage_prob(Stage to, Stage from) const;
-
-  /// P(airborne flag | stage) from the learned flag CPT.
-  double airborne_prob(bool airborne, Stage stage) const;
-
- private:
 
   ClassifierConfig config_;
   AreaEncoder encoder_;

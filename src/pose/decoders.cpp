@@ -11,16 +11,12 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Max over candidates of the weighted observation log-score for a pose.
+/// Max over candidates of the classifier's observation score for a pose.
 double best_emission(const PoseDbnClassifier& clf, PoseId pose,
                      const std::vector<FeatureCandidate>& candidates) {
-  const ClassifierConfig& cfg = clf.config();
   double best = kNegInf;
   for (const FeatureCandidate& c : candidates) {
-    const double s = cfg.likelihood_weight *
-                     (clf.log_likelihood(pose, c) +
-                      c.unexplained_areas * std::log(cfg.clutter_epsilon));
-    best = std::max(best, s);
+    best = std::max(best, clf.observation_score(pose, c));
   }
   return best;
 }

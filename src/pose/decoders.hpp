@@ -13,8 +13,10 @@
 //    Per-frame confidence is the forward (filtering) marginal of the path
 //    state, not a hard-coded certainty.
 //
-// All modes share the classifier's learned CPTs and its one flag→stage
-// rule, StageTracker (classifier.hpp): stages never regress, air/landing
+// All modes share the classifier's learned CPTs, its one observation term
+// (PoseDbnClassifier::observation_score, which the per-frame rule scores
+// with too) and its one flag→stage rule, StageTracker (classifier.hpp):
+// stages never regress, air/landing
 // are gated by the measured flag, and once flight has ended the stage is
 // clamped to landing so a spurious late airborne flag cannot reopen it.
 #pragma once

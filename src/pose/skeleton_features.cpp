@@ -123,7 +123,7 @@ TorsoEstimate estimate_torso(const skel::SkeletonGraph& graph, int head_node, in
 
 std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& graph,
                                                    const AreaEncoder& encoder,
-                                                   const CandidateOptions& options) {
+                                                   const CandidateOptions& /*options*/) {
   std::vector<FeatureCandidate> out;
   const std::vector<int> nodes = alive_nodes(graph);
   if (nodes.empty()) return out;
@@ -150,8 +150,8 @@ std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& gr
     const PointI pb = graph.node(b).pos;
     return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
   });
-  if (static_cast<int>(head_candidates.size()) > options.max_head_candidates) {
-    head_candidates.resize(static_cast<std::size_t>(options.max_head_candidates));
+  if (static_cast<int>(head_candidates.size()) > CandidateOptions::kMaxHeadCandidates) {
+    head_candidates.resize(static_cast<std::size_t>(CandidateOptions::kMaxHeadCandidates));
   }
   if (head_candidates.empty()) {
     // Single-node skeleton: everything collapses onto the foot.
@@ -180,8 +180,8 @@ std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& gr
       const PointI pb = graph.node(b).pos;
       return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
     });
-    if (static_cast<int>(free.size()) > options.max_free_points) {
-      free.resize(static_cast<std::size_t>(options.max_free_points));
+    if (static_cast<int>(free.size()) > CandidateOptions::kMaxFreePoints) {
+      free.resize(static_cast<std::size_t>(CandidateOptions::kMaxFreePoints));
     }
 
     // Occupied areas: every key point claims its area around this waist.
@@ -217,7 +217,7 @@ std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& gr
       constexpr double kOnChord = 7.0;
       for (const int id : remaining) {
         const PointF p = to_f(graph.node(id).pos);
-        if (p.y < waist.y - options.vertical_slack) continue;  // above waist
+        if (p.y < waist.y - CandidateOptions::kVerticalSlack) continue;  // above waist
         const double detour =
             distance(waist, p) + distance(p, foot_pos) - distance(waist, foot_pos);
         const double mid = std::abs(distance(waist, p) - distance(p, foot_pos));
@@ -264,7 +264,7 @@ std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& gr
     double chest_best = std::numeric_limits<double>::max();
     for (const int id : remaining) {
       const PointF p = to_f(graph.node(id).pos);
-      if (p.y > waist.y + options.vertical_slack) continue;  // below waist
+      if (p.y > waist.y + CandidateOptions::kVerticalSlack) continue;  // below waist
       const double detour =
           distance(waist, p) + distance(p, head_pos) - distance(waist, head_pos);
       if (detour < chest_best) {

@@ -52,12 +52,15 @@ struct FeatureCandidate {
   int unexplained_areas = 0;
 };
 
+/// The candidate enumerator's constants. The struct has no settable value;
+/// it stays a type so callers that pass PipelineParams::candidates keep
+/// compiling.
 struct CandidateOptions {
-  int max_head_candidates = 3;   ///< topmost end nodes tried as Head
-  int max_free_points = 7;       ///< key points considered for Chest/Hand/Knee
+  static constexpr int kMaxHeadCandidates = 3;  ///< topmost end nodes tried as Head
+  static constexpr int kMaxFreePoints = 7;      ///< key points considered for Chest/Hand/Knee
   /// Geometric plausibility: Chest may not sit below the waist and Knee may
   /// not sit above it (by more than this slack in pixels).
-  double vertical_slack = 4.0;
+  static constexpr double kVerticalSlack = 4.0;
 };
 
 /// Enumerates feature candidates for a test frame (Sec. 4.2). Empty when

@@ -190,14 +190,15 @@ TEST(Classifier, ThPoseRulePrefersRareClearingPoseOverDominant) {
   const AreaEncoder& enc = clf.encoder();
   const FeatureCandidate dom = make_candidate(enc, 2, 2, 0, 6, 6);
   const FeatureCandidate rare = make_candidate(enc, 2, 2, 1, 6, 6);
+  const PoseId dominant = ClassifierConfig::kDominantPose;
   for (int i = 0; i < 100; ++i) {
-    clf.observe(cfg.dominant_pose, dom, cfg.dominant_pose, Stage::kBeforeJumping, false);
+    clf.observe(dominant, dom, dominant, Stage::kBeforeJumping, false);
   }
   for (int i = 0; i < 10; ++i) {
-    clf.observe(PoseId::kStandHandsUp, rare, cfg.dominant_pose, Stage::kBeforeJumping, false);
+    clf.observe(PoseId::kStandHandsUp, rare, dominant, Stage::kBeforeJumping, false);
   }
   auto state = clf.initial_state();
-  state.prev = cfg.dominant_pose;
+  state.prev = dominant;
   const FrameResult r = clf.classify({rare}, false, state);
   EXPECT_EQ(r.pose, PoseId::kStandHandsUp);
   EXPECT_GT(r.posterior, cfg.th_pose);

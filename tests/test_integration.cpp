@@ -9,6 +9,7 @@
 
 #include "core/analyzer.hpp"
 #include "core/evaluation.hpp"
+#include "core/stream_engine.hpp"
 #include "core/trainer.hpp"
 #include "reference.hpp"
 #include "synth/dataset.hpp"
@@ -121,6 +122,32 @@ TEST(Integration, AnalyzerRejectsMismatchedAreaConfig) {
   pose::ClassifierConfig cc;
   cc.num_areas = 12;
   EXPECT_THROW(JumpAnalyzer(pp, cc), std::invalid_argument);
+}
+
+TEST(Integration, EveryEntryPointRejectsMismatchedAreaConfig) {
+  // A 12-area classifier reads an 8-area pipeline's "missing" state as
+  // area IX, so each entry that pairs the two refuses the pairing before
+  // any frame runs.
+  pose::ClassifierConfig cc;
+  cc.num_areas = 12;
+  pose::PoseDbnClassifier classifier(cc);
+  const PipelineParams pp;  // 8 areas
+  FramePipeline pipeline(pp);
+  EXPECT_THROW(train_on_dataset(classifier, pipeline, synth::Dataset{}), std::invalid_argument);
+  ClipEngine engine(pp, {1});
+  EXPECT_THROW(evaluate_dataset(classifier, engine, {}), std::invalid_argument);
+  EXPECT_THROW(StreamManager(classifier, pp, {1}), std::invalid_argument);
+  EXPECT_THROW(StreamSession(classifier, RgbImage(8, 8), pp), std::invalid_argument);
+
+  // The matching pairing is accepted by each of them.
+  PipelineParams twelve;
+  twelve.num_areas = 12;
+  FramePipeline twelve_pipeline(twelve);
+  EXPECT_NO_THROW(train_on_dataset(classifier, twelve_pipeline, synth::Dataset{}));
+  ClipEngine twelve_engine(twelve, {1});
+  EXPECT_NO_THROW(evaluate_dataset(classifier, twelve_engine, {}));
+  EXPECT_NO_THROW(StreamManager(classifier, twelve, {1}));
+  EXPECT_NO_THROW(StreamSession(classifier, RgbImage(8, 8), twelve));
 }
 
 TEST(Integration, AnalyzerMatchesReferenceChain) {

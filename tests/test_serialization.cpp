@@ -27,7 +27,6 @@ FeatureCandidate make_candidate(const AreaEncoder& enc, int head, int hand, int 
 PoseDbnClassifier trained() {
   ClassifierConfig cfg;
   cfg.th_pose = 0.31;
-  cfg.laplace_alpha = 0.4;
   PoseDbnClassifier clf(cfg);
   const AreaEncoder& enc = clf.encoder();
   for (int i = 0; i < 30; ++i) {
@@ -72,8 +71,9 @@ TEST(Serialization, RoundTripPreservesConfig) {
   const PoseDbnClassifier restored = PoseDbnClassifier::load(buffer);
   EXPECT_EQ(restored.config().num_areas, original.config().num_areas);
   EXPECT_DOUBLE_EQ(restored.config().th_pose, 0.31);
-  EXPECT_DOUBLE_EQ(restored.config().laplace_alpha, 0.4);
-  EXPECT_EQ(restored.config().dominant_pose, original.config().dominant_pose);
+  EXPECT_EQ(restored.config().temporal, original.config().temporal);
+  EXPECT_EQ(restored.config().use_stage_constraint, original.config().use_stage_constraint);
+  EXPECT_EQ(restored.config().carry_last_recognized, original.config().carry_last_recognized);
 }
 
 TEST(Serialization, RestoredClassifierClassifiesIdentically) {
@@ -161,15 +161,32 @@ TEST(Serialization, WritesTheNaiveStructureLine) {
 }
 
 TEST(Serialization, RejectsConfigValuesOutsideTheirRange) {
-  // Config tokens: 1 num_areas, 7 dominant pose, 8 temporal mode.
+  // Config tokens: 1 num_areas, 2 Laplace alpha, 3 transition alpha,
+  // 4 likelihood weight, 5 occupancy weight, 6 Th_Pose, 7 dominant pose,
+  // 8 temporal mode, 9 clutter epsilon. Tokens 2-5, 7 and 9 carry the
+  // model's constants and accept no other value.
   std::stringstream unchanged(with_field("config", 8, "0"));
   EXPECT_NO_THROW(PoseDbnClassifier::load(unchanged));
+  for (const char* th : {"0", "1"}) {
+    std::stringstream edge(with_field("config", 6, th));
+    EXPECT_NO_THROW(PoseDbnClassifier::load(edge)) << "th_pose=" << th;
+  }
   expect_load_fails(with_field("config", 8, "7"), "temporal=7");
   expect_load_fails(with_field("config", 8, "-1"), "temporal=-1");
   expect_load_fails(with_field("config", 7, "99"), "dominant=99");
   expect_load_fails(with_field("config", 7, std::to_string(kPoseCount)), "dominant=unknown");
+  const int other_pose = (index_of(ClassifierConfig::kDominantPose) + 1) % kPoseCount;
+  expect_load_fails(with_field("config", 7, std::to_string(other_pose)), "dominant=other pose");
   expect_load_fails(with_field("config", 1, "1"), "num_areas=1");
   expect_load_fails(with_field("config", 1, "361"), "num_areas=361");
+  expect_load_fails(with_field("config", 2, "0.4"), "laplace_alpha=0.4");
+  expect_load_fails(with_field("config", 2, "-1"), "laplace_alpha=-1");
+  expect_load_fails(with_field("config", 3, "0.4"), "transition_alpha=0.4");
+  expect_load_fails(with_field("config", 4, "2"), "likelihood_weight=2");
+  expect_load_fails(with_field("config", 5, "0"), "occupancy_weight=0");
+  expect_load_fails(with_field("config", 6, "-0.1"), "th_pose=-0.1");
+  expect_load_fails(with_field("config", 6, "1.5"), "th_pose=1.5");
+  expect_load_fails(with_field("config", 9, "0.5"), "clutter_epsilon=0.5");
 }
 
 TEST(Serialization, RejectsATanParentOtherThanMinusOne) {
