@@ -81,28 +81,4 @@ inline void print_rule() {
   std::printf("------------------------------------------------------------------\n");
 }
 
-/// Paired accuracy delta of `frames` more correct test frames out of
-/// `total_frames`, judged at the test set's resolution of one frame: "+0.0
-/// pt, within one test frame" or "-3.0 pt (-4 test frames)". `sign` is set
-/// to +1 / -1 past one frame and to 0 within it.
-inline std::string accuracy_delta(long frames, std::size_t total_frames, int& sign) {
-  const double points = 100.0 * static_cast<double>(frames) / static_cast<double>(total_frames);
-  sign = frames > 1 ? 1 : (frames < -1 ? -1 : 0);
-  char buf[64];
-  if (sign == 0) {
-    std::snprintf(buf, sizeof(buf), "%+.1f pt, within one test frame", points);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%+.1f pt (%+ld test frames)", points, frames);
-  }
-  return buf;
-}
-
-/// The same, from two evaluations of the same test frames.
-inline std::string accuracy_delta(const core::DatasetEvaluation& eval,
-                                  const core::DatasetEvaluation& baseline, int& sign) {
-  return accuracy_delta(
-      static_cast<long>(eval.total_correct()) - static_cast<long>(baseline.total_correct()),
-      eval.total_frames(), sign);
-}
-
 }  // namespace slj::bench

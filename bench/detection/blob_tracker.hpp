@@ -7,10 +7,10 @@
 // report when a valid jumper is present at all.
 //
 // The tracker consumes the per-frame foreground mask (any extractor) and
-// outputs the jumper's blob mask. The engines do not run it: with its
-// defaults it picked the extractor's largest component on every seeded
-// frame measured, so that is their one jumper rule. Bench D1
-// (detection_robustness) measures the tracker against that rule under a
+// outputs the jumper's blob mask. It is not part of libslj, and no engine
+// runs it: with its defaults it picked the extractor's largest component on
+// every seeded frame measured, so that is the engines' one jumper rule. The
+// paper bench's D1 table measures the tracker against that rule under a
 // distractor.
 #pragma once
 

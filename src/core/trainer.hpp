@@ -1,7 +1,8 @@
 // Training the pose DBN from clips (paper Sec. 4.1): every training frame
-// runs through the full vision pipeline, the ground-truth part locations
-// snap to the extracted key points, and the resulting feature vector plus
-// the annotated pose/stage update the classifier's CPTs.
+// runs through the full vision pipeline, the annotated head picks the
+// candidate labelling whose Head node lies nearest it (the candidates are
+// the ones testing enumerates; no part snaps on its own), and that feature
+// vector plus the annotated pose/stage update the classifier's CPTs.
 //
 // The vision pass runs on a ClipEngine built from the caller's pipeline
 // parameters, with one lane per hardware thread: frames of a clip run in

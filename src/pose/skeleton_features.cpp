@@ -308,9 +308,7 @@ std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& gr
 
 std::optional<FeatureCandidate> features_from_truth(const skel::SkeletonGraph& graph,
                                                     const AreaEncoder& encoder,
-                                                    const PartPoints& truth,
-                                                    double max_snap_distance) {
-  (void)max_snap_distance;  // kept for API stability; selection is candidate-based
+                                                    const PartPoints& truth) {
   // The training features MUST come from the same geometric assignment the
   // classifier sees at test time, or the learned CPTs would model a
   // different distribution. The annotator's ground truth is used only to

@@ -1,9 +1,11 @@
 // From cleaned skeleton graph to feature vectors.
 //
 // Training (paper Sec. 4.1): the annotator supplies Head/Hand/Foot (we have
-// all five parts from ground truth); each part snaps to the nearest skeleton
-// key point; the torso is the skeleton path from the Head key point to the
-// Foot key point and the waist sits at its arc-length midpoint.
+// all five parts from ground truth). Training enumerates the same candidate
+// labellings as testing and keeps the one whose Head node lies nearest the
+// annotated head; no part snaps to a key point on its own. The torso is the
+// skeleton path from the Head key point to the Foot key point and the waist
+// sits at its arc-length midpoint.
 //
 // Testing (paper Sec. 4.2): "the lowest point is Foot" — then every
 // consistent labelling of the remaining key points is enumerated and the
@@ -69,13 +71,12 @@ std::vector<FeatureCandidate> enumerate_candidates(const skel::SkeletonGraph& gr
                                                    const AreaEncoder& encoder,
                                                    const CandidateOptions& options = {});
 
-/// Builds the training feature vector by snapping ground-truth part
-/// locations to skeleton key points (within `max_snap_distance` pixels;
-/// farther parts are coded "missing"). Also returns the torso estimate used
-/// for the waist. Nullopt when the graph has no nodes.
+/// The training feature vector: of the candidates enumerate_candidates
+/// yields, the one whose Head node lies nearest the annotated head (a
+/// candidate without a Head node ranks last). The other annotated parts are
+/// not read; no part snaps on its own. Nullopt when the graph has no nodes.
 std::optional<FeatureCandidate> features_from_truth(const skel::SkeletonGraph& graph,
                                                     const AreaEncoder& encoder,
-                                                    const PartPoints& truth,
-                                                    double max_snap_distance = 14.0);
+                                                    const PartPoints& truth);
 
 }  // namespace slj::pose
