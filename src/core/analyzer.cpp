@@ -11,8 +11,7 @@ JumpAnalyzer::JumpAnalyzer(PipelineParams pipeline_params,
 }
 
 void JumpAnalyzer::train(const synth::Dataset& dataset) {
-  FramePipeline pipeline(engine_->pipeline_params());
-  train_on_dataset(classifier_, pipeline, dataset);
+  train_on_dataset(classifier_, *engine_, dataset);
 }
 
 ClipAnalysis JumpAnalyzer::analyze(const RgbImage& background,

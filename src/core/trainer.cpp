@@ -1,14 +1,17 @@
 #include "core/trainer.hpp"
 
-#include "core/clip_engine.hpp"
-
 namespace slj::core {
 
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipeline& pipeline,
                                const synth::Dataset& dataset) {
-  require_same_area_count(pipeline.params(), classifier.config());
   ClipEngine engine(pipeline.params());
-  const pose::AreaEncoder& encoder = pipeline.encoder();
+  return train_on_dataset(classifier, engine, dataset);
+}
+
+TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, ClipEngine& engine,
+                               const synth::Dataset& dataset) {
+  require_same_area_count(engine.pipeline_params(), classifier.config());
+  const pose::AreaEncoder encoder(engine.pipeline_params().num_areas);
   TrainingStats stats;
   for (const synth::Clip& clip : dataset.train) {
     const ClipObservation observation = engine.process(clip);

@@ -1,7 +1,7 @@
 // FrameWorkspace: every scratch buffer the per-frame vision pipeline needs —
-// window-sum, difference, mask, component, hole-fill, thinning-frontier and
-// skeleton-graph scratch. One workspace per worker lane (ClipEngine) or live
-// session (StreamEngine), sized on the first frame and reused, keeps
+// window-sum, difference, mask, component, hole-fill, bit-packed thinning
+// and skeleton-graph scratch. One workspace per worker lane (ClipEngine) or
+// live session (StreamEngine), sized on the first frame and reused, keeps
 // segmentation and thinning free of heap allocations and the graph build's
 // to the graph it returns (node clusters, edge paths).
 //
@@ -11,6 +11,15 @@
 // what they use, so a single workspace can serve frames of changing sizes
 // (it re-allocates only when a frame outgrows the high-water mark). It is
 // NOT safe to share one workspace between concurrent calls.
+//
+// After the mask, each stage works on the bounding box of its own input's
+// foreground (imaging/box.hpp). Full-frame planes that a stage only uses
+// as scratch — the component and junction labels, the graph's step and
+// visited marks, the junction mask — are then written and read inside that
+// box only, so outside it they hold whatever an earlier frame left; no
+// stage reads a box, or a pixel outside its own box, left by another. The
+// images a stage hands on (raw_mask, smoothed, largest, the silhouette and
+// skeleton) are whole frames, zero outside the box.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +59,11 @@ struct FrameWorkspace {
   BinaryImage graph_visited;           ///< pure-cycle sweep "visited" map
   std::vector<int> graph_parent;       ///< union-find over nodes for the component count
 
-  // --- Zhang–Suen frontier scratch (zhang_suen_thin_into) ---
-  /// Pixels whose 3×3 neighbourhood changed since they were last evaluated
-  /// for the first / second sub-iteration; only these can change answer.
-  std::vector<std::uint32_t> thin_candidates_first;
-  std::vector<std::uint32_t> thin_candidates_second;
-  std::vector<std::uint32_t> thin_eval;       ///< candidates being consumed
-  std::vector<std::uint32_t> thin_deletions;  ///< simultaneous-deletion list
-  std::vector<std::uint8_t> thin_marks;       ///< bit0/bit1: queued per type
+  // --- Zhang–Suen scratch (zhang_suen_thin_into) ---
+  /// The silhouette box's rows packed 64 pixels to a word, between two zero
+  /// rows; then two one-row buffers for a sub-iteration's simultaneous
+  /// deletions, and one change stamp per packed row.
+  std::vector<std::uint64_t> thin_bits;
 };
 
 }  // namespace slj

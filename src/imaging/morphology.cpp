@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/simd.hpp"
+#include "imaging/box.hpp"
 
 namespace slj {
 
@@ -16,27 +17,15 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
   out.resize_discard(w, h);
   std::uint8_t* dst = out.data().data();
   std::fill(dst, dst + out.size(), 0);
-  // Bounding box [bx0, bx1) × [by0, by1) of the foreground. Every cell
-  // outside it is background connected to the image border, so only the box
-  // can hold a hole.
+  // Every cell outside the foreground's bounding box is background connected
+  // to the image border, so only the box can hold a hole.
+  const PixelBox box = foreground_box(img);
+  if (box.empty()) return;  // no foreground, no hole
   const std::uint8_t* src = img.data().data();
   const std::size_t wn = static_cast<std::size_t>(w);
-  std::size_t bx0 = wn;
-  std::size_t bx1 = 0;
-  int by0 = h;
-  int by1 = 0;
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = src + static_cast<std::size_t>(y) * wn;
-    const std::size_t first = simd::find_nonzero<simd::Active>(row, wn);
-    if (first == wn) continue;
-    bx0 = std::min(bx0, first);
-    // Only foreground right of the box so far can widen it.
-    std::size_t x = std::max(first, bx1);
-    while ((x += simd::find_nonzero<simd::Active>(row + x, wn - x)) < wn) bx1 = ++x;
-    by0 = std::min(by0, y);
-    by1 = y + 1;
-  }
-  if (by0 >= by1) return;  // no foreground, no hole
+  const std::size_t bx0 = static_cast<std::size_t>(box.x0);
+  const int by0 = box.y0;
+  const int by1 = box.y1;
   // Flood the background from outside the box (4-connectivity keeps
   // diagonal silhouette boundaries watertight), then fill what was not
   // reached.
@@ -49,8 +38,8 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
   // the corresponding pixel is foreground. Any path from the border into
   // the box crosses that ring, so the reached set, and the filled result,
   // is the full-frame border flood's.
-  const int bw = static_cast<int>(bx1 - bx0);
-  const int bh = by1 - by0;
+  const int bw = box.width();
+  const int bh = box.height();
   const int pw = bw + 4;
   const int ph = bh + 4;
   // Size the scratch for a whole-frame box up front: a growing box never

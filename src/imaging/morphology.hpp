@@ -12,7 +12,7 @@ namespace slj {
 
 /// Fills interior holes: every background region not connected (4-conn) to
 /// the image border becomes foreground; the result is 0/1. Only the
-/// foreground's bounding box can hold a hole, so the border flood covers
+/// foreground's bounding box (foreground_box) can hold a hole, so the border flood covers
 /// just that box plus a one-cell open ring, on a sentinel-padded closed map
 /// walked with raw indices (no bounds checks in the inner loop). The flood
 /// runs on `reached`/`stack` scratch, sized for the whole frame on first use

@@ -34,6 +34,9 @@
 //   │       │   ├── extract    background subtraction -> silhouette
 //   │       │   ├── thin       Zhang-Suen thinning
 //   │       │   ├── skelgraph  graph build + loop cut + pruning + key points
+//   │       │   │   ├── skelgraph.build     the skeleton graph from the pixels
+//   │       │   │   ├── skelgraph.loop_cut  maximum-spanning-tree loop cut
+//   │       │   │   └── skelgraph.prune     one-at-a-time branch pruning
 //   │       │   └── features   candidate enumeration + bottom row
 //   │       └── decode       DBN / forward-filter pose decision + fault rules
 //   └── ingest.deliver       per-session sink callbacks

@@ -1,6 +1,7 @@
 #include "segmentation/object_extractor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -22,27 +23,61 @@ void ObjectExtractor::set_background(const RgbImage& background) {
   background_.set_background(background);
 }
 
-double ObjectExtractor::seed_difference(const RgbImage& frame, int x, int y) const {
+namespace {
+
+/// The seed's double D from one pixel's window sums S and the plate's B
+/// over the same clamped window of `area` pixels: each channel's mean
+/// minus the plate's, summed as (|ΔR| + |ΔG|) + |ΔB|. Pixels of a flat
+/// region share (S, B, area), so the last answer is kept: a frame where
+/// every pixel ties at max T divides once per distinct window, not three
+/// times per pixel. Sums are at most 9·255 and areas at most 9, so each
+/// fits 16 bits of a two-word key.
+class SeedDifference {
+ public:
+  double operator()(const std::array<int, 7>& v) {
+    const auto field = [&](int i, int shift) {
+      return static_cast<std::uint64_t>(v[static_cast<std::size_t>(i)]) << shift;
+    };
+    const std::uint64_t frame_key = field(0, 0) | field(1, 16) | field(2, 32) | field(6, 48);
+    const std::uint64_t plate_key = field(3, 0) | field(4, 16) | field(5, 32);
+    if (frame_key != frame_key_ || plate_key != plate_key_) {
+      frame_key_ = frame_key;
+      plate_key_ = plate_key;
+      const double area = static_cast<double>(v[6]);
+      double d[3];
+      for (std::size_t c = 0; c < 3; ++c) {
+        d[c] = std::abs(static_cast<double>(v[c]) / area - static_cast<double>(v[3 + c]) / area);
+      }
+      d_ = d[0] + d[1] + d[2];
+    }
+    return d_;
+  }
+
+ private:
+  std::uint64_t frame_key_ = 0;  // area 0: no real window
+  std::uint64_t plate_key_ = 0;
+  double d_ = 0.0;
+};
+
+}  // namespace
+
+std::array<int, 7> ObjectExtractor::window_sums_at(const RgbImage& frame, int x, int y) const {
   constexpr int half = BackgroundModel::kWindow / 2;
   const int w = frame.width();
   const int h = frame.height();
-  int s[3] = {0, 0, 0};
+  std::array<int, 7> key{};
   for (int yy = std::max(y - half, 0); yy <= std::min(y + half, h - 1); ++yy) {
     for (int xx = std::max(x - half, 0); xx <= std::min(x + half, w - 1); ++xx) {
       const Rgb p = frame.at(xx, yy);
-      s[0] += p.r;
-      s[1] += p.g;
-      s[2] += p.b;
+      key[0] += p.r;
+      key[1] += p.g;
+      key[2] += p.b;
     }
   }
   const std::uint16_t* plate = background_.window_sums_row(y);
-  const double area = static_cast<double>(BackgroundModel::window_span(x, w)) *
-                      static_cast<double>(BackgroundModel::window_span(y, h));
-  double d[3];
-  for (int c = 0; c < 3; ++c) {
-    d[c] = std::abs(static_cast<double>(s[c]) / area - static_cast<double>(plate[c * w + x]) / area);
-  }
-  return d[0] + d[1] + d[2];
+  for (int c = 0; c < 3; ++c) key[3 + c] = plate[c * w + x];
+  key[6] = BackgroundModel::window_span(x, w) * BackgroundModel::window_span(y, h);
+  return key;
 }
 
 SLJ_HOT_PATH double ObjectExtractor::difference_into(const RgbImage& frame,
@@ -59,6 +94,9 @@ SLJ_HOT_PATH double ObjectExtractor::difference_into(const RgbImage& frame,
   ws.difference36.resize_discard(w, h);
   ws.difference36_row_max.resize(static_cast<std::size_t>(h));
   std::uint16_t* t_plane = ws.difference36.data().data();
+  std::uint16_t m = 0;  // max T so far
+  double max_d = 0.0;   // max seed D over the pixels where T == m
+  SeedDifference seed_d;
   // Steps ii–iv on integers: T = (36 / area) · Σ_c |S_c − B_c| per pixel.
   BackgroundModel::for_each_window_sum_row(
       frame, ws.window_ring, ws.window_colsum, ws.window_rowsum,
@@ -83,20 +121,22 @@ SLJ_HOT_PATH double ObjectExtractor::difference_into(const RgbImage& frame,
         for (int x = 0; x < std::min(half, w); ++x) edge(x);
         for (int x = std::max(w - half, half); x < w; ++x) edge(x);
         ws.difference36_row_max[static_cast<std::size_t>(y)] = row_max;
+        // Step v: max(D) is the largest seed D among the pixels where
+        // T == M. Kept for the running M while the row's window sums are
+        // at hand: a row that raises M restarts it, a row that reaches M
+        // adds its ties. T == 0 everywhere means S == B, so every D is 0.
+        if (row_max == 0 || row_max < m) return;
+        if (row_max > m) {
+          m = row_max;
+          max_d = 0.0;
+        }
+        for (int x = 0; x < w; ++x) {
+          if (t[x] != m) continue;
+          max_d = std::max(max_d, seed_d({sums[x], sums[w + x], sums[2 * w + x], plate[x],
+                                          plate[w + x], plate[2 * w + x],
+                                          rows * BackgroundModel::window_span(x, w)}));
+        }
       });
-
-  // Step v: max(D) is the largest seed D among the pixels where T == M.
-  const auto& row_max = ws.difference36_row_max;
-  const std::uint16_t m = row_max.empty() ? 0 : *std::max_element(row_max.begin(), row_max.end());
-  double max_d = 0.0;
-  if (m == 0) return max_d;  // S == B everywhere: every D is exactly 0
-  for (int y = 0; y < h; ++y) {
-    if (row_max[static_cast<std::size_t>(y)] != m) continue;
-    const std::uint16_t* t = t_plane + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-    for (int x = 0; x < w; ++x) {
-      if (t[x] == m) max_d = std::max(max_d, seed_difference(frame, x, y));
-    }
-  }
   return max_d;
 }
 
@@ -131,11 +171,13 @@ SLJ_HOT_PATH double ObjectExtractor::extract_into(const RgbImage& frame, FrameWo
       if (tie) {
         const double shift = max_d - 255.0;
         const double mask_threshold = static_cast<double>(kThObject) + 0.5;
+        SeedDifference seed_d;
         for (std::size_t i = 0; i < n; ++i) {
           if (t[i] != thr) continue;
           const int x = static_cast<int>(i % static_cast<std::size_t>(w));
           const int y = static_cast<int>(i / static_cast<std::size_t>(w));
-          const double r = std::clamp(seed_difference(frame, x, y) - shift, 0.0, 255.0);
+          const double r =
+              std::clamp(seed_d(window_sums_at(frame, x, y)) - shift, 0.0, 255.0);
           mask[i] = r >= mask_threshold ? 1 : 0;
         }
       }

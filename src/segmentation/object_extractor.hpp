@@ -26,6 +26,8 @@
 // chain in tests/reference/, which alone keeps the double D and Bave.
 #pragma once
 
+#include <array>
+
 #include "core/annotations.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/image.hpp"
@@ -74,9 +76,10 @@ class ObjectExtractor {
                                    BinaryImage& silhouette_out) const;
 
  private:
-  /// The seed's double D at (x, y): each channel's window mean minus the
-  /// plate's, summed as (|ΔR| + |ΔG|) + |ΔB|.
-  double seed_difference(const RgbImage& frame, int x, int y) const;
+  /// The frame's and the plate's window sums at (x, y), re-summed from the
+  /// frame's bytes, and the clamped window's area: {S_R, S_G, S_B, B_R,
+  /// B_G, B_B, area}, what the seed's D at that pixel is computed from.
+  std::array<int, 7> window_sums_at(const RgbImage& frame, int x, int y) const;
 
   BackgroundModel background_;
 };

@@ -1,6 +1,7 @@
 #include "skelgraph/artifacts.hpp"
 
 #include "imaging/frame_workspace.hpp"
+#include "obs/tracer.hpp"
 #include "skelgraph/loop_cut.hpp"
 #include "skelgraph/prune.hpp"
 
@@ -35,9 +36,19 @@ ArtifactReport analyze_artifacts(const BinaryImage& skeleton, int min_branch_ver
 SkeletonGraph clean_skeleton(const BinaryImage& skeleton, FrameWorkspace& ws,
                              int min_branch_vertices, CleanupStats* stats) {
   CleanupStats local;
-  SkeletonGraph graph = build_skeleton_graph(skeleton, ws, &local.build);
-  local.loops = cut_loops(graph, SpanningPolicy::kMaximum);
-  local.prune = prune_branches(graph, min_branch_vertices, PruningMode::kOneAtATime);
+  SkeletonGraph graph;
+  {
+    obs::TraceSpan span("skelgraph.build");
+    graph = build_skeleton_graph(skeleton, ws, &local.build);
+  }
+  {
+    obs::TraceSpan span("skelgraph.loop_cut");
+    local.loops = cut_loops(graph, SpanningPolicy::kMaximum);
+  }
+  {
+    obs::TraceSpan span("skelgraph.prune");
+    local.prune = prune_branches(graph, min_branch_vertices, PruningMode::kOneAtATime);
+  }
   if (stats != nullptr) *stats = local;
   return graph;
 }

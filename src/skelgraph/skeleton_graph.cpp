@@ -8,6 +8,7 @@
 #include <span>
 
 #include "core/simd.hpp"
+#include "imaging/box.hpp"
 #include "imaging/connected.hpp"
 #include "imaging/frame_workspace.hpp"
 
@@ -181,35 +182,47 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
   SkeletonGraph graph;
   const int w = skeleton.width();
   const int h = skeleton.height();
+  // Every plane below is cleared, written and read inside the skeleton's
+  // box only: skeleton pixels, their clusters, paths and labels all lie in
+  // it, and every neighbour lookup that leaves it reads the skeleton itself.
+  const PixelBox box = foreground_box(skeleton);
+  const std::uint8_t* skel = skeleton.data().data();
+  const std::size_t wn = static_cast<std::size_t>(w);
+  // Calls fn(x, y) for every skeleton pixel in row-major order.
+  const auto for_each_pixel = [&](auto&& fn) {
+    const std::size_t x_end = static_cast<std::size_t>(box.x1);
+    for (int y = box.y0; y < box.y1; ++y) {
+      const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
+      for (std::size_t xi = static_cast<std::size_t>(box.x0); xi < x_end; ++xi) {
+        xi += simd::find_nonzero<simd::Active>(row + xi, x_end - xi);
+        if (xi >= x_end) break;
+        fn(static_cast<int>(xi), y);
+      }
+    }
+  };
 
   // Classify pixels by degree in the pixel graph.
-  is_junction.assign(w, h, 0);
+  is_junction.resize_discard(w, h);
+  fill_box(is_junction, box, std::uint8_t{0});
   std::size_t skeleton_pixels = 0;
   std::size_t junction_pixels = 0;
   std::size_t pixel_edges2 = 0;  // 2x the number of pixel-graph edges
-  const std::uint8_t* skel = skeleton.data().data();
-  const std::size_t wn = static_cast<std::size_t>(w);
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
-    for (std::size_t xi = 0; xi < wn; ++xi) {
-      xi += simd::find_nonzero<simd::Active>(row + xi, wn - xi);
-      if (xi >= wn) break;
-      const int x = static_cast<int>(xi);
-      ++skeleton_pixels;
-      const int d = pixel_degree(skeleton, x, y);
-      pixel_edges2 += static_cast<std::size_t>(d);
-      if (d >= 3) {
-        is_junction.at(x, y) = 1;
-        ++junction_pixels;
-      }
+  for_each_pixel([&](int x, int y) {
+    ++skeleton_pixels;
+    const int d = pixel_degree(skeleton, x, y);
+    pixel_edges2 += static_cast<std::size_t>(d);
+    if (d >= 3) {
+      is_junction.at(x, y) = 1;
+      ++junction_pixels;
     }
-  }
+  });
 
   // Collapse 8-connected clusters of junction pixels into single junction
   // nodes — the paper's adjacent-junction-vertex removal. Cluster k is node
   // k, so the label image (node id + 1, 0 elsewhere) maps every "special"
   // pixel (cluster members, ends, isolated) to its node.
-  label_components_into(is_junction, /*eight_connected=*/true, scratch_labeling, scratch_stack);
+  label_components_into(is_junction, box, /*eight_connected=*/true, scratch_labeling,
+                        scratch_stack);
   Image<int>& node_label = scratch_labeling.labels;
   const std::size_t junction_cluster_count = scratch_labeling.components.size();
   std::vector<PointI>& specials = ws.graph_specials;
@@ -235,24 +248,18 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
   }
 
   // End and isolated pixels become their own nodes.
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
-    for (std::size_t xi = 0; xi < wn; ++xi) {
-      xi += simd::find_nonzero<simd::Active>(row + xi, wn - xi);
-      if (xi >= wn) break;
-      const int x = static_cast<int>(xi);
-      if (is_junction.at(x, y)) continue;
-      const int d = pixel_degree(skeleton, x, y);
-      if (d == 1 || d == 0) {
-        Node node;
-        node.pos = {x, y};
-        node.type = d == 1 ? NodeType::kEnd : NodeType::kIsolated;
-        node.cluster = {node.pos};
-        node_label.at(x, y) = graph.add_node(std::move(node)) + 1;
-        specials.push_back({x, y});
-      }
+  for_each_pixel([&](int x, int y) {
+    if (is_junction.at(x, y)) return;
+    const int d = pixel_degree(skeleton, x, y);
+    if (d == 1 || d == 0) {
+      Node node;
+      node.pos = {x, y};
+      node.type = d == 1 ? NodeType::kEnd : NodeType::kIsolated;
+      node.cluster = {node.pos};
+      node_label.at(x, y) = graph.add_node(std::move(node)) + 1;
+      specials.push_back({x, y});
     }
-  }
+  });
 
   // Trace segments: from every special pixel, walk into each non-special
   // neighbour through degree-2 pixels until another special pixel is hit.
@@ -260,7 +267,8 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
   // toward kNeighbours8[k]) so each segment is traced exactly once even when
   // both endpoints start traces.
   BinaryImage& steps = ws.graph_steps;
-  steps.assign(w, h, 0);
+  steps.resize_discard(w, h);
+  fill_box(steps, box, std::uint8_t{0});
   const auto step_bit = [](PointI from, PointI to) {
     // kNeighbours8 index of the offset to - from, by (dy + 1) * 3 + dx + 1.
     constexpr int kIndex[9] = {7, 0, 1, 6, -1, 2, 5, 4, 3};
@@ -322,55 +330,50 @@ SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& 
 
   // Pure cycles (all pixels degree 2, no junction/end): seat a synthetic
   // node on the topmost-leftmost unvisited pixel and trace the self-loop.
-  visited.assign(w, h, 0);
+  visited.resize_discard(w, h);
+  fill_box(visited, box, std::uint8_t{0});
   for (const Edge& e : graph.edges()) {
     for (const PointI& p : e.path) visited.at(p) = 1;
   }
   for (const Node& n : graph.nodes()) {
     for (const PointI& p : n.cluster) visited.at(p) = 1;
   }
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
-    for (std::size_t xi = 0; xi < wn; ++xi) {
-      xi += simd::find_nonzero<simd::Active>(row + xi, wn - xi);
-      if (xi >= wn) break;
-      const int x = static_cast<int>(xi);
-      if (visited.at(x, y)) continue;
-      Node seat;
-      seat.pos = {x, y};
-      seat.type = NodeType::kLoopSeat;
-      seat.cluster = {seat.pos};
-      const int seat_id = graph.add_node(std::move(seat));
-      // Walk the ring.
-      path.clear();
-      path.push_back({x, y});
-      visited.at(x, y) = 1;
-      PointI prev{x, y};
-      const std::span<const PointI> ring = neighbours_of({x, y}, nbrs);
-      if (ring.empty()) continue;  // degree-0 handled as isolated above
-      PointI cur = ring.front();
-      while (cur != PointI{x, y}) {
-        path.push_back(cur);
-        visited.at(cur) = 1;
-        PointI next = prev;
-        for (const PointI& n : neighbours_of(cur, nbrs)) {
-          if (n != prev) {
-            next = n;
-            break;
-          }
+  for_each_pixel([&](int x, int y) {
+    if (visited.at(x, y)) return;
+    Node seat;
+    seat.pos = {x, y};
+    seat.type = NodeType::kLoopSeat;
+    seat.cluster = {seat.pos};
+    const int seat_id = graph.add_node(std::move(seat));
+    // Walk the ring.
+    path.clear();
+    path.push_back({x, y});
+    visited.at(x, y) = 1;
+    PointI prev{x, y};
+    const std::span<const PointI> ring = neighbours_of({x, y}, nbrs);
+    if (ring.empty()) return;  // degree-0 handled as isolated above
+    PointI cur = ring.front();
+    while (cur != PointI{x, y}) {
+      path.push_back(cur);
+      visited.at(cur) = 1;
+      PointI next = prev;
+      for (const PointI& n : neighbours_of(cur, nbrs)) {
+        if (n != prev) {
+          next = n;
+          break;
         }
-        prev = cur;
-        cur = next;
-        if (cur == prev) break;  // defensive
       }
-      path.push_back({x, y});
-      Edge e;
-      e.a = seat_id;
-      e.b = seat_id;
-      e.path.assign(path.begin(), path.end());
-      graph.add_edge(std::move(e));
+      prev = cur;
+      cur = next;
+      if (cur == prev) break;  // defensive
     }
-  }
+    path.push_back({x, y});
+    Edge e;
+    e.a = seat_id;
+    e.b = seat_id;
+    e.path.assign(path.begin(), path.end());
+    graph.add_edge(std::move(e));
+  });
 
   if (stats != nullptr) {
     stats->skeleton_pixels = skeleton_pixels;

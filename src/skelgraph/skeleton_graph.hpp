@@ -110,9 +110,12 @@ class SkeletonGraph {
 /// junction mask, the label image that maps each node pixel to its node id
 /// + 1, the traced-step marks (one direction bit per pixel), the sorted
 /// node pixels, the segment being traced and the pure-cycle visited map.
-/// The build allocates only the graph it returns: node clusters, exact-size
-/// edge paths and the two lists. Node and edge ids follow node pixels in
-/// PointI order and neighbours in kNeighbours8 order.
+/// The four planes are frame-sized but cleared, scanned and read only
+/// inside the skeleton's bounding box, which holds every pixel, cluster
+/// and path; outside it they keep what an earlier frame left, and nothing
+/// reads them there. The build allocates only the graph it returns: node
+/// clusters, exact-size edge paths and the two lists. Node and edge ids
+/// follow node pixels in PointI order and neighbours in kNeighbours8 order.
 SkeletonGraph build_skeleton_graph(const BinaryImage& skeleton, FrameWorkspace& ws,
                                    BuildStats* stats = nullptr);
 

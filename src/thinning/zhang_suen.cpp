@@ -1,169 +1,181 @@
 #include "thinning/zhang_suen.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "core/simd.hpp"
+#include "imaging/box.hpp"
 
 namespace slj::thin {
 namespace {
 
-// Neighbour ring in Zhang–Suen order P2..P9 (clockwise from north). This is
-// exactly kNeighbours8; restated here to make the P-indexing explicit.
-constexpr std::array<PointI, 8> kRing = {{{0, -1},   // P2
-                                          {1, -1},   // P3
-                                          {1, 0},    // P4
-                                          {1, 1},    // P5
-                                          {0, 1},    // P6
-                                          {-1, 1},   // P7
-                                          {-1, 0},   // P8
-                                          {-1, -1}}};// P9
+using Word = std::uint64_t;
+constexpr int kWordBits = 64;
 
-// Deletability for each sub-iteration (0 = first, 1 = second), indexed by
-// the ring code: bit i set iff P(i+2) is foreground. The textbook
-// conditions, evaluated once for all 256 rings.
-constexpr std::array<std::array<bool, 256>, 2> kDeletable = [] {
-  std::array<std::array<bool, 256>, 2> table{};
-  for (int code = 0; code < 256; ++code) {
-    std::array<int, 8> p{};
-    int b = 0;
-    for (int i = 0; i < 8; ++i) {
-      p[i] = (code >> i) & 1;
-      b += p[i];
-    }
-    int a = 0;
-    for (int i = 0; i < 8; ++i) {
-      if (p[i] == 0 && p[(i + 1) % 8] == 1) ++a;
-    }
-    const bool ab = b >= 2 && b <= 6 && a == 1;
-    table[0][code] = ab && p[0] * p[2] * p[4] == 0 && p[2] * p[4] * p[6] == 0;
-    table[1][code] = ab && p[0] * p[2] * p[6] == 0 && p[0] * p[4] * p[6] == 0;
-  }
-  return table;
-}();
+static_assert(std::endian::native == std::endian::little,
+              "pack8/unpack8 read byte k of a row as the word's byte k");
 
-// Zhang–Suen deletability of (x, y) against the current image: one table
-// load on the ring code. Interior pixels (the overwhelming majority) load
-// their ring with three row pointers and no bounds checks; only the
-// one-pixel border falls back to at_or.
-bool deletable(const BinaryImage& img, int x, int y, bool first) {
-  const int w = img.width();
-  const int h = img.height();
-  unsigned code = 0;
-  if (x > 0 && y > 0 && x < w - 1 && y < h - 1) {
-    const std::uint8_t* up = img.data().data() + static_cast<std::size_t>(y - 1) * w + x;
-    const std::uint8_t* mid = up + w;
-    const std::uint8_t* down = mid + w;
-    code = (up[0] != 0 ? 1u : 0u) | (up[1] != 0 ? 2u : 0u) | (mid[1] != 0 ? 4u : 0u) |
-           (down[1] != 0 ? 8u : 0u) | (down[0] != 0 ? 16u : 0u) | (down[-1] != 0 ? 32u : 0u) |
-           (mid[-1] != 0 ? 64u : 0u) | (up[-1] != 0 ? 128u : 0u);
-  } else {
-    for (std::size_t i = 0; i < kRing.size(); ++i) {
-      if (img.at_or(x + kRing[i].x, y + kRing[i].y, 0) != 0) code |= 1u << i;
+constexpr Word kLowBits7 = 0x7f7f7f7f7f7f7f7fULL;
+constexpr Word kHighBits = 0x8080808080808080ULL;
+
+// Eight mask bytes → eight bits, byte k (nonzero = foreground) → bit k.
+Word pack8(const std::uint8_t* p) {
+  Word v;
+  std::memcpy(&v, p, sizeof v);
+  v = (((v & kLowBits7) + kLowBits7) | v) & kHighBits;  // high bit: byte != 0
+  return ((v >> 7) * 0x0102040810204080ULL) >> 56;       // gather byte k's bit to bit k
+}
+
+// Eight bits → eight byte masks, bit k → byte k = 0xff, else 0.
+Word unpack8(Word bits) {
+  Word v = (bits * 0x0101010101010101ULL) & 0x8040201008040201ULL;  // byte k holds bit k
+  v = ((v + kLowBits7) & kHighBits) >> 7;                            // 0/1 per byte
+  return v * 0xff;
+}
+
+// Pixel x of the row's words: the neighbour to its right (bit i ← bit i+1)
+// and to its left (bit i ← bit i-1). Bits past either end read 0, the zero
+// ring around the box.
+Word east(const Word* row, int j, int words) {
+  return (row[j] >> 1) | (j + 1 < words ? row[j + 1] << (kWordBits - 1) : 0);
+}
+Word west(const Word* row, int j) {
+  return (row[j] << 1) | (j > 0 ? row[j - 1] >> (kWordBits - 1) : 0);
+}
+
+// Sub-iteration `k` (even: the first type, odd: the second) over rows
+// 1..rows of `bits` (row 0 and row rows + 1 are the zero ring): every
+// deletion is decided against the image before the sub-iteration, as the
+// algorithm requires, then applied. `prev` holds the row above as it was
+// before this sub-iteration, `del` the current row's deletions, and
+// `changed[r]` is 1 + the last sub-iteration that deleted from row r (0:
+// none). A row whose three rows are unchanged since this type's last
+// sub-iteration would get that sub-iteration's answer again, which deleted
+// nothing (else the row changed), so it is skipped. Returns the pixels
+// removed.
+std::size_t sub_iteration(Word* bits, int words, int rows, int k, Word* prev, Word* del,
+                          Word* changed) {
+  const bool first = k % 2 == 0;
+  std::fill(prev, prev + words, Word{0});
+  std::size_t removed = 0;
+  for (int r = 1; r <= rows; ++r) {
+    Word* mid = bits + static_cast<std::size_t>(r) * words;
+    const Word* down = mid + words;
+    const Word last_change = std::max({changed[r - 1], changed[r], changed[r + 1]});
+    if (k >= 2 && last_change + 1 < static_cast<Word>(k)) {
+      std::copy(mid, mid + words, prev);
+      continue;
     }
+    for (int j = 0; j < words; ++j) {
+      if (mid[j] == 0) {
+        del[j] = 0;
+        continue;
+      }
+      // The ring P2..P9, clockwise from north.
+      const Word p[8] = {prev[j],          east(prev, j, words), east(mid, j, words),
+                         east(down, j, words), down[j],          west(down, j),
+                         west(mid, j),     west(prev, j)};
+      Word n[8];
+      for (int i = 0; i < 8; ++i) n[i] = ~p[i];
+      // A == 1: exactly one 0→1 step around the ring P2..P9,P2. Then the
+      // ring is one run of foreground and one of background, so B >= 2 is
+      // "two adjacent foreground neighbours" and B <= 6 "two adjacent
+      // background neighbours".
+      Word step1 = n[7] & p[0];
+      Word step2 = 0;
+      Word fg_pair = p[7] & p[0];
+      Word bg_pair = n[7] & n[0];
+      for (int i = 0; i < 7; ++i) {
+        const Word step = n[i] & p[i + 1];
+        step2 |= step1 & step;
+        step1 |= step;
+        fg_pair |= p[i] & p[i + 1];
+        bg_pair |= n[i] & n[i + 1];
+      }
+      const Word ab = step1 & ~step2 & fg_pair & bg_pair;
+      // p[0] = P2, p[2] = P4, p[4] = P6, p[6] = P8.
+      const Word cd = first ? ~(p[2] & p[4] & (p[0] | p[6])) : ~(p[0] & p[6] & (p[2] | p[4]));
+      del[j] = mid[j] & ab & cd;
+    }
+    std::size_t row_removed = 0;
+    for (int j = 0; j < words; ++j) {
+      prev[j] = mid[j];
+      mid[j] &= ~del[j];
+      row_removed += static_cast<std::size_t>(std::popcount(del[j]));
+    }
+    if (row_removed != 0) changed[r] = static_cast<Word>(k) + 1;
+    removed += row_removed;
   }
-  return kDeletable[first ? 0 : 1][code];
+  return removed;
 }
 
 }  // namespace
 
 SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& ws, BinaryImage& out,
-                          ThinningStats* stats) {
-  out = img;  // vector copy-assignment: reuses out's buffer at steady state
-  const int w = out.width();
-  const int h = out.height();
-  auto& cand_first = ws.thin_candidates_first;
-  auto& cand_second = ws.thin_candidates_second;
-  auto& eval = ws.thin_eval;
-  auto& deletions = ws.thin_deletions;
-  auto& marks = ws.thin_marks;
-  cand_first.clear();
-  cand_second.clear();
-  eval.clear();
-  marks.assign(out.size(), 0);
-  std::uint8_t* data = out.data().data();
-
-  // Applies the collected deletions simultaneously, then queues every pixel
-  // of each deleted pixel's 3×3 neighbourhood for both sub-iteration types:
-  // those are exactly the pixels whose answer can have changed.
-  const auto apply_deletions = [&] {
-    for (const std::uint32_t idx : deletions) data[idx] = 0;
-    for (const std::uint32_t idx : deletions) {
-      const int x = static_cast<int>(idx % static_cast<std::uint32_t>(w));
-      const int y = static_cast<int>(idx / static_cast<std::uint32_t>(w));
-      const int x0 = std::max(x - 1, 0), x1 = std::min(x + 1, w - 1);
-      const int y0 = std::max(y - 1, 0), y1 = std::min(y + 1, h - 1);
-      for (int ny = y0; ny <= y1; ++ny) {
-        for (int nx = x0; nx <= x1; ++nx) {
-          const std::uint32_t q = static_cast<std::uint32_t>(ny) * w + nx;
-          if (!(marks[q] & 1u)) {
-            marks[q] |= 1u;
-            cand_first.push_back(q);
-          }
-          if (!(marks[q] & 2u)) {
-            marks[q] |= 2u;
-            cand_second.push_back(q);
-          }
-        }
-      }
-    }
+                                       ThinningStats* stats) {
+  const int w = img.width();
+  const int h = img.height();
+  out.resize_discard(w, h);
+  std::fill(out.data().begin(), out.data().end(), std::uint8_t{0});
+  const PixelBox box = foreground_box(img);
+  const int words = (box.width() + kWordBits - 1) / kWordBits;
+  const int rows = box.height();
+  // The box's rows as bits, framed by a zero row above and below, then the
+  // two one-row buffers and one change stamp per framed row. Sized for a
+  // whole-frame box on first use, so a growing box never reallocates.
+  std::vector<Word>& bits = ws.thin_bits;
+  const int frame_words = (w + kWordBits - 1) / kWordBits;
+  bits.reserve(static_cast<std::size_t>(h + 2) * static_cast<std::size_t>(frame_words + 1) +
+               2 * static_cast<std::size_t>(frame_words));
+  bits.assign(static_cast<std::size_t>(rows + 2) * static_cast<std::size_t>(words + 1) +
+                  2 * static_cast<std::size_t>(words),
+              Word{0});
+  const std::uint8_t* src = img.data().data();
+  const auto src_row = [&](int r) {
+    return src + static_cast<std::size_t>(box.y0 + r - 1) * static_cast<std::size_t>(w) + box.x0;
   };
-
-  // Full-image sub-iteration (first pass only). Background runs — most of a
-  // silhouette frame — are skipped a vector block at a time; skipped pixels
-  // are all zero, which can never be deletable.
-  const auto full_sub = [&](bool first) {
-    deletions.clear();
-    for (int y = 0; y < h; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * w;
-      std::size_t x = 0;
-      const std::size_t wn = static_cast<std::size_t>(w);
-      while (x < wn) {
-        x += simd::find_nonzero<simd::Active>(data + row + x, wn - x);
-        if (x >= wn) break;
-        const std::size_t idx = row + x;
-        if (deletable(out, static_cast<int>(x), y, first)) {
-          deletions.push_back(static_cast<std::uint32_t>(idx));
-        }
-        ++x;
-      }
+  for (int r = 1; r <= rows; ++r) {
+    const std::uint8_t* row = src_row(r);
+    Word* dst = bits.data() + static_cast<std::size_t>(r) * words;
+    int x = 0;
+    for (; x + 8 <= box.width(); x += 8) dst[x / kWordBits] |= pack8(row + x) << (x % kWordBits);
+    for (; x < box.width(); ++x) {
+      if (row[x] != 0) dst[x / kWordBits] |= Word{1} << (x % kWordBits);
     }
-    apply_deletions();
-    return deletions.size();
-  };
+  }
 
-  // Frontier sub-iteration: only revisit queued candidates.
-  const auto frontier_sub = [&](bool first) {
-    auto& cand = first ? cand_first : cand_second;
-    const std::uint8_t bit = first ? 1u : 2u;
-    eval.swap(cand);
-    cand.clear();
-    deletions.clear();
-    for (const std::uint32_t idx : eval) {
-      marks[idx] &= static_cast<std::uint8_t>(~bit);
-      if (!data[idx]) continue;
-      const int x = static_cast<int>(idx % static_cast<std::uint32_t>(w));
-      const int y = static_cast<int>(idx / static_cast<std::uint32_t>(w));
-      if (deletable(out, x, y, first)) deletions.push_back(idx);
-    }
-    apply_deletions();
-    return deletions.size();
-  };
-
+  Word* prev = bits.data() + static_cast<std::size_t>(rows + 2) * words;
+  Word* del = prev + words;
+  Word* changed = del + words;
   int iterations = 0;
   std::size_t removed_total = 0;
-  bool full_scan = true;
   while (true) {
-    const std::size_t removed = full_scan ? full_sub(true) + full_sub(false)
-                                          : frontier_sub(true) + frontier_sub(false);
-    full_scan = false;
+    const int k = 2 * iterations;
+    const std::size_t removed = sub_iteration(bits.data(), words, rows, k, prev, del, changed) +
+                                sub_iteration(bits.data(), words, rows, k + 1, prev, del, changed);
     ++iterations;
     removed_total += removed;
     if (removed == 0) break;
+  }
+
+  // Survivors keep their input byte, as the reference's in-place deletion does.
+  for (int r = 1; r <= rows; ++r) {
+    const std::uint8_t* row = src_row(r);
+    std::uint8_t* dst = out.data().data() + (row - src);
+    const Word* b = bits.data() + static_cast<std::size_t>(r) * words;
+    int x = 0;
+    for (; x + 8 <= box.width(); x += 8) {
+      Word v;
+      std::memcpy(&v, row + x, sizeof v);
+      v &= unpack8((b[x / kWordBits] >> (x % kWordBits)) & 0xff);
+      std::memcpy(dst + x, &v, sizeof v);
+    }
+    for (; x < box.width(); ++x) {
+      if ((b[x / kWordBits] >> (x % kWordBits)) & 1) dst[x] = row[x];
+    }
   }
   if (stats != nullptr) {
     stats->iterations = iterations;

@@ -23,22 +23,29 @@ struct ThinningStats {
   std::size_t removed = 0;   ///< pixels peeled in total
 };
 
-/// Thins `img` (0/1 mask) into a one-pixel-wide skeleton in `out`, using the
-/// workspace's frontier scratch; `stats`, when given, receives iteration
-/// telemetry for the perf benches. Three optimisations over the textbook
-/// full-image sweep (tests/reference/), none changing a single output bit
-/// (the parity suite pins this):
-///  - conditions (a)–(d) are one load from a 256-entry table per
-///    sub-iteration, indexed by the P2..P9 ring as a bit code;
-///  - interior pixels read their 3×3 ring with direct row-pointer loads
-///    instead of at_or bounds checks (only the one-pixel border pays them);
-///  - after the first full pass, a sub-iteration only revisits pixels whose
-///    3×3 neighbourhood was touched by a deletion since that pixel was last
-///    evaluated for that sub-iteration type. Any other pixel provably keeps
-///    its previous (non-deletable) answer, so later passes cost O(frontier)
-///    instead of O(W·H).
-/// `out` must not alias `img`. Stats match the full-sweep reference exactly.
+/// Thins `img` (0/1 mask) into a one-pixel-wide skeleton in `out`;
+/// `stats`, when given, receives iteration telemetry for the perf benches.
+/// Thinning only deletes, so only the foreground's bounding box is worked
+/// on: its rows are packed 64 pixels to a `uint64` word (ws.thin_bits)
+/// between two zero rows, and the bits past the box's left and right edge
+/// read as 0 — the same zero ring the reference's at_or(…, 0) reads off the
+/// frame. Each sub-iteration then decides 64 pixels at once from the row
+/// above (as it was before the sub-iteration), the row itself and the row
+/// below, shifted one bit for the diagonal and side neighbours:
+///  - (a) 2 <= B <= 6 is "at least two foreground and at least two
+///    background neighbours", each a two-level OR chain over the ring;
+///  - (b) A == 1 is "exactly one 0→1 step" around P2..P9,P2, the same chain
+///    over the eight steps;
+///  - (c)/(d) are word-wide ANDs of P2/P4/P6/P8.
+/// The row's deletions are applied together once the row is decided, and
+/// the row's old value is kept for the row below, so every deletion of a
+/// sub-iteration is decided on the same image, as in the textbook sweep
+/// (tests/reference/), which the parity suites pin bit for bit. `out` is
+/// the whole frame, zero outside the box, each surviving pixel keeping its
+/// input byte; `out` must not alias `img`. Stats match the reference
+/// exactly. At steady state nothing is heap-allocated: the scratch is sized
+/// for a whole-frame box on first use.
 SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& ws, BinaryImage& out,
-                          ThinningStats* stats = nullptr);
+                                       ThinningStats* stats = nullptr);
 
 }  // namespace slj::thin

@@ -104,6 +104,11 @@ std::size_t scaled_difference_mismatches(const Image<std::uint16_t>& t,
 /// Shortcut returning only the final silhouette.
 BinaryImage silhouette(const RgbImage& background, const RgbImage& frame);
 
+/// The largest 8-connected foreground component as a 0/1 mask (the first in
+/// row-major order among equal areas; all zero without foreground). A
+/// breadth-first labelling of the whole frame.
+BinaryImage largest_component(const BinaryImage& img);
+
 /// Hole fill: every background pixel not 4-connected to the image border
 /// becomes foreground. A per-pixel breadth-first flood from every border
 /// background pixel over the whole frame; the result is 0/1.

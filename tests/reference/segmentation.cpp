@@ -5,8 +5,6 @@
 #include <deque>
 #include <stdexcept>
 
-#include "imaging/connected.hpp"
-#include "imaging/frame_workspace.hpp"
 #include "reference.hpp"
 #include "segmentation/object_extractor.hpp"
 
@@ -59,10 +57,7 @@ ExtractionResult extract(const RgbImage& background, const RgbImage& frame) {
   // Fig. 1(c): median smoothing removes the "small holes and ridged edges".
   res.smoothed = median_filter_binary(res.raw_mask, ObjectExtractor::kMedianWindow);
 
-  FrameWorkspace scratch;  // fresh cleanup scratch
-  BinaryImage cleaned;
-  largest_component_into(res.smoothed, true, scratch.labeling, scratch.pixel_stack, cleaned);
-  res.silhouette = fill_holes(cleaned);
+  res.silhouette = fill_holes(largest_component(res.smoothed));
   return res;
 }
 
@@ -106,6 +101,47 @@ BinaryImage fill_holes(const BinaryImage& img) {
   BinaryImage out(w, h, 0);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out.data()[i] = img.data()[i] != 0 || reached.data()[i] == 0 ? 1 : 0;
+  }
+  return out;
+}
+
+BinaryImage largest_component(const BinaryImage& img) {
+  const int w = img.width();
+  const int h = img.height();
+  Image<int> label(w, h, 0);
+  std::deque<PointI> queue;
+  int best_label = 0;
+  std::size_t best_area = 0;
+  int next_label = 0;
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (img.at(x, y) == 0 || label.at(x, y) != 0) continue;
+      ++next_label;
+      std::size_t area = 0;
+      label.at(x, y) = next_label;
+      queue.push_back({x, y});
+      while (!queue.empty()) {
+        const PointI p = queue.front();
+        queue.pop_front();
+        ++area;
+        for (const PointI& d : kNeighbours8) {
+          const int nx = p.x + d.x;
+          const int ny = p.y + d.y;
+          if (img.in_bounds(nx, ny) && img.at(nx, ny) != 0 && label.at(nx, ny) == 0) {
+            label.at(nx, ny) = next_label;
+            queue.push_back({nx, ny});
+          }
+        }
+      }
+      if (area > best_area) {  // strict: the first of equal areas stays
+        best_area = area;
+        best_label = next_label;
+      }
+    }
+  }
+  BinaryImage out(w, h, 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out.data()[i] = best_label != 0 && label.data()[i] == best_label ? 1 : 0;
   }
   return out;
 }

@@ -1,7 +1,8 @@
 // Golden parity suite for the FrameWorkspace chain: the shipped pipeline —
-// column-sum window means, into-style segmentation, frontier
-// Zhang–Suen, workspace graph build — must produce bit-identical results to
-// the straightforward seed implementations in tests/reference/, at every
+// column-sum window means, into-style segmentation, bit-parallel Zhang–Suen
+// on the silhouette's box, workspace graph build — must produce
+// bit-identical results to the straightforward seed implementations in
+// tests/reference/, at every
 // worker count and via the StreamEngine; the steady-state segmentation +
 // thinning hot path must perform zero heap allocations, and the graph
 // cleanup may allocate only for the graph it returns.
@@ -124,7 +125,7 @@ TEST(FrameWorkspaceParity, IntoVariantsMatchReference) {
   }
 }
 
-TEST(FrameWorkspaceParity, FrontierThinningMatchesReferenceAcrossSeeds) {
+TEST(FrameWorkspaceParity, BitParallelThinningMatchesReferenceAcrossSeeds) {
   FrameWorkspace ws;  // deliberately reused across shapes and sizes
   BinaryImage out;
   for (const std::uint32_t seed : {1u, 7u, 13u, 42u, 99u, 123u, 2024u, 31337u}) {
@@ -348,6 +349,27 @@ TEST(FrameWorkspaceAllocation, SteadyStateSegmentAndThinHotPathIsAllocationFree)
   const std::size_t fill_after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(fill_after - fill_before, 0u) << "a growing hole-fill box must not allocate";
   EXPECT_EQ(filled, reference::fill_holes(growing.back()));
+
+  // The thinning's packed rows are sized for a whole-frame box on the first
+  // frame too, as are the median's column counts: the same growing boxes
+  // reallocate neither.
+  FrameWorkspace box_ws;
+  BinaryImage thinned;
+  BinaryImage smoothed;
+  thin::zhang_suen_thin_into(growing.front(), box_ws, thinned);
+  median_filter_binary_into(growing.front(), seg::ObjectExtractor::kMedianWindow,
+                            box_ws.median_colsum, smoothed);
+  const std::size_t box_before = g_allocations.load(std::memory_order_relaxed);
+  for (const BinaryImage& mask : growing) {
+    thin::zhang_suen_thin_into(mask, box_ws, thinned);
+    median_filter_binary_into(mask, seg::ObjectExtractor::kMedianWindow, box_ws.median_colsum,
+                              smoothed);
+  }
+  const std::size_t box_after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(box_after - box_before, 0u) << "growing thinning and median boxes must not allocate";
+  EXPECT_EQ(thinned, reference::zhang_suen_thin(growing.back()));
+  EXPECT_EQ(smoothed,
+            reference::median_filter_binary(growing.back(), seg::ObjectExtractor::kMedianWindow));
 }
 
 /// Heap allocations push_back makes growing an empty vector to n elements

@@ -294,6 +294,24 @@ TEST(ObjectExtractor, ExactTieIsDecidedAsTheSeedRounds) {
   expect_matches_reference(plate, frame, ws, "3x1 tie");
 }
 
+TEST(ObjectExtractor, ExactTieAtMaxOnEveryPixelMatchesReference) {
+  // A flat plate against a flat frame of another colour: D = 190 and
+  // T = M = 6840 at every one of the 46 080 pixels, so max D is decided
+  // over a frame of ties, and every pixel is foreground.
+  const RgbImage plate(240, 192, {10, 10, 10});
+  const RgbImage frame(240, 192, {200, 10, 10});
+  FrameWorkspace ws;
+  expect_matches_reference(plate, frame, ws, "flat 240x192");
+  const std::vector<std::uint16_t>& t = ws.difference36.data();
+  EXPECT_EQ(std::count(t.begin(), t.end(), std::uint16_t{6840}),
+            static_cast<std::ptrdiff_t>(t.size()));
+  ObjectExtractor ex;
+  ex.set_background(plate);
+  BinaryImage silhouette;
+  EXPECT_EQ(ex.extract_into(frame, ws, silhouette), 190.0);
+  EXPECT_EQ(count_foreground(silhouette), silhouette.size());
+}
+
 TEST(ObjectExtractor, ExactTiesMatchReferenceOnFewLevelFrames) {
   // Seeded random plates and frames whose bytes take a few levels only, so
   // many window sums coincide and some pixels land exactly on

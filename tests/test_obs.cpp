@@ -303,6 +303,8 @@ TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
                                                     "features"};
   const std::vector<std::string> extract_children = {"extract.mask", "extract.median",
                                                      "extract.components", "extract.fill"};
+  const std::vector<std::string> skelgraph_children = {"skelgraph.build", "skelgraph.loop_cut",
+                                                       "skelgraph.prune"};
   for (const int session : {a, b}) {
     SCOPED_TRACE("session " + std::to_string(session));
     std::size_t frames = 0;
@@ -331,6 +333,14 @@ TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
               EXPECT_EQ(count_named(in_extract, name), 1u) << name;
             }
           }
+          for (const TraceEvent& skelgraph : in_vision) {
+            if (std::string("skelgraph") != skelgraph.name) continue;
+            const std::vector<TraceEvent> in_skelgraph =
+                events_within(snap, thread.tid, skelgraph);
+            for (const std::string& name : skelgraph_children) {
+              EXPECT_EQ(count_named(in_skelgraph, name), 1u) << name;
+            }
+          }
         }
       }
     }
@@ -339,7 +349,8 @@ TEST(Tracer, StreamTickSpansEveryStageInsideItsParent) {
   // One tick over two sessions: exactly two of every stage, none stray.
   for (const char* name :
        {"frame", "vision", "extract", "thin", "skelgraph", "features", "decode", "extract.mask",
-        "extract.median", "extract.components", "extract.fill"}) {
+        "extract.median", "extract.components", "extract.fill", "skelgraph.build",
+        "skelgraph.loop_cut", "skelgraph.prune"}) {
     EXPECT_EQ(count_events(snap, name), 2u) << name;
   }
 }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/analyzer.hpp"
 #include "core/trainer.hpp"
 #include "reference.hpp"
 #include "synth/dataset.hpp"
@@ -69,20 +70,27 @@ void expect_same_stats(const TrainingStats& got, const TrainingStats& want) {
   EXPECT_EQ(got.missing_part_slots, want.missing_part_slots);
 }
 
-/// Trains with the engine-backed trainer and with the oracle; both models
-/// and stats must agree exactly.
+/// Trains with the engine-backed trainer, through both overloads (the
+/// caller's engine at two lanes, and a FramePipeline's parameters), and with
+/// the oracle; every model and stats must agree exactly.
 void expect_matches_oracle(const synth::Dataset& dataset) {
   FramePipeline pipeline;
   pose::PoseDbnClassifier trained;
   const TrainingStats stats = train_on_dataset(trained, pipeline, dataset);
+
+  ClipEngine engine(PipelineParams{}, ClipEngineConfig{2});
+  pose::PoseDbnClassifier on_engine;
+  const TrainingStats engine_stats = train_on_dataset(on_engine, engine, dataset);
 
   FramePipeline oracle_pipeline;
   pose::PoseDbnClassifier oracle;
   const TrainingStats oracle_stats = oracle_train(oracle, oracle_pipeline, dataset);
 
   expect_same_stats(stats, oracle_stats);
+  expect_same_stats(engine_stats, oracle_stats);
   EXPECT_EQ(stats.frames, dataset.train_frames());
   EXPECT_EQ(saved(trained), saved(oracle));
+  EXPECT_EQ(saved(on_engine), saved(oracle));
 }
 
 /// The paper's training split (12 clips, 522 frames); no test clips.
@@ -116,6 +124,16 @@ FrameObservation process(const FramePipeline& pipeline, const RgbImage& frame) {
   FrameObservation obs;
   pipeline.process_into(frame, ws, obs);
   return obs;
+}
+
+TEST(Trainer, AnalyzerTrainsOnItsOwnEngineLikeTheOracle) {
+  const synth::Dataset dataset = two_clip_set();
+  JumpAnalyzer analyzer(PipelineParams{}, pose::ClassifierConfig{});
+  analyzer.train(dataset);
+  FramePipeline oracle_pipeline;
+  pose::PoseDbnClassifier oracle;
+  oracle_train(oracle, oracle_pipeline, dataset);
+  EXPECT_EQ(saved(analyzer.classifier()), saved(oracle));
 }
 
 TEST(Trainer, LeavesTheCallersBackgroundUntouched) {
