@@ -1,5 +1,5 @@
-// Shared helpers for the reproduction benches: the paper-sized corpus, a
-// trained classifier, and small table-printing utilities.
+// Shared helpers for the reproduction benches: the paper-sized corpus, build
+// provenance, and small table-printing utilities.
 #pragma once
 
 #include <algorithm>
@@ -52,22 +52,6 @@ inline synth::Dataset paper_corpus(std::uint32_t seed = 2008) {
   synth::DatasetSpec spec;
   spec.seed = seed;
   return synth::generate_dataset(spec);
-}
-
-struct TrainedSystem {
-  core::FramePipeline pipeline;
-  pose::PoseDbnClassifier classifier;
-  core::TrainingStats stats;
-};
-
-inline TrainedSystem train_system(const synth::Dataset& dataset,
-                                  pose::ClassifierConfig classifier_config = {},
-                                  core::PipelineParams pipeline_params = {}) {
-  TrainedSystem sys{core::FramePipeline(pipeline_params),
-                    pose::PoseDbnClassifier(classifier_config),
-                    {}};
-  sys.stats = core::train_on_dataset(sys.classifier, sys.pipeline, dataset);
-  return sys;
 }
 
 inline void print_header(const std::string& experiment, const std::string& paper_ref) {

@@ -11,10 +11,12 @@ int main() {
                       "Fig. 7: (a) per-pose BN (b) DBN with previous pose + stage");
 
   const synth::Dataset dataset = bench::paper_corpus();
-  bench::TrainedSystem sys = bench::train_system(dataset);
+  pose::PoseDbnClassifier classifier;
+  core::FramePipeline pipeline;
+  core::train_on_dataset(classifier, pipeline, dataset);
 
   const pose::PoseId example = pose::PoseId::kStandHandsForward;  // the pose Fig. 7a uses
-  const bayes::Network bn = sys.classifier.build_pose_network(example);
+  const bayes::Network bn = classifier.build_pose_network(example);
   std::printf("Fig. 7(a): BN for \"%s\"\n", std::string(pose::pose_name(example)).c_str());
   bench::print_rule();
   std::printf("%-4s %-38.38s %-8s %-8s\n", "id", "node", "states", "parents");
@@ -36,7 +38,7 @@ int main() {
   for (int a = 0; a < 9; ++a) {
     const int parents[1] = {pose::index_of(example)};
     (void)parents;
-    const double p = std::exp(sys.classifier.log_likelihood(
+    const double p = std::exp(classifier.log_likelihood(
         example, [&] {
           pose::FeatureVector f;
           for (auto& v : f.areas) v = 8;  // all missing
@@ -54,7 +56,7 @@ int main() {
               "observing Hand in its modal area\n\n",
               prior, post);
 
-  const bayes::Network dbn = sys.classifier.build_dbn_slice();
+  const bayes::Network dbn = classifier.build_dbn_slice();
   std::printf("Fig. 7(b): DBN slice\n");
   bench::print_rule();
   std::printf("%-4s %-38.38s %-8s %-8s\n", "id", "node", "states", "parents");
@@ -69,8 +71,8 @@ int main() {
     const auto stage = pose::stage_from_index(s);
     std::printf("  %-16s %.3f   P(airborne | stage) = %.3f\n",
                 std::string(pose::stage_name(stage)).c_str(),
-                sys.classifier.stage_prob(stage, stage),
-                sys.classifier.airborne_prob(true, stage));
+                classifier.stage_prob(stage, stage),
+                classifier.airborne_prob(true, stage));
   }
   return 0;
 }

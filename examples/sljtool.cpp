@@ -214,9 +214,10 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
   // Every session replays the same clip — N simulated cameras on one jump.
   std::vector<pose::FrameResult> live;
   std::vector<core::StreamManager::Feed> feeds(ids.size());
+  std::vector<core::StreamUpdate> updates;
   for (const RgbImage& frame : clip.frames) {
     for (std::size_t s = 0; s < ids.size(); ++s) feeds[s] = {ids[s], &frame};
-    const std::vector<core::StreamUpdate> updates = manager.tick(feeds);
+    manager.tick_into(feeds, updates);
     const core::StreamUpdate& u = updates.front();  // narrate session 0
     live.push_back(u.result);
     std::printf("frame %3zu %s [%-14s]  %-32s p=%.3f\n", u.frame_index,

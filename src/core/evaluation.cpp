@@ -1,6 +1,8 @@
 #include "core/evaluation.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace slj::core {
 
@@ -25,6 +27,11 @@ void score_frame(ClipEvaluation& eval, const pose::PoseDbnClassifier& classifier
 
 ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier,
                              const ClipObservation& observation, const synth::Clip& clip) {
+  if (clip.truth.size() != observation.frames.size()) {
+    throw std::invalid_argument("evaluation needs ground truth for every frame: the clip has " +
+                                std::to_string(clip.truth.size()) + " truth rows for " +
+                                std::to_string(observation.frames.size()) + " frames");
+  }
   ClipEvaluation eval;
   pose::PoseDbnClassifier::SequenceState state = classifier.initial_state();
   for (std::size_t i = 0; i < observation.frames.size(); ++i) {

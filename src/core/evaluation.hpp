@@ -1,7 +1,8 @@
 // Evaluation utilities: per-clip accuracy (the paper's Sec. 5 metric),
 // confusion statistics, and error-run analysis ("most errors in our
 // experiments occurred in consecutive frames"). A clip's vision pass always
-// runs on a ClipEngine; scoring replays its observations in frame order.
+// runs on a ClipEngine; scoring replays its observations in frame order, so
+// one pass's observations can be scored by any number of classifiers.
 #pragma once
 
 #include <array>
@@ -30,10 +31,12 @@ struct ClipEvaluation {
   }
 };
 
-/// Runs the classifier over one already-processed clip (ClipEngine output)
-/// and scores it against ground truth. An Unknown prediction counts as
-/// incorrect (the paper's accuracy treats only exact pose matches as
-/// correct).
+/// Runs the classifier over one already-processed clip (ClipEngine output
+/// at the classifier's area count) and scores it against ground truth; the
+/// twin of train_on_clip. An Unknown prediction counts as incorrect (the
+/// paper's accuracy treats only exact pose matches as correct). Throws
+/// std::invalid_argument unless the clip carries one truth row per observed
+/// frame (a clip saved with `truth 0` has none).
 ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier,
                              const ClipObservation& observation, const synth::Clip& clip);
 
@@ -50,7 +53,8 @@ struct DatasetEvaluation {
 /// Each clip's vision pass runs on the engine's worker pool (one clip in
 /// memory at a time); classification then replays in frame order, so the
 /// result is the same at any lane count. Throws std::invalid_argument if
-/// the engine's pipeline and the classifier disagree on the area count.
+/// the engine's pipeline and the classifier disagree on the area count, or
+/// as evaluate_clip does.
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                    const std::vector<synth::Clip>& clips);
 

@@ -69,12 +69,6 @@ StreamUpdate StreamManager::push_frame(int session, const RgbImage& frame) {
   return session_at(session).push_frame(frame);
 }
 
-std::vector<StreamUpdate> StreamManager::tick(const std::vector<Feed>& feeds) {
-  std::vector<StreamUpdate> updates;
-  tick_into(feeds, updates);
-  return updates;
-}
-
 SLJ_HOT_PATH void StreamManager::tick_into(const std::vector<Feed>& feeds, std::vector<StreamUpdate>& updates) {
   // Validate the whole batch before touching any session, so a rejected
   // batch advances nothing (see the class contract). The stamp array makes

@@ -15,7 +15,7 @@
 // for A7 and perfbench; no session runs them.
 //
 // StreamManager multiplexes many concurrent sessions (simulated camera
-// feeds) over one WorkerPool: a tick() hands each session its next frame
+// feeds) over one WorkerPool: a tick_into() hands each session its next frame
 // and processes them in parallel, which is safe because sessions share
 // nothing but the (const) classifier.
 #pragma once
@@ -91,7 +91,7 @@ class StreamSession {
 };
 
 struct StreamManagerConfig {
-  /// Worker threads for tick(); 0 = hardware concurrency.
+  /// Worker threads for tick_into(); 0 = hardware concurrency.
   unsigned workers = 0;
 };
 
@@ -102,8 +102,8 @@ struct StreamManagerConfig {
 /// background's size, and a session id may appear at most once per batch —
 /// a session has one sequential decoder state, so advancing it twice in one
 /// parallel tick would race that state and make the frame order ambiguous.
-/// The whole batch is validated up front; on any violation tick()/tick_into()
-/// throw std::invalid_argument *before any session advances*, so a rejected
+/// The whole batch is validated up front; on any violation tick_into()
+/// throws std::invalid_argument *before any session advances*, so a rejected
 /// batch leaves every session exactly where it was.
 class StreamManager {
  public:
@@ -127,17 +127,14 @@ class StreamManager {
   StreamUpdate push_frame(int session, const RgbImage& frame);
 
   /// Advances every listed session by one frame, in parallel across the
-  /// pool. Updates are returned in feed order. Throws std::invalid_argument
-  /// on an unknown or duplicated session id, a null frame or a frame whose
-  /// size differs from its session's background, before any session
-  /// advances.
-  std::vector<StreamUpdate> tick(const std::vector<Feed>& feeds);
-
-  /// Drain-batch entry point: same contract as tick(), but updates land in
-  /// `updates` (resized to feeds.size()) so a caller ticking every few
-  /// milliseconds — the ingest scheduler — reuses the buffer instead of
-  /// allocating a results vector per round. Duplicate detection runs on a
-  /// per-session stamp, so validation itself is allocation-free.
+  /// pool. Updates land in `updates` (resized to feeds.size()) in feed
+  /// order, so a caller ticking every few milliseconds — the ingest
+  /// scheduler — reuses the buffer instead of allocating a results vector
+  /// per round. Throws std::invalid_argument on an unknown or duplicated
+  /// session id, a null frame or a frame whose size differs from its
+  /// session's background, before any session advances. Duplicate
+  /// detection runs on a per-session stamp, so validation itself is
+  /// allocation-free.
   SLJ_HOT_PATH void tick_into(const std::vector<Feed>& feeds, std::vector<StreamUpdate>& updates);
 
   /// Finishes and closes a session, returning its final report.

@@ -58,17 +58,6 @@ void PoseDbnClassifier::observe(PoseId pose, const FeatureCandidate& candidate, 
   airborne_cpt_.observe(airborne ? 1 : 0, aparents);
 }
 
-void PoseDbnClassifier::observe_sequence(
-    const std::vector<std::pair<PoseId, FeatureCandidate>>& frames) {
-  PoseId prev = kResetPose;
-  Stage stage = Stage::kBeforeJumping;
-  for (const auto& [pose, candidate] : frames) {
-    observe(pose, candidate, prev, stage);
-    prev = pose;
-    stage = stage_of(pose);
-  }
-}
-
 double PoseDbnClassifier::log_likelihood(PoseId pose, const FeatureVector& features) const {
   const int parents[1] = {index_of(pose)};
   double ll = 0.0;

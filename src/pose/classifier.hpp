@@ -124,9 +124,6 @@ class PoseDbnClassifier {
   void observe(PoseId pose, const FeatureCandidate& candidate, PoseId prev, Stage stage,
                bool airborne = false);
 
-  /// Convenience: accumulates a whole labelled clip.
-  void observe_sequence(const std::vector<std::pair<PoseId, FeatureCandidate>>& frames);
-
   /// Total labelled frames seen.
   double training_frames() const { return prior_.total_weight(); }
 

@@ -27,17 +27,22 @@ FeatureCandidate make_candidate(const AreaEncoder& enc, int head, int chest, int
 
 /// Trains a classifier on two synthetic poses with distinct hand areas:
 /// "standing & hands swung forward" (hand ahead = 0) vs "standing & hands
-/// swung backward" (hand behind = 4).
+/// swung backward" (hand behind = 4). Each of the 20 clips is five frames of
+/// each pose, observed grounded under the previous frame's pose's stage.
 PoseDbnClassifier trained_two_pose(ClassifierConfig cfg = {}) {
   PoseDbnClassifier clf(cfg);
   const AreaEncoder& enc = clf.encoder();
   const FeatureCandidate fwd = make_candidate(enc, 2, 2, 0, 6, 6);
   const FeatureCandidate back = make_candidate(enc, 2, 2, 4, 6, 6);
   for (int rep = 0; rep < 20; ++rep) {
-    std::vector<std::pair<PoseId, FeatureCandidate>> clip;
-    for (int i = 0; i < 5; ++i) clip.emplace_back(PoseId::kStandHandsForward, fwd);
-    for (int i = 0; i < 5; ++i) clip.emplace_back(PoseId::kStandHandsBackward, back);
-    clf.observe_sequence(clip);
+    PoseId prev = kResetPose;
+    Stage stage = Stage::kBeforeJumping;
+    for (int i = 0; i < 10; ++i) {
+      const PoseId pose = i < 5 ? PoseId::kStandHandsForward : PoseId::kStandHandsBackward;
+      clf.observe(pose, i < 5 ? fwd : back, prev, stage);
+      prev = pose;
+      stage = stage_of(pose);
+    }
   }
   return clf;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace slj::core {
 namespace {
 
@@ -31,6 +34,28 @@ TEST(ClipEvaluation, AccuracyMath) {
        PoseId::kUnknown});
   EXPECT_DOUBLE_EQ(eval.accuracy(), 0.5);
   EXPECT_EQ(eval.unknown, 1u);
+}
+
+// A clip loaded with `truth 0` has no truth rows: scoring must refuse it
+// rather than index past the truth.
+TEST(ClipEvaluation, EvaluateClipRejectsClipWithoutTruthPerFrame) {
+  synth::ClipSpec spec;
+  spec.frame_count = 6;
+  synth::Clip clip = synth::generate_clip(spec);
+  ClipEngine engine(PipelineParams{}, ClipEngineConfig{2});
+  const ClipObservation observation = engine.process(clip);
+  const pose::PoseDbnClassifier classifier;
+  EXPECT_EQ(evaluate_clip(classifier, observation, clip).frames, 6u);
+
+  clip.truth.pop_back();
+  EXPECT_THROW(evaluate_clip(classifier, observation, clip), std::invalid_argument);
+  clip.truth.clear();
+  try {
+    evaluate_clip(classifier, observation, clip);
+    ADD_FAILURE() << "a truthless clip was scored";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("truth"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ClipEvaluation, EmptyClipHasZeroAccuracy) {

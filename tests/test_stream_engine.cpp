@@ -117,12 +117,13 @@ TEST(StreamManager, TickMatchesIndividualSessions) {
   EXPECT_EQ(manager.open_sessions(), clips.size());
 
   const std::size_t frames = clips.front().frames.size();
+  std::vector<StreamUpdate> updates;
   for (std::size_t t = 0; t < frames; ++t) {
     std::vector<StreamManager::Feed> feeds;
     for (std::size_t s = 0; s < clips.size(); ++s) {
       feeds.push_back({ids[s], &clips[s].frames[t]});
     }
-    const std::vector<StreamUpdate> updates = manager.tick(feeds);
+    manager.tick_into(feeds, updates);
     ASSERT_EQ(updates.size(), feeds.size());
     for (std::size_t s = 0; s < clips.size(); ++s) {
       const StreamUpdate want = reference[s].push_frame(clips[s].frames[t]);
@@ -150,9 +151,10 @@ TEST(StreamManager, RejectsBadFeeds) {
 
   EXPECT_THROW(manager.push_frame(id + 1, clip.frames[0]), std::invalid_argument);
   EXPECT_THROW(manager.push_frame(-1, clip.frames[0]), std::invalid_argument);
-  EXPECT_THROW(manager.tick({{id, &clip.frames[0]}, {id, &clip.frames[1]}}),
+  std::vector<StreamUpdate> updates;
+  EXPECT_THROW(manager.tick_into({{id, &clip.frames[0]}, {id, &clip.frames[1]}}, updates),
                std::invalid_argument);
-  EXPECT_THROW(manager.tick({{id, nullptr}}), std::invalid_argument);
+  EXPECT_THROW(manager.tick_into({{id, nullptr}}, updates), std::invalid_argument);
 
   manager.close_session(id);
   EXPECT_THROW(manager.push_frame(id, clip.frames[0]), std::invalid_argument);
@@ -161,7 +163,8 @@ TEST(StreamManager, RejectsBadFeeds) {
 
 /// The documented tick contract: a rejected batch (duplicate session id
 /// here) throws *before any session advances*, and tick_into into a reused
-/// buffer yields exactly the same updates as tick().
+/// buffer yields exactly the same updates as a lone session fed the same
+/// frames.
 TEST(StreamManager, RejectedBatchAdvancesNothingAndTickIntoMatchesTick) {
   const pose::PoseDbnClassifier classifier;
   const synth::Clip clip = make_clip(13, 6);
@@ -194,7 +197,9 @@ TEST(StreamManager, RejectedBatchAdvancesNothingAndTickIntoMatchesTick) {
 TEST(StreamManager, EmptyTickIsANoOp) {
   const pose::PoseDbnClassifier classifier;
   StreamManager manager(classifier);
-  EXPECT_TRUE(manager.tick({}).empty());
+  std::vector<StreamUpdate> updates(3);
+  manager.tick_into({}, updates);
+  EXPECT_TRUE(updates.empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/analyzer.hpp"
@@ -116,6 +117,53 @@ TEST(Trainer, PaperSetMatchesSerialOracle) {
 TEST(Trainer, TwoClipSetMatchesSerialOracle) {
   const synth::Dataset dataset = two_clip_set();
   expect_matches_oracle(dataset);
+}
+
+// Training reads only the graphs and airborne flags, and encodes with the
+// classifier's own encoder: a 12-area model trained on a default 8-area
+// engine's observations equals one trained on a 12-area engine.
+TEST(Trainer, TrainOnClipIsAreaAgnostic) {
+  const synth::Dataset dataset = two_clip_set();
+  const pose::ClassifierConfig twelve{.num_areas = 12};
+
+  ClipEngine eight_engine(PipelineParams{}, ClipEngineConfig{2});
+  pose::PoseDbnClassifier from_eight(twelve);
+  TrainingStats from_eight_stats;
+  for (const synth::Clip& clip : dataset.train) {
+    from_eight_stats += train_on_clip(from_eight, eight_engine.process(clip), clip);
+  }
+
+  PipelineParams twelve_params;
+  twelve_params.num_areas = 12;
+  ClipEngine twelve_engine(twelve_params, ClipEngineConfig{2});
+  pose::PoseDbnClassifier on_twelve(twelve);
+  const TrainingStats on_twelve_stats = train_on_dataset(on_twelve, twelve_engine, dataset);
+
+  expect_same_stats(from_eight_stats, on_twelve_stats);
+  EXPECT_EQ(saved(from_eight), saved(on_twelve));
+  EXPECT_NE(saved(from_eight), saved(pose::PoseDbnClassifier(twelve)));
+}
+
+// A clip loaded with `truth 0` has no truth rows: training must refuse it
+// before observing anything rather than index past the truth.
+TEST(Trainer, TrainOnClipRejectsClipWithoutTruthPerFrame) {
+  synth::ClipSpec spec;
+  spec.frame_count = 6;
+  synth::Clip clip = synth::generate_clip(spec);
+  ClipEngine engine(PipelineParams{}, ClipEngineConfig{2});
+  const ClipObservation observation = engine.process(clip);
+  pose::PoseDbnClassifier classifier;
+
+  clip.truth.pop_back();
+  EXPECT_THROW(train_on_clip(classifier, observation, clip), std::invalid_argument);
+  clip.truth.clear();
+  try {
+    train_on_clip(classifier, observation, clip);
+    ADD_FAILURE() << "a truthless clip trained";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("truth"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(classifier.training_frames(), 0.0);
 }
 
 // The shipped per-frame path on fresh scratch.
