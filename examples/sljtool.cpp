@@ -253,26 +253,13 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
   return mismatches == 0 ? 0 : 1;
 }
 
-ingest::BackpressurePolicy policy_flag(const std::map<std::string, std::string>& flags,
-                                       ingest::BackpressurePolicy fallback) {
-  const auto it = flags.find("policy");
-  if (it == flags.end()) return fallback;
-  if (it->second == "block") return ingest::BackpressurePolicy::kBlock;
-  if (it->second == "drop-oldest") return ingest::BackpressurePolicy::kDropOldest;
-  if (it->second == "reject-newest") return ingest::BackpressurePolicy::kRejectNewest;
-  throw std::runtime_error("--policy must be 'block', 'drop-oldest' or 'reject-newest', got '" +
-                           it->second + "'");
-}
-
 void print_serve_table(const ingest::IngestMetricsSnapshot& snap, double elapsed_s) {
   std::printf(
-      "t=%5.1fs  pushed %6llu  delivered %6llu  dropped %5llu  rejected %5llu  "
-      "limited %5llu  depth %3zu (deepest queue %zu)  p50 %6.2f ms  p99 %6.2f ms\n",
+      "t=%5.1fs  pushed %6llu  delivered %6llu  dropped %5llu  "
+      "depth %3zu (deepest queue %zu)  p50 %6.2f ms  p99 %6.2f ms\n",
       elapsed_s, static_cast<unsigned long long>(snap.pushed),
       static_cast<unsigned long long>(snap.delivered),
-      static_cast<unsigned long long>(snap.dropped_oldest),
-      static_cast<unsigned long long>(snap.rejected),
-      static_cast<unsigned long long>(snap.rate_limited), snap.queue_depth, snap.queue_depth_peak,
+      static_cast<unsigned long long>(snap.dropped_oldest), snap.queue_depth, snap.queue_depth_peak,
       snap.latency_p50_ms, snap.latency_p99_ms);
 }
 
@@ -303,21 +290,15 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   ingest::IngestSessionConfig session_config;
   session_config.queue.capacity =
       static_cast<std::size_t>(long_flag(flags, "capacity", 8, 1, 4096));
-  session_config.queue.rate.tokens_per_second = double_flag(flags, "rate", 0.0, 0.0, 1e6);
-  session_config.queue.rate.burst = double_flag(flags, "burst", 4.0, 1.0, 4096.0);
-  session_config.queue.policy = policy_flag(flags, session_config.queue.policy);
 
   ingest::IngestService service(classifier, {}, config);
   std::vector<int> ids;
   for (long s = 0; s < sessions; ++s) {
     ids.push_back(service.open_session(clip.background, session_config));
   }
-  std::printf("serving %ld jittery %.0f fps camera%s (policy %s, queue capacity %zu%s) "
+  std::printf("serving %ld jittery %.0f fps camera%s (drop-oldest queue capacity %zu) "
               "for %.1f s...\n\n",
-              sessions, fps, sessions == 1 ? "" : "s",
-              ingest::policy_name(session_config.queue.policy), session_config.queue.capacity,
-              session_config.queue.rate.tokens_per_second > 0.0 ? ", rate-limited" : "",
-              seconds);
+              sessions, fps, sessions == 1 ? "" : "s", session_config.queue.capacity, seconds);
   service.start();
 
   using WallClock = std::chrono::steady_clock;
@@ -351,14 +332,12 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 
   const ingest::IngestMetricsSnapshot snap = service.metrics();
   std::printf("\nper-session:\n");
-  std::printf("  id  policy         pushed  delivered  dropped  rejected  limited  fps\n");
+  std::printf("  id   pushed  delivered  dropped  fps\n");
   for (const ingest::SessionMetricsSnapshot& row : snap.sessions) {
-    std::printf("  %2d  %-13s %7llu  %9llu  %7llu  %8llu  %7llu  %5.1f\n", row.session,
-                row.policy, static_cast<unsigned long long>(row.pushed),
+    std::printf("  %2d  %7llu  %9llu  %7llu  %5.1f\n", row.session,
+                static_cast<unsigned long long>(row.pushed),
                 static_cast<unsigned long long>(row.delivered),
-                static_cast<unsigned long long>(row.dropped_oldest),
-                static_cast<unsigned long long>(row.rejected),
-                static_cast<unsigned long long>(row.rate_limited), row.throughput_fps);
+                static_cast<unsigned long long>(row.dropped_oldest), row.throughput_fps);
   }
   std::printf("\nfinal snapshot:\n%s\n", snap.to_json().c_str());
   for (const int id : ids) service.close_session(id);
@@ -407,8 +386,6 @@ std::string capture_refusal(const obs::FlightRecorder& recorder,
       {"pushed", summary->pushed, metrics.pushed},
       {"delivered", summary->delivered, metrics.delivered},
       {"dropped_oldest", summary->dropped_oldest, metrics.dropped_oldest},
-      {"rejected", summary->rejected, metrics.rejected},
-      {"rate_limited", summary->rate_limited, metrics.rate_limited},
       {"closed_pushes", summary->closed_pushes, metrics.closed_pushes},
       {"discarded", summary->discarded, metrics.discarded},
       {"ticks", summary->ticks, metrics.ticks},
@@ -431,10 +408,8 @@ std::string capture_refusal(const obs::FlightRecorder& recorder,
 // what makes the checked-in regression corpus reproducible.
 //
 // Each round pushes --pushes-per-round frames into every session, advances
-// the virtual clock by 1/fps, and drains. With a small --capacity this
-// exercises the backpressure policy for real (drop-oldest replaces, reject-
-// newest refuses, block is kept below capacity so the stopped scheduler
-// cannot deadlock a blocking producer).
+// the virtual clock by 1/fps, and drains. With --pushes-per-round above
+// --capacity, drop-oldest sheds frames for real.
 //
 // The capture is a FlightRecorder dump taken once every session has closed.
 // A zero window keeps every closed session, so the dump is the whole run
@@ -468,22 +443,11 @@ int cmd_record(const std::map<std::string, std::string>& flags) {
   const long sessions = long_flag(flags, "sessions", 3, 1, 64);
   const long frames = long_flag(flags, "frames", 18, 1, 100000);
   const double fps = double_flag(flags, "fps", 60.0, 1.0, 10000.0);
-  long per_round = long_flag(flags, "pushes-per-round", 2, 1, 64);
+  const long per_round = long_flag(flags, "pushes-per-round", 2, 1, 64);
 
   ingest::IngestSessionConfig session_config;
   session_config.queue.capacity =
       static_cast<std::size_t>(long_flag(flags, "capacity", 2, 1, 4096));
-  session_config.queue.rate.tokens_per_second = double_flag(flags, "rate", 0.0, 0.0, 1e6);
-  session_config.queue.rate.burst = double_flag(flags, "burst", 4.0, 1.0, 4096.0);
-  session_config.queue.policy = policy_flag(flags, ingest::BackpressurePolicy::kDropOldest);
-  if (session_config.queue.policy == ingest::BackpressurePolicy::kBlock &&
-      per_round > static_cast<long>(session_config.queue.capacity)) {
-    // A blocking push against a full queue would wait forever with the
-    // scheduler stopped; keep each round within capacity instead.
-    per_round = static_cast<long>(session_config.queue.capacity);
-    std::printf("note: clamped --pushes-per-round to capacity %ld for the block policy\n",
-                per_round);
-  }
 
   // Manual clock: the plane's only time source, advanced by hand per round.
   std::atomic<std::int64_t> now_ns{0};
@@ -532,13 +496,10 @@ int cmd_record(const std::map<std::string, std::string>& flags) {
   }
   const std::size_t events = stats.sessions + stats.pushes + stats.ticks + stats.closes;
   std::printf("recorded %zu events to %s (%ld sessions, %llu pushed, %llu delivered, "
-              "%llu dropped, %llu rejected, policy %s)\n",
-              events, out.c_str(), sessions,
-              static_cast<unsigned long long>(snap.pushed),
+              "%llu dropped)\n",
+              events, out.c_str(), sessions, static_cast<unsigned long long>(snap.pushed),
               static_cast<unsigned long long>(snap.delivered),
-              static_cast<unsigned long long>(snap.dropped_oldest),
-              static_cast<unsigned long long>(snap.rejected),
-              ingest::policy_name(session_config.queue.policy));
+              static_cast<unsigned long long>(snap.dropped_oldest));
 
   // Immediate self-check: the trace must replay bit-identically in-process.
   replay::ReplayOptions options;
@@ -618,9 +579,6 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
   ingest::IngestSessionConfig session_config;
   session_config.queue.capacity =
       static_cast<std::size_t>(long_flag(flags, "capacity", 8, 1, 4096));
-  session_config.queue.rate.tokens_per_second = double_flag(flags, "rate", 0.0, 0.0, 1e6);
-  session_config.queue.rate.burst = double_flag(flags, "burst", 4.0, 1.0, 4096.0);
-  session_config.queue.policy = policy_flag(flags, session_config.queue.policy);
 
   obs::ServiceMonitorConfig monitor_config;
   monitor_config.slo.p99_budget_ms = double_flag(flags, "slo-p99", 0.0, 0.0, 1e9);
@@ -689,11 +647,11 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
                 elapsed_s, static_cast<unsigned long long>(snap.sequence), snap.open_sessions,
                 snap.queue_depth, snap.latency_p50_ms, snap.latency_p99_ms,
                 snap.slo_breached_sessions, static_cast<unsigned long long>(snap.slo_breaches));
-    std::printf("  id  policy         fps    pushed  delivered  dropped  depth  "
+    std::printf("  id    fps    pushed  delivered  dropped  depth  "
                 "p50 ms  p99 ms  drop%%   slo\n");
     for (const ingest::SessionMetricsSnapshot& row : snap.sessions) {
-      std::printf("  %2d  %-13s %5.1f  %8llu  %9llu  %7llu  %5zu  %6.2f  %6.2f  %5.1f  %s\n",
-                  row.session, row.policy, row.throughput_fps,
+      std::printf("  %2d  %5.1f  %8llu  %9llu  %7llu  %5zu  %6.2f  %6.2f  %5.1f  %s\n",
+                  row.session, row.throughput_fps,
                   static_cast<unsigned long long>(row.pushed),
                   static_cast<unsigned long long>(row.delivered),
                   static_cast<unsigned long long>(row.dropped_oldest), row.queue_depth,
@@ -810,17 +768,14 @@ int usage() {
               "  sljtool stream   --model FILE --clip DIR [--sessions N] [--workers N]\n"
               "  sljtool serve    [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
               "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
-              "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"
-              "                   [--rate TOKENS_PER_S] [--burst N]\n"
+              "                   [--capacity N]\n"
               "  sljtool record   --out FILE [--model FILE] [--clip DIR | --seed N] [--mini 0|1]\n"
               "                   [--sessions N] [--frames N] [--pushes-per-round N] [--fps F]\n"
-              "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"
-              "                   [--rate TOKENS_PER_S] [--burst N] [--workers N]\n"
+              "                   [--capacity N] [--workers N]\n"
               "  sljtool replay   --trace FILE [--model FILE] [--workers N] [--tolerance X]\n"
               "  sljtool top      [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
               "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
-              "                   [--policy block|drop-oldest|reject-newest] [--capacity N]\n"
-              "                   [--rate TOKENS_PER_S] [--burst N] [--refresh MS] [--plain 0|1]\n"
+              "                   [--capacity N] [--refresh MS] [--plain 0|1]\n"
               "                   [--slo-p99 MS] [--slo-drop 0..1] [--slo-breach-after N]\n"
               "                   [--slo-clear-after N] [--incident-dir DIR] [--max-incidents N]\n"
               "                   [--trace-json FILE]\n"
@@ -846,18 +801,17 @@ int main(int argc, char** argv) {
       {"stream", cmd_stream, {"model", "clip", "sessions", "workers"}},
       {"serve",
        cmd_serve,
-       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "policy",
-        "capacity", "rate", "burst"}},
+       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "capacity"}},
       {"record",
        cmd_record,
        {"out", "model", "clip", "seed", "mini", "sessions", "frames", "pushes-per-round", "fps",
-        "policy", "capacity", "rate", "burst", "workers"}},
+        "capacity", "workers"}},
       {"replay", cmd_replay, {"trace", "model", "workers", "tolerance"}},
       {"top",
        cmd_top,
-       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "policy",
-        "capacity", "rate", "burst", "refresh", "plain", "slo-p99", "slo-drop",
-        "slo-breach-after", "slo-clear-after", "incident-dir", "max-incidents", "trace-json"}},
+       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "capacity",
+        "refresh", "plain", "slo-p99", "slo-drop", "slo-breach-after", "slo-clear-after",
+        "incident-dir", "max-incidents", "trace-json"}},
       {"trace-export", cmd_trace_export, {"trace", "out", "model", "workers", "tolerance"}},
   };
   if (argc < 2) return usage();

@@ -238,7 +238,7 @@ elif [[ "$MODE" == "incident" ]]; then
   # --plain keeps the output log-friendly; the run still gates on its own
   # push/deliver/drop accounting.
   "$BUILD_DIR/sljtool" top --seed 7 --sessions 3 --seconds 2 --fps 60 \
-    --workers 2 --policy drop-oldest --capacity 4 \
+    --workers 2 --capacity 4 \
     --slo-p99 0.0001 --slo-breach-after 1 --plain 1 \
     --incident-dir "$ARTIFACTS" --max-incidents 2 \
     --trace-json "$ARTIFACTS/trace_export.json" \
@@ -263,10 +263,10 @@ elif [[ "$MODE" == "incident" ]]; then
   echo "incident artifacts in $ARTIFACTS/"
 elif [[ "$MODE" == "tsan-stress" ]]; then
   cmake --build "$BUILD_DIR" -j --target test_ingest
-  # Repetition is what shakes out rare interleavings: the blocked-producer
-  # wakeups, drain-vs-push races, and eviction-vs-push refusals.
+  # Repetition is what shakes out rare interleavings: push-vs-close
+  # accounting, drain-vs-push races, and eviction-vs-push refusals.
   "$BUILD_DIR/test_ingest" \
-    --gtest_filter='IngestService.MultiProducerStress*:FrameQueue.*' \
+    --gtest_filter='IngestService.MultiProducerStress*:IngestService.CloseSessionRacing*:FrameQueue.*' \
     --gtest_repeat=5
 else
   cmake --build "$BUILD_DIR" -j

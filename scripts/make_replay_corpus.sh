@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Regenerates the golden replay corpus under tests/corpus/.
 #
-# Each trace is a deterministic 3-session ingest run recorded by
-# `sljtool record` (manual clock, inline drains — see cmd_record), one per
-# backpressure policy plus a rate-limited run, on the tiny noise-free studio
-# camera so the files stay small enough to commit. `sljtool record`
-# self-checks every trace replays bit-identically before this script
-# succeeds; test_replay and `scripts/ci.sh --replay` then replay the corpus
-# as regression tests.
+# The corpus is one trace: a deterministic 3-session ingest run recorded by
+# `sljtool record` (manual clock, inline drains — see cmd_record) with three
+# pushes per round into 2-deep queues, so drop-oldest sheds frames, on the
+# tiny noise-free studio camera so the file stays small enough to commit.
+# `sljtool record` self-checks that the trace replays bit-identically before
+# this script succeeds; test_replay and `scripts/ci.sh --replay` then replay
+# the corpus as a regression test.
 #
 # Only rerun this into tests/corpus when the trace format version bumps or
 # the recorded scenario deliberately changes — that rewrites the golden
@@ -29,15 +29,7 @@ fi
 
 mkdir -p "$CORPUS"
 
-common=(--mini 1 --sessions 3 --frames 12 --fps 60 --capacity 2 --seed 2008)
-
-"$SLJTOOL" record --out "$CORPUS/drop_oldest.sljtrace" "${common[@]}" \
-  --policy drop-oldest --pushes-per-round 3
-"$SLJTOOL" record --out "$CORPUS/reject_newest.sljtrace" "${common[@]}" \
-  --policy reject-newest --pushes-per-round 3
-"$SLJTOOL" record --out "$CORPUS/block.sljtrace" "${common[@]}" \
-  --policy block --pushes-per-round 2
-"$SLJTOOL" record --out "$CORPUS/rate_limited.sljtrace" "${common[@]}" \
-  --policy drop-oldest --pushes-per-round 2 --rate 30 --burst 2
+"$SLJTOOL" record --out "$CORPUS/drop_oldest.sljtrace" \
+  --mini 1 --sessions 3 --frames 12 --fps 60 --capacity 2 --seed 2008 --pushes-per-round 3
 
 ls -la "$CORPUS"/*.sljtrace

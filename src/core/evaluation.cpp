@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "synth/clip_io.hpp"
+
 namespace slj::core {
 
 namespace {
@@ -80,8 +82,11 @@ DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, Cl
   // FrameObservations of one clip are dropped before the next is processed,
   // so peak memory is one clip's worth rather than the whole dataset's.
   for (std::size_t c = 0; c < clips.size(); ++c) {
-    const ClipObservation observation = engine.process(clips[c]);
-    eval.clips.push_back(evaluate_clip(classifier, observation, clips[c]));
+    try {
+      eval.clips.push_back(evaluate_clip(classifier, engine.process(clips[c]), clips[c]));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(synth::clip_dir_name("test", c) + ": " + e.what());
+    }
   }
   return eval;
 }

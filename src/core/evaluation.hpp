@@ -54,7 +54,8 @@ struct DatasetEvaluation {
 /// memory at a time); classification then replays in frame order, so the
 /// result is the same at any lane count. Throws std::invalid_argument if
 /// the engine's pipeline and the classifier disagree on the area count, or
-/// as evaluate_clip does.
+/// as evaluate_clip does, naming the clip as load_dataset's test split does
+/// ("test_00: ...").
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                    const std::vector<synth::Clip>& clips);
 

@@ -205,6 +205,9 @@ std::string JumpReport::to_string() const {
     }
     out += "\n";
   }
+  if (frames_shed > 0) {
+    out += "  (" + std::to_string(frames_shed) + " frames shed before analysis)\n";
+  }
   return out;
 }
 

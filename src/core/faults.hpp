@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,9 @@ struct FaultFinding {
 
 struct JumpReport {
   std::vector<FaultFinding> findings;
+  /// Frames the live plane discarded before analysis (drop-oldest); the
+  /// findings were decided without them. Always 0 for a batch report.
+  std::uint64_t frames_shed = 0;
 
   int passed_count() const;
   int total_count() const { return static_cast<int>(findings.size()); }

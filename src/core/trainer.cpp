@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "synth/clip_io.hpp"
+
 namespace slj::core {
 
 TrainingStats& TrainingStats::operator+=(const TrainingStats& other) {
@@ -57,8 +59,13 @@ TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, ClipEngine& 
                                const synth::Dataset& dataset) {
   require_same_area_count(engine.pipeline_params(), classifier.config());
   TrainingStats stats;
-  for (const synth::Clip& clip : dataset.train) {
-    stats += train_on_clip(classifier, engine.process(clip), clip);
+  for (std::size_t i = 0; i < dataset.train.size(); ++i) {
+    const synth::Clip& clip = dataset.train[i];
+    try {
+      stats += train_on_clip(classifier, engine.process(clip), clip);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(synth::clip_dir_name("train", i) + ": " + e.what());
+    }
   }
   return stats;
 }

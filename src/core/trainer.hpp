@@ -36,7 +36,8 @@ TrainingStats train_on_clip(pose::PoseDbnClassifier& classifier,
 
 /// Trains on a whole dataset's training split, train_on_clip per clip, on
 /// the caller's engine. Throws std::invalid_argument if the engine and the
-/// classifier disagree on the area count, or as train_on_clip does.
+/// classifier disagree on the area count, or as train_on_clip does, naming
+/// the clip's dataset directory ("train_03: ...").
 TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                const synth::Dataset& dataset);
 

@@ -1,69 +1,11 @@
 #include "ingest/frame_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace slj::ingest {
 
-const char* policy_name(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kBlock: return "block";
-    case BackpressurePolicy::kDropOldest: return "drop-oldest";
-    case BackpressurePolicy::kRejectNewest: return "reject-newest";
-  }
-  return "?";
-}
-
-const char* outcome_name(PushOutcome outcome) {
-  switch (outcome) {
-    case PushOutcome::kAccepted: return "accepted";
-    case PushOutcome::kReplacedOldest: return "replaced-oldest";
-    case PushOutcome::kRejected: return "rejected";
-    case PushOutcome::kRateLimited: return "rate-limited";
-    case PushOutcome::kClosed: return "closed";
-  }
-  return "?";
-}
-
-// ---- RateLimiter -----------------------------------------------------------
-
-RateLimiter::RateLimiter(RateLimiterConfig config, Clock::time_point now)
-    : config_(config), tokens_(config.burst), last_(now) {
-  if (config.tokens_per_second < 0.0) {
-    throw std::invalid_argument("RateLimiter: tokens_per_second must be >= 0");
-  }
-  if (config.tokens_per_second > 0.0 && config.burst < 1.0) {
-    throw std::invalid_argument("RateLimiter: burst must be >= 1 when limiting");
-  }
-}
-
-double RateLimiter::refilled(Clock::time_point now) const {
-  const double elapsed = std::chrono::duration<double>(now - last_).count();
-  if (elapsed <= 0.0) return tokens_;  // non-monotonic test clocks: no refill
-  return std::min(config_.burst, tokens_ + elapsed * config_.tokens_per_second);
-}
-
-double RateLimiter::tokens(Clock::time_point now) const {
-  if (config_.tokens_per_second <= 0.0) return config_.burst;
-  return refilled(now);
-}
-
-bool RateLimiter::try_acquire(Clock::time_point now) {
-  if (config_.tokens_per_second <= 0.0) return true;
-  tokens_ = refilled(now);
-  // Never rewind the refill mark: a backwards clock step must not let a
-  // later acquire re-credit time the bucket already lived through.
-  if (now > last_) last_ = now;
-  if (tokens_ < 1.0) return false;
-  tokens_ -= 1.0;
-  return true;
-}
-
-// ---- FrameQueue ------------------------------------------------------------
-
-FrameQueue::FrameQueue(FrameQueueConfig config)
-    : config_(config), limiter_(config.rate), slots_(config.capacity) {
+FrameQueue::FrameQueue(FrameQueueConfig config) : config_(config), slots_(config.capacity) {
   if (config.capacity == 0) {
     throw std::invalid_argument("FrameQueue: capacity must be >= 1");
   }
@@ -73,27 +15,13 @@ PushOutcome FrameQueue::push(const RgbImage& frame, Clock::time_point now,
                              std::uint64_t* sequence) {
   slj::LockGuard lock(mutex_);
   if (closed_) return PushOutcome::kClosed;
-  // The limiter gates *offered* frames: a token is consumed even when the
-  // ring then sheds the frame, so a hot camera pays for every attempt.
-  if (!limiter_.try_acquire(now)) return PushOutcome::kRateLimited;
 
   PushOutcome outcome = PushOutcome::kAccepted;
   if (size_ == slots_.size()) {
-    switch (config_.policy) {
-      case BackpressurePolicy::kRejectNewest:
-        return PushOutcome::kRejected;
-      case BackpressurePolicy::kDropOldest:
-        head_ = (head_ + 1) % slots_.size();
-        --size_;
-        outcome = PushOutcome::kReplacedOldest;
-        break;
-      case BackpressurePolicy::kBlock:
-        // Explicit loop, not a predicate lambda: the guarded fields are
-        // re-read here, where the analysis can see mutex_ is held.
-        while (size_ == slots_.size() && !closed_) not_full_.wait(lock);
-        if (closed_) return PushOutcome::kClosed;
-        break;
-    }
+    head_ = (head_ + 1) % slots_.size();
+    --size_;
+    ++dropped_;
+    outcome = PushOutcome::kReplacedOldest;
   }
 
   PendingFrame& slot = slots_[(head_ + size_) % slots_.size()];
@@ -106,21 +34,14 @@ PushOutcome FrameQueue::push(const RgbImage& frame, Clock::time_point now,
 }
 
 bool FrameQueue::pop_into(PendingFrame& out) {
-  {
-    slj::LockGuard lock(mutex_);
-    if (size_ == 0) return false;
-    PendingFrame& slot = slots_[head_];
-    std::swap(out.frame, slot.frame);  // recycle buffers both ways
-    out.sequence = slot.sequence;
-    out.enqueued_at = slot.enqueued_at;
-    head_ = (head_ + 1) % slots_.size();
-    --size_;
-  }
-  // Notify on every pop, not just the full->not-full edge: with several
-  // kBlock producers parked, two back-to-back pops must wake two of them —
-  // an edge-triggered notify would strand the second waiter on a ring with
-  // free space.
-  not_full_.notify_one();
+  slj::LockGuard lock(mutex_);
+  if (size_ == 0) return false;
+  PendingFrame& slot = slots_[head_];
+  std::swap(out.frame, slot.frame);  // recycle buffers both ways
+  out.sequence = slot.sequence;
+  out.enqueued_at = slot.enqueued_at;
+  head_ = (head_ + 1) % slots_.size();
+  --size_;
   return true;
 }
 
@@ -134,12 +55,14 @@ std::uint64_t FrameQueue::admitted() const {
   return next_sequence_;
 }
 
+std::uint64_t FrameQueue::dropped() const {
+  slj::LockGuard lock(mutex_);
+  return dropped_;
+}
+
 void FrameQueue::close() {
-  {
-    slj::LockGuard lock(mutex_);
-    closed_ = true;
-  }
-  not_full_.notify_all();
+  slj::LockGuard lock(mutex_);
+  closed_ = true;
 }
 
 bool FrameQueue::closed() const {

@@ -4,18 +4,11 @@
 // most one frame per drain, so a queue is the buffer between "frames arrive
 // when the camera says so" and "the pool processes them when a lane is free".
 //
-// Overload behaviour is a policy, not an accident:
-//   kBlock        the producer waits for space — lossless, propagates
-//                 backpressure all the way to the camera thread;
-//   kDropOldest   the stalest queued frame is discarded to admit the new one
-//                 — a live coaching feed wants the freshest frame, not a
-//                 growing backlog;
-//   kRejectNewest the incoming frame is refused — the queued history is
-//                 preserved (replay/forensics feeds).
-//
-// A token-bucket RateLimiter in front of the ring caps a single hot camera's
-// admission rate so it cannot starve the shared worker pool of the other
-// sessions' frames.
+// Overload has one answer: a push into a full ring discards the stalest
+// queued frame and admits the new one. A live coaching feed wants the
+// freshest frame, not a growing backlog, and a producer never waits. The
+// queue counts what it sheds (dropped()), and the session's JumpReport
+// carries that count as frames_shed, so a report says which frames it lacks.
 //
 // Frame storage is recycled: a push copies pixels into a ring slot whose
 // buffer is reused (Image::operator= keeps capacity), and pop_into swaps the
@@ -36,56 +29,19 @@ namespace slj::ingest {
 /// IngestRouter::Config::clock; production uses Clock::now().
 using Clock = std::chrono::steady_clock;
 
-/// What a full queue does to the next push (see file comment for tradeoffs).
+/// What a full queue does to the next push. Drop-oldest is the only policy:
+/// the enum and FrameQueueConfig::policy stay only because perfbench
+/// (perfbench/src/live.cpp) assigns them; ROADMAP item 16's perfbench
+/// rewrite deletes both.
 enum class BackpressurePolicy {
-  kBlock,         ///< producer waits for space (lossless)
-  kDropOldest,    ///< discard the stalest queued frame, admit the new one
-  kRejectNewest,  ///< refuse the incoming frame, keep the queued history
-};
-
-const char* policy_name(BackpressurePolicy policy);
-
-struct RateLimiterConfig {
-  /// Sustained admission rate; 0 disables the limiter entirely.
-  double tokens_per_second = 0.0;
-  /// Bucket capacity: how many frames may be admitted back-to-back after an
-  /// idle spell before the sustained rate applies.
-  double burst = 1.0;
-};
-
-/// Token bucket: starts full at `burst` tokens, refills continuously at
-/// `tokens_per_second`, and admits one frame per whole token. Callers pass
-/// the current time explicitly so accounting is deterministic under test
-/// clocks. Not internally synchronized — FrameQueue calls it under its own
-/// mutex.
-class RateLimiter {
- public:
-  explicit RateLimiter(RateLimiterConfig config = {}, Clock::time_point now = {});
-
-  /// Consumes one token if available; false = the frame should be shed.
-  /// Always true when the limiter is disabled (tokens_per_second == 0).
-  bool try_acquire(Clock::time_point now);
-
-  /// Tokens currently in the bucket (refilled up to `now`).
-  double tokens(Clock::time_point now) const;
-
-  const RateLimiterConfig& config() const { return config_; }
-
- private:
-  double refilled(Clock::time_point now) const;
-
-  RateLimiterConfig config_;
-  double tokens_ = 0.0;
-  Clock::time_point last_{};
+  kDropOldest,  ///< discard the stalest queued frame, admit the new one
 };
 
 /// What happened to a pushed frame. The first two mean the frame entered the
-/// queue; the rest mean it was shed (and by whom).
+/// queue; kClosed means it was refused.
 enum class PushOutcome {
   kAccepted,        ///< enqueued into free space
   kReplacedOldest,  ///< enqueued; the stalest queued frame was discarded
-  kRejected,        ///< refused: queue full under kRejectNewest
-  kRateLimited,     ///< refused: token bucket empty
   kClosed,          ///< refused: queue closed (session closing/evicted)
 };
 
@@ -94,14 +50,11 @@ inline bool push_accepted(PushOutcome outcome) {
   return outcome == PushOutcome::kAccepted || outcome == PushOutcome::kReplacedOldest;
 }
 
-const char* outcome_name(PushOutcome outcome);
-
 struct FrameQueueConfig {
   /// Ring capacity in frames. Small on purpose: a live feed wants fresh
   /// frames, and StreamManager ticks drain one frame per session anyway.
   std::size_t capacity = 8;
-  BackpressurePolicy policy = BackpressurePolicy::kDropOldest;
-  RateLimiterConfig rate;  ///< disabled by default
+  BackpressurePolicy policy = BackpressurePolicy::kDropOldest;  ///< the only policy
 };
 
 /// One drained frame plus the provenance the delivery plane needs: the
@@ -119,11 +72,10 @@ class FrameQueue {
   FrameQueue(const FrameQueue&) = delete;
   FrameQueue& operator=(const FrameQueue&) = delete;
 
-  /// Offers one frame from any producer thread. `now` feeds the rate limiter
-  /// and is stamped on the admitted frame. Under kBlock and a full ring this
-  /// waits until the consumer makes space (or the queue is closed). When the
-  /// frame is admitted and `sequence` is non-null, it receives the frame's
-  /// queue-assigned admission index (the trace recorder keys frames by it).
+  /// Offers one frame from any producer thread; never waits for space. `now`
+  /// is stamped on the admitted frame. When the frame is admitted and
+  /// `sequence` is non-null, it receives the frame's queue-assigned
+  /// admission index (the trace recorder keys frames by it).
   PushOutcome push(const RgbImage& frame, Clock::time_point now,
                    std::uint64_t* sequence = nullptr) SLJ_EXCLUDES(mutex_);
 
@@ -138,8 +90,12 @@ class FrameQueue {
   /// Total frames admitted so far (== the next frame's `sequence`).
   std::uint64_t admitted() const SLJ_EXCLUDES(mutex_);
 
-  /// Closes the queue: every further push returns kClosed and producers
-  /// blocked in push are woken. Queued frames can still be popped.
+  /// Queued frames discarded so far to admit a newer one (one per
+  /// kReplacedOldest). Final once close() has returned.
+  std::uint64_t dropped() const SLJ_EXCLUDES(mutex_);
+
+  /// Closes the queue: every further push returns kClosed. Queued frames
+  /// can still be popped.
   void close() SLJ_EXCLUDES(mutex_);
   bool closed() const SLJ_EXCLUDES(mutex_);
 
@@ -148,14 +104,11 @@ class FrameQueue {
  private:
   FrameQueueConfig config_;
   mutable slj::Mutex mutex_;
-  slj::CondVar not_full_;
-  /// The limiter is not internally synchronized; push() drives it under
-  /// mutex_ so token accounting is serialized with ring admission.
-  RateLimiter limiter_ SLJ_GUARDED_BY(mutex_);
   std::vector<PendingFrame> slots_ SLJ_GUARDED_BY(mutex_);  ///< ring storage, buffers recycled
   std::size_t head_ SLJ_GUARDED_BY(mutex_) = 0;  ///< index of the oldest queued frame
   std::size_t size_ SLJ_GUARDED_BY(mutex_) = 0;
   std::uint64_t next_sequence_ SLJ_GUARDED_BY(mutex_) = 0;
+  std::uint64_t dropped_ SLJ_GUARDED_BY(mutex_) = 0;
   bool closed_ SLJ_GUARDED_BY(mutex_) = false;
 };
 

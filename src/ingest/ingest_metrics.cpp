@@ -90,12 +90,6 @@ void IngestMetrics::on_push(PushOutcome outcome) {
       pushed_.fetch_add(1, std::memory_order_relaxed);          // slj-atomic: counter
       dropped_oldest_.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
       break;
-    case PushOutcome::kRejected:
-      rejected_.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-      break;
-    case PushOutcome::kRateLimited:
-      rate_limited_.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-      break;
     case PushOutcome::kClosed:
       closed_pushes_.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
       break;
@@ -126,8 +120,6 @@ IngestMetricsSnapshot IngestMetrics::snapshot_totals() const {
   snap.pushed = pushed_.load(std::memory_order_relaxed);                  // slj-atomic: snapshot
   snap.delivered = delivered_.load(std::memory_order_relaxed);            // slj-atomic: snapshot
   snap.dropped_oldest = dropped_oldest_.load(std::memory_order_relaxed);  // slj-atomic: snapshot
-  snap.rejected = rejected_.load(std::memory_order_relaxed);              // slj-atomic: snapshot
-  snap.rate_limited = rate_limited_.load(std::memory_order_relaxed);      // slj-atomic: snapshot
   snap.closed_pushes = closed_pushes_.load(std::memory_order_relaxed);    // slj-atomic: snapshot
   snap.discarded = discarded_.load(std::memory_order_relaxed);            // slj-atomic: snapshot
   snap.ticks = ticks_.load(std::memory_order_relaxed);                    // slj-atomic: snapshot
@@ -149,14 +141,11 @@ std::string IngestMetricsSnapshot::to_json() const {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"pushed\": %llu,\n  \"delivered\": %llu,\n  \"dropped_oldest\": %llu,\n"
-                "  \"rejected\": %llu,\n  \"rate_limited\": %llu,\n  \"closed_pushes\": %llu,\n"
-                "  \"discarded\": %llu,\n"
+                "  \"closed_pushes\": %llu,\n  \"discarded\": %llu,\n"
                 "  \"ticks\": %llu,\n  \"evicted_sessions\": %llu,\n",
                 static_cast<unsigned long long>(pushed),
                 static_cast<unsigned long long>(delivered),
                 static_cast<unsigned long long>(dropped_oldest),
-                static_cast<unsigned long long>(rejected),
-                static_cast<unsigned long long>(rate_limited),
                 static_cast<unsigned long long>(closed_pushes),
                 static_cast<unsigned long long>(discarded),
                 static_cast<unsigned long long>(ticks),
@@ -175,17 +164,13 @@ std::string IngestMetricsSnapshot::to_json() const {
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const SessionMetricsSnapshot& s = sessions[i];
     std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"session\": %d, \"policy\": \"%s\", \"pushed\": %llu, "
-                  "\"delivered\": %llu, \"dropped_oldest\": %llu, \"rejected\": %llu, "
-                  "\"rate_limited\": %llu, \"queue_depth\": %zu, \"throughput_fps\": %.1f, "
+                  "%s\n    {\"session\": %d, \"pushed\": %llu, \"delivered\": %llu, "
+                  "\"dropped_oldest\": %llu, \"queue_depth\": %zu, \"throughput_fps\": %.1f, "
                   "\"latency_p50_ms\": %.3f, \"latency_p99_ms\": %.3f, "
                   "\"drop_rate\": %.4f, \"slo_state\": \"%s\", \"slo_breaches\": %llu}",
-                  i == 0 ? "" : ",", s.session, s.policy,
-                  static_cast<unsigned long long>(s.pushed),
+                  i == 0 ? "" : ",", s.session, static_cast<unsigned long long>(s.pushed),
                   static_cast<unsigned long long>(s.delivered),
-                  static_cast<unsigned long long>(s.dropped_oldest),
-                  static_cast<unsigned long long>(s.rejected),
-                  static_cast<unsigned long long>(s.rate_limited), s.queue_depth,
+                  static_cast<unsigned long long>(s.dropped_oldest), s.queue_depth,
                   s.throughput_fps, s.latency_p50_ms, s.latency_p99_ms, s.drop_rate,
                   s.slo_state, static_cast<unsigned long long>(s.slo_breaches));
     out += buf;

@@ -64,12 +64,9 @@ class alignas(64) LatencyHistogram {
 /// Per-session rows of a metrics snapshot.
 struct SessionMetricsSnapshot {
   int session = -1;
-  const char* policy = "";
   std::uint64_t pushed = 0;        ///< frames admitted into the queue
   std::uint64_t delivered = 0;     ///< frames whose StreamUpdate reached the sink
   std::uint64_t dropped_oldest = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t rate_limited = 0;
   std::size_t queue_depth = 0;
   double throughput_fps = 0.0;     ///< delivered frames / seconds since open
   double latency_p50_ms = 0.0;     ///< this session's end-to-end latency
@@ -94,8 +91,6 @@ struct IngestMetricsSnapshot {
   std::uint64_t pushed = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_oldest = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t rate_limited = 0;
   std::uint64_t closed_pushes = 0;   ///< pushes refused because the queue closed
   /// Admitted frames discarded un-analysed when their session closed or was
   /// evicted. Accounting invariant once the plane is quiescent:
@@ -148,8 +143,6 @@ class IngestMetrics {
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_oldest_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> rate_limited_{0};
   std::atomic<std::uint64_t> closed_pushes_{0};
   std::atomic<std::uint64_t> discarded_{0};
   std::atomic<std::uint64_t> ticks_{0};

@@ -56,33 +56,14 @@ PushOutcome IngestRouter::push(int session, const RgbImage& frame, std::uint64_t
 
   const Clock::time_point now = clock_();
   // Any push attempt counts as producer activity: a camera that is being
-  // rate-limited or shed is alive, only a silent one is idle.
+  // shed is alive, only a silent one is idle.
   state->last_activity.store(now.time_since_epoch().count(),
                              std::memory_order_relaxed);  // slj-atomic: snapshot
 
   const PushOutcome outcome = state->queue.push(frame, now, sequence);
-  switch (outcome) {
-    case PushOutcome::kAccepted:
-      state->pushed.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-      metrics_.note_depth(state->queue.depth());
-      break;
-    case PushOutcome::kReplacedOldest:
-      state->pushed.fetch_add(1, std::memory_order_relaxed);          // slj-atomic: counter
-      state->dropped_oldest.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-      // A replace means the ring is at capacity — the deepest this session's
-      // queue gets — so it must feed the peak gauge too, or a saturated
-      // plane would freeze the peak at some warm-up value.
-      metrics_.note_depth(state->queue.depth());
-      break;
-    case PushOutcome::kRejected:
-      state->rejected.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-      break;
-    case PushOutcome::kRateLimited:
-      state->rate_limited.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-      break;
-    case PushOutcome::kClosed:
-      break;
-  }
+  // An admission samples the depth gauge; a replace means the ring is at
+  // capacity, so a saturated plane reports its capacity as the peak.
+  if (push_accepted(outcome)) metrics_.note_depth(state->queue.depth());
   metrics_.on_push(outcome);
   return outcome;
 }
@@ -150,7 +131,10 @@ core::JumpReport IngestRouter::close(int session, std::uint64_t* discarded) {
   while (state->queue.pop_into(sink)) ++dropped;
   if (dropped > 0) metrics_.on_discarded(dropped);
   if (discarded != nullptr) *discarded = dropped;
-  return manager_->close_session(session);
+  core::JumpReport report = manager_->close_session(session);
+  // The queue is closed, so its shed count is final.
+  report.frames_shed = state->queue.dropped();
+  return report;
 }
 
 std::size_t IngestRouter::open_sessions() const {
@@ -186,12 +170,9 @@ IngestMetricsSnapshot IngestRouter::snapshot() {
     ++snap.open_sessions;
     SessionMetricsSnapshot row;
     row.session = s->id;
-    row.policy = policy_name(s->config.queue.policy);
-    row.pushed = s->pushed.load(std::memory_order_relaxed);                  // slj-atomic: snapshot
-    row.delivered = s->delivered.load(std::memory_order_relaxed);            // slj-atomic: snapshot
-    row.dropped_oldest = s->dropped_oldest.load(std::memory_order_relaxed);  // slj-atomic: snapshot
-    row.rejected = s->rejected.load(std::memory_order_relaxed);              // slj-atomic: snapshot
-    row.rate_limited = s->rate_limited.load(std::memory_order_relaxed);      // slj-atomic: snapshot
+    row.pushed = s->queue.admitted();
+    row.delivered = s->delivered.load(std::memory_order_relaxed);  // slj-atomic: snapshot
+    row.dropped_oldest = s->queue.dropped();
     row.queue_depth = s->queue.depth();
     const double seconds = std::chrono::duration<double>(now - s->opened_at).count();
     row.throughput_fps = seconds > 0.0 ? static_cast<double>(row.delivered) / seconds : 0.0;

@@ -57,7 +57,7 @@ class IngestRouter {
     /// Defaults for sessions opened without an explicit config.
     IngestSessionConfig session;
     /// Time source; null = Clock::now(). Tests inject a manual clock to make
-    /// rate limiting and idle eviction deterministic.
+    /// idle eviction and recorded timestamps deterministic.
     std::function<Clock::time_point()> clock;
   };
 
@@ -93,8 +93,9 @@ class IngestRouter {
 
   /// Closes the session: seals the queue, discards any still-queued frames
   /// (returned as the discard count through `discarded` when non-null) and
-  /// finishes the underlying StreamSession. The caller must ensure the
-  /// manager is not mid-tick.
+  /// finishes the underlying StreamSession. The report's frames_shed is the
+  /// number of frames drop-oldest discarded from the session's queue. The
+  /// caller must ensure the manager is not mid-tick.
   core::JumpReport close(int session, std::uint64_t* discarded = nullptr)
       SLJ_EXCLUDES(sessions_mutex_);
 
@@ -120,11 +121,7 @@ class IngestRouter {
     FrameQueue queue;
     Clock::time_point opened_at{};
     std::atomic<Clock::rep> last_activity{0};
-    std::atomic<std::uint64_t> pushed{0};
     std::atomic<std::uint64_t> delivered{0};  ///< bumped by IngestService
-    std::atomic<std::uint64_t> dropped_oldest{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> rate_limited{0};
     /// Per-session end-to-end latency (enqueue -> sink), recorded by
     /// IngestService alongside the plane-wide histogram. Feeds the
     /// per-session p50/p99 snapshot rows the SLO tracker scores.

@@ -17,7 +17,8 @@
 //            delivered or discarded (works with the scheduler running or
 //            stopped — when stopped it runs the passes inline).
 //   close_session() flushes, then finishes the session and returns its final
-//            JumpReport.
+//            JumpReport, whose frames_shed counts the frames drop-oldest
+//            discarded (an idle eviction reports the same way).
 // The destructor stops the scheduler; undelivered frames are discarded.
 #pragma once
 
@@ -40,8 +41,7 @@ struct IngestServiceConfig {
   core::StreamManagerConfig manager;
   /// Queue defaults + test clock of the owned router.
   IngestRouter::Config router;
-  /// Scheduler wake period when no push arrives: bounds idle-eviction lag
-  /// and is the poll floor for kBlock producers waiting on a stopped drain.
+  /// Scheduler wake period when no push arrives: bounds idle-eviction lag.
   Clock::duration poll_interval = std::chrono::milliseconds(2);
 };
 

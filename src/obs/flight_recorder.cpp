@@ -234,12 +234,15 @@ FlightRecorder::DumpStats FlightRecorder::dump(const std::string& path) {
 
       // The close record is only valid against the session's *full* history:
       // drop it when ticks were truncated, or when the capture's own books
-      // (admitted - replaced - delivered == discarded) do not balance — the
-      // same per-close re-check the replayer performs.
+      // (admitted - replaced - delivered == discarded, replaced == the
+      // report's frames_shed) do not balance — the same per-close re-checks
+      // the replayer performs. A replacing push logged after its session's
+      // close has not landed yet and leaves frames_shed ahead of `replaced`.
       bool emit_close = capture->closed && !truncated;
       if (emit_close) {
         const std::uint64_t delivered = keep;
-        if (admitted.size() - replaced - delivered != capture->close.discarded) {
+        if (admitted.size() - replaced - delivered != capture->close.discarded ||
+            replaced != capture->close.report.frames_shed) {
           emit_close = false;
           ++stats.truncated_sessions;
         }
@@ -307,8 +310,6 @@ FlightRecorder::DumpStats FlightRecorder::dump(const std::string& path) {
             ++summary.pushed;
             break;
           case ingest::PushOutcome::kAccepted: ++summary.pushed; break;
-          case ingest::PushOutcome::kRejected: ++summary.rejected; break;
-          case ingest::PushOutcome::kRateLimited: ++summary.rate_limited; break;
           case ingest::PushOutcome::kClosed: ++summary.closed_pushes; break;
         }
       } else if (const auto* tick = std::get_if<replay::TickRecord>(&record)) {

@@ -9,8 +9,6 @@ const char* slo_state_name(SloState state) {
 SloTracker::SloTracker(SloConfig config) : config_(config) {
   if (config_.breach_after < 1) config_.breach_after = 1;
   if (config_.clear_after < 1) config_.clear_after = 1;
-  if (config_.hysteresis < 0.0) config_.hysteresis = 0.0;
-  if (config_.hysteresis > 1.0) config_.hysteresis = 1.0;
 }
 
 bool SloTracker::update_gauge(Gauge& gauge, double value, double budget) const {
@@ -28,7 +26,7 @@ bool SloTracker::update_gauge(Gauge& gauge, double value, double budget) const {
   if (gauge.state == SloState::kBreach) {
     // Clearing needs the hysteresis margin: a value hovering at the budget
     // keeps the breach latched instead of flapping ok/breach/ok.
-    if (value <= budget * (1.0 - config_.hysteresis)) {
+    if (value <= budget * (1.0 - kSloHysteresis)) {
       ++gauge.consecutive_good;
       if (gauge.consecutive_good >= config_.clear_after) {
         gauge.state = SloState::kOk;
@@ -71,17 +69,15 @@ void SloTracker::evaluate(ingest::IngestMetricsSnapshot& snapshot,
       }
     }
 
-    // Drop gauge: shed fraction of frames offered since the last evaluate.
-    // Intervals with no offered frames leave the gauge untouched — silence
+    // Drop gauge: shed fraction of frames pushed since the last evaluate.
+    // Intervals with no pushed frames leave the gauge untouched — silence
     // is not evidence either way.
-    const std::uint64_t offered = row.pushed + row.rejected + row.rate_limited;
-    const std::uint64_t shed = row.dropped_oldest + row.rejected + row.rate_limited;
-    const std::uint64_t d_offered = offered - slo.last_offered;
-    const std::uint64_t d_shed = shed - slo.last_shed;
-    if (d_offered > 0) {
-      slo.last_drop_rate = static_cast<double>(d_shed) / static_cast<double>(d_offered);
-      slo.last_offered = offered;
-      slo.last_shed = shed;
+    const std::uint64_t d_pushed = row.pushed - slo.last_pushed;
+    const std::uint64_t d_shed = row.dropped_oldest - slo.last_shed;
+    if (d_pushed > 0) {
+      slo.last_drop_rate = static_cast<double>(d_shed) / static_cast<double>(d_pushed);
+      slo.last_pushed = row.pushed;
+      slo.last_shed = row.dropped_oldest;
       if (config_.drops_tracked()) {
         if (update_gauge(slo.drops, slo.last_drop_rate, config_.drop_rate_budget)) {
           total_breaches_ += 1;

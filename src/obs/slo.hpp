@@ -5,14 +5,13 @@
 //   latency   the session's lifetime p99 end-to-end latency (from the
 //             per-session LatencyHistogram the router snapshots) against
 //             p99_budget_ms
-//   drops     the shed fraction of frames *offered since the last
-//             evaluation* — (dropped_oldest + rejected + rate_limited)
-//             deltas over (pushed + rejected + rate_limited) deltas —
-//             against drop_rate_budget
+//   drops     the shed fraction of frames *pushed since the last
+//             evaluation* — the dropped_oldest delta over the pushed
+//             delta — against drop_rate_budget
 //
 // Breach entry takes `breach_after` consecutive over-budget evaluations;
 // recovery takes `clear_after` consecutive evaluations at or below
-// budget * (1 - hysteresis). A value sitting exactly on the budget neither
+// budget * (1 - kSloHysteresis). A value sitting exactly on the budget neither
 // enters breach (entry needs value > budget) nor clears one (clearing needs
 // the hysteresis margin), so boundary latencies cannot flap the state —
 // pinned by tests/test_obs.cpp.
@@ -31,15 +30,16 @@
 
 namespace slj::obs {
 
+/// Recovery margin: a breached gauge clears only at or below
+/// budget * (1 - kSloHysteresis).
+inline constexpr double kSloHysteresis = 0.1;
+
 struct SloConfig {
   /// p99 end-to-end latency budget in ms; <= 0 disables the latency gauge.
   double p99_budget_ms = 0.0;
-  /// Budget on the shed fraction of offered frames per evaluation interval,
+  /// Budget on the shed fraction of pushed frames per evaluation interval,
   /// in [0, 1]; <= 0 disables the drop gauge.
   double drop_rate_budget = 0.0;
-  /// Recovery margin: a breached gauge clears only at or below
-  /// budget * (1 - hysteresis).
-  double hysteresis = 0.1;
   /// Consecutive over-budget evaluations before a gauge enters breach.
   int breach_after = 2;
   /// Consecutive within-margin evaluations before a breached gauge clears.
@@ -91,7 +91,7 @@ class SloTracker {
     Gauge latency;
     Gauge drops;
     /// Counter values at the previous evaluation, for interval deltas.
-    std::uint64_t last_offered = 0;
+    std::uint64_t last_pushed = 0;
     std::uint64_t last_shed = 0;
     double last_drop_rate = 0.0;
   };

@@ -99,15 +99,8 @@ class ByteReader {
 
 // ---- enum validation -------------------------------------------------------
 // Every enum read back from disk is range-checked before the cast; a flipped
-// bit in a policy or pose byte must become a clean load error, not a value
+// bit in an outcome or pose byte must become a clean load error, not a value
 // that switches over UB later.
-
-ingest::BackpressurePolicy policy_from_u8(std::uint8_t v) {
-  if (v > static_cast<std::uint8_t>(ingest::BackpressurePolicy::kRejectNewest)) {
-    fail("invalid backpressure policy");
-  }
-  return static_cast<ingest::BackpressurePolicy>(v);
-}
 
 ingest::PushOutcome outcome_from_u8(std::uint8_t v) {
   if (v > static_cast<std::uint8_t>(ingest::PushOutcome::kClosed)) fail("invalid push outcome");
@@ -315,6 +308,7 @@ core::StreamUpdate get_update(ByteReader& in) {
 void put_report(std::string& out, const core::JumpReport& report) {
   put_u16(out, static_cast<std::uint16_t>(report.findings.size()));
   for (const core::FaultFinding& f : report.findings) put_finding(out, f);
+  put_u64(out, report.frames_shed);
 }
 
 constexpr std::uint16_t kMaxReportFindings = 16;
@@ -325,14 +319,12 @@ core::JumpReport get_report(ByteReader& in) {
   if (findings > kMaxReportFindings) fail("report finding list too long");
   report.findings.reserve(findings);
   for (std::uint16_t i = 0; i < findings; ++i) report.findings.push_back(get_finding(in));
+  report.frames_shed = in.u64();
   return report;
 }
 
 void put_session_config(std::string& out, const TraceSessionConfig& c) {
   put_u64(out, c.queue_capacity);
-  put_u8(out, static_cast<std::uint8_t>(c.policy));
-  put_f64(out, c.rate_tokens_per_second);
-  put_f64(out, c.rate_burst);
   put_i64(out, c.idle_timeout_ns);
   put_u8(out, 0);  // decoder: the classifier's online rule is the only one
   put_u8(out, 0);  // tracker: the largest component is the only jumper rule
@@ -343,9 +335,6 @@ void put_session_config(std::string& out, const TraceSessionConfig& c) {
 TraceSessionConfig get_session_config(ByteReader& in) {
   TraceSessionConfig c;
   c.queue_capacity = in.u64();
-  c.policy = policy_from_u8(in.u8());
-  c.rate_tokens_per_second = in.f64();
-  c.rate_burst = in.f64();
   c.idle_timeout_ns = in.i64();
   // The decoder and tracker bytes and the ground line's knobs are
   // constants, still written for format compatibility; any other value is a
@@ -463,8 +452,6 @@ void put_summary(std::string& out, const SummaryRecord& r) {
   put_u64(out, r.pushed);
   put_u64(out, r.delivered);
   put_u64(out, r.dropped_oldest);
-  put_u64(out, r.rejected);
-  put_u64(out, r.rate_limited);
   put_u64(out, r.closed_pushes);
   put_u64(out, r.discarded);
   put_u64(out, r.ticks);
@@ -477,8 +464,6 @@ SummaryRecord get_summary(ByteReader& in) {
   r.pushed = in.u64();
   r.delivered = in.u64();
   r.dropped_oldest = in.u64();
-  r.rejected = in.u64();
-  r.rate_limited = in.u64();
   r.closed_pushes = in.u64();
   r.discarded = in.u64();
   r.ticks = in.u64();
@@ -529,9 +514,6 @@ void encode_into(std::string& out, const TraceRecord& record) {
 TraceSessionConfig to_trace_config(const ingest::IngestSessionConfig& config) {
   TraceSessionConfig c;
   c.queue_capacity = config.queue.capacity;
-  c.policy = config.queue.policy;
-  c.rate_tokens_per_second = config.queue.rate.tokens_per_second;
-  c.rate_burst = config.queue.rate.burst;
   c.idle_timeout_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(config.idle_timeout).count();
   return c;

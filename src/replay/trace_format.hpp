@@ -20,7 +20,8 @@
 //   kPush     one push attempt: timestamp, id, outcome, queue sequence, frame
 //   kTick     one scheduler round: per-entry (session, sequence) provenance
 //             plus the full StreamUpdate it produced (the golden output)
-//   kClose    session closed/evicted: final JumpReport + discarded count
+//   kClose    session closed/evicted: final JumpReport (with its shed-frame
+//             count) + discarded count
 //   kSummary  run totals, built by the writer from the records it wrote; the
 //             recording caller checks them against the live IngestMetrics
 //             (the drop-accounting golden record)
@@ -46,7 +47,10 @@
 namespace slj::replay {
 
 inline constexpr char kTraceMagic[8] = {'S', 'L', 'J', 'T', 'R', 'A', 'C', 'E'};
-inline constexpr std::uint32_t kTraceVersion = 1;
+/// Readers accept only this version. In version 2 an open record's queue
+/// config is its capacity and idle timeout (drop-oldest is the only
+/// policy), and a close record's report carries frames_shed.
+inline constexpr std::uint32_t kTraceVersion = 2;
 /// Upper bound on one record's payload; a length prefix beyond it is
 /// rejected before any buffer is sized from it.
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 26;  // 64 MiB
@@ -67,9 +71,6 @@ enum class RecordType : std::uint8_t {
 /// classifier/params the recording ran with, exactly like any golden test.)
 struct TraceSessionConfig {
   std::uint64_t queue_capacity = 8;
-  ingest::BackpressurePolicy policy = ingest::BackpressurePolicy::kDropOldest;
-  double rate_tokens_per_second = 0.0;
-  double rate_burst = 1.0;
   std::int64_t idle_timeout_ns = 0;
 };
 
@@ -123,8 +124,6 @@ struct SummaryRecord {
   std::uint64_t pushed = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_oldest = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t rate_limited = 0;
   std::uint64_t closed_pushes = 0;
   std::uint64_t discarded = 0;
   std::uint64_t ticks = 0;

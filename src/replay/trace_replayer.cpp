@@ -50,7 +50,7 @@ bool findings_match(const core::FaultFinding& a, const core::FaultFinding& b) {
 }
 
 bool reports_match(const core::JumpReport& a, const core::JumpReport& b) {
-  if (a.findings.size() != b.findings.size()) return false;
+  if (a.frames_shed != b.frames_shed || a.findings.size() != b.findings.size()) return false;
   for (std::size_t i = 0; i < a.findings.size(); ++i) {
     if (!findings_match(a.findings[i], b.findings[i])) return false;
   }
@@ -120,8 +120,6 @@ class ReplayCore {
         }
         break;
       }
-      case ingest::PushOutcome::kRejected: ++totals_.rejected; break;
-      case ingest::PushOutcome::kRateLimited: ++totals_.rate_limited; break;
       case ingest::PushOutcome::kClosed: ++totals_.closed_pushes; break;
     }
   }
@@ -224,17 +222,20 @@ class ReplayCore {
 
   void close(const CloseRecord& r) {
     SessionBook& book = book_of(r.session);
-    const core::JumpReport replayed = manager_.close_session(book.live_id);
+    core::JumpReport replayed = manager_.close_session(book.live_id);
     book.open = false;
     ++result_.sessions_closed;
     if (r.evicted) ++totals_.evicted_sessions;
+    // The live report counts the frames its queue shed; here that is the
+    // session's replaced pushes.
+    const PushTotals& pushes = push_totals_[r.session];
+    replayed.frames_shed = pushes.replaced;
     if (!reports_match(r.report, replayed)) {
       note(result_.report_mismatches,
            "session " + std::to_string(r.session) + ": final JumpReport diverged");
     }
     // Re-balance this session's books: whatever was admitted but neither
     // shed by drop-oldest nor delivered must equal the recorded discard count.
-    const PushTotals& pushes = push_totals_[r.session];
     const std::uint64_t expected = pushes.admitted - pushes.replaced - book.delivered;
     if (expected != r.discarded) {
       note(result_.accounting_mismatches,
@@ -259,8 +260,6 @@ class ReplayCore {
     check("pushed", r.pushed, totals_.pushed);
     check("delivered", r.delivered, totals_.delivered);
     check("dropped_oldest", r.dropped_oldest, totals_.dropped_oldest);
-    check("rejected", r.rejected, totals_.rejected);
-    check("rate_limited", r.rate_limited, totals_.rate_limited);
     check("closed_pushes", r.closed_pushes, totals_.closed_pushes);
     check("discarded", r.discarded, totals_.discarded);
     check("ticks", r.ticks, totals_.ticks);

@@ -6,7 +6,7 @@
 //
 //   * Scheduling: which pushes were admitted, which were shed, and how
 //     frames were grouped into ticks. This depends on producer/scheduler
-//     interleaving and wall-clock rate limiting, so it is inherently racy —
+//     interleaving, so it is inherently racy —
 //     the trace records the *decisions* (push outcomes, tick batches) and
 //     the replayer treats them as the script.
 //   * Analysis: what StreamManager computed for each tick batch. This is
@@ -15,9 +15,9 @@
 //     from scratch here, at whatever worker count the caller picks, then
 //     compared against the recorded golden outputs.
 //
-// Drop accounting is verified too: per-session discard counts and the final
-// summary totals are recomputed from the recorded push outcomes and checked
-// against the recorded CloseRecords/SummaryRecord, so the books
+// Drop accounting is verified too: per-session discard and shed counts and
+// the final summary totals are recomputed from the recorded push outcomes and
+// checked against the recorded CloseRecords/SummaryRecord, so the books
 // (pushed == delivered + dropped_oldest + discarded) are re-balanced on
 // every replay.
 //

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "imaging/image_io.hpp"
 
@@ -116,33 +117,31 @@ Clip load_clip(const std::string& dir) {
   return clip;
 }
 
+std::string clip_dir_name(const char* split, std::size_t index) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s_%02zu", split, index);
+  return buf;
+}
+
 void save_dataset(const Dataset& dataset, const std::string& dir) {
   fs::create_directories(dir);
-  char buf[32];
   for (std::size_t i = 0; i < dataset.train.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "train_%02zu", i);
-    save_clip(dataset.train[i], (fs::path(dir) / buf).string());
+    save_clip(dataset.train[i], (fs::path(dir) / clip_dir_name("train", i)).string());
   }
   for (std::size_t i = 0; i < dataset.test.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "test_%02zu", i);
-    save_clip(dataset.test[i], (fs::path(dir) / buf).string());
+    save_clip(dataset.test[i], (fs::path(dir) / clip_dir_name("test", i)).string());
   }
 }
 
 Dataset load_dataset(const std::string& dir) {
   Dataset dataset;
-  char buf[32];
-  for (int i = 0;; ++i) {
-    std::snprintf(buf, sizeof(buf), "train_%02d", i);
-    const fs::path p = fs::path(dir) / buf;
-    if (!fs::exists(p / "manifest.txt")) break;
-    dataset.train.push_back(load_clip(p.string()));
-  }
-  for (int i = 0;; ++i) {
-    std::snprintf(buf, sizeof(buf), "test_%02d", i);
-    const fs::path p = fs::path(dir) / buf;
-    if (!fs::exists(p / "manifest.txt")) break;
-    dataset.test.push_back(load_clip(p.string()));
+  for (const auto& [split, clips] : {std::pair{"train", &dataset.train},
+                                     std::pair{"test", &dataset.test}}) {
+    for (std::size_t i = 0;; ++i) {
+      const fs::path p = fs::path(dir) / clip_dir_name(split, i);
+      if (!fs::exists(p / "manifest.txt")) break;
+      clips->push_back(load_clip(p.string()));
+    }
   }
   if (dataset.train.empty() && dataset.test.empty()) {
     throw std::runtime_error("no clips found under " + dir);

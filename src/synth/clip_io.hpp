@@ -10,6 +10,7 @@
 //   <dir>/frame_000.ppm ...
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "synth/dataset.hpp"
@@ -25,6 +26,10 @@ void save_clip(const Clip& clip, const std::string& dir);
 /// are optional (real footage has none) — missing truth yields
 /// `truth.empty()`. Throws std::runtime_error on malformed input.
 Clip load_clip(const std::string& dir);
+
+/// The directory name save_dataset gives clip `index` of `split` ("train"
+/// or "test"): "train_03", "test_00".
+std::string clip_dir_name(const char* split, std::size_t index);
 
 /// Saves a whole dataset under `dir`/train_NN and `dir`/test_NN.
 void save_dataset(const Dataset& dataset, const std::string& dir);

@@ -1,11 +1,11 @@
-// Ingest-plane tests: backpressure policy semantics, rate-limiter token
-// accounting, idle-timeout eviction, drop accounting, and — the acceptance
-// bar — batch parity: StreamUpdates delivered through the full
-// push -> queue -> drain -> tick -> sink plane must be identical to a direct
-// StreamSession::push_frame replay whenever no frame is dropped. The
-// multi-producer stress test is the suite's TSan target (see scripts/ci.sh
-// --tsan-stress): concurrent producers against small kBlock queues, with
-// per-session ordering and parity checked after the dust settles.
+// Ingest-plane tests: drop-oldest semantics and its shed count, idle-timeout
+// eviction, drop accounting, and — the acceptance bar — batch parity:
+// StreamUpdates delivered through the full push -> queue -> drain -> tick ->
+// sink plane must be identical to a direct StreamSession::push_frame replay
+// whenever no frame is dropped. The multi-producer stress test is the
+// suite's TSan target (see scripts/ci.sh --tsan-stress): concurrent producers
+// against queues deep enough to hold every frame, with per-session ordering
+// and parity checked after the dust settles.
 #include "ingest/ingest_service.hpp"
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ synth::Clip make_clip(std::uint32_t seed, int frame_count = 16) {
 }
 
 /// A frame whose top-left pixel encodes `tag`, so queue tests can tell
-/// exactly which frames survived a shedding policy.
+/// exactly which frames drop-oldest kept.
 RgbImage tagged_frame(std::uint8_t tag) {
   RgbImage frame(4, 4, Rgb{0, 0, 0});
   frame.at(0, 0) = Rgb{tag, tag, tag};
@@ -57,67 +57,11 @@ struct ManualClock {
   void advance(Clock::duration d) { nanos.fetch_add(d.count()); }
 };
 
-// ---- RateLimiter -----------------------------------------------------------
-
-TEST(RateLimiter, TokenAccountingIsDeterministic) {
-  RateLimiterConfig config;
-  config.tokens_per_second = 2.0;
-  config.burst = 2.0;
-  RateLimiter limiter(config, at_ms(0));
-
-  // Bucket starts full at `burst`.
-  EXPECT_DOUBLE_EQ(limiter.tokens(at_ms(0)), 2.0);
-  EXPECT_TRUE(limiter.try_acquire(at_ms(0)));
-  EXPECT_TRUE(limiter.try_acquire(at_ms(0)));
-  EXPECT_FALSE(limiter.try_acquire(at_ms(0)));  // empty
-
-  // 500 ms at 2 tokens/s refills exactly one token.
-  EXPECT_DOUBLE_EQ(limiter.tokens(at_ms(500)), 1.0);
-  EXPECT_TRUE(limiter.try_acquire(at_ms(500)));
-  EXPECT_FALSE(limiter.try_acquire(at_ms(500)));
-
-  // A long idle spell caps the bucket at `burst`, not elapsed * rate.
-  EXPECT_DOUBLE_EQ(limiter.tokens(at_ms(60500)), 2.0);
-  EXPECT_TRUE(limiter.try_acquire(at_ms(60500)));
-  EXPECT_TRUE(limiter.try_acquire(at_ms(60500)));
-  EXPECT_FALSE(limiter.try_acquire(at_ms(60500)));
-}
-
-TEST(RateLimiter, DisabledLimiterAdmitsEverything) {
-  RateLimiter limiter({}, at_ms(0));
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(limiter.try_acquire(at_ms(0)));
-}
-
-TEST(RateLimiter, BackwardsClockNeverDoubleCreditsRefill) {
-  RateLimiterConfig config;
-  config.tokens_per_second = 1.0;
-  config.burst = 1.0;
-  RateLimiter limiter(config, at_ms(10000));
-  EXPECT_TRUE(limiter.try_acquire(at_ms(10000)));  // bucket empty, mark at t=10s
-
-  // A backwards step must not rewind the refill mark: returning to t=10s
-  // afterwards means zero wall time has passed, so no token exists.
-  EXPECT_FALSE(limiter.try_acquire(at_ms(5000)));
-  EXPECT_FALSE(limiter.try_acquire(at_ms(10000)));
-  EXPECT_TRUE(limiter.try_acquire(at_ms(11000)));  // one real second later
-}
-
-TEST(RateLimiter, RejectsInvalidConfig) {
-  RateLimiterConfig negative;
-  negative.tokens_per_second = -1.0;
-  EXPECT_THROW(RateLimiter{negative}, std::invalid_argument);
-  RateLimiterConfig zero_burst;
-  zero_burst.tokens_per_second = 10.0;
-  zero_burst.burst = 0.5;
-  EXPECT_THROW(RateLimiter{zero_burst}, std::invalid_argument);
-}
-
 // ---- FrameQueue ------------------------------------------------------------
 
 TEST(FrameQueue, DropOldestShedsTheStalestFrame) {
   FrameQueueConfig config;
   config.capacity = 2;
-  config.policy = BackpressurePolicy::kDropOldest;
   FrameQueue queue(config);
 
   EXPECT_EQ(queue.push(tagged_frame(10), at_ms(0)), PushOutcome::kAccepted);
@@ -125,6 +69,7 @@ TEST(FrameQueue, DropOldestShedsTheStalestFrame) {
   EXPECT_EQ(queue.push(tagged_frame(12), at_ms(2)), PushOutcome::kReplacedOldest);
   EXPECT_EQ(queue.depth(), 2u);
   EXPECT_EQ(queue.admitted(), 3u);
+  EXPECT_EQ(queue.dropped(), 1u);
 
   // Frame 10 was shed; 11 and 12 drain in admission order with their
   // original sequence numbers and enqueue stamps.
@@ -139,179 +84,34 @@ TEST(FrameQueue, DropOldestShedsTheStalestFrame) {
   EXPECT_FALSE(queue.pop_into(out));
 }
 
-TEST(FrameQueue, RejectNewestPreservesQueuedHistory) {
-  FrameQueueConfig config;
-  config.capacity = 2;
-  config.policy = BackpressurePolicy::kRejectNewest;
-  FrameQueue queue(config);
-
-  EXPECT_EQ(queue.push(tagged_frame(20), at_ms(0)), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.push(tagged_frame(21), at_ms(0)), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.push(tagged_frame(22), at_ms(0)), PushOutcome::kRejected);
-  EXPECT_EQ(queue.admitted(), 2u);  // the rejected frame never got a sequence
-
-  PendingFrame out;
-  ASSERT_TRUE(queue.pop_into(out));
-  EXPECT_EQ(tag_of(out.frame), 20);
-  ASSERT_TRUE(queue.pop_into(out));
-  EXPECT_EQ(tag_of(out.frame), 21);
-}
-
-TEST(FrameQueue, BlockWaitsForSpaceAndWakesOnPop) {
-  FrameQueueConfig config;
-  config.capacity = 1;
-  config.policy = BackpressurePolicy::kBlock;
-  FrameQueue queue(config);
-  EXPECT_EQ(queue.push(tagged_frame(1), at_ms(0)), PushOutcome::kAccepted);
-
-  std::atomic<bool> second_admitted{false};
-  std::thread producer([&] {
-    const PushOutcome outcome = queue.push(tagged_frame(2), at_ms(1));
-    EXPECT_EQ(outcome, PushOutcome::kAccepted);
-    second_admitted.store(true);
-  });
-
-  // The producer is parked on the full ring: nothing is admitted until the
-  // consumer makes space.
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(second_admitted.load());
-  EXPECT_EQ(queue.depth(), 1u);
-
-  PendingFrame out;
-  ASSERT_TRUE(queue.pop_into(out));
-  EXPECT_EQ(tag_of(out.frame), 1);
-  producer.join();
-  EXPECT_TRUE(second_admitted.load());
-  ASSERT_TRUE(queue.pop_into(out));
-  EXPECT_EQ(tag_of(out.frame), 2);
-}
-
-TEST(FrameQueue, CloseWakesBlockedProducersAndRefusesPushes) {
-  FrameQueueConfig config;
-  config.capacity = 1;
-  config.policy = BackpressurePolicy::kBlock;
-  FrameQueue queue(config);
-  EXPECT_EQ(queue.push(tagged_frame(1), at_ms(0)), PushOutcome::kAccepted);
-
-  std::thread producer([&] {
-    EXPECT_EQ(queue.push(tagged_frame(2), at_ms(1)), PushOutcome::kClosed);
-  });
-  std::this_thread::sleep_for(10ms);
-  queue.close();
-  producer.join();
-
-  EXPECT_EQ(queue.push(tagged_frame(3), at_ms(2)), PushOutcome::kClosed);
-  // Queued history still drains after close.
-  PendingFrame out;
-  ASSERT_TRUE(queue.pop_into(out));
-  EXPECT_EQ(tag_of(out.frame), 1);
-  EXPECT_FALSE(queue.pop_into(out));
-}
-
-TEST(FrameQueue, BackToBackPopsWakeEveryBlockedProducer) {
-  FrameQueueConfig config;
-  config.capacity = 2;
-  config.policy = BackpressurePolicy::kBlock;
-  FrameQueue queue(config);
-  EXPECT_EQ(queue.push(tagged_frame(1), at_ms(0)), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.push(tagged_frame(2), at_ms(0)), PushOutcome::kAccepted);
-
-  // Two producers park on the full ring.
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 2; ++p) {
-    producers.emplace_back([&, p] {
-      EXPECT_EQ(queue.push(tagged_frame(static_cast<std::uint8_t>(3 + p)), at_ms(1)),
-                PushOutcome::kAccepted);
-    });
-  }
-  std::this_thread::sleep_for(20ms);
-
-  // Two back-to-back pops free two slots; an edge-triggered (full->not-full
-  // only) notify would wake just one producer and strand the other on a
-  // ring with free space. Both must complete.
-  PendingFrame out;
-  ASSERT_TRUE(queue.pop_into(out));
-  ASSERT_TRUE(queue.pop_into(out));
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (queue.admitted() < 4 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  const bool both_admitted = queue.admitted() == 4;
-  if (!both_admitted) queue.close();  // rescue the stranded producer before join
-  for (std::thread& t : producers) t.join();
-  EXPECT_TRUE(both_admitted) << "a blocked producer was never woken";
-  EXPECT_EQ(queue.depth(), 2u);
-}
-
-TEST(FrameQueue, RateLimiterGatesAdmission) {
-  FrameQueueConfig config;
-  config.capacity = 8;
-  config.rate.tokens_per_second = 10.0;  // one token per 100 ms
-  config.rate.burst = 2.0;
-  FrameQueue queue(config);
-
-  EXPECT_EQ(queue.push(tagged_frame(1), at_ms(0)), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.push(tagged_frame(2), at_ms(0)), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.push(tagged_frame(3), at_ms(0)), PushOutcome::kRateLimited);
-  EXPECT_EQ(queue.push(tagged_frame(4), at_ms(100)), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.push(tagged_frame(5), at_ms(100)), PushOutcome::kRateLimited);
-  EXPECT_EQ(queue.depth(), 3u);
-}
-
 TEST(FrameQueue, RejectsZeroCapacity) {
   FrameQueueConfig config;
   config.capacity = 0;
   EXPECT_THROW(FrameQueue{config}, std::invalid_argument);
 }
 
-TEST(FrameQueue, CloseWakesEveryBlockedProducerAtOnce) {
-  FrameQueueConfig config;
-  config.capacity = 1;
-  config.policy = BackpressurePolicy::kBlock;
-  FrameQueue queue(config);
-  EXPECT_EQ(queue.push(tagged_frame(1), at_ms(0)), PushOutcome::kAccepted);
-
-  // Four producers park on the same full slot; close() must wake them all
-  // (notify_one here would strand three threads forever).
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      EXPECT_EQ(queue.push(tagged_frame(static_cast<std::uint8_t>(10 + p)), at_ms(1)),
-                PushOutcome::kClosed);
-    });
-  }
-  std::this_thread::sleep_for(20ms);
-  queue.close();
-  for (std::thread& t : producers) t.join();
-
-  EXPECT_TRUE(queue.closed());
-  // Only the pre-close frame survives.
-  PendingFrame out;
-  ASSERT_TRUE(queue.pop_into(out));
-  EXPECT_EQ(tag_of(out.frame), 1);
-  EXPECT_FALSE(queue.pop_into(out));
-  EXPECT_EQ(queue.admitted(), 1u);
-}
-
 TEST(FrameQueue, ConcurrentPushesRacingCloseAccountExactly) {
-  // Producers race a close() landing mid-stream. Whatever the interleaving,
-  // the accounting must balance: every push returns kAccepted or kClosed,
-  // admitted() equals the accepted count, and exactly that many frames
-  // drain afterwards — no frame is both refused and enqueued, none vanish.
+  // Producers race a close() landing mid-stream against a queue small enough
+  // to shed. Whatever the interleaving, the accounting must balance: every
+  // push is admitted (kAccepted or kReplacedOldest) or refused (kClosed),
+  // admitted() equals the admitted count, dropped() the replace count, and
+  // exactly admitted - dropped frames drain afterwards — no frame is both
+  // refused and enqueued, none vanish.
   FrameQueueConfig config;
-  config.capacity = 64;  // roomy: rarely fills before the close lands
-  config.policy = BackpressurePolicy::kBlock;  // kAccepted/kClosed are the only outcomes
+  config.capacity = 16;
   FrameQueue queue(config);
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 32;
   std::atomic<int> accepted{0};
+  std::atomic<int> replaced{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&] {
       for (int i = 0; i < kPerProducer; ++i) {
         const PushOutcome outcome = queue.push(tagged_frame(7), at_ms(i));
-        if (outcome == PushOutcome::kAccepted) {
+        if (outcome == PushOutcome::kReplacedOldest) replaced.fetch_add(1);
+        if (push_accepted(outcome)) {
           accepted.fetch_add(1);
         } else {
           ASSERT_EQ(outcome, PushOutcome::kClosed);
@@ -322,8 +122,10 @@ TEST(FrameQueue, ConcurrentPushesRacingCloseAccountExactly) {
   queue.close();  // races the pushes by design
   for (std::thread& t : producers) t.join();
 
-  EXPECT_EQ(queue.admitted(), static_cast<std::uint64_t>(accepted.load()));
-  EXPECT_EQ(queue.depth(), static_cast<std::size_t>(accepted.load()));
+  const std::uint64_t pushed = static_cast<std::uint64_t>(accepted.load());
+  EXPECT_EQ(queue.admitted(), pushed);
+  EXPECT_EQ(queue.dropped(), static_cast<std::uint64_t>(replaced.load()));
+  EXPECT_EQ(queue.depth(), pushed - queue.dropped());
   PendingFrame out;
   std::uint64_t drained = 0;
   std::uint64_t last_sequence = 0;
@@ -333,7 +135,7 @@ TEST(FrameQueue, ConcurrentPushesRacingCloseAccountExactly) {
     last_sequence = out.sequence;
     ++drained;
   }
-  EXPECT_EQ(drained, static_cast<std::uint64_t>(accepted.load()));
+  EXPECT_EQ(pushed, drained + queue.dropped());
 }
 
 // ---- LatencyHistogram ------------------------------------------------------
@@ -477,43 +279,41 @@ TEST(IngestRouter, SnapshotAccountsDropsByPolicyExactly) {
 
   IngestSessionConfig dropping;
   dropping.queue.capacity = 2;
-  dropping.queue.policy = BackpressurePolicy::kDropOldest;
-  IngestSessionConfig rejecting;
-  rejecting.queue.capacity = 2;
-  rejecting.queue.policy = BackpressurePolicy::kRejectNewest;
-  IngestSessionConfig limited;
-  limited.queue.capacity = 8;
-  limited.queue.rate.tokens_per_second = 1e-6;  // effectively one-shot
-  limited.queue.rate.burst = 1.0;
+  IngestSessionConfig roomy;
+  roomy.queue.capacity = 8;
 
   const int d = router.open(clip.background, dropping);
-  const int r = router.open(clip.background, rejecting);
-  const int l = router.open(clip.background, limited);
+  const int r = router.open(clip.background, roomy);
   for (int i = 0; i < 4; ++i) {
     router.push(d, clip.frames[0]);
     router.push(r, clip.frames[0]);
-    router.push(l, clip.frames[0]);
   }
+  router.seal(r);
+  EXPECT_EQ(router.push(r, clip.frames[0]), PushOutcome::kClosed);
 
   const IngestMetricsSnapshot snap = router.snapshot();
-  EXPECT_EQ(snap.open_sessions, 3u);
-  EXPECT_EQ(snap.pushed, 4u + 2u + 1u);  // admitted: all 4, first 2, first 1
+  EXPECT_EQ(snap.open_sessions, 2u);
+  EXPECT_EQ(snap.pushed, 4u + 4u);  // every push to an open queue is admitted
   EXPECT_EQ(snap.dropped_oldest, 2u);
-  EXPECT_EQ(snap.rejected, 2u);
-  EXPECT_EQ(snap.rate_limited, 3u);
-  EXPECT_EQ(snap.queue_depth, 2u + 2u + 1u);
-  ASSERT_EQ(snap.sessions.size(), 3u);
+  EXPECT_EQ(snap.closed_pushes, 1u);
+  EXPECT_EQ(snap.queue_depth, 2u + 4u);
+  ASSERT_EQ(snap.sessions.size(), 2u);
+  EXPECT_EQ(snap.sessions[0].pushed, 4u);
   EXPECT_EQ(snap.sessions[0].dropped_oldest, 2u);
-  EXPECT_STREQ(snap.sessions[0].policy, "drop-oldest");
-  EXPECT_EQ(snap.sessions[1].rejected, 2u);
-  EXPECT_STREQ(snap.sessions[1].policy, "reject-newest");
-  EXPECT_EQ(snap.sessions[2].rate_limited, 3u);
+  EXPECT_EQ(snap.sessions[1].pushed, 4u);
+  EXPECT_EQ(snap.sessions[1].dropped_oldest, 0u);
 
   const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"dropped_oldest\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"rejected\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"sessions\": ["), std::string::npos);
-  for (const int id : {d, r, l}) router.close(id);
+  EXPECT_EQ(json.find("\"policy\""), std::string::npos);
+
+  // Closing reports what each session shed and discarded.
+  std::uint64_t discarded = 0;
+  EXPECT_EQ(router.close(d, &discarded).frames_shed, 2u);
+  EXPECT_EQ(discarded, 2u);
+  EXPECT_EQ(router.close(r, &discarded).frames_shed, 0u);
+  EXPECT_EQ(discarded, 4u);
 }
 
 // ---- IngestService ---------------------------------------------------------
@@ -536,59 +336,57 @@ void expect_same_update(const Recorded& got, const core::StreamUpdate& want, std
   EXPECT_DOUBLE_EQ(got.result.posterior, want.result.posterior) << "frame " << frame;
 }
 
-/// Acceptance bar: for every backpressure policy, the service-delivered
-/// updates are identical to a direct StreamSession::push_frame replay when
-/// no frame is dropped (capacity >= clip length, limiter off).
+/// Acceptance bar: the service-delivered updates are identical to a direct
+/// StreamSession::push_frame replay when no frame is dropped (capacity >=
+/// clip length), and so is the final report, frames_shed 0 included.
 TEST(IngestService, BatchParityForEveryPolicyWhenNothingDrops) {
   const pose::PoseDbnClassifier classifier;
   const synth::Clip clip = make_clip(2008, 12);
 
-  for (const BackpressurePolicy policy : {BackpressurePolicy::kBlock,
-                                          BackpressurePolicy::kDropOldest,
-                                          BackpressurePolicy::kRejectNewest}) {
-    IngestServiceConfig config;
-    config.manager.workers = 2;
-    IngestService service(classifier, {}, config);
+  IngestServiceConfig config;
+  config.manager.workers = 2;
+  IngestService service(classifier, {}, config);
 
-    IngestSessionConfig session_config;
-    session_config.queue.capacity = clip.frames.size();
-    session_config.queue.policy = policy;
-    std::vector<Recorded> delivered;
-    const int id = service.open_session(clip.background, session_config,
-                                        [&](const Delivery& d) {
-                                          delivered.push_back({d.sequence, d.update.frame_index,
-                                                               d.update.airborne, d.update.result});
-                                        });
+  IngestSessionConfig session_config;
+  session_config.queue.capacity = clip.frames.size();
+  std::vector<Recorded> delivered;
+  const int id = service.open_session(clip.background, session_config, [&](const Delivery& d) {
+    delivered.push_back({d.sequence, d.update.frame_index, d.update.airborne, d.update.result});
+  });
 
-    // Scheduler deliberately stopped: flush() runs the drain->tick->deliver
-    // passes inline, so the whole parity path is deterministic.
-    for (const RgbImage& frame : clip.frames) {
-      ASSERT_EQ(service.push(id, frame), PushOutcome::kAccepted);
-    }
-    service.flush();
-
-    core::StreamSession reference(classifier, clip.background);
-    ASSERT_EQ(delivered.size(), clip.frames.size()) << policy_name(policy);
-    for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-      EXPECT_EQ(delivered[i].sequence, i) << policy_name(policy);
-      expect_same_update(delivered[i], reference.push_frame(clip.frames[i]), i);
-    }
-
-    // The final report agrees with the reference session's, and closing
-    // leaves the plane empty.
-    const core::JumpReport got = service.close_session(id);
-    const core::JumpReport want = reference.finish();
-    ASSERT_EQ(got.findings.size(), want.findings.size());
-    for (std::size_t i = 0; i < got.findings.size(); ++i) {
-      EXPECT_EQ(got.findings[i].passed, want.findings[i].passed);
-    }
-    EXPECT_EQ(service.open_sessions(), 0u);
-
-    const IngestMetricsSnapshot snap = service.metrics();
-    EXPECT_EQ(snap.pushed, clip.frames.size());
-    EXPECT_EQ(snap.delivered, clip.frames.size());
-    EXPECT_EQ(snap.dropped_oldest + snap.rejected + snap.rate_limited, 0u);
+  // Scheduler deliberately stopped: flush() runs the drain->tick->deliver
+  // passes inline, so the whole parity path is deterministic.
+  for (const RgbImage& frame : clip.frames) {
+    ASSERT_EQ(service.push(id, frame), PushOutcome::kAccepted);
   }
+  service.flush();
+
+  core::StreamSession reference(classifier, clip.background);
+  ASSERT_EQ(delivered.size(), clip.frames.size());
+  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
+    EXPECT_EQ(delivered[i].sequence, i);
+    expect_same_update(delivered[i], reference.push_frame(clip.frames[i]), i);
+  }
+
+  // The final report equals the reference session's, and closing leaves the
+  // plane empty.
+  const core::JumpReport got = service.close_session(id);
+  const core::JumpReport want = reference.finish();
+  EXPECT_EQ(got.frames_shed, 0u);
+  EXPECT_EQ(got.frames_shed, want.frames_shed);
+  ASSERT_EQ(got.findings.size(), want.findings.size());
+  for (std::size_t i = 0; i < got.findings.size(); ++i) {
+    EXPECT_EQ(got.findings[i].rule, want.findings[i].rule);
+    EXPECT_EQ(got.findings[i].passed, want.findings[i].passed);
+    EXPECT_EQ(got.findings[i].evidence_frames, want.findings[i].evidence_frames);
+  }
+  EXPECT_EQ(got.to_string(), want.to_string());
+  EXPECT_EQ(service.open_sessions(), 0u);
+
+  const IngestMetricsSnapshot snap = service.metrics();
+  EXPECT_EQ(snap.pushed, clip.frames.size());
+  EXPECT_EQ(snap.delivered, clip.frames.size());
+  EXPECT_EQ(snap.dropped_oldest, 0u);
 }
 
 TEST(IngestService, DropOldestKeepsDeliveringTheFreshestFrames) {
@@ -600,7 +398,6 @@ TEST(IngestService, DropOldestKeepsDeliveringTheFreshestFrames) {
   IngestService service(classifier, {}, config);
   IngestSessionConfig session_config;
   session_config.queue.capacity = 2;
-  session_config.queue.policy = BackpressurePolicy::kDropOldest;
   std::vector<std::uint64_t> sequences;
   const int id = service.open_session(clip.background, session_config,
                                       [&](const Delivery& d) { sequences.push_back(d.sequence); });
@@ -616,7 +413,53 @@ TEST(IngestService, DropOldestKeepsDeliveringTheFreshestFrames) {
   EXPECT_EQ(snap.pushed, 10u);
   EXPECT_EQ(snap.delivered, 2u);
   EXPECT_EQ(snap.dropped_oldest, 8u);
-  service.close_session(id);
+  // The report says which frames it lacks.
+  const core::JumpReport report = service.close_session(id);
+  EXPECT_EQ(report.frames_shed, 8u);
+  EXPECT_NE(report.to_string().find("8 frames shed before analysis"), std::string::npos);
+}
+
+/// An idle eviction's report counts the frames its session shed, like an
+/// explicit close: a manual-clock session forced to shed k frames reports k.
+TEST(IngestService, EvictedSessionReportCountsItsShedFrames) {
+  const pose::PoseDbnClassifier classifier;
+  const synth::Clip clip = make_clip(34, 7);
+
+  ManualClock clock;
+  IngestServiceConfig config;
+  config.manager.workers = 1;
+  config.router.clock = clock.fn();
+  config.poll_interval = 1ms;
+  IngestService service(classifier, {}, config);
+
+  IngestSessionConfig session_config;
+  session_config.queue.capacity = 2;
+  session_config.idle_timeout = 50ms;
+  const int id = service.open_session(clip.background, session_config);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int evicted_id = -1;
+  std::uint64_t evicted_shed = 0;
+  service.set_eviction_sink([&](int session, const core::JumpReport& report) {
+    std::lock_guard<std::mutex> lock(mutex);
+    evicted_id = session;
+    evicted_shed = report.frames_shed;
+    cv.notify_all();
+  });
+
+  // Seven frames into a 2-deep queue before the scheduler starts: five shed.
+  for (const RgbImage& frame : clip.frames) service.push(id, frame);
+  service.start();
+  service.flush();
+  clock.advance(200ms);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return evicted_id != -1; }));
+  }
+  service.stop();
+  EXPECT_EQ(evicted_id, id);
+  EXPECT_EQ(evicted_shed, clip.frames.size() - 2);
+  EXPECT_EQ(service.metrics().dropped_oldest, clip.frames.size() - 2);
 }
 
 TEST(IngestService, IdleSessionsAreEvictedThroughTheScheduler) {
@@ -666,8 +509,8 @@ TEST(IngestService, IdleSessionsAreEvictedThroughTheScheduler) {
 }
 
 /// The TSan stress target (scripts/ci.sh --tsan-stress): concurrent
-/// producers hammer small kBlock queues while the scheduler drains, ticks
-/// and delivers. Sessions 0..2 have one producer each and must deliver
+/// producers hammer the queues while the scheduler drains, ticks and
+/// delivers. Each queue holds a whole session, so drop-oldest never sheds. Sessions 0..2 have one producer each and must deliver
 /// bit-identical results to a direct replay; session 3 is fed by two
 /// producers racing each other (MPSC) and must still deliver in admission
 /// order with nothing lost.
@@ -683,8 +526,7 @@ TEST(IngestService, MultiProducerStressDeliversEveryFrameInOrder) {
   IngestService service(classifier, {}, config);
 
   IngestSessionConfig session_config;
-  session_config.queue.capacity = 2;  // small on purpose: force blocking
-  session_config.queue.policy = BackpressurePolicy::kBlock;
+  session_config.queue.capacity = frames;  // holds a whole session: nothing is shed
 
   struct PerSession {
     std::mutex mutex;
@@ -708,7 +550,7 @@ TEST(IngestService, MultiProducerStressDeliversEveryFrameInOrder) {
   for (std::size_t s = 0; s + 1 < clips.size(); ++s) {
     producers.emplace_back([&, s] {
       for (const RgbImage& frame : clips[s].frames) {
-        ASSERT_EQ(service.push(ids[s], frame), PushOutcome::kAccepted);  // kBlock: lossless
+        ASSERT_EQ(service.push(ids[s], frame), PushOutcome::kAccepted);  // never full
       }
     });
   }
@@ -750,7 +592,8 @@ TEST(IngestService, MultiProducerStressDeliversEveryFrameInOrder) {
   const IngestMetricsSnapshot snap = service.metrics();
   EXPECT_EQ(snap.pushed, clips.size() * static_cast<std::size_t>(frames));
   EXPECT_EQ(snap.delivered, snap.pushed);
-  for (const int id : ids) service.close_session(id);
+  EXPECT_EQ(snap.dropped_oldest, 0u);
+  for (const int id : ids) EXPECT_EQ(service.close_session(id).frames_shed, 0u);
 }
 
 TEST(IngestService, CloseSessionFlushesQueuedFramesFirst) {
@@ -856,8 +699,7 @@ TEST(IngestService, StopStartCyclesKeepDeliveryOrderAndAccounting) {
   config.poll_interval = 1ms;
   IngestService service(classifier, {}, config);
   IngestSessionConfig session_config;
-  session_config.queue.capacity = 4;
-  session_config.queue.policy = BackpressurePolicy::kBlock;
+  session_config.queue.capacity = clip.frames.size();  // lossless: nothing is shed
   std::mutex delivered_mutex;
   std::vector<std::uint64_t> delivered;
   const int id = service.open_session(clip.background, session_config,
@@ -886,6 +728,7 @@ TEST(IngestService, StopStartCyclesKeepDeliveryOrderAndAccounting) {
   const IngestMetricsSnapshot snap = service.metrics();
   EXPECT_EQ(snap.pushed, clip.frames.size());
   EXPECT_EQ(snap.delivered, clip.frames.size());
+  EXPECT_EQ(snap.pushed, snap.delivered + snap.dropped_oldest + snap.discarded);
 }
 
 TEST(IngestService, CloseSessionRacingBlockedProducersNeverHangs) {
@@ -897,16 +740,15 @@ TEST(IngestService, CloseSessionRacingBlockedProducersNeverHangs) {
   config.poll_interval = 1ms;
   IngestService service(classifier, {}, config);
   IngestSessionConfig session_config;
-  session_config.queue.capacity = 1;  // tiny: producers block almost immediately
-  session_config.queue.policy = BackpressurePolicy::kBlock;
+  session_config.queue.capacity = 1;  // tiny: almost every push sheds a frame
   std::atomic<int> delivered{0};
   const int id = service.open_session(clip.background, session_config,
                                       [&](const Delivery&) { delivered.fetch_add(1); });
 
-  // Producers hammer a 1-deep blocking queue while close_session() lands
-  // concurrently. The seal must wake any parked producer with kClosed
-  // (not strand it), and close_session's internal flush must account every
-  // admitted frame so neither side deadlocks.
+  // Producers hammer a 1-deep drop-oldest queue while close_session() lands
+  // concurrently. Pushes after the seal get kClosed, and close_session's
+  // internal flush must account every admitted frame (delivered, shed or
+  // discarded) so it returns instead of waiting forever.
   service.start();
   std::atomic<int> accepted{0};
   std::atomic<int> closed{0};
@@ -914,16 +756,12 @@ TEST(IngestService, CloseSessionRacingBlockedProducersNeverHangs) {
   for (int p = 0; p < 3; ++p) {
     producers.emplace_back([&] {
       for (const RgbImage& frame : clip.frames) {
-        switch (service.push(id, frame)) {
-          case PushOutcome::kAccepted:
-          case PushOutcome::kReplacedOldest:
-            accepted.fetch_add(1);
-            break;
-          case PushOutcome::kClosed:
-            closed.fetch_add(1);
-            break;
-          default:
-            break;
+        const PushOutcome outcome = service.push(id, frame);
+        if (push_accepted(outcome)) {
+          accepted.fetch_add(1);
+        } else {
+          ASSERT_EQ(outcome, PushOutcome::kClosed);
+          closed.fetch_add(1);
         }
       }
     });
@@ -933,14 +771,17 @@ TEST(IngestService, CloseSessionRacingBlockedProducersNeverHangs) {
   for (std::thread& t : producers) t.join();
   service.stop();
 
-  // Every producer attempt resolved one way or the other, and the session
-  // is gone. Frames admitted before the seal were delivered or discarded
-  // by the close — either way flush() discharged them, or we'd still be
-  // blocked inside close_session above.
+  // Every producer attempt resolved one way or the other, the session is
+  // gone, and the books balance exactly: each admitted frame was delivered,
+  // shed by drop-oldest, or discarded by the close.
   EXPECT_EQ(accepted.load() + closed.load(), 3 * static_cast<int>(clip.frames.size()));
   EXPECT_EQ(service.open_sessions(), 0u);
-  EXPECT_GE(report.total_count(), 0);
-  EXPECT_LE(delivered.load(), accepted.load());
+  const IngestMetricsSnapshot snap = service.metrics();
+  EXPECT_EQ(snap.pushed, static_cast<std::uint64_t>(accepted.load()));
+  EXPECT_EQ(snap.closed_pushes, static_cast<std::uint64_t>(closed.load()));
+  EXPECT_EQ(snap.delivered, static_cast<std::uint64_t>(delivered.load()));
+  EXPECT_EQ(snap.pushed, snap.delivered + snap.dropped_oldest + snap.discarded);
+  EXPECT_EQ(report.frames_shed, snap.dropped_oldest);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //     entry/clearing honor the consecutive-evaluation thresholds;
 //   * flight recorder — a dump from a live IngestService replays
 //     bit-identically at 1/2/4 workers (also when a push was logged after
-//     its tick), window and byte budgets evict whole sessions without
+//     its tick, and drops the close of a session whose replacing push was
+//     logged after it), window and byte budgets evict whole sessions without
 //     corrupting the dump, and a dump leaves the capture untouched;
 //   * service monitor — a forced SLO breach produces a replayable incident
 //     trace exactly once per breach edge.
@@ -451,7 +452,6 @@ TEST(SloTracker, BoundaryValuesNeverFlap) {
   config.p99_budget_ms = 10.0;
   config.breach_after = 1;
   config.clear_after = 1;
-  config.hysteresis = 0.1;
   SloTracker tracker(config);
 
   // Sitting exactly on the budget is not a breach (entry needs > budget)...
@@ -487,7 +487,6 @@ TEST(SloTracker, BreachAndClearNeedConsecutiveEvaluations) {
   config.p99_budget_ms = 10.0;
   config.breach_after = 3;
   config.clear_after = 2;
-  config.hysteresis = 0.1;
   SloTracker tracker(config);
 
   const auto eval = [&tracker](double p99) {
@@ -573,7 +572,6 @@ struct Rig {
   ingest::IngestSessionConfig session_config(std::size_t capacity = 2) {
     ingest::IngestSessionConfig config;
     config.queue.capacity = capacity;
-    config.queue.policy = ingest::BackpressurePolicy::kDropOldest;
     return config;
   }
 
@@ -728,6 +726,75 @@ TEST(FlightRecorder, PushLoggedAfterItsTickReplaysFromTheFile) {
   expect_replays_identically(path, rig.classifier, end.delivered);
   const replay::TraceReplayer replayer(rig.classifier);
   EXPECT_TRUE(replayer.replay(trace).identical());
+  rig.service->set_tap(nullptr);
+}
+
+/// Forwards every event to a FlightRecorder but holds the first replacing
+/// push until release(): a producer that logs its drop-oldest push only
+/// after its session has closed.
+class LateReplaceTap : public ingest::IngestTap {
+ public:
+  explicit LateReplaceTap(FlightRecorder& recorder) : recorder_(recorder) {}
+
+  void on_open(ingest::Clock::time_point now, int session,
+               const ingest::IngestSessionConfig& config, const RgbImage& background) override {
+    recorder_.on_open(now, session, config, background);
+  }
+  void on_push(ingest::Clock::time_point now, int session, const RgbImage& frame,
+               ingest::PushOutcome outcome, std::uint64_t sequence) override {
+    if (!held_ && outcome == ingest::PushOutcome::kReplacedOldest) {
+      held_ = [this, now, session, frame, outcome, sequence] {
+        recorder_.on_push(now, session, frame, outcome, sequence);
+      };
+      return;
+    }
+    recorder_.on_push(now, session, frame, outcome, sequence);
+  }
+  void on_tick(ingest::Clock::time_point now, const ingest::DrainBatch& batch,
+               const std::vector<core::StreamUpdate>& updates, std::size_t count) override {
+    recorder_.on_tick(now, batch, updates, count);
+  }
+  void on_close(ingest::Clock::time_point now, int session, const core::JumpReport& report,
+                std::uint64_t discarded, bool evicted) override {
+    recorder_.on_close(now, session, report, discarded, evicted);
+  }
+
+  void release() { held_(); }
+
+ private:
+  FlightRecorder& recorder_;
+  std::function<void()> held_;
+};
+
+TEST(FlightRecorder, ReplacingPushLoggedAfterItsCloseDropsTheClose) {
+  Rig rig;
+  FlightRecorder recorder;
+  LateReplaceTap tap(recorder);
+  rig.service->set_tap(&tap);
+  const int id = rig.service->open_session(rig.clip.background, rig.session_config(1));
+  // Three pushes into a 1-deep queue: the second and third each replace,
+  // and only the third frame is delivered.
+  std::vector<std::size_t> next{0};
+  rig.round({id}, 3, next);
+  ASSERT_EQ(rig.service->close_session(id).frames_shed, 2u);
+
+  // Dumped while the second push is held, the discard books still balance
+  // (2 admitted - 1 replaced - 1 delivered == 0 discarded), but the report
+  // counts a shed frame with no push record: the close record must go, or
+  // the replay would see a report that disagrees with the pushes.
+  const std::string path = temp_path("flight_late_replace.sljtrace");
+  FlightRecorder::DumpStats stats = recorder.dump(path);
+  EXPECT_EQ(stats.closes, 0u);
+  EXPECT_EQ(stats.truncated_sessions, 1u);
+  expect_replays_identically(path, rig.classifier, 1);
+
+  // Once the push lands, the close record is whole again.
+  tap.release();
+  stats = recorder.dump(path);
+  EXPECT_EQ(stats.closes, 1u);
+  EXPECT_EQ(stats.truncated_sessions, 0u);
+  EXPECT_TRUE(stats.has_summary);
+  expect_replays_identically(path, rig.classifier, 1);
   rig.service->set_tap(nullptr);
 }
 
