@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "core/clip_engine.hpp"
 #include "core/evaluation.hpp"
 #include "core/simd.hpp"
 #include "core/trainer.hpp"
@@ -47,11 +48,25 @@ inline std::string host_json() {
 
 /// The reference corpus: 12 training clips (522 frames), 3 test clips
 /// (135 frames), matching the paper's Sec. 5 counts. Seed fixed so every
-/// bench sees the same data.
+/// bench sees the same data. Equal to synth::generate_dataset, with the
+/// clips rendered concurrently, one per task.
 inline synth::Dataset paper_corpus(std::uint32_t seed = 2008) {
   synth::DatasetSpec spec;
   spec.seed = seed;
-  return synth::generate_dataset(spec);
+  const synth::DatasetClipSpecs specs = synth::dataset_clip_specs(spec);
+  synth::Dataset dataset;
+  dataset.train.resize(specs.train.size());
+  dataset.test.resize(specs.test.size());
+  core::WorkerPool pool;
+  pool.parallel_for(specs.train.size() + specs.test.size(), [&](std::size_t i) {
+    if (i < specs.train.size()) {
+      dataset.train[i] = synth::generate_clip(specs.train[i]);
+    } else {
+      const std::size_t t = i - specs.train.size();
+      dataset.test[t] = synth::generate_clip(specs.test[t]);
+    }
+  });
+  return dataset;
 }
 
 inline void print_header(const std::string& experiment, const std::string& paper_ref) {

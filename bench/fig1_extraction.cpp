@@ -22,6 +22,7 @@ int main() {
   spec.camera.speckle_fraction = 0.02;
   spec.camera.speckle_strength = 130;
   const synth::Clip clip = synth::generate_clip(spec);
+  const std::vector<BinaryImage> truths = synth::render_clean_silhouettes(spec);
 
   seg::ObjectExtractor extractor;
   extractor.set_background(clip.background);
@@ -36,7 +37,7 @@ int main() {
   double sum_raw = 0.0, sum_smooth = 0.0;
   for (int i = 0; i < clip.frame_count(); i += 5) {
     extractor.extract_into(clip.frames[static_cast<std::size_t>(i)], ws, silhouette);
-    const BinaryImage& truth = clip.clean_silhouettes[static_cast<std::size_t>(i)];
+    const BinaryImage& truth = truths[static_cast<std::size_t>(i)];
     const double raw_iou = iou(ws.raw_mask, truth);
     const double smooth_iou = iou(silhouette, truth);
     sum_raw += raw_iou;

@@ -18,8 +18,6 @@
 namespace slj::synth {
 
 /// Writes the clip (frames + background + truth) into `dir`, creating it.
-/// Clean silhouettes are not stored (they are derivable); loading a saved
-/// clip leaves `clean_silhouettes` empty.
 void save_clip(const Clip& clip, const std::string& dir);
 
 /// Loads a clip directory. Frames and background are required; truth lines

@@ -7,44 +7,64 @@
 
 namespace slj::synth {
 
+namespace {
+
+/// The deterministic part of a clip: the subject and the motion, drawn from
+/// the seed's stream, which it leaves positioned for the frames' noise.
+struct ClipPlan {
+  explicit ClipPlan(const ClipSpec& spec) : rng(spec.seed), renderer(spec.camera) {
+    Normal height_dist(spec.subject_height_mean, spec.subject_height_sigma);
+    body = BodyDimensions::for_height(std::clamp(height_dist(rng), 1.15, 1.62));
+
+    JumpStyle style;
+    style.seed = spec.seed * 7919u + 13u;  // decouple motion jitter from subject jitter
+    style.faults = spec.faults;
+    const UniformReal dist(1.00, 1.30);
+    const UniformReal apex(0.20, 0.32);
+    style.jump_distance = dist(rng);
+    style.apex_height = apex(rng);
+    motion = JumpMotionGenerator(body, style).generate(spec.frame_count);
+  }
+
+  Rng rng;
+  SilhouetteRenderer renderer;
+  BodyDimensions body;
+  std::vector<MotionFrame> motion;
+};
+
+}  // namespace
+
 Clip generate_clip(const ClipSpec& spec) {
+  ClipPlan plan(spec);
   Clip clip;
   clip.seed = spec.seed;
   clip.faults = spec.faults;
-
-  Rng rng(spec.seed);
-  Normal height_dist(spec.subject_height_mean, spec.subject_height_sigma);
-  const double height = std::clamp(height_dist(rng), 1.15, 1.62);
-  const BodyDimensions body = BodyDimensions::for_height(height);
-
-  JumpStyle style;
-  style.seed = spec.seed * 7919u + 13u;  // decouple motion jitter from subject jitter
-  style.faults = spec.faults;
-  const UniformReal dist(1.00, 1.30);
-  const UniformReal apex(0.20, 0.32);
-  style.jump_distance = dist(rng);
-  style.apex_height = apex(rng);
-
-  const JumpMotionGenerator motion(body, style);
-  const SilhouetteRenderer renderer(spec.camera);
-
-  clip.background = renderer.render_background(rng);
-  const std::vector<MotionFrame> frames = motion.generate(spec.frame_count);
-  clip.frames.reserve(frames.size());
-  clip.truth.reserve(frames.size());
-  clip.clean_silhouettes.reserve(frames.size());
-  for (const MotionFrame& mf : frames) {
-    clip.clean_silhouettes.push_back(renderer.render_silhouette(body, mf.angles, mf.pelvis));
-    clip.frames.push_back(renderer.render_frame(clip.clean_silhouettes.back(), rng));
+  clip.background = plan.renderer.render_background(plan.rng);
+  clip.frames.reserve(plan.motion.size());
+  clip.truth.reserve(plan.motion.size());
+  BinaryImage silhouette;
+  for (const MotionFrame& mf : plan.motion) {
+    plan.renderer.render_silhouette_into(plan.body, mf.angles, mf.pelvis, silhouette);
+    clip.frames.push_back(plan.renderer.render_frame(silhouette, plan.rng));
     FrameTruth t;
-    t.pose = label_pose(body, mf);
+    t.pose = label_pose(plan.body, mf);
     t.stage = mf.stage;
     t.airborne = mf.airborne;
-    t.parts = renderer.part_truth(body, mf.angles, mf.pelvis);
+    t.parts = plan.renderer.part_truth(plan.body, mf.angles, mf.pelvis);
     t.angles = mf.angles;
     clip.truth.push_back(t);
   }
   return clip;
+}
+
+std::vector<BinaryImage> render_clean_silhouettes(const ClipSpec& spec) {
+  const ClipPlan plan(spec);
+  std::vector<BinaryImage> masks(plan.motion.size());
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    const MotionFrame& mf = plan.motion[i];
+    plan.renderer.render_silhouette_into(plan.body, mf.angles, mf.pelvis, masks[i]);
+  }
+  return masks;
 }
 
 std::size_t Dataset::train_frames() const {
@@ -57,25 +77,26 @@ std::size_t Dataset::test_frames() const {
                          [](std::size_t n, const Clip& c) { return n + c.frames.size(); });
 }
 
-Dataset generate_dataset(const DatasetSpec& spec) {
-  Dataset ds;
-  std::uint32_t clip_seed = spec.seed;
-  for (const int frames : spec.train_clip_frames) {
-    ClipSpec cs;
-    cs.seed = ++clip_seed;
-    cs.frame_count = frames;
-    cs.camera = spec.camera;
-    ds.train.push_back(generate_clip(cs));
-  }
+DatasetClipSpecs dataset_clip_specs(const DatasetSpec& spec) {
+  const auto derive = [&spec](std::uint32_t base_seed, const std::vector<int>& frames) {
+    std::vector<ClipSpec> specs(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      specs[i].seed = base_seed + 1u + static_cast<std::uint32_t>(i);
+      specs[i].frame_count = frames[i];
+      specs[i].camera = spec.camera;
+    }
+    return specs;
+  };
   // Offset the test seeds so adding training clips never changes test data.
-  clip_seed = spec.seed + 1000u;
-  for (const int frames : spec.test_clip_frames) {
-    ClipSpec cs;
-    cs.seed = ++clip_seed;
-    cs.frame_count = frames;
-    cs.camera = spec.camera;
-    ds.test.push_back(generate_clip(cs));
-  }
+  return {derive(spec.seed, spec.train_clip_frames),
+          derive(spec.seed + 1000u, spec.test_clip_frames)};
+}
+
+Dataset generate_dataset(const DatasetSpec& spec) {
+  const DatasetClipSpecs specs = dataset_clip_specs(spec);
+  Dataset ds;
+  for (const ClipSpec& cs : specs.train) ds.train.push_back(generate_clip(cs));
+  for (const ClipSpec& cs : specs.test) ds.test.push_back(generate_clip(cs));
   return ds;
 }
 

@@ -21,13 +21,15 @@ struct FrameTruth {
   JointAngles angles;          ///< generating angles (for diagnostics)
 };
 
-/// One video clip: a background plate, the frames, and per-frame truth.
+/// One video clip: a background plate, the frames, and per-frame truth —
+/// what a camera and an annotator would have supplied. The noise-free
+/// silhouettes are a scoring oracle, not part of the clip:
+/// render_clean_silhouettes draws them from the clip's spec on demand.
 struct Clip {
   std::uint32_t seed = 0;
   RgbImage background;
   std::vector<RgbImage> frames;
   std::vector<FrameTruth> truth;
-  std::vector<BinaryImage> clean_silhouettes;  ///< noise-free GT masks
   FaultFlags faults;
 
   int frame_count() const { return static_cast<int>(frames.size()); }
@@ -44,6 +46,10 @@ struct ClipSpec {
 
 /// Generates one clip. Deterministic in the spec (seed included).
 Clip generate_clip(const ClipSpec& spec);
+
+/// The noise-free silhouette of each of generate_clip(spec)'s frames, from
+/// the same subject and motion, without drawing the frames' noise.
+std::vector<BinaryImage> render_clean_silhouettes(const ClipSpec& spec);
 
 struct Dataset {
   std::vector<Clip> train;
@@ -62,6 +68,16 @@ struct DatasetSpec {
   CameraConfig camera;
 };
 
+/// The clip specs a dataset is generated from: train clip i has seed
+/// `seed + 1 + i`, test clip i seed `seed + 1001 + i`, each with the camera.
+struct DatasetClipSpecs {
+  std::vector<ClipSpec> train;
+  std::vector<ClipSpec> test;
+};
+
+DatasetClipSpecs dataset_clip_specs(const DatasetSpec& spec);
+
+/// generate_clip over dataset_clip_specs(spec), in order.
 Dataset generate_dataset(const DatasetSpec& spec);
 
 }  // namespace slj::synth

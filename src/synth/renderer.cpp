@@ -18,7 +18,15 @@ PointF SilhouetteRenderer::project(PointF world) const {
 BinaryImage SilhouetteRenderer::render_silhouette(const BodyDimensions& body,
                                                   const JointAngles& angles,
                                                   PointF pelvis_world) const {
-  BinaryImage img(config_.width, config_.height, 0);
+  BinaryImage img;
+  render_silhouette_into(body, angles, pelvis_world, img);
+  return img;
+}
+
+void SilhouetteRenderer::render_silhouette_into(const BodyDimensions& body,
+                                                const JointAngles& angles, PointF pelvis_world,
+                                                BinaryImage& img) const {
+  img.assign(config_.width, config_.height, 0);
   const JointPositions j = forward_kinematics(body, angles, pelvis_world);
   const double s = config_.pixels_per_meter;
 
@@ -33,7 +41,6 @@ BinaryImage SilhouetteRenderer::render_silhouette(const BodyDimensions& body,
   fill_capsule(img, project(j.hip), project(j.knee), body.thigh_radius * s);
   fill_capsule(img, project(j.knee), project(j.ankle), body.shank_radius * s);
   fill_capsule(img, project(j.heel), project(j.toe), body.foot_radius * s);
-  return img;
 }
 
 BinaryImage SilhouetteRenderer::render_stick(const BodyDimensions& body,

@@ -62,6 +62,11 @@ class SilhouetteRenderer {
   BinaryImage render_silhouette(const BodyDimensions& body, const JointAngles& angles,
                                 PointF pelvis_world) const;
 
+  /// render_silhouette into `out`, which is resized to the camera and
+  /// reuses its storage.
+  void render_silhouette_into(const BodyDimensions& body, const JointAngles& angles,
+                              PointF pelvis_world, BinaryImage& out) const;
+
   /// A thin "stick" rendering with fixed limb radius, used by the GA
   /// baseline's fitness model.
   BinaryImage render_stick(const BodyDimensions& body, const JointAngles& angles,

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -73,8 +75,19 @@ TEST_F(ClipIoTest, FaultFlagsRoundTrip) {
 }
 
 TEST_F(ClipIoTest, CleanSilhouettesAreNotPersisted) {
+  // A saved clip is what a camera and an annotator supply: the manifest, the
+  // background and one PPM per frame. The noise-free masks are re-rendered
+  // from the spec (render_clean_silhouettes), never written.
   save_clip(generate_clip(small_spec()), path("clip"));
-  EXPECT_TRUE(load_clip(path("clip")).clean_silhouettes.empty());
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(path("clip"))) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  std::vector<std::string> want = {"background.ppm"};
+  for (int i = 0; i < 8; ++i) want.push_back("frame_00" + std::to_string(i) + ".ppm");
+  want.push_back("manifest.txt");
+  EXPECT_EQ(names, want);
 }
 
 TEST_F(ClipIoTest, ClipWithoutTruthLoads) {

@@ -46,11 +46,14 @@ ClipSpec small_clip_spec(std::uint32_t seed, int frames = 20) {
 
 TEST(Clip, FramesTruthAndSilhouettesAligned) {
   const Clip clip = generate_clip(small_clip_spec(4));
+  const std::vector<BinaryImage> masks = render_clean_silhouettes(small_clip_spec(4));
   EXPECT_EQ(clip.frames.size(), 20u);
   EXPECT_EQ(clip.truth.size(), 20u);
-  EXPECT_EQ(clip.clean_silhouettes.size(), 20u);
+  ASSERT_EQ(masks.size(), 20u);
   EXPECT_EQ(clip.frame_count(), 20);
   EXPECT_EQ(clip.background.width(), 120);
+  EXPECT_EQ(masks.front().width(), 120);
+  EXPECT_EQ(masks.front().height(), 80);
 }
 
 TEST(Clip, DeterministicForSameSpec) {
@@ -79,10 +82,12 @@ TEST(Clip, TruthStagesProgress) {
 
 TEST(Clip, CleanSilhouetteMatchesPartTruth) {
   const Clip clip = generate_clip(small_clip_spec(5, 30));
+  const std::vector<BinaryImage> masks = render_clean_silhouettes(small_clip_spec(5, 30));
+  ASSERT_EQ(masks.size(), clip.truth.size());
   for (std::size_t i = 0; i < clip.truth.size(); i += 7) {
     const PointI waist = round_to_i(clip.truth[i].parts.waist);
-    ASSERT_TRUE(clip.clean_silhouettes[i].in_bounds(waist));
-    EXPECT_TRUE(clip.clean_silhouettes[i].at(waist));
+    ASSERT_TRUE(masks[i].in_bounds(waist));
+    EXPECT_TRUE(masks[i].at(waist));
   }
 }
 
@@ -94,9 +99,10 @@ TEST(Clip, FaultFlagsPropagate) {
 }
 
 // 64-bit FNV-1a over every byte a clip hands downstream: background, frames,
-// clean silhouettes and per-frame truth. The pinned digests below make any
-// change to the rendered corpus, however small, fail loudly instead of
-// silently moving every accuracy table.
+// the noise-free silhouettes render_clean_silhouettes draws for it, and
+// per-frame truth. The pinned digests below make any change to the rendered
+// corpus, however small, fail loudly instead of silently moving every
+// accuracy table.
 class Fnv1a {
  public:
   void bytes(const void* data, std::size_t n) {
@@ -116,11 +122,12 @@ class Fnv1a {
     value(img.height());
     bytes(img.data().data(), img.data().size() * sizeof(T));
   }
-  void clip(const Clip& c) {
+  void clip(const ClipSpec& spec) {
+    const Clip c = generate_clip(spec);
     image(c.background);
     value(c.frame_count());
     for (const RgbImage& f : c.frames) image(f);
-    for (const BinaryImage& s : c.clean_silhouettes) image(s);
+    for (const BinaryImage& s : render_clean_silhouettes(spec)) image(s);
     for (const FrameTruth& t : c.truth) {
       value(t.pose);
       value(t.stage);
@@ -144,15 +151,17 @@ class Fnv1a {
 
 std::uint64_t clip_digest(const ClipSpec& spec) {
   Fnv1a h;
-  h.clip(generate_clip(spec));
+  h.clip(spec);
   return h.digest();
 }
 
 TEST(CorpusDigest, PaperDatasetIsPinned) {
-  const Dataset ds = generate_dataset(DatasetSpec{});
+  // generate_dataset is generate_clip over these specs
+  // (Dataset.ClipSpecsReproduceGenerateDataset), so this pins its corpus.
+  const DatasetClipSpecs specs = dataset_clip_specs(DatasetSpec{});
   Fnv1a h;
-  for (const Clip& c : ds.train) h.clip(c);
-  for (const Clip& c : ds.test) h.clip(c);
+  for (const ClipSpec& s : specs.train) h.clip(s);
+  for (const ClipSpec& s : specs.test) h.clip(s);
   EXPECT_EQ(h.digest(), 0xe02053c5168614f9ull);
 }
 
@@ -190,6 +199,46 @@ TEST(CorpusDigest, OddWidthCameraIsPinned) {
   spec.camera.ground_y_px = 72.0;
   spec.camera.origin_x_px = 12.0;
   EXPECT_EQ(clip_digest(spec), 0xc40934ef079fba93ull);
+}
+
+void expect_same_clip(const Clip& a, const Clip& b) {
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.background, b.background);
+  EXPECT_EQ(a.frames, b.frames);
+  ASSERT_EQ(a.truth.size(), b.truth.size());
+  for (std::size_t i = 0; i < a.truth.size(); ++i) {
+    EXPECT_EQ(a.truth[i].pose, b.truth[i].pose) << "frame " << i;
+    EXPECT_EQ(a.truth[i].stage, b.truth[i].stage) << "frame " << i;
+    EXPECT_EQ(a.truth[i].airborne, b.truth[i].airborne) << "frame " << i;
+    EXPECT_EQ(a.truth[i].parts.waist.x, b.truth[i].parts.waist.x) << "frame " << i;
+    EXPECT_EQ(a.truth[i].parts.waist.y, b.truth[i].parts.waist.y) << "frame " << i;
+  }
+}
+
+TEST(Dataset, ClipSpecsReproduceGenerateDataset) {
+  DatasetSpec small;
+  small.seed = 31;
+  small.train_clip_frames = {12, 9};
+  small.test_clip_frames = {10};
+  small.camera.width = 96;
+  small.camera.height = 64;
+  small.camera.pixels_per_meter = 24.0;
+  small.camera.ground_y_px = 60.0;
+  small.camera.origin_x_px = 12.0;
+  for (const DatasetSpec& spec : {DatasetSpec{}, small}) {
+    const DatasetClipSpecs specs = dataset_clip_specs(spec);
+    const Dataset ds = generate_dataset(spec);
+    ASSERT_EQ(specs.train.size(), ds.train.size());
+    ASSERT_EQ(specs.test.size(), ds.test.size());
+    for (std::size_t i = 0; i < specs.train.size(); ++i) {
+      EXPECT_EQ(specs.train[i].seed, spec.seed + 1u + i);
+      expect_same_clip(generate_clip(specs.train[i]), ds.train[i]);
+    }
+    for (std::size_t i = 0; i < specs.test.size(); ++i) {
+      EXPECT_EQ(specs.test[i].seed, spec.seed + 1001u + i);
+      expect_same_clip(generate_clip(specs.test[i]), ds.test[i]);
+    }
+  }
 }
 
 TEST(Dataset, TestCorpusIndependentOfTrainingSize) {

@@ -214,11 +214,11 @@ TEST(FrameWorkspaceParity, GroundTruthSilhouetteMatchesReference) {
   FrameWorkspace ws;
   FrameObservation got;
   for (const synth::DatasetSpec& spec : {paper, small}) {
-    const synth::Clip clip = synth::generate_dataset(spec).test.front();
-    for (std::size_t i = 0; i < clip.clean_silhouettes.size(); ++i) {
-      pipeline.process_silhouette_into(clip.clean_silhouettes[i], ws, got);
-      const FrameObservation want =
-          reference::process_silhouette(pipeline, clip.clean_silhouettes[i]);
+    const std::vector<BinaryImage> masks =
+        synth::render_clean_silhouettes(synth::dataset_clip_specs(spec).test.front());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      pipeline.process_silhouette_into(masks[i], ws, got);
+      const FrameObservation want = reference::process_silhouette(pipeline, masks[i]);
       expect_identical_observation(got, want, i);
     }
   }

@@ -29,11 +29,12 @@ TEST(FramePipeline, ProcessWithoutBackgroundThrows) {
 
 TEST(FramePipeline, ExtractsSilhouetteCloseToGroundTruth) {
   const synth::Clip clip = synth::generate_clip(test_clip_spec());
+  const std::vector<BinaryImage> truth = synth::render_clean_silhouettes(test_clip_spec());
   FramePipeline pipeline;
   pipeline.set_background(clip.background);
   for (std::size_t i = 0; i < clip.frames.size(); i += 5) {
     const FrameObservation obs = process(pipeline, clip.frames[i]);
-    EXPECT_GT(iou(obs.silhouette, clip.clean_silhouettes[i]), 0.85) << "frame " << i;
+    EXPECT_GT(iou(obs.silhouette, truth[i]), 0.85) << "frame " << i;
   }
 }
 
@@ -113,13 +114,13 @@ TEST(FramePipeline, EmptyFrameGivesEmptyObservation) {
 }
 
 TEST(FramePipeline, ProcessSilhouetteSkipsSegmentation) {
-  const synth::Clip clip = synth::generate_clip(test_clip_spec());
+  const BinaryImage truth = synth::render_clean_silhouettes(test_clip_spec())[6];
   FramePipeline pipeline;
   FrameWorkspace ws;
   FrameObservation obs;
-  pipeline.process_silhouette_into(clip.clean_silhouettes[6], ws, obs);
+  pipeline.process_silhouette_into(truth, ws, obs);
   EXPECT_FALSE(obs.candidates.empty());
-  EXPECT_EQ(obs.silhouette, clip.clean_silhouettes[6]);
+  EXPECT_EQ(obs.silhouette, truth);
 }
 
 TEST(GroundMonitor, CalibratesAndDetectsLift) {
