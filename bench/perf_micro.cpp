@@ -1,7 +1,8 @@
 // P2 — component micro-benchmarks (google-benchmark): per-stage cost of the
-// pipeline the paper runs per frame, plus DBN inference and end-to-end
-// frame throughput. Every vision row times the shipped workspace function on
-// a workspace reused across iterations, as the engines run it.
+// pipeline the paper runs per frame, plus DBN inference, end-to-end frame
+// throughput and the synthetic camera that renders every frame. Every
+// vision row times the shipped workspace function on a workspace reused
+// across iterations, as the engines run it.
 //
 // perfbench runs its workloads on one malloc arena (mallopt M_ARENA_MAX = 1),
 // where heap traffic from concurrent lanes contends on one lock. To see what
@@ -11,6 +12,8 @@
 // and compare /threads:4 with the single-thread row.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/analyzer.hpp"
 #include "core/trainer.hpp"
 #include "imaging/connected.hpp"
@@ -19,19 +22,23 @@
 #include "skelgraph/artifacts.hpp"
 #include "skelgraph/simplify.hpp"
 #include "synth/dataset.hpp"
+#include "synth/renderer.hpp"
+#include "synth/rng.hpp"
 #include "thinning/zhang_suen.hpp"
 
 namespace {
 
 using namespace slj;
 
+synth::ClipSpec bench_spec() {
+  synth::ClipSpec spec;
+  spec.seed = 99;
+  spec.frame_count = 45;
+  return spec;
+}
+
 const synth::Clip& bench_clip() {
-  static const synth::Clip clip = [] {
-    synth::ClipSpec spec;
-    spec.seed = 99;
-    spec.frame_count = 45;
-    return synth::generate_clip(spec);
-  }();
+  static const synth::Clip clip = synth::generate_clip(bench_spec());
   return clip;
 }
 
@@ -69,6 +76,32 @@ const MidMasks& mid_masks() {
   }();
   return masks;
 }
+
+void BM_RenderFrame(benchmark::State& state) {
+  // The camera behind every generated frame: noise and speckle over the
+  // mid-jump 288×160 mask, one stream across iterations as a clip draws it.
+  const BinaryImage mask = synth::render_clean_silhouettes(bench_spec())[22];
+  const synth::SilhouetteRenderer renderer(bench_spec().camera);
+  synth::Rng rng(bench_spec().seed);
+  for (auto _ : state) {
+    const RgbImage frame = renderer.render_frame(mask, rng);
+    benchmark::DoNotOptimize(frame.data().data());
+  }
+}
+BENCHMARK(BM_RenderFrame);
+
+void BM_PolarPairs(benchmark::State& state) {
+  // A 288×160 frame's 3·w·h/2 = 69 120 polar pairs in one bulk draw.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> x(n), y(n), r2(n);
+  synth::Rng rng(bench_spec().seed);
+  for (auto _ : state) {
+    synth::polar_pairs(rng, n, x.data(), y.data(), r2.data());
+    benchmark::DoNotOptimize(r2.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PolarPairs)->Arg(69120);
 
 void BM_ExtractInto(benchmark::State& state) {
   seg::ObjectExtractor extractor;

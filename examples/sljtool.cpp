@@ -748,7 +748,13 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
   core::ClipEngine engine({}, engine_config(flags));
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
   const synth::Dataset dataset = synth::load_dataset(require(flags, "data"));
-  const core::DatasetEvaluation eval = core::evaluate_dataset(classifier, engine, dataset.test);
+  core::DatasetEvaluation eval;
+  try {
+    eval = core::evaluate_dataset(classifier, engine, dataset.test);
+  } catch (const core::ClipListError& e) {
+    // Name the clip by the directory it was loaded from.
+    throw std::invalid_argument(synth::clip_dir_name("test", e.index) + ": " + e.what());
+  }
   for (std::size_t i = 0; i < eval.clips.size(); ++i) {
     std::printf("clip %zu: %.1f%% pose accuracy (%zu/%zu)\n", i + 1,
                 100.0 * eval.clips[i].accuracy(), eval.clips[i].correct,

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "synth/clip_io.hpp"
-
 namespace slj::core {
 
 namespace {
@@ -85,7 +83,7 @@ DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, Cl
     try {
       eval.clips.push_back(evaluate_clip(classifier, engine.process(clips[c]), clips[c]));
     } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(synth::clip_dir_name("test", c) + ": " + e.what());
+      throw ClipListError(c, e.what());
     }
   }
   return eval;

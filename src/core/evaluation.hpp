@@ -6,6 +6,8 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/clip_engine.hpp"
@@ -50,12 +52,23 @@ struct DatasetEvaluation {
   double max_clip_accuracy() const;
 };
 
+/// What evaluate_dataset throws for a clip of its list that evaluate_clip
+/// rejects: that message prefixed with the clip's list position
+/// ("clip 1: ..."). A caller that knows the clip by another name, such as
+/// its directory, reads the position from `index`.
+struct ClipListError : std::invalid_argument {
+  ClipListError(std::size_t clip_index, const std::string& reason)
+      : std::invalid_argument("clip " + std::to_string(clip_index) + ": " + reason),
+        index(clip_index) {}
+
+  std::size_t index;
+};
+
 /// Each clip's vision pass runs on the engine's worker pool (one clip in
 /// memory at a time); classification then replays in frame order, so the
 /// result is the same at any lane count. Throws std::invalid_argument if
-/// the engine's pipeline and the classifier disagree on the area count, or
-/// as evaluate_clip does, naming the clip as load_dataset's test split does
-/// ("test_00: ...").
+/// the engine's pipeline and the classifier disagree on the area count, and
+/// ClipListError for a clip evaluate_clip rejects.
 DatasetEvaluation evaluate_dataset(const pose::PoseDbnClassifier& classifier, ClipEngine& engine,
                                    const std::vector<synth::Clip>& clips);
 

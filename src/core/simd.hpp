@@ -1,8 +1,10 @@
-// Portable fixed-width SIMD abstraction for the per-frame vision kernels.
+// Portable fixed-width SIMD abstraction for the per-frame vision kernels and
+// the synthetic camera's noise kernels.
 //
-// Backends: SSE2 (16 u8 / 8 u16 lanes), AVX2 (32 u8 / 16 u16 lanes), NEON
-// (16 u8 / 8 u16 lanes), and a scalar fallback that is always compiled. The active backend is chosen at configure time by the SLJ_SIMD
-// CMake option:
+// Backends: SSE2 (16 u8 / 8 u16 / 4 u32 / 2 f64 lanes), AVX2 (32 u8 / 16 u16 /
+// 8 u32 / 4 f64 lanes), NEON (16 u8 / 8 u16 / 4 u32 / 2 f64 lanes), and a
+// scalar fallback that is always compiled. The active backend is chosen at
+// configure time by the SLJ_SIMD CMake option:
 //
 //   AUTO (default)  whatever instruction sets the compiler already targets
 //                   (__AVX2__ / __SSE2__ / __ARM_NEON preprocessor macros)
@@ -17,12 +19,18 @@
 // SLJ_SIMD=OFF.
 //
 // Bit-identity contract. The SIMD paths are bit-identical to the scalar
-// paths because every operation here is exact integer arithmetic on bytes
-// and small counts (VecU16: window sums of 8-bit pixels), identical lane by
-// lane to its scalar counterpart.
+// paths because every integer operation here is exact arithmetic on bytes,
+// small counts (VecU16: window sums of 8-bit pixels) and 32-bit words
+// (VecU32: wrapping, as uint32_t does), and every double operation (VecF64)
+// is one IEEE-754 correctly rounded add, subtract, multiply, divide or square
+// root per lane, the same rounding the scalar expression gets. Nothing here
+// fuses a multiply into an add, and no build flag may let the compiler do so
+// (no -mfma): a fused multiply-add rounds once where the scalar code rounds
+// twice, and the rendered corpus digests would move.
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -315,6 +323,262 @@ struct VecU16<NeonBackend> {
     const uint16x8_t gt = vcgtq_u16(a.v, b.v);
     vst1_u8(out, vmovn_u16(vandq_u16(gt, vdupq_n_u16(1))));
   }
+};
+#endif  // SLJ_SIMD_NEON
+
+// ---- VecU32: a fixed-width vector of 32-bit words --------------------------
+//
+// Backs the MT19937 twist and temper (synth/rng.cpp). Arithmetic wraps at
+// 2^32 and shifts are logical, exactly as on uint32_t.
+
+template <class Backend>
+struct VecU32;
+
+template <>
+struct VecU32<ScalarBackend> {
+  static constexpr int kLanes = 1;
+  std::uint32_t v;
+
+  static VecU32 load(const std::uint32_t* p) { return {*p}; }
+  static VecU32 broadcast(std::uint32_t x) { return {x}; }
+  void store(std::uint32_t* p) const { *p = v; }
+
+  friend VecU32 operator&(VecU32 a, VecU32 b) { return {a.v & b.v}; }
+  friend VecU32 operator|(VecU32 a, VecU32 b) { return {a.v | b.v}; }
+  friend VecU32 operator^(VecU32 a, VecU32 b) { return {a.v ^ b.v}; }
+  friend VecU32 operator-(VecU32 a, VecU32 b) { return {a.v - b.v}; }
+  template <int k>
+  VecU32 shr() const { return {v >> k}; }
+  template <int k>
+  VecU32 shl() const { return {v << k}; }
+};
+
+#if defined(SLJ_SIMD_SSE2)
+template <>
+struct VecU32<Sse2Backend> {
+  static constexpr int kLanes = 4;
+  __m128i v;
+
+  static VecU32 load(const std::uint32_t* p) {
+    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
+  }
+  static VecU32 broadcast(std::uint32_t x) { return {_mm_set1_epi32(static_cast<int>(x))}; }
+  void store(std::uint32_t* p) const { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
+
+  friend VecU32 operator&(VecU32 a, VecU32 b) { return {_mm_and_si128(a.v, b.v)}; }
+  friend VecU32 operator|(VecU32 a, VecU32 b) { return {_mm_or_si128(a.v, b.v)}; }
+  friend VecU32 operator^(VecU32 a, VecU32 b) { return {_mm_xor_si128(a.v, b.v)}; }
+  friend VecU32 operator-(VecU32 a, VecU32 b) { return {_mm_sub_epi32(a.v, b.v)}; }
+  template <int k>
+  VecU32 shr() const { return {_mm_srli_epi32(v, k)}; }
+  template <int k>
+  VecU32 shl() const { return {_mm_slli_epi32(v, k)}; }
+};
+#endif  // SLJ_SIMD_SSE2
+
+#if defined(SLJ_SIMD_AVX2)
+template <>
+struct VecU32<Avx2Backend> {
+  static constexpr int kLanes = 8;
+  __m256i v;
+
+  static VecU32 load(const std::uint32_t* p) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+  }
+  static VecU32 broadcast(std::uint32_t x) { return {_mm256_set1_epi32(static_cast<int>(x))}; }
+  void store(std::uint32_t* p) const { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
+
+  friend VecU32 operator&(VecU32 a, VecU32 b) { return {_mm256_and_si256(a.v, b.v)}; }
+  friend VecU32 operator|(VecU32 a, VecU32 b) { return {_mm256_or_si256(a.v, b.v)}; }
+  friend VecU32 operator^(VecU32 a, VecU32 b) { return {_mm256_xor_si256(a.v, b.v)}; }
+  friend VecU32 operator-(VecU32 a, VecU32 b) { return {_mm256_sub_epi32(a.v, b.v)}; }
+  template <int k>
+  VecU32 shr() const { return {_mm256_srli_epi32(v, k)}; }
+  template <int k>
+  VecU32 shl() const { return {_mm256_slli_epi32(v, k)}; }
+};
+#endif  // SLJ_SIMD_AVX2
+
+#if defined(SLJ_SIMD_NEON)
+template <>
+struct VecU32<NeonBackend> {
+  static constexpr int kLanes = 4;
+  uint32x4_t v;
+
+  static VecU32 load(const std::uint32_t* p) { return {vld1q_u32(p)}; }
+  static VecU32 broadcast(std::uint32_t x) { return {vdupq_n_u32(x)}; }
+  void store(std::uint32_t* p) const { vst1q_u32(p, v); }
+
+  friend VecU32 operator&(VecU32 a, VecU32 b) { return {vandq_u32(a.v, b.v)}; }
+  friend VecU32 operator|(VecU32 a, VecU32 b) { return {vorrq_u32(a.v, b.v)}; }
+  friend VecU32 operator^(VecU32 a, VecU32 b) { return {veorq_u32(a.v, b.v)}; }
+  friend VecU32 operator-(VecU32 a, VecU32 b) { return {vsubq_u32(a.v, b.v)}; }
+  template <int k>
+  VecU32 shr() const { return {vshrq_n_u32(v, k)}; }
+  template <int k>
+  VecU32 shl() const { return {vshlq_n_u32(v, k)}; }
+};
+#endif  // SLJ_SIMD_NEON
+
+// ---- VecF64: a fixed-width vector of doubles -------------------------------
+//
+// Backs the renderer's noise: decoding MT19937 words into uniforms, the polar
+// method's scale and the clamp of each channel to a byte. Every arithmetic
+// operation rounds once, as the scalar operator does (see the contract at
+// the top). min/max take the smaller/larger lane; callers never pass NaN.
+
+template <class Backend>
+struct VecF64;
+
+template <>
+struct VecF64<ScalarBackend> {
+  static constexpr int kLanes = 1;
+  double v;
+
+  static VecF64 load(const double* p) { return {*p}; }
+  static VecF64 broadcast(double x) { return {x}; }
+  void store(double* p) const { *p = v; }
+
+  /// Loads 2·kLanes words: `even` gets p[0], p[2], … and `odd` p[1], p[3], …,
+  /// each converted exactly to a double.
+  static void load_u32_pairs(const std::uint32_t* p, VecF64& even, VecF64& odd) {
+    even = {static_cast<double>(p[0])};
+    odd = {static_cast<double>(p[1])};
+  }
+  /// Stores a0, b0, a1, b1, … (2·kLanes doubles).
+  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
+    out[0] = a.v;
+    out[1] = b.v;
+  }
+  /// Stores kLanes bytes, each lane truncated toward zero as
+  /// `static_cast<std::uint8_t>` does. Lanes must lie in [0, 255].
+  void store_trunc_u8(std::uint8_t* out) const { *out = static_cast<std::uint8_t>(v); }
+
+  friend VecF64 operator+(VecF64 a, VecF64 b) { return {a.v + b.v}; }
+  friend VecF64 operator-(VecF64 a, VecF64 b) { return {a.v - b.v}; }
+  friend VecF64 operator*(VecF64 a, VecF64 b) { return {a.v * b.v}; }
+  friend VecF64 operator/(VecF64 a, VecF64 b) { return {a.v / b.v}; }
+  static VecF64 sqrt(VecF64 a) { return {std::sqrt(a.v)}; }
+  static VecF64 min(VecF64 a, VecF64 b) { return {b.v < a.v ? b.v : a.v}; }
+  static VecF64 max(VecF64 a, VecF64 b) { return {a.v < b.v ? b.v : a.v}; }
+};
+
+#if defined(SLJ_SIMD_SSE2)
+template <>
+struct VecF64<Sse2Backend> {
+  static constexpr int kLanes = 2;
+  __m128d v;
+
+  static VecF64 load(const double* p) { return {_mm_loadu_pd(p)}; }
+  static VecF64 broadcast(double x) { return {_mm_set1_pd(x)}; }
+  void store(double* p) const { _mm_storeu_pd(p, v); }
+
+  static void load_u32_pairs(const std::uint32_t* p, VecF64& even, VecF64& odd) {
+    // Each 64-bit lane holds an even word below an odd one. A word placed
+    // in the low mantissa bits of 2^52 reads as 2^52 + word; subtracting
+    // 2^52 leaves the word, exactly.
+    const __m128i w = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    const __m128i two52 = _mm_set1_epi64x(0x4330000000000000);
+    const __m128d bias = _mm_set1_pd(0x1p52);
+    const __m128i low = _mm_and_si128(w, _mm_set1_epi64x(0xffffffff));
+    even = {_mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(low, two52)), bias)};
+    odd = {_mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(_mm_srli_epi64(w, 32), two52)), bias)};
+  }
+  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
+    _mm_storeu_pd(out, _mm_unpacklo_pd(a.v, b.v));
+    _mm_storeu_pd(out + 2, _mm_unpackhi_pd(a.v, b.v));
+  }
+  void store_trunc_u8(std::uint8_t* out) const {
+    const __m128i i16 = _mm_packs_epi32(_mm_cvttpd_epi32(v), _mm_setzero_si128());
+    const __m128i bytes = _mm_packus_epi16(i16, i16);
+    const auto word = static_cast<std::uint16_t>(_mm_cvtsi128_si32(bytes));
+    std::memcpy(out, &word, sizeof word);
+  }
+
+  friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm_add_pd(a.v, b.v)}; }
+  friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm_sub_pd(a.v, b.v)}; }
+  friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm_mul_pd(a.v, b.v)}; }
+  friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm_div_pd(a.v, b.v)}; }
+  static VecF64 sqrt(VecF64 a) { return {_mm_sqrt_pd(a.v)}; }
+  static VecF64 min(VecF64 a, VecF64 b) { return {_mm_min_pd(a.v, b.v)}; }
+  static VecF64 max(VecF64 a, VecF64 b) { return {_mm_max_pd(a.v, b.v)}; }
+};
+#endif  // SLJ_SIMD_SSE2
+
+#if defined(SLJ_SIMD_AVX2)
+template <>
+struct VecF64<Avx2Backend> {
+  static constexpr int kLanes = 4;
+  __m256d v;
+
+  static VecF64 load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  static VecF64 broadcast(double x) { return {_mm256_set1_pd(x)}; }
+  void store(double* p) const { _mm256_storeu_pd(p, v); }
+
+  static void load_u32_pairs(const std::uint32_t* p, VecF64& even, VecF64& odd) {
+    // The 2^52 bias of the SSE2 backend, on four 64-bit lanes.
+    const __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    const __m256i two52 = _mm256_set1_epi64x(0x4330000000000000);
+    const __m256d bias = _mm256_set1_pd(0x1p52);
+    const __m256i low = _mm256_and_si256(w, _mm256_set1_epi64x(0xffffffff));
+    even = {_mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(low, two52)), bias)};
+    odd = {_mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32), two52)),
+                         bias)};
+  }
+  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
+    const __m256d lo = _mm256_unpacklo_pd(a.v, b.v);  // a0 b0 a2 b2
+    const __m256d hi = _mm256_unpackhi_pd(a.v, b.v);  // a1 b1 a3 b3
+    _mm256_storeu_pd(out, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(out + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+  }
+  void store_trunc_u8(std::uint8_t* out) const {
+    const __m128i i16 = _mm_packs_epi32(_mm256_cvttpd_epi32(v), _mm_setzero_si128());
+    const __m128i bytes = _mm_packus_epi16(i16, i16);
+    const auto word = static_cast<std::uint32_t>(_mm_cvtsi128_si32(bytes));
+    std::memcpy(out, &word, sizeof word);
+  }
+
+  friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
+  friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
+  friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
+  static VecF64 sqrt(VecF64 a) { return {_mm256_sqrt_pd(a.v)}; }
+  static VecF64 min(VecF64 a, VecF64 b) { return {_mm256_min_pd(a.v, b.v)}; }
+  static VecF64 max(VecF64 a, VecF64 b) { return {_mm256_max_pd(a.v, b.v)}; }
+};
+#endif  // SLJ_SIMD_AVX2
+
+#if defined(SLJ_SIMD_NEON)
+template <>
+struct VecF64<NeonBackend> {
+  static constexpr int kLanes = 2;
+  float64x2_t v;
+
+  static VecF64 load(const double* p) { return {vld1q_f64(p)}; }
+  static VecF64 broadcast(double x) { return {vdupq_n_f64(x)}; }
+  void store(double* p) const { vst1q_f64(p, v); }
+
+  static void load_u32_pairs(const std::uint32_t* p, VecF64& even, VecF64& odd) {
+    const uint32x2x2_t w = vld2_u32(p);
+    even = {vcvtq_f64_u64(vmovl_u32(w.val[0]))};
+    odd = {vcvtq_f64_u64(vmovl_u32(w.val[1]))};
+  }
+  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
+    vst2q_f64(out, (float64x2x2_t{{a.v, b.v}}));
+  }
+  void store_trunc_u8(std::uint8_t* out) const {
+    const uint64x2_t u = vcvtq_u64_f64(v);
+    out[0] = static_cast<std::uint8_t>(vgetq_lane_u64(u, 0));
+    out[1] = static_cast<std::uint8_t>(vgetq_lane_u64(u, 1));
+  }
+
+  friend VecF64 operator+(VecF64 a, VecF64 b) { return {vaddq_f64(a.v, b.v)}; }
+  friend VecF64 operator-(VecF64 a, VecF64 b) { return {vsubq_f64(a.v, b.v)}; }
+  friend VecF64 operator*(VecF64 a, VecF64 b) { return {vmulq_f64(a.v, b.v)}; }
+  friend VecF64 operator/(VecF64 a, VecF64 b) { return {vdivq_f64(a.v, b.v)}; }
+  static VecF64 sqrt(VecF64 a) { return {vsqrtq_f64(a.v)}; }
+  static VecF64 min(VecF64 a, VecF64 b) { return {vminq_f64(a.v, b.v)}; }
+  static VecF64 max(VecF64 a, VecF64 b) { return {vmaxq_f64(a.v, b.v)}; }
 };
 #endif  // SLJ_SIMD_NEON
 

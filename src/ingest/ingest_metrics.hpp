@@ -91,7 +91,7 @@ struct IngestMetricsSnapshot {
   std::uint64_t pushed = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_oldest = 0;
-  std::uint64_t closed_pushes = 0;   ///< pushes refused because the queue closed
+  std::uint64_t closed_pushes = 0;   ///< pushes refused: session sealed or closed
   /// Admitted frames discarded un-analysed when their session closed or was
   /// evicted. Accounting invariant once the plane is quiescent:
   /// pushed == delivered + dropped_oldest + discarded.

@@ -43,7 +43,12 @@ std::shared_ptr<IngestRouter::SessionState> IngestRouter::state_if_open(int sess
 
 PushOutcome IngestRouter::push(int session, const RgbImage& frame, std::uint64_t* sequence) {
   const std::shared_ptr<SessionState> state = state_if_open(session);
-  if (!state) return PushOutcome::kClosed;  // closed sessions refuse quietly
+  if (!state) {
+    // A closed session refuses as its sealed queue did, and is counted the
+    // same: the recorder's tap sees this outcome too.
+    metrics_.on_push(PushOutcome::kClosed);
+    return PushOutcome::kClosed;
+  }
   // A frame the session's extractor cannot take would throw on the
   // scheduler thread; refuse it here, on the producer's.
   if (frame.width() != state->width || frame.height() != state->height) {

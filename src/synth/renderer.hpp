@@ -14,6 +14,15 @@
 // uniform. Each render call starts a fresh normal sequence: a polar pair's
 // unused second value carries from one row into the next but never into the
 // next frame. tests/test_dataset.cpp pins the resulting corpus digest.
+//
+// How a row keeps that order while drawing in bulk: a person-free run of a
+// row draws no uniform, so all the polar pairs its normals need come from
+// one `polar_pairs` call, which equals that many `polar_pair` calls. A
+// person pixel draws the pairs its three normals still need, then its
+// speckle uniform, as the per-pixel loop did. Only then are the pairs
+// scaled (one `std::log` each, in pair order) and the pixels composed, so
+// neither later pass touches the stream. tests/test_renderer.cpp checks
+// whole frames against a per-pixel `Normal` + `UniformReal` reference.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,12 @@
 //
 // `Rng` is MT19937 exactly as [rand.predef] specifies `std::mt19937`, so it
 // yields the same 32-bit outputs for the same seed. It keeps its state in
-// `uint32_t` words and twists and tempers a whole 624-word block per refill;
-// libstdc++'s engine holds 64-bit `uint_fast32_t` words on x86-64, and a raw
-// call measured ~4x slower there (9.5 vs 2.2 ns, GCC 12 -O2, 4-core KVM).
+// `uint32_t` words and twists and tempers a whole 624-word block per refill,
+// in VecU32 lanes of core/simd.hpp (four on SSE2: the twist reads each
+// `state[i + 1]` before its own step writes it, and `state[i + kM − kN]`
+// after); libstdc++'s engine holds 64-bit `uint_fast32_t` words on x86-64,
+// and a raw call measured ~4x slower there (9.5 vs 2.2 ns, GCC 12 -O2, 4-core
+// KVM).
 //
 // The real-valued draws on top of it replicate libstdc++'s algorithms bit for
 // bit (`generate_canonical<double, 53>`, the polar method of
@@ -12,6 +15,13 @@
 // the corpus no longer depends on the standard library's implementation-
 // defined distributions yet renders byte-identical to the libstdc++ output it
 // was first pinned against.
+//
+// `polar_pairs` is the renderer's bulk form of `polar_pair`: it decodes a
+// block once into its 2u − 1 values (VecF64 lanes) and keeps the accepted
+// attempts without a branch per attempt. One 288×160 frame's 69 120 pairs
+// take ≈0.62 ms that way against ≈1.16 ms as single `polar_pair` calls
+// (BM_PolarPairs in bench/perf_micro.cpp, medians of 5; GCC 12 -O2, SSE2,
+// 4-core 2.1 GHz x86-64 KVM guest).
 #pragma once
 
 #include <array>
@@ -39,37 +49,24 @@ class Rng {
   }
 
  private:
+  friend void polar_pairs(Rng& rng, std::size_t n, double* x, double* y, double* r2);
+
   static constexpr std::size_t kN = 624;
   static constexpr std::size_t kM = 397;
 
-  static std::uint32_t twist(std::uint32_t cur, std::uint32_t next, std::uint32_t far) {
-    const std::uint32_t y = (cur & 0x80000000u) | (next & 0x7fffffffu);
-    return far ^ (y >> 1) ^ ((0u - (y & 1u)) & 0x9908b0dfu);
-  }
-
   /// Twists the state one generation and tempers it into the output block.
-  void refill() {
-    for (std::size_t i = 0; i < kN - kM; ++i) {
-      state_[i] = twist(state_[i], state_[i + 1], state_[i + kM]);
-    }
-    for (std::size_t i = kN - kM; i < kN - 1; ++i) {
-      state_[i] = twist(state_[i], state_[i + 1], state_[i + kM - kN]);
-    }
-    state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
-    for (std::size_t i = 0; i < kN; ++i) {
-      std::uint32_t y = state_[i];
-      y ^= y >> 11;
-      y ^= (y << 7) & 0x9d2c5680u;
-      y ^= (y << 15) & 0xefc60000u;
-      y ^= y >> 18;
-      block_[i] = y;
-    }
-    next_ = 0;
-  }
+  void refill();
+  /// Fills units_ from the current block.
+  void decode();
 
   std::array<std::uint32_t, kN> state_{};
   std::array<std::uint32_t, kN> block_{};
   std::size_t next_ = kN;
+  // The current block as polar_pairs reads it, filled on its first call after
+  // a refill: units_[j] is 2u − 1 for the canonical draw at words 2j, 2j + 1,
+  // so the polar attempt that starts at word 2j is (units_[j], units_[j + 1]).
+  std::array<double, kN / 2> units_{};
+  bool decoded_ = false;
 };
 
 /// Uniform double in [0, 1): `std::generate_canonical<double, 53>` over two
@@ -99,6 +96,11 @@ inline PolarPair polar_pair(Rng& rng) {
   } while (p.r2 > 1.0 || p.r2 == 0.0);
   return p;
 }
+
+/// n accepted polar draws, the i-th as (x[i], y[i], r2[i]): exactly what n
+/// `polar_pair` calls return, leaving `rng` where they leave it. An attempt
+/// at an odd word offset or one that straddles a refill takes `polar_pair`.
+void polar_pairs(Rng& rng, std::size_t n, double* x, double* y, double* r2);
 
 inline double polar_scale(double r2) { return std::sqrt(-2.0 * std::log(r2) / r2); }
 

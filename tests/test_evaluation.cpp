@@ -58,6 +58,27 @@ TEST(ClipEvaluation, EvaluateClipRejectsClipWithoutTruthPerFrame) {
   }
 }
 
+// evaluate_dataset scores any list of clips, not only a loaded test split,
+// so it names a rejected clip by its list position.
+TEST(DatasetEvaluation, RejectedClipIsNamedByListPosition) {
+  synth::ClipSpec spec;
+  spec.frame_count = 4;
+  std::vector<synth::Clip> clips = {synth::generate_clip(spec), synth::generate_clip(spec)};
+  clips[1].truth.clear();
+  ClipEngine engine(PipelineParams{}, ClipEngineConfig{2});
+  const pose::PoseDbnClassifier classifier;
+  try {
+    evaluate_dataset(classifier, engine, clips);
+    ADD_FAILURE() << "a truthless clip was scored";
+  } catch (const ClipListError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.index, 1u);
+    EXPECT_EQ(what.rfind("clip 1: ", 0), 0u) << what;
+    EXPECT_NE(what.find("truth"), std::string::npos) << what;
+    EXPECT_EQ(what.find("test_"), std::string::npos) << what;
+  }
+}
+
 TEST(ClipEvaluation, EmptyClipHasZeroAccuracy) {
   ClipEvaluation eval;
   EXPECT_DOUBLE_EQ(eval.accuracy(), 0.0);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
+
+#include "synth/dataset.hpp"
 
 namespace slj::synth {
 namespace {
@@ -147,19 +151,54 @@ RgbImage reference_frame(const CameraConfig& cam, const BinaryImage& mask, Rng& 
   return frame;
 }
 
+// Renders `masks` in order from one stream, as generate_clip does, against
+// the per-pixel reference; both must leave the stream at the same word.
+void expect_frames_match_reference(const CameraConfig& cam, const std::vector<BinaryImage>& masks,
+                                   std::uint32_t seed, const std::string& what) {
+  const SilhouetteRenderer r(cam);
+  Rng a(seed), b(seed);
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    EXPECT_EQ(r.render_frame(masks[i], a), reference_frame(cam, masks[i], b))
+        << what << ", frame " << i;
+  }
+  EXPECT_EQ(a(), b()) << what;
+}
+
 TEST(Renderer, RowPassesMatchPerPixelDrawsAtEveryWidth) {
   // Odd widths carry a saved normal across rows; a high speckle rate puts
-  // uniforms between the pairs often.
-  CameraConfig cam;
-  cam.speckle_fraction = 0.3;
-  const SilhouetteRenderer r(cam);
+  // uniforms between the pairs often. Widths 1–9 leave every length of
+  // vector tail in the row kernels.
+  CameraConfig speckled;
+  speckled.speckle_fraction = 0.3;
   for (int w = 1; w <= 9; ++w) {
     BinaryImage mask(w, 5, 0);
     for (int i = 0; i < static_cast<int>(mask.size()); i += 2) mask.data()[i] = 1;
-    Rng a(static_cast<std::uint32_t>(w)), b(static_cast<std::uint32_t>(w));
-    EXPECT_EQ(r.render_frame(mask, a), reference_frame(cam, mask, b)) << "width " << w;
-    EXPECT_EQ(a(), b()) << "width " << w;
+    expect_frames_match_reference(speckled, {mask}, static_cast<std::uint32_t>(w),
+                                  "width " + std::to_string(w));
   }
+
+  // Full frames cross hundreds of MT19937 refills each: a clip's
+  // consecutive masks from one stream.
+  ClipSpec spec;
+  spec.seed = 5;
+  spec.frame_count = 3;
+  const std::vector<BinaryImage> clip = render_clean_silhouettes(spec);
+  expect_frames_match_reference(CameraConfig{}, clip, 11, "clip masks");
+  expect_frames_match_reference(speckled, clip, 12, "clip masks, speckled");
+
+  // Person runs touching x = 0 and x = w − 1, an all-person row, and an
+  // all-background frame.
+  const CameraConfig cam;
+  BinaryImage edges(cam.width, cam.height, 0);
+  for (int y = 0; y < cam.height; y += 3) {
+    for (int x = 0; x < 5; ++x) {
+      edges.at(x, y) = 1;
+      edges.at(cam.width - 1 - x, y) = 1;
+    }
+  }
+  for (int x = 0; x < cam.width; ++x) edges.at(x, cam.height / 2) = 1;
+  expect_frames_match_reference(speckled, {edges, BinaryImage(cam.width, cam.height, 0)}, 13,
+                                "edge runs");
 }
 
 TEST(Renderer, MovingPelvisMovesSilhouette) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 namespace slj::synth {
 namespace {
@@ -64,6 +66,55 @@ TEST(Rng, UniformRealMatchesStdUniformRealDistribution) {
     std::uniform_real_distribution<double> ref_u(1.00, 1.30);
     for (int i = 0; i < 2000; ++i) ASSERT_EQ(u(ours), ref_u(ref)) << "seed " << seed;
   }
+}
+
+TEST(Rng, PolarPairsEqualsSinglePolarPairCalls) {
+  // Word offsets 0–3 into a block (1 and 3 are odd: every attempt takes the
+  // single-draw path) and 620–623, just before a refill, where an attempt
+  // straddles two blocks. 69 120 pairs are one 288×160 frame's worth.
+  constexpr std::size_t kCounts[] = {0, 1, 155, 156, 157, 1000, 69120};
+  constexpr int kOffsets[] = {0, 1, 2, 3, 620, 621, 622, 623};
+  for (const std::uint32_t seed : {1u, 2008u}) {
+    for (const int offset : kOffsets) {
+      for (const std::size_t n : kCounts) {
+        Rng bulk(seed), single(seed);
+        for (int i = 0; i < offset; ++i) {
+          bulk();
+          single();
+        }
+        std::vector<double> x(n), y(n), r2(n);
+        polar_pairs(bulk, n, x.data(), y.data(), r2.data());
+        SCOPED_TRACE("seed " + std::to_string(seed) + " offset " + std::to_string(offset) +
+                     " n " + std::to_string(n));
+        for (std::size_t i = 0; i < n; ++i) {
+          const PolarPair p = polar_pair(single);
+          ASSERT_EQ(x[i], p.x) << "pair " << i;
+          ASSERT_EQ(y[i], p.y) << "pair " << i;
+          ASSERT_EQ(r2[i], p.r2) << "pair " << i;
+        }
+        for (int i = 0; i < 1000; ++i) ASSERT_EQ(bulk(), single()) << "raw draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, PolarPairsInterleavesWithSingleDraws) {
+  // The renderer's pattern: bulk runs of pairs, then a person pixel's pairs
+  // and speckle uniform, within one decoded block and across refills.
+  Rng bulk(7), single(7);
+  std::vector<double> x(300), y(300), r2(300);
+  for (int round = 0; round < 400; ++round) {
+    const auto n = static_cast<std::size_t>(round % 7 == 0 ? 300 : round % 5);
+    polar_pairs(bulk, n, x.data(), y.data(), r2.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const PolarPair p = polar_pair(single);
+      ASSERT_EQ(x[i], p.x) << "round " << round << " pair " << i;
+      ASSERT_EQ(y[i], p.y) << "round " << round << " pair " << i;
+      ASSERT_EQ(r2[i], p.r2) << "round " << round << " pair " << i;
+    }
+    ASSERT_EQ(canonical(bulk), canonical(single)) << "round " << round;
+  }
+  EXPECT_EQ(bulk(), single());
 }
 
 }  // namespace
