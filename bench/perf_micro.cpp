@@ -12,6 +12,7 @@
 // and compare /threads:4 with the single-thread row.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -102,6 +103,38 @@ void BM_PolarPairs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolarPairs)->Arg(69120);
+
+void BM_NoiseCompose(benchmark::State& state) {
+  // Passes 2–3 of BM_RenderFrame without the walk: one frame's pre-drawn
+  // polar pairs (3w/2 a row; 3w is even, so no row carries) and speckle
+  // draws, scaled and composed over the mid-jump mask. `exact_channels` is
+  // how many of the frame's 3·w·h channels the float lanes left to double.
+  const BinaryImage mask = synth::render_clean_silhouettes(bench_spec())[22];
+  const synth::CameraConfig& camera = bench_spec().camera;
+  const auto w = static_cast<std::size_t>(mask.width());
+  const std::size_t row_pairs = 3 * w / 2;
+  const std::size_t n = row_pairs * static_cast<std::size_t>(mask.height());
+  std::vector<double> x(n), y(n), r2(n);
+  std::vector<std::uint8_t> speckled(mask.size());
+  synth::Rng rng(bench_spec().seed);
+  synth::polar_pairs(rng, n, x.data(), y.data(), r2.data());
+  for (std::uint8_t& s : speckled) s = synth::canonical(rng) < camera.speckle_fraction;
+  RgbImage frame(mask.width(), mask.height());
+  std::size_t exact = 0;
+  for (auto _ : state) {
+    synth::NoiseComposer composer(camera, mask.width(), mask.height());
+    for (int row = 0; row < mask.height(); ++row) {
+      const std::size_t at = static_cast<std::size_t>(row) * w;
+      const std::size_t p = static_cast<std::size_t>(row) * row_pairs;
+      composer.compose_row(row, mask.data().data() + at, speckled.data() + at, x.data() + p,
+                           y.data() + p, r2.data() + p, row_pairs, frame.data().data() + at);
+    }
+    exact = composer.exact_channels();
+    benchmark::DoNotOptimize(frame.data().data());
+  }
+  state.counters["exact_channels"] = static_cast<double>(exact);
+}
+BENCHMARK(BM_NoiseCompose);
 
 void BM_ExtractInto(benchmark::State& state) {
   seg::ObjectExtractor extractor;

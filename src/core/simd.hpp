@@ -1,9 +1,9 @@
 // Portable fixed-width SIMD abstraction for the per-frame vision kernels and
 // the synthetic camera's noise kernels.
 //
-// Backends: SSE2 (16 u8 / 8 u16 / 4 u32 / 2 f64 lanes), AVX2 (32 u8 / 16 u16 /
-// 8 u32 / 4 f64 lanes), NEON (16 u8 / 8 u16 / 4 u32 / 2 f64 lanes), and a
-// scalar fallback that is always compiled. The active backend is chosen at
+// Backends: SSE2 (16 u8 / 8 u16 / 4 u32 / 4 f32 / 2 f64 lanes), AVX2 (32 u8 /
+// 16 u16 / 8 u32 / 8 f32 / 4 f64 lanes), NEON (16 u8 / 8 u16 / 4 u32 / 4 f32 /
+// 2 f64 lanes), and a scalar fallback that is always compiled. The active backend is chosen at
 // configure time by the SLJ_SIMD CMake option:
 //
 //   AUTO (default)  whatever instruction sets the compiler already targets
@@ -21,14 +21,24 @@
 // Bit-identity contract. The SIMD paths are bit-identical to the scalar
 // paths because every integer operation here is exact arithmetic on bytes,
 // small counts (VecU16: window sums of 8-bit pixels) and 32-bit words
-// (VecU32: wrapping, as uint32_t does), and every double operation (VecF64)
-// is one IEEE-754 correctly rounded add, subtract, multiply, divide or square
-// root per lane, the same rounding the scalar expression gets. Nothing here
-// fuses a multiply into an add, and no build flag may let the compiler do so
-// (no -mfma): a fused multiply-add rounds once where the scalar code rounds
-// twice, and the rendered corpus digests would move.
+// (VecU32: wrapping, as uint32_t does), and every floating-point operation
+// (VecF64, VecF32) is one IEEE-754 correctly rounded add, subtract,
+// multiply, divide, square root or conversion per lane, the same rounding
+// the scalar expression gets. Nothing here fuses a multiply into an add,
+// and the build keeps the compiler from doing so (-ffp-contract=off, which
+// also covers -march=native and -mfma): a fused multiply-add rounds once
+// where the scalar code rounds twice, and the rendered corpus digests would
+// move.
+//
+// Approximate lanes. VecF32 carries estimates: the renderer's float noise
+// computes, with a polynomial log, what the pinned double expression
+// computes with std::log. An estimate may decide an output only behind a
+// proven margin: the error bound is written next to the margin, a tested
+// sweep checks it, and every output the estimate cannot decide within the
+// margin is recomputed exactly (synth/noise_lanes.hpp).
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -422,10 +432,10 @@ struct VecU32<NeonBackend> {
 
 // ---- VecF64: a fixed-width vector of doubles -------------------------------
 //
-// Backs the renderer's noise: decoding MT19937 words into uniforms, the polar
-// method's scale and the clamp of each channel to a byte. Every arithmetic
-// operation rounds once, as the scalar operator does (see the contract at
-// the top). min/max take the smaller/larger lane; callers never pass NaN.
+// Decodes MT19937 words into the polar method's uniforms (synth/rng.cpp).
+// Every arithmetic operation rounds once, as the scalar operator does (see
+// the contract at the top). min takes the smaller lane; callers never pass
+// NaN.
 
 template <class Backend>
 struct VecF64;
@@ -435,7 +445,6 @@ struct VecF64<ScalarBackend> {
   static constexpr int kLanes = 1;
   double v;
 
-  static VecF64 load(const double* p) { return {*p}; }
   static VecF64 broadcast(double x) { return {x}; }
   void store(double* p) const { *p = v; }
 
@@ -445,22 +454,11 @@ struct VecF64<ScalarBackend> {
     even = {static_cast<double>(p[0])};
     odd = {static_cast<double>(p[1])};
   }
-  /// Stores a0, b0, a1, b1, … (2·kLanes doubles).
-  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
-    out[0] = a.v;
-    out[1] = b.v;
-  }
-  /// Stores kLanes bytes, each lane truncated toward zero as
-  /// `static_cast<std::uint8_t>` does. Lanes must lie in [0, 255].
-  void store_trunc_u8(std::uint8_t* out) const { *out = static_cast<std::uint8_t>(v); }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {a.v + b.v}; }
   friend VecF64 operator-(VecF64 a, VecF64 b) { return {a.v - b.v}; }
   friend VecF64 operator*(VecF64 a, VecF64 b) { return {a.v * b.v}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {a.v / b.v}; }
-  static VecF64 sqrt(VecF64 a) { return {std::sqrt(a.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {b.v < a.v ? b.v : a.v}; }
-  static VecF64 max(VecF64 a, VecF64 b) { return {a.v < b.v ? b.v : a.v}; }
 };
 
 #if defined(SLJ_SIMD_SSE2)
@@ -469,7 +467,6 @@ struct VecF64<Sse2Backend> {
   static constexpr int kLanes = 2;
   __m128d v;
 
-  static VecF64 load(const double* p) { return {_mm_loadu_pd(p)}; }
   static VecF64 broadcast(double x) { return {_mm_set1_pd(x)}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
 
@@ -484,24 +481,11 @@ struct VecF64<Sse2Backend> {
     even = {_mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(low, two52)), bias)};
     odd = {_mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(_mm_srli_epi64(w, 32), two52)), bias)};
   }
-  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
-    _mm_storeu_pd(out, _mm_unpacklo_pd(a.v, b.v));
-    _mm_storeu_pd(out + 2, _mm_unpackhi_pd(a.v, b.v));
-  }
-  void store_trunc_u8(std::uint8_t* out) const {
-    const __m128i i16 = _mm_packs_epi32(_mm_cvttpd_epi32(v), _mm_setzero_si128());
-    const __m128i bytes = _mm_packus_epi16(i16, i16);
-    const auto word = static_cast<std::uint16_t>(_mm_cvtsi128_si32(bytes));
-    std::memcpy(out, &word, sizeof word);
-  }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm_add_pd(a.v, b.v)}; }
   friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm_div_pd(a.v, b.v)}; }
-  static VecF64 sqrt(VecF64 a) { return {_mm_sqrt_pd(a.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {_mm_min_pd(a.v, b.v)}; }
-  static VecF64 max(VecF64 a, VecF64 b) { return {_mm_max_pd(a.v, b.v)}; }
 };
 #endif  // SLJ_SIMD_SSE2
 
@@ -511,7 +495,6 @@ struct VecF64<Avx2Backend> {
   static constexpr int kLanes = 4;
   __m256d v;
 
-  static VecF64 load(const double* p) { return {_mm256_loadu_pd(p)}; }
   static VecF64 broadcast(double x) { return {_mm256_set1_pd(x)}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
 
@@ -525,26 +508,11 @@ struct VecF64<Avx2Backend> {
     odd = {_mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32), two52)),
                          bias)};
   }
-  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
-    const __m256d lo = _mm256_unpacklo_pd(a.v, b.v);  // a0 b0 a2 b2
-    const __m256d hi = _mm256_unpackhi_pd(a.v, b.v);  // a1 b1 a3 b3
-    _mm256_storeu_pd(out, _mm256_permute2f128_pd(lo, hi, 0x20));
-    _mm256_storeu_pd(out + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
-  }
-  void store_trunc_u8(std::uint8_t* out) const {
-    const __m128i i16 = _mm_packs_epi32(_mm256_cvttpd_epi32(v), _mm_setzero_si128());
-    const __m128i bytes = _mm_packus_epi16(i16, i16);
-    const auto word = static_cast<std::uint32_t>(_mm_cvtsi128_si32(bytes));
-    std::memcpy(out, &word, sizeof word);
-  }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
-  static VecF64 sqrt(VecF64 a) { return {_mm256_sqrt_pd(a.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {_mm256_min_pd(a.v, b.v)}; }
-  static VecF64 max(VecF64 a, VecF64 b) { return {_mm256_max_pd(a.v, b.v)}; }
 };
 #endif  // SLJ_SIMD_AVX2
 
@@ -554,7 +522,6 @@ struct VecF64<NeonBackend> {
   static constexpr int kLanes = 2;
   float64x2_t v;
 
-  static VecF64 load(const double* p) { return {vld1q_f64(p)}; }
   static VecF64 broadcast(double x) { return {vdupq_n_f64(x)}; }
   void store(double* p) const { vst1q_f64(p, v); }
 
@@ -563,22 +530,265 @@ struct VecF64<NeonBackend> {
     even = {vcvtq_f64_u64(vmovl_u32(w.val[0]))};
     odd = {vcvtq_f64_u64(vmovl_u32(w.val[1]))};
   }
-  static void store_interleaved(VecF64 a, VecF64 b, double* out) {
-    vst2q_f64(out, (float64x2x2_t{{a.v, b.v}}));
-  }
-  void store_trunc_u8(std::uint8_t* out) const {
-    const uint64x2_t u = vcvtq_u64_f64(v);
-    out[0] = static_cast<std::uint8_t>(vgetq_lane_u64(u, 0));
-    out[1] = static_cast<std::uint8_t>(vgetq_lane_u64(u, 1));
-  }
 
   friend VecF64 operator+(VecF64 a, VecF64 b) { return {vaddq_f64(a.v, b.v)}; }
   friend VecF64 operator-(VecF64 a, VecF64 b) { return {vsubq_f64(a.v, b.v)}; }
   friend VecF64 operator*(VecF64 a, VecF64 b) { return {vmulq_f64(a.v, b.v)}; }
-  friend VecF64 operator/(VecF64 a, VecF64 b) { return {vdivq_f64(a.v, b.v)}; }
-  static VecF64 sqrt(VecF64 a) { return {vsqrtq_f64(a.v)}; }
   static VecF64 min(VecF64 a, VecF64 b) { return {vminq_f64(a.v, b.v)}; }
-  static VecF64 max(VecF64 a, VecF64 b) { return {vmaxq_f64(a.v, b.v)}; }
+};
+#endif  // SLJ_SIMD_NEON
+
+// ---- VecF32: a fixed-width vector of floats --------------------------------
+//
+// The renderer's approximate noise lanes (synth/noise_lanes.hpp): the polar
+// method's scale through a polynomial log, and each channel's value and
+// byte. Every arithmetic operation rounds once, as the scalar float
+// operator does, and each conversion from double rounds to nearest, so
+// `Active` gives the bits of `ScalarBackend` (tests/test_simd.cpp,
+// SimdF32.*). What these lanes compute is an estimate: it may decide an
+// output only where a proven error bound keeps it clear of every rounding
+// edge (see the top of this file).
+
+template <class Backend>
+struct VecF32;
+
+/// Splits a positive normal double r = 2^e·s with s in [√½, √2]: the
+/// exponent e and the fraction s − 1, both as doubles. s − 1 is exact, so
+/// a log of r loses nothing near r = 1 before the caller rounds to float.
+inline void split_log2(double r, double& exponent, double& fraction) {
+  constexpr double kSqrt2 = 0x1.6a09e667f3bcdp+0;
+  const auto bits = std::bit_cast<std::uint64_t>(r);
+  double s = std::bit_cast<double>((bits & 0x000fffffffffffffu) | 0x3ff0000000000000u);
+  exponent = static_cast<double>(static_cast<int>(bits >> 52) - 1023);
+  if (s > kSqrt2) {
+    s *= 0.5;
+    exponent += 1.0;
+  }
+  fraction = s - 1.0;
+}
+
+template <>
+struct VecF32<ScalarBackend> {
+  static constexpr int kLanes = 1;
+  float v;
+
+  static VecF32 load(const float* p) { return {*p}; }
+  static VecF32 broadcast(float x) { return {x}; }
+  void store(float* p) const { *p = v; }
+
+  /// kLanes doubles, each rounded to the nearest float.
+  static VecF32 load_f64(const double* p) { return {static_cast<float>(*p)}; }
+  /// split_log2 of kLanes doubles (positive, normal), each part then
+  /// rounded to the nearest float.
+  static void load_log2_split(const double* p, VecF32& exponent, VecF32& fraction) {
+    double e = 0.0, f = 0.0;
+    split_log2(*p, e, f);
+    exponent = {static_cast<float>(e)};
+    fraction = {static_cast<float>(f)};
+  }
+  /// Stores a0, b0, a1, b1, … (2·kLanes floats).
+  static void store_interleaved(VecF32 a, VecF32 b, float* out) {
+    out[0] = a.v;
+    out[1] = b.v;
+  }
+  /// Each lane rounded toward zero to a whole number. |lanes| < 2^31.
+  static VecF32 trunc(VecF32 a) { return {static_cast<float>(static_cast<std::int32_t>(a.v))}; }
+  /// Bit i set where lane i of a is below lane i of b.
+  static unsigned lt_mask(VecF32 a, VecF32 b) { return a.v < b.v ? 1u : 0u; }
+  /// Stores kLanes bytes, each lane truncated toward zero and saturated to
+  /// [0, 255]: `static_cast<std::uint8_t>(std::clamp(v, 0, 255))`. |lanes| < 2^31.
+  void store_trunc_u8(std::uint8_t* out) const {
+    const std::int32_t i = static_cast<std::int32_t>(v);
+    *out = static_cast<std::uint8_t>(i < 0 ? 0 : (i > 255 ? 255 : i));
+  }
+
+  friend VecF32 operator+(VecF32 a, VecF32 b) { return {a.v + b.v}; }
+  friend VecF32 operator-(VecF32 a, VecF32 b) { return {a.v - b.v}; }
+  friend VecF32 operator*(VecF32 a, VecF32 b) { return {a.v * b.v}; }
+  friend VecF32 operator/(VecF32 a, VecF32 b) { return {a.v / b.v}; }
+  static VecF32 sqrt(VecF32 a) { return {std::sqrt(a.v)}; }
+};
+
+#if defined(SLJ_SIMD_SSE2)
+template <>
+struct VecF32<Sse2Backend> {
+  static constexpr int kLanes = 4;
+  __m128 v;
+
+  static VecF32 load(const float* p) { return {_mm_loadu_ps(p)}; }
+  static VecF32 broadcast(float x) { return {_mm_set1_ps(x)}; }
+  void store(float* p) const { _mm_storeu_ps(p, v); }
+
+  static VecF32 load_f64(const double* p) {
+    return {_mm_movelh_ps(_mm_cvtpd_ps(_mm_loadu_pd(p)), _mm_cvtpd_ps(_mm_loadu_pd(p + 2)))};
+  }
+  static void load_log2_split(const double* p, VecF32& exponent, VecF32& fraction) {
+    __m128d e0, f0, e1, f1;
+    split2(_mm_loadu_pd(p), e0, f0);
+    split2(_mm_loadu_pd(p + 2), e1, f1);
+    exponent = {_mm_movelh_ps(_mm_cvtpd_ps(e0), _mm_cvtpd_ps(e1))};
+    fraction = {_mm_movelh_ps(_mm_cvtpd_ps(f0), _mm_cvtpd_ps(f1))};
+  }
+  static void store_interleaved(VecF32 a, VecF32 b, float* out) {
+    _mm_storeu_ps(out, _mm_unpacklo_ps(a.v, b.v));
+    _mm_storeu_ps(out + 4, _mm_unpackhi_ps(a.v, b.v));
+  }
+  static VecF32 trunc(VecF32 a) { return {_mm_cvtepi32_ps(_mm_cvttps_epi32(a.v))}; }
+  static unsigned lt_mask(VecF32 a, VecF32 b) {
+    return static_cast<unsigned>(_mm_movemask_ps(_mm_cmplt_ps(a.v, b.v)));
+  }
+  void store_trunc_u8(std::uint8_t* out) const {
+    const __m128i i32 = _mm_cvttps_epi32(v);
+    const __m128i i16 = _mm_packs_epi32(i32, i32);
+    const auto word = static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_packus_epi16(i16, i16)));
+    std::memcpy(out, &word, sizeof word);
+  }
+
+  friend VecF32 operator+(VecF32 a, VecF32 b) { return {_mm_add_ps(a.v, b.v)}; }
+  friend VecF32 operator-(VecF32 a, VecF32 b) { return {_mm_sub_ps(a.v, b.v)}; }
+  friend VecF32 operator*(VecF32 a, VecF32 b) { return {_mm_mul_ps(a.v, b.v)}; }
+  friend VecF32 operator/(VecF32 a, VecF32 b) { return {_mm_div_ps(a.v, b.v)}; }
+  static VecF32 sqrt(VecF32 a) { return {_mm_sqrt_ps(a.v)}; }
+
+ private:
+  // split_log2 on two lanes. The biased exponent k placed in the low
+  // mantissa bits of 2^52 reads 2^52 + k, so subtracting 2^52 + 1023
+  // leaves k − 1023, exactly.
+  static void split2(__m128d r, __m128d& exponent, __m128d& fraction) {
+    const __m128i bits = _mm_castpd_si128(r);
+    const __m128d one = _mm_set1_pd(1.0);
+    const __m128d s = _mm_castsi128_pd(
+        _mm_or_si128(_mm_and_si128(bits, _mm_set1_epi64x(0x000fffffffffffff)),
+                     _mm_set1_epi64x(0x3ff0000000000000)));
+    const __m128d big = _mm_cmpgt_pd(s, _mm_set1_pd(0x1.6a09e667f3bcdp+0));
+    const __m128d k = _mm_castsi128_pd(
+        _mm_or_si128(_mm_srli_epi64(bits, 52), _mm_set1_epi64x(0x4330000000000000)));
+    exponent = _mm_add_pd(_mm_sub_pd(k, _mm_set1_pd(0x1p52 + 1023.0)), _mm_and_pd(big, one));
+    const __m128d scale = _mm_or_pd(_mm_and_pd(big, _mm_set1_pd(0.5)), _mm_andnot_pd(big, one));
+    fraction = _mm_sub_pd(_mm_mul_pd(s, scale), one);
+  }
+};
+#endif  // SLJ_SIMD_SSE2
+
+#if defined(SLJ_SIMD_AVX2)
+template <>
+struct VecF32<Avx2Backend> {
+  static constexpr int kLanes = 8;
+  __m256 v;
+
+  static VecF32 load(const float* p) { return {_mm256_loadu_ps(p)}; }
+  static VecF32 broadcast(float x) { return {_mm256_set1_ps(x)}; }
+  void store(float* p) const { _mm256_storeu_ps(p, v); }
+
+  static VecF32 load_f64(const double* p) {
+    return {join(_mm256_cvtpd_ps(_mm256_loadu_pd(p)), _mm256_cvtpd_ps(_mm256_loadu_pd(p + 4)))};
+  }
+  static void load_log2_split(const double* p, VecF32& exponent, VecF32& fraction) {
+    __m256d e0, f0, e1, f1;
+    split4(_mm256_loadu_pd(p), e0, f0);
+    split4(_mm256_loadu_pd(p + 4), e1, f1);
+    exponent = {join(_mm256_cvtpd_ps(e0), _mm256_cvtpd_ps(e1))};
+    fraction = {join(_mm256_cvtpd_ps(f0), _mm256_cvtpd_ps(f1))};
+  }
+  static void store_interleaved(VecF32 a, VecF32 b, float* out) {
+    const __m256 lo = _mm256_unpacklo_ps(a.v, b.v);  // a0 b0 a1 b1 | a4 b4 a5 b5
+    const __m256 hi = _mm256_unpackhi_ps(a.v, b.v);  // a2 b2 a3 b3 | a6 b6 a7 b7
+    _mm256_storeu_ps(out, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(out + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+  static VecF32 trunc(VecF32 a) { return {_mm256_cvtepi32_ps(_mm256_cvttps_epi32(a.v))}; }
+  static unsigned lt_mask(VecF32 a, VecF32 b) {
+    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)));
+  }
+  void store_trunc_u8(std::uint8_t* out) const {
+    const __m256i i32 = _mm256_cvttps_epi32(v);
+    const __m128i i16 =
+        _mm_packs_epi32(_mm256_castsi256_si128(i32), _mm256_extracti128_si256(i32, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out), _mm_packus_epi16(i16, i16));
+  }
+
+  friend VecF32 operator+(VecF32 a, VecF32 b) { return {_mm256_add_ps(a.v, b.v)}; }
+  friend VecF32 operator-(VecF32 a, VecF32 b) { return {_mm256_sub_ps(a.v, b.v)}; }
+  friend VecF32 operator*(VecF32 a, VecF32 b) { return {_mm256_mul_ps(a.v, b.v)}; }
+  friend VecF32 operator/(VecF32 a, VecF32 b) { return {_mm256_div_ps(a.v, b.v)}; }
+  static VecF32 sqrt(VecF32 a) { return {_mm256_sqrt_ps(a.v)}; }
+
+ private:
+  static __m256 join(__m128 lo, __m128 hi) {
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+  }
+  // split_log2 on four lanes, with the 2^52 bias of the SSE2 backend.
+  static void split4(__m256d r, __m256d& exponent, __m256d& fraction) {
+    const __m256i bits = _mm256_castpd_si256(r);
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d s = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffff)),
+                        _mm256_set1_epi64x(0x3ff0000000000000)));
+    const __m256d big = _mm256_cmp_pd(s, _mm256_set1_pd(0x1.6a09e667f3bcdp+0), _CMP_GT_OQ);
+    const __m256d k = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(0x4330000000000000)));
+    exponent =
+        _mm256_add_pd(_mm256_sub_pd(k, _mm256_set1_pd(0x1p52 + 1023.0)), _mm256_and_pd(big, one));
+    const __m256d scale =
+        _mm256_or_pd(_mm256_and_pd(big, _mm256_set1_pd(0.5)), _mm256_andnot_pd(big, one));
+    fraction = _mm256_sub_pd(_mm256_mul_pd(s, scale), one);
+  }
+};
+#endif  // SLJ_SIMD_AVX2
+
+#if defined(SLJ_SIMD_NEON)
+template <>
+struct VecF32<NeonBackend> {
+  static constexpr int kLanes = 4;
+  float32x4_t v;
+
+  static VecF32 load(const float* p) { return {vld1q_f32(p)}; }
+  static VecF32 broadcast(float x) { return {vdupq_n_f32(x)}; }
+  void store(float* p) const { vst1q_f32(p, v); }
+
+  static VecF32 load_f64(const double* p) {
+    return {vcombine_f32(vcvt_f32_f64(vld1q_f64(p)), vcvt_f32_f64(vld1q_f64(p + 2)))};
+  }
+  static void load_log2_split(const double* p, VecF32& exponent, VecF32& fraction) {
+    float64x2_t e0, f0, e1, f1;
+    split2(vld1q_f64(p), e0, f0);
+    split2(vld1q_f64(p + 2), e1, f1);
+    exponent = {vcombine_f32(vcvt_f32_f64(e0), vcvt_f32_f64(e1))};
+    fraction = {vcombine_f32(vcvt_f32_f64(f0), vcvt_f32_f64(f1))};
+  }
+  static void store_interleaved(VecF32 a, VecF32 b, float* out) {
+    vst2q_f32(out, (float32x4x2_t{{a.v, b.v}}));
+  }
+  static VecF32 trunc(VecF32 a) { return {vcvtq_f32_s32(vcvtq_s32_f32(a.v))}; }
+  static unsigned lt_mask(VecF32 a, VecF32 b) {
+    const uint32x4_t bit = {1u, 2u, 4u, 8u};
+    return vaddvq_u32(vandq_u32(vcltq_f32(a.v, b.v), bit));
+  }
+  void store_trunc_u8(std::uint8_t* out) const {
+    const uint16x4_t u16 = vqmovun_s32(vcvtq_s32_f32(v));
+    const uint8x8_t u8 = vqmovn_u16(vcombine_u16(u16, u16));
+    const std::uint32_t word = vget_lane_u32(vreinterpret_u32_u8(u8), 0);
+    std::memcpy(out, &word, sizeof word);
+  }
+
+  friend VecF32 operator+(VecF32 a, VecF32 b) { return {vaddq_f32(a.v, b.v)}; }
+  friend VecF32 operator-(VecF32 a, VecF32 b) { return {vsubq_f32(a.v, b.v)}; }
+  friend VecF32 operator*(VecF32 a, VecF32 b) { return {vmulq_f32(a.v, b.v)}; }
+  friend VecF32 operator/(VecF32 a, VecF32 b) { return {vdivq_f32(a.v, b.v)}; }
+  static VecF32 sqrt(VecF32 a) { return {vsqrtq_f32(a.v)}; }
+
+ private:
+  static void split2(float64x2_t r, float64x2_t& exponent, float64x2_t& fraction) {
+    const uint64x2_t bits = vreinterpretq_u64_f64(r);
+    const float64x2_t one = vdupq_n_f64(1.0);
+    const float64x2_t s = vreinterpretq_f64_u64(
+        vorrq_u64(vandq_u64(bits, vdupq_n_u64(0x000fffffffffffffu)),
+                  vdupq_n_u64(0x3ff0000000000000u)));
+    const uint64x2_t big = vcgtq_f64(s, vdupq_n_f64(0x1.6a09e667f3bcdp+0));
+    const float64x2_t k = vcvtq_f64_u64(vshrq_n_u64(bits, 52));
+    exponent = vaddq_f64(vsubq_f64(k, vdupq_n_f64(1023.0)), vbslq_f64(big, one, vdupq_n_f64(0.0)));
+    fraction = vsubq_f64(vmulq_f64(s, vbslq_f64(big, vdupq_n_f64(0.5), one)), one);
+  }
 };
 #endif  // SLJ_SIMD_NEON
 

@@ -6,6 +6,7 @@
 
 #include "core/simd.hpp"
 #include "imaging/draw.hpp"
+#include "synth/noise_lanes.hpp"
 
 namespace slj::synth {
 
@@ -65,69 +66,110 @@ std::uint8_t clamp_channel(double v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
 }
 
-/// The polar scale of pairs [0, count) into their two normals each, returned
-/// value first: normals[2i] = y[i]·m, normals[2i + 1] = x[i]·m with
-/// m = sqrt((−2·log r²) / r²), as `polar_scale` rounds it, given log r² in
-/// `log_r2`. Returns how many pairs it scaled (whole vectors).
-template <class Backend>
-std::size_t scale_pairs(const double* x, const double* y, const double* r2, const double* log_r2,
-                        std::size_t count, double* normals) {
-  using F = simd::VecF64<Backend>;
-  const F minus_two = F::broadcast(-2.0);
-  std::size_t i = 0;
-  for (; i + F::kLanes <= count; i += F::kLanes) {
-    const F m = F::sqrt((minus_two * F::load(log_r2 + i)) / F::load(r2 + i));
-    F::store_interleaved(F::load(y + i) * m, F::load(x + i) * m, normals + 2 * i);
-  }
-  return i;
-}
-
-/// out[j] = clamp_channel(lift[j % 3] + (normals[j]·sigma + 0)) for whole
-/// groups of 3·kLanes channels from 0, returning how many it composed: the
-/// background expression of every channel of a row. The lanes cycle through
-/// R, G, B, so three vectors of the row's constants cover one group.
-template <class Backend>
-std::size_t compose_channels(const double* normals, std::size_t count, const double* lift,
-                             double sigma, std::uint8_t* out) {
-  using F = simd::VecF64<Backend>;
-  constexpr std::size_t kLanes = F::kLanes;
-  double pattern[3 * kLanes];
-  for (std::size_t t = 0; t < 3 * kLanes; ++t) pattern[t] = lift[t % 3];
-  const F base[3] = {F::load(pattern), F::load(pattern + kLanes), F::load(pattern + 2 * kLanes)};
-  const F s = F::broadcast(sigma);
-  const F zero = F::broadcast(0.0);
-  const F top = F::broadcast(255.0);
-  std::size_t j = 0;
-  for (; j + 3 * kLanes <= count; j += 3 * kLanes) {
-    for (std::size_t t = 0; t < 3; ++t) {
-      const F v = base[t] + (F::load(normals + j + t * kLanes) * s + zero);
-      F::min(F::max(v, zero), top).store_trunc_u8(out + j + t * kLanes);
-    }
-  }
-  return j;
-}
+constexpr double kNoiseMean = 0.0;
 
 }  // namespace
 
-RgbImage SilhouetteRenderer::render_frame(const BinaryImage& silhouette, Rng& rng) const {
+NoiseComposer::NoiseComposer(const CameraConfig& camera, int width, int height)
+    : camera_(camera),
+      width_(static_cast<std::size_t>(width)),
+      height_(height),
+      // Outside the bound's σ every fraction is below 1: every channel exact.
+      lo_(std::abs(camera.sensor_noise_sigma) <= noise::kMaxNoiseSigma ? noise::kEdgeMargin
+                                                                       : 1.0f),
+      hi_(1.0f - noise::kEdgeMargin),
+      normals_(3 * width_ + 2),
+      edges_(3 * width_) {}
+
+void NoiseComposer::compose_row(int y, const std::uint8_t* mask, const std::uint8_t* speckled,
+                                const double* pair_x, const double* pair_y,
+                                const double* pair_r2, std::size_t pairs, Rgb* out) {
   static_assert(sizeof(Rgb) == 3, "compose writes a row as 3w bytes");
+  const std::size_t channels = 3 * width_;
+  const double sigma = camera_.sensor_noise_sigma;
+  const auto sigma_f = static_cast<float>(sigma);
+
+  // Pass 2: the row's normals in float, returned value first: normals_[k +
+  // 2i] ≈ y[i]·m and normals_[k + 2i + 1] ≈ x[i]·m after the carried one.
+  const std::size_t k = carry_ ? 1 : 0;
+  if (carry_) normals_[0] = static_cast<float>(carried_);
+  const std::size_t scaled = noise::scale_pairs<simd::Active>(pair_x, pair_y, pair_r2, pairs,
+                                                              normals_.data() + k);
+  noise::scale_pairs<simd::ScalarBackend>(pair_x + scaled, pair_y + scaled, pair_r2 + scaled,
+                                          pairs - scaled, normals_.data() + k + 2 * scaled);
+  // Channel j's normal exactly as the contract computes it.
+  const auto exact_normal = [&](std::size_t j) {
+    if (j < k) return carried_;
+    const std::size_t i = (j - k) / 2;
+    return ((j - k) % 2 == 0 ? pair_y[i] : pair_x[i]) * polar_scale(pair_r2[i]);
+  };
+
+  // Pass 3: compose. Mild vertical studio-light gradient on the background;
+  // dark speckle on clothing (folds/shadows that punch small holes in the
+  // thresholded silhouette, Fig. 1b). Every channel gets the background
+  // value first; person pixels are then written over with their own lift.
+  const double gradient = 6.0 * (1.0 - static_cast<double>(y) / height_);
+  const Rgb bg = camera_.background;
+  const Rgb clothing = camera_.clothing;
+  const double lift[3] = {bg.r + gradient, bg.g + gradient, bg.b + gradient};
+  const float lift_f[3] = {static_cast<float>(lift[0]), static_cast<float>(lift[1]),
+                           static_cast<float>(lift[2])};
+  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out);
+  std::uint32_t* edges = edges_.data();
+  std::size_t n_edges = 0;
+  const std::size_t composed = noise::compose_channels<simd::Active>(
+      normals_.data(), channels, lift_f, sigma_f, lo_, hi_, out_bytes, 0, edges, n_edges);
+  noise::compose_channels<simd::ScalarBackend>(
+      normals_.data() + composed, channels - composed, lift_f, sigma_f, lo_, hi_,
+      out_bytes + composed, static_cast<std::uint32_t>(composed), edges, n_edges);
+  n_edges = static_cast<std::size_t>(
+      std::remove_if(edges, edges + n_edges, [&](std::uint32_t j) { return mask[j / 3] != 0; }) -
+      edges);
+  for (std::size_t x = 0; x < width_; ++x) {
+    if (!mask[x]) continue;
+    const int strength = speckled[x] ? camera_.speckle_strength : 0;
+    const float person[3] = {static_cast<float>(clothing.r - strength),
+                             static_cast<float>(clothing.g - strength),
+                             static_cast<float>(clothing.b - strength)};
+    noise::compose_channels<simd::ScalarBackend>(normals_.data() + 3 * x, 3, person, sigma_f,
+                                                 lo_, hi_, out_bytes + 3 * x,
+                                                 static_cast<std::uint32_t>(3 * x), edges, n_edges);
+  }
+
+  // The channels the float lanes left open, as the contract computes them.
+  for (std::size_t e = 0; e < n_edges; ++e) {
+    const std::size_t j = edges[e];
+    const std::size_t x = j / 3;
+    const double noise = exact_normal(j) * sigma + kNoiseMean;
+    if (!mask[x]) {
+      out_bytes[j] = clamp_channel(lift[j % 3] + noise);
+      continue;
+    }
+    const std::uint8_t base[3] = {clothing.r, clothing.g, clothing.b};
+    double v = base[j % 3] + noise;
+    if (speckled[x]) v -= camera_.speckle_strength;
+    out_bytes[j] = clamp_channel(v);
+  }
+  exact_channels_ += n_edges;
+
+  // The row's last pair may leave its second normal for the next row.
+  carry_ = k + 2 * pairs > channels;
+  if (carry_) carried_ = exact_normal(channels);
+}
+
+RgbImage SilhouetteRenderer::render_frame(const BinaryImage& silhouette, Rng& rng) const {
   const int width = silhouette.width();
   const int height = silhouette.height();
   const auto w = static_cast<std::size_t>(width);
   RgbImage frame(width, height);
-  const double sigma = config_.sensor_noise_sigma;
-  constexpr double kNoiseMean = 0.0;
+  NoiseComposer composer(config_, width, height);
 
   // Row scratch, sized to one row and owned by this call. A row needs 3w
   // normals; a normal left over from the previous row's last pair may cover
-  // the first, so at most ceil(3w / 2) new pairs and 3w + 1 normals.
+  // the first, so at most ceil(3w / 2) new pairs.
   const std::size_t max_pairs = (3 * w + 1) / 2;
   std::vector<double> pair_x(max_pairs), pair_y(max_pairs), pair_r2(max_pairs);
-  std::vector<double> log_r2(max_pairs);
-  std::vector<double> normals(3 * w + 1);
   std::vector<std::uint8_t> speckled(w);
-  bool carry = false;   // normals[3w] of the previous row is still unused
-  double carried = 0.0;
 
   for (int y = 0; y < height; ++y) {
     const std::uint8_t* mask = silhouette.data().data() + static_cast<std::size_t>(y) * w;
@@ -137,7 +179,7 @@ RgbImage SilhouetteRenderer::render_frame(const BinaryImage& silhouette, Rng& rn
     // speckle uniform, so the pairs those normals need come first. A
     // person-free run draws no uniform, so its pairs come in one bulk call.
     std::size_t n_pairs = 0;
-    std::size_t available = carry ? 1 : 0;
+    std::size_t available = composer.carrying() ? 1 : 0;
     for (std::size_t x = 0; x < w;) {
       const bool person = mask[x] != 0;
       const std::size_t end =
@@ -153,47 +195,9 @@ RgbImage SilhouetteRenderer::render_frame(const BinaryImage& silhouette, Rng& rn
       x = end;
     }
 
-    // Pass 2: scale each pair into its two normals, returned value first.
-    // std::log stays scalar: a vector log would not round as glibc's does.
-    const std::size_t k = carry ? 1 : 0;
-    if (carry) normals[0] = carried;
-    for (std::size_t i = 0; i < n_pairs; ++i) log_r2[i] = std::log(pair_r2[i]);
-    const std::size_t scaled = scale_pairs<simd::Active>(pair_x.data(), pair_y.data(),
-                                                         pair_r2.data(), log_r2.data(), n_pairs,
-                                                         normals.data() + k);
-    scale_pairs<simd::ScalarBackend>(pair_x.data() + scaled, pair_y.data() + scaled,
-                                     pair_r2.data() + scaled, log_r2.data() + scaled,
-                                     n_pairs - scaled, normals.data() + k + 2 * scaled);
-    carry = k + 2 * n_pairs > 3 * w;
-    if (carry) carried = normals[3 * w];
-
-    // Pass 3: compose. Mild vertical studio-light gradient on the background;
-    // dark speckle on clothing (folds/shadows that punch small holes in the
-    // thresholded silhouette, Fig. 1b). Every channel gets the background
-    // expression first; person pixels are then written over.
-    const double gradient = 6.0 * (1.0 - static_cast<double>(y) / height);
-    const Rgb bg = config_.background;
-    const double lift[3] = {bg.r + gradient, bg.g + gradient, bg.b + gradient};
-    Rgb* out = frame.data().data() + static_cast<std::size_t>(y) * w;
-    auto* out_bytes = reinterpret_cast<std::uint8_t*>(out);
-    const std::size_t composed =
-        compose_channels<simd::Active>(normals.data(), 3 * w, lift, sigma, out_bytes);
-    compose_channels<simd::ScalarBackend>(normals.data() + composed, 3 * w - composed, lift,
-                                          sigma, out_bytes + composed);
-    const Rgb base = config_.clothing;
-    for (std::size_t x = 0; x < w; ++x) {
-      if (!mask[x]) continue;
-      const double* n = &normals[3 * x];
-      double r = base.r + (n[0] * sigma + kNoiseMean);
-      double g = base.g + (n[1] * sigma + kNoiseMean);
-      double b = base.b + (n[2] * sigma + kNoiseMean);
-      if (speckled[x]) {
-        r -= config_.speckle_strength;
-        g -= config_.speckle_strength;
-        b -= config_.speckle_strength;
-      }
-      out[x] = {clamp_channel(r), clamp_channel(g), clamp_channel(b)};
-    }
+    composer.compose_row(y, mask, speckled.data(), pair_x.data(), pair_y.data(),
+                         pair_r2.data(), n_pairs,
+                         frame.data().data() + static_cast<std::size_t>(y) * w);
   }
   return frame;
 }

@@ -21,7 +21,10 @@
 // attempts without a branch per attempt. One 288×160 frame's 69 120 pairs
 // take ≈0.62 ms that way against ≈1.16 ms as single `polar_pair` calls
 // (BM_PolarPairs in bench/perf_micro.cpp, medians of 5; GCC 12 -O2, SSE2,
-// 4-core 2.1 GHz x86-64 KVM guest).
+// 4-core 2.1 GHz x86-64 KVM guest). That walk is three costs of about the
+// same size: the 564 refills (twist and temper) ≈0.23 ms, their decode into
+// units ≈0.14 ms, and the accept loop ≈0.16 ms (medians of 15, each part
+// timed alone over a frame's worth of blocks, same host).
 #pragma once
 
 #include <array>

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -101,6 +103,187 @@ TEST(SimdBytePlane, StoreFill01MatchesScalarIncludingSaturatedPlanes) {
       simd::store_fill01_u8<ScalarBackend>(c[0]->data(), c[1]->data(), want.data(), n);
       EXPECT_EQ(got, want) << "n " << n;
     }
+  }
+}
+
+// ---- VecF32 -----------------------------------------------------------------
+//
+// The renderer's float lanes decide bytes only behind a proven bound, but
+// every op must still give the scalar twin's bits, so the SLJ_SIMD=OFF
+// build renders the frames the SIMD builds render.
+
+constexpr std::size_t kF32Count = 4096;  // a multiple of every backend's lanes
+
+std::uint32_t float_bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+// Floats across the renderer's ranges: normals, lifts ± noise, channel
+// values on and around whole numbers, negatives and values past 255.
+std::vector<float> random_floats(std::uint32_t seed, float lo, float hi) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(lo, hi);
+  std::vector<float> out(kF32Count);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const float x = dist(rng);
+    switch (i % 8) {
+      case 0: out[i] = std::round(x); break;
+      case 1: out[i] = std::nextafter(std::round(x), hi); break;
+      case 2: out[i] = std::nextafter(std::round(x), lo); break;
+      default: out[i] = x;
+    }
+  }
+  return out;
+}
+
+// op over whole vectors of Backend, returning the result lanes' bits.
+template <class Backend, class Op>
+std::vector<std::uint32_t> map_f32(const std::vector<float>& a, const std::vector<float>& b,
+                                   Op op) {
+  using F = simd::VecF32<Backend>;
+  std::vector<float> out(a.size());
+  for (std::size_t i = 0; i < a.size(); i += F::kLanes) {
+    op(F::load(a.data() + i), F::load(b.data() + i)).store(out.data() + i);
+  }
+  std::vector<std::uint32_t> bits(out.size());
+  std::transform(out.begin(), out.end(), bits.begin(), float_bits);
+  return bits;
+}
+
+template <class Op>
+void expect_f32_op_matches(const char* what, const std::vector<float>& a,
+                           const std::vector<float>& b, Op op) {
+  EXPECT_EQ(map_f32<Active>(a, b, op), map_f32<ScalarBackend>(a, b, op)) << what;
+}
+
+TEST(SimdF32, ArithmeticMatchesScalarBits) {
+  const std::vector<float> a = random_floats(1, -300.0f, 300.0f);
+  const std::vector<float> b = random_floats(2, -13.0f, 13.0f);
+  const std::vector<float> pos = random_floats(3, 0.0f, 300.0f);
+  const auto add = [](auto x, auto y) { return x + y; };
+  const auto sub = [](auto x, auto y) { return x - y; };
+  const auto mul = [](auto x, auto y) { return x * y; };
+  const auto div = [](auto x, auto y) { return x / y; };
+  const auto sqrt = [](auto x, auto) { return decltype(x)::sqrt(x); };
+  const auto broadcast = [](auto x, auto) { return x * decltype(x)::broadcast(3.5f); };
+  expect_f32_op_matches("+", a, b, add);
+  expect_f32_op_matches("-", a, b, sub);
+  expect_f32_op_matches("*", a, b, mul);
+  expect_f32_op_matches("/", a, pos, div);
+  expect_f32_op_matches("sqrt", pos, pos, sqrt);
+  expect_f32_op_matches("broadcast", a, a, broadcast);
+}
+
+TEST(SimdF32, TruncMaskBytesAndInterleaveMatchScalar) {
+  // Channel values as compose sees them, whole numbers and their float
+  // neighbours included, below 0, past 255 and on the margin's edges.
+  std::vector<float> v = random_floats(4, -40.0f, 300.0f);
+  const std::vector<float> edge = random_floats(5, 0.0f, 1.0f);
+  v[3] = 255.0f;
+  v[4] = -0.0f;
+  v[5] = 0x1p-10f;
+  v[6] = 1.0f - 0x1p-10f;
+  v[7] = 256.5f;
+  const auto trunc = [](auto x, auto) { return decltype(x)::trunc(x); };
+  expect_f32_op_matches("trunc", v, v, trunc);
+
+  using FA = simd::VecF32<Active>;
+  using FS = simd::VecF32<ScalarBackend>;
+  std::vector<std::uint8_t> bytes_a(v.size()), bytes_s(v.size());
+  std::vector<unsigned> mask_a, mask_s;
+  for (std::size_t i = 0; i < v.size(); i += FA::kLanes) {
+    FA::load(v.data() + i).store_trunc_u8(bytes_a.data() + i);
+    mask_a.push_back(FA::lt_mask(FA::load(v.data() + i), FA::load(edge.data() + i)));
+  }
+  for (std::size_t i = 0; i < v.size(); i += FS::kLanes) {
+    FS::load(v.data() + i).store_trunc_u8(bytes_s.data() + i);
+  }
+  for (std::size_t i = 0; i < v.size(); i += FA::kLanes) {
+    unsigned m = 0;
+    for (int lane = 0; lane < FA::kLanes; ++lane) {
+      const std::size_t at = i + static_cast<std::size_t>(lane);
+      m |= FS::lt_mask(FS::load(v.data() + at), FS::load(edge.data() + at)) << lane;
+    }
+    mask_s.push_back(m);
+  }
+  EXPECT_EQ(bytes_a, bytes_s);
+  EXPECT_EQ(mask_a, mask_s);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    ASSERT_EQ(bytes_s[i], static_cast<std::uint8_t>(std::clamp(v[i], 0.0f, 255.0f))) << v[i];
+  }
+
+  std::vector<float> got(2 * v.size()), want(2 * v.size());
+  for (std::size_t i = 0; i < v.size(); i += FA::kLanes) {
+    FA::store_interleaved(FA::load(v.data() + i), FA::load(edge.data() + i), got.data() + 2 * i);
+  }
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    want[2 * i] = v[i];
+    want[2 * i + 1] = edge[i];
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(SimdF32, ConversionsFromDoubleMatchScalarBits) {
+  // r² as the stream produces it: polar draws, r² just below 1, every power
+  // of two down to 2^−106 with its neighbours, both sides of the √2 split;
+  // and doubles halfway between two floats, where rounding goes to even.
+  std::vector<double> r2;
+  std::mt19937_64 rng(6);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  while (r2.size() < kF32Count / 2) {
+    const double u = unit(rng), v = unit(rng);
+    const double q = u * u + v * v;
+    if (q <= 1.0 && q != 0.0) r2.push_back(q);
+  }
+  for (int j = 0; j < 512; ++j) r2.push_back(1.0 - j * 0x1p-53);
+  for (int e = 0; e >= -106; --e) {
+    const double q = std::ldexp(1.0, e);
+    r2.push_back(q);
+    r2.push_back(std::nextafter(q, 0.0));
+    if (e == 0) continue;
+    r2.push_back(std::nextafter(q, 1.0));
+    r2.push_back(q * 0x1.6a09e667f3bcdp+0);
+    r2.push_back(std::nextafter(q * 0x1.6a09e667f3bcdp+0, 1.0));
+    r2.push_back(std::nextafter(q * 0x1.6a09e667f3bcdp+0, 0.0));
+  }
+  while (r2.size() % 8 != 0) r2.push_back(0.5);
+
+  std::vector<double> halfway;
+  for (int j = 0; j < 64; ++j) {
+    const double base = 1.0 + j * 0x1p-23;
+    halfway.push_back(base + 0x1p-24);   // a tie
+    halfway.push_back(-(base + 0x1p-24));
+    halfway.push_back(std::ldexp(base + 0x1p-25, -j));
+  }
+  while (halfway.size() % 8 != 0) halfway.push_back(0.0);
+
+  const auto run = [](auto tag, const std::vector<double>& in, bool split) {
+    using F = simd::VecF32<decltype(tag)>;
+    std::vector<float> a(in.size()), b(in.size());
+    for (std::size_t i = 0; i < in.size(); i += F::kLanes) {
+      if (split) {
+        F e{}, f{};
+        F::load_log2_split(in.data() + i, e, f);
+        e.store(a.data() + i);
+        f.store(b.data() + i);
+      } else {
+        F::load_f64(in.data() + i).store(a.data() + i);
+      }
+    }
+    std::vector<std::uint32_t> bits;
+    for (const float x : a) bits.push_back(float_bits(x));
+    for (const float x : b) bits.push_back(float_bits(x));
+    return bits;
+  };
+  EXPECT_EQ(run(Active{}, halfway, false), run(ScalarBackend{}, halfway, false));
+  EXPECT_EQ(run(Active{}, r2, false), run(ScalarBackend{}, r2, false));
+  EXPECT_EQ(run(Active{}, r2, true), run(ScalarBackend{}, r2, true));
+
+  // The split itself is exact: r² = 2^e·(1 + f) with 1 + f in [√½, √2].
+  for (const double q : r2) {
+    double e = 0.0, f = 0.0;
+    simd::split_log2(q, e, f);
+    ASSERT_EQ(std::ldexp(1.0 + f, static_cast<int>(e)), q) << q;
+    ASSERT_GE(1.0 + f, std::sqrt(0.5)) << q;
+    ASSERT_LE(1.0 + f, std::sqrt(2.0)) << q;
   }
 }
 
