@@ -1,16 +1,18 @@
 // Portable fixed-width SIMD abstraction for the per-frame vision kernels and
 // the synthetic camera's noise kernels.
 //
-// Backends: SSE2 (16 u8 / 8 u16 / 4 u32 / 4 f32 / 2 f64 lanes), AVX2 (32 u8 /
-// 16 u16 / 8 u32 / 8 f32 / 4 f64 lanes), NEON (16 u8 / 8 u16 / 4 u32 / 4 f32 /
-// 2 f64 lanes), and a scalar fallback that is always compiled. The active backend is chosen at
+// Backends: SSE2 (16 u8 / 8 u16 / 4 u32 / 4 f32 / 2 f64 lanes) and a scalar
+// fallback that is always compiled. The active backend is chosen at
 // configure time by the SLJ_SIMD CMake option:
 //
-//   AUTO (default)  whatever instruction sets the compiler already targets
-//                   (__AVX2__ / __SSE2__ / __ARM_NEON preprocessor macros)
-//   OFF / SCALAR    force the scalar fallback (defines SLJ_SIMD_FORCE_SCALAR)
-//   SSE2 / AVX2     x86 backends, adding -msse2 / -mavx2
-//   NEON            ARM backend (the macros must already be available)
+//   AUTO (default)  SSE2 wherever the compiler targets it (__SSE2__, as every
+//                   x86-64 compiler does), the scalar fallback everywhere else
+//   OFF             force the scalar fallback (defines SLJ_SIMD_FORCE_SCALAR)
+//
+// A -march=native build still runs the SSE2 lanes; the compiler may only
+// re-encode them. There is no wider backend: one would need a way to select
+// it per platform or at run time, and a benchmark workload on each side of
+// the choice.
 //
 // Every kernel written against this header is templated on a backend tag and
 // instantiated twice: once with `Active` (the configured backend) and once
@@ -45,17 +47,10 @@
 #include <cstdint>
 #include <cstring>
 
-#if !defined(SLJ_SIMD_FORCE_SCALAR)
-#if defined(__AVX2__)
-#define SLJ_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
+#if !defined(SLJ_SIMD_FORCE_SCALAR) && \
+    (defined(__SSE2__) || defined(_M_X64) || (defined(_M_IX86_FP) && _M_IX86_FP >= 2))
 #define SLJ_SIMD_SSE2 1
 #include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define SLJ_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 #endif
 
 namespace slj::simd {
@@ -63,27 +58,17 @@ namespace slj::simd {
 // ---- backend tags ----------------------------------------------------------
 
 struct ScalarBackend {};
-#if defined(SLJ_SIMD_AVX2)
-struct Avx2Backend {};
-using Active = Avx2Backend;
-#elif defined(SLJ_SIMD_SSE2)
+#if defined(SLJ_SIMD_SSE2)
 struct Sse2Backend {};
 using Active = Sse2Backend;
-#elif defined(SLJ_SIMD_NEON)
-struct NeonBackend {};
-using Active = NeonBackend;
 #else
 using Active = ScalarBackend;
 #endif
 
 /// Human-readable name of the configured backend (for telemetry / bench JSON).
 inline const char* backend_name() {
-#if defined(SLJ_SIMD_AVX2)
-  return "avx2";
-#elif defined(SLJ_SIMD_SSE2)
+#if defined(SLJ_SIMD_SSE2)
   return "sse2";
-#elif defined(SLJ_SIMD_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -120,33 +105,6 @@ struct VecU8<Sse2Backend> {
     const __m128i zero = _mm_setzero_si128();
     return _mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)) != 0xffff;
   }
-};
-#endif
-
-#if defined(SLJ_SIMD_AVX2)
-template <>
-struct VecU8<Avx2Backend> {
-  static constexpr int kLanes = 32;
-  __m256i v;
-
-  static VecU8 load(const std::uint8_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  bool any() const {
-    const __m256i zero = _mm256_setzero_si256();
-    return static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero))) != 0xffffffffu;
-  }
-};
-#endif
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-struct VecU8<NeonBackend> {
-  static constexpr int kLanes = 16;
-  uint8x16_t v;
-
-  static VecU8 load(const std::uint8_t* p) { return {vld1q_u8(p)}; }
-  bool any() const { return vmaxvq_u8(v) != 0; }
 };
 #endif
 
@@ -256,86 +214,6 @@ struct VecU16<Sse2Backend> {
 };
 #endif  // SLJ_SIMD_SSE2
 
-#if defined(SLJ_SIMD_AVX2)
-template <>
-struct VecU16<Avx2Backend> {
-  static constexpr int kLanes = 16;
-  __m256i v;
-
-  static VecU16 load(const std::uint16_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  static VecU16 broadcast(std::uint16_t x) {
-    return {_mm256_set1_epi16(static_cast<short>(x))};
-  }
-  static VecU16 load_u8(const std::uint8_t* p) {
-    return {_mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
-  }
-  void store(std::uint16_t* p) const {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-
-  friend VecU16 operator+(VecU16 a, VecU16 b) { return {_mm256_add_epi16(a.v, b.v)}; }
-  friend VecU16 operator-(VecU16 a, VecU16 b) { return {_mm256_sub_epi16(a.v, b.v)}; }
-  friend VecU16 operator*(VecU16 a, VecU16 b) { return {_mm256_mullo_epi16(a.v, b.v)}; }
-  friend VecU16 operator|(VecU16 a, VecU16 b) { return {_mm256_or_si256(a.v, b.v)}; }
-
-  static VecU16 absdiff(VecU16 a, VecU16 b) {
-    return {_mm256_or_si256(_mm256_subs_epu16(a.v, b.v), _mm256_subs_epu16(b.v, a.v))};
-  }
-  static VecU16 max(VecU16 a, VecU16 b) { return {_mm256_max_epu16(a.v, b.v)}; }
-  static VecU16 eq(VecU16 a, VecU16 b) { return {_mm256_cmpeq_epi16(a.v, b.v)}; }
-  bool any() const { return _mm256_movemask_epi8(v) != 0; }
-  std::uint16_t reduce_max() const {
-    __m128i m = _mm_max_epu16(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-    m = _mm_max_epu16(m, _mm_srli_si128(m, 8));
-    m = _mm_max_epu16(m, _mm_srli_si128(m, 4));
-    m = _mm_max_epu16(m, _mm_srli_si128(m, 2));
-    return static_cast<std::uint16_t>(_mm_cvtsi128_si32(m));
-  }
-
-  static void store_gt01(VecU16 a, VecU16 b, std::uint8_t* out) {
-    // Signed compare: identical to unsigned for lanes <= 32767 (the contract).
-    const __m256i gt = _mm256_cmpgt_epi16(a.v, b.v);
-    const __m256i one = _mm256_and_si256(gt, _mm256_set1_epi16(1));
-    // packus interleaves 128-bit halves; the qword permute re-compacts the
-    // 16 result bytes into the low half before the store.
-    const __m256i packed = _mm256_packus_epi16(one, _mm256_setzero_si256());
-    const __m256i fixed = _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm256_castsi256_si128(fixed));
-  }
-};
-#endif  // SLJ_SIMD_AVX2
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-struct VecU16<NeonBackend> {
-  static constexpr int kLanes = 8;
-  uint16x8_t v;
-
-  static VecU16 load(const std::uint16_t* p) { return {vld1q_u16(p)}; }
-  static VecU16 broadcast(std::uint16_t x) { return {vdupq_n_u16(x)}; }
-  static VecU16 load_u8(const std::uint8_t* p) { return {vmovl_u8(vld1_u8(p))}; }
-  void store(std::uint16_t* p) const { vst1q_u16(p, v); }
-
-  friend VecU16 operator+(VecU16 a, VecU16 b) { return {vaddq_u16(a.v, b.v)}; }
-  friend VecU16 operator-(VecU16 a, VecU16 b) { return {vsubq_u16(a.v, b.v)}; }
-  friend VecU16 operator*(VecU16 a, VecU16 b) { return {vmulq_u16(a.v, b.v)}; }
-  friend VecU16 operator|(VecU16 a, VecU16 b) { return {vorrq_u16(a.v, b.v)}; }
-
-  static VecU16 absdiff(VecU16 a, VecU16 b) { return {vabdq_u16(a.v, b.v)}; }
-  static VecU16 max(VecU16 a, VecU16 b) { return {vmaxq_u16(a.v, b.v)}; }
-  static VecU16 eq(VecU16 a, VecU16 b) { return {vceqq_u16(a.v, b.v)}; }
-  bool any() const { return vmaxvq_u16(v) != 0; }
-  std::uint16_t reduce_max() const { return vmaxvq_u16(v); }
-
-  static void store_gt01(VecU16 a, VecU16 b, std::uint8_t* out) {
-    const uint16x8_t gt = vcgtq_u16(a.v, b.v);
-    vst1_u8(out, vmovn_u16(vandq_u16(gt, vdupq_n_u16(1))));
-  }
-};
-#endif  // SLJ_SIMD_NEON
-
 // ---- VecU32: a fixed-width vector of 32-bit words --------------------------
 //
 // Backs the MT19937 twist and temper (synth/rng.cpp). Arithmetic wraps at
@@ -385,50 +263,6 @@ struct VecU32<Sse2Backend> {
   VecU32 shl() const { return {_mm_slli_epi32(v, k)}; }
 };
 #endif  // SLJ_SIMD_SSE2
-
-#if defined(SLJ_SIMD_AVX2)
-template <>
-struct VecU32<Avx2Backend> {
-  static constexpr int kLanes = 8;
-  __m256i v;
-
-  static VecU32 load(const std::uint32_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  static VecU32 broadcast(std::uint32_t x) { return {_mm256_set1_epi32(static_cast<int>(x))}; }
-  void store(std::uint32_t* p) const { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
-
-  friend VecU32 operator&(VecU32 a, VecU32 b) { return {_mm256_and_si256(a.v, b.v)}; }
-  friend VecU32 operator|(VecU32 a, VecU32 b) { return {_mm256_or_si256(a.v, b.v)}; }
-  friend VecU32 operator^(VecU32 a, VecU32 b) { return {_mm256_xor_si256(a.v, b.v)}; }
-  friend VecU32 operator-(VecU32 a, VecU32 b) { return {_mm256_sub_epi32(a.v, b.v)}; }
-  template <int k>
-  VecU32 shr() const { return {_mm256_srli_epi32(v, k)}; }
-  template <int k>
-  VecU32 shl() const { return {_mm256_slli_epi32(v, k)}; }
-};
-#endif  // SLJ_SIMD_AVX2
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-struct VecU32<NeonBackend> {
-  static constexpr int kLanes = 4;
-  uint32x4_t v;
-
-  static VecU32 load(const std::uint32_t* p) { return {vld1q_u32(p)}; }
-  static VecU32 broadcast(std::uint32_t x) { return {vdupq_n_u32(x)}; }
-  void store(std::uint32_t* p) const { vst1q_u32(p, v); }
-
-  friend VecU32 operator&(VecU32 a, VecU32 b) { return {vandq_u32(a.v, b.v)}; }
-  friend VecU32 operator|(VecU32 a, VecU32 b) { return {vorrq_u32(a.v, b.v)}; }
-  friend VecU32 operator^(VecU32 a, VecU32 b) { return {veorq_u32(a.v, b.v)}; }
-  friend VecU32 operator-(VecU32 a, VecU32 b) { return {vsubq_u32(a.v, b.v)}; }
-  template <int k>
-  VecU32 shr() const { return {vshrq_n_u32(v, k)}; }
-  template <int k>
-  VecU32 shl() const { return {vshlq_n_u32(v, k)}; }
-};
-#endif  // SLJ_SIMD_NEON
 
 // ---- VecF64: a fixed-width vector of doubles -------------------------------
 //
@@ -488,55 +322,6 @@ struct VecF64<Sse2Backend> {
   static VecF64 min(VecF64 a, VecF64 b) { return {_mm_min_pd(a.v, b.v)}; }
 };
 #endif  // SLJ_SIMD_SSE2
-
-#if defined(SLJ_SIMD_AVX2)
-template <>
-struct VecF64<Avx2Backend> {
-  static constexpr int kLanes = 4;
-  __m256d v;
-
-  static VecF64 broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
-
-  static void load_u32_pairs(const std::uint32_t* p, VecF64& even, VecF64& odd) {
-    // The 2^52 bias of the SSE2 backend, on four 64-bit lanes.
-    const __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const __m256i two52 = _mm256_set1_epi64x(0x4330000000000000);
-    const __m256d bias = _mm256_set1_pd(0x1p52);
-    const __m256i low = _mm256_and_si256(w, _mm256_set1_epi64x(0xffffffff));
-    even = {_mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(low, two52)), bias)};
-    odd = {_mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32), two52)),
-                         bias)};
-  }
-
-  friend VecF64 operator+(VecF64 a, VecF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend VecF64 operator-(VecF64 a, VecF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend VecF64 operator*(VecF64 a, VecF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  static VecF64 min(VecF64 a, VecF64 b) { return {_mm256_min_pd(a.v, b.v)}; }
-};
-#endif  // SLJ_SIMD_AVX2
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-struct VecF64<NeonBackend> {
-  static constexpr int kLanes = 2;
-  float64x2_t v;
-
-  static VecF64 broadcast(double x) { return {vdupq_n_f64(x)}; }
-  void store(double* p) const { vst1q_f64(p, v); }
-
-  static void load_u32_pairs(const std::uint32_t* p, VecF64& even, VecF64& odd) {
-    const uint32x2x2_t w = vld2_u32(p);
-    even = {vcvtq_f64_u64(vmovl_u32(w.val[0]))};
-    odd = {vcvtq_f64_u64(vmovl_u32(w.val[1]))};
-  }
-
-  friend VecF64 operator+(VecF64 a, VecF64 b) { return {vaddq_f64(a.v, b.v)}; }
-  friend VecF64 operator-(VecF64 a, VecF64 b) { return {vsubq_f64(a.v, b.v)}; }
-  friend VecF64 operator*(VecF64 a, VecF64 b) { return {vmulq_f64(a.v, b.v)}; }
-  static VecF64 min(VecF64 a, VecF64 b) { return {vminq_f64(a.v, b.v)}; }
-};
-#endif  // SLJ_SIMD_NEON
 
 // ---- VecF32: a fixed-width vector of floats --------------------------------
 //
@@ -670,128 +455,6 @@ struct VecF32<Sse2Backend> {
 };
 #endif  // SLJ_SIMD_SSE2
 
-#if defined(SLJ_SIMD_AVX2)
-template <>
-struct VecF32<Avx2Backend> {
-  static constexpr int kLanes = 8;
-  __m256 v;
-
-  static VecF32 load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static VecF32 broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  void store(float* p) const { _mm256_storeu_ps(p, v); }
-
-  static VecF32 load_f64(const double* p) {
-    return {join(_mm256_cvtpd_ps(_mm256_loadu_pd(p)), _mm256_cvtpd_ps(_mm256_loadu_pd(p + 4)))};
-  }
-  static void load_log2_split(const double* p, VecF32& exponent, VecF32& fraction) {
-    __m256d e0, f0, e1, f1;
-    split4(_mm256_loadu_pd(p), e0, f0);
-    split4(_mm256_loadu_pd(p + 4), e1, f1);
-    exponent = {join(_mm256_cvtpd_ps(e0), _mm256_cvtpd_ps(e1))};
-    fraction = {join(_mm256_cvtpd_ps(f0), _mm256_cvtpd_ps(f1))};
-  }
-  static void store_interleaved(VecF32 a, VecF32 b, float* out) {
-    const __m256 lo = _mm256_unpacklo_ps(a.v, b.v);  // a0 b0 a1 b1 | a4 b4 a5 b5
-    const __m256 hi = _mm256_unpackhi_ps(a.v, b.v);  // a2 b2 a3 b3 | a6 b6 a7 b7
-    _mm256_storeu_ps(out, _mm256_permute2f128_ps(lo, hi, 0x20));
-    _mm256_storeu_ps(out + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
-  }
-  static VecF32 trunc(VecF32 a) { return {_mm256_cvtepi32_ps(_mm256_cvttps_epi32(a.v))}; }
-  static unsigned lt_mask(VecF32 a, VecF32 b) {
-    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)));
-  }
-  void store_trunc_u8(std::uint8_t* out) const {
-    const __m256i i32 = _mm256_cvttps_epi32(v);
-    const __m128i i16 =
-        _mm_packs_epi32(_mm256_castsi256_si128(i32), _mm256_extracti128_si256(i32, 1));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out), _mm_packus_epi16(i16, i16));
-  }
-
-  friend VecF32 operator+(VecF32 a, VecF32 b) { return {_mm256_add_ps(a.v, b.v)}; }
-  friend VecF32 operator-(VecF32 a, VecF32 b) { return {_mm256_sub_ps(a.v, b.v)}; }
-  friend VecF32 operator*(VecF32 a, VecF32 b) { return {_mm256_mul_ps(a.v, b.v)}; }
-  friend VecF32 operator/(VecF32 a, VecF32 b) { return {_mm256_div_ps(a.v, b.v)}; }
-  static VecF32 sqrt(VecF32 a) { return {_mm256_sqrt_ps(a.v)}; }
-
- private:
-  static __m256 join(__m128 lo, __m128 hi) {
-    return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
-  }
-  // split_log2 on four lanes, with the 2^52 bias of the SSE2 backend.
-  static void split4(__m256d r, __m256d& exponent, __m256d& fraction) {
-    const __m256i bits = _mm256_castpd_si256(r);
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d s = _mm256_castsi256_pd(
-        _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi64x(0x000fffffffffffff)),
-                        _mm256_set1_epi64x(0x3ff0000000000000)));
-    const __m256d big = _mm256_cmp_pd(s, _mm256_set1_pd(0x1.6a09e667f3bcdp+0), _CMP_GT_OQ);
-    const __m256d k = _mm256_castsi256_pd(
-        _mm256_or_si256(_mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(0x4330000000000000)));
-    exponent =
-        _mm256_add_pd(_mm256_sub_pd(k, _mm256_set1_pd(0x1p52 + 1023.0)), _mm256_and_pd(big, one));
-    const __m256d scale =
-        _mm256_or_pd(_mm256_and_pd(big, _mm256_set1_pd(0.5)), _mm256_andnot_pd(big, one));
-    fraction = _mm256_sub_pd(_mm256_mul_pd(s, scale), one);
-  }
-};
-#endif  // SLJ_SIMD_AVX2
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-struct VecF32<NeonBackend> {
-  static constexpr int kLanes = 4;
-  float32x4_t v;
-
-  static VecF32 load(const float* p) { return {vld1q_f32(p)}; }
-  static VecF32 broadcast(float x) { return {vdupq_n_f32(x)}; }
-  void store(float* p) const { vst1q_f32(p, v); }
-
-  static VecF32 load_f64(const double* p) {
-    return {vcombine_f32(vcvt_f32_f64(vld1q_f64(p)), vcvt_f32_f64(vld1q_f64(p + 2)))};
-  }
-  static void load_log2_split(const double* p, VecF32& exponent, VecF32& fraction) {
-    float64x2_t e0, f0, e1, f1;
-    split2(vld1q_f64(p), e0, f0);
-    split2(vld1q_f64(p + 2), e1, f1);
-    exponent = {vcombine_f32(vcvt_f32_f64(e0), vcvt_f32_f64(e1))};
-    fraction = {vcombine_f32(vcvt_f32_f64(f0), vcvt_f32_f64(f1))};
-  }
-  static void store_interleaved(VecF32 a, VecF32 b, float* out) {
-    vst2q_f32(out, (float32x4x2_t{{a.v, b.v}}));
-  }
-  static VecF32 trunc(VecF32 a) { return {vcvtq_f32_s32(vcvtq_s32_f32(a.v))}; }
-  static unsigned lt_mask(VecF32 a, VecF32 b) {
-    const uint32x4_t bit = {1u, 2u, 4u, 8u};
-    return vaddvq_u32(vandq_u32(vcltq_f32(a.v, b.v), bit));
-  }
-  void store_trunc_u8(std::uint8_t* out) const {
-    const uint16x4_t u16 = vqmovun_s32(vcvtq_s32_f32(v));
-    const uint8x8_t u8 = vqmovn_u16(vcombine_u16(u16, u16));
-    const std::uint32_t word = vget_lane_u32(vreinterpret_u32_u8(u8), 0);
-    std::memcpy(out, &word, sizeof word);
-  }
-
-  friend VecF32 operator+(VecF32 a, VecF32 b) { return {vaddq_f32(a.v, b.v)}; }
-  friend VecF32 operator-(VecF32 a, VecF32 b) { return {vsubq_f32(a.v, b.v)}; }
-  friend VecF32 operator*(VecF32 a, VecF32 b) { return {vmulq_f32(a.v, b.v)}; }
-  friend VecF32 operator/(VecF32 a, VecF32 b) { return {vdivq_f32(a.v, b.v)}; }
-  static VecF32 sqrt(VecF32 a) { return {vsqrtq_f32(a.v)}; }
-
- private:
-  static void split2(float64x2_t r, float64x2_t& exponent, float64x2_t& fraction) {
-    const uint64x2_t bits = vreinterpretq_u64_f64(r);
-    const float64x2_t one = vdupq_n_f64(1.0);
-    const float64x2_t s = vreinterpretq_f64_u64(
-        vorrq_u64(vandq_u64(bits, vdupq_n_u64(0x000fffffffffffffu)),
-                  vdupq_n_u64(0x3ff0000000000000u)));
-    const uint64x2_t big = vcgtq_f64(s, vdupq_n_f64(0x1.6a09e667f3bcdp+0));
-    const float64x2_t k = vcvtq_f64_u64(vshrq_n_u64(bits, 52));
-    exponent = vaddq_f64(vsubq_f64(k, vdupq_n_f64(1023.0)), vbslq_f64(big, one, vdupq_n_f64(0.0)));
-    fraction = vsubq_f64(vmulq_f64(s, vbslq_f64(big, vdupq_n_f64(0.5), one)), one);
-  }
-};
-#endif  // SLJ_SIMD_NEON
-
 // ---- byte-plane primitives -------------------------------------------------
 
 /// Index of the first nonzero byte in [p, p + n), or n when all are zero.
@@ -847,52 +510,6 @@ inline void store_equal01_i32<Sse2Backend>(const int* labels, int value, std::ui
 }
 #endif
 
-#if defined(SLJ_SIMD_AVX2)
-template <>
-inline void store_equal01_i32<Avx2Backend>(const int* labels, int value, std::uint8_t* out,
-                                           std::size_t n) {
-  const __m256i needle = _mm256_set1_epi32(value);
-  const __m256i one = _mm256_set1_epi32(1);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i packed32[4];
-    for (int b = 0; b < 4; ++b) {
-      const __m256i eq = _mm256_cmpeq_epi32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(labels + i + 8 * b)), needle);
-      packed32[b] = _mm256_and_si256(eq, one);
-    }
-    // packs operates within 128-bit halves; permute fixes the interleave.
-    const __m256i lo = _mm256_packs_epi32(packed32[0], packed32[1]);
-    const __m256i hi = _mm256_packs_epi32(packed32[2], packed32[3]);
-    const __m256i bytes = _mm256_packus_epi16(lo, hi);
-    const __m256i fixed =
-        _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), fixed);
-  }
-  for (; i < n; ++i) out[i] = labels[i] == value ? 1 : 0;
-}
-#endif
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-inline void store_equal01_i32<NeonBackend>(const int* labels, int value, std::uint8_t* out,
-                                           std::size_t n) {
-  const int32x4_t needle = vdupq_n_s32(value);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    uint16x4_t half[4];
-    for (int b = 0; b < 4; ++b) {
-      const uint32x4_t eq = vceqq_s32(vld1q_s32(labels + i + 4 * b), needle);
-      half[b] = vmovn_u32(vshrq_n_u32(eq, 31));
-    }
-    const uint8x8_t lo = vmovn_u16(vcombine_u16(half[0], half[1]));
-    const uint8x8_t hi = vmovn_u16(vcombine_u16(half[2], half[3]));
-    vst1q_u8(out + i, vcombine_u8(lo, hi));
-  }
-  for (; i < n; ++i) out[i] = labels[i] == value ? 1 : 0;
-}
-#endif
-
 /// out[i] = (src[i] != 0 || closed[i] == 0) ? 1 : 0 — the hole-fill
 /// composition: foreground stays, unreached background becomes foreground.
 template <class Backend>
@@ -924,44 +541,6 @@ inline void store_fill01_u8<Sse2Backend>(const std::uint8_t* src, const std::uin
 }
 #endif
 
-#if defined(SLJ_SIMD_AVX2)
-template <>
-inline void store_fill01_u8<Avx2Backend>(const std::uint8_t* src, const std::uint8_t* closed,
-                                         std::uint8_t* out, std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi8(1);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(closed + i));
-    const __m256i src_zero = _mm256_cmpeq_epi8(s, zero);
-    const __m256i closed_zero = _mm256_cmpeq_epi8(c, zero);
-    const __m256i keep =
-        _mm256_or_si256(_mm256_andnot_si256(src_zero, _mm256_set1_epi8(-1)), closed_zero);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_and_si256(keep, one));
-  }
-  for (; i < n; ++i) out[i] = (src[i] != 0 || closed[i] == 0) ? 1 : 0;
-}
-#endif
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-inline void store_fill01_u8<NeonBackend>(const std::uint8_t* src, const std::uint8_t* closed,
-                                         std::uint8_t* out, std::size_t n) {
-  const uint8x16_t zero = vdupq_n_u8(0);
-  const uint8x16_t one = vdupq_n_u8(1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t s = vld1q_u8(src + i);
-    const uint8x16_t c = vld1q_u8(closed + i);
-    const uint8x16_t fg = vmvnq_u8(vceqq_u8(s, zero));  // 0xFF where src != 0
-    const uint8x16_t hole = vceqq_u8(c, zero);          // 0xFF where closed == 0
-    vst1q_u8(out + i, vandq_u8(vorrq_u8(fg, hole), one));
-  }
-  for (; i < n; ++i) out[i] = (src[i] != 0 || closed[i] == 0) ? 1 : 0;
-}
-#endif
-
 /// Splits n interleaved RGB pixels (3n bytes) into three byte planes:
 /// r[i] = rgb[3i], g[i] = rgb[3i + 1], b[i] = rgb[3i + 2]. A byte shuffle,
 /// so every backend writes the same bytes.
@@ -979,83 +558,35 @@ inline void deinterleave_rgb<ScalarBackend>(const std::uint8_t* rgb, std::uint8_
   }
 }
 
-#if defined(SLJ_SIMD_SSE2) || defined(SLJ_SIMD_AVX2)
+#if defined(SLJ_SIMD_SSE2)
 namespace detail {
-// One riffle of 48 bytes held as three vectors (per 128-bit lane): the
-// first 24 bytes interleaved with the last 24. A riffle sends byte p to
-// 2p mod 47 (byte 47 stays), so four send 3i + c to 16c + i: channel c of
-// 16 pixels lands in vector c. SSE2 and AVX2 share it through their 128-bit
-// lane-local unpacks.
-template <class V, class UnpackLo8, class UnpackHi64>
-inline void riffle48(V& v0, V& v1, V& v2, UnpackLo8 lo8, UnpackHi64 hi64) {
-  const V n0 = lo8(v0, hi64(v1, v1));
-  const V n1 = lo8(hi64(v0, v0), v2);
-  const V n2 = lo8(v1, hi64(v2, v2));
+// One riffle of 48 bytes held as three vectors: the first 24 bytes
+// interleaved with the last 24. A riffle sends byte p to 2p mod 47 (byte 47
+// stays), so four send 3i + c to 16c + i: channel c of 16 pixels lands in
+// vector c.
+inline void riffle48(__m128i& v0, __m128i& v1, __m128i& v2) {
+  const __m128i n0 = _mm_unpacklo_epi8(v0, _mm_unpackhi_epi64(v1, v1));
+  const __m128i n1 = _mm_unpacklo_epi8(_mm_unpackhi_epi64(v0, v0), v2);
+  const __m128i n2 = _mm_unpacklo_epi8(v1, _mm_unpackhi_epi64(v2, v2));
   v0 = n0;
   v1 = n1;
   v2 = n2;
 }
 }  // namespace detail
-#endif
 
-#if defined(SLJ_SIMD_SSE2)
 template <>
 inline void deinterleave_rgb<Sse2Backend>(const std::uint8_t* rgb, std::uint8_t* r,
                                           std::uint8_t* g, std::uint8_t* b, std::size_t n) {
-  const auto lo8 = [](__m128i x, __m128i y) { return _mm_unpacklo_epi8(x, y); };
-  const auto hi64 = [](__m128i x, __m128i y) { return _mm_unpackhi_epi64(x, y); };
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const std::uint8_t* p = rgb + 3 * i;
     __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
     __m128i v1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
     __m128i v2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 32));
-    for (int k = 0; k < 4; ++k) detail::riffle48(v0, v1, v2, lo8, hi64);
+    for (int k = 0; k < 4; ++k) detail::riffle48(v0, v1, v2);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(r + i), v0);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(g + i), v1);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(b + i), v2);
-  }
-  deinterleave_rgb<ScalarBackend>(rgb + 3 * i, r + i, g + i, b + i, n - i);
-}
-#endif
-
-#if defined(SLJ_SIMD_AVX2)
-template <>
-inline void deinterleave_rgb<Avx2Backend>(const std::uint8_t* rgb, std::uint8_t* r,
-                                          std::uint8_t* g, std::uint8_t* b, std::size_t n) {
-  const auto lo8 = [](__m256i x, __m256i y) { return _mm256_unpacklo_epi8(x, y); };
-  const auto hi64 = [](__m256i x, __m256i y) { return _mm256_unpackhi_epi64(x, y); };
-  // Pixels [0, 16) ride the low 128-bit lanes and [16, 32) the high ones.
-  const auto load2 = [](const std::uint8_t* lo, const std::uint8_t* hi) {
-    const __m128i l = _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo));
-    const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi));
-    return _mm256_inserti128_si256(_mm256_castsi128_si256(l), h, 1);
-  };
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const std::uint8_t* p = rgb + 3 * i;
-    __m256i v0 = load2(p, p + 48);
-    __m256i v1 = load2(p + 16, p + 64);
-    __m256i v2 = load2(p + 32, p + 80);
-    for (int k = 0; k < 4; ++k) detail::riffle48(v0, v1, v2, lo8, hi64);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + i), v0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i), v1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + i), v2);
-  }
-  deinterleave_rgb<ScalarBackend>(rgb + 3 * i, r + i, g + i, b + i, n - i);
-}
-#endif
-
-#if defined(SLJ_SIMD_NEON)
-template <>
-inline void deinterleave_rgb<NeonBackend>(const std::uint8_t* rgb, std::uint8_t* r,
-                                          std::uint8_t* g, std::uint8_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16x3_t px = vld3q_u8(rgb + 3 * i);
-    vst1q_u8(r + i, px.val[0]);
-    vst1q_u8(g + i, px.val[1]);
-    vst1q_u8(b + i, px.val[2]);
   }
   deinterleave_rgb<ScalarBackend>(rgb + 3 * i, r + i, g + i, b + i, n - i);
 }

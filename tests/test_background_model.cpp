@@ -130,8 +130,8 @@ void expect_matches_oracle(int w, int h, std::mt19937& rng) {
 TEST(BackgroundModel, WindowMeansMatchSummedAreaOracleBitForBit) {
   // Single pixels, rows and columns, frames narrower and shorter than the
   // window, an odd size and the paper's 288×160 frame. The suite runs on
-  // the default, SLJ_SIMD=OFF and AVX2 builds, so every backend's row
-  // kernels meet the oracle here.
+  // the default, SLJ_SIMD=OFF and -march=native builds, so both backends'
+  // row kernels meet the oracle here.
   std::mt19937 rng(31);
   const std::pair<int, int> sizes[] = {{1, 1}, {1, 9}, {13, 1}, {2, 2}, {31, 17}, {288, 160}};
   for (const auto& [w, h] : sizes) expect_matches_oracle(w, h, rng);

@@ -15,9 +15,12 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "core/simd.hpp"
 #include "core/stream_engine.hpp"
 #include "synth/dataset.hpp"
 
@@ -155,6 +158,37 @@ TEST(LatencyHistogram, QuantilesCarryAtMostOneOctaveOfError) {
   // p99 is still inside the 3 ms mass; p100 reaches the outlier's bucket.
   EXPECT_LE(histogram.quantile_ms(0.99), 4.1);
   EXPECT_GE(histogram.quantile_ms(1.0), 64.0);
+}
+
+// ---- IngestMetrics ---------------------------------------------------------
+
+TEST(IngestMetrics, SnapshotSimdBlockNamesTheBuildsBackendAndByteLanes) {
+  // docs/metrics_schema.md's `simd` object: {"backend": "…", "u8_lanes": N}.
+  const std::string json = IngestMetricsSnapshot{}.to_json();
+  const std::size_t open = json.find("\"simd\": {");
+  ASSERT_NE(open, std::string::npos) << json;
+  const std::size_t close = json.find('}', open);
+  ASSERT_NE(close, std::string::npos) << json;
+  const std::string block = json.substr(open, close - open);
+
+  const std::string backend_key = "\"backend\": \"";
+  const std::size_t b = block.find(backend_key);
+  ASSERT_NE(b, std::string::npos) << block;
+  const std::size_t b_begin = b + backend_key.size();
+  const std::string backend = block.substr(b_begin, block.find('"', b_begin) - b_begin);
+
+  const std::string lanes_key = "\"u8_lanes\": ";
+  const std::size_t l = block.find(lanes_key);
+  ASSERT_NE(l, std::string::npos) << block;
+  const int lanes = std::stoi(block.substr(l + lanes_key.size()));
+
+  EXPECT_EQ(backend, simd::backend_name());
+  if constexpr (std::is_same_v<simd::Active, simd::ScalarBackend>) {
+    EXPECT_EQ(backend, "scalar");
+  } else {
+    EXPECT_EQ(backend, "sse2");
+  }
+  EXPECT_EQ(lanes, simd::VecU8<simd::Active>::kLanes);
 }
 
 // ---- IngestRouter ----------------------------------------------------------

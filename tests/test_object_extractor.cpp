@@ -228,8 +228,8 @@ void expect_matches_reference(const RgbImage& background, const RgbImage& frame,
 TEST(ObjectExtractor, ExtractIntoMatchesReferenceAcrossWindowsAndSizes) {
   // Odd sizes, frames narrower and shorter than the window, and single
   // rows/columns, through one reused workspace. The suite runs on the
-  // default, SLJ_SIMD=OFF and AVX2 builds, so every backend's row kernels
-  // meet the seed chain here.
+  // default, SLJ_SIMD=OFF and -march=native builds, so both backends' row
+  // kernels meet the seed chain here.
   FrameWorkspace ws;
   std::mt19937 rng(11);
   const std::pair<int, int> sizes[] = {{1, 1},   {1, 9},   {13, 1},  {2, 2},

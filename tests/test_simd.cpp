@@ -33,8 +33,8 @@ namespace {
 using simd::Active;
 using simd::ScalarBackend;
 
-// Widths straddling every lane boundary of every backend (8/16/32 u8 lanes,
-// 8/16 u16 lanes), plus odd primes and a plain round number.
+// Widths straddling the lane boundaries (8/16 u8 lanes, 8 u16 lanes) and
+// their multiples, plus odd primes and a plain round number.
 const std::vector<std::size_t> kWidths = {1,  2,  3,  5,  7,  8,  15, 16,
                                           17, 31, 32, 33, 63, 64, 65, 100};
 
@@ -329,9 +329,9 @@ TEST(SimdRowKernels, ColumnSumsAndTapSumsMatchScalar) {
 }
 
 TEST(SimdBytePlane, DeinterleaveRgbMatchesScalarOnOddWidths) {
-  // One RGB row into three planes. The widths straddle the 16-pixel SSE2 /
-  // NEON block and the 32-pixel AVX2 block; the base offsets move the loads
-  // off alignment, and the sentinel checks that nothing past n is written.
+  // One RGB row into three planes. The widths straddle one and two 16-pixel
+  // SSE2 blocks; the base offsets move the loads off alignment, and the
+  // sentinel checks that nothing past n is written.
   for (const std::size_t w : {1u, 2u, 15u, 17u, 33u, 48u, 65u}) {
     for (const std::size_t offset : {0u, 1u, 5u}) {
       const std::vector<std::uint8_t> rgb =
