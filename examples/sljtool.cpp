@@ -1,41 +1,23 @@
-// sljtool — command-line front end for the full system:
+// sljtool — command-line front end for the full system (usage() lists each
+// subcommand's flags):
 //
-//   sljtool generate --out DIR [--seed N]        export a synthetic corpus
-//   sljtool train    --data DIR --model FILE     train the pose DBN
-//   sljtool analyze  --model FILE --clip DIR     poses + coaching + score
-//   sljtool evaluate --model FILE --data DIR     per-clip accuracy
-//   sljtool stream   --model FILE --clip DIR     replay the clip as live feeds
-//   sljtool serve    [--sessions N] [...]        async ingest service demo
-//   sljtool record   --out FILE [...]            record a deterministic ingest
-//                                                trace (.sljtrace)
-//   sljtool replay   --trace FILE [...]          re-drive a trace and verify
-//                                                bit-identical analysis
-//   sljtool top      [--slo-p99 MS] [...]        live per-session SLO table with
-//                                                a flight recorder attached: an
-//                                                SLO breach (or SIGUSR1) dumps
-//                                                the retained window as a
-//                                                replayable incident .sljtrace
-//   sljtool trace-export --trace FILE --out FILE replay a trace with the event
-//                                                tracer on and export its
-//                                                timeline + per-stage rollup as
-//                                                Chrome trace-event JSON
+//   generate  export a synthetic corpus
+//   train     train the pose DBN
+//   analyze   poses + coaching + score for one clip
+//   evaluate  per-clip pose accuracy on a corpus's test clips
+//   stream    push a clip a frame at a time into N sessions (simulated
+//             cameras), printing advice the moment a rule resolves, and
+//             check every live frame against the batch classifier
+//   record    record a deterministic ingest run as a .sljtrace
+//   replay    re-drive a .sljtrace and verify bit-identical analysis
+//             (--trace-json: also export the replay's tracer timeline)
+//   top       the async ingest service under jittery cameras, with a live
+//             SLO table and a flight recorder that dumps incidents
 //
 // Clip directories use the clip_io format (background.ppm, frame_NNN.ppm,
-// manifest.txt) — real footage can be dropped in the same layout.
-//
-// analyze and evaluate run the vision pass on the ClipEngine worker pool
-// (--workers N, default: hardware concurrency); the jumper is each frame's
-// largest foreground component. stream pushes the clip one frame at a time
-// through StreamManager sessions — simulated concurrent cameras — printing
-// advice the moment a movement-standard rule resolves, and verifies the
-// live results against the batch classifier. serve goes fully asynchronous: N producer threads
-// push frames at a jittery camera cadence into the IngestService's bounded
-// per-session queues while the scheduler drains, analyses and delivers,
-// with the live telemetry table refreshed as it runs.
-//
-// Flags come in `--name value` pairs. Each subcommand accepts the flags its
-// usage line lists; any other flag, or a flag with no value, exits 1 with
-// an error naming it.
+// manifest.txt) — real footage can be dropped in the same layout. The
+// vision pass runs on --workers N lanes (default: hardware concurrency);
+// the jumper is each frame's largest foreground component.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -47,6 +29,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -67,9 +50,13 @@ namespace {
 
 using namespace slj;
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int start,
-                                               const std::vector<std::string>& accepted) {
-  std::map<std::string, std::string> flags;
+using Flags = std::map<std::string, std::string>;
+
+/// Flags come in `--name value` pairs. Each subcommand accepts the flags its
+/// usage line lists; any other flag, or a flag with no value, is an error
+/// naming it, and main exits 1.
+Flags parse_flags(int argc, char** argv, int start, const std::vector<std::string>& accepted) {
+  Flags flags;
   for (int i = start; i < argc; i += 2) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) throw std::runtime_error("expected flag, got " + arg);
@@ -83,53 +70,41 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int start,
   return flags;
 }
 
-std::string require(const std::map<std::string, std::string>& flags, const std::string& key) {
+std::string require(const Flags& flags, const std::string& key) {
   const auto it = flags.find(key);
   if (it == flags.end()) throw std::runtime_error("missing --" + key);
   return it->second;
 }
 
-/// An integer flag in [lo, hi]; `fallback` when absent. The whole value
-/// must parse: "8x" is rejected, not read as 8.
-long long_flag(const std::map<std::string, std::string>& flags, const std::string& key,
-               long fallback, long lo, long hi) {
+/// A number flag in [lo, hi] (NaN never is); `fallback` when absent. The
+/// whole value must parse: "8x" is rejected, not read as 8.
+template <typename T>
+T number_flag(const Flags& flags, const std::string& key, T fallback, T lo, T hi) {
   const auto it = flags.find(key);
   if (it == flags.end()) return fallback;
-  long value = lo - 1;
+  T value = lo - 1;
   try {
     std::size_t used = 0;
-    value = std::stol(it->second, &used);
+    if constexpr (std::is_integral_v<T>) {
+      value = std::stol(it->second, &used);
+    } else {
+      value = std::stod(it->second, &used);
+    }
     if (used != it->second.size()) value = lo - 1;
   } catch (const std::exception&) {
   }
-  if (value < lo || value > hi) {
-    throw std::runtime_error("--" + key + " must be an integer in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "], got '" + it->second + "'");
-  }
-  return value;
-}
-
-/// A real flag in [lo, hi] (NaN never is); `fallback` when absent. The
-/// whole value must parse.
-double double_flag(const std::map<std::string, std::string>& flags, const std::string& key,
-                   double fallback, double lo, double hi) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  double value = lo - 1.0;
-  try {
-    std::size_t used = 0;
-    value = std::stod(it->second, &used);
-    if (used != it->second.size()) value = lo - 1.0;
-  } catch (const std::exception&) {
-  }
   if (!(value >= lo && value <= hi)) {
-    throw std::runtime_error("--" + key + " must be in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "], got '" + it->second + "'");
+    throw std::runtime_error("--" + key + " must be " +
+                             (std::is_integral_v<T> ? "an integer in [" : "in [") +
+                             std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
+                             it->second + "'");
   }
   return value;
 }
+constexpr auto long_flag = number_flag<long>;
+constexpr auto double_flag = number_flag<double>;
 
-int cmd_generate(const std::map<std::string, std::string>& flags) {
+int cmd_generate(const Flags& flags) {
   synth::DatasetSpec spec;
   spec.seed = static_cast<std::uint32_t>(long_flag(flags, "seed", spec.seed, 0, 4294967295L));
   const std::string out = require(flags, "out");
@@ -142,7 +117,7 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_train(const std::map<std::string, std::string>& flags) {
+int cmd_train(const Flags& flags) {
   const synth::Dataset dataset = synth::load_dataset(require(flags, "data"));
   core::FramePipeline pipeline;
   pose::PoseDbnClassifier classifier;
@@ -160,7 +135,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
 }
 
 /// --workers for the ClipEngine; 0 (the default) = hardware concurrency.
-core::ClipEngineConfig engine_config(const std::map<std::string, std::string>& flags) {
+core::ClipEngineConfig engine_config(const Flags& flags) {
   core::ClipEngineConfig config;
   config.workers = static_cast<unsigned>(long_flag(flags, "workers", 0, 0, 1024));
   return config;
@@ -172,7 +147,52 @@ pose::PoseDbnClassifier load_model(const std::string& path) {
   return pose::PoseDbnClassifier::load(in);
 }
 
-int cmd_analyze(const std::map<std::string, std::string>& flags) {
+/// What record and top feed the ingest plane: the --model (untrained when
+/// absent, which costs the same per frame) and the --clip DIR, or else the
+/// clip generated from --seed N.
+struct LiveInputs {
+  pose::PoseDbnClassifier classifier;
+  synth::Clip clip;
+};
+
+LiveInputs load_live_inputs(const Flags& flags) {
+  LiveInputs in;
+  if (const auto it = flags.find("model"); it != flags.end()) {
+    in.classifier = load_model(it->second);
+  }
+  if (const auto it = flags.find("clip"); it != flags.end()) {
+    in.clip = synth::load_clip(it->second);
+    return in;
+  }
+  synth::ClipSpec spec;
+  spec.seed = static_cast<std::uint32_t>(long_flag(flags, "seed", 2008, 1, 1u << 30));
+  if (long_flag(flags, "mini", 0, 0, 1) != 0) {  // only record accepts --mini
+    // Tiny noise-free studio: frames RLE-compress ~50x, keeping corpus
+    // traces small enough to check into the repository.
+    spec.camera.width = 96;
+    spec.camera.height = 64;
+    spec.camera.pixels_per_meter = 24.0;
+    spec.camera.origin_x_px = 12.0;
+    spec.camera.ground_y_px = 60.0;
+    spec.camera.sensor_noise_sigma = 0.0;
+    spec.camera.speckle_fraction = 0.0;
+  }
+  in.clip = synth::generate_clip(spec);
+  return in;
+}
+
+/// Writes the tracer's events as Chrome trace-event JSON (chrome://tracing, Perfetto).
+void write_trace_json(const std::string& path) {
+  const obs::TracerSnapshot snap = obs::Tracer::instance().snapshot();
+  std::ofstream json(path);
+  if (!json) throw std::runtime_error("cannot write " + path);
+  json << obs::chrome_trace_json(snap);
+  std::printf("trace timeline written to %s (%llu events, %llu dropped)\n", path.c_str(),
+              static_cast<unsigned long long>(snap.total_events),
+              static_cast<unsigned long long>(snap.total_dropped));
+}
+
+int cmd_analyze(const Flags& flags) {
   const double ppm = double_flag(flags, "ppm", 72.0, 1.0, 10000.0);
   core::ClipEngine engine({}, engine_config(flags));
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
@@ -196,7 +216,7 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_stream(const std::map<std::string, std::string>& flags) {
+int cmd_stream(const Flags& flags) {
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
   const synth::Clip clip = synth::load_clip(require(flags, "clip"));
 
@@ -253,108 +273,6 @@ int cmd_stream(const std::map<std::string, std::string>& flags) {
   return mismatches == 0 ? 0 : 1;
 }
 
-void print_serve_table(const ingest::IngestMetricsSnapshot& snap, double elapsed_s) {
-  std::printf(
-      "t=%5.1fs  pushed %6llu  delivered %6llu  dropped %5llu  "
-      "depth %3zu (deepest queue %zu)  p50 %6.2f ms  p99 %6.2f ms\n",
-      elapsed_s, static_cast<unsigned long long>(snap.pushed),
-      static_cast<unsigned long long>(snap.delivered),
-      static_cast<unsigned long long>(snap.dropped_oldest), snap.queue_depth, snap.queue_depth_peak,
-      snap.latency_p50_ms, snap.latency_p99_ms);
-}
-
-// serve: the push-based service end to end. N producer threads play jittery
-// cameras — each pushes the clip's frames (cycled) at its target fps with
-// per-frame timing noise — against the IngestService's bounded queues while
-// the scheduler thread drains, analyses and delivers. The telemetry table
-// refreshes twice a second; the final snapshot is printed as JSON.
-int cmd_serve(const std::map<std::string, std::string>& flags) {
-  pose::PoseDbnClassifier classifier;  // untrained by default: same frame cost
-  if (const auto it = flags.find("model"); it != flags.end()) classifier = load_model(it->second);
-  synth::Clip clip;
-  if (const auto it = flags.find("clip"); it != flags.end()) {
-    clip = synth::load_clip(it->second);
-  } else {
-    synth::ClipSpec spec;
-    spec.seed = static_cast<std::uint32_t>(long_flag(flags, "seed", 2008, 1, 1u << 30));
-    clip = synth::generate_clip(spec);
-  }
-
-  const long sessions = long_flag(flags, "sessions", 4, 1, 1024);
-  const double seconds = double_flag(flags, "seconds", 4.0, 0.1, 3600.0);
-  const double fps = double_flag(flags, "fps", 60.0, 1.0, 10000.0);
-  const double jitter = double_flag(flags, "jitter", 0.5, 0.0, 1.0);
-
-  ingest::IngestServiceConfig config;
-  config.manager.workers = static_cast<unsigned>(long_flag(flags, "workers", 0, 0, 1024));
-  ingest::IngestSessionConfig session_config;
-  session_config.queue.capacity =
-      static_cast<std::size_t>(long_flag(flags, "capacity", 8, 1, 4096));
-
-  ingest::IngestService service(classifier, {}, config);
-  std::vector<int> ids;
-  for (long s = 0; s < sessions; ++s) {
-    ids.push_back(service.open_session(clip.background, session_config));
-  }
-  std::printf("serving %ld jittery %.0f fps camera%s (drop-oldest queue capacity %zu) "
-              "for %.1f s...\n\n",
-              sessions, fps, sessions == 1 ? "" : "s", session_config.queue.capacity, seconds);
-  service.start();
-
-  using WallClock = std::chrono::steady_clock;
-  const auto start = WallClock::now();
-  const auto deadline = start + std::chrono::duration_cast<WallClock::duration>(
-                                    std::chrono::duration<double>(seconds));
-  std::vector<std::thread> producers;
-  for (std::size_t s = 0; s < ids.size(); ++s) {
-    producers.emplace_back([&, s] {
-      std::mt19937 rng(static_cast<std::uint32_t>(1000 + s));
-      std::uniform_real_distribution<double> noise(1.0 - jitter, 1.0 + jitter);
-      const double period_s = 1.0 / fps;
-      std::size_t frame = s;  // stagger the feeds
-      while (WallClock::now() < deadline) {
-        service.push(ids[s], clip.frames[frame % clip.frames.size()]);
-        ++frame;
-        std::this_thread::sleep_for(
-            std::chrono::duration_cast<WallClock::duration>(
-                std::chrono::duration<double>(period_s * noise(rng))));
-      }
-    });
-  }
-
-  while (WallClock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-    print_serve_table(service.metrics(),
-                      std::chrono::duration<double>(WallClock::now() - start).count());
-  }
-  for (std::thread& t : producers) t.join();
-  service.flush();
-
-  const ingest::IngestMetricsSnapshot snap = service.metrics();
-  std::printf("\nper-session:\n");
-  std::printf("  id   pushed  delivered  dropped  fps\n");
-  for (const ingest::SessionMetricsSnapshot& row : snap.sessions) {
-    std::printf("  %2d  %7llu  %9llu  %7llu  %5.1f\n", row.session,
-                static_cast<unsigned long long>(row.pushed),
-                static_cast<unsigned long long>(row.delivered),
-                static_cast<unsigned long long>(row.dropped_oldest), row.throughput_fps);
-  }
-  std::printf("\nfinal snapshot:\n%s\n", snap.to_json().c_str());
-  for (const int id : ids) service.close_session(id);
-  service.stop();
-
-  // Drop accounting must balance exactly: every admitted frame was either
-  // delivered to a sink or discarded by an accounted mechanism.
-  const ingest::IngestMetricsSnapshot end = service.metrics();
-  const bool balanced = end.pushed == end.delivered + end.dropped_oldest + end.discarded;
-  std::printf("accounting: pushed %llu == delivered %llu + dropped %llu + discarded %llu  [%s]\n",
-              static_cast<unsigned long long>(end.pushed),
-              static_cast<unsigned long long>(end.delivered),
-              static_cast<unsigned long long>(end.dropped_oldest),
-              static_cast<unsigned long long>(end.discarded), balanced ? "ok" : "MISMATCH");
-  return balanced ? 0 : 1;
-}
-
 /// Why a finished recording cannot stand as a golden trace, or "" when it
 /// can. The dump at `path` must hold every one of the `opened` sessions
 /// whole, which fails when the byte budget evicted one, and its summary
@@ -401,7 +319,7 @@ std::string capture_refusal(const obs::FlightRecorder& recorder,
 }
 
 // record: capture a *deterministic* ingest run as a .sljtrace file. Unlike
-// serve, nothing here depends on wall-clock or thread timing: the router
+// top, nothing here depends on wall-clock or thread timing: the router
 // runs on a manual clock, the scheduler stays stopped, and every round is
 // pushed single-threaded then drained inline through flush(). The same
 // flags therefore always produce byte-for-byte the same trace — which is
@@ -415,30 +333,8 @@ std::string capture_refusal(const obs::FlightRecorder& recorder,
 // A zero window keeps every closed session, so the dump is the whole run
 // unless the byte budget evicted a session; then, or when the dumped
 // summary disagrees with the plane's metrics, the trace is refused.
-int cmd_record(const std::map<std::string, std::string>& flags) {
-  pose::PoseDbnClassifier classifier;  // untrained by default: no model file needed
-  if (const auto it = flags.find("model"); it != flags.end()) classifier = load_model(it->second);
-
-  synth::Clip clip;
-  if (const auto it = flags.find("clip"); it != flags.end()) {
-    clip = synth::load_clip(it->second);
-  } else {
-    synth::ClipSpec spec;
-    spec.seed = static_cast<std::uint32_t>(long_flag(flags, "seed", 2008, 1, 1u << 30));
-    if (long_flag(flags, "mini", 0, 0, 1) != 0) {
-      // Tiny noise-free studio: frames RLE-compress ~50x, keeping corpus
-      // traces small enough to check into the repository.
-      spec.camera.width = 96;
-      spec.camera.height = 64;
-      spec.camera.pixels_per_meter = 24.0;
-      spec.camera.origin_x_px = 12.0;
-      spec.camera.ground_y_px = 60.0;
-      spec.camera.sensor_noise_sigma = 0.0;
-      spec.camera.speckle_fraction = 0.0;
-    }
-    clip = synth::generate_clip(spec);
-  }
-
+int cmd_record(const Flags& flags) {
+  const auto [classifier, clip] = load_live_inputs(flags);
   const std::string out = require(flags, "out");
   const long sessions = long_flag(flags, "sessions", 3, 1, 64);
   const long frames = long_flag(flags, "frames", 18, 1, 100000);
@@ -513,18 +409,23 @@ int cmd_record(const std::map<std::string, std::string>& flags) {
 }
 
 // replay: re-drive a trace through today's code and verify the recorded
-// golden outputs, at any worker count. Exit status 0 = bit-identical
-// (within --tolerance for posteriors, for cross-toolchain corpora).
-int cmd_replay(const std::map<std::string, std::string>& flags) {
+// golden outputs bit for bit, posteriors included, at any worker count; exit
+// status 0 = bit-identical. --trace-json FILE runs the replay with the event
+// tracer on and writes its timeline and per-stage rollup to FILE.
+int cmd_replay(const Flags& flags) {
   pose::PoseDbnClassifier classifier;
   if (const auto it = flags.find("model"); it != flags.end()) classifier = load_model(it->second);
+  const std::string trace = require(flags, "trace");
 
   replay::ReplayOptions options;
   options.workers = static_cast<unsigned>(long_flag(flags, "workers", 1, 0, 1024));
-  options.posterior_tolerance = double_flag(flags, "tolerance", 0.0, 0.0, 1.0);
 
-  const replay::TraceReplayer replayer(classifier, {}, options);
-  const replay::ReplayResult result = replayer.replay_file(require(flags, "trace"));
+  const auto trace_json = flags.find("trace-json");
+  obs::Tracer::instance().reset();
+  obs::Tracer::instance().set_enabled(trace_json != flags.end());
+  const replay::ReplayResult result =
+      replay::TraceReplayer(classifier, {}, options).replay_file(trace);
+  obs::Tracer::instance().set_enabled(false);
 
   std::printf("replayed %llu ticks / %llu frames across %llu sessions "
               "(recorded span %.3f s, workers %u)\n",
@@ -539,6 +440,7 @@ int cmd_replay(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(result.update_mismatches),
               static_cast<unsigned long long>(result.report_mismatches),
               static_cast<unsigned long long>(result.accounting_mismatches));
+  if (trace_json != flags.end()) write_trace_json(trace_json->second);
   return result.identical() ? 0 : 1;
 }
 
@@ -549,23 +451,16 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 void on_dump_signal(int) { g_dump_requested = 1; }
 #endif
 
-// top: the live operator view. Same jittery producers as serve, but with the
-// full observability stack attached — the event tracer on, a FlightRecorder
-// riding as the service's tap, and every refresh scored against the SLO
-// budgets. A gauge crossing into breach (or SIGUSR1) dumps the recorder's
-// retained window as incident_<n>_<reason>.sljtrace, replayable with
-// `sljtool replay`.
-int cmd_top(const std::map<std::string, std::string>& flags) {
-  pose::PoseDbnClassifier classifier;
-  if (const auto it = flags.find("model"); it != flags.end()) classifier = load_model(it->second);
-  synth::Clip clip;
-  if (const auto it = flags.find("clip"); it != flags.end()) {
-    clip = synth::load_clip(it->second);
-  } else {
-    synth::ClipSpec spec;
-    spec.seed = static_cast<std::uint32_t>(long_flag(flags, "seed", 2008, 1, 1u << 30));
-    clip = synth::generate_clip(spec);
-  }
+// top: the push-based service end to end. N producer threads play jittery
+// cameras — each pushes the clip's frames (cycled) at its target fps with
+// per-frame timing noise — against the IngestService's bounded queues while
+// the scheduler drains, analyses and delivers. The event tracer is on, a
+// FlightRecorder rides as the service's tap, and every refresh is scored
+// against the SLO budgets: a gauge crossing into breach (or SIGUSR1) dumps
+// the recorder's window as incident_<n>_<reason>.sljtrace, replayable with
+// `sljtool replay`. The exit status is the exact drop-accounting check.
+int cmd_top(const Flags& flags) {
+  const auto [classifier, clip] = load_live_inputs(flags);
 
   const long sessions = long_flag(flags, "sessions", 4, 1, 1024);
   const double seconds = double_flag(flags, "seconds", 4.0, 0.1, 3600.0);
@@ -583,14 +478,9 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
   obs::ServiceMonitorConfig monitor_config;
   monitor_config.slo.p99_budget_ms = double_flag(flags, "slo-p99", 0.0, 0.0, 1e9);
   monitor_config.slo.drop_rate_budget = double_flag(flags, "slo-drop", 0.0, 0.0, 1.0);
-  monitor_config.slo.breach_after =
-      static_cast<int>(long_flag(flags, "slo-breach-after", 2, 1, 1000));
-  monitor_config.slo.clear_after =
-      static_cast<int>(long_flag(flags, "slo-clear-after", 2, 1, 1000));
-  monitor_config.incident_dir = [&flags] {
-    const auto it = flags.find("incident-dir");
-    return it != flags.end() ? it->second : std::string(".");
-  }();
+  if (const auto it = flags.find("incident-dir"); it != flags.end()) {
+    monitor_config.incident_dir = it->second;
+  }
   monitor_config.max_incidents =
       static_cast<std::size_t>(long_flag(flags, "max-incidents", 4, 0, 64));
 
@@ -607,16 +497,10 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
   for (long s = 0; s < sessions; ++s) {
     ids.push_back(service.open_session(clip.background, session_config));
   }
-  std::printf("top: %ld jittery %.0f fps camera%s for %.1f s  (SLO: p99 %s, drop-rate %s; "
-              "incidents -> %s)\n",
-              sessions, fps, sessions == 1 ? "" : "s", seconds,
-              monitor_config.slo.latency_tracked()
-                  ? (std::to_string(monitor_config.slo.p99_budget_ms) + " ms").c_str()
-                  : "untracked",
-              monitor_config.slo.drops_tracked()
-                  ? std::to_string(monitor_config.slo.drop_rate_budget).c_str()
-                  : "untracked",
-              monitor_config.incident_dir.c_str());
+  std::printf("top: %ld jittery %.0f fps camera%s for %.1f s  (SLO budgets, 0 = untracked: "
+              "p99 %g ms, drop-rate %g; incidents -> %s)\n",
+              sessions, fps, sessions == 1 ? "" : "s", seconds, monitor_config.slo.p99_budget_ms,
+              monitor_config.slo.drop_rate_budget, monitor_config.incident_dir.c_str());
   service.start();
 
   using WallClock = std::chrono::steady_clock;
@@ -625,17 +509,15 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
                                     std::chrono::duration<double>(seconds));
   std::vector<std::thread> producers;
   for (std::size_t s = 0; s < ids.size(); ++s) {
-    producers.emplace_back([&, s] {
+    producers.emplace_back([&, s, &frames = clip.frames] {
       std::mt19937 rng(static_cast<std::uint32_t>(1000 + s));
       std::uniform_real_distribution<double> noise(1.0 - jitter, 1.0 + jitter);
       const double period_s = 1.0 / fps;
       std::size_t frame = s;  // stagger the feeds
       while (WallClock::now() < deadline) {
-        service.push(ids[s], clip.frames[frame % clip.frames.size()]);
+        service.push(ids[s], frames[frame % frames.size()]);
         ++frame;
-        std::this_thread::sleep_for(
-            std::chrono::duration_cast<WallClock::duration>(
-                std::chrono::duration<double>(period_s * noise(rng))));
+        std::this_thread::sleep_for(std::chrono::duration<double>(period_s * noise(rng)));
       }
     });
   }
@@ -689,12 +571,7 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(monitor.recorder().evicted_sessions()),
               static_cast<unsigned long long>(monitor.incidents()));
 
-  if (const auto it = flags.find("trace-json"); it != flags.end()) {
-    std::ofstream json(it->second);
-    if (!json) throw std::runtime_error("cannot write " + it->second);
-    json << obs::chrome_trace_json(obs::Tracer::instance().snapshot());
-    std::printf("trace timeline written to %s\n", it->second.c_str());
-  }
+  if (const auto it = flags.find("trace-json"); it != flags.end()) write_trace_json(it->second);
 
   const ingest::IngestMetricsSnapshot end = service.metrics();
   const bool balanced = end.pushed == end.delivered + end.dropped_oldest + end.discarded;
@@ -706,45 +583,7 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
   return balanced ? 0 : 1;
 }
 
-// trace-export: replay a .sljtrace with the event tracer enabled and write
-// its timeline and per-stage rollup as Chrome trace-event JSON (open in
-// chrome://tracing or Perfetto). The replay's bit-identity verdict is the
-// exit status, so the export doubles as a regression check.
-int cmd_trace_export(const std::map<std::string, std::string>& flags) {
-  pose::PoseDbnClassifier classifier;
-  if (const auto it = flags.find("model"); it != flags.end()) classifier = load_model(it->second);
-
-  const std::string trace_path = require(flags, "trace");
-  const std::string out_path = require(flags, "out");
-  replay::ReplayOptions options;
-  options.workers = static_cast<unsigned>(long_flag(flags, "workers", 1, 0, 1024));
-  options.posterior_tolerance = double_flag(flags, "tolerance", 0.0, 0.0, 1.0);
-
-  obs::Tracer::instance().set_enabled(true);
-  obs::Tracer::instance().reset();
-
-  const replay::TraceReplayer replayer(classifier, {}, options);
-  const replay::ReplayResult result = replayer.replay_file(trace_path);
-  obs::Tracer::instance().set_enabled(false);
-
-  const obs::TracerSnapshot tracer_snap = obs::Tracer::instance().snapshot();
-  std::ofstream json(out_path);
-  if (!json) throw std::runtime_error("cannot write " + out_path);
-  json << obs::chrome_trace_json(tracer_snap);
-
-  std::printf("replayed %llu ticks / %llu frames across %llu sessions; "
-              "exported %llu trace events (%llu dropped) from %zu threads to %s\n",
-              static_cast<unsigned long long>(result.ticks),
-              static_cast<unsigned long long>(result.frames_replayed),
-              static_cast<unsigned long long>(result.sessions_opened),
-              static_cast<unsigned long long>(tracer_snap.total_events),
-              static_cast<unsigned long long>(tracer_snap.total_dropped),
-              tracer_snap.threads.size(), out_path.c_str());
-  std::printf("verdict: %s\n", result.identical() ? "bit-identical" : "DIVERGED");
-  return result.identical() ? 0 : 1;
-}
-
-int cmd_evaluate(const std::map<std::string, std::string>& flags) {
+int cmd_evaluate(const Flags& flags) {
   core::ClipEngine engine({}, engine_config(flags));
   const pose::PoseDbnClassifier classifier = load_model(require(flags, "model"));
   const synth::Dataset dataset = synth::load_dataset(require(flags, "data"));
@@ -772,27 +611,21 @@ int usage() {
               "                   [--workers N]\n"
               "  sljtool evaluate --model FILE --data DIR [--workers N]\n"
               "  sljtool stream   --model FILE --clip DIR [--sessions N] [--workers N]\n"
-              "  sljtool serve    [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
-              "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
-              "                   [--capacity N]\n"
               "  sljtool record   --out FILE [--model FILE] [--clip DIR | --seed N] [--mini 0|1]\n"
               "                   [--sessions N] [--frames N] [--pushes-per-round N] [--fps F]\n"
               "                   [--capacity N] [--workers N]\n"
-              "  sljtool replay   --trace FILE [--model FILE] [--workers N] [--tolerance X]\n"
+              "  sljtool replay   --trace FILE [--model FILE] [--workers N] [--trace-json FILE]\n"
               "  sljtool top      [--model FILE] [--clip DIR | --seed N] [--sessions N]\n"
               "                   [--seconds S] [--fps F] [--jitter 0..1] [--workers N]\n"
               "                   [--capacity N] [--refresh MS] [--plain 0|1]\n"
-              "                   [--slo-p99 MS] [--slo-drop 0..1] [--slo-breach-after N]\n"
-              "                   [--slo-clear-after N] [--incident-dir DIR] [--max-incidents N]\n"
-              "                   [--trace-json FILE]\n"
-              "  sljtool trace-export --trace FILE --out FILE [--model FILE] [--workers N]\n"
-              "                   [--tolerance X]\n");
+              "                   [--slo-p99 MS] [--slo-drop 0..1] [--incident-dir DIR]\n"
+              "                   [--max-incidents N] [--trace-json FILE]\n");
   return 2;
 }
 
 struct Subcommand {
   const char* name;
-  int (*run)(const std::map<std::string, std::string>&);
+  int (*run)(const Flags&);
   std::vector<std::string> flags;  ///< the flag names it accepts, without "--"
 };
 
@@ -805,20 +638,13 @@ int main(int argc, char** argv) {
       {"analyze", cmd_analyze, {"model", "clip", "ppm", "workers"}},
       {"evaluate", cmd_evaluate, {"model", "data", "workers"}},
       {"stream", cmd_stream, {"model", "clip", "sessions", "workers"}},
-      {"serve",
-       cmd_serve,
-       {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "capacity"}},
-      {"record",
-       cmd_record,
+      {"record", cmd_record,
        {"out", "model", "clip", "seed", "mini", "sessions", "frames", "pushes-per-round", "fps",
         "capacity", "workers"}},
-      {"replay", cmd_replay, {"trace", "model", "workers", "tolerance"}},
-      {"top",
-       cmd_top,
+      {"replay", cmd_replay, {"trace", "model", "workers", "trace-json"}},
+      {"top", cmd_top,
        {"model", "clip", "seed", "sessions", "seconds", "fps", "jitter", "workers", "capacity",
-        "refresh", "plain", "slo-p99", "slo-drop", "slo-breach-after", "slo-clear-after",
-        "incident-dir", "max-incidents", "trace-json"}},
-      {"trace-export", cmd_trace_export, {"trace", "out", "model", "workers", "tolerance"}},
+        "refresh", "plain", "slo-p99", "slo-drop", "incident-dir", "max-incidents", "trace-json"}},
   };
   if (argc < 2) return usage();
   const std::string cmd = argv[1];

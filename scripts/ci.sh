@@ -13,7 +13,7 @@
 #   --incident     Observability end-to-end lane: builds sljtool, runs the
 #                  `top` monitor headless against synthetic producers with a
 #                  sub-microsecond p99 budget so the SLO breaches on the
-#                  first evaluation, asserts the flight recorder dumped an
+#                  second evaluation, asserts the flight recorder dumped an
 #                  incident .sljtrace, and replays every incident bit-for-bit
 #                  at 1, 2, and 4 workers. Incident traces, the tracer
 #                  timeline, and the final metrics snapshot land in
@@ -44,10 +44,11 @@
 #                  must hold on both. Without it, the build uses SLJ_SIMD's
 #                  AUTO default (whatever the compiler already targets).
 #   --replay       ASan+UBSan build; runs the replay/format-fuzz suites,
-#                  then replays every checked-in golden trace through
-#                  `sljtool trace-export` at several worker counts, writing
-#                  per-trace tracer timelines (with their per-stage rollup)
-#                  to <build-dir>/replay_artifacts/ for upload.
+#                  then replays every checked-in golden trace bit for bit
+#                  through `sljtool replay --trace-json` at several worker
+#                  counts, writing per-trace tracer timelines (with their
+#                  per-stage rollup) to <build-dir>/replay_artifacts/ for
+#                  upload.
 set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
@@ -220,9 +221,8 @@ if [[ "$MODE" == "replay" ]]; then
   for trace in "${traces[@]}"; do
     name="$(basename "$trace" .sljtrace)"
     for workers in 1 4; do
-      "$BUILD_DIR/sljtool" trace-export --trace "$trace" --workers "$workers" \
-        --tolerance 1e-9 \
-        --out "$ARTIFACTS/${name}_w${workers}_trace.json"
+      "$BUILD_DIR/sljtool" replay --trace "$trace" --workers "$workers" \
+        --trace-json "$ARTIFACTS/${name}_w${workers}_trace.json"
     done
   done
   echo "replay artifacts in $ARTIFACTS/"
@@ -233,13 +233,14 @@ elif [[ "$MODE" == "incident" ]]; then
   rm -rf "$ARTIFACTS"
   mkdir -p "$ARTIFACTS"
 
-  # A 0.0001 ms p99 budget is unmeetable by construction, so the first SLO
-  # evaluation breaches and the monitor dumps a flight-recorder incident.
+  # A 0.0001 ms p99 budget is unmeetable by construction, so the second SLO
+  # evaluation (obs::kSloBreachAfter = 2 in a row: the second 500 ms poll of
+  # the 2 s run) breaches and the monitor dumps a flight-recorder incident.
   # --plain keeps the output log-friendly; the run still gates on its own
   # push/deliver/drop accounting.
   "$BUILD_DIR/sljtool" top --seed 7 --sessions 3 --seconds 2 --fps 60 \
     --workers 2 --capacity 4 \
-    --slo-p99 0.0001 --slo-breach-after 1 --plain 1 \
+    --slo-p99 0.0001 --plain 1 \
     --incident-dir "$ARTIFACTS" --max-incidents 2 \
     --trace-json "$ARTIFACTS/trace_export.json" \
     | tee "$ARTIFACTS/top.log"

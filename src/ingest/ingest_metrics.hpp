@@ -3,7 +3,7 @@
 // buckets, so producers and the scheduler record without taking any lock —
 // the hot path pays a handful of uncontended atomic increments. snapshot()
 // folds everything into a plain JSON-serializable struct for dashboards,
-// `sljtool serve`, and perfbench's live workloads.
+// `sljtool top`, and perfbench's live workloads.
 #pragma once
 
 #include <array>

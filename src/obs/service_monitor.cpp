@@ -5,13 +5,16 @@
 namespace slj::obs {
 
 ServiceMonitor::ServiceMonitor(ingest::IngestService& service, ServiceMonitorConfig config)
-    : service_(service), config_(std::move(config)), recorder_(config_.recorder),
-      slo_(config_.slo) {
+    : service_(service), tracer_was_enabled_(Tracer::instance().enabled()),
+      config_(std::move(config)), recorder_(config_.recorder), slo_(config_.slo) {
   service_.set_tap(&recorder_);
   Tracer::instance().set_enabled(true);
 }
 
-ServiceMonitor::~ServiceMonitor() { service_.set_tap(nullptr); }
+ServiceMonitor::~ServiceMonitor() {
+  service_.set_tap(nullptr);
+  Tracer::instance().set_enabled(tracer_was_enabled_);
+}
 
 ingest::IngestMetricsSnapshot ServiceMonitor::poll() {
   ingest::IngestMetricsSnapshot snapshot = service_.metrics();

@@ -41,6 +41,8 @@ class ServiceMonitor {
   /// process-wide tracer. `service` must outlive the monitor and must not
   /// have open sessions yet.
   ServiceMonitor(ingest::IngestService& service, ServiceMonitorConfig config);
+  /// Removes the tap and puts the tracer back in the state the constructor
+  /// found it in.
   ~ServiceMonitor();
 
   ServiceMonitor(const ServiceMonitor&) = delete;
@@ -63,6 +65,7 @@ class ServiceMonitor {
 
  private:
   ingest::IngestService& service_;
+  bool tracer_was_enabled_;
   ServiceMonitorConfig config_;
   FlightRecorder recorder_;
   SloTracker slo_;

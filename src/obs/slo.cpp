@@ -6,16 +6,11 @@ const char* slo_state_name(SloState state) {
   return state == SloState::kBreach ? "breach" : "ok";
 }
 
-SloTracker::SloTracker(SloConfig config) : config_(config) {
-  if (config_.breach_after < 1) config_.breach_after = 1;
-  if (config_.clear_after < 1) config_.clear_after = 1;
-}
-
-bool SloTracker::update_gauge(Gauge& gauge, double value, double budget) const {
+bool SloTracker::update_gauge(Gauge& gauge, double value, double budget) {
   if (value > budget) {
     gauge.consecutive_good = 0;
     ++gauge.consecutive_bad;
-    if (gauge.state == SloState::kOk && gauge.consecutive_bad >= config_.breach_after) {
+    if (gauge.state == SloState::kOk && gauge.consecutive_bad >= kSloBreachAfter) {
       gauge.state = SloState::kBreach;
       ++gauge.breaches;
       return true;
@@ -28,7 +23,7 @@ bool SloTracker::update_gauge(Gauge& gauge, double value, double budget) const {
     // keeps the breach latched instead of flapping ok/breach/ok.
     if (value <= budget * (1.0 - kSloHysteresis)) {
       ++gauge.consecutive_good;
-      if (gauge.consecutive_good >= config_.clear_after) {
+      if (gauge.consecutive_good >= kSloClearAfter) {
         gauge.state = SloState::kOk;
         gauge.consecutive_good = 0;
       }

@@ -9,8 +9,8 @@
 //             evaluation* — the dropped_oldest delta over the pushed
 //             delta — against drop_rate_budget
 //
-// Breach entry takes `breach_after` consecutive over-budget evaluations;
-// recovery takes `clear_after` consecutive evaluations at or below
+// Breach entry takes kSloBreachAfter consecutive over-budget evaluations;
+// recovery takes kSloClearAfter consecutive evaluations at or below
 // budget * (1 - kSloHysteresis). A value sitting exactly on the budget neither
 // enters breach (entry needs value > budget) nor clears one (clearing needs
 // the hysteresis margin), so boundary latencies cannot flap the state —
@@ -33,6 +33,10 @@ namespace slj::obs {
 /// Recovery margin: a breached gauge clears only at or below
 /// budget * (1 - kSloHysteresis).
 inline constexpr double kSloHysteresis = 0.1;
+/// Consecutive over-budget evaluations before a gauge enters breach.
+inline constexpr int kSloBreachAfter = 2;
+/// Consecutive within-margin evaluations before a breached gauge clears.
+inline constexpr int kSloClearAfter = 2;
 
 struct SloConfig {
   /// p99 end-to-end latency budget in ms; <= 0 disables the latency gauge.
@@ -40,10 +44,6 @@ struct SloConfig {
   /// Budget on the shed fraction of pushed frames per evaluation interval,
   /// in [0, 1]; <= 0 disables the drop gauge.
   double drop_rate_budget = 0.0;
-  /// Consecutive over-budget evaluations before a gauge enters breach.
-  int breach_after = 2;
-  /// Consecutive within-margin evaluations before a breached gauge clears.
-  int clear_after = 2;
 
   bool latency_tracked() const { return p99_budget_ms > 0.0; }
   bool drops_tracked() const { return drop_rate_budget > 0.0; }
@@ -64,7 +64,7 @@ struct SloIncident {
 
 class SloTracker {
  public:
-  explicit SloTracker(SloConfig config = {});
+  explicit SloTracker(SloConfig config = {}) : config_(config) {}
 
   /// Evaluates one snapshot: updates every session's gauges, writes the SLO
   /// fields of `snapshot` (per-session state/breach counters/drop rate and
@@ -97,7 +97,7 @@ class SloTracker {
   };
 
   /// Returns true when the gauge newly entered breach.
-  bool update_gauge(Gauge& gauge, double value, double budget) const;
+  static bool update_gauge(Gauge& gauge, double value, double budget);
 
   SloConfig config_;
   std::vector<SessionSlo> sessions_;  ///< index = session id

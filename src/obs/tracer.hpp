@@ -20,9 +20,10 @@
 //
 // Runtime posture: compiled in always, *disabled* by default. A disabled
 // TraceSpan costs one relaxed load (the "compiled in but idle" overhead the
-// perf_tracer bench guards at <3%); `sljtool top` / `trace-export` and
-// obs::ServiceMonitor enable it. chrome_trace_json() renders a snapshot as
-// a Chrome trace-event / Perfetto-loadable JSON timeline.
+// perf_tracer bench guards at <3%); `sljtool replay --trace-json` and
+// obs::ServiceMonitor (so `sljtool top`) enable it. chrome_trace_json()
+// renders a snapshot as a Chrome trace-event / Perfetto-loadable JSON
+// timeline.
 //
 // Span vocabulary of the live plane (parent -> children):
 //

@@ -1,7 +1,6 @@
 #include "replay/trace_replayer.hpp"
 
 #include <bit>
-#include <cmath>
 #include <functional>
 #include <map>
 #include <stdexcept>
@@ -34,15 +33,9 @@ struct SessionBook {
   std::uint64_t delivered = 0;  ///< tick entries replayed for this session
 };
 
-bool posterior_matches(double recorded, double replayed, double tolerance) {
-  if (tolerance <= 0.0) {
-    // Bit-level: NaN payloads, signed zero and every ulp must survive.
-    return std::bit_cast<std::uint64_t>(recorded) == std::bit_cast<std::uint64_t>(replayed);
-  }
-  if (std::isnan(recorded) || std::isnan(replayed)) {
-    return std::isnan(recorded) == std::isnan(replayed);
-  }
-  return std::fabs(recorded - replayed) <= tolerance;
+/// Bit-level: NaN payloads, signed zero and every ulp must survive.
+bool posterior_matches(double recorded, double replayed) {
+  return std::bit_cast<std::uint64_t>(recorded) == std::bit_cast<std::uint64_t>(replayed);
 }
 
 bool findings_match(const core::FaultFinding& a, const core::FaultFinding& b) {
@@ -59,7 +52,7 @@ bool reports_match(const core::JumpReport& a, const core::JumpReport& b) {
 
 /// "" when the updates agree; otherwise which field diverged first.
 std::string update_divergence(const core::StreamUpdate& recorded,
-                              const core::StreamUpdate& replayed, double tolerance) {
+                              const core::StreamUpdate& replayed) {
   if (recorded.frame_index != replayed.frame_index) return "frame_index";
   if (recorded.airborne != replayed.airborne) return "airborne";
   if (recorded.result.pose != replayed.result.pose) return "result.pose";
@@ -68,7 +61,7 @@ std::string update_divergence(const core::StreamUpdate& recorded,
   if (recorded.result.candidate_index != replayed.result.candidate_index) {
     return "result.candidate_index";
   }
-  if (!posterior_matches(recorded.result.posterior, replayed.result.posterior, tolerance)) {
+  if (!posterior_matches(recorded.result.posterior, replayed.result.posterior)) {
     return "result.posterior";
   }
   if (recorded.resolved.size() != replayed.resolved.size()) return "resolved.size";
@@ -100,7 +93,7 @@ class ReplayCore {
 
   ReplayCore(const pose::PoseDbnClassifier& classifier, const core::PipelineParams& params,
              const ReplayOptions& options)
-      : options_(options), manager_(classifier, params, manager_config(options)) {}
+      : manager_(classifier, params, manager_config(options)) {}
 
   void index_push(const PushRecord& push, std::size_t frame_pixels, std::uint64_t handle) {
     span(push.t_ns);
@@ -204,8 +197,7 @@ class ReplayCore {
     if (!feeds_.empty()) {
       manager_.tick_into(feeds_, updates_);
       for (std::size_t i = 0; i < r.entries.size(); ++i) {
-        const std::string field =
-            update_divergence(r.entries[i].update, updates_[i], options_.posterior_tolerance);
+        const std::string field = update_divergence(r.entries[i].update, updates_[i]);
         if (!field.empty()) {
           note(result_.update_mismatches,
                "tick " + std::to_string(result_.ticks) + " session " +
@@ -269,7 +261,6 @@ class ReplayCore {
           totals_.delivered + totals_.dropped_oldest + totals_.discarded);
   }
 
-  ReplayOptions options_;
   core::StreamManager manager_;
   ReplayResult result_;
   /// Pass 1: (session, sequence) -> the source's handle for that frame.

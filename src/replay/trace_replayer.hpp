@@ -40,10 +40,6 @@ struct ReplayOptions {
   /// concurrency). Golden parity must hold at *any* value — that is the
   /// worker-count-invariance regression the corpus tests pin.
   unsigned workers = 1;
-  /// 0.0 = posteriors must be bit-identical (in-process record/replay).
-  /// The checked-in corpus uses a small tolerance instead, because libm
-  /// exp/log differ across toolchains by a few ulps.
-  double posterior_tolerance = 0.0;
 };
 
 struct ReplayResult {

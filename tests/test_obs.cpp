@@ -7,14 +7,16 @@
 //   * histogram edge cases — empty, single-bucket interpolation, saturating
 //     clamp into the last bucket, and no quantile above the recorded max;
 //   * SLO hysteresis — boundary values never flap the state machine, breach
-//     entry/clearing honor the consecutive-evaluation thresholds;
+//     entry and clearing each take kSloBreachAfter / kSloClearAfter (two)
+//     consecutive evaluations;
 //   * flight recorder — a dump from a live IngestService replays
 //     bit-identically at 1/2/4 workers (also when a push was logged after
 //     its tick, and drops the close of a session whose replacing push was
 //     logged after it), window and byte budgets evict whole sessions without
 //     corrupting the dump, and a dump leaves the capture untouched;
 //   * service monitor — a forced SLO breach produces a replayable incident
-//     trace exactly once per breach edge.
+//     trace exactly once per breach edge, and the monitor leaves the tracer
+//     as it found it.
 #include "obs/service_monitor.hpp"
 
 #include <gtest/gtest.h>
@@ -436,6 +438,9 @@ TEST(LatencyHistogram, QuantilesNeverFallBelowTheRecordedMin) {
 
 // ---- SLO hysteresis --------------------------------------------------------
 
+static_assert(kSloBreachAfter == 2 && kSloClearAfter == 2,
+              "the SLO tests below step through two-evaluation edges");
+
 /// One-session snapshot with the given lifetime p99, always delivering.
 ingest::IngestMetricsSnapshot latency_sample(double p99_ms, std::uint64_t delivered) {
   ingest::IngestMetricsSnapshot snap;
@@ -450,8 +455,6 @@ ingest::IngestMetricsSnapshot latency_sample(double p99_ms, std::uint64_t delive
 TEST(SloTracker, BoundaryValuesNeverFlap) {
   SloConfig config;
   config.p99_budget_ms = 10.0;
-  config.breach_after = 1;
-  config.clear_after = 1;
   SloTracker tracker(config);
 
   // Sitting exactly on the budget is not a breach (entry needs > budget)...
@@ -464,10 +467,10 @@ TEST(SloTracker, BoundaryValuesNeverFlap) {
 
   // ...and once breached, hovering between budget*(1-h) and budget keeps the
   // breach latched: boundary noise cannot flap ok/breach/ok.
-  {
+  for (const char* want : {"ok", "breach"}) {
     ingest::IngestMetricsSnapshot snap = latency_sample(10.5, 100);
     tracker.evaluate(snap);
-    EXPECT_STREQ(snap.sessions[0].slo_state, "breach");
+    EXPECT_STREQ(snap.sessions[0].slo_state, want);
   }
   for (int i = 0; i < 20; ++i) {
     ingest::IngestMetricsSnapshot snap = latency_sample(i % 2 == 0 ? 9.5 : 10.0, 101);
@@ -476,17 +479,18 @@ TEST(SloTracker, BoundaryValuesNeverFlap) {
   }
   EXPECT_EQ(tracker.total_breaches(), 1u);  // one edge, despite 20 boundary polls
 
-  // Clearing requires the full hysteresis margin (<= 9.0).
-  ingest::IngestMetricsSnapshot snap = latency_sample(9.0, 102);
-  tracker.evaluate(snap);
-  EXPECT_STREQ(snap.sessions[0].slo_state, "ok");
+  // Clearing requires the full hysteresis margin (<= 9.0), twice in a row.
+  for (const char* want : {"breach", "ok"}) {
+    ingest::IngestMetricsSnapshot snap = latency_sample(9.0, 102);
+    tracker.evaluate(snap);
+    EXPECT_STREQ(snap.sessions[0].slo_state, want);
+  }
+  EXPECT_EQ(tracker.total_breaches(), 1u);
 }
 
 TEST(SloTracker, BreachAndClearNeedConsecutiveEvaluations) {
   SloConfig config;
   config.p99_budget_ms = 10.0;
-  config.breach_after = 3;
-  config.clear_after = 2;
   SloTracker tracker(config);
 
   const auto eval = [&tracker](double p99) {
@@ -496,17 +500,19 @@ TEST(SloTracker, BreachAndClearNeedConsecutiveEvaluations) {
     return std::make_pair(std::string(snap.sessions[0].slo_state), incidents.size());
   };
 
-  // Two bad evaluations, then a good one: the consecutive counter resets.
-  EXPECT_EQ(eval(20.0).first, "ok");
-  EXPECT_EQ(eval(20.0).first, "ok");
+  // One bad evaluation does not breach, and a good one resets the count.
+  EXPECT_EQ(eval(20.0), std::make_pair(std::string("ok"), std::size_t{0}));
   EXPECT_EQ(eval(5.0).first, "ok");
-  // Three consecutive bad evaluations breach — exactly one incident fires.
   EXPECT_EQ(eval(20.0).first, "ok");
-  EXPECT_EQ(eval(20.0).first, "ok");
+  // Two consecutive bad evaluations breach — exactly one incident fires.
   const auto [state, incidents] = eval(20.0);
   EXPECT_EQ(state, "breach");
   EXPECT_EQ(incidents, 1u);
-  // One good evaluation is not enough to clear with clear_after = 2.
+  EXPECT_EQ(eval(20.0), std::make_pair(std::string("breach"), std::size_t{0}));
+  // One evaluation within the margin does not clear; one outside it resets
+  // the count, and two in a row clear.
+  EXPECT_EQ(eval(1.0).first, "breach");
+  EXPECT_EQ(eval(9.5).first, "breach");
   EXPECT_EQ(eval(1.0).first, "breach");
   EXPECT_EQ(eval(1.0).first, "ok");
   EXPECT_EQ(tracker.total_breaches(), 1u);
@@ -515,8 +521,6 @@ TEST(SloTracker, BreachAndClearNeedConsecutiveEvaluations) {
 TEST(SloTracker, DropGaugeScoresIntervalDeltas) {
   SloConfig config;
   config.drop_rate_budget = 0.2;
-  config.breach_after = 1;
-  config.clear_after = 1;
   SloTracker tracker(config);
 
   const auto eval = [&tracker](std::uint64_t pushed, std::uint64_t dropped) {
@@ -535,14 +539,23 @@ TEST(SloTracker, DropGaugeScoresIntervalDeltas) {
   EXPECT_EQ(state1, "ok");
   EXPECT_DOUBLE_EQ(rate1, 0.1);
   // Second interval: +100 offered, +50 shed -> 50% for the interval even
-  // though the lifetime ratio is 30%.
+  // though the lifetime ratio is 30%. One bad interval does not breach.
   auto [state2, rate2] = eval(200, 60);
-  EXPECT_EQ(state2, "breach");
+  EXPECT_EQ(state2, "ok");
   EXPECT_DOUBLE_EQ(rate2, 0.5);
-  // A silent interval (no new offers) leaves gauge and rate untouched.
+  // A silent interval (no new offers) leaves gauge and rate untouched: it
+  // neither resets the bad count nor adds to it.
   auto [state3, rate3] = eval(200, 60);
-  EXPECT_EQ(state3, "breach");
+  EXPECT_EQ(state3, "ok");
   EXPECT_DOUBLE_EQ(rate3, 0.5);
+  // Third interval: +100 offered, +50 shed -> the second bad one in a row.
+  auto [state4, rate4] = eval(300, 110);
+  EXPECT_EQ(state4, "breach");
+  EXPECT_DOUBLE_EQ(rate4, 0.5);
+  auto [state5, rate5] = eval(300, 110);
+  EXPECT_EQ(state5, "breach");
+  EXPECT_DOUBLE_EQ(rate5, 0.5);
+  EXPECT_EQ(tracker.total_breaches(), 1u);
 }
 
 TEST(SloTracker, NoBudgetsMeansUntracked) {
@@ -914,11 +927,10 @@ TEST(FlightRecorder, ByteBudgetTaintsOldestOpenSession) {
 // ---- service monitor -------------------------------------------------------
 
 TEST(ServiceMonitor, ForcedBreachProducesReplayableIncidentOnce) {
-  TracerGuard tracer_guard(false);  // the monitor flips it on; guard restores
+  TracerGuard tracer_guard(false);  // the monitor flips it on for its lifetime
   Rig rig;
   ServiceMonitorConfig config;
   config.slo.p99_budget_ms = 0.001;  // 16 ms manual-clock latency always breaches
-  config.slo.breach_after = 1;
   config.incident_dir = ::testing::TempDir();
   config.max_incidents = 2;
   ServiceMonitor monitor(*rig.service, config);
@@ -928,6 +940,13 @@ TEST(ServiceMonitor, ForcedBreachProducesReplayableIncidentOnce) {
   std::vector<std::size_t> next{0};
   for (int r = 0; r < 3; ++r) rig.round({id}, 2, next);
 
+  // The first over-budget poll does not breach yet, so nothing is dumped.
+  const ingest::IngestMetricsSnapshot first = monitor.poll();
+  EXPECT_STREQ(first.sessions[0].slo_state, "ok");
+  EXPECT_EQ(monitor.incidents(), 0u);
+
+  // The second one in a row enters breach and fires one incident.
+  rig.round({id}, 2, next);
   const ingest::IngestMetricsSnapshot snap = monitor.poll();
   EXPECT_STREQ(snap.sessions[0].slo_state, "breach");
   EXPECT_EQ(snap.slo_breached_sessions, 1u);
@@ -944,6 +963,17 @@ TEST(ServiceMonitor, ForcedBreachProducesReplayableIncidentOnce) {
   EXPECT_EQ(monitor.incidents(), 1u);
   EXPECT_EQ(monitor.incident_paths().size(), 1u);
   rig.service->close_session(id);
+}
+
+TEST(ServiceMonitor, LeavesTheTracerAsItFoundIt) {
+  TracerGuard tracer_guard(false);
+  Rig rig;
+  { ServiceMonitor monitor(*rig.service, ServiceMonitorConfig{}); }
+  EXPECT_FALSE(Tracer::instance().enabled());
+
+  Tracer::instance().set_enabled(true);
+  { ServiceMonitor monitor(*rig.service, ServiceMonitorConfig{}); }
+  EXPECT_TRUE(Tracer::instance().enabled());
 }
 
 TEST(ServiceMonitor, ExplicitTriggerHonorsIncidentCap) {

@@ -3,7 +3,7 @@
 //     sheds frames must replay bit-identically at any worker count, shed
 //     counts included (plus idle eviction);
 //   * the checked-in trace corpus (tests/corpus/*.sljtrace) replays
-//     bit-identically modulo a posterior tolerance for cross-libm builds;
+//     bit-identically, posteriors included;
 //   * divergence detection — a tampered golden output is reported, not
 //     silently accepted;
 //   * format robustness — truncated files, bit-flipped bytes and oversized
@@ -174,7 +174,7 @@ TEST(Replay, GoldenParityAcrossWorkersAndPolicies) {
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     ReplayOptions options;
-    options.workers = workers;  // tolerance 0: must be bit-identical
+    options.workers = workers;  // must be bit-identical
     const ReplayResult result = TraceReplayer(classifier, {}, options).replay_file(path);
     EXPECT_TRUE(result.identical()) << workers << " workers: " << result.first_mismatch();
     EXPECT_EQ(result.sessions_opened, 3u);
@@ -247,9 +247,6 @@ TEST(Replay, CorpusReplaysBitIdentically) {
     for (const unsigned workers : {1u, 4u}) {
       ReplayOptions options;
       options.workers = workers;
-      // Posteriors come out of exp/log, which differ by a few ulps across
-      // libm builds; everything else must still match exactly.
-      options.posterior_tolerance = 1e-9;
       const ReplayResult result =
           TraceReplayer(classifier, {}, options).replay_file(entry.path().string());
       EXPECT_TRUE(result.identical())
@@ -274,7 +271,6 @@ TEST(Replay, StreamedReplayMatchesInMemoryReplayOnCorpus) {
     for (const unsigned workers : {1u, 2u, 4u}) {
       ReplayOptions options;
       options.workers = workers;
-      options.posterior_tolerance = 1e-9;
       const TraceReplayer replayer(classifier, {}, options);
       const ReplayResult streamed = replayer.replay_file(entry.path().string());
       EXPECT_TRUE(streamed.identical()) << entry.path().filename() << ": "
@@ -297,7 +293,7 @@ TEST(Replay, DetectsTamperedGoldenOutputs) {
   record_trace(path, classifier, clip, spec);
   const Trace trace = load_trace(path);
 
-  {  // a flipped posterior ulp must be caught at tolerance 0
+  {  // a flipped posterior ulp must be caught
     Trace tampered = trace;
     bool done = false;
     for (TraceRecord& record : tampered.records) {
